@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -297,6 +298,13 @@ func TestClusterEdgeParallelBalance(t *testing.T) {
 			vShare, eShare, sShare := vres.MaxBusyShare(), eres.MaxBusyShare(), sres.MaxBusyShare()
 			t.Logf("max busy share: vertex %.3f (%d tasks), edge %.3f (%d tasks), edge+straggler %.3f",
 				vShare, vres.Tasks, eShare, eres.Tasks, sShare)
+			if procs := runtime.GOMAXPROCS(0); procs < nodes {
+				// Busy share is wall-clock: with fewer cores than ranks the OS
+				// decides who runs, not the dealer. The exact counts above are
+				// the gate on such a box; the shares are logged only.
+				t.Logf("GOMAXPROCS=%d < %d ranks: busy-share bounds not applied", procs, nodes)
+				return
+			}
 			if vShare < 0.6 {
 				t.Errorf("vertex-range tasks should serialize on the hub: max busy share %.3f", vShare)
 			}

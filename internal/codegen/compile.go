@@ -11,9 +11,6 @@ import (
 	"graphpi/internal/vertexset"
 )
 
-// maxUint32 is the open upper limit used when no restriction bounds a loop.
-const maxUint32 = 1<<32 - 1
-
 // Kernel is a Program compiled against one data graph: a chain of per-level
 // closures with the specialization decisions (window shape, duplicate
 // checks, kernel choice, leaf monomorphization) resolved once at build time
@@ -27,8 +24,9 @@ type Kernel struct {
 
 	// root runs the loop nest below one bound root vertex (bound[0] set).
 	root func(*State)
-	// steps0 runs the (rare) intersections hoisted to depth 0.
-	steps0 func(*State)
+	// steps0 runs the (rare) intersections hoisted to depth 0; false cuts
+	// the root (see compileSteps).
+	steps0 func(*State) bool
 	// scan1 runs the depth-1 loop over an explicit candidate slice — the
 	// entry point for edge-parallel slot groups. nil when depth 1 is not
 	// a list scan (or the nest ends at the root).
@@ -169,11 +167,7 @@ func (s *State) beginAuxRoot(v uint32) {
 	if s.aux == nil {
 		return
 	}
-	var bm vertexset.Bitmap
-	if s.k.hasHubs {
-		bm = s.g.HubBitmap(v)
-	}
-	s.aux.BeginRoot(v, s.g.Neighbors(v), bm)
+	s.aux.BeginRoot(v, s.g.Neighbors(v), s.g.HubBitmap(v))
 }
 
 // RunRoot executes the outermost loop over the vertex range [start, end).
@@ -198,8 +192,8 @@ func (s *State) RunRoot(start, end int) {
 		}
 		s.bound[0] = uint32(v)
 		s.beginAuxRoot(uint32(v))
-		if steps0 != nil {
-			steps0(s)
+		if steps0 != nil && !steps0(s) {
+			continue
 		}
 		root(s)
 	}
@@ -234,10 +228,9 @@ func (s *State) RunRootEdges(start, end int) {
 		if lst != nil {
 			lst.Scan(1, 0)
 		}
-		if steps0 != nil {
-			steps0(s)
+		if steps0 == nil || steps0(s) {
+			scan1(s, g.AdjSlots(start, stop))
 		}
-		scan1(s, g.AdjSlots(start, stop))
 		start = stop
 		v++
 	}
@@ -326,8 +319,8 @@ func (k *Kernel) compileScan(lv Level, next func(*State)) func(*State, []uint32)
 					}
 				}
 				s.bound[d] = v
-				if steps != nil {
-					steps(s)
+				if steps != nil && !steps(s) {
+					continue
 				}
 				s.count += iepFn(s)
 			}
@@ -344,8 +337,8 @@ func (k *Kernel) compileScan(lv Level, next func(*State)) func(*State, []uint32)
 			}
 			for _, v := range cands {
 				s.bound[d] = v
-				if steps != nil {
-					steps(s)
+				if steps != nil && !steps(s) {
+					continue
 				}
 				next(s)
 				if s.stop != nil && s.stop.Load() {
@@ -375,8 +368,8 @@ func (k *Kernel) compileScan(lv Level, next func(*State)) func(*State, []uint32)
 					}
 				}
 				s.bound[d] = v
-				if steps != nil {
-					steps(s)
+				if steps != nil && !steps(s) {
+					continue
 				}
 				next(s)
 				if s.stop != nil && s.stop.Load() {
@@ -440,14 +433,14 @@ func (k *Kernel) compileFull(lv Level, next func(*State)) func(*State) {
 				s.count++
 			case atCut:
 				s.bound[d] = v
-				if steps != nil {
-					steps(s)
+				if steps != nil && !steps(s) {
+					continue
 				}
 				s.count += iepFn(s)
 			default:
 				s.bound[d] = v
-				if steps != nil {
-					steps(s)
+				if steps != nil && !steps(s) {
+					continue
 				}
 				next(s)
 				if s.stop != nil && s.stop.Load() {
@@ -458,9 +451,10 @@ func (k *Kernel) compileFull(lv Level, next func(*State)) func(*State) {
 	}
 }
 
-// compileNarrow bakes the restriction window into a candidate-slice
-// narrowing closure reading fixed bound positions — no per-iteration window
-// scan. nil means the level is unrestricted.
+// compileNarrow bakes a level's residual restriction window — what the step
+// that built its candidates did not already apply — into a candidate-slice
+// narrowing closure reading fixed bound positions. nil means nothing is left
+// to narrow.
 func compileNarrow(lowers, uppers []uint8) func(*State, []uint32) []uint32 {
 	switch {
 	case len(lowers) == 0 && len(uppers) == 0:
@@ -475,21 +469,10 @@ func compileNarrow(lowers, uppers []uint8) func(*State, []uint32) []uint32 {
 		return func(s *State, c []uint32) []uint32 {
 			return vertexset.Above(c, s.bound[p])
 		}
-	case len(lowers) == 1 && len(uppers) == 1:
-		lp, up := lowers[0], uppers[0]
-		return func(s *State, c []uint32) []uint32 {
-			return vertexset.Above(vertexset.Below(c, s.bound[up]), s.bound[lp])
-		}
 	default:
 		return func(s *State, c []uint32) []uint32 {
-			lo, hasLo, hi := windowOf(s, lowers, uppers)
-			if hi != maxUint32 {
-				c = vertexset.Below(c, hi)
-			}
-			if hasLo {
-				c = vertexset.Above(c, lo)
-			}
-			return c
+			lo, hi := Bounds(s.bound, lowers, uppers)
+			return vertexset.Window(c, lo, hi)
 		}
 	}
 }
@@ -501,209 +484,139 @@ func compileWindow(lowers, uppers []uint8) func(*State) (int, int) {
 		return func(s *State) (int, int) { return 0, s.nv }
 	}
 	return func(s *State) (int, int) {
-		lo, hasLo, hi := windowOf(s, lowers, uppers)
-		start := 0
-		if hasLo {
-			start = int(lo) + 1
-		}
+		lo, hi := Bounds(s.bound, lowers, uppers)
 		end := s.nv
-		if hi != maxUint32 && int(hi) < end {
+		if uint64(hi) < uint64(end) {
 			end = int(hi)
 		}
-		return start, end
+		return int(lo), end
 	}
 }
 
-// windowOf computes the max lower / min upper bound over several window
-// positions (the general case; single-bound levels are specialized away).
-func windowOf(s *State, lowers, uppers []uint8) (lo uint32, hasLo bool, hi uint32) {
-	for _, p := range lowers {
-		if b := s.bound[p]; !hasLo || b > lo {
-			lo, hasLo = b, true
-		}
-	}
-	hi = uint32(maxUint32)
-	for _, p := range uppers {
-		if b := s.bound[p]; b < hi {
-			hi = b
-		}
-	}
-	return lo, hasLo, hi
-}
-
-// compileSteps compiles a level's hoisted intersections. nil when the level
-// has none (the common case — only multi-parent candidates need steps).
-// d is the hosting schedule level, used only for telemetry attribution.
-func (k *Kernel) compileSteps(steps []Step, d int) func(*State) {
+// compileSteps compiles a level's hoisted intersections into one closure
+// that reports whether the prefix survives: it stops at the first step whose
+// (window-bounded) output is empty and returns false — the empty-set cut, see
+// Step — so the caller skips the remaining steps, the deeper loops and the
+// IEP evaluation. nil when the level has no steps (the common case — only
+// multi-parent candidates need them). d is the hosting schedule level, used
+// only for telemetry attribution.
+func (k *Kernel) compileSteps(steps []Step, d int) func(*State) bool {
 	if len(steps) == 0 {
 		return nil
 	}
-	fns := make([]func(*State), len(steps))
-	for i, st := range steps {
-		fns[i] = k.compileStep(st, d)
+	fns := make([]func(*State) []uint32, len(steps))
+	for i := range steps {
+		fns[i] = k.compileStep(&steps[i], d)
 	}
-	if len(fns) == 1 {
-		return fns[0]
-	}
-	return func(s *State) {
+	return func(s *State) bool {
 		for _, fn := range fns {
-			fn(s)
+			if len(fn(s)) == 0 {
+				if lst := s.st.Level(d); lst != nil {
+					lst.Cuts++
+				}
+				return false
+			}
 		}
+		return true
 	}
 }
 
-// compileStep compiles one intersection with its kernel choice and left
-// operand frozen: each variant reads its buffer or neighborhood directly,
-// with no per-iteration fetch indirection. A frozen bitmap kernel still
-// guards at run time — the bound vertex may not be a hub — but it keeps the
-// interpreter's full hybrid dispatch (including the left-side probe):
-// dropping a bitmap probe trades O(|small|) walks for full merges and loses
-// far more than the skipped comparisons save.
+// compileStep compiles one intersection with its kernel choice frozen; the
+// closure stores and returns the step's output. Every variant trims both
+// operands to the step's window before reading them.
 //
-// Aux-marked steps get a monomorphized aux-backed left… rather: an
-// aux-probing wrapper around the frozen base closure (see wrapAux); the
-// base runs unchanged whenever the scratch declines a row, so kernel
-// freezing and pruning compose instead of conflicting.
-func (k *Kernel) compileStep(st Step, d int) func(*State) {
-	base := k.compileStepBase(st, d)
-	return k.wrapAux(st, d, base)
-}
-
-// wrapAux wraps a step's base closure with the auxiliary-row probe. The
-// substitution is exact (see internal/auxgraph): for AuxCopy the pruned row
-// N(v_d) ∩ N(v0) IS the step's output; for AuxRight the left buffer is
+// Aux-marked steps get an aux-probing wrapper around the frozen base closure.
+// The substitution is exact (see internal/auxgraph): for AuxCopy the pruned
+// row N(v_d) ∩ N(v0) IS the unbounded output; for AuxRight the left buffer is
 // contained in N(v0), so intersecting it with the pruned row equals
 // intersecting with the full row. A declined row falls back to base, so the
-// output is identical either way.
-func (k *Kernel) wrapAux(st Step, d int, base func(*State)) func(*State) {
-	out := st.Out
-	dep := st.Depth
+// output is identical either way and kernel freezing and pruning compose.
+func (k *Kernel) compileStep(st *Step, d int) func(*State) []uint32 {
+	base := k.compileStepBase(st, d)
+	out, dep := st.Out, st.Depth
 	switch st.Aux {
 	case AuxCopy:
-		return func(s *State) {
-			if row, ok := s.aux.Row(s.bound[dep]); ok {
-				s.recIntersect(d, telemetry.KernelAux)
-				s.bufs[out] = append(s.bufs[out][:0], row...)
-				return
+		return func(s *State) []uint32 {
+			row, ok := s.aux.Row(s.bound[dep])
+			if !ok {
+				return base(s)
 			}
-			base(s)
+			s.recIntersect(d, telemetry.KernelAux)
+			lo, hi := Bounds(s.bound, st.Lowers, st.Uppers)
+			s.bufs[out] = append(s.bufs[out][:0], vertexset.Window(row, lo, hi)...)
+			return s.bufs[out]
 		}
 	case AuxRight:
 		lb := st.LeftBuf
-		return func(s *State) {
-			if row, ok := s.aux.Row(s.bound[dep]); ok {
-				s.recIntersect(d, telemetry.KernelAux)
-				s.bufs[out] = vertexset.Intersect(s.bufs[out], s.bufs[lb], row)
-				return
+		return func(s *State) []uint32 {
+			row, ok := s.aux.Row(s.bound[dep])
+			if !ok {
+				return base(s)
 			}
-			base(s)
+			s.recIntersect(d, telemetry.KernelAux)
+			lo, hi := Bounds(s.bound, st.Lowers, st.Uppers)
+			s.bufs[out], _ = vertexset.IntersectWindow(s.bufs[out], s.bufs[lb], row, nil, nil, lo, hi)
+			return s.bufs[out]
 		}
 	default:
 		return base
 	}
 }
 
-func (k *Kernel) compileStepBase(st Step, d int) func(*State) {
+// compileStepBase is the full-row path. A frozen merge or gallop runs that
+// kernel on the trimmed operands; everything else goes through the bounded
+// hybrid kernel, which still decides bitmap probe vs. merge vs. gallop per
+// call — a frozen bitmap choice has to guard at run time anyway (the bound
+// vertex may not be a hub), and dropping a probe trades O(|small|) walks for
+// full merges.
+func (k *Kernel) compileStepBase(st *Step, d int) func(*State) []uint32 {
 	out := st.Out
-	dep := st.Depth
-	fromBuf := st.LeftBuf >= 0
-	lb := st.LeftBuf
-	lp := st.LeftParent
-	choice := st.Kernel
-	if choice == KernelBitmap && !k.hasHubs {
-		choice = KernelAdaptive
-	}
-	switch choice {
+	var forced func(dst, a, b []uint32) []uint32
+	var family int
+	switch st.Kernel {
 	case KernelMerge:
-		if fromBuf {
-			return func(s *State) {
-				s.recIntersect(d, telemetry.KernelMerge)
-				s.bufs[out] = vertexset.IntersectMerge(s.bufs[out], s.bufs[lb], s.g.Neighbors(s.bound[dep]))
-			}
-		}
-		return func(s *State) {
-			s.recIntersect(d, telemetry.KernelMerge)
-			s.bufs[out] = vertexset.IntersectMerge(s.bufs[out], s.g.Neighbors(s.bound[lp]), s.g.Neighbors(s.bound[dep]))
-		}
+		forced, family = vertexset.IntersectMerge, telemetry.KernelMerge
 	case KernelGallop:
-		if fromBuf {
-			return func(s *State) {
-				s.recIntersect(d, telemetry.KernelGallop)
-				s.bufs[out] = vertexset.IntersectGallop(s.bufs[out], s.bufs[lb], s.g.Neighbors(s.bound[dep]))
-			}
+		forced, family = vertexset.IntersectGallop, telemetry.KernelGallop
+	}
+	if forced != nil {
+		return func(s *State) []uint32 {
+			l, r, lo, hi := s.operands(st)
+			s.recIntersect(d, family)
+			s.bufs[out] = forced(s.bufs[out], vertexset.Window(l, lo, hi), vertexset.Window(r, lo, hi))
+			return s.bufs[out]
 		}
-		return func(s *State) {
-			s.recIntersect(d, telemetry.KernelGallop)
-			s.bufs[out] = vertexset.IntersectGallop(s.bufs[out], s.g.Neighbors(s.bound[lp]), s.g.Neighbors(s.bound[dep]))
+	}
+	return func(s *State) []uint32 {
+		l, r, lo, hi := s.operands(st)
+		var lbm vertexset.Bitmap
+		if st.LeftBuf < 0 {
+			lbm = s.g.HubBitmap(s.bound[st.LeftParent])
 		}
-	case KernelBitmap, KernelAdaptive:
-		if k.hasHubs {
-			if fromBuf {
-				// Buffer left side: only the bound vertex can be a hub.
-				return func(s *State) {
-					l := s.bufs[lb]
-					rv := s.bound[dep]
-					right := s.g.Neighbors(rv)
-					if bm := s.g.HubBitmap(rv); bm != nil && len(l) <= len(right) {
-						s.recIntersect(d, telemetry.KernelBitmap)
-						s.bufs[out] = vertexset.IntersectBitmap(s.bufs[out][:0], l, bm)
-						return
-					}
-					s.recAdaptive(d, len(l), len(right))
-					s.bufs[out] = vertexset.Intersect(s.bufs[out], l, right)
-				}
-			}
-			// Two neighborhoods: probe either side's hub bitmap with the
-			// smaller set, mirroring the interpreter bit for bit.
-			return func(s *State) {
-				l := s.g.Neighbors(s.bound[lp])
-				rv := s.bound[dep]
-				right := s.g.Neighbors(rv)
-				if bm := s.g.HubBitmap(rv); bm != nil && len(l) <= len(right) {
-					s.recIntersect(d, telemetry.KernelBitmap)
-					s.bufs[out] = vertexset.IntersectBitmap(s.bufs[out][:0], l, bm)
-					return
-				}
-				if bm := s.g.HubBitmap(s.bound[lp]); bm != nil && len(right) < len(l) {
-					s.recIntersect(d, telemetry.KernelBitmap)
-					s.bufs[out] = vertexset.IntersectBitmap(s.bufs[out][:0], right, bm)
-					return
-				}
-				s.recAdaptive(d, len(l), len(right))
-				s.bufs[out] = vertexset.Intersect(s.bufs[out], l, right)
-			}
-		}
-		fallthrough
-	default:
-		if fromBuf {
-			return func(s *State) {
-				l := s.bufs[lb]
-				right := s.g.Neighbors(s.bound[dep])
-				s.recAdaptive(d, len(l), len(right))
-				s.bufs[out] = vertexset.Intersect(s.bufs[out], l, right)
-			}
-		}
-		return func(s *State) {
-			l := s.g.Neighbors(s.bound[lp])
-			right := s.g.Neighbors(s.bound[dep])
-			s.recAdaptive(d, len(l), len(right))
-			s.bufs[out] = vertexset.Intersect(s.bufs[out], l, right)
-		}
+		res, kern := vertexset.IntersectWindow(s.bufs[out], l, r, lbm, s.g.HubBitmap(s.bound[st.Depth]), lo, hi)
+		s.recIntersect(d, int(kern))
+		s.bufs[out] = res
+		return res
 	}
 }
 
-// recIntersect attributes one intersection to a level's stats; recAdaptive
-// classifies an adaptive dispatch by the rule vertexset.Intersect applies.
-// Both are nil-safe single-branch no-ops when telemetry is disabled.
+// operands fetches a step's two full inputs and evaluates its window.
+func (s *State) operands(st *Step) (left, right []uint32, lo, hi uint32) {
+	if st.LeftBuf >= 0 {
+		left = s.bufs[st.LeftBuf]
+	} else {
+		left = s.g.Neighbors(s.bound[st.LeftParent])
+	}
+	lo, hi = Bounds(s.bound, st.Lowers, st.Uppers)
+	return left, s.g.Neighbors(s.bound[st.Depth]), lo, hi
+}
+
+// recIntersect attributes one intersection to a level's stats (kernel is a
+// telemetry kernel-family index, which vertexset.Kernel values are). A
+// nil-safe single-branch no-op when telemetry is disabled.
 func (s *State) recIntersect(d, kernel int) {
 	if lst := s.st.Level(d); lst != nil {
 		lst.Intersect(kernel)
-	}
-}
-
-func (s *State) recAdaptive(d, lenA, lenB int) {
-	if lst := s.st.Level(d); lst != nil {
-		lst.Intersect(telemetry.ClassifyIntersect(lenA, lenB, vertexset.GallopRatio))
 	}
 }
 

@@ -164,12 +164,13 @@ func cliqueStep(dst, left []uint32, g *graph.Graph, v uint32) []uint32 {
 	return vertexset.Intersect(dst, left, vertexset.Below(right, v))
 }
 
-// cliqueStepStats is cliqueStep with telemetry: the Below narrowing counts
-// as the binding level's prunes and the intersection is attributed to the
-// kernel family actually dispatched. Results are bit-identical.
+// cliqueStepStats is cliqueStep with telemetry: the intersection is
+// attributed to the kernel family actually dispatched. Trimming an operand
+// inside a step is not a prune in any tier — LevelStats.Prunes counts what a
+// scan's own window removes from a materialised candidate set, and a bounded
+// step never materialises what it trims. Results are bit-identical.
 func cliqueStepStats(dst, left []uint32, g *graph.Graph, v uint32, lst *telemetry.LevelStats) []uint32 {
 	nl := vertexset.Below(left, v)
-	lst.Prunes += uint64(len(left) - len(nl))
 	right := g.Neighbors(v)
 	if bm := g.HubBitmap(v); bm != nil && len(nl) <= len(right) {
 		lst.Intersect(telemetry.KernelBitmap)

@@ -3,12 +3,16 @@
 // Compilation" stage (paper Figure 3), which emits C++ for the selected
 // schedule and restriction set and compiles it with -O3.
 //
-// The package has one lowering and two backends:
+// The package has one lowering and two backends of its own:
 //
 //   - Lower turns a Spec (the neutral description of a configuration that
 //     internal/core produces) into a Program: an explicit per-level loop
 //     nest with restriction windows, duplicate checks and intersection
-//     kernels resolved per level.
+//     kernels resolved per level. It also decides how much of every hoisted
+//     intersection is worth computing — the restriction bounds a Step
+//     applies to its operands (see Step) — and every executor obeys that
+//     one decision: the interpreter in internal/core, and the two backends
+//     here.
 //   - Compile (compile.go) turns a Program into a chain of specialized
 //     closures bound to one data graph — the engine's runtime-compiled
 //     execution tier. Kernel choices frozen by the cost model, window scans
@@ -30,6 +34,7 @@ import (
 	"fmt"
 
 	"graphpi/internal/schedule"
+	"graphpi/internal/vertexset"
 )
 
 // KernelChoice freezes which intersection kernel a step runs. The
@@ -116,11 +121,32 @@ type Spec struct {
 	Pattern, Schedule, Restrictions string
 }
 
-// Step is one hoisted intersection with its frozen kernel and aux marking.
+// Step is one hoisted intersection with its frozen kernel, aux marking and
+// window: Out = Left ∩ N(v_Depth) ∩ [lo, hi).
+//
+// Lowers/Uppers are the restriction bounds the step applies to both operands
+// before it reads them (vertexset.IntersectWindow; Bounds turns them into
+// lo/hi). A bound is moved from a loop into the step that builds the loop's
+// candidate set when (a) every consumer of Out shares it — the loop that
+// scans Out, any later step whose left operand is Out (transitively: chains
+// share prefixes), and IEP suffix sets, which impose no window because the
+// suffix's restrictions are dropped and corrected by the IEP scaling — and
+// (b) its position is already bound when the step runs (position <= Depth).
+// The bounded set is then also what the executor's empty check sees.
+//
+// Every executor abandons the current prefix when a step's output is empty:
+// each buffer ends, through the chain, in a deeper loop's candidate set or
+// in an IEP set (Lower rejects a plan where one does not), the loop nest
+// between the step and that consumer only multiplies what the consumer
+// yields, and an empty loop, like an empty factor of the IEP product, yields
+// nothing to count or to enumerate.
 type Step struct {
 	schedule.Step
 	Kernel KernelChoice
 	Aux    AuxMode
+	// Lowers/Uppers are the positions p <= Depth whose bound vertex lower-
+	// (out > v_p) or upper-limits (out < v_p) the output.
+	Lowers, Uppers []uint8
 }
 
 // Level is one loop of the lowered nest.
@@ -128,7 +154,9 @@ type Level struct {
 	Depth int
 	// Cand is where this loop's candidates come from.
 	Cand schedule.Candidate
-	// Lowers/Uppers are the bound positions narrowing this loop's window.
+	// Lowers/Uppers are the bound positions narrowing this loop's window at
+	// scan time: the level's restrictions minus those the step that built
+	// its candidate buffer already applied.
 	Lowers, Uppers []uint8
 	// Dup lists the bound positions still requiring an inequality check.
 	Dup []uint8
@@ -161,9 +189,11 @@ type Program struct {
 	IEP []IEPSource
 }
 
-// Lower turns a Spec into a Program, resolving per level what the
-// interpreter re-derives per iteration: leaf/cut roles, windows, duplicate
-// checks, and the kernel of every hoisted intersection.
+// Lower turns a Spec into a Program, resolving once what would otherwise be
+// re-derived per iteration: leaf/cut roles, duplicate checks, the kernel of
+// every hoisted intersection, and where each restriction bound is applied —
+// in the step that builds a candidate set when all of the set's consumers
+// agree on it, at the scan otherwise.
 func Lower(spec Spec) (*Program, error) {
 	n := spec.N
 	if n < 1 {
@@ -227,5 +257,168 @@ func Lower(spec Spec) (*Program, error) {
 		}
 		p.Levels[d] = lv
 	}
+	if err := p.boundSteps(); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// boundSteps moves restriction bounds from the loops into the steps that
+// build their candidate sets (the rule is stated on Step). Per buffer it
+// intersects the bound sets of all consumers, as position bitmasks: loops
+// contribute every earlier position the enforced restrictions order them
+// against, IEP suffix sets the empty window, and a step reading the buffer as
+// its left operand whatever its own output's consumers share. A step's left
+// buffer is always created before its output, so one descending pass over the
+// buffers resolves the chains.
+func (p *Program) boundSteps() error {
+	type masks struct{ lo, up uint16 }
+	// below[x] holds the positions y with v_x < v_y in every embedding the
+	// nest counts: the enforced restrictions (those of the loops that run —
+	// the IEP suffix's are dropped) closed transitively. A clique's chain
+	// v0 > v1 > v2 > v3 attaches only v3 < v2 to loop 3, but loop 3's
+	// candidates are just as surely below v0 and v1, and it is that implied
+	// bound which the buffers N(v0)∩N(v1) and N(v0)∩N(v1)∩N(v2) share.
+	n := len(p.Levels)
+	below := make([]uint16, n)
+	for d := range p.Levels {
+		if p.IEPCut >= 0 && d > p.IEPCut {
+			break
+		}
+		for _, q := range p.Levels[d].Uppers {
+			below[d] |= 1 << q
+		}
+		for _, q := range p.Levels[d].Lowers {
+			below[q] |= 1 << d
+		}
+	}
+	for k := 0; k < n; k++ {
+		for x := 0; x < n; x++ {
+			if below[x]&(1<<k) != 0 {
+				below[x] |= below[k]
+			}
+		}
+	}
+	// window returns the bounds loop d's candidates must respect against the
+	// positions bound before it.
+	window := func(d int) (m masks) {
+		earlier := uint16(1)<<d - 1
+		m.up = below[d] & earlier
+		for q := 0; q < d; q++ {
+			if below[q]&(1<<d) != 0 {
+				m.lo |= 1 << q
+			}
+		}
+		return m
+	}
+	mask := func(ps []uint8) (m uint16) {
+		for _, q := range ps {
+			m |= 1 << q
+		}
+		return m
+	}
+	shared := make([]masks, p.NumBufs)
+	used := make([]bool, p.NumBufs)
+	consume := func(b int, m masks) error {
+		if b < 0 || b >= p.NumBufs {
+			return fmt.Errorf("codegen: plan references buffer %d of %d", b, p.NumBufs)
+		}
+		if !used[b] {
+			shared[b], used[b] = m, true
+		} else {
+			shared[b].lo &= m.lo
+			shared[b].up &= m.up
+		}
+		return nil
+	}
+	for d := range p.Levels {
+		lv := &p.Levels[d]
+		if lv.Cand.Kind != schedule.CandBuffer {
+			continue
+		}
+		var m masks
+		if p.IEPCut < 0 || d <= p.IEPCut {
+			m = window(d)
+		}
+		if err := consume(lv.Cand.Buf, m); err != nil {
+			return err
+		}
+	}
+	producer := make([]*Step, p.NumBufs)
+	for d := range p.Levels {
+		for i := range p.Levels[d].Steps {
+			st := &p.Levels[d].Steps[i]
+			if st.Out < 0 || st.Out >= p.NumBufs || st.LeftBuf >= st.Out || st.Depth != d {
+				return fmt.Errorf("codegen: malformed step at depth %d (left buffer %d, out %d of %d)",
+					d, st.LeftBuf, st.Out, p.NumBufs)
+			}
+			producer[st.Out] = st
+		}
+	}
+	for b := p.NumBufs - 1; b >= 0; b-- {
+		st := producer[b]
+		if st == nil || !used[b] {
+			// The empty-set cut is exact only because every buffer feeds a
+			// loop or an IEP set; schedule.BuildPlan never emits one that
+			// does not.
+			return fmt.Errorf("codegen: buffer %d is never produced or never consumed", b)
+		}
+		if st.LeftBuf >= 0 {
+			if err := consume(st.LeftBuf, shared[b]); err != nil {
+				return err
+			}
+		}
+		// Only positions already bound when the step runs can be applied.
+		for q := uint8(0); int(q) <= st.Depth; q++ {
+			if shared[b].lo&(1<<q) != 0 {
+				st.Lowers = append(st.Lowers, q)
+			}
+			if shared[b].up&(1<<q) != 0 {
+				st.Uppers = append(st.Uppers, q)
+			}
+		}
+	}
+	for d := range p.Levels {
+		lv := &p.Levels[d]
+		if lv.Cand.Kind == schedule.CandBuffer {
+			st := producer[lv.Cand.Buf]
+			lv.Lowers = without(lv.Lowers, mask(st.Lowers))
+			lv.Uppers = without(lv.Uppers, mask(st.Uppers))
+		}
+	}
+	return nil
+}
+
+// without returns ps minus the positions in drop, leaving ps untouched (it
+// aliases the Spec's rows).
+func without(ps []uint8, drop uint16) []uint8 {
+	if drop == 0 {
+		return ps
+	}
+	var out []uint8
+	for _, q := range ps {
+		if drop&(1<<q) == 0 {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// Bounds evaluates a window's bound positions against the bound vertices:
+// the half-open id interval [lo, hi) that satisfies every lower (v > bound[p])
+// and every upper (v < bound[p]) restriction. No positions yield the
+// unbounded window (0, vertexset.NoBound).
+func Bounds(bound []uint32, lowers, uppers []uint8) (lo, hi uint32) {
+	for _, p := range lowers {
+		if b := bound[p] + 1; b > lo {
+			lo = b
+		}
+	}
+	hi = vertexset.NoBound
+	for _, p := range uppers {
+		if b := bound[p]; b < hi {
+			hi = b
+		}
+	}
+	return lo, hi
 }

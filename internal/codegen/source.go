@@ -10,8 +10,10 @@ import (
 // GenerateSource renders the spec as a complete standalone Go main package —
 // the paper's emit-and-inspect artifact. It consumes the same lowered
 // Program as the closure backend, so the emitted nest and the runtime-
-// compiled kernels are the same loop structure by construction: restriction
-// windows become break/continue guards, injectivity checks shrink to the
+// compiled kernels are the same loop structure by construction: a hoisted
+// intersection trims its operands to the bounds the lowering moved into it
+// and abandons the iteration when it comes back empty, the restrictions left
+// on a loop become break/continue guards, injectivity checks shrink to the
 // lowering's residual duplicate list, and a window-free counting leaf
 // collapses to a length add.
 //
@@ -74,14 +76,23 @@ func GenerateSource(spec Spec) (string, error) {
 		for _, p := range lv.Dup {
 			fmt.Fprintf(&b, "%sif %s == v%d {\n%s\tcontinue\n%s}\n", inner, v, p, inner, inner)
 		}
-		// Hoisted intersections (the paper's tmpXY temporaries).
+		// Hoisted intersections (the paper's tmpXY temporaries), each
+		// bounded by the step's window and cut when empty.
 		for _, st := range lv.Steps {
 			left := fmt.Sprintf("g.neighbors(v%d)", st.LeftParent)
 			if st.LeftBuf >= 0 {
 				left = fmt.Sprintf("bufs[%d]", st.LeftBuf)
 			}
-			fmt.Fprintf(&b, "%sbufs[%d] = intersect(bufs[%d][:0], %s, g.neighbors(%s))\n",
-				inner, st.Out, st.Out, left, v)
+			right := fmt.Sprintf("g.neighbors(%s)", v)
+			if len(st.Lowers)+len(st.Uppers) > 0 {
+				lo, hi := boundExpr(st.Lowers, "max", "+1", "0"), boundExpr(st.Uppers, "min", "", "^uint32(0)")
+				left = fmt.Sprintf("window(%s, %s, %s)", left, lo, hi)
+				right = fmt.Sprintf("window(%s, %s, %s)", right, lo, hi)
+			}
+			fmt.Fprintf(&b, "%sbufs[%d] = intersect(bufs[%d][:0], %s, %s)\n",
+				inner, st.Out, st.Out, left, right)
+			fmt.Fprintf(&b, "%sif len(bufs[%d]) == 0 {\n%s\tcontinue // empty set: nothing below can match\n%s}\n",
+				inner, st.Out, inner, inner)
 		}
 		if lv.IsLeaf {
 			fmt.Fprintf(&b, "%scount++\n", inner)
@@ -95,6 +106,22 @@ func GenerateSource(spec Spec) (string, error) {
 	b.WriteString("\treturn count\n}\n")
 	b.WriteString(runtimeSupport)
 	return b.String(), nil
+}
+
+// boundExpr renders one end of a step's window over the bound vertices at
+// positions ps: fold(v_p<suffix>, ...) , or none when ps is empty.
+func boundExpr(ps []uint8, fold, suffix, none string) string {
+	if len(ps) == 0 {
+		return none
+	}
+	terms := make([]string, len(ps))
+	for i, p := range ps {
+		terms[i] = fmt.Sprintf("v%d%s", p, suffix)
+	}
+	if len(terms) == 1 {
+		return terms[0]
+	}
+	return fold + "(" + strings.Join(terms, ", ") + ")"
 }
 
 const header = `// Code generated by graphpi internal/codegen; DO NOT EDIT.
@@ -118,7 +145,7 @@ import (
 `
 
 // runtimeSupport is the fixed tail of every generated program: a minimal
-// CSR representation, the merge intersection, and main().
+// CSR representation, the merge intersection, the window trim, and main().
 const runtimeSupport = `
 type csr struct {
 	offsets []int64
@@ -154,6 +181,16 @@ func intersect(dst, a, b []uint32) []uint32 {
 		}
 	}
 	return dst
+}
+
+// window returns the elements of the sorted set a in [lo, hi).
+func window(a []uint32, lo, hi uint32) []uint32 {
+	i := sort.Search(len(a), func(i int) bool { return a[i] >= lo })
+	j := sort.Search(len(a), func(i int) bool { return a[i] >= hi })
+	if i > j {
+		return nil
+	}
+	return a[i:j]
 }
 
 func loadGraph(path string) (*csr, error) {

@@ -206,14 +206,11 @@ func (c *Config) buildCompiled(g *graph.Graph, useIEP bool, tier Tier, aux bool)
 // the seam that keeps codegen free of a core dependency.
 func (c *Config) lowerSpec(useIEP bool) codegen.Spec {
 	spec := codegen.Spec{
-		N:            c.n,
-		Plan:         c.plan,
-		Lowers:       c.lowers,
-		Uppers:       c.uppers,
-		DupCheck:     c.dupCheck,
-		Pattern:      c.Pattern.String(),
-		Schedule:     c.Schedule.String(),
-		Restrictions: c.Restrictions.String(),
+		N:        c.n,
+		Plan:     c.plan,
+		Lowers:   c.lowers,
+		Uppers:   c.uppers,
+		DupCheck: c.dupCheck,
 	}
 	if useIEP && c.effectiveIEPK() >= 1 {
 		spec.KIEP = c.kIEP
@@ -224,8 +221,14 @@ func (c *Config) lowerSpec(useIEP bool) codegen.Spec {
 
 // SourceSpec is the Spec for the source backend (codegen.GenerateSource):
 // the full enumeration nest, kernel choices left adaptive — emitted source
-// carries its own minimal runtime.
-func (c *Config) SourceSpec() codegen.Spec { return c.lowerSpec(false) }
+// carries its own minimal runtime — plus the display strings of its header.
+func (c *Config) SourceSpec() codegen.Spec {
+	spec := c.lowerSpec(false)
+	spec.Pattern = c.Pattern.String()
+	spec.Schedule = c.Schedule.String()
+	spec.Restrictions = c.Restrictions.String()
+	return spec
+}
 
 // ResolveTier reports the tier a counting run with the given request would
 // execute on (the tier /count responses label results with). Enumeration

@@ -31,7 +31,11 @@ func cliqueConfig(t *testing.T, q int) *Config {
 // matrixCompare counts under every (tier, workers, edge-parallel) cell and
 // compares against the single-worker interpreter. Each tier also runs one
 // cell with telemetry enabled: collection must leave the count bit-identical
-// and must actually populate the per-level counters.
+// and must actually populate the per-level counters, and the closure tier's
+// counters must equal the interpreter's level by level — both execute the
+// same lowered steps, so they scan, intersect, prune and cut the same
+// prefixes (Cuts is the empty-set cut observed; kernel attribution is left
+// out because the closure tier freezes kernels from the cost model).
 func matrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, tiers []Tier, useIEP bool) {
 	t.Helper()
 	count := func(opt RunOptions) int64 {
@@ -41,6 +45,8 @@ func matrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, tiers
 		return cfg.Count(g, opt)
 	}
 	want := count(RunOptions{Workers: 1, Tier: TierInterpret})
+	ref := telemetry.NewRunStats(cfg.N())
+	count(RunOptions{Workers: 4, Tier: TierInterpret, Stats: ref})
 	for _, tier := range tiers {
 		for _, workers := range []int{1, 4} {
 			for _, ep := range []EdgeParallelMode{EdgeParallelOff, EdgeParallelAuto, EdgeParallelOn} {
@@ -58,6 +64,17 @@ func matrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, tiers
 		}
 		if st.Levels[0].Scans == 0 {
 			t.Errorf("%s iep=%v tier=%s: telemetry run recorded no level-0 scans", name, useIEP, tier)
+		}
+		if tier != TierCompiled {
+			continue
+		}
+		for d := range st.Levels {
+			got, exp := st.Levels[d], ref.Levels[d]
+			if got.Cuts != exp.Cuts || got.Scans != exp.Scans || got.Candidates != exp.Candidates ||
+				got.Intersections != exp.Intersections || got.Prunes != exp.Prunes ||
+				got.DupSkips != exp.DupSkips || got.IEPCounts != exp.IEPCounts {
+				t.Errorf("%s iep=%v level %d: compiled tier recorded %+v, interpreter %+v", name, useIEP, d, got, exp)
+			}
 		}
 	}
 }
@@ -129,6 +146,52 @@ func TestGeneratedCliqueTierMatrix(t *testing.T) {
 				matrixCompare(t, cfg.Pattern.Name(), cfg, gg, tiers, true)
 			}
 		}
+	}
+}
+
+// TestOneLoopIEPSuffix pins effectiveIEPK's rule: a one-loop suffix whose
+// enumeration leaf is a length add runs as the plain (bounded) nest — no IEP
+// evaluation, no scaling, bounds on every chain step — while the planner
+// still sees KIEP() = 1; a one-loop suffix whose leaf needs a duplicate check
+// keeps the IEP form.
+func TestOneLoopIEPSuffix(t *testing.T) {
+	g := graph.BarabasiAlbert(300, 5, 3)
+	k4 := cliqueConfig(t, 4)
+	if k4.KIEP() != 1 || k4.effectiveIEPK() != 0 {
+		t.Fatalf("K4 chain: KIEP %d, effective %d, want 1 and 0", k4.KIEP(), k4.effectiveIEPK())
+	}
+	st := telemetry.NewRunStats(4)
+	want := k4.Count(g, RunOptions{Workers: 1, Tier: TierInterpret})
+	if got := k4.CountIEP(g, RunOptions{Workers: 1, Tier: TierInterpret, Stats: st}); got != want {
+		t.Fatalf("K4 CountIEP = %d, Count = %d", got, want)
+	}
+	for d, l := range st.Levels {
+		if l.IEPCounts != 0 {
+			t.Errorf("K4 level %d evaluated the IEP %d times", d, l.IEPCounts)
+		}
+		if d >= 2 && l.Prunes != 0 {
+			t.Errorf("K4 level %d pruned %d candidates at the scan; the chain's steps should have bounded them", d, l.Prunes)
+		}
+	}
+
+	kept := false
+	for _, p := range pattern.AllConnected(4) {
+		for _, s := range schedule.Generate(p, schedule.Options{}).Efficient {
+			cfg := mustConfig(t, p, s, nil)
+			if cfg.KIEP() != 1 || len(cfg.dupCheck[cfg.n-1]) == 0 {
+				continue
+			}
+			kept = true
+			if cfg.effectiveIEPK() != 1 {
+				t.Errorf("%s %v: leaf needs duplicate checks %v but the IEP suffix was given up", p, s, cfg.dupCheck[cfg.n-1])
+			}
+			if got, want := cfg.CountIEP(g, RunOptions{Workers: 1}), cfg.Count(g, RunOptions{Workers: 1}); got != want {
+				t.Errorf("%s %v: CountIEP %d, Count %d", p, s, got, want)
+			}
+		}
+	}
+	if !kept {
+		t.Error("fixture has no one-loop suffix with a duplicate-checked leaf")
 	}
 }
 

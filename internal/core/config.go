@@ -12,9 +12,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
+	"graphpi/internal/codegen"
 	"graphpi/internal/costmodel"
 	"graphpi/internal/iep"
 	"graphpi/internal/pattern"
@@ -73,6 +73,12 @@ type Config struct {
 	// auxiliary graph (see computeAuxModes); structural, independent of
 	// whether a run enables pruning.
 	auxModes [][]auxStepMode
+	// progEnum / progIEP are the lowered loop nests the interpreter walks:
+	// the full enumeration nest, and the nest cut for the IEP suffix (nil
+	// when kIEP is 0). Lowered once here, adaptive kernels, aux markings
+	// always present (a run without scratch ignores them). The compiled
+	// tier lowers its own copy per graph to freeze kernels.
+	progEnum, progIEP *codegen.Program
 
 	compileMu sync.Mutex
 	// compiled memoizes compiled tiers per (graph, IEP, tier); guarded by
@@ -159,7 +165,39 @@ func NewConfig(pat *pattern.Pattern, sched schedule.Schedule, rs restrict.Set) (
 	c.computeIEPScaling()
 	c.detectCliqueKernel(windows)
 	c.computeAuxModes()
+	if err := c.lowerPrograms(); err != nil {
+		return nil, err
+	}
 	return c, nil
+}
+
+// lowerPrograms memoises the interpreter's lowered nests. A schedule whose
+// IEP suffix cannot be lowered (a disconnected inner vertex would need the
+// whole vertex set as an IEP set) keeps counting exactly by giving up IEP.
+func (c *Config) lowerPrograms() error {
+	lower := func(useIEP bool) (*codegen.Program, error) {
+		spec := c.lowerSpec(useIEP)
+		spec.AuxModes = c.auxSpecModes(useIEP)
+		return codegen.Lower(spec)
+	}
+	var err error
+	if c.progEnum, err = lower(false); err != nil {
+		return err
+	}
+	if c.effectiveIEPK() >= 1 {
+		if c.progIEP, err = lower(true); err != nil {
+			c.kIEP, c.iepNum, c.iepDen = 0, 1, 1
+		}
+	}
+	return nil
+}
+
+// program returns the lowered nest a run with the given IEP request walks.
+func (c *Config) program(useIEP bool) *codegen.Program {
+	if useIEP && c.progIEP != nil {
+		return c.progIEP
+	}
+	return c.progEnum
 }
 
 // maxIEPExactnessN caps the pattern size for which the IEP over-count
@@ -326,6 +364,3 @@ func (c *Config) String() string {
 	return fmt.Sprintf("config{%s, schedule %s, restrictions %s, cost %.3g}",
 		c.Pattern, c.Schedule, c.Restrictions, c.Cost)
 }
-
-// maxUint32 is the open upper limit used when no restriction bounds a loop.
-const maxUint32 = math.MaxUint32

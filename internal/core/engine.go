@@ -288,7 +288,6 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 				}
 				if useAux {
 					r.aux = auxgraph.New(g, auxArena)
-					r.auxModes = c.auxModes
 				}
 				runners[w] = r
 			}
@@ -422,10 +421,17 @@ func foldAuxStats(dst *telemetry.RunStats, a *auxgraph.Aux) {
 	dst.Aux.Skips += st.Skips
 }
 
-// effectiveIEPK returns the IEP suffix actually usable at run time (0 when
-// the pattern has a single vertex or the schedule admits no suffix).
+// effectiveIEPK returns the IEP suffix a run actually evaluates in closed
+// form: 0 when the pattern has a single vertex or the schedule admits no
+// suffix — and 0 for a one-loop suffix whose enumeration leaf needs no
+// duplicate check. Both forms then evaluate one set size per prefix, over the
+// same outer loops, but the IEP form has to drop the leaf's restrictions and
+// rescale, and an unwindowed IEP set at the end of a chain forfeits every
+// bound codegen.Lower could otherwise move into the chain's steps (a clique
+// under a total order loses all of them); the plain nest keeps them and its
+// leaf is a length add. The planner still sees KIEP() = 1.
 func (c *Config) effectiveIEPK() int {
-	if c.n < 2 {
+	if c.n < 2 || (c.kIEP == 1 && len(c.dupCheck[c.n-1]) == 0) {
 		return 0
 	}
 	return c.kIEP
@@ -481,10 +487,14 @@ func (c *Config) ScaleIEP(raw int64) int64 {
 	return raw
 }
 
-// runner is the per-worker execution state: bound vertices, intersection
-// buffers and the IEP calculator. A runner is single-goroutine.
+// runner is the per-worker execution state of the interpreter: bound
+// vertices, intersection buffers and the IEP calculator. It walks the
+// configuration's memoised lowering (codegen.Program) — the same levels,
+// residual windows and bounded steps the compiled backends consume — so the
+// loop-nest rules live in codegen.Lower alone. A runner is single-goroutine.
 type runner struct {
 	cfg   *Config
+	prog  *codegen.Program
 	g     *graph.Graph
 	bound []uint32
 	bufs  [][]uint32
@@ -495,33 +505,28 @@ type runner struct {
 	count int64
 	st    *telemetry.RunStats // nil when telemetry is disabled
 
-	hasHubs bool
-	useIEP  bool
-	iepCut  int // depth after which IEP takes over; -1 when disabled
 	calc    *iep.Calculator
 	iepSets [][]uint32
 	iepBMs  []vertexset.Bitmap
 
-	// aux, when non-nil, is this worker's auxiliary-graph scratch and
-	// auxModes the configuration's per-step classification; runSteps then
-	// serves eligible intersections from pruned rows, falling back to the
+	// aux, when non-nil, is this worker's auxiliary-graph scratch; runSteps
+	// then serves aux-marked steps from pruned rows, falling back to the
 	// full CSR row on a miss (counts are identical either way). Counters
 	// handed to external runtimes never set it.
-	aux      *auxgraph.Aux
-	auxModes [][]auxStepMode
+	aux *auxgraph.Aux
 }
 
 func newRunner(cfg *Config, g *graph.Graph, useIEP bool, visit func([]uint32) bool, stop *atomic.Bool) *runner {
+	prog := cfg.program(useIEP)
 	r := &runner{
-		cfg:     cfg,
-		g:       g,
-		bound:   make([]uint32, cfg.n),
-		bufs:    make([][]uint32, cfg.plan.NumBufs),
-		visit:   visit,
-		orig:    g.NewToOld(),
-		stop:    stop,
-		hasHubs: g.NumHubs() > 0,
-		iepCut:  -1,
+		cfg:   cfg,
+		prog:  prog,
+		g:     g,
+		bound: make([]uint32, cfg.n),
+		bufs:  make([][]uint32, prog.NumBufs),
+		visit: visit,
+		orig:  g.NewToOld(),
+		stop:  stop,
 	}
 	maxDeg := g.MaxDegree()
 	for i := range r.bufs {
@@ -530,13 +535,11 @@ func newRunner(cfg *Config, g *graph.Graph, useIEP bool, visit func([]uint32) bo
 	if visit != nil {
 		r.emb = make([]uint32, cfg.n)
 	}
-	if k := cfg.effectiveIEPK(); useIEP && k >= 1 {
-		r.useIEP = true
-		r.iepCut = cfg.n - k - 1
-		r.calc = iep.NewCalculator(k)
-		r.iepSets = make([][]uint32, k)
-		if r.hasHubs {
-			r.iepBMs = make([]vertexset.Bitmap, k)
+	if prog.IEPCut >= 0 {
+		r.calc = iep.NewCalculator(prog.KIEP)
+		r.iepSets = make([][]uint32, prog.KIEP)
+		if g.NumHubs() > 0 {
+			r.iepBMs = make([]vertexset.Bitmap, prog.KIEP)
 		}
 	}
 	return r
@@ -547,7 +550,6 @@ func (r *runner) runRoot(start, end int) {
 	if lst := r.st.Level(0); lst != nil && end > start {
 		lst.Scan(end-start, 0)
 	}
-	n := r.cfg.n
 	for v := start; v < end; v++ {
 		if r.stop != nil && r.stop.Load() {
 			return
@@ -555,13 +557,12 @@ func (r *runner) runRoot(start, end int) {
 		r.bound[0] = uint32(v)
 		r.beginAuxRoot(uint32(v))
 		switch {
-		case n == 1:
+		case r.cfg.n == 1:
 			r.leaf()
-		case r.iepCut == 0:
-			r.runSteps(0)
+		case !r.runSteps(0):
+		case r.prog.IEPCut == 0:
 			r.count += r.iepCount()
 		default:
-			r.runSteps(0)
 			r.run(1)
 		}
 	}
@@ -592,35 +593,17 @@ func (r *runner) runRootEdges(start, end int) {
 		if lst := r.st.Level(0); lst != nil {
 			lst.Scan(1, 0)
 		}
-		r.runSteps(0)
-		r.runList(1, g.AdjSlots(start, stop))
+		if r.runSteps(0) {
+			r.runList(1, g.AdjSlots(start, stop))
+		}
 		start = stop
 		v++
 	}
 }
 
-// window returns the restriction window for the loop at depth: candidates
-// must be > lo (when hasLo) and < hi. Taking the max lower bound and min
-// upper bound covers every restriction attached to this depth.
-func (r *runner) window(depth int) (lo uint32, hasLo bool, hi uint32) {
-	cfg := r.cfg
-	for _, p := range cfg.lowers[depth] {
-		if b := r.bound[p]; !hasLo || b > lo {
-			lo, hasLo = b, true
-		}
-	}
-	hi = uint32(maxUint32)
-	for _, p := range cfg.uppers[depth] {
-		if b := r.bound[p]; b < hi {
-			hi = b
-		}
-	}
-	return lo, hasLo, hi
-}
-
 // run executes the loop at the given depth (1 ≤ depth ≤ n-1).
 func (r *runner) run(depth int) {
-	cand := r.cfg.plan.Cand[depth]
+	cand := r.prog.Levels[depth].Cand
 	switch cand.Kind {
 	case schedule.CandFull:
 		// Unconstrained loop over all data vertices (only inefficient
@@ -633,31 +616,32 @@ func (r *runner) run(depth int) {
 	}
 }
 
-// runList executes the loop at depth over an explicit sorted candidate set.
+// runList executes the loop at depth over an explicit sorted candidate set,
+// narrowed by the level's residual window — the restrictions the step that
+// built the set could not apply yet.
 func (r *runner) runList(depth int, cands []uint32) {
-	cfg := r.cfg
+	lv := &r.prog.Levels[depth]
 	raw := len(cands)
-	lo, hasLo, hi := r.window(depth)
-	if hi != maxUint32 {
-		cands = vertexset.Below(cands, hi)
-	}
-	if hasLo {
-		cands = vertexset.Above(cands, lo)
+	if len(lv.Lowers)+len(lv.Uppers) > 0 {
+		lo, hi := codegen.Bounds(r.bound, lv.Lowers, lv.Uppers)
+		cands = vertexset.Window(cands, lo, hi)
 	}
 	lst := r.st.Level(depth)
 	if lst != nil {
 		lst.Scan(len(cands), raw-len(cands))
 		defer lst.ScanTimerEnd(lst.ScanTimerStart())
 	}
-	isLeaf := depth == cfg.n-1
-	atCut := depth == r.iepCut
-	// dupCheck lists only the earlier positions whose distinctness is not
-	// already implied by candidate provenance or the restriction window —
-	// usually none, so the O(depth) scan of the seed engine disappears.
-	dup := cfg.dupCheck[depth]
+	if lv.IsLeaf && r.visit == nil && len(lv.Dup) == 0 {
+		// Counting leaf with nothing left to filter: a length add.
+		r.count += int64(len(cands))
+		return
+	}
 next:
 	for _, v := range cands {
-		for _, p := range dup {
+		// Dup lists only the earlier positions whose distinctness is not
+		// already implied by candidate provenance or a restriction —
+		// usually none, so the O(depth) scan of the seed engine disappears.
+		for _, p := range lv.Dup {
 			if r.bound[p] == v {
 				if lst != nil {
 					lst.DupSkips++
@@ -666,21 +650,8 @@ next:
 			}
 		}
 		r.bound[depth] = v
-		switch {
-		case isLeaf:
-			r.leaf()
-			if r.stop != nil && r.stop.Load() {
-				return
-			}
-		case atCut:
-			r.runSteps(depth)
-			r.count += r.iepCount()
-		default:
-			r.runSteps(depth)
-			r.run(depth + 1)
-			if r.stop != nil && r.stop.Load() {
-				return
-			}
+		if !r.descend(lv) {
+			return
 		}
 	}
 }
@@ -688,31 +659,23 @@ next:
 // runFull is the CandFull variant of runList: candidates are all data
 // vertices inside the restriction window.
 func (r *runner) runFull(depth int) {
-	lo, hasLo, hi := r.window(depth)
-	start := 0
-	if hasLo {
-		start = int(lo) + 1
-	}
-	end := r.g.NumVertices()
-	if hi != maxUint32 && int(hi) < end {
+	lv := &r.prog.Levels[depth]
+	nv := r.g.NumVertices()
+	lo, hi := codegen.Bounds(r.bound, lv.Lowers, lv.Uppers)
+	start, end := int(lo), nv
+	if uint64(hi) < uint64(end) {
 		end = int(hi)
 	}
 	lst := r.st.Level(depth)
 	if lst != nil {
-		size := end - start
-		if size < 0 {
-			size = 0
-		}
-		lst.Scan(size, r.g.NumVertices()-size)
+		size := max(end-start, 0)
+		lst.Scan(size, nv-size)
 		defer lst.ScanTimerEnd(lst.ScanTimerStart())
 	}
-	isLeaf := depth == r.cfg.n-1
-	atCut := depth == r.iepCut
-	dup := r.cfg.dupCheck[depth]
 next:
 	for vi := start; vi < end; vi++ {
 		v := uint32(vi)
-		for _, p := range dup {
+		for _, p := range lv.Dup {
 			if r.bound[p] == v {
 				if lst != nil {
 					lst.DupSkips++
@@ -721,23 +684,29 @@ next:
 			}
 		}
 		r.bound[depth] = v
-		switch {
-		case isLeaf:
-			r.leaf()
-			if r.stop != nil && r.stop.Load() {
-				return
-			}
-		case atCut:
-			r.runSteps(depth)
-			r.count += r.iepCount()
-		default:
-			r.runSteps(depth)
-			r.run(depth + 1)
-			if r.stop != nil && r.stop.Load() {
-				return
-			}
+		if !r.descend(lv) {
+			return
 		}
 	}
+}
+
+// descend runs everything below a freshly bound vertex of level lv: the
+// leaf, or the level's hoisted intersections followed — unless one of them
+// came back empty — by the IEP evaluation or the next loop. It reports false
+// when the run was stopped and the scan should return.
+func (r *runner) descend(lv *codegen.Level) bool {
+	switch {
+	case lv.IsLeaf:
+		r.leaf()
+	case !r.runSteps(lv.Depth):
+		return true
+	case lv.AtCut:
+		r.count += r.iepCount()
+		return true
+	default:
+		r.run(lv.Depth + 1)
+	}
+	return r.stop == nil || !r.stop.Load()
 }
 
 // beginAuxRoot switches the aux scratch to a new root subtree; one branch
@@ -747,75 +716,70 @@ func (r *runner) beginAuxRoot(v uint32) {
 	if r.aux == nil {
 		return
 	}
-	var bm vertexset.Bitmap
-	if r.hasHubs {
-		bm = r.g.HubBitmap(v)
-	}
-	r.aux.BeginRoot(v, r.g.Neighbors(v), bm)
+	r.aux.BeginRoot(v, r.g.Neighbors(v), r.g.HubBitmap(v))
 }
 
-// runSteps executes the intersections hoisted to this depth, picking the
-// kernel per step: when either input is a hub adjacency with a precomputed
-// bitmap and the other side is smaller, the O(|small|) bitmap probe replaces
-// the scalar merge/gallop. Aux-eligible steps (computeAuxModes) first try the
-// root's pruned row: a copy when the left operand is N(v0) itself, a
-// narrower intersection otherwise; both are exact substitutions, and a
-// declined row falls through to the full-row path below.
-func (r *runner) runSteps(depth int) {
+// runSteps executes the intersections hoisted to this depth, each trimmed to
+// the window the lowering gave it and dispatched per call by the bounded
+// hybrid kernel (hub-bitmap probe, merge or gallop). It stops at the first
+// empty output and reports false: the prefix cannot be extended (see
+// codegen.Step), so the caller skips the remaining steps, every deeper loop
+// and the IEP evaluation. Aux-marked steps first try the root's pruned row —
+// a copy when the left operand is N(v0) itself, a narrower intersection
+// otherwise; both are exact substitutions, and a declined row falls through
+// to the full-row path.
+func (r *runner) runSteps(depth int) bool {
+	steps := r.prog.Levels[depth].Steps
+	if len(steps) == 0 {
+		return true
+	}
 	lst := r.st.Level(depth)
-	var modes []auxStepMode
-	if r.aux != nil && depth < len(r.auxModes) {
-		modes = r.auxModes[depth]
-	}
-	for i, stp := range r.cfg.plan.Steps[depth] {
-		if modes != nil && modes[i] != auxStepNone {
-			if row, ok := r.aux.Row(r.bound[stp.Depth]); ok {
-				if lst != nil {
-					lst.Intersect(telemetry.KernelAux)
-				}
-				if modes[i] == auxStepCopy {
-					r.bufs[stp.Out] = append(r.bufs[stp.Out][:0], row...)
-				} else {
-					r.bufs[stp.Out] = vertexset.Intersect(r.bufs[stp.Out], r.bufs[stp.LeftBuf], row)
-				}
-				continue
-			}
-		}
-		var left []uint32
-		var leftBM vertexset.Bitmap
-		if stp.LeftBuf >= 0 {
-			left = r.bufs[stp.LeftBuf]
-		} else {
-			lp := r.bound[stp.LeftParent]
-			left = r.g.Neighbors(lp)
-			if r.hasHubs {
-				leftBM = r.g.HubBitmap(lp)
-			}
-		}
+	for i := range steps {
+		stp := &steps[i]
+		lo, hi := codegen.Bounds(r.bound, stp.Lowers, stp.Uppers)
 		rv := r.bound[stp.Depth]
-		right := r.g.Neighbors(rv)
-		out := r.bufs[stp.Out][:0]
-		if r.hasHubs {
-			if bm := r.g.HubBitmap(rv); bm != nil && len(left) <= len(right) {
-				if lst != nil {
-					lst.Intersect(telemetry.KernelBitmap)
-				}
-				r.bufs[stp.Out] = vertexset.IntersectBitmap(out, left, bm)
-				continue
+		out := r.bufs[stp.Out]
+		kern := telemetry.KernelAux
+		if row, ok := r.auxRow(stp, rv); ok {
+			if stp.Aux == codegen.AuxCopy {
+				out = append(out[:0], vertexset.Window(row, lo, hi)...)
+			} else {
+				out, _ = vertexset.IntersectWindow(out, r.bufs[stp.LeftBuf], row, nil, nil, lo, hi)
 			}
-			if leftBM != nil && len(right) < len(left) {
-				if lst != nil {
-					lst.Intersect(telemetry.KernelBitmap)
-				}
-				r.bufs[stp.Out] = vertexset.IntersectBitmap(out, right, leftBM)
-				continue
+		} else {
+			var left []uint32
+			var leftBM vertexset.Bitmap
+			if stp.LeftBuf >= 0 {
+				left = r.bufs[stp.LeftBuf]
+			} else {
+				lp := r.bound[stp.LeftParent]
+				left, leftBM = r.g.Neighbors(lp), r.g.HubBitmap(lp)
 			}
+			var k vertexset.Kernel
+			out, k = vertexset.IntersectWindow(out, left, r.g.Neighbors(rv), leftBM, r.g.HubBitmap(rv), lo, hi)
+			kern = int(k)
 		}
+		r.bufs[stp.Out] = out
 		if lst != nil {
-			lst.Intersect(telemetry.ClassifyIntersect(len(left), len(right), vertexset.GallopRatio))
+			lst.Intersect(kern)
 		}
-		r.bufs[stp.Out] = vertexset.Intersect(out, left, right)
+		if len(out) == 0 {
+			if lst != nil {
+				lst.Cuts++
+			}
+			return false
+		}
 	}
+	return true
+}
+
+// auxRow returns the root's pruned row for an aux-marked step when pruning is
+// on and the scratch holds (or can build) it.
+func (r *runner) auxRow(stp *codegen.Step, v uint32) ([]uint32, bool) {
+	if r.aux == nil || stp.Aux == codegen.AuxNone {
+		return nil, false
+	}
+	return r.aux.Row(v)
 }
 
 // leaf records one embedding, translating back to original vertex ids when
@@ -844,32 +808,23 @@ func (r *runner) leaf() {
 // neighborhoods among the candidate sets contribute their bitmaps so the
 // calculator's internal intersections can use the bitmap kernel.
 func (r *runner) iepCount() int64 {
-	cfg := r.cfg
-	k := len(r.iepSets)
-	base := cfg.n - k
-	if lst := r.st.Level(base - 1); lst != nil {
+	prog := r.prog
+	if lst := r.st.Level(prog.IEPCut); lst != nil {
 		lst.IEPCounts++
 	}
-	for i := 0; i < k; i++ {
-		cand := cfg.plan.Cand[base+i]
-		switch cand.Kind {
-		case schedule.CandNeighborhood:
-			p := r.bound[cand.Parent]
-			r.iepSets[i] = r.g.Neighbors(p)
-			if r.iepBMs != nil {
-				r.iepBMs[i] = r.g.HubBitmap(p)
-			}
-		case schedule.CandBuffer:
-			r.iepSets[i] = r.bufs[cand.Buf]
-			if r.iepBMs != nil {
-				r.iepBMs[i] = nil
-			}
-		default:
-			// A disconnected inner vertex would need the whole vertex
-			// set; connected patterns never produce this.
-			panic("core: IEP inner loop with full candidate set")
+	for i, src := range prog.IEP {
+		var bm vertexset.Bitmap
+		if src.Parent >= 0 {
+			p := r.bound[src.Parent]
+			r.iepSets[i], bm = r.g.Neighbors(p), r.g.HubBitmap(p)
+		} else {
+			r.iepSets[i] = r.bufs[src.Buf]
+		}
+		if r.iepBMs != nil {
+			r.iepBMs[i] = bm
 		}
 	}
+	base := prog.N - prog.KIEP
 	if r.iepBMs != nil {
 		return r.calc.CountHybrid(r.iepSets, r.iepBMs, r.bound[:base])
 	}

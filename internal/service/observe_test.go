@@ -71,6 +71,13 @@ func TestServiceProfilePerTier(t *testing.T) {
 		if p.Levels[0].Scans == 0 {
 			t.Errorf("tier %s: no level-0 scans recorded", tc.tier)
 		}
+		// BA(300,4) has plenty of edges without a common neighbour: the two
+		// tiers that execute the lowered steps must report the prefixes they
+		// abandoned on an empty intersection (the generated suite has no
+		// steps to cut and simply scans the empty set).
+		if cuts := p.Levels[1].Cuts + p.Levels[2].Cuts; tc.tier != "generated" && cuts == 0 {
+			t.Errorf("tier %s: profile reports no empty-set cuts", tc.tier)
+		}
 		if p.Drift == nil {
 			t.Fatalf("tier %s: no drift report", tc.tier)
 		}

@@ -119,10 +119,15 @@ func BuildDrift(pred PredictedLevels, stats *RunStats) *DriftReport {
 	return rep
 }
 
-// ratio returns a/b guarding the degenerate denominators.
+// ratio returns a/b when it is a finite number. Degenerate denominators — a
+// level predicted at zero, or at a value so small the quotient overflows —
+// report (0, false): the report is JSON-encoded, which rejects NaN and ±Inf.
+// A zero numerator is an ordinary ratio: a level the empty-set cut kept the
+// run from ever scanning reads 0, valid.
 func ratio(a, b float64) (float64, bool) {
-	if b == 0 || math.IsNaN(b) || math.IsInf(b, 0) {
+	r := a / b
+	if b == 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return 0, false
 	}
-	return a / b, true
+	return r, true
 }

@@ -95,6 +95,10 @@ type LevelStats struct {
 	// IEPCounts counts inclusion–exclusion evaluations taken at this level
 	// (nonzero only at the IEP cut; the levels below it never iterate).
 	IEPCounts uint64 `json:"iepCounts"`
+	// Cuts counts the subtrees abandoned at this level because a hoisted
+	// intersection came back empty: the iteration skipped its remaining
+	// steps, every deeper loop and the IEP evaluation.
+	Cuts uint64 `json:"cuts"`
 	// WallNS estimates the wall time spent in scans of this level,
 	// including nested deeper levels. It is sampled: every scanSample-th
 	// scan is timed and the measured duration scaled up, so the engine pays
@@ -162,6 +166,7 @@ func (l *LevelStats) merge(o *LevelStats) {
 	l.Prunes += o.Prunes
 	l.DupSkips += o.DupSkips
 	l.IEPCounts += o.IEPCounts
+	l.Cuts += o.Cuts
 	l.WallNS += o.WallNS
 }
 

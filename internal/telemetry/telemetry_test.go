@@ -171,6 +171,45 @@ func TestBuildDriftIEPAndNilStats(t *testing.T) {
 	}
 }
 
+// TestBuildDriftZeroScanLevels: the engine abandons a prefix whose hoisted
+// intersection is empty, so on a triangle-free graph the levels below the
+// first step record nothing at all. The report must stay finite (it is
+// JSON-encoded under ?profile=1) and read those levels as ratio 0, not as
+// missing — including when the model's own numbers are degenerate.
+func TestBuildDriftZeroScanLevels(t *testing.T) {
+	pred := PredictedLevels{
+		LoopSize:   []float64{50, 6, 2, 1e-322},
+		FilterProb: []float64{0, 0, 0, 0},
+		Steps:      []int{0, 1, 1, 1},
+		IEPCut:     -1,
+	}
+	st := NewRunStats(4)
+	st.Levels[0].Scan(50, 0)
+	st.Levels[1].Scans, st.Levels[1].Candidates = 50, 300
+	st.Levels[1].Intersections, st.Levels[1].Cuts = 300, 300
+	rep := BuildDrift(pred, st)
+	if l2 := rep.Levels[2]; !l2.Valid || l2.Ratio != 0 || l2.ActualIters != 0 {
+		t.Errorf("zero-scan level = %+v, want a valid ratio of 0", l2)
+	}
+	for _, ld := range rep.Levels {
+		if math.IsNaN(ld.Ratio) || math.IsInf(ld.Ratio, 0) {
+			t.Errorf("level %d ratio %v is not finite", ld.Level, ld.Ratio)
+		}
+	}
+	if math.IsNaN(rep.OverallRatio) || math.IsInf(rep.OverallRatio, 0) {
+		t.Errorf("overall ratio %v is not finite", rep.OverallRatio)
+	}
+	// Degenerate predictions with nonzero actuals must not overflow either.
+	st.Levels[3].Intersections = 7
+	rep = BuildDrift(pred, st)
+	if l3 := rep.Levels[3]; math.IsInf(l3.Ratio, 0) || math.IsNaN(l3.Ratio) {
+		t.Errorf("level 3 ratio %v is not finite", l3.Ratio)
+	}
+	if _, err := json.Marshal(rep); err != nil {
+		t.Errorf("drift report does not encode: %v", err)
+	}
+}
+
 func TestExpositionRoundTrip(t *testing.T) {
 	var h Histogram
 	h.Observe(50 * time.Microsecond)

@@ -47,14 +47,14 @@ func BenchmarkIntersectSize(b *testing.B) {
 	}
 }
 
-func BenchmarkIntersectBelow(b *testing.B) {
+func BenchmarkIntersectWindow(b *testing.B) {
 	x := benchSet(4096, 4, 1)
 	y := benchSet(4096, 4, 2)
 	bound := x[len(x)/2]
 	dst := make([]uint32, 0, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = IntersectBelow(dst, x, y, bound)
+		dst, _ = IntersectWindow(dst, x, y, nil, nil, 0, bound)
 	}
 	_ = dst
 }

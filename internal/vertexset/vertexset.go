@@ -72,14 +72,57 @@ func Intersect(dst, a, b []uint32) []uint32 {
 	return intersectMerge(dst, a, b)
 }
 
-// IntersectBelow is Intersect restricted to elements strictly less than
-// bound. It is the kernel behind GraphPi's restriction pruning: a restriction
-// id(x) > id(current) with x already bound turns the remainder of a sorted
-// candidate scan into dead work, so the intersection itself stops early.
-func IntersectBelow(dst, a, b []uint32, bound uint32) []uint32 {
-	a = Below(a, bound)
-	b = Below(b, bound)
-	return Intersect(dst, a, b)
+// Kernel names the strategy a hybrid intersection dispatched to. The values
+// match internal/telemetry's kernel-family indices so executors attribute a
+// call without re-deriving the dispatch rule.
+type Kernel uint8
+
+const (
+	// KernelMerge is the linear two-pointer merge.
+	KernelMerge Kernel = iota
+	// KernelGallop is the exponential probe of the larger input.
+	KernelGallop
+	// KernelBitmap is the O(|small|) probe of a hub bitmap.
+	KernelBitmap
+)
+
+// NoBound is the open upper limit of a window no restriction caps.
+const NoBound = ^uint32(0)
+
+// Window returns the elements of the sorted set a inside the half-open id
+// interval [lo, hi), by binary search. (0, NoBound) is the unbounded window.
+func Window(a []uint32, lo, hi uint32) []uint32 {
+	a = Below(a, hi)
+	if lo > 0 {
+		a = Above(a, lo-1)
+	}
+	return a
+}
+
+// IntersectWindow is the engine's bounded intersection: it writes
+// a ∩ b ∩ [lo, hi) into dst (truncated first) and reports the kernel that
+// ran. Both operands are sliced to the window before any element is read —
+// GraphPi's restrictions turn everything outside it into dead work, so the
+// cost follows the window, not the rows. aBM / bBM are the optional bitmap
+// forms of the full a / b (hub rows): when one exists and the other side's
+// trimmed list is the shorter one, that list probes the bitmap in O(|list|);
+// otherwise the adaptive merge/gallop runs on the two trimmed lists.
+func IntersectWindow(dst, a, b []uint32, aBM, bBM Bitmap, lo, hi uint32) ([]uint32, Kernel) {
+	a, b = Window(a, lo, hi), Window(b, lo, hi)
+	if bBM != nil && len(a) <= len(b) {
+		return IntersectBitmap(dst, a, bBM), KernelBitmap
+	}
+	if aBM != nil && len(b) < len(a) {
+		return IntersectBitmap(dst, b, aBM), KernelBitmap
+	}
+	dst = dst[:0]
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(b) >= gallopRatio*len(a) {
+		return intersectGallop(dst, a, b), KernelGallop // also the empty case
+	}
+	return intersectMerge(dst, a, b), KernelMerge
 }
 
 // IntersectSize returns |a ∩ b| without materializing the intersection.

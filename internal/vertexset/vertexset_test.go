@@ -108,39 +108,110 @@ func TestIntersectSizeMatchesIntersect(t *testing.T) {
 	}
 }
 
-func TestIntersectBelow(t *testing.T) {
+func TestIntersectWindowFixed(t *testing.T) {
 	a := []uint32{1, 4, 6, 9, 12}
 	b := []uint32{4, 6, 8, 12, 14}
-	got := IntersectBelow(nil, a, b, 12)
-	want := []uint32{4, 6}
-	if !reflect.DeepEqual([]uint32(got), want) {
-		t.Errorf("IntersectBelow = %v, want %v", got, want)
+	cases := []struct {
+		lo, hi uint32
+		want   []uint32
+	}{
+		{0, NoBound, []uint32{4, 6, 12}},
+		{0, 12, []uint32{4, 6}},
+		{5, NoBound, []uint32{6, 12}},
+		{4, 7, []uint32{4, 6}},
+		{0, 0, []uint32{}}, // empty window
+		{7, 7, []uint32{}}, // lo == hi
+		{9, 5, []uint32{}}, // inverted window
+		{13, NoBound, []uint32{}},
 	}
-	if got := IntersectBelow(nil, a, b, 0); len(got) != 0 {
-		t.Errorf("IntersectBelow bound 0 = %v, want empty", got)
-	}
-	if got := IntersectBelow(nil, a, b, 100); len(got) != 3 {
-		t.Errorf("IntersectBelow bound 100 = %v, want 3 elements", got)
+	for _, c := range cases {
+		got, _ := IntersectWindow(nil, a, b, nil, nil, c.lo, c.hi)
+		if !reflect.DeepEqual(append([]uint32{}, got...), c.want) {
+			t.Errorf("IntersectWindow [%d,%d) = %v, want %v", c.lo, c.hi, got, c.want)
+		}
 	}
 }
 
-func TestIntersectBelowMatchesFilter(t *testing.T) {
-	f := func(av, bv []uint32, bound uint32) bool {
-		a, b := mkset(av), mkset(bv)
-		got := IntersectBelow(nil, a, b, bound)
-		want := []uint32{}
-		for _, v := range refIntersect(a, b) {
-			if v < bound {
-				want = append(want, v)
-			}
+// TestIntersectWindowMatchesUnbounded pins the bounded kernel to the
+// composition it replaces — Intersect, then Below/Above on the result — on
+// random sets and windows, with every combination of hub bitmaps attached,
+// and pins the reported kernel to the rule the unbounded paths follow.
+func TestIntersectWindowMatchesUnbounded(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	const universe = 600
+	randSet := func(n int) []uint32 {
+		vals := make([]uint32, n)
+		for i := range vals {
+			vals[i] = uint32(rng.IntN(universe))
 		}
-		if len(got) == 0 && len(want) == 0 {
-			return true
-		}
-		return reflect.DeepEqual([]uint32(got), want)
+		return mkset(vals)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	dst := make([]uint32, 0, universe)
+	for trial := 0; trial < 4000; trial++ {
+		a, b := randSet(rng.IntN(40)), randSet(rng.IntN(400))
+		if trial%2 == 1 {
+			a, b = b, a
+		}
+		lo, hi := uint32(rng.IntN(universe+20)), uint32(rng.IntN(universe+20))
+		switch trial % 5 {
+		case 0:
+			lo = 0
+		case 1:
+			hi = NoBound
+		case 2:
+			lo, hi = 0, NoBound
+		}
+		want := Intersect(nil, a, b)
+		want = Below(want, hi)
+		if lo > 0 {
+			want = Above(want, lo-1)
+		}
+		if lo >= hi {
+			want = nil
+		}
+		var aBM, bBM Bitmap
+		if trial&4 != 0 {
+			aBM = BitmapFromSet(a, universe)
+		}
+		if trial&8 != 0 {
+			bBM = BitmapFromSet(b, universe)
+		}
+		var kern Kernel
+		dst, kern = IntersectWindow(dst, a, b, aBM, bBM, lo, hi)
+		if len(dst) != len(want) || (len(want) > 0 && !reflect.DeepEqual(dst, want)) {
+			t.Fatalf("trial %d [%d,%d) bitmaps(%v,%v): got %v, want %v",
+				trial, lo, hi, aBM != nil, bBM != nil, dst, want)
+		}
+		wa, wb := Window(a, lo, hi), Window(b, lo, hi)
+		wantKern := KernelMerge
+		switch {
+		case bBM != nil && len(wa) <= len(wb), aBM != nil && len(wb) < len(wa):
+			wantKern = KernelBitmap
+		case max(len(wa), len(wb)) >= GallopRatio*min(len(wa), len(wb)):
+			wantKern = KernelGallop
+		}
+		if kern != wantKern {
+			t.Fatalf("trial %d: kernel %d, want %d (|a|=%d |b|=%d trimmed)", trial, kern, wantKern, len(wa), len(wb))
+		}
+	}
+}
+
+func TestWindow(t *testing.T) {
+	a := []uint32{2, 5, 7, 11}
+	cases := []struct {
+		lo, hi uint32
+		want   []uint32
+	}{
+		{0, NoBound, a}, {0, 7, a[:2]}, {5, NoBound, a[1:]}, {6, 8, a[2:3]},
+		{3, 5, nil}, {12, NoBound, nil}, {0, 2, nil}, {8, 3, nil},
+	}
+	for _, c := range cases {
+		if got := Window(a, c.lo, c.hi); len(got) != len(c.want) || (len(got) > 0 && &got[0] != &c.want[0]) {
+			t.Errorf("Window(%d,%d) = %v, want %v", c.lo, c.hi, got, c.want)
+		}
+	}
+	if got := Window(nil, 3, 9); len(got) != 0 {
+		t.Errorf("Window(nil) = %v", got)
 	}
 }
 
