@@ -58,29 +58,29 @@ func BenchmarkCountParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanHouse measures preprocessing (Table III regime) for a
-// 5-vertex pattern.
-func BenchmarkPlanHouse(b *testing.B) {
-	g := graph.BarabasiAlbert(2000, 6, 7)
-	stats := g.Stats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Plan(pattern.House(), stats, PlanOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPlanK7e measures preprocessing for the heaviest evaluation
-// pattern (P6).
-func BenchmarkPlanK7e(b *testing.B) {
-	g := graph.BarabasiAlbert(2000, 6, 7)
-	stats := g.Stats()
-	p := pattern.CliqueMinus(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Plan(p, stats, PlanOptions{}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkPlan measures cold preprocessing (Table III regime): a fresh
+// Pattern per iteration, so nothing memoised on it carries over. The CPU
+// profile of the planner is
+//
+//	go test ./internal/core -run '^$' -bench Plan -cpuprofile cpu.out
+func BenchmarkPlan(b *testing.B) {
+	stats := graph.BarabasiAlbert(2000, 6, 7).Stats()
+	for _, c := range []struct {
+		name string
+		pat  func() *pattern.Pattern
+	}{
+		{"house", pattern.House},
+		{"k7e", func() *pattern.Pattern { return pattern.CliqueMinus(7) }}, // P6, the heaviest evaluation pattern
+		{"p5", pattern.P5},
+		{"k7", func() *pattern.Pattern { return pattern.Clique(7) }},
+		{"prism", pattern.Prism},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Plan(c.pat(), stats, PlanOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

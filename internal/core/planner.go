@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"graphpi/internal/costmodel"
@@ -99,15 +101,18 @@ func Plan(pat *pattern.Pattern, stats graph.Stats, opt PlanOptions) (*PlanResult
 		sched, set int
 		cost       float64
 	}
+	raw := make([][][2]uint8, len(sets))
+	for ri, rs := range sets {
+		raw[ri] = make([][2]uint8, len(rs))
+		for j, r := range rs {
+			raw[ri][j] = [2]uint8{r.First, r.Second}
+		}
+	}
 	var ranked []scored
 	for si, s := range sres.Efficient {
 		plan := schedule.BuildPlan(schedule.RelabeledPattern(pat, s), pat.N())
 		for ri, rs := range sets {
-			raw := make([][2]uint8, len(rs))
-			for j, r := range rs {
-				raw[j] = [2]uint8{r.First, r.Second}
-			}
-			mapped := schedule.MapRestrictions(s, raw)
+			mapped := schedule.MapRestrictions(s, raw[ri])
 			cost := costmodel.Estimate(plan, pat.N(), mapped, params, opt.Model).Cost
 			ranked = append(ranked, scored{sched: si, set: ri, cost: cost})
 			if opt.KeepAll {
@@ -119,14 +124,9 @@ func Plan(pat *pattern.Pattern, stats graph.Stats, opt PlanOptions) (*PlanResult
 			}
 		}
 	}
-	for i := 1; i < len(ranked); i++ {
-		for j := i; j > 0 && ranked[j].cost < ranked[j-1].cost; j-- {
-			ranked[j], ranked[j-1] = ranked[j-1], ranked[j]
-		}
-	}
-	if opt.KeepAll {
-		sortCandidates(res.Ranked)
-	}
+	// Stable, so equal predictions keep (schedule, set) generation order.
+	slices.SortStableFunc(ranked, func(a, b scored) int { return cmp.Compare(a.cost, b.cost) })
+	slices.SortStableFunc(res.Ranked, func(a, b Candidate) int { return cmp.Compare(a.Cost, b.Cost) })
 
 	compile := func(c scored) (*Config, error) {
 		cfg, err := NewConfig(pat, sres.Efficient[c.sched], sets[c.set])
@@ -180,14 +180,6 @@ const (
 	// compiled while searching for IEP support.
 	iepMaxProbes = 32
 )
-
-func sortCandidates(cs []Candidate) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].Cost < cs[j-1].Cost; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
-}
 
 // PlanGraphZero reproduces the GraphZero baseline's preprocessing: one
 // canonical restriction set, Phase-1-only schedules, and the degree-only

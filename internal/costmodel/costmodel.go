@@ -14,13 +14,16 @@
 //	p2 = tri·|V| / (2|E|)²      (two co-neighbors are themselves neighbors)
 //
 // and the expected cardinality of an intersection of m neighborhoods is
-// |V| · p1 · p2^(m−1). The filter probabilities f_i are computed *exactly*
-// by filtering the n! relative magnitude orders of the pattern's vertices
-// through the restrictions in schedule order, as the paper prescribes.
+// |V| · p1 · p2^(m−1). The filter probabilities f_i are computed *exactly*:
+// they are the fractions of the n! relative magnitude orders of the pattern's
+// vertices that the restrictions filter in schedule order, as the paper
+// prescribes, counted without enumerating the orders.
 package costmodel
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"graphpi/internal/graph"
 	"graphpi/internal/perm"
@@ -155,46 +158,32 @@ func Estimate(plan schedule.Plan, n int, posRestrictions [][2]uint8, p Params, m
 	return b
 }
 
-// FilterProbabilities computes the exact f_i values: enumerate the n!
-// relative magnitude orders of the n bound vertices, apply each loop's
-// restrictions in schedule order, and record at which loop each order is
-// first filtered out. f_i is the fraction of orders surviving loops < i
-// that loop i filters (paper §IV-C, "Measurement of f_i").
+// FilterProbabilities computes the exact f_i values: of the n! relative
+// magnitude orders of the n bound vertices, f_i is the fraction of those
+// surviving loops < i that loop i's restrictions filter (paper §IV-C,
+// "Measurement of f_i"). An order survives loops ≤ i exactly when it respects
+// the restrictions among positions {0,…,i}, so that number is n!/(i+1)! times
+// the count of valid orders of the prefix — which perm.CountOrders yields for
+// every prefix in one pass instead of a walk over all n! orders.
 func FilterProbabilities(n int, posRestrictions [][2]uint8) []float64 {
 	f := make([]float64, n)
 	if len(posRestrictions) == 0 {
 		return f
 	}
-	// checks[i] lists restrictions whose later position is i.
-	checks := make([][][2]uint8, n)
+	greater := make([]uint16, n)
 	for _, r := range posRestrictions {
-		later := int(r[0])
-		if int(r[1]) > later {
-			later = int(r[1])
-		}
-		checks[later] = append(checks[later], r)
+		greater[r[1]] |= 1 << r[0]
 	}
-	filteredAt := make([]int64, n+1) // n = never filtered
-	perm.ForEach(n, func(sigma perm.Perm) bool {
-		at := n
-	scan:
-		for i := 0; i < n; i++ {
-			for _, r := range checks[i] {
-				if sigma[r[0]] <= sigma[r[1]] {
-					at = i
-					break scan
-				}
-			}
-		}
-		filteredAt[at]++
-		return true
-	})
-	surviving := float64(perm.Factorial(n))
+	prefix := make([]int64, n)
+	perm.CountOrders(greater, prefix)
+	total := perm.Factorial(n)
+	surviving := total
 	for i := 0; i < n; i++ {
+		after := total / perm.Factorial(i+1) * prefix[i]
 		if surviving > 0 {
-			f[i] = float64(filteredAt[i]) / surviving
+			f[i] = float64(surviving-after) / float64(surviving)
 		}
-		surviving -= float64(filteredAt[i])
+		surviving = after
 	}
 	return f
 }
@@ -219,24 +208,8 @@ func Rank(plans []schedule.Plan, n int, posRestr [][][][2]uint8, p Params, model
 			out = append(out, RankedConfig{ScheduleIdx: si, RestrictionIdx: ri, Cost: b.Cost})
 		}
 	}
-	sortRanked(out)
+	// out is built in (schedule, set) order, so a stable sort on cost alone
+	// breaks ties by schedule index, then set index.
+	slices.SortStableFunc(out, func(a, b RankedConfig) int { return cmp.Compare(a.Cost, b.Cost) })
 	return out
-}
-
-func sortRanked(rs []RankedConfig) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && less(rs[j], rs[j-1]); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
-func less(a, b RankedConfig) bool {
-	if a.Cost != b.Cost {
-		return a.Cost < b.Cost
-	}
-	if a.ScheduleIdx != b.ScheduleIdx {
-		return a.ScheduleIdx < b.ScheduleIdx
-	}
-	return a.RestrictionIdx < b.RestrictionIdx
 }

@@ -2,10 +2,12 @@ package costmodel
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
+	"graphpi/internal/perm"
 	"graphpi/internal/restrict"
 	"graphpi/internal/schedule"
 )
@@ -202,8 +204,80 @@ func TestRank(t *testing.T) {
 		t.Fatalf("ranked %d configs, want %d", len(ranked), len(res.Efficient)*len(sets))
 	}
 	for i := 1; i < len(ranked); i++ {
-		if ranked[i].Cost < ranked[i-1].Cost {
+		a, b := ranked[i-1], ranked[i]
+		if b.Cost < a.Cost {
 			t.Fatal("rankings not sorted")
+		}
+		// Equal predictions keep (schedule, set) order: the planner's choice
+		// among ties must not depend on the sort.
+		if a.Cost == b.Cost && (a.ScheduleIdx > b.ScheduleIdx ||
+			a.ScheduleIdx == b.ScheduleIdx && a.RestrictionIdx > b.RestrictionIdx) {
+			t.Fatalf("tie at cost %v ordered %+v before %+v", a.Cost, a, b)
+		}
+	}
+}
+
+// enumerateFilterProbabilities is the n! walk FilterProbabilities replaced:
+// apply each loop's restrictions to every relative order in schedule order
+// and record at which loop it is first filtered.
+func enumerateFilterProbabilities(n int, posRestrictions [][2]uint8) []float64 {
+	f := make([]float64, n)
+	checks := make([][][2]uint8, n)
+	for _, r := range posRestrictions {
+		checks[max(r[0], r[1])] = append(checks[max(r[0], r[1])], r)
+	}
+	filteredAt := make([]int64, n+1)
+	perm.ForEach(n, func(sigma perm.Perm) bool {
+		at := n
+	scan:
+		for i := 0; i < n; i++ {
+			for _, r := range checks[i] {
+				if sigma[r[0]] <= sigma[r[1]] {
+					at = i
+					break scan
+				}
+			}
+		}
+		filteredAt[at]++
+		return true
+	})
+	surviving := float64(perm.Factorial(n))
+	for i := 0; i < n; i++ {
+		if surviving > 0 {
+			f[i] = float64(filteredAt[i]) / surviving
+		}
+		surviving -= float64(filteredAt[i])
+	}
+	return f
+}
+
+// TestFilterProbabilitiesMatchEnumeration: the counted f_i must equal the
+// enumerated ones to the last bit, or predicted costs — and with them ranking
+// ties — could move.
+func TestFilterProbabilitiesMatchEnumeration(t *testing.T) {
+	r := rand.New(rand.NewPCG(31, 5))
+	for n := 1; n <= 7; n++ {
+		for trial := 0; trial < 60; trial++ {
+			// Odd trials draw from a hidden order (satisfiable); even trials
+			// orient pairs at random (often contradictory: some f_i = 1).
+			hidden := r.Perm(n)
+			var rs [][2]uint8
+			for k := r.IntN(2 * n); k > 0 && n > 1; k-- {
+				a, b := r.IntN(n), r.IntN(n)
+				if a == b {
+					continue
+				}
+				if trial%2 == 1 && hidden[a] < hidden[b] {
+					a, b = b, a
+				}
+				rs = append(rs, [2]uint8{uint8(a), uint8(b)})
+			}
+			got, want := FilterProbabilities(n, rs), enumerateFilterProbabilities(n, rs)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d %v: f[%d] = %v, enumeration %v", n, rs, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -18,6 +18,15 @@ func tinyOpts() Options {
 	}
 }
 
+// skipSweepInShort keeps the table and figure sweeps — seconds each, a minute
+// together — out of -short runs; the one-cell experiments still run there.
+func skipSweepInShort(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("experiment sweep skipped in -short mode")
+	}
+}
+
 func TestTable1(t *testing.T) {
 	res, err := Table1(tinyOpts())
 	if err != nil {
@@ -61,6 +70,7 @@ func TestFig2b(t *testing.T) {
 }
 
 func TestFig8(t *testing.T) {
+	skipSweepInShort(t)
 	res, err := Fig8(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +100,7 @@ func TestFig8(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
+	skipSweepInShort(t)
 	res, err := Table2(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +116,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestFig9(t *testing.T) {
+	skipSweepInShort(t)
 	// Fig9 needs completed (non-"T") cells for its oracle, so it gets a
 	// larger per-cell budget than the grid experiments.
 	opt := tinyOpts()
@@ -143,6 +155,7 @@ func TestFig9(t *testing.T) {
 }
 
 func TestFig10(t *testing.T) {
+	skipSweepInShort(t)
 	res, err := Fig10(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +183,7 @@ func TestFig10(t *testing.T) {
 }
 
 func TestFig11(t *testing.T) {
+	skipSweepInShort(t)
 	res, err := Fig11(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -191,6 +205,7 @@ func TestFig11(t *testing.T) {
 }
 
 func TestFig12(t *testing.T) {
+	skipSweepInShort(t)
 	res, err := Fig12(tinyOpts(), []int{1, 2})
 	if err != nil {
 		t.Fatal(err)

@@ -15,13 +15,13 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 
 	"graphpi/internal/perm"
 )
 
-// MaxVertices is the largest supported pattern size. Brute-force
-// automorphism enumeration is n! so 12 is already generous; the paper's
-// patterns have at most 7 vertices.
+// MaxVertices is the largest supported pattern size. Schedule enumeration is
+// n! so 12 is already generous; the paper's patterns have at most 7 vertices.
 const MaxVertices = 12
 
 // Pattern is an undirected, unlabeled query graph over vertices
@@ -31,6 +31,9 @@ type Pattern struct {
 	n    int
 	adj  []uint16 // adj[i] has bit j set iff edge {i,j} exists
 	name string
+
+	autsOnce sync.Once
+	auts     []perm.Perm // memoised by Automorphisms
 }
 
 // New builds a pattern with n vertices and the given undirected edges.
@@ -101,10 +104,7 @@ func (p *Pattern) Name() string { return p.name }
 
 // WithName returns a copy of p carrying the given display name.
 func (p *Pattern) WithName(name string) *Pattern {
-	q := *p
-	q.adj = append([]uint16(nil), p.adj...)
-	q.name = name
-	return &q
+	return &Pattern{n: p.n, adj: append([]uint16(nil), p.adj...), name: name}
 }
 
 // HasEdge reports whether {u, v} is an edge.
@@ -212,35 +212,40 @@ func (p *Pattern) MaxIndependentSetSize() int {
 	return best
 }
 
-// Automorphisms enumerates all automorphisms of the pattern by checking each
-// of the n! vertex permutations for edge preservation. The result always
-// contains the identity and forms a permutation group (verified in tests).
+// Automorphisms returns all automorphisms of the pattern in lexicographic
+// order. The result always contains the identity and forms a permutation
+// group (verified in tests). It is computed once per Pattern — restriction
+// generation, validation and schedule deduplication of one plan all ask — and
+// shared between callers, which must not modify it.
 func (p *Pattern) Automorphisms() []perm.Perm {
-	var auts []perm.Perm
-	perm.ForEach(p.n, func(q perm.Perm) bool {
-		if p.isAutomorphism(q) {
-			auts = append(auts, q.Clone())
-		}
-		return true
+	p.autsOnce.Do(func() {
+		p.extendAutomorphism(make(perm.Perm, p.n), 0, 0)
 	})
-	return auts
+	return p.auts
 }
 
-// isAutomorphism reports whether q preserves the edge relation. Since q is a
-// bijection on the same vertex set and edge counts match, preservation in
-// one direction suffices.
-func (p *Pattern) isAutomorphism(q perm.Perm) bool {
-	for u := 0; u < p.n; u++ {
-		m := p.adj[u]
-		for m != 0 {
-			v := bits.TrailingZeros16(m)
-			if !p.HasEdge(int(q[u]), int(q[v])) {
-				return false
-			}
-			m &= m - 1
+// extendAutomorphism backtracks over the images of vertices u, u+1, …: q[u]
+// must be an unused vertex of u's degree whose adjacency to the images chosen
+// so far mirrors u's adjacency to the vertices below it. Trying images in
+// ascending order yields the automorphisms in lexicographic order.
+func (p *Pattern) extendAutomorphism(q perm.Perm, u int, used uint16) {
+	if u == p.n {
+		p.auts = append(p.auts, q.Clone())
+		return
+	}
+	for img := 0; img < p.n; img++ {
+		if used&(1<<img) != 0 || p.Degree(img) != p.Degree(u) {
+			continue
+		}
+		ok := true
+		for v := 0; v < u && ok; v++ {
+			ok = p.HasEdge(u, v) == p.HasEdge(img, int(q[v]))
+		}
+		if ok {
+			q[u] = uint8(img)
+			p.extendAutomorphism(q, u+1, used|1<<img)
 		}
 	}
-	return true
 }
 
 // Relabel returns the pattern with vertex i renamed to order[i]. order must

@@ -8,6 +8,7 @@ package perm
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -156,32 +157,54 @@ func (p Perm) key() string { return string(p) }
 // Closure returns the group generated by gens (always containing the
 // identity), sorted lexicographically. All generators must share a degree.
 // Used by tests to confirm that pattern automorphisms form a group.
+//
+// Generators are taken one at a time and one already inside the group built
+// so far is skipped, so a redundant generating set (a whole automorphism
+// list, say) costs one lookup per generator, not a pass over the group.
 func Closure(gens []Perm) []Perm {
 	if len(gens) == 0 {
 		return nil
 	}
 	n := len(gens[0])
-	elems := map[string]Perm{}
 	id := Identity(n)
-	elems[id.key()] = id
-	queue := []Perm{id}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, g := range gens {
-			next := Compose(g, cur)
-			if _, ok := elems[next.key()]; !ok {
-				elems[next.key()] = next
-				queue = append(queue, next)
+	seen := map[string]bool{id.key(): true}
+	elems := []Perm{id}
+	scratch := make(Perm, n)
+	var active []Perm
+	for _, g := range gens {
+		if len(g) != n {
+			panic("perm: composing permutations of different degree")
+		}
+		if int64(len(elems)) == Factorial(n) {
+			break // already the whole symmetric group
+		}
+		if seen[string(g)] {
+			continue
+		}
+		active = append(active, g)
+		// elems[:old] is a group closed under active[:len-1]: those elements
+		// need only meet the new generator, the ones found from here on all
+		// of them.
+		old := len(elems)
+		for i := 0; i < len(elems); i++ {
+			todo := active
+			if i < old {
+				todo = active[len(active)-1:]
+			}
+			for _, a := range todo {
+				for j, v := range elems[i] {
+					scratch[j] = a[v]
+				}
+				if !seen[string(scratch)] {
+					next := scratch.Clone()
+					seen[next.key()] = true
+					elems = append(elems, next)
+				}
 			}
 		}
 	}
-	out := make([]Perm, 0, len(elems))
-	for _, p := range elems {
-		out = append(out, p)
-	}
-	Sort(out)
-	return out
+	Sort(elems)
+	return elems
 }
 
 // Sort orders permutations lexicographically in place.
@@ -262,4 +285,44 @@ func Factorial(n int) int64 {
 		f *= int64(i)
 	}
 	return f
+}
+
+// CountOrders counts the relative orders of n = len(above) elements that
+// respect a "must be greater" relation: above[v] is the bitmask of elements
+// whose value must exceed v's. The result is the number of permutations σ of
+// {0,…,n-1} with σ(u) > σ(v) whenever above[v] has bit u — the linear
+// extensions of the relation, 0 if it is cyclic.
+//
+// If prefix is non-nil it must have length n, and prefix[i] receives the same
+// count for the elements {0,…,i} under the constraints among them alone.
+//
+// f[S], the number of orders of subset S under the constraints inside S,
+// follows from choosing S's greatest element v, which nothing in S may be
+// required to exceed: f[S] = Σ_{v∈S, above[v]∩S=∅} f[S∖v]. That is 2ⁿ·n steps
+// where enumerating the orders is n!·|constraints|.
+func CountOrders(above []uint16, prefix []int64) int64 {
+	n := len(above)
+	if n > MaxDegree {
+		panic(fmt.Sprintf("perm: degree %d exceeds MaxDegree", n))
+	}
+	var small [1 << 8]int64
+	f := small[:]
+	if n > 8 {
+		f = make([]int64, 1<<n)
+	}
+	f[0] = 1
+	for s := 1; s < 1<<n; s++ {
+		var c int64
+		for m := s; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros(uint(m))
+			if int(above[v])&s == 0 {
+				c += f[s&^(1<<v)]
+			}
+		}
+		f[s] = c
+	}
+	for i := range prefix {
+		prefix[i] = f[1<<(i+1)-1]
+	}
+	return f[1<<n-1]
 }

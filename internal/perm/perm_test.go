@@ -216,3 +216,106 @@ func TestGroupAxiomsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestClosureRedundantGenerators(t *testing.T) {
+	// A whole group handed back as its own generating set, and random
+	// generators with repeats, against the one-generator-at-a-time rule.
+	r := rand.New(rand.NewPCG(5, 9))
+	for n := 1; n <= 6; n++ {
+		for trial := 0; trial < 20; trial++ {
+			gens := []Perm{randPerm(r, n), randPerm(r, n)}
+			g := Closure(gens)
+			if !IsGroup(g) {
+				t.Fatalf("n=%d: closure of %v is not a group", n, gens)
+			}
+			again := Closure(append(append([]Perm{}, g...), gens...))
+			if len(again) != len(g) {
+				t.Fatalf("n=%d: closure of a group has %d elements, want %d", n, len(again), len(g))
+			}
+			for i := range g {
+				if !Equal(g[i], again[i]) {
+					t.Fatalf("n=%d: closure of a group differs at %d", n, i)
+				}
+			}
+		}
+	}
+	// Transposition + n-cycle generate S_6; everything after them is skipped.
+	s6 := Closure([]Perm{{1, 0, 2, 3, 4, 5}, {1, 2, 3, 4, 5, 0}, {0, 2, 1, 3, 4, 5}})
+	if int64(len(s6)) != Factorial(6) {
+		t.Errorf("|S6| = %d, want 720", len(s6))
+	}
+}
+
+// enumerateOrders is the n! walk CountOrders replaces: the number of orders σ
+// of {0,…,n-1} with σ(u) > σ(v) for every bit u of above[v], u, v < n.
+func enumerateOrders(n int, above []uint16) int64 {
+	var count int64
+	ForEach(n, func(sigma Perm) bool {
+		for v := 0; v < n; v++ {
+			for u := 0; u < n; u++ {
+				if above[v]&(1<<u) != 0 && sigma[u] <= sigma[v] {
+					return true
+				}
+			}
+		}
+		count++
+		return true
+	})
+	return count
+}
+
+func TestCountOrdersMatchesEnumeration(t *testing.T) {
+	r := rand.New(rand.NewPCG(11, 3))
+	cyclic := 0
+	for n := 1; n <= 7; n++ {
+		for trial := 0; trial < 60; trial++ {
+			above := make([]uint16, n)
+			// Odd trials orient every pair along a random hidden order
+			// (consistent); even trials orient at random (often cyclic).
+			hidden := randPerm(r, n)
+			for k := r.IntN(2 * n); k > 0; k-- {
+				u, v := r.IntN(n), r.IntN(n)
+				if u == v {
+					continue
+				}
+				if trial%2 == 1 && hidden[u] < hidden[v] {
+					u, v = v, u
+				}
+				above[v] |= 1 << u
+			}
+			prefix := make([]int64, n)
+			got := CountOrders(above, prefix)
+			if want := enumerateOrders(n, above); got != want {
+				t.Fatalf("n=%d above=%v: CountOrders = %d, enumeration = %d", n, above, got, want)
+			}
+			if trial%2 == 1 && got == 0 {
+				t.Fatalf("n=%d above=%v: consistent relation counted 0", n, above)
+			}
+			if got == 0 {
+				cyclic++
+			}
+			for i := 0; i < n; i++ {
+				if want := enumerateOrders(i+1, above); prefix[i] != want {
+					t.Fatalf("n=%d above=%v: prefix[%d] = %d, enumeration = %d", n, above, i, prefix[i], want)
+				}
+			}
+			if CountOrders(above, nil) != got {
+				t.Fatalf("n=%d: nil prefix changes the count", n)
+			}
+		}
+	}
+	if cyclic == 0 {
+		t.Error("no cyclic relation was generated")
+	}
+	if CountOrders(nil, nil) != 1 {
+		t.Error("empty relation on no elements should count the one empty order")
+	}
+	// Unconstrained: n!; a chain: 1. n = 10 exercises the heap-allocated table.
+	chain := make([]uint16, 10)
+	for v := 0; v+1 < len(chain); v++ {
+		chain[v] = 1 << (v + 1)
+	}
+	if CountOrders(make([]uint16, 10), nil) != Factorial(10) || CountOrders(chain, nil) != 1 {
+		t.Error("n=10: free and chain counts wrong")
+	}
+}

@@ -16,6 +16,7 @@ package restrict
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -53,6 +54,23 @@ func (s Set) Canonicalize() Set {
 	return out
 }
 
+// with returns a copy of the canonicalized set s that also holds r, in
+// canonical order; added is false when s already holds r.
+func (s Set) with(r Restriction) (out Set, added bool) {
+	i := 0
+	for i < len(s) && (s[i].First < r.First || s[i].First == r.First && s[i].Second < r.Second) {
+		i++
+	}
+	if i < len(s) && s[i] == r {
+		return nil, false
+	}
+	out = make(Set, len(s)+1)
+	copy(out, s[:i])
+	out[i] = r
+	copy(out[i+1:], s[i:])
+	return out, true
+}
+
 // Clone returns a copy of s.
 func (s Set) Clone() Set { return append(Set(nil), s...) }
 
@@ -77,11 +95,17 @@ func (s Set) key() string {
 // i.e. its ">" digraph is acyclic. An inconsistent set would eliminate every
 // embedding including the canonical representative.
 func (s Set) Consistent(n int) bool {
-	return acyclic(n, func(emit func(a, b uint8)) {
-		for _, r := range s {
-			emit(r.First, r.Second)
-		}
-	})
+	greater := s.greater()
+	return acyclic(n, &greater)
+}
+
+// greater returns the set as bitmasks: bit u of greater[v] is set when the
+// set demands id(u) > id(v).
+func (s Set) greater() (greater [perm.MaxDegree]uint16) {
+	for _, r := range s {
+		greater[r.Second] |= 1 << r.First
+	}
+	return greater
 }
 
 // Eliminates reports whether the permutation p (an automorphism of the
@@ -90,59 +114,36 @@ func (s Set) Consistent(n int) bool {
 // the complement of the paper's no_conflict: the directed graph with edges
 // (a→b) and (p(a)→p(b)) for every restriction id(a)>id(b) has a cycle.
 func (s Set) Eliminates(p perm.Perm) bool {
-	return !acyclic(len(p), func(emit func(a, b uint8)) {
-		for _, r := range s {
-			emit(r.First, r.Second)
-			emit(p[r.First], p[r.Second])
-		}
-	})
+	return s.eliminates(s.greater(), p)
 }
 
-// acyclic runs Kahn's algorithm over the ≤ MaxVertices-node digraph whose
-// edges are supplied by the edges callback.
-func acyclic(n int, edges func(emit func(a, b uint8))) bool {
-	var adjMask [pattern.MaxVertices + 4]uint16
-	var indeg [pattern.MaxVertices + 4]int8
-	edges(func(a, b uint8) {
-		if adjMask[a]&(1<<b) == 0 {
-			adjMask[a] |= 1 << b
-			indeg[b]++
-		}
-	})
-	var stack [pattern.MaxVertices + 4]uint8
-	top := 0
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			stack[top] = uint8(v)
-			top++
-		}
+// eliminates is Eliminates given s.greater(), for callers that test one set
+// against a whole automorphism list.
+func (s Set) eliminates(greater [perm.MaxDegree]uint16, p perm.Perm) bool {
+	for _, r := range s {
+		greater[p[r.Second]] |= 1 << p[r.First]
 	}
-	removed := 0
-	for top > 0 {
-		top--
-		v := stack[top]
-		removed++
-		m := adjMask[v]
-		for m != 0 {
-			w := uint8(trailingZeros16(m))
-			m &= m - 1
-			indeg[w]--
-			if indeg[w] == 0 {
-				stack[top] = w
-				top++
+	return !acyclic(len(p), &greater)
+}
+
+// acyclic reports whether the digraph on {0,…,n-1} with an edge u→v for every
+// bit u of greater[v] has no cycle, by peeling off vertices that no remaining
+// vertex points at until none is left or none can go.
+func acyclic(n int, greater *[perm.MaxDegree]uint16) bool {
+	alive := uint16(1)<<n - 1
+	for alive != 0 {
+		before := alive
+		for m := alive; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros16(m)
+			if greater[v]&alive == 0 {
+				alive &^= 1 << v
 			}
 		}
+		if alive == before {
+			return false
+		}
 	}
-	return removed == n
-}
-
-func trailingZeros16(x uint16) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
+	return true
 }
 
 // Options tunes Generate. The zero value applies the defaults below.
@@ -184,7 +185,7 @@ func Generate(pat *pattern.Pattern, opts Options) ([]Set, error) {
 		visited:    map[string]bool{},
 		results:    map[string]Set{},
 	}
-	g.generate(auts, nil)
+	g.generate(auts, nil, perm.Factorial(pat.N()))
 	if len(g.results) == 0 {
 		return nil, fmt.Errorf("restrict: no valid restriction set found for %s", pat)
 	}
@@ -219,8 +220,14 @@ type generator struct {
 
 // generate is the recursive core of Algorithm 1. pg is the sub-multiset of
 // automorphisms not yet eliminated (always containing the identity);
-// res is the canonicalized restriction set built so far.
-func (g *generator) generate(pg []perm.Perm, res Set) {
+// res is the canonicalized restriction set built so far and survivors the
+// number of relative orders it keeps.
+//
+// A restriction can only remove orders, and a complete set keeps exactly
+// wantOrders of them, so a child that keeps fewer has no complete set below
+// it and is dropped without being searched. That also covers the child that
+// contradicts itself (it keeps none).
+func (g *generator) generate(pg []perm.Perm, res Set, survivors int64) {
 	if len(g.results) >= g.opts.MaxSets {
 		return
 	}
@@ -229,7 +236,7 @@ func (g *generator) generate(pg []perm.Perm, res Set) {
 		// Per Algorithm 1 this leaf still runs validate(res_set): a set can
 		// kill all automorphisms yet also kill entire embedding classes
 		// (keep fewer than n!/|Aut| relative orders); such leaves return ∅.
-		if CountOrderSurvivors(g.n, res) == g.wantOrders {
+		if survivors == g.wantOrders {
 			g.results[res.key()] = res.Clone()
 		}
 		return
@@ -239,8 +246,8 @@ func (g *generator) generate(pg []perm.Perm, res Set) {
 		if len(g.results) >= g.opts.MaxSets {
 			return
 		}
-		next := append(res.Clone(), cand).Canonicalize()
-		if len(next) == len(res) {
+		next, added := res.with(cand)
+		if !added {
 			continue // duplicate restriction
 		}
 		k := next.key()
@@ -248,16 +255,18 @@ func (g *generator) generate(pg []perm.Perm, res Set) {
 			continue
 		}
 		g.visited[k] = true
-		if !next.Consistent(g.n) {
-			continue // the set itself became contradictory
+		greater := next.greater()
+		kept := perm.CountOrders(greater[:g.n], nil)
+		if kept < g.wantOrders {
+			continue
 		}
 		var remaining []perm.Perm
 		for _, p := range pg {
-			if !next.Eliminates(p) {
+			if !next.eliminates(greater, p) {
 				remaining = append(remaining, p)
 			}
 		}
-		g.generate(remaining, next)
+		g.generate(remaining, next, kept)
 	}
 }
 
@@ -269,46 +278,40 @@ func (g *generator) generate(pg []perm.Perm, res Set) {
 // first non-identity permutation, which the DAG-based elimination handles
 // soundly; validation still guarantees correctness.
 func (g *generator) candidates(pg []perm.Perm) []Restriction {
-	seen := map[Restriction]bool{}
-	var out []Restriction
-	add := func(a, b uint8) {
-		for _, r := range []Restriction{{a, b}, {b, a}} {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
-			}
-		}
-	}
+	// Bit b of pairs[a] stands for the candidate id(a)>id(b); reading the
+	// masks in order yields the candidates sorted and without duplicates.
+	var pairs [perm.MaxDegree]uint16
+	found := false
 	for _, p := range pg {
-		if p.IsIdentity() {
-			continue
-		}
 		for _, tc := range p.TwoCycles() {
-			add(tc[0], tc[1])
+			pairs[tc[0]] |= 1 << tc[1]
+			pairs[tc[1]] |= 1 << tc[0]
+			found = true
 		}
-		if g.opts.FirstPermOnly && len(out) > 0 {
+		if g.opts.FirstPermOnly && found {
 			break
 		}
 	}
-	if len(out) == 0 {
+	if !found {
 		for _, p := range pg {
 			if p.IsIdentity() {
 				continue
 			}
-			for v := range p {
-				if int(p[v]) != v {
-					add(uint8(v), p[v])
+			for v, w := range p {
+				if int(w) != v {
+					pairs[v] |= 1 << w
+					pairs[w] |= 1 << v
 				}
 			}
 			break
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].First != out[j].First {
-			return out[i].First < out[j].First
+	var out []Restriction
+	for a := 0; a < g.n; a++ {
+		for m := pairs[a]; m != 0; m &= m - 1 {
+			out = append(out, Restriction{First: uint8(a), Second: uint8(bits.TrailingZeros16(m))})
 		}
-		return out[i].Second < out[j].Second
-	})
+	}
 	return out
 }
 
@@ -319,17 +322,8 @@ func (g *generator) candidates(pg []perm.Perm) []Restriction {
 // with n vertices on the complete graph K_n admits every injective map, so
 // the restricted count must equal n!/|Aut|.
 func CountOrderSurvivors(n int, s Set) int64 {
-	var count int64
-	perm.ForEach(n, func(sigma perm.Perm) bool {
-		for _, r := range s {
-			if sigma[r.First] <= sigma[r.Second] {
-				return true // filtered; continue enumeration
-			}
-		}
-		count++
-		return true
-	})
-	return count
+	greater := s.greater()
+	return perm.CountOrders(greater[:n], nil)
 }
 
 // Validate checks that the restriction set is complete and exact for the
@@ -341,14 +335,15 @@ func Validate(pat *pattern.Pattern, s Set) error {
 		return fmt.Errorf("restrict: set %v is self-contradictory", s)
 	}
 	auts := pat.Automorphisms()
+	greater := s.greater()
 	for _, a := range auts {
 		if a.IsIdentity() {
-			if s.Eliminates(a) {
+			if s.eliminates(greater, a) {
 				return fmt.Errorf("restrict: set %v eliminates the identity", s)
 			}
 			continue
 		}
-		if !s.Eliminates(a) {
+		if !s.eliminates(greater, a) {
 			return fmt.Errorf("restrict: set %v fails to eliminate automorphism %v", s, a)
 		}
 	}

@@ -122,7 +122,8 @@ type Options struct {
 // Generate enumerates all n! schedules of the pattern and applies the
 // 2-phase filter. Equivalent schedules (differing by a pattern automorphism)
 // are deduplicated to one lexicographically-smallest representative unless
-// Options.NoDedup is set.
+// Options.NoDedup is set. Both filters are invariant under automorphisms, so
+// a class is kept or dropped as a whole.
 func Generate(p *pattern.Pattern, opts Options) Result {
 	n := p.N()
 	k := p.MaxIndependentSetSize()
@@ -154,14 +155,9 @@ func Generate(p *pattern.Pattern, opts Options) Result {
 	}
 	res.KEff = kEff
 
-	seen := map[string]bool{}
 	perm.ForEach(n, func(q perm.Perm) bool {
-		if !opts.NoDedup {
-			key := canonicalKey(q, auts)
-			if seen[key] {
-				return true
-			}
-			seen[key] = true
+		if !opts.NoDedup && !representative(q, auts) {
+			return true
 		}
 		res.Classes++
 		s := Schedule{Order: append([]uint8(nil), q...)}
@@ -182,21 +178,23 @@ func Generate(p *pattern.Pattern, opts Options) Result {
 	return res
 }
 
-// canonicalKey returns the lexicographically smallest byte string among
-// {a∘q : a ∈ auts}: schedules q and a∘q search isomorphic trees because
-// relabeling by an automorphism preserves the pattern exactly.
-func canonicalKey(q perm.Perm, auts []perm.Perm) string {
-	best := ""
-	buf := make([]byte, len(q))
+// representative reports whether q is the lexicographically smallest member
+// of its class {a∘q : a ∈ auts}: schedules q and a∘q search isomorphic trees
+// because relabeling by an automorphism preserves the pattern exactly, so one
+// member per class suffices. a∘q is compared with q up to their first
+// difference; nothing is materialised.
+func representative(q perm.Perm, auts []perm.Perm) bool {
 	for _, a := range auts {
-		for i, v := range q {
-			buf[i] = a[v]
-		}
-		if best == "" || string(buf) < best {
-			best = string(buf)
+		for _, v := range q {
+			if a[v] != v {
+				if a[v] < v {
+					return false
+				}
+				break
+			}
 		}
 	}
-	return best
+	return true
 }
 
 // RelabeledPattern returns the pattern with vertices renamed so that the

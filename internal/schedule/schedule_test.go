@@ -224,6 +224,9 @@ func TestCanonicalKeyGroupsEquivalentSchedules(t *testing.T) {
 	if canonicalKey(a, auts) != canonicalKey(b, auts) {
 		t.Error("rotated schedules not in same class")
 	}
+	if !representative(a, auts) || representative(b, auts) {
+		t.Error("0,1,2,3 should represent the class of 1,2,3,0")
+	}
 	// 0,1,2,3 (walk around) vs 0,2,1,3 (diagonal first) are genuinely
 	// different search structures.
 	c := perm.Perm{0, 2, 1, 3}
