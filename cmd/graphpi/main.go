@@ -67,7 +67,7 @@ func main() {
 		auxName     = flag.String("aux", "off", "auxiliary-graph pruning: off, on (cost-model gated) or force")
 		baseline    = flag.Bool("graphzero", false, "plan like the GraphZero baseline")
 		edgePar     = flag.String("edge-parallel", "auto", "root task shape: auto, on, or off")
-		tierName    = flag.String("tier", "auto", "counting execution tier: auto, interpret, compiled or generated")
+		tierName    = flag.String("tier", "auto", "counting execution tier: auto, interpret, compiled or generated (the clique kernel: k3 and every larger clique)")
 		compiled    = flag.Bool("compiled", false, "shorthand for -tier compiled")
 		nodes       = flag.Int("nodes", 0, "count on a simulated cluster with this many nodes (0 = single process)")
 		nodeWorkers = flag.Int("node-workers", 2, "worker goroutines per simulated node with -nodes")

@@ -1,7 +1,7 @@
 // Command kernelbench measures the execution-tier compiler: the same
 // counting jobs run on the loop-program interpreter, on the runtime-compiled
-// closure kernels, and (for total-order-restricted cliques) on the checked-in
-// generated suite — single-core, so the numbers isolate kernel quality from
+// closure kernels, and (for total-order-restricted cliques) on the clique
+// kernel of the "generated" tier — single-core, so the numbers isolate kernel quality from
 // scheduling. Counts must be bit-identical across tiers; only the time may
 // move. The results land in a JSON report so CI can track the perf
 // trajectory across PRs.
@@ -117,8 +117,8 @@ func main() {
 		fmt.Printf("%-8s %-11s count=%d time=%.3fs\n", pc.name, core.TierInterpret, want, base)
 
 		for _, tier := range []core.Tier{core.TierCompiled, core.TierGenerated} {
-			// Skip tiers the configuration cannot satisfy (no static kernel
-			// exists for non-clique patterns) instead of silently timing the
+			// Skip tiers the configuration cannot satisfy (the clique kernel
+			// takes no other pattern) instead of silently timing the
 			// interpreter fallback.
 			if cfg.ResolveTier(g, tier, useIEP) != tier {
 				continue

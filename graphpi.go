@@ -322,8 +322,9 @@ func WithEdgeParallelRoots(enabled bool) Option {
 }
 
 // Tier selects the execution tier counting runs use: TierAuto (the
-// default) picks the fastest applicable — a checked-in generated kernel for
-// total-order-restricted cliques, else runtime-compiled closures — while
+// default) picks the fastest applicable — the word-parallel clique kernel
+// (TierGenerated) for total-order-restricted cliques, else runtime-compiled
+// closures — while
 // TierInterpreted forces the loop-program interpreter. All tiers return
 // bit-identical counts; the choice is purely about speed. Enumeration
 // always interprets.

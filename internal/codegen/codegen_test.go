@@ -151,7 +151,7 @@ func TestLowerBoundsSteps(t *testing.T) {
 // loops' direct windows share no position, but transitively every consumer
 // of every buffer lies below all earlier vertices: each step must carry the
 // bounds bound by its own depth and no loop past depth 1 may have anything
-// left to narrow, which is what the generated clique suite does by hand.
+// left to narrow, which is what the clique kernel does by construction.
 // Under IEP the last loop becomes an unwindowed IEP set at the end of the
 // chain, so nothing may be bounded at all.
 func TestLowerBoundsChains(t *testing.T) {

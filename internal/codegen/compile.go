@@ -154,11 +154,9 @@ func (s *State) SetStats(st *telemetry.RunStats) { s.st = st }
 func (s *State) Stats() *telemetry.RunStats      { return s.st }
 
 // SetAux attaches auxiliary-graph scratch to this worker state; the kernel's
-// aux-marked closures serve intersections from it when possible. Aux returns
-// it for stats folding (nil when never attached). Counts are bit-identical
-// with and without scratch.
+// aux-marked closures serve intersections from it when possible. Counts are
+// bit-identical with and without scratch.
 func (s *State) SetAux(a *auxgraph.Aux) { s.aux = a }
-func (s *State) Aux() *auxgraph.Aux     { return s.aux }
 
 // beginAuxRoot switches the aux scratch to a new root subtree. One branch
 // when aux is disabled; the Neighbors fetch is the root row the engine reads

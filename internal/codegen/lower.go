@@ -22,9 +22,10 @@
 //     Go main package, keeping the paper's emit-and-inspect architecture
 //     reproducible from the identical lowering.
 //
-// The subpackage gen holds go:generate'd static kernels for the clique
-// suite k3..k12 — the third tier, for the named patterns the service hands
-// out most.
+// Beside them stands Clique (clique.go), the third tier: one hand-written
+// word-parallel kernel for every total-order-restricted clique, which needs no
+// Program — per root it packs the candidates' adjacency into a bit matrix and
+// counts with AND and popcount.
 //
 // codegen deliberately does not import internal/core: core imports codegen
 // to build its compiled tier, and hands over a Spec instead of a Config.

@@ -39,9 +39,9 @@ func auxMatrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, us
 				name, useIEP, tier, got, want)
 		}
 		if cfg.ResolveTier(g, tier, useIEP) == TierGenerated {
-			// Generated static kernels run aux-free by design (the schedule
-			// compiler monomorphizes without the scratch); counts above still
-			// had to match, but no activity is expected.
+			// The clique kernel runs aux-free by design (its per-root bit
+			// matrix already is the pruned adjacency); counts above still had
+			// to match, but no activity is expected.
 			continue
 		}
 		if expectActive && (st.Aux.Roots == 0 || st.Aux.Rows == 0) {

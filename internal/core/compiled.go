@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"graphpi/internal/codegen"
-	"graphpi/internal/codegen/gen"
 	"graphpi/internal/costmodel"
 	"graphpi/internal/graph"
 	"graphpi/internal/restrict"
@@ -19,25 +18,27 @@ import (
 //	                (internal/codegen.Compile): kernel choice frozen from
 //	                the cost model, restriction windows baked per level,
 //	                monomorphized counting leaves.
-//	generated     — checked-in go:generate'd kernels for the clique suite
-//	                k3..k12 (internal/codegen/gen), used when the planned
-//	                configuration is a total-order-restricted clique.
+//	generated     — the word-parallel clique kernel (codegen.Clique: one
+//	                bit matrix per root, AND/popcount below it), used when
+//	                the planned configuration is a total-order-restricted
+//	                clique of any size >= 3. The name is historical: the
+//	                tier used to be a suite of generated sources.
 //
 // All tiers return bit-identical counts; they differ only in speed.
 type Tier uint8
 
 const (
 	// TierAuto (the default) counts on the fastest applicable tier:
-	// generated when the configuration matches a static kernel, else
+	// generated when the configuration is a total-order clique, else
 	// runtime-compiled. Enumeration always interprets.
 	TierAuto Tier = iota
 	// TierInterpret forces the interpreter.
 	TierInterpret
 	// TierCompiled forces runtime compilation to closures.
 	TierCompiled
-	// TierGenerated forces a checked-in generated kernel; runs that have
-	// none fall back to the auto choice (Compile reports the mismatch for
-	// callers that must surface it).
+	// TierGenerated forces the clique kernel; runs of any other
+	// configuration fall back to the interpreter (CompileTier reports the
+	// mismatch for callers that must surface it).
 	TierGenerated
 )
 
@@ -76,15 +77,13 @@ func ParseTier(s string) (Tier, error) {
 type Compiled struct {
 	tier   Tier // TierCompiled or TierGenerated
 	useIEP bool
-	kern   *codegen.Kernel // runtime-compiled closures (TierCompiled)
-	// generated clique kernels (TierGenerated); the Stats variants record
-	// per-level telemetry and are dispatched only when a run carries a
-	// RunOptions.Stats sink.
-	genRange, genEdge           gen.RangeKernel
-	genRangeStats, genEdgeStats gen.StatsRangeKernel
+	// kern is the runtime-compiled closure chain (TierCompiled). The clique
+	// kernel (TierGenerated) has no shared half: every worker builds a
+	// codegen.Clique for K_n.
+	kern *codegen.Kernel
 	// scaleNum/scaleDen convert the raw tally into the final count. The
-	// generated kernels tally final counts directly (1/1); IEP-compiled
-	// kernels carry the configuration's over-count correction.
+	// clique kernel tallies final counts directly (1/1); IEP-compiled
+	// closures carry the configuration's over-count correction.
 	scaleNum, scaleDen int64
 	// edgeOK reports whether edge-parallel root scheduling is available.
 	edgeOK bool
@@ -105,7 +104,7 @@ type compiledKey struct {
 }
 
 // Compile builds (or returns the memoized) compiled execution of this
-// configuration on g: the generated static kernel when one matches, else
+// configuration on g: the clique kernel when the configuration is one, else
 // runtime-compiled closures. The service's plan cache stores Configs, so
 // the memo rides the existing fingerprint+canonical-form cache key — a
 // /count hot hit reuses the compiled kernel directly.
@@ -114,8 +113,8 @@ func (c *Config) Compile(g *graph.Graph, useIEP bool) (*Compiled, error) {
 }
 
 // CompileTier is Compile with an explicit tier request. TierGenerated
-// errors when the configuration has no static kernel; TierInterpret is not
-// a compilation and errors.
+// errors when the configuration is not a total-order clique; TierInterpret
+// is not a compilation and errors.
 func (c *Config) CompileTier(g *graph.Graph, useIEP bool, tier Tier) (*Compiled, error) {
 	return c.compileTier(g, useIEP, tier, false)
 }
@@ -123,20 +122,20 @@ func (c *Config) CompileTier(g *graph.Graph, useIEP bool, tier Tier) (*Compiled,
 // compileTier is CompileTier with the aux-closure request the engine resolves
 // per run. Aux-probing and plain compilations memoize under separate keys:
 // the closures differ, but their counts are bit-identical. The generated tier
-// has no aux variant (static kernels predate the scratch); the engine never
-// requests one.
+// has no aux variant: its per-root bit matrix already is the root's pruned
+// adjacency.
 func (c *Config) compileTier(g *graph.Graph, useIEP bool, tier Tier, aux bool) (*Compiled, error) {
 	switch tier {
 	case TierAuto:
-		if c.cliqueQ > 0 {
+		if c.clique {
 			tier = TierGenerated
 		} else {
 			tier = TierCompiled
 		}
 	case TierGenerated:
-		if c.cliqueQ == 0 {
-			return nil, fmt.Errorf("core: no generated kernel for %s (the generated tier covers total-order-restricted cliques k%d..k%d)",
-				c.Pattern, gen.MinPattern, gen.MaxPattern)
+		if !c.clique {
+			return nil, fmt.Errorf("core: no clique kernel for %s (the generated tier covers complete patterns of 3 or more vertices under a total-order restriction set)",
+				c.Pattern)
 		}
 	case TierCompiled:
 	default:
@@ -165,20 +164,8 @@ func (c *Config) compileTier(g *graph.Graph, useIEP bool, tier Tier, aux bool) (
 func (c *Config) buildCompiled(g *graph.Graph, useIEP bool, tier Tier, aux bool) (*Compiled, error) {
 	cp := &Compiled{tier: tier, useIEP: useIEP, scaleNum: 1, scaleDen: 1}
 	if tier == TierGenerated {
-		fn, ok := gen.CliqueRange(c.cliqueQ)
-		efn, eok := gen.CliqueEdgeRange(c.cliqueQ)
-		if !ok || !eok {
-			return nil, fmt.Errorf("core: generated suite has no k%d kernel", c.cliqueQ)
-		}
-		cp.genRange, cp.genEdge = fn, efn
-		sfn, sok := gen.CliqueRangeStats(c.cliqueQ)
-		esfn, esok := gen.CliqueEdgeRangeStats(c.cliqueQ)
-		if !sok || !esok {
-			return nil, fmt.Errorf("core: generated suite has no k%d stats kernel", c.cliqueQ)
-		}
-		cp.genRangeStats, cp.genEdgeStats = sfn, esfn
 		// A clique's depth-1 loop iterates N(v0) by construction, so the
-		// generated kernels always have the edge-parallel shape.
+		// kernel always has the edge-parallel shape.
 		cp.edgeOK = true
 		return cp, nil
 	}
@@ -245,17 +232,17 @@ func (c *Config) ResolveTier(g *graph.Graph, tier Tier, useIEP bool) Tier {
 }
 
 // detectCliqueKernel decides at configuration-compile time whether the
-// generated clique suite may substitute for this configuration: the
-// relabeled pattern must be the complete graph K_q with a kernel in the
-// suite, and the restriction windows' transitive closure must order every
-// position pair exactly one way. Under a total order exactly one ordering
-// of each clique passes the restrictions, so the suite's fixed descending
-// order counts the same set — regardless of which total order the planner
-// picked. (This also makes the substitution valid for k > maxIEPExactnessN,
-// where the coset verification cannot run.)
+// clique kernel may substitute for this configuration: the relabeled pattern
+// must be a complete graph on three or more vertices, and the restriction
+// windows' transitive closure must order every position pair exactly one
+// way. Under a total order exactly one ordering of each clique passes the
+// restrictions, so the kernel's fixed descending order counts the same set —
+// regardless of which total order the planner picked. (This also makes the
+// substitution valid for k > maxIEPExactnessN, where the coset verification
+// cannot run.)
 func (c *Config) detectCliqueKernel(w restrict.Windows) {
 	n := c.n
-	if n < gen.MinPattern || n > gen.MaxPattern {
+	if n < 3 {
 		return
 	}
 	for i := 0; i < n; i++ {
@@ -265,8 +252,5 @@ func (c *Config) detectCliqueKernel(w restrict.Windows) {
 			}
 		}
 	}
-	if !w.TotalOrder() {
-		return
-	}
-	c.cliqueQ = n
+	c.clique = w.TotalOrder()
 }

@@ -10,7 +10,8 @@ import (
 
 // BenchmarkTiers compares the execution tiers single-core on the skewed
 // hybrid fixture — the numbers kernelbench tracks across PRs, in a form
-// `go test -bench` and pprof can chew on.
+// `go test -bench` and pprof can chew on. The k5 and k6 arms are the clique
+// kernel's: one level of row builds, then two and three levels of word ANDs.
 func BenchmarkTiers(b *testing.B) {
 	g := graph.BarabasiAlbert(12000, 5, 4242).Reorder()
 	g.BuildHubBitmaps(0, 0)
@@ -21,6 +22,7 @@ func BenchmarkTiers(b *testing.B) {
 		{"house", pattern.House()},
 		{"pentagon", pattern.Pentagon()},
 		{"k5", pattern.Clique(5)},
+		{"k6", pattern.Clique(6)},
 	}
 	for _, pc := range pats {
 		res, err := Plan(pc.p, g.Stats(), PlanOptions{})

@@ -65,6 +65,10 @@ func matrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, tiers
 		if st.Levels[0].Scans == 0 {
 			t.Errorf("%s iep=%v tier=%s: telemetry run recorded no level-0 scans", name, useIEP, tier)
 		}
+		if leaf := st.Levels[cfg.N()-1]; cfg.ResolveTier(g, tier, useIEP) == TierGenerated && leaf.Candidates != uint64(want) {
+			t.Errorf("%s iep=%v tier=%s: the clique kernel's leaf level scanned %d candidates, count is %d",
+				name, useIEP, tier, leaf.Candidates, want)
+		}
 		if tier != TierCompiled {
 			continue
 		}
@@ -106,9 +110,11 @@ func TestCompiledTierMatrixNamedPatterns(t *testing.T) {
 	}
 }
 
-// TestGeneratedCliqueTierMatrix covers the full generated suite k3..k12:
-// a Barabási–Albert background with a planted K13 overlapping it, so every
-// kernel counts something nonzero and the interpreter sees the same graph.
+// TestGeneratedCliqueTierMatrix runs the clique kernel for every clique a
+// pattern can be (K3..K12; the kernel itself has no upper limit and its own
+// tests go past it) on a Barabási–Albert background with a planted K13
+// overlapping it, so every size counts something nonzero and the interpreter
+// sees the same graph.
 func TestGeneratedCliqueTierMatrix(t *testing.T) {
 	base := graph.BarabasiAlbert(160, 4, 21)
 	b := graph.NewBuilder(base.NumVertices(), int(base.NumEdges())+100)
@@ -134,16 +140,61 @@ func TestGeneratedCliqueTierMatrix(t *testing.T) {
 		g2.BuildHubBitmaps(1<<24, 8)
 		gHub = g2
 	}
-	for q := 3; q <= 12; q++ {
+	for q := 3; q <= pattern.MaxVertices; q++ {
 		cfg := cliqueConfig(t, q)
-		if cfg.cliqueQ != q {
-			t.Fatalf("K%d chain config did not detect a generated kernel (cliqueQ=%d)", q, cfg.cliqueQ)
+		if !cfg.clique {
+			t.Fatalf("K%d chain config was not recognised as a total-order clique", q)
 		}
 		tiers := []Tier{TierAuto, TierCompiled, TierGenerated}
 		for _, gg := range []*graph.Graph{g, gHub} {
 			matrixCompare(t, cfg.Pattern.Name(), cfg, gg, tiers, false)
 			if q <= maxIEPExactnessN {
 				matrixCompare(t, cfg.Pattern.Name(), cfg, gg, tiers, true)
+			}
+		}
+	}
+}
+
+// TestCliqueKernelOverCapRoot is the case the kernel's matrix cap exists for:
+// a graph nobody reordered whose largest ids are adjacent to everything, so
+// the last roots' candidate sets (4 500 vertices) exceed the 4 096 a bit
+// matrix may hold. The kernel must narrow those roots on sorted lists first —
+// seen as merge/gallop intersections at level 2, which in matrix mode only
+// ever books word ANDs — and still agree with the interpreter.
+func TestCliqueKernelOverCapRoot(t *testing.T) {
+	const n, hubs = 4500, 3
+	base := graph.BarabasiAlbert(n, 3, 17)
+	b := graph.NewBuilder(n+hubs, int(base.NumEdges())+hubs*(n+hubs))
+	for v := 0; v < n; v++ {
+		for _, w := range base.Neighbors(uint32(v)) {
+			if uint32(v) < w {
+				b.AddEdge(uint32(v), w)
+			}
+		}
+	}
+	for h := n; h < n+hubs; h++ {
+		for v := 0; v < h; v++ {
+			b.AddEdge(uint32(v), uint32(h))
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 4; q <= 5; q++ { // a K3's list level is its last: nothing reaches level 2
+		cfg := cliqueConfig(t, q)
+		want := cfg.Count(g, RunOptions{Workers: 1, Tier: TierInterpret})
+		for _, opt := range []RunOptions{
+			{Workers: 1, Tier: TierGenerated},
+			{Workers: 4, Tier: TierGenerated, EdgeParallel: EdgeParallelOn},
+		} {
+			opt.Stats = telemetry.NewRunStats(q)
+			if got := cfg.Count(g, opt); got != want {
+				t.Errorf("K%d workers=%d: clique kernel counted %d, interpreter %d", q, opt.Workers, got, want)
+			}
+			l2 := opt.Stats.Levels[2]
+			if l2.Kernels[telemetry.KernelMerge]+l2.Kernels[telemetry.KernelGallop] == 0 {
+				t.Errorf("K%d workers=%d: no sorted-list intersection at level 2; the over-cap roots were not narrowed on lists", q, opt.Workers)
 			}
 		}
 	}
@@ -216,7 +267,7 @@ func TestTierResolution(t *testing.T) {
 	if got := house.ResolveTier(g, TierAuto, true); got != TierCompiled {
 		t.Errorf("House auto tier = %s, want compiled", got)
 	}
-	// House has no generated kernel: explicit requests must fall back.
+	// House is no clique: explicit requests must fall back.
 	if got := house.ResolveTier(g, TierGenerated, false); got != TierInterpret {
 		t.Errorf("House generated tier resolves to %s, want interpreted fallback", got)
 	}

@@ -66,9 +66,9 @@ type Config struct {
 	// freezes its intersection kernels from them (costmodel.FreezeKernels).
 	// Manually built configurations leave it nil → adaptive kernels.
 	planParams *costmodel.Params
-	// cliqueQ is nonzero when the generated clique suite may substitute
-	// for this configuration (see detectCliqueKernel).
-	cliqueQ int
+	// clique reports that the clique kernel may substitute for this
+	// configuration (see detectCliqueKernel).
+	clique bool
 	// auxModes[d][i] classifies plan.Steps[d][i] against the level-0
 	// auxiliary graph (see computeAuxModes); structural, independent of
 	// whether a run enables pruning.

@@ -59,9 +59,10 @@ type RunOptions struct {
 	// the *Ctx methods to get the context error directly.
 	Context context.Context
 	// Tier selects the execution tier for counting runs (see Tier).
-	// TierAuto picks generated > runtime-compiled; enumeration and runs a
-	// compiled tier cannot host fall back to the interpreter. Counts are
-	// bit-identical across tiers, so the choice is purely about speed.
+	// TierAuto picks the clique kernel > runtime-compiled closures;
+	// enumeration and runs a compiled tier cannot host fall back to the
+	// interpreter. Counts are bit-identical across tiers, so the choice is
+	// purely about speed.
 	Tier Tier
 	// Stats, when non-nil, enables per-level telemetry: every worker
 	// records into a private shard and the shards are merged into Stats
@@ -316,92 +317,69 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 	return total, !aborted.Load()
 }
 
+// tierWorker is what runCompiled needs of one worker's state on either
+// compiled tier (*codegen.State, *codegen.Clique).
+type tierWorker interface {
+	RunRoot(start, end int)
+	RunRootEdges(start, end int)
+	Count() int64
+	Stats() *telemetry.RunStats
+}
+
 // runCompiled executes a compiled tier under the same scheduling and
-// cancellation machinery as the interpreter: per-worker state, the shared
-// stop flag probed at outer-loop boundaries, vertex- or edge-parallel root
-// tasks. The raw tally is scaled by the compilation's own correction —
-// generated kernels count finals directly, IEP-compiled closures carry the
-// configuration's over-count factors.
+// cancellation machinery as the interpreter: per-worker state built on the
+// worker's first task, the shared stop flag probed at outer-loop boundaries,
+// vertex- or edge-parallel root tasks. The raw tally is scaled by the
+// compilation's own correction — the clique kernel counts finals directly,
+// IEP-compiled closures carry the configuration's over-count factors.
 //
 //graphpi:deterministic
 func (c *Config) runCompiled(comp *Compiled, g *graph.Graph, opt RunOptions, workers, nv int, edgePar bool, auxArena int64, stop *atomic.Bool) int64 {
-	var total int64
-	if comp.tier == TierGenerated {
-		counts := make([]int64, workers)
-		var shards []*telemetry.RunStats
+	states := make([]tierWorker, workers)
+	auxes := make([]*auxgraph.Aux, workers)
+	newState := func(w int) tierWorker {
+		var st *telemetry.RunStats
 		if opt.Stats != nil {
-			shards = make([]*telemetry.RunStats, workers)
+			st = telemetry.NewRunStats(c.n)
 		}
-		body := func(w int, rg taskpool.Range) {
-			if stop.Load() {
-				return
-			}
-			if shards != nil {
-				sh := shards[w]
-				if sh == nil {
-					sh = telemetry.NewRunStats(c.n)
-					shards[w] = sh
-				}
-				if edgePar {
-					counts[w] += comp.genEdgeStats(g, rg.Start, rg.End, stop, sh)
-				} else {
-					counts[w] += comp.genRangeStats(g, rg.Start, rg.End, stop, sh)
-				}
-				return
-			}
-			if edgePar {
-				counts[w] += comp.genEdge(g, rg.Start, rg.End, stop)
-			} else {
-				counts[w] += comp.genRange(g, rg.Start, rg.End, stop)
-			}
+		if comp.tier == TierGenerated {
+			k := codegen.NewClique(g, c.n, stop)
+			k.SetStats(st)
+			return k
+		}
+		s := comp.kern.NewState(stop)
+		s.SetStats(st)
+		if comp.aux {
+			auxes[w] = auxgraph.New(g, auxArena)
+			s.SetAux(auxes[w])
+		}
+		return s
+	}
+	body := func(w int, rg taskpool.Range) {
+		if stop.Load() {
+			return
+		}
+		if states[w] == nil {
+			states[w] = newState(w)
 		}
 		if edgePar {
-			m := g.NumAdjSlots()
-			taskpool.Run(workers, m, opt.edgeChunk(m, nv, workers), body)
+			states[w].RunRootEdges(rg.Start, rg.End)
 		} else {
-			taskpool.Run(workers, nv, opt.chunk(nv, workers), body)
+			states[w].RunRoot(rg.Start, rg.End)
 		}
-		for _, n := range counts {
-			total += n
-		}
-		for _, sh := range shards {
-			opt.Stats.Merge(sh)
-		}
+	}
+	if edgePar {
+		m := g.NumAdjSlots()
+		taskpool.Run(workers, m, opt.edgeChunk(m, nv, workers), body)
 	} else {
-		states := make([]*codegen.State, workers)
-		body := func(w int, rg taskpool.Range) {
-			if stop.Load() {
-				return
-			}
-			s := states[w]
-			if s == nil {
-				s = comp.kern.NewState(stop)
-				if opt.Stats != nil {
-					s.SetStats(telemetry.NewRunStats(c.n))
-				}
-				if comp.aux {
-					s.SetAux(auxgraph.New(g, auxArena))
-				}
-				states[w] = s
-			}
-			if edgePar {
-				s.RunRootEdges(rg.Start, rg.End)
-			} else {
-				s.RunRoot(rg.Start, rg.End)
-			}
-		}
-		if edgePar {
-			m := g.NumAdjSlots()
-			taskpool.Run(workers, m, opt.edgeChunk(m, nv, workers), body)
-		} else {
-			taskpool.Run(workers, nv, opt.chunk(nv, workers), body)
-		}
-		for _, s := range states {
-			if s != nil {
-				total += s.Count()
-				foldAuxStats(s.Stats(), s.Aux())
-				opt.Stats.Merge(s.Stats())
-			}
+		taskpool.Run(workers, nv, opt.chunk(nv, workers), body)
+	}
+	var total int64
+	for w, s := range states {
+		if s != nil {
+			total += s.Count()
+			foldAuxStats(s.Stats(), auxes[w])
+			opt.Stats.Merge(s.Stats())
 		}
 	}
 	return total * comp.scaleNum / comp.scaleDen

@@ -112,6 +112,74 @@ func bruteForce(g *graph.Graph, p *pattern.Pattern) int64 {
 	return baseline.BruteForceCount(g, p.Relabel(order))
 }
 
+// TestCliquesAgainstBruteForce is the clique arm of the oracle (every pattern
+// above is non-complete, so none reaches the clique kernel): K3..K6, K7
+// without -short, on the five graphs above plus a dense G(n,m), whose
+// candidate sets stay full to the last level, and a sparse graph with one
+// planted K9, where almost every prefix ends at an empty AND. Interpreter and
+// kernel, one worker and three, whole roots and split ones, telemetry on and
+// off, all against the all-injective-maps count.
+func TestCliquesAgainstBruteForce(t *testing.T) {
+	graphs := oracleGraphs(t)
+	graphs["dense"] = graph.GNM(20, 150, 3)
+	planted := graph.NewBuilder(60, 300)
+	sparse := graph.BarabasiAlbert(60, 3, 8)
+	for v := 0; v < 60; v++ {
+		for _, w := range sparse.Neighbors(uint32(v)) {
+			planted.AddEdge(uint32(v), w)
+		}
+	}
+	for i := 0; i < 9; i++ {
+		for j := 0; j < i; j++ {
+			planted.AddEdge(uint32(5+6*i), uint32(5+6*j))
+		}
+	}
+	var err error
+	if graphs["planted"], err = planted.Build(); err != nil {
+		t.Fatal(err)
+	}
+	graphs["planted"].BuildHubBitmaps(1<<20, 8)
+
+	maxQ := 7
+	if testing.Short() {
+		maxQ = 6
+	}
+	for q := 3; q <= maxQ; q++ {
+		p := pattern.Clique(q)
+		res, err := core.Plan(p, graphs["ba"].Stats(), core.PlanOptions{})
+		if err != nil {
+			t.Fatalf("plan K%d: %v", q, err)
+		}
+		cfg := res.Best
+		for gname, g := range graphs {
+			if got := cfg.ResolveTier(g, core.TierGenerated, true); got != core.TierGenerated {
+				t.Fatalf("K%d on %s: planned configuration resolves to tier %s, want the clique kernel", q, gname, got)
+			}
+			want := baseline.BruteForceCount(g, p)
+			for _, tier := range []core.Tier{core.TierInterpret, core.TierGenerated} {
+				for _, workers := range []int{1, 3} {
+					for _, ep := range []core.EdgeParallelMode{core.EdgeParallelOff, core.EdgeParallelOn} {
+						for _, stats := range []bool{false, true} {
+							opt := core.RunOptions{Workers: workers, Tier: tier, EdgeParallel: ep, ChunkSize: 2}
+							if stats {
+								opt.Stats = telemetry.NewRunStats(q)
+							}
+							if got := cfg.CountIEP(g, opt); got != want {
+								t.Errorf("K%d on %s: CountIEP tier=%s workers=%d edgePar=%d stats=%v = %d, brute force %d",
+									q, gname, tier, workers, ep, stats, got, want)
+							}
+							if tier == core.TierGenerated && stats && opt.Stats.Levels[q-1].Candidates != uint64(want) {
+								t.Errorf("K%d on %s: the kernel's leaf level scanned %d candidates, count is %d",
+									q, gname, opt.Stats.Levels[q-1].Candidates, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEngineAgainstBruteForce(t *testing.T) {
 	graphs := oracleGraphs(t)
 	planOn := []string{"ba"}

@@ -46,12 +46,12 @@ func BakeWindows(s Set, pos []uint8) Windows {
 // TotalOrder reports whether the windows' transitive closure orders every
 // pair of positions exactly one way — the condition under which a symmetric
 // pattern (a clique) is counted exactly once per embedding class and a
-// direction-free generated kernel is interchangeable with the restricted
-// loop nest. Inconsistent sets (a cycle in the closure) report false.
+// direction-free clique kernel is interchangeable with the restricted loop
+// nest. Inconsistent sets (a cycle in the closure) report false.
 func (w Windows) TotalOrder() bool {
 	n := len(w.Lowers)
 	if n > 32 {
-		return false // no generated kernel is that wide; avoid the O(n³) walk
+		return false // no pattern is that wide; avoid the O(n³) walk
 	}
 	// gt[d] is the bitmask of positions known smaller than d.
 	gt := make([]uint32, n)

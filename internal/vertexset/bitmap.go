@@ -139,3 +139,76 @@ seed:
 	}
 	return cur
 }
+
+// MarkMembers writes the intersection a ∩ b as a bit row over the positions
+// of a: bit j of dst is set iff a[j] ∈ b. It is Intersect for a consumer that
+// keeps working in a's index space (the clique kernel's per-root matrix),
+// with the same dispatch — bBM, the optional bitmap form of b, is probed once
+// per element of a when that is the shorter side (branch-free: a miss costs
+// what a hit costs), otherwise the lists gallop or merge — and it reports
+// which ran. dst must hold at least len(a) bits; its first BitmapWords(len(a))
+// words are overwritten. Every element of a must lie inside bBM's universe.
+func MarkMembers(dst Bitmap, a, b []uint32, bBM Bitmap) Kernel {
+	if bBM != nil && len(a) <= len(b) {
+		for w := 0; w<<6 < len(a); w++ {
+			chunk := a[w<<6:]
+			if len(chunk) > 64 {
+				chunk = chunk[:64]
+			}
+			// Members shift in at the top, so after the chunk's last element
+			// the first one sits 64-len(chunk) bits above bit 0.
+			var word uint64
+			for _, x := range chunk {
+				word = word>>1 | bBM[x>>6]>>(x&63)<<63
+			}
+			dst[w] = word >> (64 - uint(len(chunk)))
+		}
+		return KernelBitmap
+	}
+	clear(dst[:BitmapWords(len(a))])
+	switch {
+	case len(b) >= gallopRatio*len(a):
+		lo := 0
+		for j, x := range a {
+			lo = gallopSearch(b, lo, x)
+			if lo == len(b) {
+				break
+			}
+			if b[lo] == x {
+				dst[j>>6] |= 1 << (uint(j) & 63)
+				lo++
+			}
+		}
+		return KernelGallop
+	case len(a) >= gallopRatio*len(b):
+		j := 0
+		for _, y := range b {
+			j = gallopSearch(a, j, y)
+			if j == len(a) {
+				break
+			}
+			if a[j] == y {
+				dst[j>>6] |= 1 << (uint(j) & 63)
+				j++
+			}
+		}
+		return KernelGallop
+	}
+	// Branch-free merge: which side advances is a coin flip on real rows, so
+	// both steps are computed instead of predicted.
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		var le, ge int
+		if x <= y {
+			le = 1
+		}
+		if x >= y {
+			ge = 1
+		}
+		dst[i>>6] |= uint64(le&ge) << (uint(i) & 63)
+		i += le
+		j += ge
+	}
+	return KernelMerge
+}

@@ -135,3 +135,59 @@ func TestIntersectMultiHybridEdgeCases(t *testing.T) {
 		t.Errorf("with empty set: got %v, want empty", got)
 	}
 }
+
+// TestMarkMembers drives every dispatch arm — bitmap probe, either gallop
+// direction, merge — at sizes that straddle word boundaries, and checks the
+// bit row against Contains, the reported kernel against the sizes, and that
+// words past the row are left alone.
+func TestMarkMembers(t *testing.T) {
+	const universe = 1 << 12
+	rng := rand.New(rand.NewPCG(3, 9))
+	draw := func(n int) []uint32 {
+		raw := make([]uint32, n)
+		for i := range raw {
+			raw[i] = rng.Uint32N(universe)
+		}
+		return mkset(raw)
+	}
+	for _, na := range []int{0, 1, 63, 64, 65, 128, 200} {
+		for _, nb := range []int{0, 1, 5, 64, 300, 3000} {
+			a, b := draw(na), draw(nb)
+			for _, withBM := range []bool{false, true} {
+				var bm Bitmap
+				if withBM {
+					bm = BitmapFromSet(b, universe)
+				}
+				words := BitmapWords(len(a))
+				dst := make(Bitmap, words+1)
+				for i := range dst {
+					dst[i] = ^uint64(0) // stale
+				}
+				kern := MarkMembers(dst, a, b, bm)
+				for j, x := range a {
+					if got, want := dst.Contains(uint32(j)), Contains(b, x); got != want {
+						t.Fatalf("|a|=%d |b|=%d bm=%v: bit %d (vertex %d) = %v, want %v", len(a), len(b), withBM, j, x, got, want)
+					}
+				}
+				for j := len(a); j < words*64; j++ {
+					if dst.Contains(uint32(j)) {
+						t.Fatalf("|a|=%d |b|=%d bm=%v: bit %d past the row is set", len(a), len(b), withBM, j)
+					}
+				}
+				if dst[words] != ^uint64(0) {
+					t.Fatalf("|a|=%d |b|=%d bm=%v: wrote past BitmapWords(len(a))", len(a), len(b), withBM)
+				}
+				want := KernelMerge
+				switch {
+				case withBM && len(a) <= len(b):
+					want = KernelBitmap
+				case len(b) >= GallopRatio*len(a), len(a) >= GallopRatio*len(b):
+					want = KernelGallop
+				}
+				if kern != want {
+					t.Errorf("|a|=%d |b|=%d bm=%v: ran kernel %d, want %d", len(a), len(b), withBM, kern, want)
+				}
+			}
+		}
+	}
+}
