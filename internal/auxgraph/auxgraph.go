@@ -209,7 +209,9 @@ func (a *Aux) build(v uint32) ([]uint32, bool) {
 	}
 	dst := a.arena[a.used:a.used]
 	var row []uint32
-	if a.rootBM != nil {
+	// The bitmap probe stores every element of full before it keeps the
+	// members, so it needs len(full) words of arena, not just maxLen.
+	if a.rootBM != nil && a.used+len(full) <= len(a.arena) {
 		row = vertexset.IntersectBitmap(dst, full, a.rootBM)
 	} else {
 		row = vertexset.Intersect(dst, full, a.members)

@@ -552,9 +552,17 @@ func TestTCPWorkerOverrideCounts(t *testing.T) {
 
 // TestTCPPoolLatencyStatsAndJobDeltas: the master-side latency histograms
 // fill during a job (inter-ack gaps always; the redeal histogram when a rank
-// is lost), and PoolStats.LastJob isolates one job's recovery events — a
-// clean follow-up job reports zero deltas while the lifetime totals keep
-// the earlier loss.
+// is lost holding tasks), and PoolStats.LastJob isolates one job's recovery
+// events — a clean follow-up job reports zero deltas while the lifetime
+// totals keep the earlier loss.
+//
+// Whether rank 1 still holds tasks when it dies is a race: if rank 0 drains
+// its own deal and steals rank 1's queue down to what rank 1's workers have
+// in flight before rank 1 acks its second task, the loss orphans nothing and
+// nothing is re-dealt. Rank 0 is therefore slowed per task (its sleeps also
+// hand the CPU to rank 1 on a busy host), which makes a re-deal the normal
+// outcome, and the redeal assertions apply only when the master did re-deal;
+// the loss itself and the count are asserted unconditionally.
 func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	g := graph.BarabasiAlbert(500, 5, 11)
 	inner := dialWorkers(t, g, 2)
@@ -563,7 +571,8 @@ func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	want := cfg.Count(g, core.RunOptions{Workers: 1})
 
 	res, err := runWithTimeout(t, 30*time.Second, cfg, g,
-		Options{WorkersPerNode: 2, ChunkSize: 8, Transport: tr})
+		Options{WorkersPerNode: 2, ChunkSize: 8, Transport: tr,
+			NodeDelay: time.Millisecond, DelayedNode: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,11 +590,16 @@ func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	if bucketTotal != st.TaskGap.Count {
 		t.Errorf("task-gap buckets sum to %d, count %d", bucketTotal, st.TaskGap.Count)
 	}
-	if st.Redeal.Count == 0 {
-		t.Error("rank loss did not record a redeal drain")
+	if st.LastJob.Losses == 0 {
+		t.Errorf("lossy job deltas = %+v, want a loss", st.LastJob)
 	}
-	if st.LastJob.Losses == 0 || st.LastJob.Redealt == 0 {
-		t.Errorf("lossy job deltas = %+v, want nonzero losses and redeals", st.LastJob)
+	if st.LastJob.Redealt != st.Redealt {
+		t.Errorf("first job's redeal delta %d differs from the lifetime total %d", st.LastJob.Redealt, st.Redealt)
+	}
+	if redealt := st.LastJob.Redealt > 0; redealt != (st.Redeal.Count > 0) {
+		t.Errorf("%d tasks re-dealt but %d redeal drains recorded", st.LastJob.Redealt, st.Redeal.Count)
+	} else if !redealt {
+		t.Log("rank 1 was lost holding no tasks (its queue was stolen first); nothing to re-deal")
 	}
 
 	// A clean second job (bypassing the fault injector): per-job deltas
@@ -602,7 +616,7 @@ func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	if st2.LastJob.Losses != 0 || st2.LastJob.Redealt != 0 {
 		t.Errorf("clean job deltas = %+v, want zero", st2.LastJob)
 	}
-	if st2.Losses == 0 || st2.Redealt == 0 {
+	if st2.Losses == 0 || st2.Redealt != st.Redealt {
 		t.Errorf("lifetime totals lost earlier events: %+v", st2)
 	}
 	if st2.TaskGap.Count <= st.TaskGap.Count {

@@ -7,6 +7,7 @@ import (
 	"graphpi/internal/graph"
 	"graphpi/internal/iep"
 	"graphpi/internal/schedule"
+	"graphpi/internal/taskpool"
 	"graphpi/internal/telemetry"
 	"graphpi/internal/vertexset"
 )
@@ -36,8 +37,11 @@ type Kernel struct {
 }
 
 // State is one worker's execution state for a Kernel: bound vertices,
-// intersection buffers, tally and the IEP calculator. Single-goroutine.
+// intersection buffers, tally and the IEP calculator. Single-goroutine. The
+// struct and every slice the nest writes keep off other allocations' cache
+// lines (taskpool.LinePad, taskpool.Owned).
 type State struct {
+	_     taskpool.LinePad
 	k     *Kernel
 	g     *graph.Graph
 	nv    int
@@ -50,11 +54,13 @@ type State struct {
 	calc    *iep.Calculator
 	iepSets [][]uint32
 	iepBMs  []vertexset.Bitmap
+	exIn    []uint16
 
 	// aux is the worker's auxiliary-graph scratch (nil when the run does
 	// not enable pruning); aux-marked step closures probe it and fall back
 	// to the full-row path on a miss, so counts never depend on it.
 	aux *auxgraph.Aux
+	_   taskpool.LinePad
 }
 
 // Compile binds a lowered Program to a data graph, building the closure
@@ -122,20 +128,21 @@ func (k *Kernel) NewState(stop *atomic.Bool) *State {
 		k:     k,
 		g:     k.g,
 		nv:    k.g.NumVertices(),
-		bound: make([]uint32, k.n),
-		bufs:  make([][]uint32, k.prog.NumBufs),
+		bound: taskpool.Owned[uint32](k.n, k.n),
+		bufs:  taskpool.Owned[[]uint32](k.prog.NumBufs, k.prog.NumBufs),
 		stop:  stop,
 	}
 	maxDeg := k.g.MaxDegree()
 	for i := range s.bufs {
-		s.bufs[i] = make([]uint32, 0, maxDeg)
+		s.bufs[i] = taskpool.Owned[uint32](0, maxDeg)
 	}
-	if k.prog.IEPCut >= 0 {
-		s.calc = iep.NewCalculator(k.prog.KIEP)
-		s.iepSets = make([][]uint32, k.prog.KIEP)
+	if kiep := k.prog.KIEP; k.prog.IEPCut >= 0 {
+		s.calc = iep.NewCalculator(kiep)
+		s.iepSets = taskpool.Owned[[]uint32](kiep, kiep)
 		if k.hasHubs {
-			s.iepBMs = make([]vertexset.Bitmap, k.prog.KIEP)
+			s.iepBMs = taskpool.Owned[vertexset.Bitmap](kiep, kiep)
 		}
+		s.exIn = taskpool.Owned[uint16](0, len(k.prog.IEPExclude))
 	}
 	return s
 }
@@ -619,12 +626,12 @@ func (s *State) recIntersect(d, kernel int) {
 }
 
 // compileIEP builds the suffix counter: fill the candidate sets of the
-// innermost KIEP loops from the bound prefix and hand them to the
-// inclusion–exclusion calculator (paper Figure 6: |S_IEP|).
+// innermost KIEP loops from the bound prefix and hand them, with the bound
+// vertices' memberships (ExcludedIn), to the inclusion–exclusion calculator
+// (paper Figure 6: |S_IEP|).
 func (k *Kernel) compileIEP() func(*State) int64 {
-	srcs := k.prog.IEP
-	base := k.prog.N - k.prog.KIEP
-	cut := k.prog.IEPCut
+	prog := k.prog
+	srcs, cut := prog.IEP, prog.IEPCut
 	return func(s *State) int64 {
 		if lst := s.st.Level(cut); lst != nil {
 			lst.IEPCounts++
@@ -643,9 +650,7 @@ func (k *Kernel) compileIEP() func(*State) int64 {
 				}
 			}
 		}
-		if s.iepBMs != nil {
-			return s.calc.CountHybrid(s.iepSets, s.iepBMs, s.bound[:base])
-		}
-		return s.calc.Count(s.iepSets, s.bound[:base])
+		s.exIn = prog.ExcludedIn(s.exIn, s.bound, s.iepSets, s.iepBMs)
+		return s.calc.CountIn(s.iepSets, s.iepBMs, s.exIn)
 	}
 }

@@ -33,6 +33,7 @@ package codegen
 
 import (
 	"fmt"
+	"math/bits"
 
 	"graphpi/internal/schedule"
 	"graphpi/internal/vertexset"
@@ -188,6 +189,20 @@ type Program struct {
 	IEPNum, IEPDen int64
 	// IEP lists the candidate sources of the suffix loops, in order.
 	IEP []IEPSource
+	// IEPExclude says, per prefix position whose bound vertex can lie in an
+	// IEP set, which sets always hold it and which must be probed; a
+	// position absent here, or a set in neither mask, never holds it.
+	IEPExclude []IEPExclusion
+}
+
+// IEPExclusion classifies one bound prefix position against the IEP sets:
+// bit i of Always / Probe refers to IEP[i]. The inclusion–exclusion count
+// removes the bound vertices from every block intersection holding them, and
+// which sets can hold which bound vertex is fixed by the pattern, so Lower
+// decides it once (see classifyExclusions) and ExcludedIn only probes the
+// undecided pairs.
+type IEPExclusion struct {
+	Pos, Always, Probe uint16
 }
 
 // Lower turns a Spec into a Program, resolving once what would otherwise be
@@ -261,7 +276,127 @@ func Lower(spec Spec) (*Program, error) {
 	if err := p.boundSteps(); err != nil {
 		return nil, err
 	}
+	p.classifyExclusions()
 	return p, nil
+}
+
+// classifyExclusions fills IEPExclude. Let M be the positions whose
+// neighbourhoods IEP set i intersects (its parent, or its buffer's chain of
+// steps). A prefix position p is
+//
+//   - never in set i when p ∈ M: v_p ∉ N(v_p), the graph has no self-loops;
+//   - always in set i when p is a pattern neighbour of every q ∈ M — every
+//     embedding maps those edges to edges, so v_p ∈ ∩_{q∈M} N(v_q) — and no
+//     step of the buffer's chain applies a window, which could cut v_p out;
+//   - probed otherwise.
+//
+// Steps whose output an IEP set reads carry no window (boundSteps gives IEP
+// consumers the empty window), so the second condition holds for every
+// Program Lower builds; it is checked rather than assumed because "always"
+// would silently over-subtract the day it did not.
+func (p *Program) classifyExclusions() {
+	p.IEPExclude = nil
+	if p.IEPCut < 0 {
+		return
+	}
+	producer := make([]*Step, p.NumBufs)
+	for d := range p.Levels {
+		for i := range p.Levels[d].Steps {
+			st := &p.Levels[d].Steps[i]
+			producer[st.Out] = st
+		}
+	}
+	// bufParents returns buffer b's position mask and whether every step of
+	// its chain is unwindowed.
+	var bufParents func(b int) (uint16, bool)
+	bufParents = func(b int) (uint16, bool) {
+		st := producer[b]
+		m, open := uint16(1)<<st.Depth, len(st.Lowers)+len(st.Uppers) == 0
+		if st.LeftBuf < 0 {
+			return m | 1<<st.LeftParent, open
+		}
+		lm, lopen := bufParents(st.LeftBuf)
+		return m | lm, open && lopen
+	}
+	// parents[d] holds the earlier positions adjacent to d in the pattern:
+	// the neighbourhoods level d's candidates are drawn from.
+	parents := make([]uint16, p.N)
+	for d, lv := range p.Levels {
+		switch lv.Cand.Kind {
+		case schedule.CandNeighborhood:
+			parents[d] = 1 << lv.Cand.Parent
+		case schedule.CandBuffer:
+			parents[d], _ = bufParents(lv.Cand.Buf)
+		}
+	}
+	adjacent := func(a, b int) bool {
+		if a > b {
+			a, b = b, a
+		}
+		return parents[b]&(1<<a) != 0
+	}
+	for pos := 0; pos <= p.IEPCut; pos++ {
+		e := IEPExclusion{Pos: uint16(pos)}
+		for i, src := range p.IEP {
+			var m uint16
+			open := true
+			if src.Parent >= 0 {
+				m = 1 << src.Parent
+			} else {
+				m, open = bufParents(src.Buf)
+			}
+			if m&(1<<pos) != 0 {
+				continue // never
+			}
+			always := open
+			for q := 0; q < p.N && always; q++ {
+				if m&(1<<q) != 0 && !adjacent(pos, q) {
+					always = false
+				}
+			}
+			if always {
+				e.Always |= 1 << i
+			} else {
+				e.Probe |= 1 << i
+			}
+		}
+		if e.Always|e.Probe != 0 {
+			p.IEPExclude = append(p.IEPExclude, e)
+		}
+	}
+}
+
+// ExcludedIn evaluates IEPExclude for the bound prefix: it appends to dst[:0]
+// one mask per classified position, bit i set iff the position's vertex lies
+// in sets[i], and returns it — the exIn argument of iep.Calculator.CountIn.
+// A probe reads the set's hub bitmap when bms has one and binary-searches the
+// sorted set otherwise; bms may be nil. Positions whose vertex lies in no set
+// are left out. The prefix is injective (the nest's duplicate checks), so no
+// vertex is listed twice.
+//
+//graphpi:deterministic
+func (p *Program) ExcludedIn(dst []uint16, bound []uint32, sets [][]uint32, bms []vertexset.Bitmap) []uint16 {
+	dst = dst[:0]
+	for _, e := range p.IEPExclude {
+		in := e.Always
+		x := bound[e.Pos]
+		for probe := e.Probe; probe != 0; probe &= probe - 1 {
+			i := bits.TrailingZeros16(probe)
+			var hit bool
+			if bms != nil && bms[i] != nil {
+				hit = bms[i].Contains(x)
+			} else {
+				hit = vertexset.Contains(sets[i], x)
+			}
+			if hit {
+				in |= 1 << i
+			}
+		}
+		if in != 0 {
+			dst = append(dst, in)
+		}
+	}
+	return dst
 }
 
 // boundSteps moves restriction bounds from the loops into the steps that

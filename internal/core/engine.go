@@ -471,6 +471,7 @@ func (c *Config) ScaleIEP(raw int64) int64 {
 // residual windows and bounded steps the compiled backends consume — so the
 // loop-nest rules live in codegen.Lower alone. A runner is single-goroutine.
 type runner struct {
+	_     taskpool.LinePad // see codegen.State
 	cfg   *Config
 	prog  *codegen.Program
 	g     *graph.Graph
@@ -486,12 +487,14 @@ type runner struct {
 	calc    *iep.Calculator
 	iepSets [][]uint32
 	iepBMs  []vertexset.Bitmap
+	exIn    []uint16
 
 	// aux, when non-nil, is this worker's auxiliary-graph scratch; runSteps
 	// then serves aux-marked steps from pruned rows, falling back to the
 	// full CSR row on a miss (counts are identical either way). Counters
 	// handed to external runtimes never set it.
 	aux *auxgraph.Aux
+	_   taskpool.LinePad
 }
 
 func newRunner(cfg *Config, g *graph.Graph, useIEP bool, visit func([]uint32) bool, stop *atomic.Bool) *runner {
@@ -500,25 +503,26 @@ func newRunner(cfg *Config, g *graph.Graph, useIEP bool, visit func([]uint32) bo
 		cfg:   cfg,
 		prog:  prog,
 		g:     g,
-		bound: make([]uint32, cfg.n),
-		bufs:  make([][]uint32, prog.NumBufs),
+		bound: taskpool.Owned[uint32](cfg.n, cfg.n),
+		bufs:  taskpool.Owned[[]uint32](prog.NumBufs, prog.NumBufs),
 		visit: visit,
 		orig:  g.NewToOld(),
 		stop:  stop,
 	}
 	maxDeg := g.MaxDegree()
 	for i := range r.bufs {
-		r.bufs[i] = make([]uint32, 0, maxDeg)
+		r.bufs[i] = taskpool.Owned[uint32](0, maxDeg)
 	}
 	if visit != nil {
-		r.emb = make([]uint32, cfg.n)
+		r.emb = taskpool.Owned[uint32](cfg.n, cfg.n)
 	}
-	if prog.IEPCut >= 0 {
-		r.calc = iep.NewCalculator(prog.KIEP)
-		r.iepSets = make([][]uint32, prog.KIEP)
+	if kiep := prog.KIEP; prog.IEPCut >= 0 {
+		r.calc = iep.NewCalculator(kiep)
+		r.iepSets = taskpool.Owned[[]uint32](kiep, kiep)
 		if g.NumHubs() > 0 {
-			r.iepBMs = make([]vertexset.Bitmap, prog.KIEP)
+			r.iepBMs = taskpool.Owned[vertexset.Bitmap](kiep, kiep)
 		}
+		r.exIn = taskpool.Owned[uint16](0, len(prog.IEPExclude))
 	}
 	return r
 }
@@ -784,7 +788,8 @@ func (r *runner) leaf() {
 // iepCount computes the inclusion–exclusion count of the innermost k loops
 // given the currently bound outer prefix (paper Figure 6: |S_IEP|). Hub
 // neighborhoods among the candidate sets contribute their bitmaps so the
-// calculator's internal intersections can use the bitmap kernel.
+// calculator's internal intersections can use the bitmap kernel; which bound
+// vertices lie in which set is the lowering's ExcludedIn.
 func (r *runner) iepCount() int64 {
 	prog := r.prog
 	if lst := r.st.Level(prog.IEPCut); lst != nil {
@@ -802,9 +807,6 @@ func (r *runner) iepCount() int64 {
 			r.iepBMs[i] = bm
 		}
 	}
-	base := prog.N - prog.KIEP
-	if r.iepBMs != nil {
-		return r.calc.CountHybrid(r.iepSets, r.iepBMs, r.bound[:base])
-	}
-	return r.calc.Count(r.iepSets, r.bound[:base])
+	r.exIn = prog.ExcludedIn(r.exIn, r.bound, r.iepSets, r.iepBMs)
+	return r.calc.CountIn(r.iepSets, r.iepBMs, r.exIn)
 }

@@ -2,6 +2,7 @@ package iep
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"graphpi/internal/vertexset"
@@ -68,5 +69,51 @@ func TestCountHybridStateReset(t *testing.T) {
 	want2 := bruteDistinctTuples(sets2, nil)
 	if got := c.Count(sets2, nil); got != want2 {
 		t.Fatalf("scalar after hybrid = %d, want %d", got, want2)
+	}
+}
+
+// TestCountInMatchesSpec: CountIn, fed memberships worked out by a linear
+// scan, equals the pair-subset specification on random k ≤ 4 with bitmaps on
+// a random subset of the sets and excluded vertices drawn with repeats (a
+// repeat is one vertex: it gets one mask).
+func TestCountInMatchesSpec(t *testing.T) {
+	const universe = 96
+	r := rand.New(rand.NewPCG(5, 21))
+	for iter := 0; iter < 300; iter++ {
+		k := 1 + r.IntN(4)
+		sets := make([][]uint32, k)
+		bms := make([]vertexset.Bitmap, k)
+		for i := range sets {
+			for v := uint32(0); v < universe; v++ {
+				if r.IntN(3) == 0 {
+					sets[i] = append(sets[i], v)
+				}
+			}
+			if r.IntN(2) == 0 {
+				bms[i] = vertexset.BitmapFromSet(sets[i], universe)
+			}
+		}
+		var excluded []uint32
+		var exIn []uint16
+		for j := r.IntN(5); j > 0; j-- {
+			x := uint32(r.IntN(universe))
+			if len(excluded) > 0 && r.IntN(3) == 0 {
+				x = excluded[r.IntN(len(excluded))]
+			}
+			if !slices.Contains(excluded, x) {
+				var in uint16
+				for i, s := range sets {
+					if slices.Contains(s, x) {
+						in |= 1 << i
+					}
+				}
+				exIn = append(exIn, in)
+			}
+			excluded = append(excluded, x)
+		}
+		want := CountPairSubsetsHybrid(sets, bms, excluded)
+		if got := NewCalculator(k).CountIn(sets, bms, exIn); got != want {
+			t.Fatalf("iter %d (k=%d, excluded %v, masks %v): CountIn = %d, spec = %d", iter, k, excluded, exIn, got, want)
+		}
 	}
 }

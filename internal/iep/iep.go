@@ -21,6 +21,7 @@ package iep
 import (
 	"math/bits"
 
+	"graphpi/internal/taskpool"
 	"graphpi/internal/vertexset"
 )
 
@@ -82,19 +83,22 @@ func signedFactorial(c int) int64 {
 }
 
 // Calculator computes |S_IEP| for fixed k with reusable buffers; one
-// Calculator per worker, not safe for concurrent use.
+// Calculator per worker, not safe for concurrent use. Its tables and
+// intersection storage are written on every evaluation, so they keep off
+// other allocations' cache lines (taskpool.LinePad, taskpool.Owned).
 type Calculator struct {
+	_     taskpool.LinePad
 	k     int
 	terms []Term
-	// bms, when non-nil, holds a bitmap view of each input set (nil entries
-	// allowed); set per CountHybrid call.
-	bms []vertexset.Bitmap
-	// memo state, reset per Count call.
+	// cards[mask] is |∩_{i∈mask} S_i| minus the excluded vertices in it,
+	// rebuilt by every CountIn call.
 	cards [1 << MaxK]int64
-	valid [1 << MaxK]bool
-	// materialized intersections per mask (lazily built, reused storage).
-	inter   [1 << MaxK][]uint32
-	scratch []uint32
+	// inter[mask] holds ∩_{i∈mask} S_i for the masks a later mask extends
+	// (singletons alias the input sets; reused storage otherwise).
+	inter [1 << MaxK][]uint32
+	// exIn is the Count wrappers' membership scratch.
+	exIn []uint16
+	_    taskpool.LinePad
 }
 
 // NewCalculator builds a Calculator for k innermost loops.
@@ -107,7 +111,8 @@ func (c *Calculator) K() int { return c.k }
 
 // Count returns the number of distinct-entry tuples (e_1,…,e_k) with
 // e_i ∈ sets[i] \ excluded. sets[i] must be ascending; excluded is the list
-// of already-bound data vertices (not necessarily sorted, typically tiny).
+// of already-bound data vertices (not necessarily sorted, typically tiny;
+// duplicates are counted once).
 //
 //graphpi:deterministic
 func (c *Calculator) Count(sets [][]uint32, excluded []uint32) int64 {
@@ -118,29 +123,92 @@ func (c *Calculator) Count(sets [][]uint32, excluded []uint32) int64 {
 // bitmap representation of sets[i] (a hub adjacency precomputed by the graph
 // layer), letting the internal intersections run the O(|small|) bitmap kernel
 // instead of the scalar merge. bms may be nil or must have len(bms) == k.
-// The result is identical to Count.
+// The result is identical to Count. It probes every distinct excluded vertex
+// in every set and hands the memberships to CountIn; the engine, which knows
+// most of them from the lowering, calls CountIn directly.
 //
 //graphpi:deterministic
 func (c *Calculator) CountHybrid(sets [][]uint32, bms []vertexset.Bitmap, excluded []uint32) int64 {
-	if len(sets) != c.k {
+	c.exIn = c.exIn[:0]
+outer:
+	for i, x := range excluded {
+		for _, prev := range excluded[:i] {
+			if prev == x {
+				continue outer
+			}
+		}
+		var in uint16
+		for j, s := range sets {
+			if vertexset.Contains(s, x) {
+				in |= 1 << j
+			}
+		}
+		if in != 0 {
+			c.exIn = append(c.exIn, in)
+		}
+	}
+	return c.CountIn(sets, bms, c.exIn)
+}
+
+// CountIn is the calculator's one evaluation. exIn holds one mask per
+// distinct excluded vertex: bit i is set iff the vertex lies in sets[i], so
+// the vertex lies in a block's intersection iff its mask covers the block's.
+// sets and bms are as for CountHybrid.
+//
+// Every block cardinality is computed once, eagerly, in increasing mask
+// order: a mask's intersection extends that of the mask without its highest
+// bit, which precedes it. A mask holding the last set is extended by no other
+// mask, so it is only counted (a size kernel), never materialized — for k = 2
+// nothing is. The partition terms then read the table.
+//
+//graphpi:deterministic
+func (c *Calculator) CountIn(sets [][]uint32, bms []vertexset.Bitmap, exIn []uint16) int64 {
+	k := c.k
+	if len(sets) != k {
 		panic("iep: set count mismatch")
 	}
-	c.bms = bms
-	// Early exit: an empty candidate set annihilates every term.
+	// An empty candidate set annihilates every term.
 	for i, s := range sets {
-		c.valid[uint16(1)<<i] = false
 		if len(s) == 0 {
 			return 0
 		}
+		c.inter[1<<i] = s
 	}
-	for m := range c.valid[:1<<c.k] {
-		c.valid[m] = false
+	last := uint16(1) << (k - 1)
+	for mask := uint16(1); mask < 1<<k; mask++ {
+		hi := 15 - bits.LeadingZeros16(mask)
+		rest := mask &^ (1 << hi)
+		var n int
+		switch {
+		case rest == 0:
+			n = len(sets[hi])
+		case bms != nil && bms[hi] != nil && len(c.inter[rest]) <= len(sets[hi]):
+			// Hub fast path: the running intersection is the smaller side,
+			// so it probes the peeled set's bitmap in O(|left|).
+			if mask&last != 0 {
+				n = vertexset.IntersectSizeBitmap(c.inter[rest], bms[hi])
+			} else {
+				c.inter[mask] = vertexset.IntersectBitmap(c.room(mask, rest), c.inter[rest], bms[hi])
+				n = len(c.inter[mask])
+			}
+		case mask&last != 0:
+			n = vertexset.IntersectSize(c.inter[rest], sets[hi])
+		default:
+			c.inter[mask] = vertexset.Intersect(c.room(mask, rest), c.inter[rest], sets[hi])
+			n = len(c.inter[mask])
+		}
+		for _, in := range exIn {
+			if in&mask == mask {
+				n--
+			}
+		}
+		c.cards[mask] = int64(n)
 	}
 	var total int64
 	for _, t := range c.terms {
 		prod := t.Coef
 		for _, b := range t.Blocks {
-			card := c.card(b, sets, excluded)
+			card := c.cards[b]
 			if card == 0 {
 				prod = 0
 				break
@@ -152,18 +220,14 @@ func (c *Calculator) CountHybrid(sets [][]uint32, bms []vertexset.Bitmap, exclud
 	return total
 }
 
-// card returns |∩_{i∈mask} sets[i]| minus the excluded vertices present in
-// that intersection, memoized per mask.
-func (c *Calculator) card(mask uint16, sets [][]uint32, excluded []uint32) int64 {
-	if c.valid[mask] {
-		return c.cards[mask]
+// room returns mask's intersection storage with capacity for every element
+// of rest's intersection, which bounds both kernels' output (and the bitmap
+// kernel's stores), so neither kernel reallocates it unpadded.
+func (c *Calculator) room(mask, rest uint16) []uint32 {
+	if need := len(c.inter[rest]); cap(c.inter[mask]) < need {
+		c.inter[mask] = taskpool.Owned[uint32](0, 2*need)
 	}
-	set := c.intersection(mask, sets)
-	n := int64(len(set))
-	n -= excludedHits(set, excluded)
-	c.cards[mask] = n
-	c.valid[mask] = true
-	return n
+	return c.inter[mask]
 }
 
 // excludedHits counts how many distinct excluded vertices appear in the
@@ -182,27 +246,6 @@ outer:
 		}
 	}
 	return n
-}
-
-// intersection materializes ∩_{i∈mask} sets[i] (raw, without exclusion).
-// Singleton masks alias the input set. Multi-bit masks are built from the
-// intersection of the mask minus its highest bit with that bit's set,
-// reusing the calculator's per-mask storage.
-func (c *Calculator) intersection(mask uint16, sets [][]uint32) []uint32 {
-	if bits.OnesCount16(mask) == 1 {
-		return sets[bits.TrailingZeros16(mask)]
-	}
-	hi := 15 - bits.LeadingZeros16(mask)
-	rest := mask &^ (1 << hi)
-	left := c.intersection(rest, sets)
-	// Hub fast path: when the peeled set has a bitmap and the running
-	// intersection is the smaller side, probe the bitmap in O(|left|).
-	if c.bms != nil && c.bms[hi] != nil && len(left) <= len(sets[hi]) {
-		c.inter[mask] = vertexset.IntersectBitmap(c.inter[mask][:0], left, c.bms[hi])
-	} else {
-		c.inter[mask] = vertexset.Intersect(c.inter[mask][:0], left, sets[hi])
-	}
-	return c.inter[mask]
 }
 
 // CountPairSubsets is the paper-literal Algorithm 2 path: inclusion–

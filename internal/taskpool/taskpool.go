@@ -14,7 +14,28 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
+
+// LinePad is the unused space that keeps one worker's hot state off every
+// cache line another allocation uses: a 64-byte line and its neighbour, which
+// the adjacent-line prefetcher fetches as a pair. A struct a worker writes in
+// its inner loop starts and ends with one (see Owned for why).
+type LinePad [128]byte
+
+// Owned returns a slice of length n and capacity c whose elements share no
+// cache line with any other allocation. It is for the state one worker writes
+// in its inner loop — bound vertices, buffer headers, IEP scratch. Allocated
+// plainly, such a small object can land beside another worker's or beside a
+// plan's read-hot data, and the cores then trade the line on every write;
+// placement follows allocation order, so the slowdown comes and goes from one
+// run to the next (a 2-worker IEP count took 175 or 250 ms by luck of
+// placement). Appending past c reallocates without the padding, so c must
+// bound the slice's use.
+func Owned[T any](n, c int) []T {
+	pad := int(unsafe.Sizeof(LinePad{}))/max(int(unsafe.Sizeof(*new(T))), 1) + 1
+	return make([]T, pad+c+pad)[pad : pad+n : pad+c]
+}
 
 // Range is a half-open interval [Start, End) of task indices.
 type Range struct {

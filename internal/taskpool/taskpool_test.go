@@ -1,10 +1,12 @@
 package taskpool
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRunCoversAllIndices(t *testing.T) {
@@ -167,4 +169,37 @@ func TestAdaptiveChunk(t *testing.T) {
 				c.n, c.workers, c.perWorker, c.min, c.max, got, c.want)
 		}
 	}
+}
+
+// TestOwnedSharesNoLine interleaves Owned slices with small plain allocations
+// and checks that no plain object touches a 128-byte block (a line and its
+// prefetch neighbour) holding an Owned slice's elements.
+func TestOwnedSharesNoLine(t *testing.T) {
+	const block = 128
+	type span struct{ lo, hi uintptr } // [lo, hi) in bytes
+	var owned, plain []span
+	var keep [][]uint32
+	for i := 0; i < 500; i++ {
+		o := Owned[uint32](3, 6)
+		if len(o) != 3 || cap(o) != 6 {
+			t.Fatalf("Owned(3, 6): len %d cap %d", len(o), cap(o))
+		}
+		if grown := append(o, 1, 2, 3); &grown[0] != &o[0] {
+			t.Fatal("append within the capacity reallocated")
+		}
+		p := make([]uint32, 6)
+		keep = append(keep, o, p)
+		lo := uintptr(unsafe.Pointer(&o[0]))
+		owned = append(owned, span{lo &^ (block - 1), (lo + 6*4 + block - 1) &^ (block - 1)})
+		lo = uintptr(unsafe.Pointer(&p[0]))
+		plain = append(plain, span{lo, lo + 6*4})
+	}
+	for _, o := range owned {
+		for _, p := range plain {
+			if p.lo < o.hi && o.lo < p.hi {
+				t.Fatalf("plain object [%#x, %#x) shares a block with an Owned slice [%#x, %#x)", p.lo, p.hi, o.lo, o.hi)
+			}
+		}
+	}
+	runtime.KeepAlive(keep)
 }

@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// sink keeps the compiler from discarding a benchmarked call whose result
+// nothing else reads.
+var sink int
+
 func benchSet(n int, stride uint32, seed uint64) []uint32 {
 	r := rand.New(rand.NewPCG(seed, 3))
 	out := make([]uint32, n)
@@ -43,7 +47,7 @@ func BenchmarkIntersectSize(b *testing.B) {
 	y := benchSet(4096, 4, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		IntersectSize(x, y)
+		sink += IntersectSize(x, y)
 	}
 }
 

@@ -1,5 +1,7 @@
 package vertexset
 
+import "slices"
+
 // This file adds the third intersection strategy of the hybrid adjacency
 // engine: packed bitsets. On power-law graphs a few hub vertices participate
 // in a large fraction of all intersections, and every one of those
@@ -50,28 +52,40 @@ func BitmapFromSet(set []uint32, universe int) Bitmap {
 }
 
 // IntersectBitmap writes small ∩ bm into dst (truncated first) and returns
-// it. small must be a sorted set; the output then is too. The cost is
-// O(|small|) regardless of the bitmap's population — this is the kernel that
-// makes hub intersections cheap.
+// it. small must be a sorted set; the output then is too, and elements beyond
+// the bitmap's universe are not members. The cost is O(|small|) regardless of
+// the bitmap's population — this is the kernel that makes hub intersections
+// cheap — and branch-free, MarkMembers' form: every element is stored and the
+// length advances by its membership bit, so a miss costs what a hit costs.
+// dst may alias small.
 func IntersectBitmap(dst, small []uint32, bm Bitmap) []uint32 {
-	dst = dst[:0]
-	for _, x := range small {
-		if bm.Contains(x) {
-			dst = append(dst, x)
-		}
-	}
-	return dst
-}
-
-// IntersectSizeBitmap returns |small ∩ bm| without materializing it.
-func IntersectSizeBitmap(small []uint32, bm Bitmap) int {
+	small = inUniverse(small, bm)
+	dst = slices.Grow(dst[:0], len(small))[:len(small)]
 	n := 0
 	for _, x := range small {
-		if bm.Contains(x) {
-			n++
-		}
+		dst[n] = x
+		n += int(bm[x>>6] >> (x & 63) & 1)
+	}
+	return dst[:n]
+}
+
+// IntersectSizeBitmap returns |small ∩ bm| without materializing it, in
+// IntersectBitmap's branch-free form.
+func IntersectSizeBitmap(small []uint32, bm Bitmap) int {
+	n := 0
+	for _, x := range inUniverse(small, bm) {
+		n += int(bm[x>>6] >> (x & 63) & 1)
 	}
 	return n
+}
+
+// inUniverse trims the sorted set small to the ids bm can hold, so the
+// branch-free probes index bm without a per-element range check.
+func inUniverse(small []uint32, bm Bitmap) []uint32 {
+	if limit := uint64(len(bm)) * 64; limit < uint64(NoBound) {
+		return Below(small, uint32(limit))
+	}
+	return small
 }
 
 // IntersectMultiHybrid is the bitmap-aware IntersectMulti: it intersects all

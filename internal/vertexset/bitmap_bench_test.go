@@ -48,7 +48,7 @@ func BenchmarkIntersectSizeBitmap(b *testing.B) {
 	small := benchSet(512, 512, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		IntersectSizeBitmap(small, bm)
+		sink += IntersectSizeBitmap(small, bm)
 	}
 }
 

@@ -63,6 +63,32 @@ func TestIntersectBitmapMatchesMerge(t *testing.T) {
 	}
 }
 
+// TestIntersectBitmapUniverse: the branch-free probes index the bitmap without
+// a per-element range check, so they must still treat ids past its universe as
+// non-members (the word boundary, the last word's spare bits, and the top of
+// the id space), and never allocate when dst already has room for small.
+func TestIntersectBitmapUniverse(t *testing.T) {
+	bm := BitmapFromSet([]uint32{1, 64, 129}, 130) // three words
+	small := []uint32{1, 64, 129, 191, 192, 193, 1 << 20, NoBound - 1, NoBound}
+	want := []uint32{1, 64, 129}
+	dst := make([]uint32, 0, len(small))
+	if got := IntersectBitmap(dst, small, bm); !reflect.DeepEqual(got, want) {
+		t.Errorf("IntersectBitmap = %v, want %v", got, want)
+	}
+	if got := IntersectSizeBitmap(small, bm); got != len(want) {
+		t.Errorf("IntersectSizeBitmap = %d, want %d", got, len(want))
+	}
+	if got := IntersectBitmap(nil, small, nil); len(got) != 0 {
+		t.Errorf("empty bitmap kept %v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		dst = IntersectBitmap(dst, small, bm)
+		_ = IntersectSizeBitmap(small, bm)
+	}); allocs != 0 {
+		t.Errorf("%v allocations per run with dst capacity %d", allocs, cap(dst))
+	}
+}
+
 // clampSet maps set members into [0, universe) preserving sortedness and
 // uniqueness.
 func clampSet(s []uint32, universe uint32) []uint32 {
