@@ -67,8 +67,7 @@ func main() {
 		auxName     = flag.String("aux", "off", "auxiliary-graph pruning: off, on (cost-model gated) or force")
 		baseline    = flag.Bool("graphzero", false, "plan like the GraphZero baseline")
 		edgePar     = flag.String("edge-parallel", "auto", "root task shape: auto, on, or off")
-		tierName    = flag.String("tier", "auto", "counting execution tier: auto, interpret, compiled or generated (the clique kernel: k3 and every larger clique)")
-		compiled    = flag.Bool("compiled", false, "shorthand for -tier compiled")
+		tierName    = flag.String("tier", "auto", "counting execution tier: auto, interpret or generated (the clique kernel: k3 and every larger clique)")
 		nodes       = flag.Int("nodes", 0, "count on a simulated cluster with this many nodes (0 = single process)")
 		nodeWorkers = flag.Int("node-workers", 2, "worker goroutines per simulated node with -nodes")
 		serveAddr   = flag.String("serve", "", "run as a cluster worker process listening on this address (e.g. :9421)")
@@ -81,7 +80,7 @@ func main() {
 		cacheBytes  = flag.Int64("plan-cache", 0, "with -server: plan cache budget in bytes (0 = 8 MiB)")
 		clusterRtry = flag.Int("cluster-retries", 0, "with -server: retries for a failed cluster job (0 = 2, negative = none)")
 		emitGo      = flag.String("emit-go", "", "write standalone Go source for the planned configuration to this path and exit")
-		tracePath   = flag.String("trace", "", "append NDJSON span events (plan/compile/run/cluster-deal) to this file")
+		tracePath   = flag.String("trace", "", "append NDJSON span events (plan/run/cluster-deal) to this file")
 		pprofOn     = flag.Bool("pprof", false, "with -server: expose net/http/pprof under /debug/pprof/")
 		statsOn     = flag.Bool("stats", false, "one-shot runs: print per-level run stats and cost-model drift after the result")
 	)
@@ -101,7 +100,6 @@ func main() {
 		list:        *list,
 		emitGo:      *emitGo,
 		tierName:    *tierName,
-		compiled:    *compiled,
 		auxName:     *auxName,
 		pprofOn:     *pprofOn,
 		statsOn:     *statsOn,
@@ -111,9 +109,6 @@ func main() {
 	tier, err := graphpi.ParseTier(*tierName)
 	if err != nil {
 		failUsage(err)
-	}
-	if *compiled {
-		tier = graphpi.TierCompiled
 	}
 	auxMode, err := graphpi.ParseAuxMode(*auxName)
 	if err != nil {
@@ -218,7 +213,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "graphpi: -workers is ignored in cluster modes; use -node-workers")
 		}
 		if tier != graphpi.TierAuto {
-			fmt.Fprintln(os.Stderr, "graphpi: -tier/-compiled are ignored in cluster modes (the data plane interprets)")
+			fmt.Fprintln(os.Stderr, "graphpi: -tier is ignored in cluster modes (workers run the clique kernel for cliques, the interpreter otherwise)")
 		}
 		runCluster(g, p, *nodes, *nodeWorkers, *useIEP, workerAddrs, opts)
 		return
@@ -313,7 +308,6 @@ type flagState struct {
 	clusterWk, emitGo                string
 	list                             bool
 	tierName                         string
-	compiled                         bool
 	auxName                          string
 	pprofOn, statsOn                 bool
 }
@@ -388,19 +382,14 @@ func validateFlags(f flagState) error {
 		}
 	}
 
-	// Tier flags steer the one-shot query engine. -compiled is sugar for
-	// -tier compiled, so naming a *different* tier alongside it is a
-	// contradiction, not a preference. "" and "auto" both mean the default.
-	explicitTier := f.tierName != "" && f.tierName != "auto"
-	if f.compiled && explicitTier && f.tierName != "compiled" {
-		return fmt.Errorf("-compiled contradicts -tier %s (drop one)", f.tierName)
-	}
-	if f.compiled || explicitTier {
+	// -tier steers the one-shot query engine. "" and "auto" both mean the
+	// default.
+	if f.tierName != "" && f.tierName != "auto" {
 		switch {
 		case f.serverAddr != "":
-			return fmt.Errorf("-tier/-compiled do not apply to -server (pass tier= per query instead)")
+			return fmt.Errorf("-tier does not apply to -server (pass tier= per query instead)")
 		case f.serveAddr != "":
-			return fmt.Errorf("-tier/-compiled do not apply to -serve (the cluster data plane interprets)")
+			return fmt.Errorf("-tier does not apply to -serve (workers run the clique kernel for cliques, the interpreter otherwise)")
 		}
 	}
 

@@ -41,6 +41,9 @@ func TestValidateFlagsModeExclusivity(t *testing.T) {
 		{"negative plan cache", func(f *flagState) { f.serverAddr = ":8080"; f.cacheBytes = -1 }, "-plan-cache"},
 		{"bad server addr", func(f *flagState) { f.serverAddr = "8080" }, "not host:port"},
 		{"bad serve addr", func(f *flagState) { f.serveAddr = "no-port" }, "not host:port"},
+		{"tier one-shot", func(f *flagState) { f.tierName = "generated" }, ""},
+		{"tier+server", func(f *flagState) { f.serverAddr = ":8080"; f.tierName = "interpret" }, "-tier does not apply to -server"},
+		{"tier+serve", func(f *flagState) { f.serveAddr = ":9421"; f.tierName = "generated" }, "-tier does not apply to -serve"},
 	}
 	for _, tc := range cases {
 		f := base

@@ -321,21 +321,23 @@ func WithEdgeParallelRoots(enabled bool) Option {
 	}
 }
 
-// Tier selects the execution tier counting runs use: TierAuto (the
-// default) picks the fastest applicable — the word-parallel clique kernel
-// (TierGenerated) for total-order-restricted cliques, else runtime-compiled
-// closures — while
-// TierInterpreted forces the loop-program interpreter. All tiers return
-// bit-identical counts; the choice is purely about speed. Enumeration
-// always interprets.
+// Tier selects the executor counting runs use: TierAuto (the default) picks
+// the word-parallel clique kernel (TierGenerated) for total-order-restricted
+// cliques and the loop-program interpreter for everything else, while
+// TierInterpreted forces the interpreter. Both executors return bit-identical
+// counts; the choice is purely about speed. Enumeration always interprets.
 type Tier = core.Tier
 
 const (
 	TierAuto        = core.TierAuto
 	TierInterpreted = core.TierInterpret
-	TierCompiled    = core.TierCompiled
 	TierGenerated   = core.TierGenerated
 )
+
+// TierCompiled named the removed runtime-compiled closure tier.
+//
+// Deprecated: it resolves to the interpreter.
+const TierCompiled = core.TierCompiled
 
 // WithTier selects the counting execution tier (see Tier).
 func WithTier(t Tier) Option { return func(o *options) { o.tier = t } }
@@ -381,7 +383,7 @@ type LevelStats = telemetry.LevelStats
 // Plan.Explain and Plan.Drift.
 type DriftReport = telemetry.DriftReport
 
-// Tracer writes NDJSON span events (plan, compile, run, cluster-deal) to a
+// Tracer writes NDJSON span events (plan, run, cluster-deal) to a
 // writer; a nil *Tracer discards everything. See NewTracer and WithTracer.
 type Tracer = telemetry.Tracer
 
@@ -401,12 +403,12 @@ func NewRunStats(n int) *RunStats { return telemetry.NewRunStats(n) }
 // per-worker counters when enabled.
 func WithRunStats(st *RunStats) Option { return func(o *options) { o.stats = st } }
 
-// WithTracer emits coarse phase spans (plan, compile, run) for the plan's
+// WithTracer emits coarse phase spans (plan, run) for the plan's
 // lifecycle to t. A nil tracer is a no-op.
 func WithTracer(t *Tracer) Option { return func(o *options) { o.tracer = t } }
 
 // ParseTier parses a tier name as accepted by the CLI and the query service
-// ("auto", "interpret"/"interpreted", "compiled", "generated").
+// ("auto", "interpret"/"interpreted", "generated").
 func ParseTier(s string) (Tier, error) { return core.ParseTier(s) }
 
 // Plan is a compiled, ready-to-run matching configuration for one
@@ -445,7 +447,6 @@ func NewPlan(g *Graph, p *Pattern, opts ...Option) (*Plan, error) {
 
 // Count enumerates the full loop nest and returns the number of embeddings.
 func (pl *Plan) Count() int64 {
-	pl.traceCompile(false)
 	t0 := time.Now()
 	n := pl.cfg.Count(pl.g.g, pl.runOptions())
 	pl.opts.tracer.Span("run", t0, map[string]string{"mode": "count"})
@@ -455,28 +456,10 @@ func (pl *Plan) Count() int64 {
 // CountIEP counts with the Inclusion-Exclusion optimization. For counting
 // workloads this is the method to use; it returns the same number as Count.
 func (pl *Plan) CountIEP() int64 {
-	pl.traceCompile(true)
 	t0 := time.Now()
 	n := pl.cfg.CountIEP(pl.g.g, pl.runOptions())
 	pl.opts.tracer.Span("run", t0, map[string]string{"mode": "count-iep"})
 	return n
-}
-
-// traceCompile surfaces the lowering phase as its own span when tracing: the
-// compile memo lives on the configuration, so the first call does real work
-// and later ones are lookups — visible as such in the span durations.
-func (pl *Plan) traceCompile(useIEP bool) {
-	if pl.opts.tracer == nil {
-		return
-	}
-	t0 := time.Now()
-	rt := pl.cfg.ResolveTier(pl.g.g, pl.opts.tier, useIEP)
-	if rt != core.TierInterpret {
-		if _, err := pl.cfg.CompileTier(pl.g.g, useIEP, rt); err != nil {
-			rt = core.TierInterpret // the engine falls back the same way
-		}
-	}
-	pl.opts.tracer.Span("compile", t0, map[string]string{"tier": rt.String()})
 }
 
 // NewRunStats allocates a telemetry sink sized for this plan's schedule, for
@@ -538,13 +521,13 @@ func (pl *Plan) PrepTime() time.Duration { return pl.prep }
 func (pl *Plan) PredictedCost() float64 { return pl.cfg.Cost }
 
 // ExecutionTier reports the tier a Count/CountIEP call on this plan will
-// actually run on: TierAuto resolves to the fastest applicable kernel, and
-// an unsatisfiable request (e.g. TierGenerated for a pattern with no static
-// kernel) resolves to the interpreter — the same silent fallback the engine
-// takes. useIEP must match the intended counting call; the compiled shapes
-// differ.
+// actually run on: TierAuto resolves to the clique kernel for total-order
+// cliques, and every other request (e.g. TierGenerated for a pattern that is
+// no clique) resolves to the interpreter — the same silent fallback the
+// engine takes. Both counting calls resolve alike; useIEP is kept for
+// callers that pass it.
 func (pl *Plan) ExecutionTier(useIEP bool) Tier {
-	return pl.cfg.ResolveTier(pl.g.g, pl.opts.tier, useIEP)
+	return pl.cfg.ResolveTier(pl.opts.tier)
 }
 
 // Describe renders the chosen schedule and restriction set.
@@ -882,8 +865,8 @@ type QueryServiceOptions struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the query
 	// handler — an operator opt-in (the profiler exposes heap contents).
 	EnablePprof bool
-	// TraceWriter, if non-nil, receives NDJSON span events (plan, compile,
-	// run, cluster-deal) for every query. The caller owns closing it after
+	// TraceWriter, if non-nil, receives NDJSON span events (plan, run,
+	// cluster-deal) for every query. The caller owns closing it after
 	// the server stops.
 	TraceWriter io.Writer
 	// Logf, if non-nil, receives lifecycle messages.

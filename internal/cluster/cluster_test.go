@@ -367,10 +367,9 @@ func TestClusterHybridEquivalence(t *testing.T) {
 }
 
 // TestClusterMatchesAuxLocal pins the cluster data plane (which never builds
-// auxiliary graphs — the wire protocol runs the plain interpreter on every
-// rank) against local runs with auxiliary-graph pruning forced, over both the
-// chan and tcp transports: aux changes speed, never counts, so the backends
-// must stay bit-identical.
+// auxiliary graphs — every rank runs a plain core.Counter) against local runs
+// with auxiliary-graph pruning forced, over both the chan and tcp transports:
+// aux changes speed, never counts, so the backends must stay bit-identical.
 func TestClusterMatchesAuxLocal(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 6, 31)
 	cases := []struct {
@@ -429,42 +428,39 @@ func TestClusterDefaultsNormalize(t *testing.T) {
 	}
 }
 
-// TestClusterMatchesCompiledTiers pins the cluster data plane (interpreted
-// Counters on every rank) against the local compiled and generated
-// execution tiers: the same configuration must produce bit-identical counts
-// whichever side of the backend split runs it.
-func TestClusterMatchesCompiledTiers(t *testing.T) {
-	g := graph.BarabasiAlbert(300, 5, 31)
-	cases := []struct {
-		pat    *pattern.Pattern
-		useIEP bool
-	}{
-		{pat: pattern.House(), useIEP: false},
-		{pat: pattern.House(), useIEP: true},
-		{pat: pattern.Pentagon(), useIEP: true},
-		{pat: pattern.Clique(4), useIEP: false}, // generated-tier pattern
-		{pat: pattern.Clique(5), useIEP: false},
-	}
-	for _, tc := range cases {
-		cfg := planFor(t, g, tc.pat)
-		for _, tier := range []core.Tier{core.TierCompiled, core.TierAuto} {
-			var local int64
-			if tc.useIEP {
-				local = cfg.CountIEP(g, core.RunOptions{Workers: 2, Tier: tier})
-			} else {
-				local = cfg.Count(g, core.RunOptions{Workers: 2, Tier: tier})
+// TestClusterCliqueKernel pins the ranks' executor choice end to end: a
+// clique's Counter runs the clique kernel on every rank, over vertex ranges
+// or CSR slot ranges, and the reduced count must equal the local one on
+// every transport, faulty ones included.
+func TestClusterCliqueKernel(t *testing.T) {
+	g := graph.BarabasiAlbert(300, 8, 31)
+	for _, tc := range transportCases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.open(t, g, 3)
+			for _, q := range []int{4, 5} {
+				cfg := planFor(t, g, pattern.Clique(q))
+				if cfg.ResolveTier(core.TierAuto) != core.TierGenerated {
+					t.Fatalf("K%d: planned configuration does not resolve to the clique kernel", q)
+				}
+				want := cfg.CountIEP(g, core.RunOptions{Workers: 1, Tier: core.TierInterpret})
+				if want == 0 {
+					t.Fatalf("K%d: fixture has no cliques", q)
+				}
+				for _, mode := range []core.EdgeParallelMode{core.EdgeParallelOff, core.EdgeParallelOn} {
+					res, err := Run(cfg, g, Options{
+						Nodes: 3, WorkersPerNode: 2, UseIEP: true, EdgeParallel: mode, Transport: tr,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.EdgeParallel != (mode == core.EdgeParallelOn) {
+						t.Errorf("K%d mode=%d: ran edge-parallel=%v", q, mode, res.EdgeParallel)
+					}
+					if res.Count != want {
+						t.Errorf("K%d mode=%d: cluster %d, local %d", q, mode, res.Count, want)
+					}
+				}
 			}
-			res, err := Run(cfg, g, Options{
-				Nodes: 3, WorkersPerNode: 2, UseIEP: tc.useIEP,
-				Transport: NewChanTransport(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Count != local {
-				t.Errorf("%s iep=%v: cluster %d, local tier %s %d",
-					tc.pat, tc.useIEP, res.Count, tier, local)
-			}
-		}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"graphpi/internal/graph"
+	"graphpi/internal/taskpool"
 	"graphpi/internal/telemetry"
 	"graphpi/internal/vertexset"
 )
@@ -33,7 +34,12 @@ const (
 // the prefix, and the last level is a popcount. Row i lies below position i,
 // so every set below a bound vertex holds smaller vertices only and each
 // clique is met exactly once, in descending order.
+//
+// Like the interpreter's per-worker state, a Clique keeps the fields and the
+// small slices it writes per candidate off other allocations' cache lines
+// (taskpool.LinePad, taskpool.Owned).
 type Clique struct {
+	_     taskpool.LinePad
 	g     *graph.Graph
 	q     int
 	stop  *atomic.Bool
@@ -45,6 +51,7 @@ type Clique struct {
 	rows  []uint64   // the current candidate set's bit matrix
 	sets  []uint64   // one candidate row per level of the recursion
 	lists [][]uint32 // per level: the list an over-cap set was narrowed to
+	_     taskpool.LinePad
 }
 
 // NewClique allocates one worker's kernel for K_q, q >= 3, on g. stop may be
@@ -56,8 +63,8 @@ func NewClique(g *graph.Graph, q int, stop *atomic.Bool) *Clique {
 		q:     q,
 		stop:  stop,
 		cap:   cliqueCap,
-		sets:  make([]uint64, q*cliqueWords),
-		lists: make([][]uint32, q),
+		sets:  taskpool.Owned[uint64](q*cliqueWords, q*cliqueWords),
+		lists: taskpool.Owned[[]uint32](q, q),
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"graphpi/internal/codegen"
@@ -228,29 +227,6 @@ func TestKernelIDsMatchTelemetry(t *testing.T) {
 		int(vertexset.KernelGallop) != telemetry.KernelGallop ||
 		int(vertexset.KernelBitmap) != telemetry.KernelBitmap {
 		t.Fatal("vertexset.Kernel values diverge from telemetry's kernel-family indices")
-	}
-}
-
-// TestCompileMatchesEngine runs the closure backend directly against the
-// interpreted engine on the plain-enumeration spec — the codegen-level
-// equivalence check (the full tier matrix lives in internal/core).
-func TestCompileMatchesEngine(t *testing.T) {
-	g := graph.BarabasiAlbert(300, 4, 11)
-	for _, p := range []*pattern.Pattern{pattern.Triangle(), pattern.House(), pattern.Rectangle()} {
-		cfg := configFor(t, p)
-		want := cfg.Count(g, core.RunOptions{Workers: 1, Tier: core.TierInterpret})
-
-		prog, err := codegen.Lower(cfg.SourceSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		kern := codegen.Compile(prog, g)
-		var stop atomic.Bool
-		st := kern.NewState(&stop)
-		st.RunRoot(0, g.NumVertices())
-		if got := st.Count(); got != want {
-			t.Errorf("%s: compiled closures counted %d, engine %d", p, got, want)
-		}
 	}
 }
 

@@ -3,32 +3,25 @@
 // Compilation" stage (paper Figure 3), which emits C++ for the selected
 // schedule and restriction set and compiles it with -O3.
 //
-// The package has one lowering and two backends of its own:
+// The package has one lowering, one source backend and one kernel:
 //
 //   - Lower turns a Spec (the neutral description of a configuration that
 //     internal/core produces) into a Program: an explicit per-level loop
-//     nest with restriction windows, duplicate checks and intersection
-//     kernels resolved per level. It also decides how much of every hoisted
-//     intersection is worth computing — the restriction bounds a Step
-//     applies to its operands (see Step) — and every executor obeys that
-//     one decision: the interpreter in internal/core, and the two backends
-//     here.
-//   - Compile (compile.go) turns a Program into a chain of specialized
-//     closures bound to one data graph — the engine's runtime-compiled
-//     execution tier. Kernel choices frozen by the cost model, window scans
-//     baked to fixed bound positions, and the innermost counting loop
-//     monomorphized to a length add.
+//     nest with restriction windows and duplicate checks resolved per level.
+//     It also decides how much of every hoisted intersection is worth
+//     computing — the restriction bounds a Step applies to its operands (see
+//     Step) — and the interpreter in internal/core obeys that one decision.
 //   - GenerateSource (source.go) renders the same Program as a standalone
 //     Go main package, keeping the paper's emit-and-inspect architecture
 //     reproducible from the identical lowering.
-//
-// Beside them stands Clique (clique.go), the third tier: one hand-written
-// word-parallel kernel for every total-order-restricted clique, which needs no
-// Program — per root it packs the candidates' adjacency into a bit matrix and
-// counts with AND and popcount.
+//   - Clique (clique.go) is the engine's second executor: one hand-written
+//     word-parallel kernel for every total-order-restricted clique, which
+//     needs no Program — per root it packs the candidates' adjacency into a
+//     bit matrix and counts with AND and popcount.
 //
 // codegen deliberately does not import internal/core: core imports codegen
-// to build its compiled tier, and hands over a Spec instead of a Config.
+// for its lowering and the clique kernel, and hands over a Spec instead of a
+// Config.
 package codegen
 
 import (
@@ -39,45 +32,11 @@ import (
 	"graphpi/internal/vertexset"
 )
 
-// KernelChoice freezes which intersection kernel a step runs. The
-// interpreter picks per execution from actual slice lengths; the compiled
-// tier picks once from the cost model's expected sizes, removing the
-// dispatch from the innermost loops.
-type KernelChoice uint8
-
-const (
-	// KernelAdaptive re-checks sizes at run time (merge/gallop crossover,
-	// bitmap probe when a hub bitmap exists) — the interpreter's behavior,
-	// and the fallback when no cost-model parameters are attached.
-	KernelAdaptive KernelChoice = iota
-	// KernelMerge forces the linear merge.
-	KernelMerge
-	// KernelGallop forces the galloping probe of the larger input.
-	KernelGallop
-	// KernelBitmap probes the bound vertex's hub bitmap in O(|small|),
-	// falling back to the adaptive scalar path for non-hub vertices.
-	KernelBitmap
-)
-
-func (k KernelChoice) String() string {
-	switch k {
-	case KernelMerge:
-		return "merge"
-	case KernelGallop:
-		return "gallop"
-	case KernelBitmap:
-		return "bitmap"
-	default:
-		return "adaptive"
-	}
-}
-
 // AuxMode marks a hoisted intersection as servable from the root's
 // auxiliary graph (internal/auxgraph): pruned rows N(v) ∩ N(v0) substitute
 // for full CSR rows without changing the result. The classification is
-// structural — core derives it from the plan — and the compiled backend
-// monomorphizes an aux-probing closure for marked steps when the run
-// enables pruning.
+// structural — core derives it from the plan — and the interpreter probes
+// the pruned row for marked steps when the run enables pruning.
 type AuxMode uint8
 
 const (
@@ -92,7 +51,7 @@ const (
 )
 
 // Spec is the neutral, core-independent description of one executable
-// configuration: everything the two backends need, nothing engine-internal.
+// configuration: everything the lowering needs, nothing engine-internal.
 type Spec struct {
 	// N is the number of loops (pattern vertices).
 	N int
@@ -111,20 +70,16 @@ type Spec struct {
 	KIEP int
 	// IEPNum/IEPDen scale the raw IEP tally (1/1 for complete sets).
 	IEPNum, IEPDen int64
-	// Kernels[d][i] freezes the kernel of Plan.Steps[d][i]; nil (or a
-	// short row) means KernelAdaptive.
-	Kernels [][]KernelChoice
 	// AuxModes[d][i] marks Plan.Steps[d][i] as aux-servable; nil (or a
-	// short row) means AuxNone. Ignored unless the compilation requests
-	// aux-backed closures.
+	// short row) means AuxNone. Ignored unless the run enables pruning.
 	AuxModes [][]AuxMode
 	// Pattern, Schedule, Restrictions are display strings for the source
 	// backend's generated header.
 	Pattern, Schedule, Restrictions string
 }
 
-// Step is one hoisted intersection with its frozen kernel, aux marking and
-// window: Out = Left ∩ N(v_Depth) ∩ [lo, hi).
+// Step is one hoisted intersection with its aux marking and window:
+// Out = Left ∩ N(v_Depth) ∩ [lo, hi).
 //
 // Lowers/Uppers are the restriction bounds the step applies to both operands
 // before it reads them (vertexset.IntersectWindow; Bounds turns them into
@@ -144,8 +99,7 @@ type Spec struct {
 // nothing to count or to enumerate.
 type Step struct {
 	schedule.Step
-	Kernel KernelChoice
-	Aux    AuxMode
+	Aux AuxMode
 	// Lowers/Uppers are the positions p <= Depth whose bound vertex lower-
 	// (out > v_p) or upper-limits (out < v_p) the output.
 	Lowers, Uppers []uint8
@@ -176,7 +130,8 @@ type IEPSource struct {
 	Buf    int
 }
 
-// Program is the lowered loop nest both backends consume.
+// Program is the lowered loop nest the interpreter walks and the source
+// backend renders.
 type Program struct {
 	N       int
 	NumBufs int
@@ -206,8 +161,8 @@ type IEPExclusion struct {
 }
 
 // Lower turns a Spec into a Program, resolving once what would otherwise be
-// re-derived per iteration: leaf/cut roles, duplicate checks, the kernel of
-// every hoisted intersection, and where each restriction bound is applied —
+// re-derived per iteration: leaf/cut roles, duplicate checks, the aux marking
+// of every hoisted intersection, and where each restriction bound is applied —
 // in the step that builds a candidate set when all of the set's consumers
 // agree on it, at the scan otherwise.
 func Lower(spec Spec) (*Program, error) {
@@ -261,15 +216,11 @@ func Lower(spec Spec) (*Program, error) {
 			AtCut:  d == p.IEPCut,
 		}
 		for i, st := range spec.Plan.Steps[d] {
-			choice := KernelAdaptive
-			if d < len(spec.Kernels) && i < len(spec.Kernels[d]) {
-				choice = spec.Kernels[d][i]
-			}
 			aux := AuxNone
 			if d < len(spec.AuxModes) && i < len(spec.AuxModes[d]) {
 				aux = spec.AuxModes[d][i]
 			}
-			lv.Steps = append(lv.Steps, Step{Step: st, Kernel: choice, Aux: aux})
+			lv.Steps = append(lv.Steps, Step{Step: st, Aux: aux})
 		}
 		p.Levels[d] = lv
 	}

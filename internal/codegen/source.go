@@ -9,10 +9,10 @@ import (
 
 // GenerateSource renders the spec as a complete standalone Go main package —
 // the paper's emit-and-inspect artifact. It consumes the same lowered
-// Program as the closure backend, so the emitted nest and the runtime-
-// compiled kernels are the same loop structure by construction: a hoisted
-// intersection trims its operands to the bounds the lowering moved into it
-// and abandons the iteration when it comes back empty, the restrictions left
+// Program as the interpreter, so the emitted nest and the engine's loop walk
+// have the same structure by construction: a hoisted intersection trims its
+// operands to the bounds the lowering moved into it and abandons the
+// iteration when it comes back empty, the restrictions left
 // on a loop become break/continue guards, injectivity checks shrink to the
 // lowering's residual duplicate list, and a window-free counting leaf
 // collapses to a length add.

@@ -177,7 +177,7 @@ func (c *Config) auxEnabled(mode AuxMode, useIEP bool) bool {
 }
 
 // auxSpecModes renders the modes in codegen's neutral form, truncated to the
-// levels that execute, for the compiled tier's monomorphized closures.
+// levels that execute, for the interpreter's lowered steps.
 func (c *Config) auxSpecModes(useIEP bool) [][]codegen.AuxMode {
 	last := c.auxLastDepth(useIEP)
 	out := make([][]codegen.AuxMode, c.n)

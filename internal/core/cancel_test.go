@@ -129,14 +129,18 @@ func TestCountCtxBudgetAbort(t *testing.T) {
 	}
 }
 
+// TestCounterStop: a Counter whose stop flag is already set tallies nothing,
+// on the interpreter (House) and on the clique kernel (K4) alike.
 func TestCounterStop(t *testing.T) {
-	g, cfg := cancelFixture(t)
+	g, house := cancelFixture(t)
 	var stop atomic.Bool
 	stop.Store(true)
-	c := NewCounterStop(cfg, g, false, &stop)
-	c.CountRange(0, g.NumVertices())
-	c.CountEdgeRange(0, g.NumAdjSlots())
-	if c.Raw() != 0 {
-		t.Fatalf("stopped counter tallied %d, want 0", c.Raw())
+	for _, cfg := range []*Config{house, cliqueConfig(t, 4)} {
+		c := NewCounterStop(cfg, g, false, &stop)
+		c.CountRange(0, g.NumVertices())
+		c.CountEdgeRange(0, g.NumAdjSlots())
+		if c.Raw() != 0 {
+			t.Fatalf("%s: stopped counter tallied %d, want 0", cfg.Pattern, c.Raw())
+		}
 	}
 }

@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"graphpi/internal/codegen"
 	"graphpi/internal/costmodel"
@@ -62,9 +61,8 @@ type Config struct {
 	// iepDen with iepNum = 1 for complete restriction sets).
 	iepNum, iepDen int64
 	// planParams, when set by the planner, carries the data-graph
-	// statistics the configuration was costed against; the compiled tier
-	// freezes its intersection kernels from them (costmodel.FreezeKernels).
-	// Manually built configurations leave it nil → adaptive kernels.
+	// statistics the configuration was costed against (drift reports and
+	// the aux gate read them). Manually built configurations leave it nil.
 	planParams *costmodel.Params
 	// clique reports that the clique kernel may substitute for this
 	// configuration (see detectCliqueKernel).
@@ -75,15 +73,9 @@ type Config struct {
 	auxModes [][]auxStepMode
 	// progEnum / progIEP are the lowered loop nests the interpreter walks:
 	// the full enumeration nest, and the nest cut for the IEP suffix (nil
-	// when kIEP is 0). Lowered once here, adaptive kernels, aux markings
-	// always present (a run without scratch ignores them). The compiled
-	// tier lowers its own copy per graph to freeze kernels.
+	// when kIEP is 0). Lowered once here, aux markings always present (a run
+	// without scratch ignores them).
 	progEnum, progIEP *codegen.Program
-
-	compileMu sync.Mutex
-	// compiled memoizes compiled tiers per (graph, IEP, tier); guarded by
-	// compileMu.
-	compiled map[compiledKey]*Compiled
 }
 
 // NewConfig compiles a configuration. The schedule must be a permutation of
@@ -190,6 +182,34 @@ func (c *Config) lowerPrograms() error {
 		}
 	}
 	return nil
+}
+
+// lowerSpec produces the neutral description internal/codegen consumes —
+// the seam that keeps codegen free of a core dependency.
+func (c *Config) lowerSpec(useIEP bool) codegen.Spec {
+	spec := codegen.Spec{
+		N:        c.n,
+		Plan:     c.plan,
+		Lowers:   c.lowers,
+		Uppers:   c.uppers,
+		DupCheck: c.dupCheck,
+	}
+	if useIEP && c.effectiveIEPK() >= 1 {
+		spec.KIEP = c.kIEP
+		spec.IEPNum, spec.IEPDen = c.iepNum, c.iepDen
+	}
+	return spec
+}
+
+// SourceSpec is the Spec for the source backend (codegen.GenerateSource):
+// the full enumeration nest — emitted source carries its own minimal runtime
+// — plus the display strings of its header.
+func (c *Config) SourceSpec() codegen.Spec {
+	spec := c.lowerSpec(false)
+	spec.Pattern = c.Pattern.String()
+	spec.Schedule = c.Schedule.String()
+	spec.Restrictions = c.Restrictions.String()
+	return spec
 }
 
 // program returns the lowered nest a run with the given IEP request walks.

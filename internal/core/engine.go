@@ -58,11 +58,10 @@ type RunOptions struct {
 	// cancelled run reports complete=false from the *Timed variants; use
 	// the *Ctx methods to get the context error directly.
 	Context context.Context
-	// Tier selects the execution tier for counting runs (see Tier).
-	// TierAuto picks the clique kernel > runtime-compiled closures;
-	// enumeration and runs a compiled tier cannot host fall back to the
-	// interpreter. Counts are bit-identical across tiers, so the choice is
-	// purely about speed.
+	// Tier selects the executor for counting runs (see Tier). TierAuto
+	// picks the clique kernel for total-order cliques; enumeration and every
+	// other configuration run on the interpreter. Counts are bit-identical
+	// across tiers, so the choice is purely about speed.
 	Tier Tier
 	// Stats, when non-nil, enables per-level telemetry: every worker
 	// records into a private shard and the shards are merged into Stats
@@ -221,25 +220,12 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 		return 0, true
 	}
 	workers := taskpool.Workers(opt.Workers)
-	// Aux resolution happens before tier resolution because the compiled
-	// tier monomorphizes aux-probing closures. The unified view budget is
-	// split here: the hub share was consumed when the graph view was
-	// optimized, the per-worker aux share sizes the scratch arenas below.
-	useAux := c.auxEnabled(opt.Aux, useIEP)
+	// The unified view budget is split here: the hub share was consumed when
+	// the graph view was optimized, the per-worker aux share sizes the
+	// interpreter's scratch arenas.
 	var auxArena int64
-	if useAux {
-		split := auxgraph.PlanBudget(opt.AuxBudget, nv, workers, c.auxDeepSteps(useIEP))
-		auxArena = split.AuxArenaPerWorker
-		if auxArena <= 0 {
-			useAux = false
-		}
-	}
-	// Tier resolution: counting runs prefer a compiled tier; enumeration
-	// and compile failures (an explicit TierGenerated without a static
-	// kernel, a spec the lowering rejects) fall back to the interpreter.
-	var comp *Compiled
-	if visit == nil && opt.Tier != TierInterpret {
-		comp, _ = c.compileTier(g, useIEP, opt.Tier, useAux)
+	if c.auxEnabled(opt.Aux, useIEP) {
+		auxArena = auxgraph.PlanBudget(opt.AuxBudget, nv, workers, c.auxDeepSteps(useIEP)).AuxArenaPerWorker
 	}
 	var stop, aborted atomic.Bool
 	if opt.Budget > 0 {
@@ -264,108 +250,24 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 			}
 		}()
 	}
-	eligible := c.EdgeParallelEligible(useIEP)
-	if comp != nil {
-		eligible = comp.edgeOK
-	}
-	edgePar := eligible &&
+	edgePar := c.EdgeParallelEligible(useIEP) &&
 		opt.EdgeParallel != EdgeParallelOff &&
 		(opt.EdgeParallel == EdgeParallelOn || workers > 1)
-	if comp != nil {
-		total := c.runCompiled(comp, g, opt, workers, nv, edgePar, auxArena, &stop)
-		return total, !aborted.Load()
-	}
-	runners := make([]*runner, workers)
-	body := func(run func(r *runner, rg taskpool.Range)) func(int, taskpool.Range) {
-		return func(w int, rg taskpool.Range) {
-			if stop.Load() {
-				return
-			}
-			r := runners[w]
-			if r == nil {
-				r = newRunner(c, g, useIEP, visit, &stop)
-				if opt.Stats != nil {
-					r.st = telemetry.NewRunStats(c.n)
-				}
-				if useAux {
-					r.aux = auxgraph.New(g, auxArena)
-				}
-				runners[w] = r
-			}
-			run(r, rg)
-		}
-	}
-	if edgePar {
-		m := g.NumAdjSlots()
-		taskpool.Run(workers, m, opt.edgeChunk(m, nv, workers),
-			body(func(r *runner, rg taskpool.Range) { r.runRootEdges(rg.Start, rg.End) }))
-	} else {
-		taskpool.Run(workers, nv, opt.chunk(nv, workers),
-			body(func(r *runner, rg taskpool.Range) { r.runRoot(rg.Start, rg.End) }))
-	}
-	var total int64
-	for _, r := range runners {
-		if r != nil {
-			total += r.count
-			foldAuxStats(r.st, r.aux)
-			opt.Stats.Merge(r.st)
-		}
-	}
-	if useIEP && c.effectiveIEPK() >= 1 {
-		total = total * c.iepNum / c.iepDen
-	}
-	return total, !aborted.Load()
-}
-
-// tierWorker is what runCompiled needs of one worker's state on either
-// compiled tier (*codegen.State, *codegen.Clique).
-type tierWorker interface {
-	RunRoot(start, end int)
-	RunRootEdges(start, end int)
-	Count() int64
-	Stats() *telemetry.RunStats
-}
-
-// runCompiled executes a compiled tier under the same scheduling and
-// cancellation machinery as the interpreter: per-worker state built on the
-// worker's first task, the shared stop flag probed at outer-loop boundaries,
-// vertex- or edge-parallel root tasks. The raw tally is scaled by the
-// compilation's own correction — the clique kernel counts finals directly,
-// IEP-compiled closures carry the configuration's over-count factors.
-//
-//graphpi:deterministic
-func (c *Config) runCompiled(comp *Compiled, g *graph.Graph, opt RunOptions, workers, nv int, edgePar bool, auxArena int64, stop *atomic.Bool) int64 {
-	states := make([]tierWorker, workers)
-	auxes := make([]*auxgraph.Aux, workers)
-	newState := func(w int) tierWorker {
-		var st *telemetry.RunStats
-		if opt.Stats != nil {
-			st = telemetry.NewRunStats(c.n)
-		}
-		if comp.tier == TierGenerated {
-			k := codegen.NewClique(g, c.n, stop)
-			k.SetStats(st)
-			return k
-		}
-		s := comp.kern.NewState(stop)
-		s.SetStats(st)
-		if comp.aux {
-			auxes[w] = auxgraph.New(g, auxArena)
-			s.SetAux(auxes[w])
-		}
-		return s
-	}
+	// Every worker builds its executor on its first task and probes the
+	// shared stop flag at root boundaries; both executors take the same
+	// vertex- or edge-parallel root tasks.
+	ws := make([]tierWorker, workers)
 	body := func(w int, rg taskpool.Range) {
 		if stop.Load() {
 			return
 		}
-		if states[w] == nil {
-			states[w] = newState(w)
+		if ws[w] == nil {
+			ws[w] = c.newWorker(g, opt, useIEP, visit, &stop, auxArena)
 		}
 		if edgePar {
-			states[w].RunRootEdges(rg.Start, rg.End)
+			ws[w].RunRootEdges(rg.Start, rg.End)
 		} else {
-			states[w].RunRoot(rg.Start, rg.End)
+			ws[w].RunRoot(rg.Start, rg.End)
 		}
 	}
 	if edgePar {
@@ -375,28 +277,49 @@ func (c *Config) runCompiled(comp *Compiled, g *graph.Graph, opt RunOptions, wor
 		taskpool.Run(workers, nv, opt.chunk(nv, workers), body)
 	}
 	var total int64
-	for w, s := range states {
-		if s != nil {
-			total += s.Count()
-			foldAuxStats(s.Stats(), auxes[w])
-			opt.Stats.Merge(s.Stats())
+	for _, w := range ws {
+		if w != nil {
+			total += w.Count()
+			opt.Stats.Merge(w.Stats())
 		}
 	}
-	return total * comp.scaleNum / comp.scaleDen
+	if useIEP {
+		total = c.ScaleIEP(total)
+	}
+	return total, !aborted.Load()
 }
 
-// foldAuxStats copies a worker's auxiliary-graph counters into its telemetry
-// shard (before the shard is merged); a nil shard or scratch is a no-op.
-func foldAuxStats(dst *telemetry.RunStats, a *auxgraph.Aux) {
-	if dst == nil || a == nil {
-		return
+// tierWorker is one worker's state on either executor (*runner,
+// *codegen.Clique): root tasks over vertex ranges or CSR slot ranges, the raw
+// tally, and the telemetry shard (nil when telemetry is off).
+type tierWorker interface {
+	RunRoot(start, end int)
+	RunRootEdges(start, end int)
+	Count() int64
+	Stats() *telemetry.RunStats
+}
+
+// newWorker builds one worker's executor for a run with the given options:
+// the clique kernel for a counting run that resolves to it, the interpreter
+// otherwise — with a telemetry shard when opt.Stats is set and aux scratch of
+// auxArena bytes when positive. The clique kernel tallies final counts; its
+// configuration's effectiveIEPK is 0, so ScaleIEP leaves them alone.
+func (c *Config) newWorker(g *graph.Graph, opt RunOptions, useIEP bool, visit func([]uint32) bool, stop *atomic.Bool, auxArena int64) tierWorker {
+	var st *telemetry.RunStats
+	if opt.Stats != nil {
+		st = telemetry.NewRunStats(c.n)
 	}
-	st := a.Stats()
-	dst.Aux.Roots += st.Roots
-	dst.Aux.Rows += st.Rows
-	dst.Aux.Bytes += st.Bytes
-	dst.Aux.Hits += st.Hits
-	dst.Aux.Skips += st.Skips
+	if visit == nil && c.ResolveTier(opt.Tier) == TierGenerated {
+		k := codegen.NewClique(g, c.n, stop)
+		k.SetStats(st)
+		return k
+	}
+	r := newRunner(c, g, useIEP, visit, stop)
+	r.st = st
+	if auxArena > 0 {
+		r.aux = auxgraph.New(g, auxArena)
+	}
+	return r
 }
 
 // effectiveIEPK returns the IEP suffix a run actually evaluates in closed
@@ -416,16 +339,17 @@ func (c *Config) effectiveIEPK() int {
 }
 
 // Counter is the task-execution primitive for external runtimes (the
-// simulated cluster): it runs the configuration over explicit outermost-loop
-// vertex ranges and accumulates a raw tally. One Counter per goroutine.
+// cluster's workers): it runs the configuration over explicit outermost-loop
+// vertex or slot ranges and accumulates a raw tally, on the executor a local
+// count would pick — the clique kernel for a total-order clique, the
+// interpreter otherwise. One Counter per goroutine.
 type Counter struct {
-	r      *runner
-	useIEP bool
+	w tierWorker
 }
 
 // NewCounter creates a Counter bound to a configuration and graph.
 func NewCounter(cfg *Config, g *graph.Graph, useIEP bool) *Counter {
-	return &Counter{r: newRunner(cfg, g, useIEP, nil, nil), useIEP: useIEP}
+	return NewCounterStop(cfg, g, useIEP, nil)
 }
 
 // NewCounterStop is NewCounter with a shared stop flag: once stop becomes
@@ -435,13 +359,13 @@ func NewCounter(cfg *Config, g *graph.Graph, useIEP bool) *Counter {
 // external runtime (a cluster worker whose master disconnected, a cancelled
 // service job) can free its workers without finishing dead work.
 func NewCounterStop(cfg *Config, g *graph.Graph, useIEP bool, stop *atomic.Bool) *Counter {
-	return &Counter{r: newRunner(cfg, g, useIEP, nil, stop), useIEP: useIEP}
+	return &Counter{w: cfg.newWorker(g, RunOptions{}, useIEP, nil, stop, 0)}
 }
 
 // CountRange processes outer-loop vertices [start, end) and adds matches to
 // the internal tally.
 func (c *Counter) CountRange(start, end int) {
-	c.r.runRoot(start, end)
+	c.w.RunRoot(start, end)
 }
 
 // CountEdgeRange processes the CSR adjacency slots [start, end) — the
@@ -449,12 +373,12 @@ func (c *Counter) CountRange(start, end int) {
 // EdgeParallelEligible; the caller must cover every slot exactly once.
 func (c *Counter) CountEdgeRange(start, end int) {
 	if start < end {
-		c.r.runRootEdges(start, end)
+		c.w.RunRootEdges(start, end)
 	}
 }
 
 // Raw returns the accumulated tally, before any IEP scaling.
-func (c *Counter) Raw() int64 { return c.r.count }
+func (c *Counter) Raw() int64 { return c.w.Count() }
 
 // ScaleIEP converts a raw tally summed over IEP-enabled Counters into the
 // final embedding count.
@@ -468,10 +392,15 @@ func (c *Config) ScaleIEP(raw int64) int64 {
 // runner is the per-worker execution state of the interpreter: bound
 // vertices, intersection buffers and the IEP calculator. It walks the
 // configuration's memoised lowering (codegen.Program) — the same levels,
-// residual windows and bounded steps the compiled backends consume — so the
+// residual windows and bounded steps the source backend emits — so the
 // loop-nest rules live in codegen.Lower alone. A runner is single-goroutine.
+//
+// The struct and every slice the nest writes keep off other allocations'
+// cache lines (taskpool.LinePad, taskpool.Owned): placed plainly, a worker's
+// bound vertices could share a line with another worker's state or with the
+// plan's read-hot data, and the cores would trade it on every write.
 type runner struct {
-	_     taskpool.LinePad // see codegen.State
+	_     taskpool.LinePad
 	cfg   *Config
 	prog  *codegen.Program
 	g     *graph.Graph
@@ -527,8 +456,23 @@ func newRunner(cfg *Config, g *graph.Graph, useIEP bool, visit func([]uint32) bo
 	return r
 }
 
-// runRoot executes the outermost loop over the vertex range [start, end).
-func (r *runner) runRoot(start, end int) {
+// Count returns the raw tally accumulated so far (before IEP scaling).
+func (r *runner) Count() int64 { return r.count }
+
+// Stats returns the worker's telemetry shard (nil when telemetry is off)
+// with its aux scratch's counters copied in.
+func (r *runner) Stats() *telemetry.RunStats {
+	if r.st != nil && r.aux != nil {
+		a := r.aux.Stats()
+		r.st.Aux = telemetry.AuxStats{Roots: a.Roots, Rows: a.Rows, Bytes: a.Bytes, Hits: a.Hits, Skips: a.Skips}
+	}
+	return r.st
+}
+
+// RunRoot executes the outermost loop over the vertex range [start, end).
+//
+//graphpi:deterministic
+func (r *runner) RunRoot(start, end int) {
 	if lst := r.st.Level(0); lst != nil && end > start {
 		lst.Scan(end-start, 0)
 	}
@@ -550,11 +494,13 @@ func (r *runner) runRoot(start, end int) {
 	}
 }
 
-// runRootEdges executes the flattened first two loops over the CSR slot
+// RunRootEdges executes the flattened first two loops over the CSR slot
 // range [start, end). Each slot is one directed edge (v0, w); tasks are
 // therefore proportional to edges, so a hub's adjacency spreads across many
 // tasks instead of serializing the chunk that owns the hub.
-func (r *runner) runRootEdges(start, end int) {
+//
+//graphpi:deterministic
+func (r *runner) RunRootEdges(start, end int) {
 	g := r.g
 	v := g.SlotOwner(start)
 	for start < end {

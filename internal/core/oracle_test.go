@@ -152,7 +152,7 @@ func TestCliquesAgainstBruteForce(t *testing.T) {
 		}
 		cfg := res.Best
 		for gname, g := range graphs {
-			if got := cfg.ResolveTier(g, core.TierGenerated, true); got != core.TierGenerated {
+			if got := cfg.ResolveTier(core.TierGenerated); got != core.TierGenerated {
 				t.Fatalf("K%d on %s: planned configuration resolves to tier %s, want the clique kernel", q, gname, got)
 			}
 			want := baseline.BruteForceCount(g, p)
@@ -207,8 +207,7 @@ func TestEngineAgainstBruteForce(t *testing.T) {
 // TestEmptySetCutOnTriangleFreeGraph pins what the cut buys: on a tree the
 // House's first hoisted intersection N(vA) ∩ N(vB) is empty for every edge,
 // so every prefix is abandoned at the level that hosts the step — no deeper
-// scan, no later intersection and no IEP evaluation ever runs, in either
-// executor.
+// scan, no later intersection and no IEP evaluation ever runs.
 func TestEmptySetCutOnTriangleFreeGraph(t *testing.T) {
 	g := oracleGraphs(t)["tree"]
 	res, err := core.Plan(pattern.House(), g.Stats(), core.PlanOptions{})
@@ -216,33 +215,31 @@ func TestEmptySetCutOnTriangleFreeGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := res.Best
-	for _, tier := range []core.Tier{core.TierInterpret, core.TierCompiled} {
-		st := telemetry.NewRunStats(cfg.N())
-		if got := cfg.CountIEP(g, core.RunOptions{Workers: 1, Tier: tier, Stats: st}); got != 0 {
-			t.Fatalf("tier %s counted %d houses in a tree", tier, got)
+	st := telemetry.NewRunStats(cfg.N())
+	if got := cfg.CountIEP(g, core.RunOptions{Workers: 1, Stats: st}); got != 0 {
+		t.Fatalf("counted %d houses in a tree", got)
+	}
+	host := -1 // the shallowest level that hosts a step
+	for d, l := range st.Levels {
+		if l.Intersections > 0 {
+			host = d
+			break
 		}
-		host := -1 // the shallowest level that hosts a step
-		for d, l := range st.Levels {
-			if l.Intersections > 0 {
-				host = d
-				break
-			}
+	}
+	if host < 0 {
+		t.Fatal("ran no intersection")
+	}
+	if l := st.Levels[host]; l.Cuts == 0 || l.Cuts != l.Intersections {
+		t.Errorf("level %d: %d cuts for %d intersections, want one cut per (always empty) intersection",
+			host, l.Cuts, l.Intersections)
+	}
+	for d := host + 1; d < len(st.Levels); d++ {
+		if l := st.Levels[d]; l.Scans+l.Intersections+l.IEPCounts != 0 {
+			t.Errorf("level %d below the cut still ran: %+v", d, l)
 		}
-		if host < 0 {
-			t.Fatalf("tier %s ran no intersection", tier)
-		}
-		if l := st.Levels[host]; l.Cuts == 0 || l.Cuts != l.Intersections {
-			t.Errorf("tier %s level %d: %d cuts for %d intersections, want one cut per (always empty) intersection",
-				tier, host, l.Cuts, l.Intersections)
-		}
-		for d := host + 1; d < len(st.Levels); d++ {
-			if l := st.Levels[d]; l.Scans+l.Intersections+l.IEPCounts != 0 {
-				t.Errorf("tier %s level %d below the cut still ran: %+v", tier, d, l)
-			}
-		}
-		if st.Levels[host].IEPCounts != 0 {
-			t.Errorf("tier %s evaluated the IEP %d times on prefixes with an empty set", tier, st.Levels[host].IEPCounts)
-		}
+	}
+	if st.Levels[host].IEPCounts != 0 {
+		t.Errorf("evaluated the IEP %d times on prefixes with an empty set", st.Levels[host].IEPCounts)
 	}
 }
 
@@ -250,7 +247,7 @@ func checkAgainstOracle(t *testing.T, name string, cfg *core.Config, g *graph.Gr
 	t.Helper()
 	edges := p.Edges()
 	for _, workers := range []int{1, 3} {
-		for _, tier := range []core.Tier{core.TierInterpret, core.TierCompiled} {
+		for _, tier := range []core.Tier{core.TierInterpret, core.TierAuto} {
 			opt := core.RunOptions{Workers: workers, Tier: tier}
 			if got := cfg.Count(g, opt); got != want {
 				t.Errorf("%s: Count tier=%s workers=%d = %d, brute force %d", name, tier, workers, got, want)

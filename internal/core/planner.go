@@ -134,8 +134,8 @@ func Plan(pat *pattern.Pattern, stats graph.Stats, opt PlanOptions) (*PlanResult
 			return nil, err
 		}
 		cfg.Cost = c.cost
-		// Hand the costing statistics to the configuration so the compiled
-		// tier can freeze its intersection kernels from the same model.
+		// Hand the costing statistics to the configuration so drift reports
+		// and the aux gate reason from the same model.
 		p := params
 		cfg.planParams = &p
 		return cfg, nil

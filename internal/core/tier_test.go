@@ -2,12 +2,15 @@ package core
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 
+	"graphpi/internal/codegen"
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
 	"graphpi/internal/restrict"
 	"graphpi/internal/schedule"
+	"graphpi/internal/taskpool"
 	"graphpi/internal/telemetry"
 )
 
@@ -31,11 +34,7 @@ func cliqueConfig(t *testing.T, q int) *Config {
 // matrixCompare counts under every (tier, workers, edge-parallel) cell and
 // compares against the single-worker interpreter. Each tier also runs one
 // cell with telemetry enabled: collection must leave the count bit-identical
-// and must actually populate the per-level counters, and the closure tier's
-// counters must equal the interpreter's level by level — both execute the
-// same lowered steps, so they scan, intersect, prune and cut the same
-// prefixes (Cuts is the empty-set cut observed; kernel attribution is left
-// out because the closure tier freezes kernels from the cost model).
+// and must actually populate the per-level counters.
 func matrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, tiers []Tier, useIEP bool) {
 	t.Helper()
 	count := func(opt RunOptions) int64 {
@@ -45,8 +44,6 @@ func matrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, tiers
 		return cfg.Count(g, opt)
 	}
 	want := count(RunOptions{Workers: 1, Tier: TierInterpret})
-	ref := telemetry.NewRunStats(cfg.N())
-	count(RunOptions{Workers: 4, Tier: TierInterpret, Stats: ref})
 	for _, tier := range tiers {
 		for _, workers := range []int{1, 4} {
 			for _, ep := range []EdgeParallelMode{EdgeParallelOff, EdgeParallelAuto, EdgeParallelOn} {
@@ -65,28 +62,18 @@ func matrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, tiers
 		if st.Levels[0].Scans == 0 {
 			t.Errorf("%s iep=%v tier=%s: telemetry run recorded no level-0 scans", name, useIEP, tier)
 		}
-		if leaf := st.Levels[cfg.N()-1]; cfg.ResolveTier(g, tier, useIEP) == TierGenerated && leaf.Candidates != uint64(want) {
+		if leaf := st.Levels[cfg.N()-1]; cfg.ResolveTier(tier) == TierGenerated && leaf.Candidates != uint64(want) {
 			t.Errorf("%s iep=%v tier=%s: the clique kernel's leaf level scanned %d candidates, count is %d",
 				name, useIEP, tier, leaf.Candidates, want)
-		}
-		if tier != TierCompiled {
-			continue
-		}
-		for d := range st.Levels {
-			got, exp := st.Levels[d], ref.Levels[d]
-			if got.Cuts != exp.Cuts || got.Scans != exp.Scans || got.Candidates != exp.Candidates ||
-				got.Intersections != exp.Intersections || got.Prunes != exp.Prunes ||
-				got.DupSkips != exp.DupSkips || got.IEPCounts != exp.IEPCounts {
-				t.Errorf("%s iep=%v level %d: compiled tier recorded %+v, interpreter %+v", name, useIEP, d, got, exp)
-			}
 		}
 	}
 }
 
-// TestCompiledTierMatrixNamedPatterns runs the paper's evaluation patterns
-// through the full tier × workers × scheduling matrix on plain and
-// bitmap-accelerated graphs.
-func TestCompiledTierMatrixNamedPatterns(t *testing.T) {
+// TestTierMatrixNamedPatterns runs the paper's evaluation patterns through
+// the workers × scheduling matrix of the executor TierAuto picks (the
+// interpreter: none of them is a clique) on plain and bitmap-accelerated
+// graphs.
+func TestTierMatrixNamedPatterns(t *testing.T) {
 	g := graph.BarabasiAlbert(250, 4, 7)
 	gHub := graph.BarabasiAlbert(250, 4, 7)
 	gHub.BuildHubBitmaps(1<<24, 8)
@@ -104,7 +91,7 @@ func TestCompiledTierMatrixNamedPatterns(t *testing.T) {
 		cfg := res.Best
 		for _, gg := range []*graph.Graph{g, gHub} {
 			for _, useIEP := range []bool{false, true} {
-				matrixCompare(t, p.Name(), cfg, gg, []Tier{TierAuto, TierCompiled}, useIEP)
+				matrixCompare(t, p.Name(), cfg, gg, []Tier{TierAuto}, useIEP)
 			}
 		}
 	}
@@ -145,7 +132,7 @@ func TestGeneratedCliqueTierMatrix(t *testing.T) {
 		if !cfg.clique {
 			t.Fatalf("K%d chain config was not recognised as a total-order clique", q)
 		}
-		tiers := []Tier{TierAuto, TierCompiled, TierGenerated}
+		tiers := []Tier{TierAuto, TierGenerated}
 		for _, gg := range []*graph.Graph{g, gHub} {
 			matrixCompare(t, cfg.Pattern.Name(), cfg, gg, tiers, false)
 			if q <= maxIEPExactnessN {
@@ -246,69 +233,61 @@ func TestOneLoopIEPSuffix(t *testing.T) {
 	}
 }
 
-// TestTierResolution pins the auto-selection and fallback rules.
+// TestTierResolution pins the auto-selection and fallback rules, and that
+// the removed closure tier neither parses nor runs anywhere but on the
+// interpreter.
 func TestTierResolution(t *testing.T) {
 	g := graph.BarabasiAlbert(50, 3, 3)
 	k4 := cliqueConfig(t, 4)
-	if got := k4.ResolveTier(g, TierAuto, false); got != TierGenerated {
-		t.Errorf("K4 auto tier = %s, want generated", got)
-	}
-	if got := k4.ResolveTier(g, TierCompiled, false); got != TierCompiled {
-		t.Errorf("K4 compiled tier = %s, want compiled", got)
-	}
-	if got := k4.ResolveTier(g, TierInterpret, false); got != TierInterpret {
-		t.Errorf("K4 interpret tier = %s, want interpreted", got)
-	}
 	res, err := Plan(pattern.House(), g.Stats(), PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	house := res.Best
-	if got := house.ResolveTier(g, TierAuto, true); got != TierCompiled {
-		t.Errorf("House auto tier = %s, want compiled", got)
+	for _, tc := range []struct {
+		cfg  *Config
+		req  Tier
+		want Tier
+	}{
+		{k4, TierAuto, TierGenerated},
+		{k4, TierGenerated, TierGenerated},
+		{k4, TierInterpret, TierInterpret},
+		{k4, TierCompiled, TierInterpret},
+		{house, TierAuto, TierInterpret},
+		{house, TierGenerated, TierInterpret}, // no clique: falls back
+		{house, TierCompiled, TierInterpret},
+	} {
+		if got := tc.cfg.ResolveTier(tc.req); got != tc.want {
+			t.Errorf("%s requesting %s resolves to %s, want %s", tc.cfg.Pattern, tc.req, got, tc.want)
+		}
+		got, err := tc.cfg.CompileTier(g, true, tc.req)
+		if fallback := tc.req == TierGenerated && tc.want != TierGenerated; (err != nil) != fallback {
+			t.Errorf("%s CompileTier(%s) error = %v, want an error only for an unsatisfiable request", tc.cfg.Pattern, tc.req, err)
+		} else if err == nil && got != tc.want {
+			t.Errorf("%s CompileTier(%s) = %s, want %s", tc.cfg.Pattern, tc.req, got, tc.want)
+		}
 	}
-	// House is no clique: explicit requests must fall back.
-	if got := house.ResolveTier(g, TierGenerated, false); got != TierInterpret {
-		t.Errorf("House generated tier resolves to %s, want interpreted fallback", got)
+
+	_, err = ParseTier("compiled")
+	if err == nil {
+		t.Fatal(`ParseTier("compiled") accepted the removed tier`)
 	}
-	if _, err := house.CompileTier(g, false, TierGenerated); err == nil {
-		t.Error("CompileTier(TierGenerated) on House: want error")
-	}
-	if _, err := house.CompileTier(g, false, TierInterpret); err == nil {
-		t.Error("CompileTier(TierInterpret): want error")
+	for _, name := range []string{"auto", "interpret", "generated"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("ParseTier error %q does not name the remaining tier %q", err, name)
+		}
+		if _, err := ParseTier(name); err != nil {
+			t.Errorf("ParseTier(%q): %v", name, err)
+		}
 	}
 }
 
-// TestCompileMemoised pins that repeated counting runs reuse the same
-// compiled kernel (the service's hot-hit path relies on this).
-func TestCompileMemoised(t *testing.T) {
-	g := graph.BarabasiAlbert(50, 3, 3)
-	cfg := cliqueConfig(t, 4)
-	cp1, err := cfg.Compile(g, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := cfg.Compile(g, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp1 != cp2 {
-		t.Error("Compile built a second kernel for the same (graph, IEP, tier)")
-	}
-	cp3, err := cfg.CompileTier(g, false, TierCompiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp3 == cp1 {
-		t.Error("different tiers share one memo entry")
-	}
-}
-
-// TestCompiledRandomizedConfigs is the property test: random graphs,
-// random connected patterns, random valid schedules with the generated
-// restriction sets — every tier must agree with the interpreter, including
-// configurations the planner would never pick.
-func TestCompiledRandomizedConfigs(t *testing.T) {
+// TestRandomizedConfigs is the property test: random graphs, random
+// connected patterns, random valid schedules with the generated restriction
+// sets — the executor TierAuto picks (the clique kernel for the total-order
+// cliques among them) must agree with the single-worker interpreter at any
+// worker count, including on configurations the planner would never pick.
+func TestRandomizedConfigs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 17))
 	pats := pattern.AllConnected(4)
 	pats = append(pats, pattern.AllConnected(5)...)
@@ -317,7 +296,7 @@ func TestCompiledRandomizedConfigs(t *testing.T) {
 		p := pats[rng.IntN(len(pats))]
 		sres := schedule.Generate(p, schedule.Options{KeepEliminated: true})
 		// Include eliminated schedules too: their CandFull loops exercise
-		// the compiled full-scan path the planner never picks.
+		// the full-scan path the planner never picks.
 		scheds := append(append([]schedule.Schedule(nil), sres.Efficient...), sres.Eliminated...)
 		s := scheds[rng.IntN(len(scheds))]
 		sets, err := restrict.Generate(p, restrict.Options{})
@@ -326,7 +305,7 @@ func TestCompiledRandomizedConfigs(t *testing.T) {
 		}
 		rs := sets[rng.IntN(len(sets))]
 		if rng.IntN(4) == 0 {
-			rs = nil // restriction-free: duplicate checks must survive compilation
+			rs = nil // restriction-free: duplicate checks must survive lowering
 		}
 		cfg, err := NewConfig(p, s, rs)
 		if err != nil {
@@ -341,12 +320,60 @@ func TestCompiledRandomizedConfigs(t *testing.T) {
 				return cfg.Count(g, opt)
 			}
 			want := count(TierInterpret, 1)
-			for _, tier := range []Tier{TierAuto, TierCompiled} {
-				if got := count(tier, 1+rng.IntN(4)); got != want {
-					t.Errorf("trial %d %s sched=%v restr=%v iep=%v tier=%s: %d, interpreter %d",
-						trial, p, s, rs, useIEP, tier, got, want)
-				}
+			if got := count(TierAuto, 1+rng.IntN(4)); got != want {
+				t.Errorf("trial %d %s sched=%v restr=%v iep=%v: %d, interpreter %d",
+					trial, p, s, rs, useIEP, got, want)
 			}
 		}
 	}
+}
+
+// TestCounterExecutor: a Counter — what cluster workers run — picks its
+// executor by the rule a local count uses: the clique kernel for a
+// total-order clique, the interpreter otherwise. Vertex- and slot-range
+// covers must both reproduce the local count.
+func TestCounterExecutor(t *testing.T) {
+	g := graph.BarabasiAlbert(400, 6, 5)
+	res, err := Plan(pattern.House(), g.Stats(), PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cfg    *Config
+		clique bool
+	}{
+		{cliqueConfig(t, 4), true},
+		{cliqueConfig(t, 5), true},
+		{res.Best, false},
+	} {
+		for _, useIEP := range []bool{false, true} {
+			want := tc.cfg.CountIEP(g, RunOptions{Workers: 1, Tier: TierInterpret})
+			c := NewCounter(tc.cfg, g, useIEP)
+			if _, ok := c.w.(*codegen.Clique); ok != tc.clique {
+				t.Fatalf("%s: counter runs %T, want the clique kernel: %v", tc.cfg.Pattern, c.w, tc.clique)
+			}
+			c.CountRange(0, g.NumVertices())
+			if got := scale(tc.cfg, useIEP, c.Raw()); got != want {
+				t.Errorf("%s iep=%v: vertex-range counter %d, local %d", tc.cfg.Pattern, useIEP, got, want)
+			}
+			if !tc.cfg.EdgeParallelEligible(useIEP) {
+				continue
+			}
+			c = NewCounter(tc.cfg, g, useIEP)
+			for _, tk := range taskpool.SplitChunks(g.NumAdjSlots(), 37) {
+				c.CountEdgeRange(tk.Start, tk.End)
+			}
+			if got := scale(tc.cfg, useIEP, c.Raw()); got != want {
+				t.Errorf("%s iep=%v: slot-range counter %d, local %d", tc.cfg.Pattern, useIEP, got, want)
+			}
+		}
+	}
+}
+
+// scale applies the IEP correction a cluster master applies to raw tallies.
+func scale(cfg *Config, useIEP bool, raw int64) int64 {
+	if useIEP {
+		return cfg.ScaleIEP(raw)
+	}
+	return raw
 }

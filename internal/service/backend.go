@@ -16,19 +16,20 @@ import (
 // A backend executes a compiled counting job. The service plans once
 // (through the cache) and then dispatches the identical configuration either
 // onto the local engine or across a connected TCP worker cluster; because
-// both runtimes execute the same compiled loop program, the counts are
-// bit-identical — asserted by test, and the reason a query can move between
-// backends transparently.
+// both runtimes execute the same configuration on the same executors, the
+// counts are bit-identical — asserted by test, and the reason a query can
+// move between backends transparently.
 type backend interface {
 	// name tags job records and metrics.
 	name() string
 	// count runs the configuration to completion or ctx cancellation. tier
 	// selects the local execution tier and aux the auxiliary-graph pruning
-	// mode; the cluster backend ignores both (the wire protocol runs the
-	// plain interpreter on every worker — counts are bit-identical, so a
-	// query moving between backends only changes speed). stats, when
-	// non-nil, receives the run's per-level telemetry — local backend only,
-	// since the wire protocol reduces counts, not counters.
+	// mode; the cluster backend ignores both (its workers pick the executor
+	// an automatic request would and build no aux graphs — counts are
+	// bit-identical, so a query moving between backends only changes
+	// speed). stats, when non-nil, receives the run's per-level telemetry —
+	// local backend only, since the wire protocol reduces counts, not
+	// counters.
 	count(ctx context.Context, cfg *core.Config, g *graph.Graph, useIEP bool, workers int, tier core.Tier, aux core.AuxMode, stats *telemetry.RunStats) (int64, error)
 }
 

@@ -62,7 +62,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Schedule: cfg.Schedule.String(),
 		IEP:      req.useIEP,
 		Cache:    cacheLabel(hit),
-		Tier:     cfg.ResolveTier(rg.g, req.tier, req.useIEP).String(),
+		Tier:     cfg.ResolveTier(req.tier).String(),
 		PlanSec:  planSec,
 	}
 	if d, ok := cfg.DriftReport(req.useIEP, nil); ok {

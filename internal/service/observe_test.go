@@ -27,16 +27,15 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 }
 
 // TestServiceProfilePerTier: ?profile=1 must return per-level
-// predicted-vs-actual stats on all three execution tiers, leave the count
-// bit-identical, survive a plan-cache hit (the hot path re-enters the memoized
-// kernel with collection on), and stay absent without the flag.
+// predicted-vs-actual stats on both executors, leave the count bit-identical,
+// survive a plan-cache hit, and stay absent without the flag.
 func TestServiceProfilePerTier(t *testing.T) {
 	g := baFixture(300, 4, 7)
 	s := newTestServer(t, g, Options{})
 	base := startHTTP(t, s)
 
-	// k4 is a clique, so all three tiers are real kernels rather than silent
-	// interpreter fallbacks.
+	// k4 is a clique, so both tiers are real executors rather than a silent
+	// interpreter fallback.
 	var ref queryResult
 	if code := getJSON(t, base+"/count?graph=ba&pattern=k4", &ref); code != 200 {
 		t.Fatalf("reference count: status %d", code)
@@ -47,7 +46,6 @@ func TestServiceProfilePerTier(t *testing.T) {
 
 	for _, tc := range []struct{ tier, label string }{
 		{"interpret", "interpreted"},
-		{"compiled", "compiled"},
 		{"generated", "generated"},
 	} {
 		url := base + "/count?graph=ba&pattern=k4&tier=" + tc.tier + "&profile=1"

@@ -89,7 +89,7 @@ type Options struct {
 	// an operator opt-in (-pprof on the CLI), not a public surface.
 	EnablePprof bool
 	// Tracer, if non-nil, receives NDJSON span events for the coarse phases
-	// of every query: plan, compile, run, cluster-deal.
+	// of every query: plan, run, cluster-deal.
 	Tracer *telemetry.Tracer
 	// Logf, if non-nil, receives lifecycle messages.
 	Logf func(format string, args ...any)
@@ -409,20 +409,6 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 		defer s.workers.Release(w)
 	}
 
-	// Surface the lowering phase as its own span. The compile memo lives on
-	// the cached configuration, so this is real work on the first run of a
-	// plan and a lookup afterwards — the span durations show exactly that.
-	if s.opt.Tracer != nil && local {
-		tComp := time.Now()
-		rt := cfg.ResolveTier(rg.g, req.tier, req.useIEP)
-		if rt != core.TierInterpret {
-			if _, cerr := cfg.CompileTier(rg.g, req.useIEP, rt); cerr != nil {
-				rt = core.TierInterpret // engine will fall back the same way
-			}
-		}
-		s.opt.Tracer.Span("compile", tComp, map[string]string{"tier": rt.String()})
-	}
-
 	// ?profile=1: hand the backend a stats sink. Local runs merge every
 	// worker shard into it; the cluster backend leaves it empty (the wire
 	// reduces counts, not counters) and the profile reports predictions only.
@@ -459,16 +445,12 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 		ExecSec: execSec,
 	}
 	res.Schedule = cfg.Schedule.String()
-	// Label the execution tier. The cluster wire protocol runs the
-	// interpreter on every worker; local jobs resolve through the same
-	// memo the engine consulted, so the label names the kernel that
-	// actually ran. Because the configuration (and its compiled-plan memo)
-	// lives in the plan cache, a hot /count hit re-enters the compiled
-	// kernel without re-lowering anything.
+	// Label the executor that ran. Local jobs honour the requested tier;
+	// cluster workers pick the executor as an automatic request would.
 	if local {
-		res.Tier = cfg.ResolveTier(rg.g, req.tier, req.useIEP).String()
+		res.Tier = cfg.ResolveTier(req.tier).String()
 	} else {
-		res.Tier = core.TierInterpret.String()
+		res.Tier = cfg.ResolveTier(core.TierAuto).String()
 	}
 	if req.profile {
 		p := &ProfileReport{Tier: res.Tier}

@@ -244,8 +244,8 @@ func (s *RunStats) TotalCandidates() uint64 {
 
 // ClassifyIntersect maps the operand sizes of an adaptive intersection to
 // the kernel family vertexset.Intersect would pick, given the gallop ratio
-// it uses. Tiers that freeze the kernel at compile time attribute directly;
-// the adaptive paths call this so attribution matches execution.
+// it uses, for callers that know only the operand sizes (the executors
+// attribute the kernel vertexset.IntersectWindow reports).
 func ClassifyIntersect(lenA, lenB, gallopRatio int) int {
 	small, large := lenA, lenB
 	if small > large {

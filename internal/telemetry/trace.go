@@ -8,7 +8,7 @@ import (
 )
 
 // Tracer writes NDJSON span events — one JSON object per line — for the
-// coarse phases of query execution: plan, compile, run, cluster-deal,
+// coarse phases of query execution: plan, run, cluster-deal,
 // request. A Tracer is safe for concurrent use; a nil *Tracer discards
 // every event, so call sites need no enablement checks.
 //
