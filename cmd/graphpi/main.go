@@ -62,9 +62,8 @@ func main() {
 		limit       = flag.Int64("limit", 20, "max embeddings to list with -list")
 		workers     = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS; with -serve, 0 = honor the master; with -server, the shared job worker budget)")
 		hybrid      = flag.Bool("hybrid", false, "run on the degree-ordered, bitmap-accelerated hybrid adjacency view")
-		hubBudget   = flag.Int64("hub-budget", 0, "unified view budget in bytes with -hybrid: hub bitmaps and -aux scratch share it (0 = 96 MiB default)")
+		hubBudget   = flag.Int64("hub-budget", 0, "hub-bitmap memory budget in bytes with -hybrid (0 = 64 MiB)")
 		hubFloor    = flag.Int("hub-floor", 0, "minimum degree for a hub bitmap with -hybrid (0 = default 64)")
-		auxName     = flag.String("aux", "off", "auxiliary-graph pruning: off, on (cost-model gated) or force")
 		baseline    = flag.Bool("graphzero", false, "plan like the GraphZero baseline")
 		edgePar     = flag.String("edge-parallel", "auto", "root task shape: auto, on, or off")
 		tierName    = flag.String("tier", "auto", "counting execution tier: auto, interpret or generated (the clique kernel: k3 and every larger clique)")
@@ -100,17 +99,12 @@ func main() {
 		list:        *list,
 		emitGo:      *emitGo,
 		tierName:    *tierName,
-		auxName:     *auxName,
 		pprofOn:     *pprofOn,
 		statsOn:     *statsOn,
 	}); err != nil {
 		failUsage(err)
 	}
 	tier, err := graphpi.ParseTier(*tierName)
-	if err != nil {
-		failUsage(err)
-	}
-	auxMode, err := graphpi.ParseAuxMode(*auxName)
 	if err != nil {
 		failUsage(err)
 	}
@@ -185,9 +179,6 @@ func main() {
 	fmt.Printf("pattern: %s\n", p)
 
 	opts := []graphpi.Option{graphpi.WithWorkers(*workers), graphpi.WithTier(tier)}
-	if auxMode != graphpi.AuxOff {
-		opts = append(opts, graphpi.WithAux(auxMode), graphpi.WithViewBudget(*hubBudget))
-	}
 	if tracer != nil {
 		opts = append(opts, graphpi.WithTracer(tracer))
 	}
@@ -268,15 +259,11 @@ func printRunStats(plan *graphpi.Plan, useIEP bool, st *graphpi.RunStats) {
 	fmt.Println("run stats (per schedule level):")
 	for d := range st.Levels {
 		l := &st.Levels[d]
-		fmt.Printf("  level %d: scans=%d cand=%d (max %d) isect=%d [merge %d, gallop %d, bitmap %d, aux %d] prunes=%d dups=%d cuts=%d iep=%d wall~%v\n",
+		fmt.Printf("  level %d: scans=%d cand=%d (max %d) isect=%d [merge %d, gallop %d, bitmap %d] prunes=%d dups=%d cuts=%d iep=%d wall~%v\n",
 			d, l.Scans, l.Candidates, l.CandMax, l.Intersections,
-			l.Kernels[0], l.Kernels[1], l.Kernels[2], l.Kernels[3],
+			l.Kernels[0], l.Kernels[1], l.Kernels[2],
 			l.Prunes, l.DupSkips, l.Cuts, l.IEPCounts,
 			time.Duration(l.WallNS).Round(time.Microsecond))
-	}
-	if a := st.Aux; a.Roots > 0 || a.Rows > 0 || a.Skips > 0 {
-		fmt.Printf("aux graphs: roots=%d rows=%d bytes=%d hits=%d skips=%d\n",
-			a.Roots, a.Rows, a.Bytes, a.Hits, a.Skips)
 	}
 	rep, ok := plan.Drift(useIEP, st)
 	if !ok {
@@ -308,7 +295,6 @@ type flagState struct {
 	clusterWk, emitGo                string
 	list                             bool
 	tierName                         string
-	auxName                          string
 	pprofOn, statsOn                 bool
 }
 
@@ -390,17 +376,6 @@ func validateFlags(f flagState) error {
 			return fmt.Errorf("-tier does not apply to -server (pass tier= per query instead)")
 		case f.serveAddr != "":
 			return fmt.Errorf("-tier does not apply to -serve (workers run the clique kernel for cliques, the interpreter otherwise)")
-		}
-	}
-
-	// -aux steers the one-shot query engine; the server takes aux= per query
-	// and the cluster data plane does not build aux graphs.
-	if f.auxName != "" && f.auxName != "off" {
-		switch {
-		case f.serverAddr != "":
-			return fmt.Errorf("-aux does not apply to -server (pass aux= per query instead)")
-		case f.serveAddr != "" || f.joinAddrs != "" || f.nodes > 0:
-			return fmt.Errorf("-aux only applies to one-shot runs (the cluster data plane does not build aux graphs)")
 		}
 	}
 

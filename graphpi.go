@@ -34,11 +34,9 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"time"
 
 	"graphpi/internal/approx"
-	"graphpi/internal/auxgraph"
 	"graphpi/internal/cluster"
 	"graphpi/internal/codegen"
 	"graphpi/internal/core"
@@ -87,17 +85,12 @@ func (g *Graph) StatsString() string { return g.g.Stats().String() }
 // power-law graphs; Enumerate still reports original vertex ids. The
 // original graph is not modified.
 //
-// viewBudgetBytes is the unified view budget (<= 0 → a 96 MiB default): one
-// allocator (internal/auxgraph.PlanBudget) splits it between the hub bitmaps
-// built here and the per-worker auxiliary-graph scratch that runs with
-// WithAux consume at execution time, so the two acceleration structures are
-// sized together instead of competing unaccounted. Pass the same value to
-// WithViewBudget so runs agree with the view.
-//
-// Vertices only become hubs above a degree floor of 64; use OptimizeHubs to
-// tune it.
-func (g *Graph) Optimize(viewBudgetBytes int64) *Graph {
-	return g.OptimizeHubs(viewBudgetBytes, 0)
+// hubBudgetBytes bounds the memory of the hub bitmaps, their 4-byte-per-
+// vertex index included (<= 0 → 64 MiB, the same default as the query
+// service's hub_budget). Vertices only become hubs above a degree floor of
+// 64; use OptimizeHubs to tune it.
+func (g *Graph) Optimize(hubBudgetBytes int64) *Graph {
+	return g.OptimizeHubs(hubBudgetBytes, 0)
 }
 
 // OptimizeHubs is Optimize with an explicit hub degree floor: only vertices
@@ -106,13 +99,9 @@ func (g *Graph) Optimize(viewBudgetBytes int64) *Graph {
 // coverage on flatter degree distributions; snapshots of the view persist
 // both the budget and the floor, so SaveBinary/LoadGraph round trips
 // rebuild the same hub set.
-func (g *Graph) OptimizeHubs(viewBudgetBytes int64, hubDegreeFloor int) *Graph {
+func (g *Graph) OptimizeHubs(hubBudgetBytes int64, hubDegreeFloor int) *Graph {
 	og := g.g.Reorder()
-	// The hub share of the unified view budget; the aux share is consumed
-	// per run, per worker (see RunOptions.AuxBudget), sized by the actual
-	// schedule. Here the nominal single deep step stands in for it.
-	split := auxgraph.PlanBudget(viewBudgetBytes, og.NumVertices(), runtime.GOMAXPROCS(0), 1)
-	og.BuildHubBitmaps(split.HubBytes, hubDegreeFloor)
+	og.BuildHubBitmaps(hubBudgetBytes, hubDegreeFloor)
 	return &Graph{g: og}
 }
 
@@ -290,8 +279,6 @@ type options struct {
 	tier      core.Tier
 	stats     *telemetry.RunStats
 	tracer    *telemetry.Tracer
-	aux       core.AuxMode
-	auxBudget int64
 }
 
 // WithWorkers sets the number of worker goroutines (default: GOMAXPROCS).
@@ -342,32 +329,23 @@ const TierCompiled = core.TierCompiled
 // WithTier selects the counting execution tier (see Tier).
 func WithTier(t Tier) Option { return func(o *options) { o.tier = t } }
 
-// AuxMode selects auxiliary-graph pruning: per-root pruned adjacency rows
-// (N(v) ∩ N(root)) materialized lazily and reused across sibling subtrees in
-// place of full-row intersections. AuxOff (the default) never builds them;
-// AuxOn enables them when the plan is structurally eligible and the cost
-// model predicts the reuse to clear the build cost; AuxForce skips the cost
-// gate (benchmarks). Counts are bit-identical in every mode.
-type AuxMode = core.AuxMode
+// AuxMode named a mode of the removed auxiliary-graph pruning.
+//
+// Deprecated: it has no effect.
+type AuxMode uint8
 
+// AuxOff and AuxOn were the values of AuxMode.
+//
+// Deprecated: they have no effect.
 const (
-	AuxOff   = core.AuxOff
-	AuxOn    = core.AuxOn
-	AuxForce = core.AuxForce
+	AuxOff AuxMode = iota
+	AuxOn
 )
 
-// WithAux selects auxiliary-graph pruning for the plan's runs (see AuxMode).
-func WithAux(m AuxMode) Option { return func(o *options) { o.aux = m } }
-
-// WithViewBudget sets the unified view budget the plan's runs size their
-// auxiliary-graph scratch from (<= 0 → a 96 MiB default). Only the aux share
-// of the split is consumed at run time; pass the same value to Optimize so
-// the hub share agrees. See internal/auxgraph.PlanBudget.
-func WithViewBudget(bytes int64) Option { return func(o *options) { o.auxBudget = bytes } }
-
-// ParseAuxMode parses an aux mode name as accepted by the CLI and the query
-// service ("off", "on", "force").
-func ParseAuxMode(s string) (AuxMode, error) { return core.ParseAuxMode(s) }
+// WithAux selected auxiliary-graph pruning.
+//
+// Deprecated: it is a no-op; counts and speed do not depend on it.
+func WithAux(AuxMode) Option { return func(*options) {} }
 
 // RunStats is the per-level execution telemetry a run collects: candidate
 // scans and set sizes, intersection counts by kernel family, restriction
@@ -543,8 +521,6 @@ func (pl *Plan) runOptions() core.RunOptions {
 		EdgeParallel: pl.opts.edgePar,
 		Tier:         pl.opts.tier,
 		Stats:        pl.opts.stats,
-		Aux:          pl.opts.aux,
-		AuxBudget:    pl.opts.auxBudget,
 	}
 }
 

@@ -5,13 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"graphpi/internal/service"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -527,6 +531,49 @@ func TestOptimizeHubsFacade(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: count = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// TestHubBudgetSingleMeaning: a hub budget means the same thing in every
+// entry point. OptimizeHubs, BuildHubBitmaps on the reordered graph and the
+// service's POST /graphs hub_budget must build the same hub set for a budget
+// that binds, whatever GOMAXPROCS is.
+func TestHubBudgetSingleMeaning(t *testing.T) {
+	const budget, floor = 480 << 10, 1
+	g := GenerateBA(4096, 4, 17)
+	ref := g.g.Reorder()
+	wantHubs := ref.BuildHubBitmaps(budget, floor)
+	wantBytes := ref.HubMemoryBytes()
+	if wantHubs == 0 || wantHubs == g.NumVertices() {
+		t.Fatalf("budget does not bind: %d of %d vertices are hubs", wantHubs, g.NumVertices())
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 64} {
+		runtime.GOMAXPROCS(procs)
+		og := g.OptimizeHubs(budget, floor).g
+		if og.NumHubs() != wantHubs || og.HubMemoryBytes() != wantBytes {
+			t.Errorf("GOMAXPROCS=%d: OptimizeHubs built %d hubs (%d B), BuildHubBitmaps %d (%d B)",
+				procs, og.NumHubs(), og.HubMemoryBytes(), wantHubs, wantBytes)
+		}
+	}
+
+	snap := filepath.Join(t.TempDir(), "ba.bin")
+	if err := g.SaveBinary(snap); err != nil {
+		t.Fatal(err)
+	}
+	s := service.New(service.Options{})
+	defer s.Close()
+	body := fmt.Sprintf(`{"name":"ba","path":%q,"optimize":true,"hub_budget":%d,"hub_floor":%d}`, snap, budget, floor)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/graphs", strings.NewReader(body)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("POST /graphs = %d: %s", rec.Code, rec.Body)
+	}
+	sg, _ := s.Graph("ba")
+	if sg.NumHubs() != wantHubs || sg.HubMemoryBytes() != wantBytes {
+		t.Errorf("service hub_budget built %d hubs (%d B), BuildHubBitmaps %d (%d B)",
+			sg.NumHubs(), sg.HubMemoryBytes(), wantHubs, wantBytes)
 	}
 }
 

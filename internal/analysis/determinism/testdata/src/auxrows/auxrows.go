@@ -1,12 +1,12 @@
-// Fixture for determinism over the auxiliary-graph build path
-// (internal/auxgraph): the per-root scratch that materializes pruned
-// adjacency rows lazily. Its annotated entry points (BeginRoot, Row) reach
-// the row builder transitively, so any map-order dependence in the build —
+// Fixture for determinism over a per-root scratch build path: a structure
+// that materializes pruned adjacency rows lazily, shaped like GraphMini's
+// auxiliary graphs. Its annotated entry points (BeginRoot, Row) reach the
+// row builder transitively, so any map-order dependence in the build —
 // the classic way scratch structures leak nondeterminism into counts — must
 // be flagged two hops from the annotation.
 package auxrows
 
-// aux mirrors the real scratch: flat slices keyed by vertex id, which is the
+// aux is the flat scratch shape: slices keyed by vertex id, which is the
 // deterministic-by-construction shape the analyzer should pass unflagged.
 type aux struct {
 	idx     []int32

@@ -32,24 +32,6 @@ import (
 	"graphpi/internal/vertexset"
 )
 
-// AuxMode marks a hoisted intersection as servable from the root's
-// auxiliary graph (internal/auxgraph): pruned rows N(v) ∩ N(v0) substitute
-// for full CSR rows without changing the result. The classification is
-// structural — core derives it from the plan — and the interpreter probes
-// the pruned row for marked steps when the run enables pruning.
-type AuxMode uint8
-
-const (
-	// AuxNone: the step must use the full CSR row.
-	AuxNone AuxMode = iota
-	// AuxRight: the left operand is contained in N(v0), so the right row
-	// may be replaced by its pruned form.
-	AuxRight
-	// AuxCopy: the left operand is N(v0) itself, so the pruned row IS the
-	// result — a copy replaces the intersection.
-	AuxCopy
-)
-
 // Spec is the neutral, core-independent description of one executable
 // configuration: everything the lowering needs, nothing engine-internal.
 type Spec struct {
@@ -70,15 +52,12 @@ type Spec struct {
 	KIEP int
 	// IEPNum/IEPDen scale the raw IEP tally (1/1 for complete sets).
 	IEPNum, IEPDen int64
-	// AuxModes[d][i] marks Plan.Steps[d][i] as aux-servable; nil (or a
-	// short row) means AuxNone. Ignored unless the run enables pruning.
-	AuxModes [][]AuxMode
 	// Pattern, Schedule, Restrictions are display strings for the source
 	// backend's generated header.
 	Pattern, Schedule, Restrictions string
 }
 
-// Step is one hoisted intersection with its aux marking and window:
+// Step is one hoisted intersection with its window:
 // Out = Left ∩ N(v_Depth) ∩ [lo, hi).
 //
 // Lowers/Uppers are the restriction bounds the step applies to both operands
@@ -99,7 +78,6 @@ type Spec struct {
 // nothing to count or to enumerate.
 type Step struct {
 	schedule.Step
-	Aux AuxMode
 	// Lowers/Uppers are the positions p <= Depth whose bound vertex lower-
 	// (out > v_p) or upper-limits (out < v_p) the output.
 	Lowers, Uppers []uint8
@@ -161,10 +139,9 @@ type IEPExclusion struct {
 }
 
 // Lower turns a Spec into a Program, resolving once what would otherwise be
-// re-derived per iteration: leaf/cut roles, duplicate checks, the aux marking
-// of every hoisted intersection, and where each restriction bound is applied —
-// in the step that builds a candidate set when all of the set's consumers
-// agree on it, at the scan otherwise.
+// re-derived per iteration: leaf/cut roles, duplicate checks, and where each
+// restriction bound is applied — in the step that builds a candidate set when
+// all of the set's consumers agree on it, at the scan otherwise.
 func Lower(spec Spec) (*Program, error) {
 	n := spec.N
 	if n < 1 {
@@ -215,12 +192,8 @@ func Lower(spec Spec) (*Program, error) {
 			IsLeaf: d == n-1 && p.IEPCut != d,
 			AtCut:  d == p.IEPCut,
 		}
-		for i, st := range spec.Plan.Steps[d] {
-			aux := AuxNone
-			if d < len(spec.AuxModes) && i < len(spec.AuxModes[d]) {
-				aux = spec.AuxModes[d][i]
-			}
-			lv.Steps = append(lv.Steps, Step{Step: st, Aux: aux})
+		for _, st := range spec.Plan.Steps[d] {
+			lv.Steps = append(lv.Steps, Step{Step: st})
 		}
 		p.Levels[d] = lv
 	}

@@ -61,20 +61,15 @@ type Config struct {
 	// iepDen with iepNum = 1 for complete restriction sets).
 	iepNum, iepDen int64
 	// planParams, when set by the planner, carries the data-graph
-	// statistics the configuration was costed against (drift reports and
-	// the aux gate read them). Manually built configurations leave it nil.
+	// statistics the configuration was costed against (drift reports read
+	// them). Manually built configurations leave it nil.
 	planParams *costmodel.Params
 	// clique reports that the clique kernel may substitute for this
 	// configuration (see detectCliqueKernel).
 	clique bool
-	// auxModes[d][i] classifies plan.Steps[d][i] against the level-0
-	// auxiliary graph (see computeAuxModes); structural, independent of
-	// whether a run enables pruning.
-	auxModes [][]auxStepMode
 	// progEnum / progIEP are the lowered loop nests the interpreter walks:
 	// the full enumeration nest, and the nest cut for the IEP suffix (nil
-	// when kIEP is 0). Lowered once here, aux markings always present (a run
-	// without scratch ignores them).
+	// when kIEP is 0). Lowered once here.
 	progEnum, progIEP *codegen.Program
 }
 
@@ -156,7 +151,6 @@ func NewConfig(pat *pattern.Pattern, sched schedule.Schedule, rs restrict.Set) (
 	}
 	c.computeIEPScaling()
 	c.detectCliqueKernel(windows)
-	c.computeAuxModes()
 	if err := c.lowerPrograms(); err != nil {
 		return nil, err
 	}
@@ -167,17 +161,12 @@ func NewConfig(pat *pattern.Pattern, sched schedule.Schedule, rs restrict.Set) (
 // IEP suffix cannot be lowered (a disconnected inner vertex would need the
 // whole vertex set as an IEP set) keeps counting exactly by giving up IEP.
 func (c *Config) lowerPrograms() error {
-	lower := func(useIEP bool) (*codegen.Program, error) {
-		spec := c.lowerSpec(useIEP)
-		spec.AuxModes = c.auxSpecModes(useIEP)
-		return codegen.Lower(spec)
-	}
 	var err error
-	if c.progEnum, err = lower(false); err != nil {
+	if c.progEnum, err = codegen.Lower(c.lowerSpec(false)); err != nil {
 		return err
 	}
 	if c.effectiveIEPK() >= 1 {
-		if c.progIEP, err = lower(true); err != nil {
+		if c.progIEP, err = codegen.Lower(c.lowerSpec(true)); err != nil {
 			c.kIEP, c.iepNum, c.iepDen = 0, 1, 1
 		}
 	}

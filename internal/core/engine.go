@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graphpi/internal/auxgraph"
 	"graphpi/internal/codegen"
 	"graphpi/internal/graph"
 	"graphpi/internal/iep"
@@ -69,15 +68,6 @@ type RunOptions struct {
 	// and without Stats; the disabled path pays one nil check per
 	// candidate scan. Allocate with telemetry.NewRunStats(cfg.N()).
 	Stats *telemetry.RunStats
-	// Aux selects auxiliary-graph pruning (per-root pruned adjacency rows
-	// reused across sibling subtrees; see internal/auxgraph and AuxMode).
-	// Off by default; counts are bit-identical in every mode.
-	Aux AuxMode
-	// AuxBudget is the total view-memory budget the aux scratch shares with
-	// the hub bitmaps (<= 0 → auxgraph.DefaultViewBudget). The run consumes
-	// only the aux share of the split (auxgraph.PlanBudget); the hub share
-	// was consumed when the graph view was optimized.
-	AuxBudget int64
 }
 
 func (o RunOptions) chunk(n, workers int) int {
@@ -220,13 +210,6 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 		return 0, true
 	}
 	workers := taskpool.Workers(opt.Workers)
-	// The unified view budget is split here: the hub share was consumed when
-	// the graph view was optimized, the per-worker aux share sizes the
-	// interpreter's scratch arenas.
-	var auxArena int64
-	if c.auxEnabled(opt.Aux, useIEP) {
-		auxArena = auxgraph.PlanBudget(opt.AuxBudget, nv, workers, c.auxDeepSteps(useIEP)).AuxArenaPerWorker
-	}
 	var stop, aborted atomic.Bool
 	if opt.Budget > 0 {
 		timer := time.AfterFunc(opt.Budget, func() {
@@ -262,7 +245,7 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 			return
 		}
 		if ws[w] == nil {
-			ws[w] = c.newWorker(g, opt, useIEP, visit, &stop, auxArena)
+			ws[w] = c.newWorker(g, opt, useIEP, visit, &stop)
 		}
 		if edgePar {
 			ws[w].RunRootEdges(rg.Start, rg.End)
@@ -301,10 +284,10 @@ type tierWorker interface {
 
 // newWorker builds one worker's executor for a run with the given options:
 // the clique kernel for a counting run that resolves to it, the interpreter
-// otherwise — with a telemetry shard when opt.Stats is set and aux scratch of
-// auxArena bytes when positive. The clique kernel tallies final counts; its
-// configuration's effectiveIEPK is 0, so ScaleIEP leaves them alone.
-func (c *Config) newWorker(g *graph.Graph, opt RunOptions, useIEP bool, visit func([]uint32) bool, stop *atomic.Bool, auxArena int64) tierWorker {
+// otherwise — with a telemetry shard when opt.Stats is set. The clique kernel
+// tallies final counts; its configuration's effectiveIEPK is 0, so ScaleIEP
+// leaves them alone.
+func (c *Config) newWorker(g *graph.Graph, opt RunOptions, useIEP bool, visit func([]uint32) bool, stop *atomic.Bool) tierWorker {
 	var st *telemetry.RunStats
 	if opt.Stats != nil {
 		st = telemetry.NewRunStats(c.n)
@@ -316,9 +299,6 @@ func (c *Config) newWorker(g *graph.Graph, opt RunOptions, useIEP bool, visit fu
 	}
 	r := newRunner(c, g, useIEP, visit, stop)
 	r.st = st
-	if auxArena > 0 {
-		r.aux = auxgraph.New(g, auxArena)
-	}
 	return r
 }
 
@@ -359,7 +339,7 @@ func NewCounter(cfg *Config, g *graph.Graph, useIEP bool) *Counter {
 // external runtime (a cluster worker whose master disconnected, a cancelled
 // service job) can free its workers without finishing dead work.
 func NewCounterStop(cfg *Config, g *graph.Graph, useIEP bool, stop *atomic.Bool) *Counter {
-	return &Counter{w: cfg.newWorker(g, RunOptions{}, useIEP, nil, stop, 0)}
+	return &Counter{w: cfg.newWorker(g, RunOptions{}, useIEP, nil, stop)}
 }
 
 // CountRange processes outer-loop vertices [start, end) and adds matches to
@@ -417,13 +397,7 @@ type runner struct {
 	iepSets [][]uint32
 	iepBMs  []vertexset.Bitmap
 	exIn    []uint16
-
-	// aux, when non-nil, is this worker's auxiliary-graph scratch; runSteps
-	// then serves aux-marked steps from pruned rows, falling back to the
-	// full CSR row on a miss (counts are identical either way). Counters
-	// handed to external runtimes never set it.
-	aux *auxgraph.Aux
-	_   taskpool.LinePad
+	_       taskpool.LinePad
 }
 
 func newRunner(cfg *Config, g *graph.Graph, useIEP bool, visit func([]uint32) bool, stop *atomic.Bool) *runner {
@@ -459,15 +433,8 @@ func newRunner(cfg *Config, g *graph.Graph, useIEP bool, visit func([]uint32) bo
 // Count returns the raw tally accumulated so far (before IEP scaling).
 func (r *runner) Count() int64 { return r.count }
 
-// Stats returns the worker's telemetry shard (nil when telemetry is off)
-// with its aux scratch's counters copied in.
-func (r *runner) Stats() *telemetry.RunStats {
-	if r.st != nil && r.aux != nil {
-		a := r.aux.Stats()
-		r.st.Aux = telemetry.AuxStats{Roots: a.Roots, Rows: a.Rows, Bytes: a.Bytes, Hits: a.Hits, Skips: a.Skips}
-	}
-	return r.st
-}
+// Stats returns the worker's telemetry shard (nil when telemetry is off).
+func (r *runner) Stats() *telemetry.RunStats { return r.st }
 
 // RunRoot executes the outermost loop over the vertex range [start, end).
 //
@@ -481,7 +448,6 @@ func (r *runner) RunRoot(start, end int) {
 			return
 		}
 		r.bound[0] = uint32(v)
-		r.beginAuxRoot(uint32(v))
 		switch {
 		case r.cfg.n == 1:
 			r.leaf()
@@ -517,7 +483,6 @@ func (r *runner) RunRootEdges(start, end int) {
 			stop = end
 		}
 		r.bound[0] = v
-		r.beginAuxRoot(v)
 		if lst := r.st.Level(0); lst != nil {
 			lst.Scan(1, 0)
 		}
@@ -637,25 +602,12 @@ func (r *runner) descend(lv *codegen.Level) bool {
 	return r.stop == nil || !r.stop.Load()
 }
 
-// beginAuxRoot switches the aux scratch to a new root subtree; one branch
-// when pruning is disabled. Consecutive calls with the same root (an edge-
-// parallel root's slot groups landing on one worker) keep the built rows.
-func (r *runner) beginAuxRoot(v uint32) {
-	if r.aux == nil {
-		return
-	}
-	r.aux.BeginRoot(v, r.g.Neighbors(v), r.g.HubBitmap(v))
-}
-
 // runSteps executes the intersections hoisted to this depth, each trimmed to
 // the window the lowering gave it and dispatched per call by the bounded
 // hybrid kernel (hub-bitmap probe, merge or gallop). It stops at the first
 // empty output and reports false: the prefix cannot be extended (see
 // codegen.Step), so the caller skips the remaining steps, every deeper loop
-// and the IEP evaluation. Aux-marked steps first try the root's pruned row —
-// a copy when the left operand is N(v0) itself, a narrower intersection
-// otherwise; both are exact substitutions, and a declined row falls through
-// to the full-row path.
+// and the IEP evaluation.
 func (r *runner) runSteps(depth int) bool {
 	steps := r.prog.Levels[depth].Steps
 	if len(steps) == 0 {
@@ -666,30 +618,18 @@ func (r *runner) runSteps(depth int) bool {
 		stp := &steps[i]
 		lo, hi := codegen.Bounds(r.bound, stp.Lowers, stp.Uppers)
 		rv := r.bound[stp.Depth]
-		out := r.bufs[stp.Out]
-		kern := telemetry.KernelAux
-		if row, ok := r.auxRow(stp, rv); ok {
-			if stp.Aux == codegen.AuxCopy {
-				out = append(out[:0], vertexset.Window(row, lo, hi)...)
-			} else {
-				out, _ = vertexset.IntersectWindow(out, r.bufs[stp.LeftBuf], row, nil, nil, lo, hi)
-			}
+		var left []uint32
+		var leftBM vertexset.Bitmap
+		if stp.LeftBuf >= 0 {
+			left = r.bufs[stp.LeftBuf]
 		} else {
-			var left []uint32
-			var leftBM vertexset.Bitmap
-			if stp.LeftBuf >= 0 {
-				left = r.bufs[stp.LeftBuf]
-			} else {
-				lp := r.bound[stp.LeftParent]
-				left, leftBM = r.g.Neighbors(lp), r.g.HubBitmap(lp)
-			}
-			var k vertexset.Kernel
-			out, k = vertexset.IntersectWindow(out, left, r.g.Neighbors(rv), leftBM, r.g.HubBitmap(rv), lo, hi)
-			kern = int(k)
+			lp := r.bound[stp.LeftParent]
+			left, leftBM = r.g.Neighbors(lp), r.g.HubBitmap(lp)
 		}
+		out, k := vertexset.IntersectWindow(r.bufs[stp.Out], left, r.g.Neighbors(rv), leftBM, r.g.HubBitmap(rv), lo, hi)
 		r.bufs[stp.Out] = out
 		if lst != nil {
-			lst.Intersect(kern)
+			lst.Intersect(int(k))
 		}
 		if len(out) == 0 {
 			if lst != nil {
@@ -699,15 +639,6 @@ func (r *runner) runSteps(depth int) bool {
 		}
 	}
 	return true
-}
-
-// auxRow returns the root's pruned row for an aux-marked step when pruning is
-// on and the scratch holds (or can build) it.
-func (r *runner) auxRow(stp *codegen.Step, v uint32) ([]uint32, bool) {
-	if r.aux == nil || stp.Aux == codegen.AuxNone {
-		return nil, false
-	}
-	return r.aux.Row(v)
 }
 
 // leaf records one embedding, translating back to original vertex ids when

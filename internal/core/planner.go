@@ -135,7 +135,7 @@ func Plan(pat *pattern.Pattern, stats graph.Stats, opt PlanOptions) (*PlanResult
 		}
 		cfg.Cost = c.cost
 		// Hand the costing statistics to the configuration so drift reports
-		// and the aux gate reason from the same model.
+		// reason from the same model.
 		p := params
 		cfg.planParams = &p
 		return cfg, nil

@@ -76,15 +76,6 @@ func (p Params) AvgDegree() float64 {
 	return 2 * p.Edges / p.Vertices
 }
 
-// SetSize returns the expected cardinality of the intersection of m ≥ 0
-// neighborhoods: |V| for m = 0 (a full scan), |V|·p1·p2^(m−1) otherwise.
-func (p Params) SetSize(m int) float64 {
-	if m <= 0 {
-		return p.Vertices
-	}
-	return p.Vertices * p.P1() * math.Pow(p.P2(), float64(m-1))
-}
-
 // Breakdown exposes the per-loop factors behind a prediction, for
 // inspection and experiment reporting.
 type Breakdown struct {

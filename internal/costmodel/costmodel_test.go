@@ -41,21 +41,6 @@ func TestProbabilities(t *testing.T) {
 	}
 }
 
-func TestSetSize(t *testing.T) {
-	p := testParams()
-	if got := p.SetSize(0); got != 100000 {
-		t.Errorf("SetSize(0) = %v, want |V|", got)
-	}
-	if got := p.SetSize(1); math.Abs(got-10) > 1e-9 {
-		t.Errorf("SetSize(1) = %v, want avg degree 10", got)
-	}
-	// Each extra neighborhood multiplies by p2.
-	ratio := p.SetSize(3) / p.SetSize(2)
-	if math.Abs(ratio-p.P2()) > 1e-12 {
-		t.Errorf("SetSize ratio = %v, want p2 = %v", ratio, p.P2())
-	}
-}
-
 func TestFilterProbabilities(t *testing.T) {
 	// Paper: a single restriction id(A)>id(B) with A at loop 0, B at loop
 	// 1 filters half the orders at loop 1 → f = [0, 1/2, 0, 0, 0].

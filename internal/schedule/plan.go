@@ -63,9 +63,9 @@ type Plan struct {
 	// NumBufs is the number of intersection buffers the program needs.
 	NumBufs int
 	// BufParents[b] is the bitmask of depths whose neighborhoods buffer b
-	// intersects: buffer b holds ∩ N(v_d) over the set bits d. Consumers use
-	// it to reason about containment — e.g. a buffer whose mask includes
-	// depth 0 is a subset of N(v0), which licenses auxiliary-graph pruning.
+	// intersects: buffer b holds ∩ N(v_d) over the set bits d, so a buffer
+	// whose mask includes depth d is a subset of N(v_d). The IEP exclusion
+	// tests rebuild IEP sets from it, independently of codegen.Lower.
 	BufParents []uint16
 }
 

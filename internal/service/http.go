@@ -34,12 +34,11 @@ import (
 // optional when exactly one graph is resident), pattern (a named pattern or
 // "n:adjacency"), iep (default true for /count), backend (auto|local|
 // cluster), workers (per-job budget cap), planner (graphpi|graphzero),
-// tier (count: auto|interpret|generated; local backend only),
-// aux (count: off|on|force — auxiliary-graph pruning; local backend only,
-// counts are bit-identical either way), profile (count: collect per-level
-// run stats and a cost-model drift report into the result's "profile"
-// field), and limit (enumerate: stop after N embeddings). /explain accepts
-// the same graph/pattern/iep/planner/tier parameters.
+// tier (count: auto|interpret|generated; local backend only), profile
+// (count: collect per-level run stats and a cost-model drift report into the
+// result's "profile" field), and limit (enumerate: stop after N embeddings).
+// Unknown parameters are ignored. /explain accepts the same
+// graph/pattern/iep/planner/tier parameters.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -154,13 +153,6 @@ func parseQuery(r *http.Request, countDefaultIEP bool) (queryRequest, error) {
 			return req, &statusError{400, err.Error()}
 		}
 		req.tier = t
-	}
-	if v := q.Get("aux"); v != "" {
-		m, err := core.ParseAuxMode(v)
-		if err != nil {
-			return req, &statusError{400, err.Error()}
-		}
-		req.aux = m
 	}
 	if v := q.Get("profile"); v != "" {
 		b, err := strconv.ParseBool(v)

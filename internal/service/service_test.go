@@ -322,7 +322,8 @@ func TestServiceCacheStampede(t *testing.T) {
 // executor, the result labels the one that actually ran (including the
 // silent interpreter fallback when the requested clique kernel cannot take
 // the pattern), counts stay bit-identical across tiers, a plan-cache hit runs
-// on the same executor, and the removed "compiled" tier is a 400.
+// on the same executor, the removed "compiled" tier is a 400, and the removed
+// aux= parameter is ignored.
 func TestServiceTierSelection(t *testing.T) {
 	g := baFixture(300, 4, 7)
 	s := newTestServer(t, g, Options{})
@@ -355,6 +356,9 @@ func TestServiceTierSelection(t *testing.T) {
 		{"/count?graph=ba&pattern=k4&tier=interpret", "interpreted", wantK4},
 		// The repeat is a plan-cache hit and runs on the same executor.
 		{"/count?graph=ba&pattern=k4", "generated", wantK4},
+		// aux= named the removed auxiliary-graph pruning; it is now an
+		// unknown parameter and ignored like any other.
+		{"/count?graph=ba&pattern=house&aux=force", "interpreted", wantHouse},
 	}
 	for _, tc := range cases {
 		var qr queryResult
