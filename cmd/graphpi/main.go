@@ -67,8 +67,8 @@ func main() {
 		baseline    = flag.Bool("graphzero", false, "plan like the GraphZero baseline")
 		edgePar     = flag.String("edge-parallel", "auto", "root task shape: auto, on, or off")
 		tierName    = flag.String("tier", "auto", "counting execution tier: auto, interpret or generated (the clique kernel: k3 and every larger clique)")
-		nodes       = flag.Int("nodes", 0, "count on a simulated cluster with this many nodes (0 = single process)")
-		nodeWorkers = flag.Int("node-workers", 2, "worker goroutines per simulated node with -nodes")
+		nodes       = flag.Int("nodes", 0, "count on a cluster of this many in-process nodes (0 = single process)")
+		nodeWorkers = flag.Int("node-workers", 2, "worker goroutines per node with -nodes")
 		serveAddr   = flag.String("serve", "", "run as a cluster worker process listening on this address (e.g. :9421)")
 		joinAddrs   = flag.String("join", "", "count across these comma-separated cluster worker addresses")
 		serverAddr  = flag.String("server", "", "run as a resident HTTP query server listening on this address (e.g. :8080)")
@@ -355,7 +355,7 @@ func validateFlags(f flagState) error {
 		return fmt.Errorf("-cluster-workers only applies to -server mode (use -join for a one-shot distributed count)")
 	}
 	if f.nodes > 0 && (f.serverAddr != "" || f.serveAddr != "" || f.joinAddrs != "") {
-		return fmt.Errorf("-nodes (simulated cluster) cannot be combined with -server, -serve or -join")
+		return fmt.Errorf("-nodes (in-process cluster) cannot be combined with -server, -serve or -join")
 	}
 	if f.list || f.emitGo != "" {
 		switch {
@@ -488,9 +488,9 @@ func runServe(addr string, g *graphpi.Graph, workerOverride int) {
 	}
 }
 
-// runCluster counts on the multi-node runtime — in-process simulated nodes,
-// or TCP workers when addrs is non-empty — and reports the per-node load
-// balance (tasks, busy time) alongside the count.
+// runCluster counts on the multi-node runtime — in-process nodes, or TCP
+// workers when addrs is non-empty — and reports the per-node load balance
+// (tasks, busy time) alongside the count.
 func runCluster(g *graphpi.Graph, p *graphpi.Pattern, nodes, workersPerNode int, useIEP bool, addrs []string, opts []graphpi.Option) {
 	res, err := graphpi.ClusterCount(g, p, graphpi.ClusterOptions{
 		Nodes:          nodes,
@@ -509,8 +509,8 @@ func runCluster(g *graphpi.Graph, p *graphpi.Pattern, nodes, workersPerNode int,
 	if len(addrs) > 0 {
 		where = fmt.Sprintf("%d TCP workers", len(addrs))
 	}
-	fmt.Printf("cluster: %s x %d workers, %d tasks (%s), %d steals\n",
-		where, workersPerNode, res.Tasks, shape, res.Steals)
+	fmt.Printf("cluster: %s x %d workers, %d tasks (%s)\n",
+		where, workersPerNode, res.Tasks, shape)
 	for i := range res.TasksPerNode {
 		fmt.Printf("  node %d: %5d tasks, busy %v\n",
 			i, res.TasksPerNode[i], res.BusyPerNode[i].Round(time.Microsecond))

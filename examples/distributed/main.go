@@ -1,17 +1,18 @@
-// Distributed matching: run a pattern count on a simulated multi-node
-// cluster, watch the work-stealing runtime balance a skewed workload, then
-// run the identical job across real TCP worker processes and compare.
+// Distributed matching: run a pattern count on a multi-node cluster whose
+// nodes live in this process, watch the master's on-demand task grants
+// balance a skewed workload, then run the identical job across real TCP
+// worker processes and compare.
 //
 // This exercises the paper's §IV-E architecture — master task packing,
-// per-node queues, communication threads, cross-node stealing — first with
-// goroutines standing in for MPI ranks (see DESIGN.md §3 for why the
-// substitution preserves the load-balancing behavior the paper studies),
-// then over the TCP transport, where each rank is a separate worker serving
-// its own replica of the graph and steals are relayed by the master. The
-// master packs edge-parallel adjacency-slot tasks whenever the planned
-// schedule allows it, so a hub vertex's work spreads across many stealable
-// tasks instead of pinning one node; the middle section contrasts the two
-// task shapes on the same job.
+// per-node queues filled by a communication thread, nodes asking for work
+// when their queue runs low — first with in-process nodes (each one the
+// worker code behind a net.Pipe; see DESIGN.md §3 for why sharing one machine
+// preserves the load-balancing behavior the paper studies), then over TCP,
+// where each rank is a separate worker serving its own replica of the graph.
+// The master packs edge-parallel adjacency-slot tasks whenever the planned
+// schedule allows it, so a hub vertex's work spreads across many small tasks
+// instead of pinning one node; the middle section contrasts the two task
+// shapes on the same job.
 //
 // Run with:
 //
@@ -51,8 +52,8 @@ func main() {
 		if nodes == 1 {
 			base = secs
 		}
-		fmt.Printf("nodes=%d  count=%d  time=%.3fs  speedup=%.2fx  steals=%d\n",
-			nodes, res.Count, secs, base/secs, res.Steals)
+		fmt.Printf("nodes=%d  count=%d  time=%.3fs  speedup=%.2fx\n",
+			nodes, res.Count, secs, base/secs)
 		fmt.Printf("         tasks per node: %v  max busy share: %.2f (ideal %.2f)\n",
 			res.TasksPerNode, res.MaxBusyShare(), 1/float64(nodes))
 	}
@@ -80,10 +81,10 @@ func main() {
 	}
 
 	// The same job again, but with the ranks as real TCP worker processes
-	// (loopback here): identical counts, with the wire protocol's framing
-	// and steal-relay latency now paid for real.
-	fmt.Println("\nchannel vs TCP transport (2 nodes x 2 workers):")
-	chanRes, err := graphpi.ClusterCount(g, p, graphpi.ClusterOptions{
+	// (loopback here): identical counts, with the same frames now crossing
+	// sockets instead of in-process pipes.
+	fmt.Println("\nin-process vs TCP ranks (2 nodes x 2 workers):")
+	localRes, err := graphpi.ClusterCount(g, p, graphpi.ClusterOptions{
 		Nodes: 2, WorkersPerNode: 2, UseIEP: true,
 	})
 	if err != nil {
@@ -107,17 +108,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  channel  count=%d  time=%.3fs  steals=%d\n",
-		chanRes.Count, chanRes.Elapsed.Seconds(), chanRes.Steals)
-	fmt.Printf("  tcp      count=%d  time=%.3fs  steals=%d  workers=%v\n",
-		tcpRes.Count, tcpRes.Elapsed.Seconds(), tcpRes.Steals, addrs)
-	if chanRes.Count != tcpRes.Count {
-		log.Fatalf("transport mismatch: channel %d != tcp %d", chanRes.Count, tcpRes.Count)
+	fmt.Printf("  in-process  count=%d  time=%.3fs  tasks per node: %v\n",
+		localRes.Count, localRes.Elapsed.Seconds(), localRes.TasksPerNode)
+	fmt.Printf("  tcp         count=%d  time=%.3fs  tasks per node: %v  workers=%v\n",
+		tcpRes.Count, tcpRes.Elapsed.Seconds(), tcpRes.TasksPerNode, addrs)
+	if localRes.Count != tcpRes.Count {
+		log.Fatalf("transport mismatch: in-process %d != tcp %d", localRes.Count, tcpRes.Count)
 	}
 	fmt.Printf("  counts bit-identical; TCP overhead %.1f%%\n",
-		100*(tcpRes.Elapsed.Seconds()/chanRes.Elapsed.Seconds()-1))
+		100*(tcpRes.Elapsed.Seconds()/localRes.Elapsed.Seconds()-1))
 
-	fmt.Println("\nNote: simulated nodes and loopback workers share one " +
+	fmt.Println("\nNote: in-process nodes and loopback workers share one " +
 		"machine; speedups are meaningful up to the physical core count, " +
 		"and short jobs flatten early — the same effect as the paper's " +
 		"Figure 12.")

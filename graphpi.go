@@ -566,9 +566,9 @@ func (m EdgeParallelMode) core() core.EdgeParallelMode {
 
 // ClusterOptions configures a distributed run (paper §IV-E).
 type ClusterOptions struct {
-	// Nodes is the number of compute nodes (MPI ranks). Ignored when the
-	// run targets TCP workers (Workers below, or a Cluster handle): the
-	// rank count is then the connected worker set.
+	// Nodes is the number of compute nodes (MPI ranks), run in-process.
+	// Ignored when the run targets TCP workers (Workers below, or a Cluster
+	// handle): the rank count is then the connected worker set.
 	Nodes int
 	// WorkersPerNode is the number of worker goroutines per node.
 	WorkersPerNode int
@@ -578,23 +578,20 @@ type ClusterOptions struct {
 	// WithEdgeParallelRoots when that option is present, otherwise to the
 	// automatic eligibility check.
 	EdgeParallel EdgeParallelMode
-	// StealThreshold is the queue length below which a node's
-	// communication goroutine steals from peers (< 1 → 2).
-	StealThreshold int
 	// ChunkSize is the task granularity in outermost-loop vertices
 	// (< 1 → adaptive; WithChunkSize applies when this is unset). Under
 	// edge-parallel scheduling the value is scaled by the average degree.
 	ChunkSize int
 	// Workers lists TCP worker addresses (cluster.Serve / ServeCluster
 	// listeners, or `graphpi -serve`). When non-empty, ClusterCount dials
-	// them for the run instead of simulating nodes in-process; every
+	// them for the run instead of running nodes in-process; every
 	// worker must hold a replica of the same graph (typically loaded from
 	// a shared GPiCSR3 snapshot). For repeated counts against the same
 	// workers, dial once with ConnectCluster instead.
 	Workers []string
 }
 
-// ClusterResult reports a simulated distributed run.
+// ClusterResult reports a distributed run.
 type ClusterResult struct {
 	Count   int64
 	Elapsed time.Duration
@@ -602,13 +599,16 @@ type ClusterResult struct {
 	Tasks int
 	// EdgeParallel reports whether the run used edge-slot tasks.
 	EdgeParallel bool
-	// TasksPerNode is how many tasks each simulated node executed (load
-	// balance evidence).
+	// TasksPerNode is how many tasks each node executed (load balance
+	// evidence).
 	TasksPerNode []int64
 	// BusyPerNode is the wall time each node's workers spent executing
 	// tasks; the spread across nodes measures load balance.
 	BusyPerNode []time.Duration
-	// Steals is the total number of cross-node task steals.
+	// Steals is always 0: nodes ask the master for work instead of
+	// stealing from each other.
+	//
+	// Deprecated: kept only for callers that still read it.
 	Steals int64
 }
 
@@ -659,10 +659,10 @@ func CountLabeled(g *Graph, vertexLabels []VertexLabel, p *Pattern, patternLabel
 	})
 }
 
-// ClusterCount plans and counts on a cluster with per-node task queues and
-// cross-node work stealing. By default the nodes are simulated in-process;
-// set ClusterOptions.Workers (or use a ConnectCluster handle) to run the
-// same job across TCP worker processes. Plan options apply: WithChunkSize
+// ClusterCount plans and counts on a cluster whose nodes take tasks from the
+// master on demand. By default the nodes run in-process; set
+// ClusterOptions.Workers (or use a ConnectCluster handle) to run the same job
+// across TCP worker processes. Plan options apply: WithChunkSize
 // sets the task granularity (unless ClusterOptions.ChunkSize overrides it)
 // and WithEdgeParallelRoots forces the task shape when
 // ClusterOptions.EdgeParallel is left Auto.
@@ -678,8 +678,8 @@ func ClusterCount(g *Graph, p *Pattern, copt ClusterOptions, opts ...Option) (*C
 	return clusterCount(nil, g, p, copt, opts...)
 }
 
-// clusterCount runs one job on the given transport (nil → the in-process
-// channel simulation).
+// clusterCount runs one job on the given transport (nil → copt.Nodes
+// in-process nodes).
 func clusterCount(tr cluster.Transport, g *Graph, p *Pattern, copt ClusterOptions, opts ...Option) (*ClusterResult, error) {
 	pl, err := NewPlan(g, p, opts...)
 	if err != nil {
@@ -700,7 +700,6 @@ func clusterCount(tr cluster.Transport, g *Graph, p *Pattern, copt ClusterOption
 		WorkersPerNode: copt.WorkersPerNode,
 		UseIEP:         copt.UseIEP,
 		EdgeParallel:   edgePar,
-		StealThreshold: copt.StealThreshold,
 		ChunkSize:      chunk,
 		Transport:      tr,
 	})
@@ -716,7 +715,6 @@ func clusterCount(tr cluster.Transport, g *Graph, p *Pattern, copt ClusterOption
 	for _, ns := range res.Nodes {
 		out.TasksPerNode = append(out.TasksPerNode, ns.TasksRun)
 		out.BusyPerNode = append(out.BusyPerNode, ns.BusyTime)
-		out.Steals += ns.StealsReceived
 	}
 	return out, nil
 }

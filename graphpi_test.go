@@ -215,7 +215,6 @@ func TestClusterCountHybridEquivalence(t *testing.T) {
 							WorkersPerNode: 2,
 							UseIEP:         useIEP,
 							EdgeParallel:   mode,
-							StealThreshold: 1,
 						}, WithChunkSize(8))
 						if err != nil {
 							t.Fatal(err)

@@ -8,8 +8,8 @@ import "io"
 const (
 	msgHello uint8 = iota + 1
 	msgTasks
-	msgRetry
-	msgNoWork
+	msgBusy
+	msgIdle
 	msgResult   // want `wire constant msgResult is never dispatched`
 	msgGhost    // want `wire constant msgGhost is declared but never sent or dispatched`
 	msgInbound  // want `wire constant msgInbound is never sent`
@@ -37,10 +37,10 @@ func master(l *link) error {
 	}
 	// Reassignment flow: the local may hold either constant by the time it
 	// is sent, so both must count as sent (regression: a last-assignment-wins
-	// alias map flagged msgRetry as never sent).
-	reply := msgRetry
+	// alias map flagged msgBusy as never sent).
+	reply := msgBusy
 	if l.w == nil {
-		reply = msgNoWork
+		reply = msgIdle
 	}
 	if err := l.write(reply, nil); err != nil {
 		return err
@@ -62,13 +62,13 @@ func dispatch(typ uint8) string {
 	case msgTasks, msgInbound:
 		return "tasks"
 	default:
-		if typ == msgRetry {
-			return "retry"
+		if typ == msgBusy {
+			return "busy"
 		}
-		if typ != msgNoWork {
+		if typ != msgIdle {
 			return "unknown"
 		}
-		return "nowork"
+		return "idle"
 	}
 }
 

@@ -45,8 +45,8 @@ func run(pass *analysis.Pass) error {
 
 	for _, fd := range pass.FuncsOf(false) {
 		// One-hop value flow: locals assigned from msg constants count as
-		// every constant they might hold when sent (e.g. `reply := msgRetry;
-		// if done { reply = msgNoWork }; write(reply, nil)`).
+		// every constant they might hold when sent (e.g. `reply := msgBusy;
+		// if done { reply = msgIdle }; write(reply, nil)`).
 		aliases := make(map[types.Object][]types.Object) // local var -> msg consts
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {

@@ -3,34 +3,30 @@
 //
 // The paper runs an OpenMP/MPI hybrid on Tianhe-2A: every node holds a full
 // replica of the data graph, a master partitions the outer loops into
-// fine-grained tasks, each node runs a communication thread that maintains a
-// local task queue and steals tasks from other nodes with asynchronous MPI
-// primitives when the queue runs low, and worker threads drain the local
-// queue. This package reproduces that architecture and splits it into policy
-// and plumbing:
+// fine-grained tasks, each node keeps a local task queue that worker threads
+// drain, and a node asks for more work when its queue runs low. This package
+// reproduces that architecture with one master and one worker
+// implementation:
 //
-//   - Run is the master: it packs outer-loop ranges into tasks (edge-
-//     parallel CSR adjacency slots when the planned schedule is eligible,
-//     outermost-loop vertices otherwise), deals them round-robin, and
-//     reduces the per-rank partial counts. Run contains no channel or
-//     socket operations — all message movement is behind Transport.
-//   - Transport (transport.go) is the MPI stand-in: it delivers dealt
-//     queues, carries steal request/response traffic between ranks, and
-//     reduces partial results. Two implementations exist: the in-process
-//     channel fabric (chan_transport.go, the original simulation) and a
-//     real TCP worker mode (tcp_transport.go/serve.go) where each rank is
-//     a separate process holding its own replica of the data graph, loaded
-//     from a shared GPiCSR2 snapshot.
-//   - When a rank's queue drops below StealThreshold, it requests work
-//     from the peer with the longest queue; the victim replies with half
-//     its remainder. The channel fabric lets thieves address victims
-//     directly; the TCP fabric relays steals through the master, which
-//     tracks approximate queue lengths from the traffic it forwards.
+//   - Run is the master's policy: it packs outer-loop ranges into tasks
+//     (edge-parallel CSR adjacency slots when the planned schedule is
+//     eligible, outermost-loop vertices otherwise) and reduces the per-rank
+//     partial counts.
+//   - The transport (tcp_transport.go) is the master's plumbing. It holds the
+//     undealt tasks in one queue and grants them on demand: after each
+//     acknowledgement, every rank is topped up to its worker count. A lost
+//     rank's unacknowledged tasks go back to the front of the queue for the
+//     survivors.
+//   - Serve (serve.go) is the worker: one process per rank, holding its own
+//     replica (loaded from a shared GPiCSR snapshot, or pushed by the master
+//     when it joins cold). Its connection reader fills a local queue that the
+//     rank's worker goroutines drain, acknowledging every task.
 //
-// What both fabrics preserve from the paper: task granularity effects, load
-// imbalance under power-law skew, steal traffic, and the flattening speedup
-// curves for short jobs (Figure 12). What the channel fabric abstracts away
-// — wire latency and serialization costs — the TCP fabric pays for real.
+// Ranks reach the master over a byte stream (wire.go): a TCP connection per
+// worker process (DialTCP), or, when Options.Transport is nil, a net.Pipe per
+// rank whose far end runs the same worker code in-process. Fault injection,
+// redial, statistics and loss recovery are therefore one code path in both
+// modes; the in-process mode pays framing on a pipe instead of a socket.
 package cluster
 
 import (
@@ -44,8 +40,9 @@ import (
 
 // Options configures a cluster run.
 type Options struct {
-	// Nodes is the number of ranks (≥ 1). Ignored by transports with a
-	// fixed rank set (TCP: the connected worker count).
+	// Nodes is the number of in-process ranks (≥ 1) Run dials when
+	// Transport is nil. Ignored otherwise: the rank count is then the
+	// transport's live worker set.
 	Nodes int
 	// WorkersPerNode is the number of worker goroutines per rank (the
 	// paper runs 24 OpenMP threads per rank); ≥ 1.
@@ -55,9 +52,6 @@ type Options struct {
 	// by the average degree so it stays in vertex units for both
 	// disciplines, exactly like core.RunOptions.ChunkSize.
 	ChunkSize int
-	// StealThreshold: a rank steals when its queue is shorter than this
-	// (< 1 → 2, the behavior of the paper's communication thread).
-	StealThreshold int
 	// UseIEP enables inclusion–exclusion counting.
 	UseIEP bool
 	// EdgeParallel selects the task shape. Auto (the zero value) packs
@@ -70,9 +64,9 @@ type Options struct {
 	NodeDelay time.Duration
 	// DelayedNode is the index of the straggler rank when NodeDelay > 0.
 	DelayedNode int
-	// Transport selects how cluster messages move. nil → the in-process
-	// channel transport (the original goroutine simulation). Use DialTCP
-	// to run against remote worker processes instead.
+	// Transport selects the ranks. nil → Nodes in-process ranks, each a
+	// worker behind a net.Pipe; use DialTCP to run against remote worker
+	// processes instead.
 	Transport Transport
 }
 
@@ -85,20 +79,12 @@ func (o *Options) normalize() {
 	if o.WorkersPerNode < 1 {
 		o.WorkersPerNode = 1
 	}
-	if o.StealThreshold < 1 {
-		o.StealThreshold = 2
-	}
 }
 
 // NodeStats describes one rank's activity during a run.
 type NodeStats struct {
 	// TasksRun is the number of tasks the rank's workers executed.
 	TasksRun int64
-	// StolenFrom is the number of tasks other ranks took from this rank.
-	StolenFrom int64
-	// StealsReceived is the number of tasks this rank obtained by
-	// stealing.
-	StealsReceived int64
 	// BusyTime is the wall time the rank's workers spent executing tasks
 	// (injected NodeDelay excluded — slowness shows up as fewer tasks
 	// executed, not as work done). The spread of BusyTime across ranks is
@@ -109,7 +95,10 @@ type NodeStats struct {
 
 // Result is the outcome of a cluster run.
 type Result struct {
-	Count   int64
+	Count int64
+	// Elapsed runs from the first task grant to the last rank's result; job
+	// setup (snapshot pushes, job frames, worker-side compilation) is
+	// excluded.
 	Elapsed time.Duration
 	Nodes   []NodeStats
 	// Tasks is the total number of tasks the master created.
@@ -151,7 +140,7 @@ func (r *Result) MaxBusyShare() float64 {
 // (remote workers may override their per-rank count). Edge-parallel slot
 // tasks are the fine-grained partitioning of §IV-E: work units become
 // proportional to edges, so one hub vertex can no longer pin an entire rank
-// while its peers steal crumbs.
+// while its peers wait for crumbs.
 func packTasks(cfg *core.Config, g *graph.Graph, opt Options, totalWorkers int) ([]taskpool.Range, bool) {
 	edgePar := cfg.EdgeParallelEligible(opt.UseIEP) &&
 		opt.EdgeParallel != core.EdgeParallelOff &&
@@ -185,9 +174,14 @@ func Run(cfg *core.Config, g *graph.Graph, opt Options) (*Result, error) {
 	opt.normalize()
 	tr := opt.Transport
 	if tr == nil {
-		tr = NewChanTransport()
+		inproc, err := dialInProcess(g, opt.Nodes)
+		if err != nil {
+			return nil, err
+		}
+		defer inproc.Close()
+		tr = inproc
 	}
-	nranks := tr.Ranks(opt.Nodes)
+	nranks := tr.Ranks()
 	if nranks < 1 {
 		return nil, fmt.Errorf("cluster: transport has no ranks")
 	}
@@ -195,7 +189,7 @@ func Run(cfg *core.Config, g *graph.Graph, opt Options) (*Result, error) {
 		return &Result{Nodes: make([]NodeStats, nranks)}, nil
 	}
 	tasks, edgePar := packTasks(cfg, g, opt,
-		tr.TotalWorkers(nranks, opt.WorkersPerNode))
+		tr.TotalWorkers(opt.WorkersPerNode))
 
 	job := &Job{
 		Cfg:            cfg,
@@ -203,41 +197,15 @@ func Run(cfg *core.Config, g *graph.Graph, opt Options) (*Result, error) {
 		UseIEP:         opt.UseIEP,
 		EdgeParallel:   edgePar,
 		WorkersPerRank: opt.WorkersPerNode,
-		StealThreshold: opt.StealThreshold,
 		NodeDelay:      opt.NodeDelay,
 		DelayedRank:    opt.DelayedNode,
 	}
-	sess, err := tr.Connect(job, nranks)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-
-	// The master deals tasks round-robin (the paper's master thread packs
-	// outer-loop values and distributes them).
-	queues := make([][]taskpool.Range, nranks)
-	for i, t := range tasks {
-		queues[i%nranks] = append(queues[i%nranks], t)
-	}
-	for r, q := range queues {
-		if len(q) == 0 {
-			continue
-		}
-		if err := sess.Deal(r, q); err != nil {
-			return nil, err
-		}
-	}
-
-	start := time.Now()
-	if err := sess.Start(); err != nil {
-		return nil, err
-	}
-	partials, err := sess.Reduce()
+	partials, elapsed, err := tr.run(job, tasks, nranks)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Elapsed:      time.Since(start),
+		Elapsed:      elapsed,
 		Tasks:        len(tasks),
 		Nodes:        make([]NodeStats, nranks),
 		EdgeParallel: edgePar,

@@ -52,10 +52,22 @@ func dialWorkers(t testing.TB, g *graph.Graph, n int) Transport {
 	return tr
 }
 
+// dialInProc opens an in-process pool of nodes ranks serving g, the pool Run
+// dials itself when Options.Transport is nil, and registers its teardown.
+func dialInProc(t testing.TB, g *graph.Graph, nodes int) Transport {
+	t.Helper()
+	tr, err := dialInProcess(g, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr
+}
+
 // transportCase materializes one fabric for a (graph, nodes) pair: the
-// channel transport simulates nodes in-process, the TCP transport spins up
-// that many loopback worker processes. The same test bodies run against
-// both — the conformance suite of the Transport contract.
+// in-process transport runs each rank's worker behind a net.Pipe, the TCP
+// transport spins up that many loopback worker processes. The same test
+// bodies run against both — the conformance suite of the Transport contract.
 type transportCase struct {
 	name string
 	// lossy marks fault-injected fabrics: one rank dies partway through every
@@ -66,14 +78,14 @@ type transportCase struct {
 }
 
 var transportCases = []transportCase{
-	{name: "chan", open: func(t testing.TB, g *graph.Graph, nodes int) Transport {
-		return NewChanTransport()
+	{name: "inproc", open: func(t testing.TB, g *graph.Graph, nodes int) Transport {
+		return dialInProc(t, g, nodes)
 	}},
 	{name: "tcp", open: func(t testing.TB, g *graph.Graph, nodes int) Transport {
 		return dialWorkers(t, g, nodes)
 	}},
-	{name: "chan/faulty", lossy: true, open: func(t testing.TB, g *graph.Graph, nodes int) Transport {
-		return NewFaultyTransport(NewChanTransport(), -1, 2)
+	{name: "inproc/faulty", lossy: true, open: func(t testing.TB, g *graph.Graph, nodes int) Transport {
+		return NewFaultyTransport(dialInProc(t, g, nodes), -1, 2)
 	}},
 	{name: "tcp/faulty", lossy: true, open: func(t testing.TB, g *graph.Graph, nodes int) Transport {
 		return NewFaultyTransport(dialWorkers(t, g, nodes), -1, 2)
@@ -139,9 +151,9 @@ func TestClusterIEP(t *testing.T) {
 	}
 }
 
-func TestWorkStealingFromStraggler(t *testing.T) {
-	// Inject a slow node: work stealing must shift most tasks to healthy
-	// nodes (the imbalance scenario of §IV-E).
+func TestClusterStragglerRunsFewerTasks(t *testing.T) {
+	// Inject a slow node: granting on demand must shift most tasks to
+	// healthy nodes (the imbalance scenario of §IV-E).
 	g := graph.BarabasiAlbert(600, 4, 3)
 	p := pattern.Triangle()
 	cfg := planFor(t, g, p)
@@ -162,11 +174,8 @@ func TestWorkStealingFromStraggler(t *testing.T) {
 			}
 			healthy := res.Nodes[1].TasksRun + res.Nodes[2].TasksRun
 			if healthy <= res.Nodes[0].TasksRun {
-				t.Errorf("healthy nodes ran %d tasks vs straggler %d; stealing ineffective",
+				t.Errorf("healthy nodes ran %d tasks vs straggler %d; the master fed the straggler",
 					healthy, res.Nodes[0].TasksRun)
-			}
-			if res.Nodes[1].StealsReceived+res.Nodes[2].StealsReceived == 0 {
-				t.Error("no steals recorded despite straggler")
 			}
 		})
 	}
@@ -236,9 +245,9 @@ func hubRootTriangle(t testing.TB) *core.Config {
 // TestClusterEdgeParallelBalance is the cluster-level analogue of
 // core.TestEdgeParallelBalance, run as a conformance case on every
 // transport: on the extreme-skew fixture, vertex-range tasks pin one node
-// with nearly all the busy time (the hub's chunk is indivisible, so stealing
-// cannot help), while edge-parallel slot tasks spread the hub's adjacency
-// across many stealable tasks and the max per-node busy-time share collapses
+// with nearly all the busy time (the hub's chunk is indivisible, so no
+// scheduling can help), while edge-parallel slot tasks spread the hub's
+// adjacency across many tasks and the max per-node busy-time share collapses
 // below 2x the ideal 1/Nodes share — even when one node is an injected
 // straggler.
 func TestClusterEdgeParallelBalance(t *testing.T) {
@@ -320,7 +329,7 @@ func TestClusterEdgeParallelBalance(t *testing.T) {
 }
 
 // TestClusterHybridEquivalence pins cluster.Run to the single-node engine
-// across {chan, tcp} transports x {1, N} nodes x {vertex, edge}-parallel x
+// across {inproc, tcp} transports x {1, N} nodes x {vertex, edge}-parallel x
 // {plain, IEP} on both the original and the Optimize()d (reordered + hub
 // bitmaps) view of the graph, over the paper's named pattern suite. This is
 // the bit-identical-counts acceptance gate for the transport layer.

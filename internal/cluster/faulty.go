@@ -1,17 +1,23 @@
 package cluster
 
+import (
+	"time"
+
+	"graphpi/internal/taskpool"
+)
+
 // NewFaultyTransport wraps a transport with deterministic fault injection:
-// every multi-rank job it connects has one rank (failRank, or the last rank
-// when failRank is out of range) die after completing afterTasks tasks. The
-// wrapped transport is otherwise transparent — Ranks, TotalWorkers and Close
-// delegate — so the conformance suite can run every behavioral test across
-// {chan, tcp} × {healthy, faulty} and assert that recovered jobs stay
-// bit-identical to single-node counts.
+// every multi-rank job it runs has one rank (failRank, or the last rank when
+// failRank is out of range) die after completing afterTasks tasks. The
+// wrapped transport is otherwise transparent — Ranks, TotalWorkers,
+// PoolStats and Close delegate — so the conformance suite can run every
+// behavioral test across {in-process, tcp} × {healthy, faulty} and assert
+// that recovered jobs stay bit-identical to single-node counts.
 //
-// The death itself is modeled by the transports (Job.FailRank /
-// Job.FailAfterTasks): a TCP worker closes its connection abruptly mid-job,
-// an in-process rank halts and surrenders its queue. Single-rank jobs are
-// never injected — there is no survivor to recover on.
+// The death itself happens in the worker (Job.FailRank / Job.FailAfterTasks):
+// it closes its connection abruptly after acknowledging its afterTasks-th
+// task, and the master re-grants what it still held to the survivors.
+// Single-rank jobs are never injected — there is no survivor to recover on.
 func NewFaultyTransport(inner Transport, failRank, afterTasks int) Transport {
 	return &faultyTransport{inner: inner, failRank: failRank, afterTasks: afterTasks}
 }
@@ -22,15 +28,17 @@ type faultyTransport struct {
 	afterTasks int
 }
 
-func (f *faultyTransport) Ranks(requested int) int { return f.inner.Ranks(requested) }
+func (f *faultyTransport) Ranks() int { return f.inner.Ranks() }
 
-func (f *faultyTransport) TotalWorkers(nranks, workersPerRank int) int {
-	return f.inner.TotalWorkers(nranks, workersPerRank)
+func (f *faultyTransport) TotalWorkers(workersPerRank int) int {
+	return f.inner.TotalWorkers(workersPerRank)
 }
+
+func (f *faultyTransport) PoolStats() PoolStats { return f.inner.PoolStats() }
 
 func (f *faultyTransport) Close() error { return f.inner.Close() }
 
-func (f *faultyTransport) Connect(job *Job, nranks int) (Session, error) {
+func (f *faultyTransport) run(job *Job, tasks []taskpool.Range, nranks int) ([]RankResult, time.Duration, error) {
 	if f.afterTasks > 0 && nranks > 1 {
 		injected := *job
 		injected.FailAfterTasks = f.afterTasks
@@ -38,15 +46,7 @@ func (f *faultyTransport) Connect(job *Job, nranks int) (Session, error) {
 		if injected.FailRank < 0 || injected.FailRank >= nranks {
 			injected.FailRank = nranks - 1
 		}
-		return f.inner.Connect(&injected, nranks)
+		job = &injected
 	}
-	return f.inner.Connect(job, nranks)
-}
-
-// PoolStats delegates to the wrapped transport when it tracks pool health.
-func (f *faultyTransport) PoolStats() PoolStats {
-	if p, ok := f.inner.(PoolStatsProvider); ok {
-		return p.PoolStats()
-	}
-	return PoolStats{}
+	return f.inner.run(job, tasks, nranks)
 }

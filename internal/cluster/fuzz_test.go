@@ -66,7 +66,7 @@ func FuzzReadFrame(f *testing.F) {
 func FuzzDecoders(f *testing.F) {
 	spec := &jobSpec{
 		Rank: 1, NumRanks: 3, WorkersPerRank: 2, UseIEP: true,
-		StealThreshold: 4, PatternN: 3, PatternName: "triangle",
+		PatternN: 3, PatternName: "triangle",
 		PatternEdges: [][2]int{{0, 1}, {1, 2}, {0, 2}},
 		Order:        []uint8{0, 1, 2},
 		Restrictions: [][2]uint8{{0, 1}},
@@ -80,12 +80,14 @@ func FuzzDecoders(f *testing.F) {
 	f.Add(uint8(4), encodeSnapOK(graphFingerprint{Name: "g", Reordered: true}))
 	f.Add(uint8(5), encodeAck(taskpool.Range{Start: 2, End: 5}, -7))
 	f.Add(uint8(6), encodeTasks(tasks))
-	f.Add(uint8(7), encodeStealGive(3, tasks))
-	f.Add(uint8(8), encodeResult(RankResult{Raw: 99}))
-	f.Add(uint8(9), encodeRemaining(17))
+	f.Add(uint8(7), encodeResult(RankResult{Raw: 99}))
+	f.Add(uint8(6), encodeTasks(nil))
+	faulty := *spec
+	faulty.FailRank, faulty.FailAfterTasks, faulty.DelayNS = 2, 3, 1000
+	f.Add(uint8(0), encodeJob(&faulty))
 
 	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
-		switch sel % 10 {
+		switch sel % 8 {
 		case 0:
 			spec, err := decodeJob(payload)
 			if err != nil {
@@ -137,28 +139,12 @@ func FuzzDecoders(f *testing.F) {
 				t.Fatalf("tasks round-trip: %v", err)
 			}
 		case 7:
-			remaining, tasks, err := decodeStealGive(payload)
-			if err != nil {
-				return
-			}
-			if _, _, err := decodeStealGive(encodeStealGive(remaining, tasks)); err != nil {
-				t.Fatalf("steal-give round-trip: %v", err)
-			}
-		case 8:
 			res, err := decodeResult(payload)
 			if err != nil {
 				return
 			}
 			if _, err := decodeResult(encodeResult(res)); err != nil {
 				t.Fatalf("result round-trip: %v", err)
-			}
-		case 9:
-			remaining, err := decodeRemaining(payload)
-			if err != nil {
-				return
-			}
-			if _, err := decodeRemaining(encodeRemaining(remaining)); err != nil {
-				t.Fatalf("remaining round-trip: %v", err)
 			}
 		}
 	})

@@ -7,22 +7,24 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"graphpi/internal/core"
 	"graphpi/internal/graph"
 	"graphpi/internal/taskpool"
 )
 
-// This file is the worker side of the TCP fabric: a process that holds a
-// full replica of the data graph (loaded from a shared GPiCSR snapshot, or
-// pulled from the master over the wire when the worker starts cold), accepts
-// master connections, and executes the same compiled configurations the
-// master planned. One worker process is one rank; its internal structure
-// mirrors a channel-transport rank exactly — the shared rank.drain loop runs
-// the worker goroutines, and the connection reader plays the communication
-// thread serving steal-ask requests while workers compute.
+// This file is the worker: a rank that holds a full replica of the data graph
+// (loaded from a shared GPiCSR snapshot, or pulled from the master over the
+// wire when the worker starts cold), accepts master connections, and executes
+// the same compiled configurations the master planned. A worker process
+// serves TCP masters through Serve; an in-process rank runs serveConn on its
+// end of a net.Pipe (transport.go). Within a job, the connection reader plays
+// the paper's communication thread — it fills the rank's local queue with the
+// master's grants — and the worker goroutines drain that queue.
 
 // ServeOptions configures a worker process.
 type ServeOptions struct {
@@ -192,8 +194,7 @@ func receiveSnapshot(conn net.Conn, br *bufio.Reader, holder *graphHolder, opt S
 }
 
 // workerConnState is the per-job connection state: a write mutex shared by
-// the steal agent (requests), the reader (steal-give replies), the task
-// acknowledger and the result sender.
+// the workers' acknowledgements and the result sender.
 type workerConnState struct {
 	conn net.Conn
 	wmu  sync.Mutex
@@ -205,24 +206,17 @@ func (c *workerConnState) write(typ uint8, payload []byte) error {
 	return writeFrame(c.conn, typ, payload)
 }
 
-// stealReplyTimeout bounds how long the steal agent waits for the master's
-// verdict before treating the attempt as a retry. Verdicts can be dropped
-// when the reply buffer is full of unsolicited re-deals, so the agent must
-// not wait on one forever; a late verdict is consumed (harmlessly) by the
-// next attempt.
-const stealReplyTimeout = 100 * time.Millisecond
-
-// runWorkerJob executes one job frame end to end: compile, receive the
-// initial deal, drain with master-relayed stealing and per-task
-// acknowledgement, report the result, and wait for the job epilogue.
+// runWorkerJob executes one job frame end to end: compile, accept, run the
+// master's grants as they arrive (acknowledging each), and report the result
+// once the master sends jobDone.
 //
 // Exit discipline (deterministic under a mid-job master disconnect): the
 // result frame is written only when the drain finished cleanly — if the
-// connection was lost (reader error, ack or steal write failure) or the rank
-// halted on an injected fault, the drain's outcome is abandoned without
-// touching the socket. A partial drain can therefore never race a result
-// frame onto the wire; the master either receives acks followed by a result,
-// or acks followed by a disconnect.
+// connection was lost (reader error or ack write failure) or the rank halted
+// on an injected fault, the drain's outcome is abandoned without touching the
+// socket. A partial drain can therefore never race a result frame onto the
+// wire; the master either receives acks followed by a result, or acks
+// followed by a disconnect.
 func runWorkerJob(conn net.Conn, br *bufio.Reader, holder *graphHolder, opt ServeOptions, jobPayload []byte) error {
 	spec, err := decodeJob(jobPayload)
 	if err != nil {
@@ -249,42 +243,12 @@ func runWorkerJob(conn net.Conn, br *bufio.Reader, holder *graphHolder, opt Serv
 		return err
 	}
 
-	rk := &rank{id: spec.Rank}
-	// Initial deal: zero or one tasks frames, then start. (Ranks beyond the
-	// task count receive no tasks frame at all.)
-	for {
-		typ, payload, err := readFrame(br)
-		if err != nil {
-			return fmt.Errorf("reading deal: %w", err)
-		}
-		if typ == msgStart {
-			break
-		}
-		if typ != msgTasks {
-			return fmt.Errorf("expected tasks or start, got frame type %d", typ)
-		}
-		ts, err := decodeTasks(payload)
-		if err != nil {
-			return err
-		}
-		rk.push(ts)
-	}
-
 	c := &workerConnState{conn: conn}
-	// Verdicts are pushed non-blockingly by the reader (an unsolicited
-	// re-deal can arrive while a solicited verdict is still unread), so the
-	// buffer absorbs bursts and the steal agent tolerates drops via
-	// stealReplyTimeout.
-	replies := make(chan stealVerdict, 8)
-	pushVerdict := func(v stealVerdict) {
-		select {
-		case replies <- v:
-		default:
-		}
-	}
+	// The master never lets a rank hold more unacknowledged tasks than it
+	// has workers, so the reader never waits on this buffer.
+	queue := make(chan taskpool.Range, job.WorkersPerRank)
 	readerDone := make(chan struct{})
 	var readerErr error
-	var jobDone atomic.Bool
 	// lost flips when the master's connection dies mid-job. It is handed to
 	// the drain loop as the workers' stop flag: a master that cancelled the
 	// job (or crashed) frees this rank's cores within one outer-loop
@@ -312,11 +276,11 @@ func runWorkerJob(conn net.Conn, br *bufio.Reader, holder *graphHolder, opt Serv
 		}
 	}
 
-	// The communication thread: serve steal-asks from the master's relay
-	// and route steal replies to the steal agent, until the master closes
-	// the job (msgJobDone) or the connection dies.
+	// The communication thread: queue the master's grants until jobDone or
+	// the connection dies, then close the queue so the workers exit.
 	go func() {
 		defer close(readerDone)
+		defer close(queue)
 		for {
 			typ, payload, err := readFrame(br)
 			if err != nil {
@@ -325,14 +289,6 @@ func runWorkerJob(conn net.Conn, br *bufio.Reader, holder *graphHolder, opt Serv
 				return
 			}
 			switch typ {
-			case msgStealAsk:
-				tasks := rk.takeHalf()
-				atomic.AddInt64(&rk.stats.StolenFrom, int64(len(tasks)))
-				if err := c.write(msgStealGive, encodeStealGive(rk.size(), tasks)); err != nil {
-					readerErr = err
-					lost.Store(true)
-					return
-				}
 			case msgTasks:
 				ts, err := decodeTasks(payload)
 				if err != nil {
@@ -340,13 +296,9 @@ func runWorkerJob(conn net.Conn, br *bufio.Reader, holder *graphHolder, opt Serv
 					lost.Store(true)
 					return
 				}
-				rk.push(ts)
-				atomic.AddInt64(&rk.stats.StealsReceived, int64(len(ts)))
-				pushVerdict(stealGot)
-			case msgRetry:
-				pushVerdict(stealRetry)
-			case msgNoWork:
-				pushVerdict(stealDone)
+				for _, t := range ts {
+					queue <- t
+				}
 			case msgJobDone:
 				return
 			default:
@@ -357,67 +309,99 @@ func runWorkerJob(conn net.Conn, br *bufio.Reader, holder *graphHolder, opt Serv
 		}
 	}()
 
-	// The steal agent, shared by the rank's workers: one outstanding
-	// request at a time, relayed through the master.
-	var stealMu sync.Mutex
-	steal := func() stealVerdict {
-		stealMu.Lock()
-		defer stealMu.Unlock()
-		if jobDone.Load() {
-			return stealDone
-		}
-		if rk.size() >= job.StealThreshold {
-			return stealGot // queue refilled concurrently
-		}
-		if spec.NumRanks == 1 {
-			// No peers to steal from; an empty queue means the job is
-			// locally (hence globally) drained.
-			jobDone.Store(true)
-			return stealDone
-		}
-		if err := c.write(msgStealReq, encodeRemaining(rk.size())); err != nil {
-			lost.Store(true)
-			jobDone.Store(true)
-			return stealDone
-		}
-		select {
-		case v := <-replies:
-			if v == stealDone {
-				jobDone.Store(true)
-			}
-			return v
-		case <-readerDone:
-			// Connection lost: abandon the job; the master sees the
-			// rank as disconnected.
-			jobDone.Store(true)
-			return stealDone
-		case <-time.After(stealReplyTimeout):
-			// The verdict may have been dropped (or is slow); re-request.
-			return stealRetry
-		}
+	res := drain(job, spec.Rank, queue, &lost, &halt, taskDone)
+	// Workers stopped early leave grants behind; discarding them lets the
+	// reader reach its next read, which fails on the dead connection.
+	for range queue {
 	}
-
-	raw := rk.drain(job, job.WorkersPerRank, &lost, &halt, steal, taskDone)
+	<-readerDone
 
 	if halt.Load() {
 		// Injected crash: the connection is closed; the outer loop's next
 		// read fails and the worker returns to accepting masters.
-		<-readerDone
 		return fmt.Errorf("injected fault: rank %d left after %d tasks", spec.Rank, completed.Load())
 	}
 	if lost.Load() {
 		// The master is gone; there is no one to report to, and a drain
 		// interrupted by the stop flag must never produce a result frame.
-		<-readerDone
 		if readerErr != nil {
 			return readerErr
 		}
 		return fmt.Errorf("connection lost mid-job")
 	}
-	if err := c.write(msgResult, encodeResult(rk.result(raw))); err != nil {
-		<-readerDone
-		return err
+	return c.write(msgResult, encodeResult(res))
+}
+
+// drain runs the rank's worker loop: job.WorkersPerRank goroutines pop tasks
+// from queue and execute them with per-worker core.Counters until the queue
+// closes. It returns the rank's raw tally and statistics. taskDone is invoked
+// after every fully completed task with the task's range and the raw count
+// delta its execution earned. Two flags abort the rank cooperatively:
+//
+//   - stop makes the per-worker Counters abandon their current range at the
+//     next outer-loop boundary; a task interrupted this way is never
+//     reported to taskDone, because its delta is partial. The worker sets it
+//     when its master disconnects, so a cancelled or crashed client frees the
+//     rank's cores instead of leaving them finishing dead work.
+//   - halt stops the rank at the next task boundary: in-flight tasks run to
+//     completion (and are reported), queued tasks stay queued. Fault
+//     injection uses it so a "crashed" rank leaves only exactly-once
+//     accountable state behind.
+//
+// This loop is the policy of §IV-E's worker threads.
+func drain(job *Job, rankID int, queue <-chan taskpool.Range, stop, halt *atomic.Bool, taskDone func(t taskpool.Range, delta int64)) RankResult {
+	var tasksRun, busyNS atomic.Int64
+	raw := make([]int64, job.WorkersPerRank)
+	var wg sync.WaitGroup
+	for w := range raw {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counter := core.NewCounterStop(job.Cfg, job.Graph, job.UseIEP, stop)
+			defer func() { raw[w] = counter.Raw() }()
+			var prev int64
+			for t := range queue {
+				if halt.Load() || stop.Load() {
+					return
+				}
+				if job.NodeDelay > 0 && rankID == job.DelayedRank {
+					// Injected slowness is deliberately not counted as
+					// busy time: BusyTime measures how the useful work
+					// spread across ranks, and a straggler's handicap
+					// shows up as fewer tasks executed.
+					time.Sleep(job.NodeDelay)
+				}
+				t0 := time.Now()
+				if job.EdgeParallel {
+					counter.CountEdgeRange(t.Start, t.End)
+				} else {
+					counter.CountRange(t.Start, t.End)
+				}
+				cur := counter.Raw()
+				delta := cur - prev
+				prev = cur
+				if stop.Load() {
+					// The counter may have abandoned the range mid-way;
+					// the partial delta must not be reported as a
+					// completed task.
+					return
+				}
+				busyNS.Add(int64(time.Since(t0)))
+				tasksRun.Add(1)
+				taskDone(t, delta)
+				// Yield between tasks so ranks interleave fairly even
+				// when the host has fewer cores than the cluster has
+				// workers; without this, one goroutine can run every
+				// grant before its peers are scheduled — a shared-CPU
+				// artifact, not a property of §IV-E.
+				runtime.Gosched()
+			}
+		}()
 	}
-	<-readerDone
-	return readerErr
+	wg.Wait()
+	res := RankResult{Stats: NodeStats{TasksRun: tasksRun.Load(), BusyTime: time.Duration(busyNS.Load())}}
+	for _, c := range raw {
+		res.Raw += c
+	}
+	return res
 }

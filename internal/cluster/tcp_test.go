@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -97,8 +100,8 @@ func TestTCPSequentialJobs(t *testing.T) {
 func TestTCPRanksFixed(t *testing.T) {
 	g := graph.GNP(60, 0.3, 9)
 	tr := dialWorkers(t, g, 2)
-	if n := tr.Ranks(5); n != 2 {
-		t.Fatalf("Ranks(5) = %d, want 2", n)
+	if n := tr.Ranks(); n != 2 {
+		t.Fatalf("Ranks() = %d, want 2", n)
 	}
 	cfg := planFor(t, g, pattern.Triangle())
 	res, err := Run(cfg, g, Options{Nodes: 5, WorkersPerNode: 1, Transport: tr})
@@ -158,14 +161,14 @@ func TestTCPNameMismatch(t *testing.T) {
 	}
 }
 
-// TestTCPWorkerDisconnect: a worker that dies right after start is a
-// recoverable loss — its tasks are re-dealt and the job completes with the
+// TestTCPWorkerDisconnect: a worker that dies holding its first grant is a
+// recoverable loss — its tasks are re-granted and the job completes with the
 // exact count; the shrunken pool keeps serving further jobs.
 func TestTCPWorkerDisconnect(t *testing.T) {
 	g := graph.BarabasiAlbert(400, 5, 7)
 	// One honest worker plus one saboteur that handshakes, accepts the
-	// job, consumes its deal, then drops the connection right at start.
-	// Redial attempts are slammed shut so the pool stays shrunken.
+	// job, takes its first grant, then drops the connection without running
+	// it. Redial attempts are slammed shut so the pool stays shrunken.
 	honest := startWorkers(t, g, 1)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -189,13 +192,8 @@ func TestTCPWorkerDisconnect(t *testing.T) {
 			return
 		}
 		writeFrame(conn, msgJobOK, nil)
-		// Consume deal frames until start, then vanish.
-		for {
-			typ, _, err := readFrame(conn)
-			if err != nil || typ == msgStart {
-				break
-			}
-		}
+		// Take the first grant, then vanish.
+		readFrame(conn)
 		conn.Close()
 		for {
 			c, err := ln.Accept()
@@ -220,7 +218,7 @@ func TestTCPWorkerDisconnect(t *testing.T) {
 	if res.Count != want {
 		t.Errorf("recovered count = %d, want %d", res.Count, want)
 	}
-	st := tr.(PoolStatsProvider).PoolStats()
+	st := tr.PoolStats()
 	if st.Losses == 0 {
 		t.Error("rank loss not recorded in pool stats")
 	}
@@ -243,8 +241,7 @@ func TestTCPWorkerDisconnect(t *testing.T) {
 // TestTCPWorkerLostDuringSetup: a worker that dies between the handshake and
 // the job frames — the master discovers the loss while *setting up* the job,
 // not while running it. Setup-phase losses must be as recoverable as mid-job
-// ones: the link is retired, the rank starts lost-early, and its share is
-// re-dealt to the survivors.
+// ones: the link is retired and the rank never receives a grant.
 func TestTCPWorkerLostDuringSetup(t *testing.T) {
 	g := graph.BarabasiAlbert(400, 5, 7)
 	honest := startWorkers(t, g, 1)
@@ -288,7 +285,7 @@ func TestTCPWorkerLostDuringSetup(t *testing.T) {
 	if res.Count != want {
 		t.Errorf("recovered count = %d, want %d", res.Count, want)
 	}
-	st := tr.(PoolStatsProvider).PoolStats()
+	st := tr.PoolStats()
 	if st.Losses == 0 {
 		t.Error("setup-phase rank loss not recorded in pool stats")
 	}
@@ -316,7 +313,7 @@ func TestTCPWorkerCrashRejoins(t *testing.T) {
 	if res.Count != want {
 		t.Errorf("recovered count = %d, want %d", res.Count, want)
 	}
-	st := inner.(PoolStatsProvider).PoolStats()
+	st := inner.PoolStats()
 	if st.Losses == 0 {
 		t.Error("crash not recorded as a loss")
 	}
@@ -339,7 +336,7 @@ func TestTCPWorkerCrashRejoins(t *testing.T) {
 	if res2.Nodes[1].TasksRun == 0 {
 		t.Error("rejoined worker received no tasks")
 	}
-	if st := inner.(PoolStatsProvider).PoolStats(); st.Rejoins == 0 {
+	if st := inner.PoolStats(); st.Rejoins == 0 {
 		t.Error("rejoin not recorded in pool stats")
 	}
 }
@@ -536,7 +533,7 @@ func TestTCPWorkerOverrideCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.Close() })
-	if tw := tr.TotalWorkers(1, 8); tw != 3 {
+	if tw := tr.TotalWorkers(8); tw != 3 {
 		t.Errorf("TotalWorkers = %d, want the advertised override 3", tw)
 	}
 	cfg := planFor(t, g, pattern.House())
@@ -554,15 +551,9 @@ func TestTCPWorkerOverrideCounts(t *testing.T) {
 // fill during a job (inter-ack gaps always; the redeal histogram when a rank
 // is lost holding tasks), and PoolStats.LastJob isolates one job's recovery
 // events — a clean follow-up job reports zero deltas while the lifetime
-// totals keep the earlier loss.
-//
-// Whether rank 1 still holds tasks when it dies is a race: if rank 0 drains
-// its own deal and steals rank 1's queue down to what rank 1's workers have
-// in flight before rank 1 acks its second task, the loss orphans nothing and
-// nothing is re-dealt. Rank 0 is therefore slowed per task (its sleeps also
-// hand the CPU to rank 1 on a busy host), which makes a re-deal the normal
-// outcome, and the redeal assertions apply only when the master did re-deal;
-// the loss itself and the count are asserted unconditionally.
+// totals keep the earlier loss. Rank 1 has two workers and dies at its second
+// ack, when the master still counts the other worker's task (or the grant
+// that replaced the first) as held, so the job always re-grants something.
 func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	g := graph.BarabasiAlbert(500, 5, 11)
 	inner := dialWorkers(t, g, 2)
@@ -571,15 +562,14 @@ func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	want := cfg.Count(g, core.RunOptions{Workers: 1})
 
 	res, err := runWithTimeout(t, 30*time.Second, cfg, g,
-		Options{WorkersPerNode: 2, ChunkSize: 8, Transport: tr,
-			NodeDelay: time.Millisecond, DelayedNode: 0})
+		Options{WorkersPerNode: 2, ChunkSize: 8, Transport: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Count != want {
 		t.Errorf("count = %d, want %d", res.Count, want)
 	}
-	st := inner.(PoolStatsProvider).PoolStats()
+	st := inner.PoolStats()
 	if st.TaskGap.Count == 0 {
 		t.Error("no inter-ack gaps observed")
 	}
@@ -596,10 +586,8 @@ func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	if st.LastJob.Redealt != st.Redealt {
 		t.Errorf("first job's redeal delta %d differs from the lifetime total %d", st.LastJob.Redealt, st.Redealt)
 	}
-	if redealt := st.LastJob.Redealt > 0; redealt != (st.Redeal.Count > 0) {
-		t.Errorf("%d tasks re-dealt but %d redeal drains recorded", st.LastJob.Redealt, st.Redeal.Count)
-	} else if !redealt {
-		t.Log("rank 1 was lost holding no tasks (its queue was stolen first); nothing to re-deal")
+	if st.LastJob.Redealt == 0 || st.Redeal.Count == 0 {
+		t.Errorf("%d tasks re-dealt, %d redeal drains recorded; want both > 0", st.LastJob.Redealt, st.Redeal.Count)
 	}
 
 	// A clean second job (bypassing the fault injector): per-job deltas
@@ -612,7 +600,7 @@ func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	if res2.Count != want {
 		t.Errorf("second count = %d, want %d", res2.Count, want)
 	}
-	st2 := inner.(PoolStatsProvider).PoolStats()
+	st2 := inner.PoolStats()
 	if st2.LastJob.Losses != 0 || st2.LastJob.Redealt != 0 {
 		t.Errorf("clean job deltas = %+v, want zero", st2.LastJob)
 	}
@@ -621,5 +609,87 @@ func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	}
 	if st2.TaskGap.Count <= st.TaskGap.Count {
 		t.Errorf("second job observed no new gaps: %d → %d", st.TaskGap.Count, st2.TaskGap.Count)
+	}
+}
+
+// frameCounter wraps a worker's listener and tallies, by type, every frame
+// the worker writes on any connection it accepts.
+type frameCounter struct {
+	net.Listener
+	mu     sync.Mutex
+	counts map[uint8]int // guarded by mu
+}
+
+func (f *frameCounter) Accept() (net.Conn, error) {
+	c, err := f.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c, f: f}, nil
+}
+
+func (f *frameCounter) snapshot() map[uint8]int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return maps.Clone(f.counts)
+}
+
+// countingConn parses the outgoing byte stream into frames as it is written.
+type countingConn struct {
+	net.Conn
+	f       *frameCounter
+	pending []byte // guarded by f.mu
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.f.mu.Lock()
+	c.pending = append(c.pending, b...)
+	for len(c.pending) >= 5 {
+		n := int(binary.LittleEndian.Uint32(c.pending))
+		if len(c.pending) < 4+n {
+			break
+		}
+		c.f.counts[c.pending[4]]++
+		c.pending = c.pending[4+n:]
+	}
+	c.f.mu.Unlock()
+	return c.Conn.Write(b)
+}
+
+// TestIdleRankSendsOnlyAcks: a rank with nothing to run waits for the master's
+// next grant instead of asking for work. Rank 0 is slowed 5 ms per task, so
+// rank 1 runs most of the job and then idles while rank 0 finishes; over the
+// whole job rank 1 writes one jobOK, one ack per task it ran and one result
+// (after the handshake's welcome) — nothing else, however long it idles.
+func TestIdleRankSendsOnlyAcks(t *testing.T) {
+	g := graph.BarabasiAlbert(400, 5, 41)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	fast := &frameCounter{Listener: ln, counts: map[uint8]int{}}
+	go Serve(fast, g, ServeOptions{})
+	tr, err := DialTCP(append(startWorkers(t, g, 1), ln.Addr().String()), DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	cfg := planFor(t, g, pattern.House())
+	res, err := runWithTimeout(t, 60*time.Second, cfg, g, Options{
+		WorkersPerNode: 1, NodeDelay: 5 * time.Millisecond, DelayedNode: 0, Transport: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cfg.Count(g, core.RunOptions{Workers: 1}); res.Count != want {
+		t.Errorf("count = %d, want %d", res.Count, want)
+	}
+	if res.Nodes[1].TasksRun <= res.Nodes[0].TasksRun {
+		t.Errorf("fast rank ran %d tasks, straggler %d", res.Nodes[1].TasksRun, res.Nodes[0].TasksRun)
+	}
+	want := map[uint8]int{msgWelcome: 1, msgJobOK: 1, msgAck: int(res.Nodes[1].TasksRun), msgResult: 1}
+	if got := fast.snapshot(); !maps.Equal(got, want) {
+		t.Errorf("rank 1 wrote frames %v (type: count), want %v", got, want)
 	}
 }

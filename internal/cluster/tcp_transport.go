@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,32 +15,37 @@ import (
 	"graphpi/internal/telemetry"
 )
 
-// This file is the master side of the TCP fabric. Each connected worker
-// process is one rank; the master deals initial queues, then acts as the
-// steal relay: a thief's request is forwarded as a steal-ask to the peer the
-// master believes richest, and the victim's surrendered half is forwarded
-// back. Relaying keeps the topology a star (workers only know the master),
-// at the cost of one extra hop per steal — the trade the paper's
-// master/communication-thread design also makes for task distribution.
+// This file is the master. Each rank is one worker link — a TCP connection to
+// a worker process, or a net.Pipe to an in-process one (transport.go) — and
+// ranks talk only to the master, never to each other: a star, as in the
+// paper's master/communication-thread design.
 //
-// Fault tolerance: the relay tracks outstanding[r], the exact set of tasks
-// dealt to rank r and not yet acknowledged. Workers acknowledge every
-// completed task with its raw count delta; the master banks the deltas.
-// When a rank is lost mid-job (its connection errors), its banked counts
-// stand in for its result and its outstanding tasks are re-dealt to the
+// Scheduling: the master keeps the undealt tasks in one queue and grants them
+// on demand. grant tops every live rank up to its worker count; it runs at job
+// start, after every acknowledgement and after every loss. A rank therefore
+// never idles while the queue holds work, and a straggler holds only the tasks
+// its workers are running. There is no prefetch: a task granted ahead of need
+// would wait behind its rank's current task, however long that one runs — on
+// a degree-ordered graph the heaviest tasks come first, so the two heaviest
+// would run one after the other — to save one grant round trip per task
+// (DESIGN.md §5 has the measurement).
+//
+// Fault tolerance: held[r] is the exact set of tasks granted to rank r and not
+// yet acknowledged. Workers acknowledge every completed task with its raw
+// count delta; the master banks the deltas. When a rank is lost (its
+// connection errors), its banked counts stand in for its result and held[r]
+// goes back to the front of the queue, where the next grant hands it to the
 // survivors — tasks are independent outer-loop ranges, so re-execution
-// re-earns exactly the unacknowledged counts and totals stay bit-identical.
-// A lost link is not fatal to the transport either: the next job's Ranks()
-// sweep redials it with capped exponential backoff, so a restarted worker
-// rejoins the pool without operator action.
+// re-earns exactly the unacknowledged counts and totals stay bit-identical. A
+// lost link is not fatal to the pool either: the next job's Ranks() sweep
+// redials it with capped exponential backoff, so a restarted worker rejoins
+// without operator action.
 //
-// Termination argument: outstanding[r] is exact — deals and re-deals add,
-// steals move tasks between ranks through the relay (which updates both
-// sides), acknowledgements remove. Hence the total outstanding count is zero
-// exactly when every dealt task has been completed and acknowledged
-// somewhere, which is when the relay answers noWork — the only way a
-// multi-rank worker stops. Every empty rank keeps re-requesting (retry
-// backoff), so every rank reaches that answer.
+// Termination: every task is in exactly one place — the queue, or held[r] of
+// one live rank — and only its acknowledgement removes it. The job's work is
+// therefore done exactly when the queue is empty and no live rank holds a
+// task; the master then sends jobDone, and each rank answers with its result.
+// A rank lost after jobDone holds nothing, so its banked counts are complete.
 
 // DialOptions tunes DialTCP.
 type DialOptions struct {
@@ -52,15 +58,16 @@ type DialOptions struct {
 	RedialBackoffMax time.Duration
 }
 
-// PoolStats is a snapshot of a TCP transport's pool health.
+// PoolStats is a snapshot of a pool's health.
 type PoolStats struct {
-	// Workers is the configured pool size (dialed addresses).
+	// Workers is the configured pool size (dialed ranks).
 	Workers int
 	// Live is the number of currently connected workers.
 	Live int
 	// Rejoins counts successful redials of lost workers.
 	Rejoins int64
-	// Redealt counts tasks reassigned from lost ranks to survivors.
+	// Redealt counts tasks lost ranks held unacknowledged, which went back to
+	// the queue for the survivors.
 	Redealt int64
 	// Losses counts rank-loss events (disconnects and write failures).
 	Losses int64
@@ -71,11 +78,9 @@ type PoolStats struct {
 	LastJob PoolJobStats
 	// TaskGap observes per-rank inter-acknowledgement gaps — a master-side
 	// proxy for task execution time that needs no wire changes (acks carry
-	// no timing). Steal observes relay latency from a thief's request
-	// arriving to the stolen tasks being forwarded; Redeal observes the
-	// duration of full re-deal drains after a rank loss.
+	// no timing). Redeal observes, per loss, the time until the survivors
+	// hold every task the lost rank returned to the queue.
 	TaskGap telemetry.HistogramSnapshot
-	Steal   telemetry.HistogramSnapshot
 	Redeal  telemetry.HistogramSnapshot
 }
 
@@ -86,22 +91,15 @@ type PoolJobStats struct {
 	Losses  int64
 }
 
-// PoolStatsProvider is implemented by transports that track pool health
-// (DialTCP's transport does; the in-process channel transport does not).
-type PoolStatsProvider interface {
-	PoolStats() PoolStats
-}
-
-// tcpTransport is a Transport whose ranks are TCP-connected worker
-// processes. Create one with DialTCP; it runs sequential jobs until closed.
-// A lost worker only shrinks the pool: its link is redialed on later jobs
-// and the worker rejoins when it comes back.
-type tcpTransport struct {
+// pool is the Transport: worker links running sequential jobs until closed.
+// A lost worker only shrinks the pool: its link is redialed on later jobs and
+// the worker rejoins when it comes back.
+type pool struct {
 	opt    DialOptions
 	closed atomic.Bool
 
 	mu sync.Mutex // guards each link's lifecycle state (lost/attempts/conn swaps)
-	// links is append-only during DialTCP (pre-publication) and immutable
+	// links is append-only during dialPool (pre-publication) and immutable
 	// after; concurrent readers need no lock for the slice itself.
 	links []*workerLink
 
@@ -110,19 +108,24 @@ type tcpTransport struct {
 	losses  atomic.Int64
 
 	// Latency histograms (lifetime, like the counters above). Histogram is
-	// internally synchronized, so coordinators observe without holding mu.
+	// internally synchronized, so job loops observe without holding mu.
 	hTaskGap telemetry.Histogram
-	hSteal   telemetry.Histogram
 	hRedeal  telemetry.Histogram
 
 	// lastJob holds the most recent job's counter deltas, guarded by mu.
 	lastJob PoolJobStats
 }
 
-// workerLink is one master↔worker connection slot. When lost, the slot
-// keeps its address and backoff state so the transport can redial it.
-type workerLink struct {
+// endpoint names a rank and says how to open a connection to it.
+type endpoint struct {
 	addr string
+	dial func(timeout time.Duration) (net.Conn, error)
+}
+
+// workerLink is one master↔worker connection slot. When lost, the slot keeps
+// its endpoint and backoff state so the pool can redial it.
+type workerLink struct {
+	endpoint
 	conn net.Conn
 	br   *bufio.Reader
 	wmu  sync.Mutex
@@ -135,9 +138,9 @@ type workerLink struct {
 	hasGraph   bool
 
 	// Redial state; lockcheck enforces the guard annotations below.
-	lost     bool      // guarded by the transport's mu
-	attempts int       // guarded by the transport's mu
-	nextTry  time.Time // guarded by the transport's mu
+	lost     bool      // guarded by the pool's mu
+	attempts int       // guarded by the pool's mu
+	nextTry  time.Time // guarded by the pool's mu
 }
 
 func (l *workerLink) write(typ uint8, payload []byte) error {
@@ -154,18 +157,33 @@ func DialTCP(addrs []string, opt DialOptions) (Transport, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: DialTCP needs at least one worker address")
 	}
-	t := &tcpTransport{opt: opt}
-	for _, addr := range addrs {
-		link, err := dialWorker(addr, t.timeout())
+	endpoints := make([]endpoint, len(addrs))
+	for i, addr := range addrs {
+		endpoints[i] = endpoint{addr: addr, dial: func(timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		}}
+	}
+	t, err := dialPool(endpoints, opt)
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// dialPool connects to every endpoint and checks that the workers holding
+// replicas hold the same one.
+func dialPool(endpoints []endpoint, opt DialOptions) (*pool, error) {
+	t := &pool{opt: opt}
+	for _, ep := range endpoints {
+		link, err := dialLink(ep, t.timeout())
 		if err != nil {
 			_ = t.Close() // dial error takes precedence over teardown
-			return nil, fmt.Errorf("cluster: worker %s: %w", addr, err)
+			return nil, fmt.Errorf("cluster: worker %s: %w", ep.addr, err)
 		}
 		t.links = append(t.links, link)
 	}
-	// Workers holding replicas must hold the same dataset; catching a
-	// divergent worker set here beats a per-job rejection later. Cold
-	// workers are exempt — they will receive the master's view.
+	// Catching a divergent worker set here beats a per-job rejection later.
+	// Cold workers are exempt — they will receive the master's view.
 	var ref *workerLink
 	for _, l := range t.links {
 		if !l.hasGraph {
@@ -184,7 +202,7 @@ func DialTCP(addrs []string, opt DialOptions) (Transport, error) {
 	return t, nil
 }
 
-func (t *tcpTransport) timeout() time.Duration {
+func (t *pool) timeout() time.Duration {
 	if t.opt.Timeout > 0 {
 		return t.opt.Timeout
 	}
@@ -193,7 +211,7 @@ func (t *tcpTransport) timeout() time.Duration {
 
 // backoff returns the wait before redial attempt n (1-based) of a lost
 // worker: the first retry is immediate, then delays double up to the cap.
-func (t *tcpTransport) backoff(attempts int) time.Duration {
+func (t *pool) backoff(attempts int) time.Duration {
 	base := t.opt.RedialBackoff
 	if base <= 0 {
 		base = 250 * time.Millisecond
@@ -215,7 +233,7 @@ func (t *tcpTransport) backoff(attempts int) time.Duration {
 // markLost retires a link's connection: the slot stays in the pool and is
 // redialed (immediately on the next job, then with capped exponential
 // backoff) until the worker comes back.
-func (t *tcpTransport) markLost(l *workerLink) {
+func (t *pool) markLost(l *workerLink) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if l.lost {
@@ -228,11 +246,10 @@ func (t *tcpTransport) markLost(l *workerLink) {
 	_ = l.conn.Close() // link is being retired; the redial path owns recovery
 }
 
-// Ranks answers with the live worker count — the caller's requested node
-// count does not conjure processes. It is also the transport's supervision
-// point: every job starts here, so lost links due for a retry are redialed
-// before the rank set is reported.
-func (t *tcpTransport) Ranks(int) int {
+// Ranks answers with the live worker count. It is also the pool's
+// supervision point: every job starts here, so lost links due for a retry are
+// redialed before the rank set is reported.
+func (t *pool) Ranks() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed.Load() {
@@ -242,7 +259,7 @@ func (t *tcpTransport) Ranks(int) int {
 	live := 0
 	for _, l := range t.links {
 		if l.lost && !now.Before(l.nextTry) {
-			if nl, err := dialWorker(l.addr, t.timeout()); err == nil {
+			if nl, err := dialLink(l.endpoint, t.timeout()); err == nil {
 				l.conn, l.br = nl.conn, nl.br
 				l.advWorkers, l.fp, l.hasGraph = nl.advWorkers, nl.fp, nl.hasGraph
 				l.lost, l.attempts = false, 0
@@ -261,34 +278,29 @@ func (t *tcpTransport) Ranks(int) int {
 
 // TotalWorkers sums each live worker's advertised override, falling back to
 // the requested per-rank count for workers that defer to the master.
-func (t *tcpTransport) TotalWorkers(_, workersPerRank int) int {
+func (t *pool) TotalWorkers(workersPerRank int) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	total := 0
 	for _, l := range t.links {
-		if l.lost {
-			continue
-		}
-		if l.advWorkers > 0 {
-			total += l.advWorkers
-		} else {
-			total += workersPerRank
+		if !l.lost {
+			total += l.workers(workersPerRank)
 		}
 	}
 	return total
 }
 
-// Addrs returns the configured worker addresses, in pool order.
-func (t *tcpTransport) Addrs() []string {
-	out := make([]string, len(t.links))
-	for i, l := range t.links {
-		out[i] = l.addr
+// workers is the link's worker goroutine count for a job requesting
+// workersPerRank per rank.
+func (l *workerLink) workers(workersPerRank int) int {
+	if l.advWorkers > 0 {
+		return l.advWorkers
 	}
-	return out
+	return workersPerRank
 }
 
-// PoolStats reports the transport's pool health counters.
-func (t *tcpTransport) PoolStats() PoolStats {
+// PoolStats reports the pool's health counters.
+func (t *pool) PoolStats() PoolStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := PoolStats{
@@ -298,7 +310,6 @@ func (t *tcpTransport) PoolStats() PoolStats {
 		Losses:  t.losses.Load(),
 		LastJob: t.lastJob,
 		TaskGap: t.hTaskGap.Snapshot(),
-		Steal:   t.hSteal.Snapshot(),
 		Redeal:  t.hRedeal.Snapshot(),
 	}
 	for _, l := range t.links {
@@ -309,7 +320,7 @@ func (t *tcpTransport) PoolStats() PoolStats {
 	return st
 }
 
-func (t *tcpTransport) Close() error {
+func (t *pool) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
@@ -330,7 +341,7 @@ func (t *tcpTransport) Close() error {
 // resetLive retires every live link. Used when a job setup fails partway:
 // some workers already received job frames, so the streams are no longer
 // aligned to job boundaries; the next job redials everyone cleanly.
-func (t *tcpTransport) resetLive() {
+func (t *pool) resetLive() {
 	t.mu.Lock()
 	links := append([]*workerLink(nil), t.links...)
 	t.mu.Unlock()
@@ -339,12 +350,13 @@ func (t *tcpTransport) resetLive() {
 	}
 }
 
-func dialWorker(addr string, timeout time.Duration) (*workerLink, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// dialLink opens a connection to ep and runs the hello/welcome handshake.
+func dialLink(ep endpoint, timeout time.Duration) (*workerLink, error) {
+	conn, err := ep.dial(timeout)
 	if err != nil {
 		return nil, err
 	}
-	l := &workerLink{addr: addr, conn: conn, br: bufio.NewReader(conn)}
+	l := &workerLink{endpoint: ep, conn: conn, br: bufio.NewReader(conn)}
 	// Every failure below abandons the half-open connection; the handshake
 	// error takes precedence over the Close result.
 	fail := func(err error) (*workerLink, error) {
@@ -386,7 +398,7 @@ const snapChunk = 1 << 20
 // return distinguishes protocol-level failures (rejection, wrong
 // fingerprint — misconfiguration that retrying will not fix) from IO
 // failures (the worker crashed; recoverable by retiring just that link).
-func (t *tcpTransport) pushSnapshot(l *workerLink, snap []byte, g *graph.Graph) (err error, fatal bool) {
+func (t *pool) pushSnapshot(l *workerLink, snap []byte, g *graph.Graph) (err error, fatal bool) {
 	if err := l.write(msgSnapBegin, encodeSnapBegin(int64(len(snap)))); err != nil {
 		return err, false
 	}
@@ -424,9 +436,21 @@ func (t *tcpTransport) pushSnapshot(l *workerLink, snap []byte, g *graph.Graph) 
 	return nil, false
 }
 
-func (t *tcpTransport) Connect(job *Job, nranks int) (Session, error) {
+// setup ships the job to every live link and collects the acceptances. It
+// returns the job's links (session rank = index) and which of them were lost
+// on the way.
+//
+// Job setup tolerates crashes the same way the job itself does: an IO failure
+// on any one link (worker died between jobs, or dies while setup is in
+// flight) retires that link, and the job proceeds on the survivors — a rank
+// lost during setup simply never receives a grant. Only protocol-level
+// rejections (replica mismatch, malformed replies) unwind the whole job: those
+// mean misconfiguration, and peers that already accepted are waiting for
+// grants that will never come, so every live link is retired and the next
+// job redials cleanly.
+func (t *pool) setup(job *Job, nranks int) ([]*workerLink, []bool, error) {
 	if t.closed.Load() {
-		return nil, fmt.Errorf("cluster: transport closed")
+		return nil, nil, fmt.Errorf("cluster: transport closed")
 	}
 	t.mu.Lock()
 	var live []*workerLink
@@ -437,20 +461,12 @@ func (t *tcpTransport) Connect(job *Job, nranks int) (Session, error) {
 	}
 	t.mu.Unlock()
 	if len(live) == 0 {
-		return nil, fmt.Errorf("cluster: no live workers (pool of %d, all lost)", len(t.links))
+		return nil, nil, fmt.Errorf("cluster: no live workers (pool of %d, all lost)", len(t.links))
 	}
 	if nranks != len(live) {
-		return nil, fmt.Errorf("cluster: job wants %d ranks, %d workers are live", nranks, len(live))
+		return nil, nil, fmt.Errorf("cluster: job wants %d ranks, %d workers are live", nranks, len(live))
 	}
-	// Job setup tolerates crashes the same way the job itself does: an IO
-	// failure on any one link (worker died between jobs, or dies while setup
-	// is in flight) retires that link and the job proceeds on the survivors —
-	// the session starts with the rank marked lost-early and its share is
-	// re-dealt. Only protocol-level rejections (replica mismatch, malformed
-	// replies) unwind the whole job: those mean misconfiguration, and peers
-	// that already accepted are waiting for a deal that will never come, so
-	// every live link is retired and the next job redials cleanly.
-	setupLost := make([]bool, len(live))
+	lost := make([]bool, len(live))
 	// Cold workers first: push the snapshot so a worker that joined without
 	// a local replica can serve this graph's jobs.
 	var snap []byte
@@ -461,479 +477,123 @@ func (t *tcpTransport) Connect(job *Job, nranks int) (Session, error) {
 		if snap == nil {
 			var buf bytes.Buffer
 			if err := graph.WriteBinary(&buf, job.Graph); err != nil {
-				return nil, fmt.Errorf("cluster: serializing snapshot for cold workers: %w", err)
+				return nil, nil, fmt.Errorf("cluster: serializing snapshot for cold workers: %w", err)
 			}
 			snap = buf.Bytes()
 		}
 		if err, fatal := t.pushSnapshot(l, snap, job.Graph); err != nil {
 			t.markLost(l)
 			if fatal {
-				return nil, fmt.Errorf("cluster: worker %s: snapshot push: %w", l.addr, err)
+				return nil, nil, fmt.Errorf("cluster: worker %s: snapshot push: %w", l.addr, err)
 			}
-			setupLost[i] = true
+			lost[i] = true
 		}
 	}
 	for i, l := range live {
-		if setupLost[i] {
+		if lost[i] {
 			continue
 		}
 		if err := l.write(msgJob, encodeJob(jobSpecOf(job, i, nranks))); err != nil {
 			t.markLost(l)
-			setupLost[i] = true
+			lost[i] = true
 		}
 	}
+	accepted := 0
 	for i, l := range live {
-		if setupLost[i] {
+		if lost[i] {
 			continue
 		}
 		typ, payload, err := readFrame(l.br)
 		if err != nil {
 			t.markLost(l)
-			setupLost[i] = true
+			lost[i] = true
 			continue
 		}
 		switch typ {
 		case msgJobOK:
+			accepted++
 		case msgError:
 			t.resetLive()
-			return nil, fmt.Errorf("cluster: worker %s rejected job: %s", l.addr, payload)
+			return nil, nil, fmt.Errorf("cluster: worker %s rejected job: %s", l.addr, payload)
 		default:
 			t.resetLive()
-			return nil, fmt.Errorf("cluster: worker %s: unexpected job reply type %d", l.addr, typ)
-		}
-	}
-	accepted := 0
-	for _, lost := range setupLost {
-		if !lost {
-			accepted++
+			return nil, nil, fmt.Errorf("cluster: worker %s: unexpected job reply type %d", l.addr, typ)
 		}
 	}
 	if accepted == 0 {
-		return nil, fmt.Errorf("cluster: every worker was lost during job setup")
+		return nil, nil, fmt.Errorf("cluster: every worker was lost during job setup")
 	}
-	s := newTCPSession(t, job, live)
-	copy(s.lostEarly, setupLost)
-	return s, nil
+	return live, lost, nil
 }
 
-// tcpEvent is one routed worker frame, tagged with its session rank. at is
-// the frame's arrival time at the master (zero for frames that carry no
-// latency signal), stamped in readLoop so relay queueing does not skew the
-// histograms' view of when the worker actually answered.
-type tcpEvent struct {
-	rank  int
-	kind  uint8 // msgAck, msgStealReq, msgStealGive, msgResult; 0 for errors
-	task  taskpool.Range
-	delta int64
-	tasks []taskpool.Range
-	res   RankResult
-	err   error
-	at    time.Time
-}
-
-type tcpSession struct {
-	t     *tcpTransport
-	job   *Job
-	links []*workerLink // live links at Connect time; session rank = index
-
-	// outstanding[r] is the exact set of tasks dealt to rank r and not yet
-	// acknowledged. Owned by the caller until Start, by coordinate after.
-	outstanding []map[taskpool.Range]struct{}
-	// orphans collects tasks whose rank died before coordinate took over
-	// (Deal/Start write failures); coordinate re-deals them first.
-	orphans []taskpool.Range
-	// lostEarly marks ranks retired before coordinate took over.
-	lostEarly []bool
-
-	events   chan tcpEvent
-	started  atomic.Bool
-	finished bool
-	reduceCh chan struct{}
-	results  []RankResult
-	failErr  error
-}
-
-func newTCPSession(t *tcpTransport, job *Job, links []*workerLink) *tcpSession {
+func (t *pool) run(job *Job, tasks []taskpool.Range, nranks int) ([]RankResult, time.Duration, error) {
+	base := PoolJobStats{Rejoins: t.rejoins.Load(), Redealt: t.redealt.Load(), Losses: t.losses.Load()}
+	defer t.finishJobStats(base)
+	links, lost, err := t.setup(job, nranks)
+	if err != nil {
+		return nil, 0, err
+	}
 	n := len(links)
-	s := &tcpSession{
-		t:           t,
-		job:         job,
-		links:       links,
-		outstanding: make([]map[taskpool.Range]struct{}, n),
-		lostEarly:   make([]bool, n),
-		// Acks stream continuously; a roomy buffer keeps readers from
-		// stalling while the relay forwards steals. Readers may block on a
-		// full channel — coordinate always drains it.
-		events:   make(chan tcpEvent, 16*n),
-		reduceCh: make(chan struct{}),
-		results:  make([]RankResult, n),
+	j := &jobRun{
+		t:       t,
+		links:   links,
+		workers: make([]int, n),
+		queue:   tasks,
+		held:    make([][]taskpool.Range, n),
+		alive:   make([]bool, n),
+		done:    make([]bool, n),
+		results: make([]RankResult, n),
+		banked:  make([]int64, n),
+		acked:   make([]int64, n),
+		lastAck: make([]time.Time, n),
+		quit:    make(chan struct{}),
 	}
-	for i := range s.outstanding {
-		s.outstanding[i] = make(map[taskpool.Range]struct{})
+	inflight := 0
+	for r, l := range links {
+		j.workers[r] = l.workers(job.WorkersPerRank)
+		j.alive[r], j.done[r] = !lost[r], lost[r]
+		// A rank holds at most its workers' worth of granted tasks, so at
+		// most that many unconsumed acks, plus its result or its error:
+		// readers never wait on the job loop.
+		inflight += j.workers[r] + 1
 	}
-	return s
-}
+	j.events = make(chan rankEvent, inflight)
+	defer close(j.quit)
 
-func (s *tcpSession) Deal(rankID int, tasks []taskpool.Range) error {
-	if s.started.Load() {
-		return fmt.Errorf("cluster: Deal after Start")
-	}
-	if s.lostEarly[rankID] {
-		s.orphans = append(s.orphans, tasks...)
-		return nil
-	}
-	if err := s.links[rankID].write(msgTasks, encodeTasks(tasks)); err != nil {
-		// Recoverable: retire the rank and let coordinate re-deal.
-		s.t.markLost(s.links[rankID])
-		s.lostEarly[rankID] = true
-		s.orphans = append(s.orphans, tasks...)
-		return nil
-	}
-	for _, t := range tasks {
-		s.outstanding[rankID][t] = struct{}{}
-	}
-	return nil
-}
-
-func (s *tcpSession) Start() error {
-	if s.started.Swap(true) {
-		return fmt.Errorf("cluster: session already started")
-	}
-	startedRanks := 0
-	for i, l := range s.links {
-		if s.lostEarly[i] {
-			continue
-		}
-		if err := l.write(msgStart, nil); err != nil {
-			s.t.markLost(l)
-			s.lostEarly[i] = true
-			for t := range s.outstanding[i] {
-				s.orphans = append(s.orphans, t)
-			}
-			s.outstanding[i] = make(map[taskpool.Range]struct{})
-			continue
-		}
-		startedRanks++
-	}
-	if startedRanks == 0 {
-		return fmt.Errorf("cluster: every worker was lost before the job could start")
-	}
-	for i, l := range s.links {
-		if !s.lostEarly[i] {
-			go s.readLoop(i, l)
+	start := time.Now()
+	for r := range links {
+		j.lastAck[r] = start
+		if j.alive[r] {
+			go j.readLoop(r, links[r].br)
 		}
 	}
-	go s.coordinate()
-	return nil
-}
-
-// readLoop routes one worker's frames into the relay. A rank's result is
-// always its last job frame: results are only sent after the relay answers
-// noWork, which it only does once the global outstanding set is empty — at
-// which point no further steal-ask can be solicited. The loop therefore
-// exits on the result, leaving the connection quiet for the next job.
-func (s *tcpSession) readLoop(rankID int, l *workerLink) {
-	for {
-		typ, payload, err := readFrame(l.br)
-		if err != nil {
-			s.events <- tcpEvent{rank: rankID, err: fmt.Errorf("worker %s disconnected: %w", l.addr, err)}
-			return
-		}
-		switch typ {
-		case msgAck:
-			task, delta, err := decodeAck(payload)
-			if err != nil {
-				s.events <- tcpEvent{rank: rankID, err: err}
-				return
-			}
-			s.events <- tcpEvent{rank: rankID, kind: msgAck, task: task, delta: delta, at: time.Now()}
-		case msgStealReq:
-			if _, err := decodeRemaining(payload); err != nil {
-				s.events <- tcpEvent{rank: rankID, err: err}
-				return
-			}
-			s.events <- tcpEvent{rank: rankID, kind: msgStealReq, at: time.Now()}
-		case msgStealGive:
-			_, tasks, err := decodeStealGive(payload)
-			if err != nil {
-				s.events <- tcpEvent{rank: rankID, err: err}
-				return
-			}
-			s.events <- tcpEvent{rank: rankID, kind: msgStealGive, tasks: tasks}
-		case msgResult:
-			res, err := decodeResult(payload)
-			if err != nil {
-				s.events <- tcpEvent{rank: rankID, err: err}
-				return
-			}
-			s.events <- tcpEvent{rank: rankID, kind: msgResult, res: res}
-			return
-		default:
-			s.events <- tcpEvent{rank: rankID, err: fmt.Errorf("worker %s: unexpected mid-job frame type %d", l.addr, typ)}
-			return
-		}
+	j.grant()
+	for j.err == nil && (len(j.queue) > 0 || j.holding()) {
+		j.handle(<-j.events)
 	}
-}
-
-// coordinate is the steal relay and loss recovery loop: it banks
-// acknowledgements, serves thief requests one at a time, and on a rank loss
-// synthesizes the rank's result from its banked counts and re-deals its
-// unacknowledged tasks — until every rank has reported or been recovered.
-func (s *tcpSession) coordinate() {
-	defer close(s.reduceCh)
-	defer s.finishJobStats(PoolJobStats{
-		Rejoins: s.t.rejoins.Load(),
-		Redealt: s.t.redealt.Load(),
-		Losses:  s.t.losses.Load(),
-	})
-	n := len(s.links)
-	alive := make([]bool, n)
-	done := make([]bool, n)
-	banked := make([]int64, n)
-	acked := make([]int64, n)
-	doneCount := 0
-	// lastAck[r] anchors rank r's inter-ack gap observations; the first gap
-	// is measured from the job's coordination start.
-	jobStart := time.Now()
-	lastAck := make([]time.Time, n)
-	for i := range lastAck {
-		lastAck[i] = jobStart
-	}
-	var parked []tcpEvent // thief requests parked while serving another
-	var redealQueue []taskpool.Range
-
-	outstandingTotal := func() int {
-		total := 0
-		for _, m := range s.outstanding {
-			total += len(m)
-		}
-		return total
-	}
-
-	// loseRank retires a rank: its connection closes (making the loss
-	// visible to the transport's redial sweep), its banked counts become its
-	// result, and its unacknowledged tasks join the re-deal queue. The
-	// caller must drain the queue with redeal() afterwards.
-	loseRank := func(r int, cause error) {
-		if !alive[r] {
-			return
-		}
-		alive[r] = false
-		s.t.markLost(s.links[r])
-		if !done[r] {
-			done[r] = true
-			doneCount++
-			// The rank's acknowledged work survives as banked deltas; what
-			// it never acknowledged is re-earned by the survivors below.
-			s.results[r] = RankResult{Raw: banked[r], Stats: NodeStats{TasksRun: acked[r]}}
-		}
-		for t := range s.outstanding[r] {
-			redealQueue = append(redealQueue, t)
-		}
-		s.outstanding[r] = make(map[taskpool.Range]struct{})
-	}
-
-	// redeal drains the re-deal queue onto the least-loaded live rank (the
-	// steal relay rebalances from there). It fails the job only when no
-	// live rank remains to take the work.
-	redeal := func() {
-		if len(redealQueue) == 0 {
-			return
-		}
-		start := time.Now()
-		defer s.t.hRedeal.ObserveSince(start)
-		for len(redealQueue) > 0 && s.failErr == nil {
-			target, best := -1, int(^uint(0)>>1)
-			for i := 0; i < n; i++ {
-				if alive[i] && !done[i] && len(s.outstanding[i]) < best {
-					best, target = len(s.outstanding[i]), i
+	if j.err == nil {
+		j.jobDone = true
+		for r, l := range links {
+			if j.alive[r] {
+				if err := l.write(msgJobDone, nil); err != nil {
+					j.lose(r, err)
 				}
 			}
-			if target < 0 {
-				s.failErr = fmt.Errorf("every worker was lost with %d tasks unfinished", len(redealQueue))
-				return
-			}
-			batch := redealQueue
-			redealQueue = nil
-			if err := s.links[target].write(msgTasks, encodeTasks(batch)); err != nil {
-				redealQueue = batch
-				loseRank(target, err) // appends target's tasks to the queue; retry
-				continue
-			}
-			for _, t := range batch {
-				s.outstanding[target][t] = struct{}{}
-			}
-			s.t.redealt.Add(int64(len(batch)))
+		}
+		for !j.allDone() {
+			j.handle(<-j.events)
 		}
 	}
-
-	// record folds one non-steal-request event into the relay state.
-	record := func(ev tcpEvent) {
-		switch {
-		case ev.err != nil:
-			loseRank(ev.rank, ev.err)
-			redeal()
-		case ev.kind == msgAck:
-			banked[ev.rank] += ev.delta
-			acked[ev.rank]++
-			delete(s.outstanding[ev.rank], ev.task)
-			if !ev.at.IsZero() {
-				s.t.hTaskGap.Observe(ev.at.Sub(lastAck[ev.rank]))
-				lastAck[ev.rank] = ev.at
-			}
-		case ev.kind == msgStealGive:
-			// A give with no thief waiting: the thief died while the ask
-			// was in flight. The victim has surrendered these tasks, so
-			// they must be reassigned.
-			for _, t := range ev.tasks {
-				delete(s.outstanding[ev.rank], t)
-			}
-			if len(ev.tasks) > 0 {
-				redealQueue = append(redealQueue, ev.tasks...)
-				redeal()
-			}
-		case ev.kind == msgResult:
-			if !done[ev.rank] {
-				s.results[ev.rank] = ev.res
-				done[ev.rank] = true
-				doneCount++
-			}
-		}
+	if j.err != nil {
+		return nil, 0, fmt.Errorf("cluster: %w", j.err)
 	}
-
-	// serveThief answers one steal request, asking victims richest-first
-	// until one yields tasks or none can.
-	serveThief := func(req tcpEvent) {
-		thief := req.rank
-		if !alive[thief] || done[thief] {
-			return // stale request from a retired rank
-		}
-		tried := make([]bool, n)
-		for s.failErr == nil {
-			victim, best := -1, 1 // a victim needs ≥ 2 outstanding for takeHalf to yield
-			for i := 0; i < n; i++ {
-				if i != thief && alive[i] && !done[i] && !tried[i] && len(s.outstanding[i]) > best {
-					best, victim = len(s.outstanding[i]), i
-				}
-			}
-			if victim < 0 {
-				break
-			}
-			tried[victim] = true
-			if err := s.links[victim].write(msgStealAsk, nil); err != nil {
-				loseRank(victim, err)
-				redeal()
-				continue
-			}
-			// Await the victim's give; park unrelated thief requests, fold
-			// everything else in as it arrives.
-			var gave []taskpool.Range
-			gotGive := false
-			for s.failErr == nil {
-				ev := <-s.events
-				if ev.kind == msgStealReq {
-					parked = append(parked, ev)
-					continue
-				}
-				if ev.kind == msgStealGive && ev.rank == victim {
-					gave = ev.tasks
-					gotGive = true
-					break
-				}
-				record(ev)
-				if !alive[victim] {
-					break // its outstanding set was already re-dealt
-				}
-				if !alive[thief] || done[thief] {
-					return // nobody left to answer
-				}
-			}
-			if !gotGive {
-				continue
-			}
-			for _, t := range gave {
-				delete(s.outstanding[victim], t)
-			}
-			if len(gave) == 0 {
-				continue
-			}
-			if err := s.links[thief].write(msgTasks, encodeTasks(gave)); err != nil {
-				redealQueue = append(redealQueue, gave...)
-				loseRank(thief, err)
-				redeal()
-				return
-			}
-			for _, t := range gave {
-				s.outstanding[thief][t] = struct{}{}
-			}
-			if !req.at.IsZero() {
-				s.t.hSteal.ObserveSince(req.at)
-			}
-			return
-		}
-		if s.failErr != nil || !alive[thief] || done[thief] {
-			return
-		}
-		// Nothing stealable. If the global outstanding set is empty every
-		// dealt task has been acknowledged somewhere and the job is done;
-		// otherwise the thief backs off and retries.
-		reply := msgRetry
-		if outstandingTotal() == 0 {
-			reply = msgNoWork
-		}
-		if err := s.links[thief].write(reply, nil); err != nil {
-			loseRank(thief, err)
-			redeal()
-		}
-	}
-
-	// Ranks retired before coordinate took over: their queues are already
-	// orphaned; account them as lost and re-deal first.
-	for i := range s.links {
-		alive[i] = !s.lostEarly[i]
-		if s.lostEarly[i] && !done[i] {
-			done[i] = true
-			doneCount++
-		}
-	}
-	redealQueue = append(redealQueue, s.orphans...)
-	s.orphans = nil
-	redeal()
-
-	for doneCount < n && s.failErr == nil {
-		var ev tcpEvent
-		if len(parked) > 0 {
-			ev, parked = parked[0], parked[1:]
-		} else {
-			ev = <-s.events
-		}
-		if ev.kind == msgStealReq {
-			serveThief(ev)
-		} else {
-			record(ev)
-		}
-	}
-
-	if s.failErr != nil {
-		return
-	}
-	for i, l := range s.links {
-		if !alive[i] {
-			continue
-		}
-		if err := l.write(msgJobDone, nil); err != nil {
-			// The results are already in; a failed epilogue only means this
-			// worker is gone for future jobs.
-			s.t.markLost(l)
-		}
-	}
+	return j.results, time.Since(start), nil
 }
 
 // finishJobStats publishes this job's recovery-counter deltas (current
-// lifetime totals minus the baseline captured when coordination started) as
-// the transport's LastJob snapshot.
-func (s *tcpSession) finishJobStats(base PoolJobStats) {
-	t := s.t
+// lifetime totals minus the baseline captured when the job started) as the
+// pool's LastJob snapshot.
+func (t *pool) finishJobStats(base PoolJobStats) {
 	jl := PoolJobStats{
 		Rejoins: t.rejoins.Load() - base.Rejoins,
 		Redealt: t.redealt.Load() - base.Redealt,
@@ -944,27 +604,183 @@ func (s *tcpSession) finishJobStats(base PoolJobStats) {
 	t.mu.Unlock()
 }
 
-func (s *tcpSession) Reduce() ([]RankResult, error) {
-	if !s.started.Load() {
-		return nil, fmt.Errorf("cluster: Reduce before Start")
-	}
-	<-s.reduceCh
-	s.finished = true
-	if s.failErr != nil {
-		return nil, fmt.Errorf("cluster: %w", s.failErr)
-	}
-	return s.results, nil
+// rankEvent is one worker frame routed to the job loop, tagged with its rank.
+// at is the frame's arrival time, stamped in readLoop so queueing in the job
+// loop does not skew the task-gap histogram.
+type rankEvent struct {
+	rank  int
+	kind  uint8 // msgAck or msgResult; 0 for errors
+	task  taskpool.Range
+	delta int64
+	res   RankResult
+	err   error
+	at    time.Time
 }
 
-// Close releases the session. A session abandoned mid-job (started but not
-// reduced) retires its links: the connections carry unconsumed frames and
-// cannot be reused, but the workers themselves survive — they observe the
-// close, free their cores, and the next job redials them.
-func (s *tcpSession) Close() error {
-	if s.started.Load() && !s.finished {
-		for _, l := range s.links {
-			s.t.markLost(l)
+// jobRun is the master's state for one job. Only the job loop in run touches
+// it; each rank's readLoop feeds it through events.
+type jobRun struct {
+	t       *pool
+	links   []*workerLink      // session rank = index
+	workers []int              // worker goroutines per rank
+	queue   []taskpool.Range   // undealt tasks; the front is granted next
+	held    [][]taskpool.Range // per rank: granted, not yet acknowledged
+	alive   []bool
+	done    []bool // result received, or synthesized for a lost rank
+	results []RankResult
+	banked  []int64 // acknowledged raw count deltas per rank
+	acked   []int64 // acknowledged tasks per rank
+	lastAck []time.Time
+	jobDone bool // jobDone sent: results may arrive
+	err     error
+
+	events chan rankEvent
+	quit   chan struct{} // closed when run returns; releases blocked readers
+
+	// redealSince is when the oldest returned task still in the queue came
+	// back; redealBehind is how many undealt tasks sat behind the returned
+	// ones then, so all of them have been granted once the queue is no
+	// longer than that.
+	redealSince  time.Time
+	redealBehind int
+}
+
+// readLoop routes one rank's frames from br into the job loop. A rank's
+// result is its last frame of the job (it is only sent after jobDone), so the
+// loop exits on it, leaving the connection quiet for the next job's setup. br
+// is passed in rather than read from the link, which a later job's redial may
+// rewrite while this goroutine still runs.
+func (j *jobRun) readLoop(r int, br *bufio.Reader) {
+	l := j.links[r]
+	send := func(ev rankEvent) bool {
+		ev.rank = r
+		select {
+		case j.events <- ev:
+			return true
+		case <-j.quit:
+			return false
 		}
 	}
-	return nil
+	for {
+		typ, payload, err := readFrame(br)
+		if err != nil {
+			send(rankEvent{err: fmt.Errorf("worker %s disconnected: %w", l.addr, err)})
+			return
+		}
+		switch typ {
+		case msgAck:
+			task, delta, err := decodeAck(payload)
+			if err != nil {
+				send(rankEvent{err: err})
+				return
+			}
+			if !send(rankEvent{kind: msgAck, task: task, delta: delta, at: time.Now()}) {
+				return
+			}
+		case msgResult:
+			res, err := decodeResult(payload)
+			if err != nil {
+				send(rankEvent{err: err})
+				return
+			}
+			send(rankEvent{kind: msgResult, res: res})
+			return
+		default:
+			send(rankEvent{err: fmt.Errorf("worker %s: unexpected mid-job frame type %d", l.addr, typ)})
+			return
+		}
+	}
+}
+
+// handle folds one rank event into the job state and grants what it freed.
+func (j *jobRun) handle(ev rankEvent) {
+	r := ev.rank
+	if !j.alive[r] {
+		return // a retired rank's late frames
+	}
+	switch {
+	case ev.err != nil:
+		j.lose(r, ev.err)
+	case ev.kind == msgAck:
+		i := slices.Index(j.held[r], ev.task)
+		if i < 0 {
+			j.lose(r, fmt.Errorf("worker %s acknowledged task %v it does not hold", j.links[r].addr, ev.task))
+			break
+		}
+		j.held[r] = slices.Delete(j.held[r], i, i+1)
+		j.banked[r] += ev.delta
+		j.acked[r]++
+		j.t.hTaskGap.Observe(ev.at.Sub(j.lastAck[r]))
+		j.lastAck[r] = ev.at
+	case ev.kind == msgResult:
+		if !j.jobDone {
+			j.lose(r, fmt.Errorf("worker %s sent its result before jobDone", j.links[r].addr))
+			break
+		}
+		j.results[r] = ev.res
+		j.done[r] = true
+	}
+	j.grant()
+}
+
+// grant tops every live rank up to its worker count from the front of the
+// queue.
+func (j *jobRun) grant() {
+	for r, l := range j.links {
+		if !j.alive[r] || len(j.queue) == 0 {
+			continue
+		}
+		n := min(j.workers[r]-len(j.held[r]), len(j.queue))
+		if n <= 0 {
+			continue
+		}
+		batch := j.queue[:n]
+		if err := l.write(msgTasks, encodeTasks(batch)); err != nil {
+			// The loss returns tasks to the queue, which ranks already
+			// visited may take: start over.
+			j.lose(r, err)
+			j.grant()
+			return
+		}
+		j.held[r] = append(j.held[r], batch...)
+		j.queue = j.queue[n:]
+	}
+	if !j.redealSince.IsZero() && len(j.queue) <= j.redealBehind {
+		j.t.hRedeal.ObserveSince(j.redealSince)
+		j.redealSince = time.Time{}
+	}
+}
+
+// lose retires rank r: its connection closes (making the loss visible to the
+// pool's redial sweep), its banked counts become its result, and the tasks it
+// held go back to the front of the queue. The job fails only when tasks
+// remain and no live rank is left to run them.
+func (j *jobRun) lose(r int, cause error) {
+	j.alive[r] = false
+	j.t.markLost(j.links[r])
+	if !j.done[r] {
+		j.done[r] = true
+		j.results[r] = RankResult{Raw: j.banked[r], Stats: NodeStats{TasksRun: j.acked[r]}}
+	}
+	if n := len(j.held[r]); n > 0 {
+		if j.redealSince.IsZero() {
+			j.redealSince, j.redealBehind = time.Now(), len(j.queue)
+		}
+		j.queue = append(j.held[r], j.queue...)
+		j.held[r] = nil
+		j.t.redealt.Add(int64(n))
+	}
+	if len(j.queue) > 0 && !slices.Contains(j.alive, true) {
+		j.err = fmt.Errorf("every worker was lost with %d tasks unfinished (last: %w)", len(j.queue), cause)
+	}
+}
+
+// holding reports whether any rank holds an unacknowledged task (a lost
+// rank's tasks are back in the queue).
+func (j *jobRun) holding() bool {
+	return slices.ContainsFunc(j.held, func(h []taskpool.Range) bool { return len(h) > 0 })
+}
+
+func (j *jobRun) allDone() bool {
+	return !slices.Contains(j.done, false)
 }

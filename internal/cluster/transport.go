@@ -1,9 +1,8 @@
 package cluster
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"fmt"
+	"net"
 	"time"
 
 	"graphpi/internal/core"
@@ -11,19 +10,39 @@ import (
 	"graphpi/internal/taskpool"
 )
 
-// This file defines the boundary between the cluster's scheduling policy and
-// its message plumbing. Run (cluster.go) owns policy: task packing, dealing
-// order, result aggregation. A Transport owns plumbing: how a dealt queue
-// reaches a rank, how steal request/response traffic moves between ranks,
-// and how partial counts reduce back to the master. Run never touches a
-// channel or a socket; swapping the in-process channel fabric for TCP worker
-// processes changes no scheduling behavior.
+// Transport is a pool of ranks the master runs jobs on. DialTCP connects one
+// to worker processes; Run dials an in-process one when Options.Transport is
+// nil; NewFaultyTransport wraps either with fault injection. Every one runs
+// the same master (tcp_transport.go) against the same worker (serve.go).
+type Transport interface {
+	// Ranks returns the rank count for the next job: the live worker set.
+	// It is also the pool's supervision point — lost links due for a retry
+	// are redialed here.
+	Ranks() int
+	// TotalWorkers returns the cluster-wide worker count for a job with
+	// workersPerRank requested per rank, counting the per-worker overrides
+	// (ServeOptions.Workers) advertised at join time, so the master's task
+	// granularity matches the workers that actually run.
+	TotalWorkers(workersPerRank int) int
+	// PoolStats reports the pool's health and recovery counters.
+	PoolStats() PoolStats
+	// Close releases the pool. Workers observe it as a leave: their
+	// connections close and they return to accepting new masters.
+	Close() error
 
-// Job bundles everything a transport must convey to its ranks to execute one
-// counting job. The channel transport hands the pointers to in-process
-// goroutines; the TCP transport serializes the configuration (pattern,
-// schedule, restrictions) plus a fingerprint of the graph, and each worker
-// process rebuilds the Job against its own snapshot-loaded replica.
+	// run executes one job on nranks ranks: it ships the job to every rank,
+	// grants tasks on demand until each is acknowledged, and returns the
+	// per-rank partial results, indexed by rank, with the time from the first
+	// grant to the last result. A lost rank is recovered from (its
+	// acknowledged counts are banked, its unacknowledged tasks re-granted to
+	// the survivors), so run errors only when no live rank remains.
+	run(job *Job, tasks []taskpool.Range, nranks int) ([]RankResult, time.Duration, error)
+}
+
+// Job bundles everything the master ships to its ranks for one counting job.
+// The configuration travels as its inputs (pattern, schedule, restrictions)
+// plus a fingerprint of the graph, and each worker rebuilds the Job against
+// its own replica (wire.go's jobSpec).
 type Job struct {
 	// Cfg is the compiled configuration every rank executes.
 	Cfg *core.Config
@@ -39,19 +58,15 @@ type Job struct {
 	EdgeParallel bool
 	// WorkersPerRank is the number of worker goroutines each rank runs.
 	WorkersPerRank int
-	// StealThreshold is the queue length below which a rank requests work
-	// from its peers.
-	StealThreshold int
 	// NodeDelay artificially slows rank DelayedRank per task
 	// (failure/straggler injection for tests); 0 disables.
 	NodeDelay   time.Duration
 	DelayedRank int
 	// FailAfterTasks, when > 0, makes rank FailRank die after completing
 	// that many tasks (fault injection for tests and benchmarks, shipped on
-	// the wire like NodeDelay). Death happens at a task boundary: a TCP
-	// worker closes its connection abruptly, an in-process rank marks itself
-	// dead so its queue is fully stolen by survivors. Multi-rank jobs only —
-	// a single rank has no survivor to recover on.
+	// the wire like NodeDelay). Death happens at a task boundary: the worker
+	// closes its connection abruptly after acknowledging the task.
+	// Multi-rank jobs only — a single rank has no survivor to recover on.
 	FailRank       int
 	FailAfterTasks int
 }
@@ -63,236 +78,25 @@ type RankResult struct {
 	Stats NodeStats
 }
 
-// Transport moves cluster messages between the master and its ranks.
-// Implementations decide what a rank is — an in-process goroutine group
-// (chanTransport) or a TCP-connected worker process (tcpTransport).
-type Transport interface {
-	// Ranks resolves the rank count for a job when the caller requests n.
-	// The channel transport grants any n ≥ 1; the TCP transport always
-	// answers with its connected worker set.
-	Ranks(requested int) int
-	// TotalWorkers returns the cluster-wide worker count for a job on
-	// nranks ranks with workersPerRank requested per rank. Remote
-	// transports account for per-worker overrides (ServeOptions.Workers)
-	// advertised at join time, so the master's task granularity matches
-	// the workers that actually run.
-	TotalWorkers(nranks, workersPerRank int) int
-	// Connect opens a session for one job across nranks ranks. For remote
-	// transports this is where workers join the job (and where a
-	// config/graph mismatch surfaces as an error).
-	Connect(job *Job, nranks int) (Session, error)
-	// Close releases the transport. Remote workers observe it as a leave:
-	// their connections close and they return to accepting new masters.
-	Close() error
-}
-
-// Session is one job in flight on a transport.
-type Session interface {
-	// Deal appends tasks to a rank's initial queue. Only valid before
-	// Start.
-	Deal(rank int, tasks []taskpool.Range) error
-	// Start launches execution on every rank. From here until Reduce
-	// returns, steal request/response traffic flows inside the transport
-	// without master involvement from the caller's point of view.
-	Start() error
-	// Reduce blocks until every rank drains its work and returns the
-	// per-rank partial results, indexed by rank. A lost rank (e.g. a TCP
-	// worker that disconnects mid-job) is recovered from: its acknowledged
-	// counts are banked and its unacknowledged tasks re-dealt to survivors,
-	// so Reduce errors only when no live rank remains to finish the job.
-	Reduce() ([]RankResult, error)
-	// Close releases the session. It must be safe to call after Reduce
-	// and after errors.
-	Close() error
-}
-
-// stealVerdict is the outcome of a rank's attempt to obtain more work once
-// its local queue runs dry.
-type stealVerdict int
-
-const (
-	// stealGot: tasks arrived (or the queue refilled concurrently); pop
-	// again.
-	stealGot stealVerdict = iota
-	// stealRetry: nothing available right now, but tasks are still in
-	// flight elsewhere and might become stealable; back off and retry.
-	stealRetry
-	// stealDone: the job has globally drained; the worker can exit.
-	stealDone
-)
-
-// rank is the queue state one rank maintains, shared by every transport:
-// the channel transport keeps N of these in the master process, the TCP
-// transport keeps one inside each worker process. Tasks are popped from the
-// front by the rank's own workers and stolen from the back by peers.
-type rank struct {
-	id    int
-	mu    sync.Mutex
-	queue []taskpool.Range // guarded by mu
-	head  int              // guarded by mu
-
-	// dead marks a rank that stopped executing (fault injection or loss):
-	// peers may then steal its entire queue instead of half, so no task is
-	// stranded behind takeHalf's leave-one-behind rule.
-	dead atomic.Bool
-
-	busyNS atomic.Int64
-	stats  NodeStats
-}
-
-func (n *rank) pop() (taskpool.Range, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.head >= len(n.queue) {
-		return taskpool.Range{}, false
+// dialInProcess returns a pool of n ranks that live in this process. Each
+// link is a net.Pipe whose far end runs serveConn against g, so an in-process
+// rank speaks the wire protocol and recovers from loss exactly like a TCP
+// worker; a lost link is redialed as a fresh pipe.
+func dialInProcess(g *graph.Graph, n int) (*pool, error) {
+	holder := &graphHolder{g: g}
+	dial := func(time.Duration) (net.Conn, error) {
+		near, far := net.Pipe()
+		go func() {
+			defer far.Close()
+			// The master sees a failing rank as a lost link; there is no
+			// operator log for an in-process rank.
+			_ = serveConn(far, holder, ServeOptions{})
+		}()
+		return near, nil
 	}
-	t := n.queue[n.head]
-	n.head++
-	return t, true
-}
-
-func (n *rank) size() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.queue) - n.head
-}
-
-// takeHalf removes up to half of the remaining tasks from the back of the
-// queue (the victim side of a steal).
-func (n *rank) takeHalf() []taskpool.Range {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	remaining := len(n.queue) - n.head
-	if remaining <= 1 {
-		return nil
+	endpoints := make([]endpoint, n)
+	for i := range endpoints {
+		endpoints[i] = endpoint{addr: fmt.Sprintf("in-process rank %d", i), dial: dial}
 	}
-	take := remaining / 2
-	cut := len(n.queue) - take
-	out := append([]taskpool.Range(nil), n.queue[cut:]...)
-	n.queue = n.queue[:cut]
-	return out
-}
-
-// take is the victim side of a steal: half the remainder from a live rank,
-// everything from a dead one (a dead rank's workers will never pop again, so
-// leaving tasks behind would strand them).
-func (n *rank) take() []taskpool.Range {
-	if !n.dead.Load() {
-		return n.takeHalf()
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := append([]taskpool.Range(nil), n.queue[n.head:]...)
-	n.queue = n.queue[:n.head]
-	return out
-}
-
-func (n *rank) push(tasks []taskpool.Range) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.queue = append(n.queue, tasks...)
-}
-
-// drain runs the rank's worker loop: nWorkers goroutines pop tasks, execute
-// them with per-worker core.Counters, and call steal when the queue runs
-// dry, until steal reports the job has globally drained. It returns the sum
-// of the workers' raw tallies. taskDone, if non-nil, is invoked after every
-// fully completed task with the task's range and the raw count delta its
-// execution earned (the channel fabric maintains its global pending count
-// with it; the TCP worker acknowledges the task to the master). Two flags
-// abort the rank cooperatively:
-//
-//   - stop makes the per-worker Counters abandon their current range at the
-//     next outer-loop boundary; a task interrupted this way is never
-//     reported to taskDone, because its delta is partial. The TCP worker
-//     sets it when its master disconnects, so a cancelled or crashed client
-//     frees the rank's cores instead of leaving them finishing dead work.
-//   - halt stops the rank at the next task boundary: in-flight tasks run to
-//     completion (and are reported), queued tasks stay queued. Fault
-//     injection uses it so a "crashed" rank leaves only exactly-once
-//     accountable state behind.
-//
-// This loop is the policy of §IV-E's worker threads and is shared verbatim
-// by every transport.
-func (n *rank) drain(job *Job, nWorkers int, stop, halt *atomic.Bool, steal func() stealVerdict, taskDone func(t taskpool.Range, delta int64)) int64 {
-	raw := make([]int64, nWorkers)
-	var wg sync.WaitGroup
-	for w := 0; w < nWorkers; w++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			counter := core.NewCounterStop(job.Cfg, job.Graph, job.UseIEP, stop)
-			defer func() { raw[slot] = counter.Raw() }()
-			var prev int64
-			for {
-				if halt != nil && halt.Load() {
-					return
-				}
-				t, ok := n.pop()
-				if !ok {
-					switch steal() {
-					case stealGot:
-						continue
-					case stealRetry:
-						// Someone still runs tasks that might be
-						// re-stolen; yield briefly.
-						time.Sleep(50 * time.Microsecond)
-						continue
-					default:
-						return
-					}
-				}
-				if job.NodeDelay > 0 && n.id == job.DelayedRank {
-					// Injected slowness is deliberately not counted as
-					// busy time: BusyTime measures how the useful work
-					// spread across ranks, and a straggler's handicap
-					// shows up as fewer tasks executed.
-					time.Sleep(job.NodeDelay)
-				}
-				t0 := time.Now()
-				if job.EdgeParallel {
-					counter.CountEdgeRange(t.Start, t.End)
-				} else {
-					counter.CountRange(t.Start, t.End)
-				}
-				cur := counter.Raw()
-				delta := cur - prev
-				prev = cur
-				if stop != nil && stop.Load() {
-					// The counter may have abandoned the range mid-way;
-					// the partial delta must not be reported as a
-					// completed task.
-					return
-				}
-				n.busyNS.Add(int64(time.Since(t0)))
-				atomic.AddInt64(&n.stats.TasksRun, 1)
-				if taskDone != nil {
-					taskDone(t, delta)
-				}
-				// Yield between tasks so ranks interleave fairly even
-				// when the host has fewer cores than the cluster has
-				// workers; without this, one goroutine can drain every
-				// queue before its peers are scheduled — a shared-CPU
-				// artifact, not a property of §IV-E.
-				runtime.Gosched()
-			}
-		}(w)
-	}
-	wg.Wait()
-	var sum int64
-	for _, c := range raw {
-		sum += c
-	}
-	return sum
-}
-
-// result snapshots the rank's partial outcome after drain returns.
-func (n *rank) result(raw int64) RankResult {
-	stats := NodeStats{
-		TasksRun:       atomic.LoadInt64(&n.stats.TasksRun),
-		StolenFrom:     atomic.LoadInt64(&n.stats.StolenFrom),
-		StealsReceived: atomic.LoadInt64(&n.stats.StealsReceived),
-		BusyTime:       time.Duration(n.busyNS.Load()),
-	}
-	return RankResult{Raw: raw, Stats: stats}
+	return dialPool(endpoints, DialOptions{})
 }

@@ -14,8 +14,8 @@ import (
 	"graphpi/internal/taskpool"
 )
 
-// The TCP fabric's wire protocol. Every message is a length-prefixed
-// little-endian frame:
+// The cluster's wire protocol, spoken over a TCP connection or an in-process
+// net.Pipe alike. Every message is a length-prefixed little-endian frame:
 //
 //	length  uint32  payload length, including the type byte
 //	type    uint8   message discriminator (msg* constants)
@@ -33,30 +33,26 @@ import (
 //	— per job —
 //	master → job        rank, nranks, config spec, options
 //	worker → jobOK | error
-//	master → tasks      initial deal
-//	master → start
-//	— while the job runs, relayed stealing and acknowledgement —
+//	— while the job runs —
+//	master → tasks      a grant: at job start, after each ack, after a loss
 //	worker → ack        one task completed: its range + raw count delta
-//	worker → stealReq   thief asks the master for work
-//	master → stealAsk   master asks the richest victim
-//	worker → stealGive  victim surrenders half its queue
-//	master → tasks | retry | noWork   reply to the thief
 //	— reduce —
-//	worker → result     raw tally + per-rank statistics
-//	master → jobDone    job epilogue; worker awaits the next job
+//	master → jobDone    every task acknowledged; no more grants
+//	worker → result     raw tally + per-rank statistics; awaits the next job
 //
 // Closing the connection at any point is a leave: the worker returns to
-// accepting masters, the master reports the rank lost and re-deals the
-// rank's unacknowledged tasks to the survivors (see tcp_transport.go).
+// accepting masters, the master reports the rank lost and puts the rank's
+// unacknowledged tasks back in its queue for the survivors (see
+// tcp_transport.go).
 
 // wireMagic opens every session; a mismatch fails the handshake before any
 // job state exists. Bump wireVersion when the frame layout changes.
 const (
 	wireMagic   = "GPiTP1\n"
-	wireVersion = 2
+	wireVersion = 3
 
 	// maxFrame bounds a frame payload so a corrupt or hostile peer cannot
-	// drive an arbitrary allocation (a deal of ~1M tasks fits comfortably).
+	// drive an arbitrary allocation (a grant of ~1M tasks fits comfortably).
 	maxFrame = 1 << 26
 )
 
@@ -68,12 +64,6 @@ const (
 	msgJobOK
 	msgError
 	msgTasks
-	msgStart
-	msgStealReq
-	msgStealAsk
-	msgStealGive
-	msgRetry
-	msgNoWork
 	msgResult
 	msgJobDone
 	msgAck
@@ -276,7 +266,6 @@ type jobSpec struct {
 	WorkersPerRank int
 	UseIEP         bool
 	EdgeParallel   bool
-	StealThreshold int
 	DelayNS        int64
 	DelayedRank    int
 	FailRank       int
@@ -306,7 +295,6 @@ func encodeJob(spec *jobSpec) []byte {
 	} else {
 		w.u8(0)
 	}
-	w.u32(uint32(spec.StealThreshold))
 	w.i64(spec.DelayNS)
 	w.u32(uint32(spec.DelayedRank))
 	w.u32(uint32(spec.FailRank))
@@ -337,7 +325,6 @@ func decodeJob(payload []byte) (*jobSpec, error) {
 		WorkersPerRank: int(r.u32("workers")),
 		UseIEP:         r.u8("useIEP") != 0,
 		EdgeParallel:   r.u8("edgeParallel") != 0,
-		StealThreshold: int(r.u32("stealThreshold")),
 		DelayNS:        r.i64("delayNS"),
 		DelayedRank:    int(r.u32("delayedRank")),
 		FailRank:       int(r.u32("failRank")),
@@ -383,7 +370,6 @@ func jobSpecOf(job *Job, rankID, nranks int) *jobSpec {
 		WorkersPerRank: job.WorkersPerRank,
 		UseIEP:         job.UseIEP,
 		EdgeParallel:   job.EdgeParallel,
-		StealThreshold: job.StealThreshold,
 		DelayNS:        int64(job.NodeDelay),
 		DelayedRank:    job.DelayedRank,
 		FailRank:       job.FailRank,
@@ -423,9 +409,8 @@ func (spec *jobSpec) compile(g *graph.Graph) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad configuration: %w", err)
 	}
-	if spec.WorkersPerRank < 1 || spec.StealThreshold < 1 {
-		return nil, fmt.Errorf("bad job options: workers=%d stealThreshold=%d",
-			spec.WorkersPerRank, spec.StealThreshold)
+	if spec.WorkersPerRank < 1 {
+		return nil, fmt.Errorf("bad job options: workers=%d", spec.WorkersPerRank)
 	}
 	return &Job{
 		Cfg:            cfg,
@@ -433,7 +418,6 @@ func (spec *jobSpec) compile(g *graph.Graph) (*Job, error) {
 		UseIEP:         spec.UseIEP,
 		EdgeParallel:   spec.EdgeParallel,
 		WorkersPerRank: spec.WorkersPerRank,
-		StealThreshold: spec.StealThreshold,
 		NodeDelay:      time.Duration(spec.DelayNS),
 		DelayedRank:    spec.DelayedRank,
 		FailRank:       spec.FailRank,
@@ -447,8 +431,6 @@ func encodeResult(res RankResult) []byte {
 	var w wbuf
 	w.i64(res.Raw)
 	w.i64(res.Stats.TasksRun)
-	w.i64(res.Stats.StolenFrom)
-	w.i64(res.Stats.StealsReceived)
 	w.i64(int64(res.Stats.BusyTime))
 	return w.b
 }
@@ -458,10 +440,8 @@ func decodeResult(payload []byte) (RankResult, error) {
 	res := RankResult{
 		Raw: r.i64("raw count"),
 		Stats: NodeStats{
-			TasksRun:       r.i64("tasks run"),
-			StolenFrom:     r.i64("stolen from"),
-			StealsReceived: r.i64("steals received"),
-			BusyTime:       time.Duration(r.i64("busy time")),
+			TasksRun: r.i64("tasks run"),
+			BusyTime: time.Duration(r.i64("busy time")),
 		},
 	}
 	return res, r.err
@@ -524,36 +504,6 @@ func decodeWelcome(payload []byte) (workers int, fp graphFingerprint, hasGraph b
 	return workers, fp, hasGraph, nil
 }
 
-// Steal frames carry the sender's post-event queue length so the master's
-// relay keeps an upper bound on every rank's remaining work (see
-// tcp_transport.go for the termination argument).
-
-func encodeRemaining(remaining int) []byte {
-	var w wbuf
-	w.u32(uint32(remaining))
-	return w.b
-}
-
-func decodeRemaining(payload []byte) (int, error) {
-	r := &rbuf{b: payload}
-	v := int(r.u32("remaining"))
-	return v, r.err
-}
-
-func encodeStealGive(remaining int, tasks []taskpool.Range) []byte {
-	var w wbuf
-	w.u32(uint32(remaining))
-	w.ranges(tasks)
-	return w.b
-}
-
-func decodeStealGive(payload []byte) (remaining int, tasks []taskpool.Range, err error) {
-	r := &rbuf{b: payload}
-	remaining = int(r.u32("remaining"))
-	tasks = r.ranges("steal tasks")
-	return remaining, tasks, r.err
-}
-
 func encodeTasks(tasks []taskpool.Range) []byte {
 	var w wbuf
 	w.ranges(tasks)
@@ -566,11 +516,11 @@ func decodeTasks(payload []byte) ([]taskpool.Range, error) {
 	return ts, r.err
 }
 
-// Ack frames carry the completed task's identity (ranges are dealt and
-// stolen whole, so the range is the identity) plus the raw count delta its
+// Ack frames carry the completed task's identity (ranges are granted whole,
+// so the range is the identity) plus the raw count delta its
 // execution earned. The master banks the delta: if the rank is later lost,
 // its acknowledged work survives as banked counts and only unacknowledged
-// tasks are re-dealt — re-execution stays exactly-once from the count's
+// tasks are granted again — re-execution stays exactly-once from the count's
 // point of view.
 
 func encodeAck(t taskpool.Range, delta int64) []byte {

@@ -17,7 +17,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeFrame(&buf, msgTasks, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(&buf, msgStart, nil); err != nil {
+	if err := writeFrame(&buf, msgJobDone, nil); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := readFrame(&buf)
@@ -25,7 +25,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("frame 1: typ=%d payload=%q err=%v", typ, got, err)
 	}
 	typ, got, err = readFrame(&buf)
-	if err != nil || typ != msgStart || got != nil {
+	if err != nil || typ != msgJobDone || got != nil {
 		t.Fatalf("frame 2: typ=%d payload=%q err=%v", typ, got, err)
 	}
 }
@@ -52,7 +52,6 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		UseIEP:         true,
 		EdgeParallel:   true,
 		WorkersPerRank: 3,
-		StealThreshold: 2,
 		NodeDelay:      5 * time.Millisecond,
 		DelayedRank:    1,
 	}
@@ -86,7 +85,7 @@ func TestJobSpecRoundTrip(t *testing.T) {
 func TestDecodersRejectTruncation(t *testing.T) {
 	g := graph.GNP(40, 0.3, 2)
 	cfg := planFor(t, g, pattern.Triangle())
-	job := &Job{Cfg: cfg, Graph: g, WorkersPerRank: 1, StealThreshold: 2}
+	job := &Job{Cfg: cfg, Graph: g, WorkersPerRank: 1}
 	tasks := []taskpool.Range{{Start: 0, End: 7}, {Start: 7, End: 40}}
 
 	cases := map[string]struct {
@@ -103,10 +102,6 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		}},
 		"result": {encodeResult(RankResult{Raw: 42, Stats: NodeStats{TasksRun: 3}}), func(b []byte) error {
 			_, err := decodeResult(b)
-			return err
-		}},
-		"give": {encodeStealGive(3, tasks), func(b []byte) error {
-			_, _, err := decodeStealGive(b)
 			return err
 		}},
 		"welcome": {encodeWelcome(2, fingerprintOf(g), true), func(b []byte) error {
@@ -126,10 +121,6 @@ func TestDecodersRejectTruncation(t *testing.T) {
 			return err
 		}},
 		"hello": {encodeHello(), decodeHello},
-		"remaining": {encodeRemaining(9), func(b []byte) error {
-			_, err := decodeRemaining(b)
-			return err
-		}},
 	}
 	for name, tc := range cases {
 		if err := tc.decode(tc.payload); err != nil {
@@ -173,8 +164,7 @@ func TestWelcomeCarriesReplicaState(t *testing.T) {
 func TestJobSpecCarriesFaultInjection(t *testing.T) {
 	g := graph.GNP(40, 0.3, 9)
 	cfg := planFor(t, g, pattern.Triangle())
-	job := &Job{Cfg: cfg, Graph: g, WorkersPerRank: 1, StealThreshold: 2,
-		FailRank: 1, FailAfterTasks: 4}
+	job := &Job{Cfg: cfg, Graph: g, WorkersPerRank: 1, FailRank: 1, FailAfterTasks: 4}
 	spec := jobSpecOf(job, 1, 3)
 	decoded, err := decodeJob(encodeJob(spec))
 	if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"graphpi/internal/cluster"
 	"graphpi/internal/core"
@@ -254,7 +255,7 @@ func (r *Fig11Result) Report(w io.Writer) {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 12 — scalability of the simulated distributed runtime.
+// Figure 12 — scalability of the distributed runtime, nodes in-process.
 
 // Fig12Point is one (pattern, nodes) measurement.
 type Fig12Point struct {
@@ -263,9 +264,10 @@ type Fig12Point struct {
 	Seconds        float64
 	Speedup        float64 // vs the 1-node run of the same pattern
 	Count          int64
-	Steals         int64
-	// Tasks is the number of tasks the master created.
-	Tasks int
+	// Tasks is the number of tasks the master created; TasksPerNode is how
+	// many each node ran.
+	Tasks        int
+	TasksPerNode []int64
 	// EdgeParallel reports whether the master packed edge-slot tasks; the
 	// planner's auto mode enables them for every eligible schedule.
 	EdgeParallel bool
@@ -280,10 +282,10 @@ type Fig12Result struct {
 }
 
 // Fig12 runs the evaluation patterns on Orkut-S (all six) and Twitter-S
-// (P2, P3 only, as in the paper) over a doubling range of simulated node
-// counts, one worker per node, and reports the speedup curves. The
-// simulated nodes share the machine, so curves are meaningful up to the
-// physical core count; short jobs flatten early exactly as in the paper.
+// (P2, P3 only, as in the paper) over a doubling range of in-process node
+// counts, one worker per node, and reports the speedup curves. The nodes
+// share the machine, so curves are meaningful up to the physical core count;
+// short jobs flatten early exactly as in the paper.
 func Fig12(opt Options, nodeCounts []int) (*Fig12Result, error) {
 	opt = opt.normalized()
 	if len(nodeCounts) == 0 {
@@ -317,9 +319,9 @@ func Fig12(opt Options, nodeCounts []int) (*Fig12Result, error) {
 				if nodes == nodeCounts[0] {
 					base = secs
 				}
-				var steals int64
-				for _, ns := range cres.Nodes {
-					steals += ns.StealsReceived
+				perNode := make([]int64, len(cres.Nodes))
+				for i, ns := range cres.Nodes {
+					perNode[i] = ns.TasksRun
 				}
 				sp := 0.0
 				if secs > 0 {
@@ -327,8 +329,8 @@ func Fig12(opt Options, nodeCounts []int) (*Fig12Result, error) {
 				}
 				res.Points = append(res.Points, Fig12Point{
 					Graph: gname, Pattern: p.Name(), Nodes: nodes,
-					Seconds: secs, Speedup: sp, Count: cres.Count, Steals: steals,
-					Tasks: cres.Tasks, EdgeParallel: cres.EdgeParallel,
+					Seconds: secs, Speedup: sp, Count: cres.Count,
+					Tasks: cres.Tasks, TasksPerNode: perNode, EdgeParallel: cres.EdgeParallel,
 					MaxBusyShare: cres.MaxBusyShare(),
 				})
 			}
@@ -345,16 +347,20 @@ func Fig12(opt Options, nodeCounts []int) (*Fig12Result, error) {
 }
 
 func (r *Fig12Result) Report(w io.Writer) {
-	writeHeader(w, "Figure 12: scalability of the simulated distributed runtime")
-	fmt.Fprintf(w, "%-12s %-12s %7s %12s %9s %8s %7s %6s %9s\n",
-		"Graph", "Pattern", "Nodes", "Time", "Speedup", "Steals", "Tasks", "Shape", "MaxBusy")
+	writeHeader(w, "Figure 12: scalability of the distributed runtime (nodes in-process)")
+	fmt.Fprintf(w, "%-12s %-12s %7s %12s %9s %7s %6s %9s  %s\n",
+		"Graph", "Pattern", "Nodes", "Time", "Speedup", "Tasks", "Shape", "MaxBusy", "TasksPerNode")
 	for _, pt := range r.Points {
 		shape := "vert"
 		if pt.EdgeParallel {
 			shape = "edge"
 		}
-		fmt.Fprintf(w, "%-12s %-12s %7d %11.3fs %8.2fx %8d %7d %6s %8.2f%%\n",
-			pt.Graph, pt.Pattern, pt.Nodes, pt.Seconds, pt.Speedup, pt.Steals,
-			pt.Tasks, shape, 100*pt.MaxBusyShare)
+		perNode := make([]string, len(pt.TasksPerNode))
+		for i, n := range pt.TasksPerNode {
+			perNode[i] = fmt.Sprint(n)
+		}
+		fmt.Fprintf(w, "%-12s %-12s %7d %11.3fs %8.2fx %7d %6s %8.2f%%  %s\n",
+			pt.Graph, pt.Pattern, pt.Nodes, pt.Seconds, pt.Speedup,
+			pt.Tasks, shape, 100*pt.MaxBusyShare, strings.Join(perNode, "/"))
 	}
 }

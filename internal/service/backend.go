@@ -120,15 +120,12 @@ func (b *clusterBackend) drop(tr cluster.Transport) {
 // bankLocked folds a departing transport's counters into base. Callers hold
 // b.mu.
 func (b *clusterBackend) bankLocked(tr cluster.Transport) {
-	if p, ok := tr.(cluster.PoolStatsProvider); ok {
-		st := p.PoolStats()
-		b.base.Rejoins += st.Rejoins
-		b.base.Redealt += st.Redealt
-		b.base.Losses += st.Losses
-		b.base.TaskGap.Merge(st.TaskGap)
-		b.base.Steal.Merge(st.Steal)
-		b.base.Redeal.Merge(st.Redeal)
-	}
+	st := tr.PoolStats()
+	b.base.Rejoins += st.Rejoins
+	b.base.Redealt += st.Redealt
+	b.base.Losses += st.Losses
+	b.base.TaskGap.Merge(st.TaskGap)
+	b.base.Redeal.Merge(st.Redeal)
 }
 
 // poolStats reports cluster pool health: the live transport's current state
@@ -141,17 +138,12 @@ func (b *clusterBackend) poolStats() (st cluster.PoolStats, known bool) {
 	// Detach the histogram buckets: st is a shallow copy of base, and the
 	// merges below must not rewrite base's backing arrays.
 	st.TaskGap = st.TaskGap.Clone()
-	st.Steal = st.Steal.Clone()
 	st.Redeal = st.Redeal.Clone()
 	st.Workers = len(b.addrs)
 	if b.tr == nil {
 		return st, false
 	}
-	p, ok := b.tr.(cluster.PoolStatsProvider)
-	if !ok {
-		return st, false
-	}
-	cur := p.PoolStats()
+	cur := b.tr.PoolStats()
 	st.Workers = cur.Workers
 	st.Live = cur.Live
 	st.Rejoins += cur.Rejoins
@@ -159,7 +151,6 @@ func (b *clusterBackend) poolStats() (st cluster.PoolStats, known bool) {
 	st.Losses += cur.Losses
 	st.LastJob = cur.LastJob
 	st.TaskGap.Merge(cur.TaskGap)
-	st.Steal.Merge(cur.Steal)
 	st.Redeal.Merge(cur.Redeal)
 	return st, true
 }

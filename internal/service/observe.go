@@ -124,8 +124,6 @@ func (s *Server) promExposition() *telemetry.Exposition {
 		st, _ := s.cluster.poolStats()
 		e.AddHistogram("graphpi_cluster_task_gap_seconds",
 			"Master-side gap between consecutive task acks per rank (per-task latency proxy).", st.TaskGap, nil)
-		e.AddHistogram("graphpi_cluster_steal_relay_seconds",
-			"Steal-request relay latency: request arrival to task forwarded.", st.Steal, nil)
 		e.AddHistogram("graphpi_cluster_redeal_seconds",
 			"Re-deal drain duration after a worker loss.", st.Redeal, nil)
 	}

@@ -105,6 +105,7 @@ func TestServiceProfilePerTier(t *testing.T) {
 // TestServiceProfileOnCluster: the wire protocol reduces counts, not
 // counters, so a profiled cluster query degrades to predictions-only with an
 // explanatory note instead of failing or silently returning zeros as actuals.
+// The pool's master-side histograms reach the Prometheus exposition.
 func TestServiceProfileOnCluster(t *testing.T) {
 	g := baFixture(300, 4, 7)
 	addrs := startWorkers(t, g, 2)
@@ -132,6 +133,19 @@ func TestServiceProfileOnCluster(t *testing.T) {
 	}
 	if p.Drift == nil || p.Drift.PredictedCost <= 0 {
 		t.Errorf("cluster profile should still carry predictions, got %+v", p.Drift)
+	}
+
+	var expo strings.Builder
+	if _, err := s.promExposition().WriteTo(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{"graphpi_cluster_task_gap_seconds", "graphpi_cluster_redeal_seconds"} {
+		if !strings.Contains(expo.String(), "# TYPE "+family+" histogram") {
+			t.Errorf("exposition is missing the %s histogram", family)
+		}
+	}
+	if strings.Contains(expo.String(), "steal") {
+		t.Error("exposition still carries a steal-relay family; nodes no longer steal")
 	}
 }
 

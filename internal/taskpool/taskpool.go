@@ -1,13 +1,10 @@
 // Package taskpool provides the shared-memory parallel runtime underneath
-// GraphPi's distributed implementation (paper §IV-E). The paper splits the
-// outer loops of the matching program into fine-grained tasks to counter the
-// power-law workload skew of real graphs; this package supplies the two
-// scheduling disciplines used:
-//
-//   - Run: dynamic chunk self-scheduling from a shared counter (the OpenMP
-//     "dynamic schedule" the single-node engine uses), and
-//   - RunStealing: per-worker task queues with work stealing (the discipline
-//     the simulated cluster layers across nodes).
+// GraphPi's engine (paper §IV-E). The paper splits the outer loops of the
+// matching program into fine-grained tasks to counter the power-law workload
+// skew of real graphs; this package supplies the task ranges (AdaptiveChunk,
+// SplitChunks) that both the single-node engine and the cluster master cut,
+// and Run, the dynamic chunk self-scheduling from a shared counter (the
+// OpenMP "dynamic schedule") that the single-node engine's workers use.
 package taskpool
 
 import (
@@ -92,139 +89,13 @@ func Run(workers, n, chunk int, fn func(worker int, r Range)) {
 	wg.Wait()
 }
 
-// RunStealing executes the given task ranges on workers goroutines. Tasks
-// are dealt round-robin into per-worker queues; a worker that drains its own
-// queue steals from the busiest peer. The queue discipline is FIFO for the
-// owner (large outer-loop prefixes first keeps stealable work available) and
-// steal-from-the-back for thieves.
-func RunStealing(workers int, tasks []Range, fn func(worker int, r Range)) {
-	workers = Workers(workers)
-	if len(tasks) == 0 {
-		return
-	}
-	if workers == 1 {
-		for _, t := range tasks {
-			fn(0, t)
-		}
-		return
-	}
-	queues := make([]*stealQueue, workers)
-	for i := range queues {
-		queues[i] = &stealQueue{}
-	}
-	for i, t := range tasks {
-		q := queues[i%workers]
-		q.tasks = append(q.tasks, t)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			own := queues[worker]
-			for {
-				t, ok := own.popFront()
-				if !ok {
-					t, ok = steal(queues, worker)
-				}
-				if !ok {
-					return
-				}
-				fn(worker, t)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-type stealQueue struct {
-	mu    sync.Mutex
-	tasks []Range
-	head  int
-}
-
-func (q *stealQueue) popFront() (Range, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head >= len(q.tasks) {
-		return Range{}, false
-	}
-	t := q.tasks[q.head]
-	q.head++
-	return t, true
-}
-
-func (q *stealQueue) popBack() (Range, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head >= len(q.tasks) {
-		return Range{}, false
-	}
-	t := q.tasks[len(q.tasks)-1]
-	q.tasks = q.tasks[:len(q.tasks)-1]
-	return t, true
-}
-
-func (q *stealQueue) size() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.tasks) - q.head
-}
-
-// steal picks the victim with the most remaining tasks and takes one from
-// the back of its queue.
-func steal(queues []*stealQueue, self int) (Range, bool) {
-	for {
-		victim, best := -1, 0
-		for i, q := range queues {
-			if i == self {
-				continue
-			}
-			if s := q.size(); s > best {
-				best, victim = s, i
-			}
-		}
-		if victim < 0 {
-			return Range{}, false
-		}
-		if t, ok := queues[victim].popBack(); ok {
-			return t, true
-		}
-		// Lost the race; yield before rescanning so near-empty queues with
-		// many workers don't spin hot on the victim-selection loop.
-		runtime.Gosched()
-	}
-}
-
-// SplitEven cuts [0, n) into at most parts contiguous ranges of nearly equal
-// length (used for static baselines in scalability experiments).
-func SplitEven(n, parts int) []Range {
-	if n <= 0 || parts < 1 {
-		return nil
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([]Range, 0, parts)
-	base, rem := n/parts, n%parts
-	start := 0
-	for i := 0; i < parts; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		out = append(out, Range{start, start + size})
-		start += size
-	}
-	return out
-}
-
 // AdaptiveChunk sizes tasks over n work items for the given worker count:
-// it targets perWorker tasks per worker (so stealing and self-scheduling can
-// smooth out power-law skew) and clamps the result to [minChunk, maxChunk]
-// (maxChunk < 1 means uncapped). Both the single-node engine (vertex and
-// edge-slot roots) and the simulated cluster derive their default task
-// granularity from this one formula, so the two runtimes stay comparable.
+// it targets perWorker tasks per worker (so self-scheduling and the cluster
+// master's on-demand grants can smooth out power-law skew) and clamps the
+// result to [minChunk, maxChunk] (maxChunk < 1 means uncapped). Both the
+// single-node engine (vertex and edge-slot roots) and the cluster derive
+// their default task granularity from this one formula, so the two runtimes
+// stay comparable.
 func AdaptiveChunk(n, workers, perWorker, minChunk, maxChunk int) int {
 	if workers < 1 {
 		workers = 1

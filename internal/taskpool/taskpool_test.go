@@ -45,83 +45,6 @@ func TestRunWorkerIndicesInRange(t *testing.T) {
 	}
 }
 
-func TestRunStealingCoversAll(t *testing.T) {
-	tasks := SplitChunks(500, 7)
-	for _, workers := range []int{1, 3, 8} {
-		var mu sync.Mutex
-		seen := make([]bool, 500)
-		RunStealing(workers, tasks, func(_ int, r Range) {
-			mu.Lock()
-			defer mu.Unlock()
-			for i := r.Start; i < r.End; i++ {
-				if seen[i] {
-					t.Errorf("index %d twice", i)
-				}
-				seen[i] = true
-			}
-		})
-		for i, s := range seen {
-			if !s {
-				t.Fatalf("workers=%d: index %d missed", workers, i)
-			}
-		}
-		for i := range seen {
-			seen[i] = false
-		}
-	}
-}
-
-func TestRunStealingBalancesSkew(t *testing.T) {
-	// One enormous task plus many tiny ones: stealing must let other
-	// workers drain the tiny tasks while one worker is stuck.
-	tasks := []Range{{0, 1}}
-	for i := 1; i < 64; i++ {
-		tasks = append(tasks, Range{i, i + 1})
-	}
-	var counts [4]atomic.Int64
-	var block sync.WaitGroup
-	block.Add(1)
-	done := make(chan struct{})
-	go func() {
-		RunStealing(4, tasks, func(w int, r Range) {
-			if r.Start == 0 {
-				block.Wait() // simulate a heavy task
-			}
-			counts[w].Add(1)
-		})
-		close(done)
-	}()
-	// Give the other workers a moment, then release the heavy task.
-	block.Done()
-	<-done
-	total := int64(0)
-	for i := range counts {
-		total += counts[i].Load()
-	}
-	if total != 64 {
-		t.Errorf("processed %d tasks, want 64", total)
-	}
-}
-
-func TestSplitEven(t *testing.T) {
-	rs := SplitEven(10, 3)
-	if len(rs) != 3 {
-		t.Fatalf("parts = %d", len(rs))
-	}
-	if rs[0].Len()+rs[1].Len()+rs[2].Len() != 10 {
-		t.Error("lengths do not sum")
-	}
-	if rs[0].Start != 0 || rs[2].End != 10 {
-		t.Error("not contiguous from 0 to n")
-	}
-	if len(SplitEven(2, 5)) != 2 {
-		t.Error("parts > n should clamp")
-	}
-	if SplitEven(0, 3) != nil {
-		t.Error("empty range should be nil")
-	}
-}
-
 func TestSplitChunksProperty(t *testing.T) {
 	f := func(n, chunk uint16) bool {
 		nn, cc := int(n%2000), int(chunk%50)
