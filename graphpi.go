@@ -284,7 +284,8 @@ type options struct {
 // WithWorkers sets the number of worker goroutines (default: GOMAXPROCS).
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
-// WithChunkSize sets the outer-loop task granularity.
+// WithChunkSize fixes the outer-loop task granularity at n vertices per task
+// (a test hook); by default tasks are cut by predicted work.
 func WithChunkSize(n int) Option { return func(o *options) { o.chunkSize = n } }
 
 // WithMaxRestrictionSets caps Algorithm 1's restriction-set family size.
@@ -578,9 +579,9 @@ type ClusterOptions struct {
 	// WithEdgeParallelRoots when that option is present, otherwise to the
 	// automatic eligibility check.
 	EdgeParallel EdgeParallelMode
-	// ChunkSize is the task granularity in outermost-loop vertices
-	// (< 1 → adaptive; WithChunkSize applies when this is unset). Under
-	// edge-parallel scheduling the value is scaled by the average degree.
+	// ChunkSize is the task granularity in outermost-loop vertices: < 1 →
+	// cut by predicted work (WithChunkSize applies when this is unset);
+	// > 0 → fixed-size test hook, ⌈|V|/ChunkSize⌉ equal-size tasks.
 	ChunkSize int
 	// Workers lists TCP worker addresses (cluster.Serve / ServeCluster
 	// listeners, or `graphpi -serve`). When non-empty, ClusterCount dials

@@ -8,10 +8,10 @@
 // reproduces that architecture with one master and one worker
 // implementation:
 //
-//   - Run is the master's policy: it packs outer-loop ranges into tasks
-//     (edge-parallel CSR adjacency slots when the planned schedule is
-//     eligible, outermost-loop vertices otherwise) and reduces the per-rank
-//     partial counts.
+//   - Run is the master's policy: it cuts the outer loops into tasks of
+//     equal predicted work (edge-parallel CSR adjacency slots when the planned
+//     schedule is eligible, outermost-loop vertices otherwise; see
+//     core.Config.RootTasks) and reduces the per-rank partial counts.
 //   - The transport (tcp_transport.go) is the master's plumbing. It holds the
 //     undealt tasks in one queue and grants them on demand: after each
 //     acknowledgement, every rank is topped up to its worker count. A lost
@@ -35,7 +35,6 @@ import (
 
 	"graphpi/internal/core"
 	"graphpi/internal/graph"
-	"graphpi/internal/taskpool"
 )
 
 // Options configures a cluster run.
@@ -47,10 +46,9 @@ type Options struct {
 	// WorkersPerNode is the number of worker goroutines per rank (the
 	// paper runs 24 OpenMP threads per rank); ≥ 1.
 	WorkersPerNode int
-	// ChunkSize is the task granularity in outermost-loop vertices
-	// (< 1 → adaptive). Under edge-parallel scheduling the value is scaled
-	// by the average degree so it stays in vertex units for both
-	// disciplines, exactly like core.RunOptions.ChunkSize.
+	// ChunkSize is the task granularity in outermost-loop vertices: < 1 →
+	// cut by predicted work; > 0 → fixed-size test hook, exactly like
+	// core.RunOptions.ChunkSize.
 	ChunkSize int
 	// UseIEP enables inclusion–exclusion counting.
 	UseIEP bool
@@ -135,37 +133,10 @@ func (r *Result) MaxBusyShare() float64 {
 	return MaxBusyShare(busy)
 }
 
-// packTasks decides the task shape and splits the outer loops accordingly.
-// totalWorkers is the cluster-wide worker count as the transport resolves it
-// (remote workers may override their per-rank count). Edge-parallel slot
-// tasks are the fine-grained partitioning of §IV-E: work units become
-// proportional to edges, so one hub vertex can no longer pin an entire rank
-// while its peers wait for crumbs.
-func packTasks(cfg *core.Config, g *graph.Graph, opt Options, totalWorkers int) ([]taskpool.Range, bool) {
-	edgePar := cfg.EdgeParallelEligible(opt.UseIEP) &&
-		opt.EdgeParallel != core.EdgeParallelOff &&
-		(opt.EdgeParallel == core.EdgeParallelOn || totalWorkers > 1)
-	if edgePar {
-		m := g.NumAdjSlots()
-		chunk := opt.ChunkSize
-		if chunk > 0 {
-			// Vertex-unit request: scale by the mean directed degree so
-			// the task count matches the vertex discipline's.
-			if avg := m / g.NumVertices(); avg > 1 {
-				chunk *= avg
-			}
-		} else {
-			chunk = taskpool.AdaptiveChunk(m, totalWorkers, 16, 16, 65536)
-		}
-		return taskpool.SplitChunks(m, chunk), true
-	}
-	nv := g.NumVertices()
-	chunk := opt.ChunkSize
-	if chunk < 1 {
-		chunk = taskpool.AdaptiveChunk(nv, totalWorkers, 16, 1, 0)
-	}
-	return taskpool.SplitChunks(nv, chunk), false
-}
+// tasksPerWorker is how many root tasks the master cuts per worker in the
+// cluster: fewer than the engine's 64, as every grant and acknowledgement
+// crosses a wire, but enough for on-demand grants to absorb a long task.
+const tasksPerWorker = 16
 
 // Run executes the configuration on a cluster and returns the embedding
 // count with per-rank statistics. Counts are exact and identical for any
@@ -188,8 +159,15 @@ func Run(cfg *core.Config, g *graph.Graph, opt Options) (*Result, error) {
 	if g.NumVertices() == 0 {
 		return &Result{Nodes: make([]NodeStats, nranks)}, nil
 	}
-	tasks, edgePar := packTasks(cfg, g, opt,
-		tr.TotalWorkers(opt.WorkersPerNode))
+	// The outer loops are cut by core's one cutter at the cluster-wide worker
+	// count as the transport resolves it (remote workers may override their
+	// per-rank count): equal predicted work per task, so one hub can no
+	// longer pin a rank while its peers wait for crumbs.
+	tasks, edgePar := cfg.RootTasks(g, core.RunOptions{
+		Workers:      tr.TotalWorkers(opt.WorkersPerNode),
+		ChunkSize:    opt.ChunkSize,
+		EdgeParallel: opt.EdgeParallel,
+	}, opt.UseIEP, false, tasksPerWorker)
 
 	job := &Job{
 		Cfg:            cfg,

@@ -428,3 +428,52 @@ func TestClusterCliqueKernel(t *testing.T) {
 		})
 	}
 }
+
+// TestClusterDefaultCut runs the master's default cut (ChunkSize 0: tasks of
+// equal predicted work) on every transport for the three ways a job can be
+// cut: interpreter slot tasks, interpreter vertex tasks and the clique
+// kernel's unit-weight slot tasks, on a degree-ordered graph with hub
+// bitmaps. Counts must equal the local count bit for bit, and the master must
+// grant exactly the tasks core's cutter made.
+func TestClusterDefaultCut(t *testing.T) {
+	const nodes, wpn = 3, 2
+	g := graph.BarabasiAlbert(500, 6, 41).Reorder()
+	g.BuildHubBitmaps(1<<22, 0)
+	cases := []struct {
+		name string
+		p    *pattern.Pattern
+		mode core.EdgeParallelMode
+		edge bool
+	}{
+		{"slot", pattern.House(), core.EdgeParallelAuto, true},
+		{"vertex", pattern.Cycle6Tri(), core.EdgeParallelOff, false},
+		{"clique", pattern.Clique(4), core.EdgeParallelAuto, true},
+	}
+	for _, tc := range transportCases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.open(t, g, nodes)
+			for _, c := range cases {
+				cfg := planFor(t, g, c.p)
+				want := cfg.CountIEP(g, core.RunOptions{Workers: 1, Tier: core.TierInterpret})
+				opt := core.RunOptions{Workers: nodes * wpn, EdgeParallel: c.mode}
+				tasks, edge := cfg.RootTasks(g, opt, true, false, tasksPerWorker)
+				if edge != c.edge {
+					t.Fatalf("%s: cut edge-parallel=%v, want %v", c.name, edge, c.edge)
+				}
+				res, err := Run(cfg, g, Options{
+					Nodes: nodes, WorkersPerNode: wpn, UseIEP: true, EdgeParallel: c.mode, Transport: tr,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Count != want {
+					t.Errorf("%s: cluster count %d, local %d", c.name, res.Count, want)
+				}
+				if res.Tasks != len(tasks) || res.EdgeParallel != edge {
+					t.Errorf("%s: master granted %d tasks (edge=%v), the cutter made %d (edge=%v)",
+						c.name, res.Tasks, res.EdgeParallel, len(tasks), edge)
+				}
+			}
+		})
+	}
+}

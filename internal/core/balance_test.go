@@ -7,6 +7,7 @@ import (
 	"graphpi/internal/pattern"
 	"graphpi/internal/restrict"
 	"graphpi/internal/taskpool"
+	"graphpi/internal/telemetry"
 )
 
 // starRingGraph builds the extreme-skew fixture: a hub adjacent to every
@@ -44,9 +45,9 @@ func hubRootTriangle(t testing.TB) *Config {
 // TestEdgeParallelBalance measures, deterministically, the straggler effect
 // the edge-parallel sweep eliminates. Work per task is proxied by the number
 // of matches the task finds (on the star+ring fixture all matches live under
-// the hub root). Vertex-chunked tasks put ~100% of the matches in the single
-// chunk owning the hub; edge-parallel tasks bound every task's share by
-// chunk/degree(hub). Wall-clock speedup is this ratio on a machine with
+// the hub root). Vertex tasks put ~100% of the matches in the single task
+// owning the hub, however they are cut; slot tasks split the hub's adjacency
+// over many tasks. Wall-clock speedup is this ratio on a machine with
 // enough cores; match shares make the test hardware-independent.
 func TestEdgeParallelBalance(t *testing.T) {
 	const n = 20000
@@ -77,9 +78,10 @@ func TestEdgeParallelBalance(t *testing.T) {
 		return float64(maxDelta) / float64(total)
 	}
 
-	workers := 8
-	vertexTasks := taskpool.SplitChunks(g.NumVertices(), RunOptions{}.chunk(g.NumVertices(), workers))
-	edgeTasks := taskpool.SplitChunks(g.NumAdjSlots(), RunOptions{}.edgeChunk(g.NumAdjSlots(), g.NumVertices(), workers))
+	opt := RunOptions{Workers: 8, EdgeParallel: EdgeParallelOff}
+	vertexTasks, _ := cfg.RootTasks(g, opt, false, false, engineTasksPerWorker)
+	opt.EdgeParallel = EdgeParallelOn
+	edgeTasks, _ := cfg.RootTasks(g, opt, false, false, engineTasksPerWorker)
 
 	vShare := maxShare(vertexTasks, false)
 	eShare := maxShare(edgeTasks, true)
@@ -104,11 +106,103 @@ func TestCountEdgeRangeCoversExactly(t *testing.T) {
 	want := cfg.Count(g, RunOptions{Workers: 1})
 	for _, chunk := range []int{1, 7, 64, 100000} {
 		c := NewCounter(cfg, g, false)
-		for _, tk := range taskpool.SplitChunks(g.NumAdjSlots(), chunk) {
+		for _, tk := range equalCut(g.NumAdjSlots(), chunk) {
 			c.CountEdgeRange(tk.Start, tk.End)
 		}
 		if c.Raw() != want {
 			t.Errorf("chunk %d: edge-range cover = %d, want %d", chunk, c.Raw(), want)
 		}
+	}
+}
+
+// equalCut splits [0, n) into ⌈n/size⌉ ranges whose sizes differ by at most
+// one: unit weights, the cut a fixed ChunkSize asks for.
+func equalCut(n, size int) []taskpool.Range {
+	return taskpool.Cut((n+size-1)/size, 1, func(int) (int, int64) { return n, 1 })
+}
+
+// taskWork runs the tasks in order on one interpreter worker with telemetry
+// on and returns each task's work units: the scans, candidates and
+// intersections it recorded, summed over levels.
+func taskWork(cfg *Config, g *graph.Graph, tasks []taskpool.Range, edge bool) []uint64 {
+	w := cfg.newWorker(g, RunOptions{Stats: telemetry.NewRunStats(cfg.N())}, true, nil, nil)
+	work := make([]uint64, len(tasks))
+	var done uint64
+	for i, tk := range tasks {
+		if edge {
+			w.RunRootEdges(tk.Start, tk.End)
+		} else {
+			w.RunRoot(tk.Start, tk.End)
+		}
+		var units uint64
+		for d := 0; d < cfg.N(); d++ {
+			l := w.Stats().Level(d)
+			units += l.Scans + l.Candidates + l.Intersections
+		}
+		work[i], done = units-done, units
+	}
+	return work
+}
+
+// grantShare simulates the cluster master's in-order grants to the given
+// number of single-worker ranks: each task goes to the rank that is free
+// first (the lowest-numbered on a tie). It returns the largest rank's share
+// of the busy work — the work-unit twin of cluster.max_busy_share.
+func grantShare(work []uint64, ranks int) float64 {
+	busy := make([]uint64, ranks)
+	var total, most uint64
+	for _, x := range work {
+		r := 0
+		for i := range busy {
+			if busy[i] < busy[r] {
+				r = i
+			}
+		}
+		busy[r] += x
+		total += x
+	}
+	for _, b := range busy {
+		most = max(most, b)
+	}
+	return float64(most) / float64(total)
+}
+
+// TestRootTasksBalanceByWorkUnits is the hardware-independent balance check
+// for the cluster master's cut: Cycle6Tri on a degree-ordered BA graph with
+// hub bitmaps, the cyclic-ba shape, cut for two single-worker ranks. Cut by
+// predicted work, in-order grants keep the busier rank at ≤ 0.56 of the work
+// units; the equal-size cut at the same task count puts most of the hubs'
+// work in its first task and must exceed that, or the fixture no longer
+// shows the skew the cutter exists for.
+func TestRootTasksBalanceByWorkUnits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full Cycle6Tri counts with telemetry")
+	}
+	const ranks, bound = 2, 0.56
+	g := graph.BarabasiAlbert(20000, 8, 1).Reorder()
+	g.BuildHubBitmaps(0, 0)
+	res, err := Plan(pattern.Cycle6Tri(), g.Stats(), PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := res.Best
+	tasks, edge := cfg.RootTasks(g, RunOptions{Workers: ranks}, true, false, 16)
+	n := g.NumVertices()
+	if edge {
+		n = g.NumAdjSlots()
+	}
+	equal := equalCut(n, (n+len(tasks)-1)/len(tasks))
+	if len(tasks) != 16*ranks || len(equal) != len(tasks) {
+		t.Fatalf("cut %d tasks by work and %d by size, want %d", len(tasks), len(equal), 16*ranks)
+	}
+	byWork, bySize := taskWork(cfg, g, tasks, edge), taskWork(cfg, g, equal, edge)
+	wShare, sShare := grantShare(byWork, ranks), grantShare(bySize, ranks)
+	t.Logf("edge=%v: busy share %.3f cut by work (first task %d units), %.3f cut by size (first task %d units)",
+		edge, wShare, byWork[0], sShare, bySize[0])
+	if wShare > bound {
+		t.Errorf("cut by predicted work: busy share %.3f, want <= %.2f", wShare, bound)
+	}
+	if sShare <= bound {
+		t.Errorf("fixture lost its skew: the equal-size cut's busy share %.3f is already <= %.2f", sShare, bound)
 	}
 }

@@ -33,11 +33,9 @@ type RunOptions struct {
 	// Workers is the number of goroutines (< 1 → GOMAXPROCS). The result
 	// is identical regardless of worker count.
 	Workers int
-	// ChunkSize is the number of outermost-loop vertices per scheduled
-	// task (< 1 → an adaptive default). Smaller chunks balance power-law
-	// skew at slightly higher scheduling cost (paper §IV-E, fine-grained
-	// task partitioning). Under edge-parallel scheduling the granularity
-	// is scaled by the average degree so the task count stays comparable.
+	// ChunkSize sets the task granularity in outermost-loop vertices:
+	// < 1 → cut by predicted work (RootTasks); > 0 → fixed-size test hook,
+	// ⌈|V|/ChunkSize⌉ equal-size tasks of either shape.
 	ChunkSize int
 	// EdgeParallel selects the root scheduling discipline. When the
 	// schedule's second loop iterates N(v0), the first two loops flatten
@@ -68,38 +66,6 @@ type RunOptions struct {
 	// and without Stats; the disabled path pays one nil check per
 	// candidate scan. Allocate with telemetry.NewRunStats(cfg.N()).
 	Stats *telemetry.RunStats
-}
-
-func (o RunOptions) chunk(n, workers int) int {
-	if o.ChunkSize > 0 {
-		return o.ChunkSize
-	}
-	// Aim for ~64 tasks per worker so stealing/self-scheduling can smooth
-	// out skewed vertices, without degenerating to per-vertex dispatch.
-	return taskpool.AdaptiveChunk(n, workers, 64, 1, 1024)
-}
-
-// edgeChunk sizes edge-parallel tasks: ~64 per worker, floored so the
-// scheduling cursor is not hammered, capped so skew still spreads. An
-// explicit ChunkSize stays in vertex units and is scaled by the average
-// degree, so one option tunes both disciplines comparably.
-func (o RunOptions) edgeChunk(m, nv, workers int) int {
-	if o.ChunkSize > 0 {
-		return o.ChunkSize * avgSlotsPerVertex(m, nv)
-	}
-	return taskpool.AdaptiveChunk(m, workers, 64, 16, 65536)
-}
-
-// avgSlotsPerVertex returns the mean directed degree (>= 1), the factor that
-// converts a vertex-unit chunk size into an equivalent slot-unit one.
-func avgSlotsPerVertex(m, nv int) int {
-	if nv <= 0 {
-		return 1
-	}
-	if avg := m / nv; avg > 1 {
-		return avg
-	}
-	return 1
 }
 
 // Count returns the number of embeddings of the configuration's pattern by
@@ -191,8 +157,8 @@ func (c *Config) Enumerate(g *graph.Graph, opt RunOptions, visit func([]uint32) 
 
 // EdgeParallelEligible reports whether the first two loops can be flattened
 // into an edge sweep: depth 1 must iterate N(v0) and must not already be
-// consumed by the IEP suffix. External runtimes (the simulated cluster)
-// use it to decide whether Counter.CountEdgeRange tasks are available.
+// consumed by the IEP suffix. RootTasks packs Counter.CountEdgeRange tasks
+// only then.
 func (c *Config) EdgeParallelEligible(useIEP bool) bool {
 	if c.n < 2 {
 		return false
@@ -202,6 +168,59 @@ func (c *Config) EdgeParallelEligible(useIEP bool) bool {
 	}
 	cand := c.plan.Cand[1]
 	return cand.Kind == schedule.CandNeighborhood && cand.Parent == 0
+}
+
+// engineTasksPerWorker is how many root tasks a local run cuts per worker:
+// enough for self-scheduling from the shared cursor to absorb a task that
+// runs long, few enough that claiming one stays cheap.
+const engineTasksPerWorker = 64
+
+// RootTasks cuts a run's outermost loops into root tasks and reports whether
+// they are CSR slot ranges (edge-parallel) or vertex ranges. It is the one
+// cutter behind local runs and the cluster master: opt.Workers is the total
+// worker count the tasks are for and perWorker how many tasks each should
+// get; enumerate says whether the run visits embeddings (which always
+// interprets). Slot tasks are packed when the schedule is EdgeParallelEligible
+// and opt.EdgeParallel is On, or Auto with more than one worker.
+//
+// Tasks hold about equal predicted work (taskpool.Cut). For the interpreter a
+// root of degree d weighs d²: as one vertex task, or as d slots of weight d.
+// The clique kernel takes unit weights, i.e. equal-size cuts: a root split
+// over several slot tasks rebuilds its candidate rows once per task, so
+// cutting its hubs finer costs more than it balances. The weights come from
+// the CSR offsets in one pass, with no per-slot array. An explicit
+// opt.ChunkSize is the fixed-size test hook: ⌈|V|/ChunkSize⌉ equal-size tasks
+// of either shape. One worker with no ChunkSize gets the whole loop as one
+// task, as it has nobody to balance against.
+func (c *Config) RootTasks(g *graph.Graph, opt RunOptions, useIEP, enumerate bool, perWorker int) ([]taskpool.Range, bool) {
+	workers := taskpool.Workers(opt.Workers)
+	edgePar := c.EdgeParallelEligible(useIEP) &&
+		opt.EdgeParallel != EdgeParallelOff &&
+		(opt.EdgeParallel == EdgeParallelOn || workers > 1)
+	nv := g.NumVertices()
+	n := nv
+	if edgePar {
+		n = g.NumAdjSlots()
+	}
+	unit := func(int) (int, int64) { return n, 1 }
+	switch {
+	case opt.ChunkSize > 0:
+		return taskpool.Cut((nv+opt.ChunkSize-1)/opt.ChunkSize, 1, unit), edgePar
+	case workers == 1:
+		return taskpool.Cut(1, 1, unit), edgePar
+	case c.runsClique(opt.Tier, enumerate):
+		return taskpool.Cut(workers*perWorker, 1, unit), edgePar
+	case edgePar:
+		return taskpool.Cut(workers*perWorker, nv, func(v int) (int, int64) {
+			d := g.Degree(uint32(v))
+			return d, int64(d)
+		}), true
+	default:
+		return taskpool.Cut(workers*perWorker, nv, func(v int) (int, int64) {
+			d := int64(g.Degree(uint32(v)))
+			return 1, d * d
+		}), false
+	}
 }
 
 func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func([]uint32) bool) (int64, bool) {
@@ -233,9 +252,7 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 			}
 		}()
 	}
-	edgePar := c.EdgeParallelEligible(useIEP) &&
-		opt.EdgeParallel != EdgeParallelOff &&
-		(opt.EdgeParallel == EdgeParallelOn || workers > 1)
+	tasks, edgePar := c.RootTasks(g, opt, useIEP, visit != nil, engineTasksPerWorker)
 	// Every worker builds its executor on its first task and probes the
 	// shared stop flag at root boundaries; both executors take the same
 	// vertex- or edge-parallel root tasks.
@@ -253,12 +270,7 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 			ws[w].RunRoot(rg.Start, rg.End)
 		}
 	}
-	if edgePar {
-		m := g.NumAdjSlots()
-		taskpool.Run(workers, m, opt.edgeChunk(m, nv, workers), body)
-	} else {
-		taskpool.Run(workers, nv, opt.chunk(nv, workers), body)
-	}
+	taskpool.RunRanges(workers, tasks, body)
 	var total int64
 	for _, w := range ws {
 		if w != nil {
@@ -292,7 +304,7 @@ func (c *Config) newWorker(g *graph.Graph, opt RunOptions, useIEP bool, visit fu
 	if opt.Stats != nil {
 		st = telemetry.NewRunStats(c.n)
 	}
-	if visit == nil && c.ResolveTier(opt.Tier) == TierGenerated {
+	if c.runsClique(opt.Tier, visit != nil) {
 		k := codegen.NewClique(g, c.n, stop)
 		k.SetStats(st)
 		return k
@@ -300,6 +312,12 @@ func (c *Config) newWorker(g *graph.Graph, opt RunOptions, useIEP bool, visit fu
 	r := newRunner(c, g, useIEP, visit, stop)
 	r.st = st
 	return r
+}
+
+// runsClique reports whether a run on the given tier executes on the clique
+// kernel: a counting run whose tier resolves to it.
+func (c *Config) runsClique(tier Tier, enumerate bool) bool {
+	return !enumerate && c.ResolveTier(tier) == TierGenerated
 }
 
 // effectiveIEPK returns the IEP suffix a run actually evaluates in closed

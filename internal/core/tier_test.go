@@ -10,7 +10,6 @@ import (
 	"graphpi/internal/pattern"
 	"graphpi/internal/restrict"
 	"graphpi/internal/schedule"
-	"graphpi/internal/taskpool"
 	"graphpi/internal/telemetry"
 )
 
@@ -360,7 +359,7 @@ func TestCounterExecutor(t *testing.T) {
 				continue
 			}
 			c = NewCounter(tc.cfg, g, useIEP)
-			for _, tk := range taskpool.SplitChunks(g.NumAdjSlots(), 37) {
+			for _, tk := range equalCut(g.NumAdjSlots(), 37) {
 				c.CountEdgeRange(tk.Start, tk.End)
 			}
 			if got := scale(tc.cfg, useIEP, c.Raw()); got != want {

@@ -1,10 +1,10 @@
 // Package taskpool provides the shared-memory parallel runtime underneath
 // GraphPi's engine (paper §IV-E). The paper splits the outer loops of the
 // matching program into fine-grained tasks to counter the power-law workload
-// skew of real graphs; this package supplies the task ranges (AdaptiveChunk,
-// SplitChunks) that both the single-node engine and the cluster master cut,
-// and Run, the dynamic chunk self-scheduling from a shared counter (the
-// OpenMP "dynamic schedule") that the single-node engine's workers use.
+// skew of real graphs. This package supplies Cut, which splits the outer
+// loop into ranges of equal predicted work for both the single-node engine
+// and the cluster master, and RunRanges and Run, the self-scheduling from a
+// shared counter (the OpenMP "dynamic schedule") that in-process workers use.
 package taskpool
 
 import (
@@ -56,15 +56,38 @@ func Workers(n int) int {
 // called with the worker index (0 ≤ worker < workers) and the claimed range.
 // Run returns when every chunk has been processed. chunk < 1 defaults to 1.
 func Run(workers, n, chunk int, fn func(worker int, r Range)) {
-	workers = Workers(workers)
 	if chunk < 1 {
 		chunk = 1
 	}
 	if n <= 0 {
 		return
 	}
-	if workers == 1 {
+	if Workers(workers) == 1 {
 		fn(0, Range{0, n})
+		return
+	}
+	dispatch(workers, (n+chunk-1)/chunk, func(w, i int) {
+		fn(w, Range{i * chunk, min((i+1)*chunk, n)})
+	})
+}
+
+// RunRanges hands the given ranges, in order, to workers goroutines that
+// self-schedule from a shared atomic cursor, and returns when every range has
+// been processed. fn is called with the worker index (0 ≤ worker < workers)
+// and the claimed range. One worker runs the ranges in order on the calling
+// goroutine.
+func RunRanges(workers int, rs []Range, fn func(worker int, r Range)) {
+	dispatch(workers, len(rs), func(w, i int) { fn(w, rs[i]) })
+}
+
+// dispatch calls task(worker, i) once for every i in [0, n), with workers
+// goroutines claiming indices in order from a shared cursor.
+func dispatch(workers, n int, task func(worker, i int)) {
+	workers = Workers(workers)
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			task(0, i)
+		}
 		return
 	}
 	var cursor atomic.Int64
@@ -74,63 +97,74 @@ func Run(workers, n, chunk int, fn func(worker int, r Range)) {
 		go func(worker int) {
 			defer wg.Done()
 			for {
-				start := int(cursor.Add(int64(chunk))) - chunk
-				if start >= n {
+				i := int(cursor.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				fn(worker, Range{start, end})
+				task(worker, i)
 			}
 		}(w)
 	}
 	wg.Wait()
 }
 
-// AdaptiveChunk sizes tasks over n work items for the given worker count:
-// it targets perWorker tasks per worker (so self-scheduling and the cluster
-// master's on-demand grants can smooth out power-law skew) and clamps the
-// result to [minChunk, maxChunk] (maxChunk < 1 means uncapped). Both the
-// single-node engine (vertex and edge-slot roots) and the cluster derive
-// their default task granularity from this one formula, so the two runtimes
-// stay comparable.
-func AdaptiveChunk(n, workers, perWorker, minChunk, maxChunk int) int {
-	if workers < 1 {
-		workers = 1
+// Cut splits [0, n) into at most tasks contiguous, non-empty ranges of about
+// equal predicted work. The items come in runs of equal weight: run(r) for r
+// in [0, runs) returns the length of run r and the weight of each of its
+// items, and the runs tile [0, n) in order. A range ends at the first item
+// whose prefix weight reaches the next multiple of total/tasks, so no range
+// weighs more than total/tasks plus the largest single weight. Zero-weight
+// items join a neighbouring range; when every weight is zero, or tasks < 2,
+// the whole interval is one range. Cut is deterministic and runs in
+// O(runs + tasks) time without allocating more than its result.
+func Cut(tasks, runs int, run func(r int) (items int, weight int64)) []Range {
+	var n int
+	var total int64
+	for r := 0; r < runs; r++ {
+		items, w := run(r)
+		n += items
+		total += int64(items) * w
 	}
-	if perWorker < 1 {
-		perWorker = 1
-	}
-	c := n / (workers * perWorker)
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	if c < minChunk {
-		c = minChunk
-	}
-	if maxChunk >= 1 && c > maxChunk {
-		c = maxChunk
-	}
-	return c
-}
-
-// SplitChunks cuts [0, n) into contiguous ranges of the given size.
-func SplitChunks(n, chunk int) []Range {
-	if n <= 0 {
+	if n == 0 {
 		return nil
 	}
-	if chunk < 1 {
-		chunk = 1
+	if tasks < 2 || total == 0 {
+		return []Range{{0, n}}
 	}
-	out := make([]Range, 0, (n+chunk-1)/chunk)
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
+	out := make([]Range, 0, min(tasks, n))
+	// The k-th target is ⌈k·total/tasks⌉, kept as whole (q per step) and
+	// fractional (rem per step, carried at tasks) parts so nothing overflows.
+	q, rem := total/int64(tasks), total%int64(tasks)
+	whole, frac := q, rem
+	target := func() int64 {
+		if frac > 0 {
+			return whole + 1
 		}
-		out = append(out, Range{start, end})
+		return whole
+	}
+	t := target()
+	var acc int64 // weight of the items before pos
+	start, pos := 0, 0
+	for r, k := 0, 1; r < runs; r++ {
+		items, w := run(r)
+		for k < tasks && acc+int64(items)*w >= t {
+			end := pos + int((t-acc+w-1)/w) // w > 0: acc < t ≤ the run's end
+			if end > start {
+				out = append(out, Range{start, end})
+				start = end
+			}
+			k++
+			whole, frac = whole+q, frac+rem
+			if frac >= int64(tasks) {
+				whole, frac = whole+1, frac-int64(tasks)
+			}
+			t = target()
+		}
+		pos += items
+		acc += int64(items) * w
+	}
+	if start < n {
+		out = append(out, Range{start, n})
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package taskpool
 
 import (
+	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,26 +47,6 @@ func TestRunWorkerIndicesInRange(t *testing.T) {
 	}
 }
 
-func TestSplitChunksProperty(t *testing.T) {
-	f := func(n, chunk uint16) bool {
-		nn, cc := int(n%2000), int(chunk%50)
-		rs := SplitChunks(nn, cc)
-		covered := 0
-		prevEnd := 0
-		for _, r := range rs {
-			if r.Start != prevEnd {
-				return false
-			}
-			covered += r.Len()
-			prevEnd = r.End
-		}
-		return covered == nn
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWorkers(t *testing.T) {
 	if Workers(0) < 1 || Workers(-3) < 1 {
 		t.Error("Workers should default to GOMAXPROCS")
@@ -74,22 +56,132 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestAdaptiveChunk(t *testing.T) {
+// TestRunRangesRunsEachRangeOnce: every range is handed out exactly once, to
+// a worker index in range, and one worker takes them in order.
+func TestRunRangesRunsEachRangeOnce(t *testing.T) {
+	rs := Cut(37, 1, func(int) (int, int64) { return 1000, 1 })
+	for _, workers := range []int{1, 2, 4} {
+		var mu sync.Mutex
+		var got []Range
+		RunRanges(workers, rs, func(w int, r Range) {
+			if w < 0 || w >= workers {
+				t.Errorf("worker index %d out of [0, %d)", w, workers)
+			}
+			mu.Lock()
+			got = append(got, r)
+			mu.Unlock()
+		})
+		if len(got) != len(rs) {
+			t.Fatalf("workers=%d: %d ranges run, want %d", workers, len(got), len(rs))
+		}
+		seen := map[Range]bool{}
+		for i, r := range got {
+			if seen[r] {
+				t.Fatalf("workers=%d: range %v run twice", workers, r)
+			}
+			seen[r] = true
+			if workers == 1 && r != rs[i] {
+				t.Fatalf("one worker ran %v at position %d, want %v", r, i, rs[i])
+			}
+		}
+	}
+}
+
+// cutInput is a random run-length weight list for Cut: run lengths 0..4 and
+// weights 0..40, a quarter of them zero (degree-0 vertices).
+type cutInput struct {
+	tasks int
+	lens  []int
+	ws    []int64
+}
+
+func (in cutInput) run(r int) (int, int64) { return in.lens[r], in.ws[r] }
+
+func (cutInput) Generate(rnd *rand.Rand, size int) reflect.Value {
+	in := cutInput{}
+	runs := rnd.Intn(size + 1)
+	for r := 0; r < runs; r++ {
+		in.lens = append(in.lens, rnd.Intn(5))
+		w := int64(rnd.Intn(41))
+		if rnd.Intn(4) == 0 {
+			w = 0
+		}
+		in.ws = append(in.ws, w)
+	}
+	in.tasks = rnd.Intn(2*size + 3) // includes 0, 1 and tasks ≥ n
+	return reflect.ValueOf(in)
+}
+
+// TestCutProperty: Cut covers [0, n) exactly with contiguous, non-empty
+// ranges, at most tasks of them; the same input gives the same output; and no
+// range weighs more than total/tasks plus the largest single weight.
+func TestCutProperty(t *testing.T) {
+	f := func(in cutInput) bool {
+		rs := Cut(in.tasks, len(in.lens), in.run)
+		var weight []int64 // per item
+		var total, wmax int64
+		for r := range in.lens {
+			for i := 0; i < in.lens[r]; i++ {
+				weight = append(weight, in.ws[r])
+			}
+			total += int64(in.lens[r]) * in.ws[r]
+			if in.lens[r] > 0 {
+				wmax = max(wmax, in.ws[r])
+			}
+		}
+		n := len(weight)
+		if n == 0 {
+			return rs == nil
+		}
+		if len(rs) > max(in.tasks, 1) || !reflect.DeepEqual(rs, Cut(in.tasks, len(in.lens), in.run)) {
+			return false
+		}
+		prev := 0
+		for _, r := range rs {
+			if r.Start != prev || r.Len() < 1 {
+				return false
+			}
+			var w int64
+			for i := r.Start; i < r.End; i++ {
+				w += weight[i]
+			}
+			if tasks := int64(max(in.tasks, 1)); tasks*w > total+tasks*wmax {
+				return false
+			}
+			prev = r.End
+		}
+		return prev == n
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCutShapes pins the cuts the engine relies on: unit weights are equal
+// sizes, a heavy item sits alone, zero weights never make a range of their
+// own, and an all-zero or single-task input is one range.
+func TestCutShapes(t *testing.T) {
+	runs := func(lens []int, ws []int64) func(int) (int, int64) {
+		return func(r int) (int, int64) { return lens[r], ws[r] }
+	}
 	cases := []struct {
-		n, workers, perWorker, min, max int
-		want                            int
+		name  string
+		tasks int
+		lens  []int
+		ws    []int64
+		want  []Range
 	}{
-		{n: 64000, workers: 10, perWorker: 64, min: 1, max: 1024, want: 100},
-		{n: 10, workers: 4, perWorker: 64, min: 1, max: 1024, want: 1},        // floor
-		{n: 1 << 30, workers: 1, perWorker: 1, min: 1, max: 1024, want: 1024}, // cap
-		{n: 1 << 30, workers: 1, perWorker: 1, min: 1, max: 0, want: 1 << 30}, // uncapped
-		{n: 100, workers: 0, perWorker: 0, min: 0, max: 0, want: 100},         // degenerate inputs normalize
-		{n: 1000, workers: 2, perWorker: 16, min: 40, max: 0, want: 40},       // min applies
+		{"unit", 4, []int{10}, []int64{1}, []Range{{0, 3}, {3, 5}, {5, 8}, {8, 10}}},
+		{"hub alone", 3, []int{1, 6}, []int64{30, 1}, []Range{{0, 1}, {1, 7}}},
+		{"zero runs", 2, []int{2, 2, 3, 2}, []int64{0, 5, 0, 5}, []Range{{0, 4}, {4, 9}}},
+		{"tasks >= n", 100, []int{1, 1, 1}, []int64{2, 0, 2}, []Range{{0, 1}, {1, 3}}},
+		{"all zero", 4, []int{5}, []int64{0}, []Range{{0, 5}}},
+		{"one task", 1, []int{3, 3}, []int64{9, 1}, []Range{{0, 6}}},
+		{"empty", 4, []int{0}, []int64{7}, nil},
 	}
 	for _, c := range cases {
-		if got := AdaptiveChunk(c.n, c.workers, c.perWorker, c.min, c.max); got != c.want {
-			t.Errorf("AdaptiveChunk(%d,%d,%d,%d,%d) = %d, want %d",
-				c.n, c.workers, c.perWorker, c.min, c.max, got, c.want)
+		if got := Cut(c.tasks, len(c.lens), runs(c.lens, c.ws)); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Cut = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
