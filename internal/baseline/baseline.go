@@ -1,41 +1,31 @@
-// Package baseline implements the comparison systems of the paper's
-// evaluation (§V-A):
-//
-//   - GraphZero — reproduced, as the paper itself did ("Since GraphZero is
-//     not released, we reproduce all the algorithms described in
-//     GraphZero"): one canonical restriction set plus a degree-only cost
-//     model over Phase-1 schedules. Its planner lives in core.PlanGraphZero;
-//     this package re-exports a one-call runner.
-//   - Fractal — a JVM pattern-matching system. We reproduce its algorithmic
-//     behavior: breadth-style extend-and-filter enumeration of partial
-//     embeddings with per-embedding canonicality filtering instead of
-//     compiled restrictions, which is why it trails nested-loop systems by
-//     orders of magnitude.
-//   - AutoMine — nested loops without symmetry breaking: it enumerates every
-//     automorphic image and divides by |Aut| at the end.
-//   - BruteForce — the all-injective-maps oracle used in tests.
+// Package baseline holds the all-injective-maps brute-force oracle: the
+// reference count that shares nothing with the engine, its planner or its
+// kernels, against which the engine's tests and the benchmark's golden
+// counts are checked.
 package baseline
 
 import (
-	"sync/atomic"
-	"time"
-
-	"graphpi/internal/core"
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
-	"graphpi/internal/perm"
-	"graphpi/internal/schedule"
-	"graphpi/internal/taskpool"
-	"graphpi/internal/vertexset"
 )
 
 // BruteForceCount counts embeddings (automorphism classes) by enumerating
-// every injective vertex map. Exponential in |V|; tests only.
+// every injective vertex map that preserves the pattern's edges. It first
+// relabels the pattern so every prefix of its vertex order is connected —
+// the count does not change under relabelling — so each vertex after the
+// first has an earlier neighbour, and its candidates are that neighbour's
+// image's neighbours rather than all of V. Exponential in the pattern size;
+// tests only.
 func BruteForceCount(g *graph.Graph, pat *pattern.Pattern) int64 {
 	n := pat.N()
 	nv := g.NumVertices()
 	if n > nv {
 		return 0
+	}
+	rel := relabelByOrder(pat, connectedOrder(pat))
+	all := make([]uint32, nv)
+	for v := range all {
+		all[v] = uint32(v)
 	}
 	used := make([]bool, nv)
 	assign := make([]uint32, n)
@@ -46,184 +36,31 @@ func BruteForceCount(g *graph.Graph, pat *pattern.Pattern) int64 {
 			count++
 			return
 		}
+		cands := all
+		for j := 0; j < i; j++ {
+			if rel.HasEdge(i, j) {
+				cands = g.Neighbors(assign[j])
+				break
+			}
+		}
 	next:
-		for v := 0; v < nv; v++ {
+		for _, v := range cands {
 			if used[v] {
 				continue
 			}
 			for j := 0; j < i; j++ {
-				if pat.HasEdge(i, j) && !g.HasEdge(assign[j], uint32(v)) {
+				if rel.HasEdge(i, j) && !g.HasEdge(assign[j], v) {
 					continue next
 				}
 			}
 			used[v] = true
-			assign[i] = uint32(v)
+			assign[i] = v
 			rec(i + 1)
 			used[v] = false
 		}
 	}
 	rec(0)
 	return count / int64(len(pat.Automorphisms()))
-}
-
-// GraphZeroCount plans with the reproduced GraphZero pipeline (single
-// restriction set, Phase-1 schedules, degree-only model) and counts.
-func GraphZeroCount(g *graph.Graph, pat *pattern.Pattern, workers int) (int64, error) {
-	res, err := core.PlanGraphZero(pat, g.Stats())
-	if err != nil {
-		return 0, err
-	}
-	return res.Best.Count(g, core.RunOptions{Workers: workers}), nil
-}
-
-// FractalCount reproduces Fractal's extend-and-filter strategy: it grows
-// partial embeddings one vertex at a time along a fixed connected order,
-// extending through the neighbors of already-matched vertices, and keeps an
-// embedding only if it is the canonical representative of its automorphism
-// class (the smallest vertex tuple over all automorphisms). The canonicality
-// check costs O(|Aut|·n) per complete embedding and the extension sets are
-// built per step — the algorithmic overheads GraphPi's compiled restrictions
-// avoid.
-func FractalCount(g *graph.Graph, pat *pattern.Pattern, workers int) int64 {
-	n, _ := FractalCountTimed(g, pat, workers, 0)
-	return n
-}
-
-// FractalCountTimed is FractalCount with a cooperative budget: when budget
-// is positive and expires, the run aborts and complete is false.
-func FractalCountTimed(g *graph.Graph, pat *pattern.Pattern, workers int, budget time.Duration) (count int64, complete bool) {
-	order := connectedOrder(pat)
-	rel := relabelByOrder(pat, order)
-	auts := rel.Automorphisms()
-	n := rel.N()
-	nv := g.NumVertices()
-	if nv == 0 {
-		return 0, true
-	}
-	var stop atomic.Bool
-	if budget > 0 {
-		timer := time.AfterFunc(budget, func() { stop.Store(true) })
-		defer timer.Stop()
-	}
-	counts := make([]int64, taskpool.Workers(workers))
-	taskpool.Run(workers, nv, 64, func(w int, rg taskpool.Range) {
-		if stop.Load() {
-			return
-		}
-		e := &fractalEnum{g: g, pat: rel, auts: auts, assign: make([]uint32, n), stop: &stop}
-		for v := rg.Start; v < rg.End; v++ {
-			if stop.Load() {
-				break
-			}
-			e.assign[0] = uint32(v)
-			e.extend(1)
-		}
-		counts[w] += e.count
-	})
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	return total, !stop.Load()
-}
-
-type fractalEnum struct {
-	g      *graph.Graph
-	pat    *pattern.Pattern
-	auts   []perm.Perm
-	assign []uint32
-	image  []uint32
-	count  int64
-	stop   *atomic.Bool
-}
-
-func (e *fractalEnum) extend(depth int) {
-	n := e.pat.N()
-	if depth == 2 && e.stop != nil && e.stop.Load() {
-		return
-	}
-	if depth == n {
-		if e.isCanonical() {
-			e.count++
-		}
-		return
-	}
-	// Extension candidates: union of neighborhoods of matched vertices
-	// whose pattern counterpart is adjacent to the new vertex — Fractal
-	// re-derives this per step rather than hoisting intersections.
-	var cand []uint32
-	first := true
-	for j := 0; j < depth; j++ {
-		if !e.pat.HasEdge(depth, j) {
-			continue
-		}
-		nb := e.g.Neighbors(e.assign[j])
-		if first {
-			cand = append(cand[:0], nb...)
-			first = false
-			continue
-		}
-		cand = vertexset.Intersect(make([]uint32, 0, len(cand)), cand, nb)
-	}
-	if first {
-		return // disconnected order never happens (connectedOrder)
-	}
-next:
-	for _, v := range cand {
-		for j := 0; j < depth; j++ {
-			if e.assign[j] == v {
-				continue next
-			}
-		}
-		// Filter: verify non-adjacent pattern pairs too? Subgraph
-		// isomorphism (non-induced) needs only edge presence, which the
-		// candidate construction guarantees.
-		e.assign[depth] = v
-		e.extend(depth + 1)
-	}
-}
-
-// isCanonical reports whether the current complete embedding is the
-// lexicographically smallest tuple among its automorphic images.
-func (e *fractalEnum) isCanonical() bool {
-	n := e.pat.N()
-	if cap(e.image) < n {
-		e.image = make([]uint32, n)
-	}
-	img := e.image[:n]
-	for _, a := range e.auts {
-		if a.IsIdentity() {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			img[i] = e.assign[a[i]]
-		}
-		for i := 0; i < n; i++ {
-			if img[i] < e.assign[i] {
-				return false
-			}
-			if img[i] > e.assign[i] {
-				break
-			}
-		}
-	}
-	return true
-}
-
-// AutoMineCount reproduces AutoMine's behavior: the nested-loop engine with
-// a good schedule but no symmetry breaking; every embedding is found |Aut|
-// times and the total divided at the end.
-func AutoMineCount(g *graph.Graph, pat *pattern.Pattern, workers int) (int64, error) {
-	sres := schedule.Generate(pat, schedule.Options{})
-	if len(sres.Efficient) == 0 {
-		return 0, core.ErrNoSchedule
-	}
-	cfg, err := core.NewConfig(pat, sres.Efficient[0], nil)
-	if err != nil {
-		return 0, err
-	}
-	raw := cfg.Count(g, core.RunOptions{Workers: workers})
-	return raw / int64(len(pat.Automorphisms())), nil
 }
 
 // connectedOrder returns a vertex order with connected prefixes (BFS from

@@ -18,28 +18,17 @@ func testPatterns() []*pattern.Pattern {
 }
 
 func TestAllSystemsAgree(t *testing.T) {
-	// The paper's correctness check (§V-A): GraphPi, the reproduced
-	// GraphZero and Fractal must produce identical embedding counts.
+	// The paper's correctness check (§V-A): GraphPi and the reproduced
+	// GraphZero must produce the brute-force embedding counts.
 	g := graph.GNP(18, 0.4, 99)
 	for _, p := range testPatterns() {
 		want := BruteForceCount(g, p)
-		gz, err := GraphZeroCount(g, p, 1)
+		gz, err := core.PlanGraphZero(p, g.Stats())
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		if gz != want {
-			t.Errorf("%s: GraphZero = %d, want %d", p, gz, want)
-		}
-		fr := FractalCount(g, p, 1)
-		if fr != want {
-			t.Errorf("%s: Fractal = %d, want %d", p, fr, want)
-		}
-		am, err := AutoMineCount(g, p, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		if am != want {
-			t.Errorf("%s: AutoMine = %d, want %d", p, am, want)
+		if got := gz.Best.Count(g, core.RunOptions{Workers: 1}); got != want {
+			t.Errorf("%s: GraphZero = %d, want %d", p, got, want)
 		}
 		res, err := core.Plan(p, g.Stats(), core.PlanOptions{})
 		if err != nil {
@@ -48,15 +37,6 @@ func TestAllSystemsAgree(t *testing.T) {
 		if gp := res.Best.Count(g, core.RunOptions{Workers: 1}); gp != want {
 			t.Errorf("%s: GraphPi = %d, want %d", p, gp, want)
 		}
-	}
-}
-
-func TestFractalParallelMatches(t *testing.T) {
-	g := graph.BarabasiAlbert(120, 4, 7)
-	p := pattern.House()
-	want := FractalCount(g, p, 1)
-	if got := FractalCount(g, p, 4); got != want {
-		t.Errorf("parallel Fractal = %d, want %d", got, want)
 	}
 }
 
@@ -70,10 +50,6 @@ func TestBruteForceTinyCases(t *testing.T) {
 	// Pattern larger than graph.
 	if got := BruteForceCount(graph.Complete(3), pattern.House()); got != 0 {
 		t.Errorf("undersized graph = %d, want 0", got)
-	}
-	empty, _ := graph.FromEdges(0, nil)
-	if got := FractalCount(empty, pattern.Triangle(), 1); got != 0 {
-		t.Errorf("Fractal on empty graph = %d", got)
 	}
 }
 
@@ -90,6 +66,8 @@ func TestConnectedOrder(t *testing.T) {
 }
 
 func TestSystemsAgreeProperty(t *testing.T) {
+	// On random graphs and random connected patterns, the reproduced
+	// GraphZero plan counts what the brute force oracle counts.
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 555))
 		n := 3 + r.IntN(3)
@@ -106,12 +84,8 @@ func TestSystemsAgreeProperty(t *testing.T) {
 			return true
 		}
 		g := graph.GNP(14, 0.4, seed)
-		want := BruteForceCount(g, p)
-		gz, err := GraphZeroCount(g, p, 1)
-		if err != nil || gz != want {
-			return false
-		}
-		return FractalCount(g, p, 2) == want
+		gz, err := core.PlanGraphZero(p, g.Stats())
+		return err == nil && gz.Best.Count(g, core.RunOptions{Workers: 1}) == BruteForceCount(g, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

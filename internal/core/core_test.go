@@ -5,51 +5,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphpi/internal/baseline"
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
 	"graphpi/internal/restrict"
 	"graphpi/internal/schedule"
 )
-
-// bruteCountInjective counts all injective maps of pat into g preserving
-// edges (i.e., embeddings × |Aut|). The oracle for engine correctness.
-func bruteCountInjective(g *graph.Graph, pat *pattern.Pattern) int64 {
-	n := pat.N()
-	nv := g.NumVertices()
-	used := make([]bool, nv)
-	assign := make([]uint32, n)
-	var count int64
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			count++
-			return
-		}
-	next:
-		for v := 0; v < nv; v++ {
-			if used[v] {
-				continue
-			}
-			for j := 0; j < i; j++ {
-				if pat.HasEdge(i, j) && !g.HasEdge(assign[j], uint32(v)) {
-					continue next
-				}
-			}
-			used[v] = true
-			assign[i] = uint32(v)
-			rec(i + 1)
-			used[v] = false
-		}
-	}
-	rec(0)
-	return count
-}
-
-// bruteCountEmbeddings returns the paper's embedding count: injective maps
-// divided by the automorphism count.
-func bruteCountEmbeddings(g *graph.Graph, pat *pattern.Pattern) int64 {
-	return bruteCountInjective(g, pat) / int64(len(pat.Automorphisms()))
-}
 
 // identitySchedule returns the natural order schedule for an n-pattern.
 func identitySchedule(n int) schedule.Schedule {
@@ -115,7 +76,7 @@ func TestCountWithoutRestrictionsIsAutMultiple(t *testing.T) {
 	} {
 		bare := mustConfig(t, p, identitySchedule(p.N()), nil)
 		got := bare.Count(g, RunOptions{Workers: 1})
-		want := bruteCountInjective(g, p)
+		want := baseline.BruteForceCount(g, p) * int64(len(p.Automorphisms()))
 		if got != want {
 			t.Errorf("%s unrestricted: %d, want %d", p, got, want)
 		}
@@ -131,7 +92,7 @@ func TestCountMatchesBruteForceAcrossConfigs(t *testing.T) {
 		pattern.Pentagon(), pattern.CompleteBipartite(2, 3),
 	}
 	for _, p := range pats {
-		want := bruteCountEmbeddings(g, p)
+		want := baseline.BruteForceCount(g, p)
 		sets, err := restrict.Generate(p, restrict.Options{MaxSets: 6})
 		if err != nil {
 			t.Fatal(err)
@@ -153,7 +114,7 @@ func TestCountEliminatedSchedulesStillCorrect(t *testing.T) {
 	// but must be correct.
 	g := graph.GNP(14, 0.5, 9)
 	p := pattern.House()
-	want := bruteCountEmbeddings(g, p)
+	want := baseline.BruteForceCount(g, p)
 	sets, err := restrict.Generate(p, restrict.Options{MaxSets: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +131,7 @@ func TestCountEliminatedSchedulesStillCorrect(t *testing.T) {
 func TestGraphZeroRestrictionSetCorrect(t *testing.T) {
 	g := graph.GNP(16, 0.4, 11)
 	for _, p := range []*pattern.Pattern{pattern.House(), pattern.Rectangle()} {
-		want := bruteCountEmbeddings(g, p)
+		want := baseline.BruteForceCount(g, p)
 		gz := restrict.GraphZeroSet(p)
 		sres := schedule.Generate(p, schedule.Options{})
 		cfg := mustConfig(t, p, sres.Efficient[0], gz)
@@ -346,7 +307,7 @@ func TestPlanSelectsWorkingConfig(t *testing.T) {
 		if res.Best == nil || res.PrepTime <= 0 {
 			t.Fatalf("%s: incomplete result", p)
 		}
-		want := bruteCountEmbeddings(graph.GNP(12, 0.5, 3), p)
+		want := baseline.BruteForceCount(graph.GNP(12, 0.5, 3), p)
 		got := res.Best.Count(graph.GNP(12, 0.5, 3), RunOptions{Workers: 1})
 		if got != want {
 			t.Errorf("%s planned config count = %d, want %d", p, got, want)
@@ -384,7 +345,7 @@ func TestPlanGraphZeroBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := graph.GNP(14, 0.5, 6)
-	want := bruteCountEmbeddings(small, p)
+	want := baseline.BruteForceCount(small, p)
 	if got := res.Best.Count(small, RunOptions{Workers: 1}); got != want {
 		t.Errorf("GraphZero baseline count = %d, want %d", got, want)
 	}
@@ -424,7 +385,7 @@ func TestRandomGraphsPatternsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := bruteCountEmbeddings(g, p)
+		want := baseline.BruteForceCount(g, p)
 		if res.Best.Count(g, RunOptions{Workers: 1}) != want {
 			return false
 		}

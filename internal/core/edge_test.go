@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -89,10 +90,13 @@ func TestBudgetTruncates(t *testing.T) {
 	sets, _ := restrict.Generate(p, restrict.Options{MaxSets: 1})
 	cfg := mustConfig(t, p, sres.Efficient[0], sets[0])
 	start := time.Now()
-	_, complete := cfg.CountTimed(g, RunOptions{Workers: 2, Budget: 30 * time.Millisecond})
+	_, err := cfg.CountCtx(context.Background(), g, RunOptions{Workers: 2, Budget: 30 * time.Millisecond})
 	elapsed := time.Since(start)
-	if complete {
+	if err == nil {
 		t.Skip("machine fast enough to finish under budget; nothing to assert")
+	}
+	if err != ErrBudgetExceeded {
+		t.Fatalf("budgeted run error = %v, want ErrBudgetExceeded", err)
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("budgeted run took %v, cancellation too coarse", elapsed)
@@ -104,9 +108,9 @@ func TestBudgetCompleteFlagOnFastRun(t *testing.T) {
 	p := pattern.Triangle()
 	sets, _ := restrict.Generate(p, restrict.Options{})
 	cfg := mustConfig(t, p, identitySchedule(3), sets[0])
-	count, complete := cfg.CountTimed(g, RunOptions{Workers: 1, Budget: time.Minute})
-	if !complete || count != 56 {
-		t.Errorf("fast run: count=%d complete=%v", count, complete)
+	count, err := cfg.CountCtx(context.Background(), g, RunOptions{Workers: 1, Budget: time.Minute})
+	if err != nil || count != 56 {
+		t.Errorf("fast run: count=%d err=%v", count, err)
 	}
 }
 

@@ -45,15 +45,14 @@ type RunOptions struct {
 	// multi-worker runs on eligible schedules.
 	EdgeParallel EdgeParallelMode
 	// Budget, when positive, aborts the run cooperatively once exceeded
-	// (the experiment harness's equivalent of the paper's 48-hour "T"
-	// cutoff). Use the *Timed variants to learn whether a run completed.
+	// (the paper's 48-hour "T" cutoff). The *Ctx methods report such an
+	// abort as ErrBudgetExceeded.
 	Budget time.Duration
 	// Context, when non-nil, cancels the run cooperatively: every worker
 	// observes cancellation at its next outer-loop vertex (or edge-slot
 	// group) boundary and returns, so taskpool goroutines are freed within
-	// one chunk even when the full search would run for minutes. A
-	// cancelled run reports complete=false from the *Timed variants; use
-	// the *Ctx methods to get the context error directly.
+	// one chunk even when the full search would run for minutes. Use the
+	// *Ctx methods to learn whether a run was cancelled.
 	Context context.Context
 	// Tier selects the executor for counting runs (see Tier). TierAuto
 	// picks the clique kernel for total-order cliques; enumeration and every
@@ -77,18 +76,6 @@ type RunOptions struct {
 func (c *Config) Count(g *graph.Graph, opt RunOptions) int64 {
 	n, _ := c.execute(g, opt, false, nil)
 	return n
-}
-
-// CountTimed is Count with an explicit completion flag: complete is false
-// when opt.Budget expired before the search finished (the partial tally is
-// still returned).
-func (c *Config) CountTimed(g *graph.Graph, opt RunOptions) (count int64, complete bool) {
-	return c.execute(g, opt, false, nil)
-}
-
-// CountIEPTimed is CountIEP with a completion flag.
-func (c *Config) CountIEPTimed(g *graph.Graph, opt RunOptions) (count int64, complete bool) {
-	return c.execute(g, opt, true, nil)
 }
 
 // CountIEP counts embeddings using the Inclusion-Exclusion Principle over

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"graphpi/internal/baseline"
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
 )
@@ -158,7 +159,7 @@ func TestDupCheckSkipsNothingRequired(t *testing.T) {
 	// collide with non-adjacent earlier binds; dupCheck must catch those.
 	pat := pattern.PathN(4)
 	cfg := mustConfig(t, pat, identitySchedule(4), nil)
-	want := bruteCountInjective(g, pat)
+	want := baseline.BruteForceCount(g, pat) * int64(len(pat.Automorphisms()))
 	if got := cfg.Count(g, RunOptions{Workers: 1}); got != want {
 		t.Fatalf("unrestricted path count = %d, want %d", got, want)
 	}

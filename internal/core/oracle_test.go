@@ -93,25 +93,6 @@ func oraclePatterns(t *testing.T) []*pattern.Pattern {
 	return pats
 }
 
-// bruteForce is baseline.BruteForceCount on a relabelling of the pattern
-// whose every prefix is connected: the count is invariant and the oracle's
-// search then prunes on an edge at every level.
-func bruteForce(g *graph.Graph, p *pattern.Pattern) int64 {
-	n := p.N()
-	order := make([]int, n) // original vertex → position
-	placed := uint16(1)
-	for k := 1; k < n; k++ {
-		for v := 0; v < n; v++ {
-			if placed&(1<<v) == 0 && p.NeighborMask(v)&placed != 0 {
-				order[v] = k
-				placed |= 1 << v
-				break
-			}
-		}
-	}
-	return baseline.BruteForceCount(g, p.Relabel(order))
-}
-
 // TestCliquesAgainstBruteForce is the clique arm of the oracle (every pattern
 // above is non-complete, so none reaches the clique kernel): K3..K6, K7
 // without -short, on the five graphs above plus a dense G(n,m), whose
@@ -196,7 +177,7 @@ func TestEngineAgainstBruteForce(t *testing.T) {
 			cfgs = append(cfgs, res.Best)
 		}
 		for gname, g := range graphs {
-			want := bruteForce(g, p)
+			want := baseline.BruteForceCount(g, p)
 			for ci, cfg := range cfgs {
 				checkAgainstOracle(t, fmt.Sprintf("%s on %s (plan %d)", p.Name(), gname, ci), cfg, g, p, want)
 			}

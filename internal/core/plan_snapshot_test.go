@@ -27,12 +27,20 @@ var snapshotStats = graph.Stats{Vertices: 30000, Edges: 239964, Triangles: 17820
 // planner must leave every line of testdata/plans.txt unchanged; a deliberate
 // change of plans regenerates it with -update-plans (and needs cmd/bench's
 // goldens re-pinned as well).
+//
+// It also restates the claim behind the paper's IEP ablation (Fig. 10): most
+// evaluation patterns plan an IEP suffix — P1, P3, P4 and P6 here; P2 and P5
+// plan none.
 func TestPlanSnapshot(t *testing.T) {
+	wantIEP := map[string]bool{"P1": true, "P3": true, "P4": true, "P6": true}
 	var b strings.Builder
 	for _, np := range patterntest.Suite(5) {
 		res, err := Plan(np.Pat, snapshotStats, PlanOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", np.Name, err)
+		}
+		if wantIEP[np.Name] && res.Best.KIEP() < 1 {
+			t.Errorf("%s: planned kIEP = %d, want an IEP suffix", np.Name, res.Best.KIEP())
 		}
 		fmt.Fprintf(&b, "%s | %s | %s | %016x\n", np.Name, res.Best.Schedule, res.Best.Restrictions, math.Float64bits(res.Best.Cost))
 	}

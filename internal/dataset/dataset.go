@@ -1,15 +1,15 @@
 // Package dataset provides deterministic synthetic stand-ins for the six
-// real-world graphs of the paper's Table I. The SNAP datasets themselves are
-// not redistributable (and this module builds offline), so each dataset is
-// replaced by a generator matched in degree regime — preferential attachment
-// for the social graphs, a mildly clustered sparse graph for Patents, and a
-// heavily skewed RMAT graph for Twitter — at sizes scaled down so the whole
-// evaluation suite runs on one machine (see DESIGN.md §3).
+// real-world graphs of the paper's Table I, loaded by name through
+// graphpi.LoadDataset, the CLI's -dataset flag and cmd/graphgen. The SNAP
+// datasets themselves are not redistributable (and this module builds
+// offline), so each dataset is replaced by a generator matched in degree
+// regime — preferential attachment for the social graphs, a mildly
+// clustered sparse graph for Patents, and a heavily skewed RMAT graph for
+// Twitter — at sizes scaled down to run on one machine (see DESIGN.md §3).
 //
 // The substitution preserves what the algorithms are sensitive to: |V|, |E|,
 // triangle density and degree skew. Absolute runtimes are not comparable to
-// the paper's Tianhe-2A numbers, and are not meant to be; every experiment
-// reports relative behavior.
+// the paper's Tianhe-2A numbers, and are not meant to be.
 package dataset
 
 import (
@@ -20,18 +20,12 @@ import (
 	"graphpi/internal/graph"
 )
 
-// Spec describes one dataset: the paper's original statistics and the
-// synthetic generator standing in for it.
+// Spec describes one dataset: the synthetic generator standing in for one
+// of the paper's graphs.
 type Spec struct {
 	// Name is the dataset name with an "-S" suffix marking the synthetic
 	// stand-in (e.g. "WikiVote-S").
 	Name string
-	// PaperVertices/PaperEdges are the original graph's size from Table I.
-	PaperVertices, PaperEdges int64
-	// Description matches Table I's description column.
-	Description string
-	// ScaleNote documents the size relation to the original.
-	ScaleNote string
 	// Build generates the stand-in at the given scale factor (1.0 = the
 	// default reproduction size; benches may use smaller).
 	Build func(scale float64) *graph.Graph
@@ -49,66 +43,54 @@ func scaled(n int, scale float64, lo int) int {
 // Specs returns the six dataset specs in the paper's Table I order.
 func Specs() []Spec {
 	return []Spec{
+		// Wiki Editor Voting (Table I: 7.1K vertices, 100.8K edges), full size.
 		{
-			Name:          "WikiVote-S",
-			PaperVertices: 7_100, PaperEdges: 100_800,
-			Description: "Wiki Editor Voting",
-			ScaleNote:   "full size (7.1K vertices)",
+			Name: "WikiVote-S",
 			Build: func(scale float64) *graph.Graph {
 				g := graph.BarabasiAlbert(scaled(7100, scale, 200), 14, 0xA11CE)
 				g.SetName("WikiVote-S")
 				return g
 			},
 		},
+		// Co-authorship (96.6K vertices, 1.1M edges), ≈1/4 scale, same avg degree.
 		{
-			Name:          "MiCo-S",
-			PaperVertices: 96_600, PaperEdges: 1_100_000,
-			Description: "Co-authorship",
-			ScaleNote:   "≈1/4 scale (same avg degree)",
+			Name: "MiCo-S",
 			Build: func(scale float64) *graph.Graph {
 				g := graph.BarabasiAlbert(scaled(24000, scale, 300), 11, 0xB0B)
 				g.SetName("MiCo-S")
 				return g
 			},
 		},
+		// US Patents (3.8M vertices, 16.5M edges), ≈1/40 scale, avg degree ≈ 8.
 		{
-			Name:          "Patents-S",
-			PaperVertices: 3_800_000, PaperEdges: 16_500_000,
-			Description: "US Patents",
-			ScaleNote:   "≈1/40 scale (sparse, avg degree ≈ 8)",
+			Name: "Patents-S",
 			Build: func(scale float64) *graph.Graph {
 				g := graph.BarabasiAlbert(scaled(90000, scale, 400), 4, 0xCAFE)
 				g.SetName("Patents-S")
 				return g
 			},
 		},
+		// LiveJournal (4M vertices, 34.7M edges), ≈1/33 scale, avg degree ≈ 17.
 		{
-			Name:          "LiveJournal-S",
-			PaperVertices: 4_000_000, PaperEdges: 34_700_000,
-			Description: "Social network",
-			ScaleNote:   "≈1/33 scale (same avg degree ≈ 17)",
+			Name: "LiveJournal-S",
 			Build: func(scale float64) *graph.Graph {
 				g := graph.BarabasiAlbert(scaled(110000, scale, 400), 9, 0x11F7)
 				g.SetName("LiveJournal-S")
 				return g
 			},
 		},
+		// Orkut (3.1M vertices, 117.2M edges), ≈1/45 scale, avg degree ≈ 36.
 		{
-			Name:          "Orkut-S",
-			PaperVertices: 3_100_000, PaperEdges: 117_200_000,
-			Description: "Social network",
-			ScaleNote:   "≈1/45 scale (dense, avg degree ≈ 36)",
+			Name: "Orkut-S",
 			Build: func(scale float64) *graph.Graph {
 				g := graph.BarabasiAlbert(scaled(70000, scale, 400), 18, 0x0B5C)
 				g.SetName("Orkut-S")
 				return g
 			},
 		},
+		// Twitter (41.7M vertices, 1.2B edges), ≈1/450 scale, RMAT heavy skew.
 		{
-			Name:          "Twitter-S",
-			PaperVertices: 41_700_000, PaperEdges: 1_200_000_000,
-			Description: "Social network",
-			ScaleNote:   "≈1/450 scale (RMAT, heavy skew)",
+			Name: "Twitter-S",
 			Build: func(scale float64) *graph.Graph {
 				sc := 18
 				if scale < 0.9 {
@@ -120,12 +102,6 @@ func Specs() []Spec {
 			},
 		},
 	}
-}
-
-// EvaluationNames returns the five datasets of the single-node experiments
-// (Figures 8–11); Twitter-S is used only for scalability, as in the paper.
-func EvaluationNames() []string {
-	return []string{"WikiVote-S", "MiCo-S", "Patents-S", "LiveJournal-S", "Orkut-S"}
 }
 
 // ByName returns the spec with the given name.
@@ -161,39 +137,6 @@ func Load(name string, scale float64) (*graph.Graph, error) {
 	g := spec.Build(scale)
 	cache[key] = g
 	return g, nil
-}
-
-// TableRow is one row of the reproduced Table I.
-type TableRow struct {
-	Name                       string
-	Vertices, Edges, Triangles int64
-	PaperVertices, PaperEdges  int64
-	Description, ScaleNote     string
-}
-
-// TableI computes the dataset statistics table at the given scale, sorted
-// in the paper's order.
-func TableI(scale float64) ([]TableRow, error) {
-	specs := Specs()
-	rows := make([]TableRow, 0, len(specs))
-	for _, s := range specs {
-		g, err := Load(s.Name, scale)
-		if err != nil {
-			return nil, err
-		}
-		st := g.Stats()
-		rows = append(rows, TableRow{
-			Name:          s.Name,
-			Vertices:      int64(st.Vertices),
-			Edges:         st.Edges,
-			Triangles:     st.Triangles,
-			PaperVertices: s.PaperVertices,
-			PaperEdges:    s.PaperEdges,
-			Description:   s.Description,
-			ScaleNote:     s.ScaleNote,
-		})
-	}
-	return rows, nil
 }
 
 // SortedNames returns all dataset names sorted alphabetically (for CLI

@@ -11,24 +11,13 @@ func TestSpecsComplete(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, s := range specs {
-		if s.Name == "" || s.Description == "" || s.ScaleNote == "" || s.Build == nil {
+		if s.Name == "" || s.Build == nil {
 			t.Errorf("incomplete spec %+v", s)
 		}
 		if names[s.Name] {
 			t.Errorf("duplicate name %s", s.Name)
 		}
 		names[s.Name] = true
-		if s.PaperVertices <= 0 || s.PaperEdges <= 0 {
-			t.Errorf("%s: missing paper sizes", s.Name)
-		}
-	}
-	for _, n := range EvaluationNames() {
-		if !names[n] {
-			t.Errorf("evaluation dataset %s not in specs", n)
-		}
-	}
-	if len(EvaluationNames()) != 5 {
-		t.Error("evaluation should use 5 datasets (Twitter is scalability-only)")
 	}
 }
 
@@ -88,21 +77,6 @@ func TestDegreeRegimes(t *testing.T) {
 	}
 	if float64(tw.MaxDegree()) < 5*tw.AvgDegree() {
 		t.Errorf("Twitter-S not heavy-tailed: max %d avg %.1f", tw.MaxDegree(), tw.AvgDegree())
-	}
-}
-
-func TestTableI(t *testing.T) {
-	rows, err := TableI(0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("TableI rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Vertices <= 0 || r.Edges <= 0 {
-			t.Errorf("%s: empty row", r.Name)
-		}
 	}
 }
 
