@@ -34,6 +34,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"sync"
 	"time"
 
 	"graphpi/internal/approx"
@@ -48,9 +49,69 @@ import (
 	"graphpi/internal/telemetry"
 )
 
-// Graph is an immutable undirected data graph in CSR form.
+// Graph is an undirected data graph in CSR form. The graph itself is
+// immutable; the only state a Graph gathers is a memo of orientation
+// decisions (see NewPlan), one small entry per distinct planned
+// configuration, safe for concurrent use.
 type Graph struct {
 	g *graph.Graph
+	// oriented memoises the orientation step (core.Config.Orient) per
+	// planned configuration, so its probe runs at most once per graph and
+	// configuration: ClusterCount and Cluster.Count plan on every call.
+	mu       sync.Mutex
+	oriented map[string]*orientedConfig // guarded by mu
+}
+
+// orientedConfig is one memoised orientation decision. ready is closed once
+// cfg, o and err are final.
+type orientedConfig struct {
+	ready chan struct{}
+	cfg   *core.Config
+	o     core.Orientation
+	err   error
+}
+
+// errOrientPanic is what callers waiting on a probe observe when the probing
+// caller panicked.
+var errOrientPanic = errors.New("graphpi: orientation probe panicked")
+
+// orient returns the planned configuration or its mirror, whichever the
+// orientation step picks on this graph, probing on workers goroutines only
+// on the first request for the configuration. The lock covers the memo
+// lookup alone: concurrent first requests for one configuration wait for
+// its single probe, requests for other configurations do not.
+func (g *Graph) orient(cfg *core.Config, workers int) (*core.Config, core.Orientation, error) {
+	key := cfg.Pattern.AdjacencyString() + " " + cfg.Schedule.String() + " " + cfg.Restrictions.String()
+	g.mu.Lock()
+	e, ok := g.oriented[key]
+	if !ok {
+		e = &orientedConfig{ready: make(chan struct{})}
+		if g.oriented == nil {
+			g.oriented = make(map[string]*orientedConfig)
+		}
+		g.oriented[key] = e
+	}
+	g.mu.Unlock()
+	if ok {
+		<-e.ready
+		return e.cfg, e.o, e.err
+	}
+	settled := false
+	defer func() {
+		if !settled {
+			// A panicking probe must not leave waiters blocked; the
+			// configuration is probed afresh by the next request.
+			g.mu.Lock()
+			delete(g.oriented, key)
+			g.mu.Unlock()
+			e.err = errOrientPanic
+			close(e.ready)
+		}
+	}()
+	e.cfg, e.o, e.err = cfg.Orient(g.g, workers)
+	settled = true
+	close(e.ready)
+	return e.cfg, e.o, e.err
 }
 
 // NumVertices returns |V|.
@@ -393,15 +454,21 @@ func ParseTier(s string) (Tier, error) { return core.ParseTier(s) }
 // Plan is a compiled, ready-to-run matching configuration for one
 // (graph, pattern) pair.
 type Plan struct {
-	g    *Graph
-	cfg  *core.Config
-	prep time.Duration
-	opts options
+	g      *Graph
+	cfg    *core.Config
+	orient core.Orientation
+	prep   time.Duration
+	opts   options
 }
 
 // NewPlan runs GraphPi's preprocessing — restriction generation, schedule
 // generation and performance prediction — and returns the selected optimal
-// configuration bound to the graph.
+// configuration bound to the graph. On an Optimize()d graph it then runs the
+// selected restriction set or its mirror (every restriction reversed),
+// whichever exact candidate counts on the graph show to be at least twice
+// cheaper at the shallowest loop depth that tells them apart; the first plan
+// of a configuration pays for that probe, later plans reuse its decision.
+// The GraphZero baseline is never mirrored.
 func NewPlan(g *Graph, p *Pattern, opts ...Option) (*Plan, error) {
 	var o options
 	for _, fn := range opts {
@@ -420,8 +487,18 @@ func NewPlan(g *Graph, p *Pattern, opts ...Option) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.tracer.Span("plan", t0, map[string]string{"graph": g.Name(), "pattern": p.String()})
-	return &Plan{g: g, cfg: res.Best, prep: res.PrepTime, opts: o}, nil
+	pl := &Plan{g: g, cfg: res.Best, prep: res.PrepTime, opts: o}
+	if !o.baseline {
+		t1 := time.Now()
+		if pl.cfg, pl.orient, err = g.orient(res.Best, o.workers); err != nil {
+			return nil, err
+		}
+		pl.prep += time.Since(t1)
+	}
+	o.tracer.Span("plan", t0, map[string]string{
+		"graph": g.Name(), "pattern": p.String(), "orientation": pl.orient.String(),
+	})
+	return pl, nil
 }
 
 // Count enumerates the full loop nest and returns the number of embeddings.
@@ -492,7 +569,8 @@ func (pl *Plan) EnumerateCtx(ctx context.Context, visit func(embedding []uint32)
 }
 
 // PrepTime returns the preprocessing (configuration generation plus
-// performance prediction) duration — the paper's Table III quantity.
+// performance prediction) duration — the paper's Table III quantity — plus
+// the orientation probe when this plan ran it.
 func (pl *Plan) PrepTime() time.Duration { return pl.prep }
 
 // PredictedCost returns the performance model's cost estimate for the
@@ -509,10 +587,11 @@ func (pl *Plan) ExecutionTier(useIEP bool) Tier {
 	return pl.cfg.ResolveTier(pl.opts.tier)
 }
 
-// Describe renders the chosen schedule and restriction set.
+// Describe renders the chosen schedule and restriction set, and whether the
+// planned set was kept or mirrored on this graph (see NewPlan).
 func (pl *Plan) Describe() string {
-	return fmt.Sprintf("schedule %s, restrictions %s, predicted cost %.4g, IEP k=%d",
-		pl.cfg.Schedule, pl.cfg.Restrictions, pl.cfg.Cost, pl.cfg.KIEP())
+	return fmt.Sprintf("schedule %s, restrictions %s, predicted cost %.4g, IEP k=%d, orientation %s",
+		pl.cfg.Schedule, pl.cfg.Restrictions, pl.cfg.Cost, pl.cfg.KIEP(), pl.orient)
 }
 
 func (pl *Plan) runOptions() core.RunOptions {

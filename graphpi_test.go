@@ -707,3 +707,67 @@ func TestNamedPatternFacade(t *testing.T) {
 		t.Fatalf("ParsePattern adjacency = %v, %v", p, err)
 	}
 }
+
+// TestNewPlanOrientation covers the facade's side of the orientation step:
+// on an Optimize()d graph the first plan of a configuration probes and says
+// so in Describe and the plan span, concurrent and later plans of it reuse
+// that one decision, and neither the GraphZero baseline nor a graph that is
+// not degree-ordered is ever oriented.
+func TestNewPlanOrientation(t *testing.T) {
+	raw := GenerateBA(2000, 8, 4242)
+	g := raw.Optimize(0)
+	var events strings.Builder
+	first, err := NewPlan(g, Rectangle(), WithTracer(NewTracer(&events)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.orient.Mirrored || !strings.Contains(first.Describe(), "orientation mirrored at depth 2") {
+		t.Errorf("rectangle on the optimized BA graph: %s, want mirrored at depth 2", first.Describe())
+	}
+	if !strings.Contains(events.String(), `"orientation":"mirrored at depth 2`) {
+		t.Errorf("plan span does not state the decision: %s", events.String())
+	}
+
+	var wg sync.WaitGroup
+	plans := make([]*Plan, 4)
+	errs := make([]error, len(plans))
+	for i := range plans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			plans[i], errs[i] = NewPlan(g, Rectangle(), WithWorkers(2))
+		}(i)
+	}
+	wg.Wait()
+	want := first.CountIEP()
+	for i, pl := range plans {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if pl.cfg != first.cfg || pl.orient != first.orient {
+			t.Errorf("plan %d probed again or decided differently: %s", i, pl.Describe())
+		}
+		if got := pl.CountIEP(); got != want {
+			t.Errorf("plan %d: CountIEP %d, want %d", i, got, want)
+		}
+	}
+	if len(g.oriented) != 1 {
+		t.Errorf("%d orientation decisions memoised for one configuration", len(g.oriented))
+	}
+
+	for name, pl := range map[string]func() (*Plan, error){
+		"graphzero baseline": func() (*Plan, error) { return NewPlan(g, Rectangle(), WithGraphZeroBaseline()) },
+		"unoptimized graph":  func() (*Plan, error) { return NewPlan(raw, Rectangle()) },
+	} {
+		p, err := pl()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.orient.Probed || !strings.Contains(p.Describe(), "orientation kept (not probed)") {
+			t.Errorf("%s: %s, want the planned set unprobed", name, p.Describe())
+		}
+		if got := p.CountIEP(); got != want {
+			t.Errorf("%s: CountIEP %d, want %d", name, got, want)
+		}
+	}
+}

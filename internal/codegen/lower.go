@@ -204,6 +204,21 @@ func Lower(spec Spec) (*Program, error) {
 	return p, nil
 }
 
+// CutAt returns the nest p cut after depth (at most the IEP cut, if p has
+// one): level depth becomes a counting leaf with no duplicate check and no
+// IEP suffix follows, so a counting walk adds each of its candidate-set sizes
+// and never descends further. Every level above it keeps its steps, windows
+// and checks, so the cut nest scans exactly the candidate sets p scans at
+// levels 0..depth.
+func (p *Program) CutAt(depth int) *Program {
+	c := *p
+	c.Levels = append([]Level(nil), p.Levels[:depth+1]...)
+	last := &c.Levels[depth]
+	last.Dup, last.Steps, last.IsLeaf, last.AtCut = nil, nil, true, false
+	c.IEPCut, c.KIEP, c.IEP, c.IEPExclude = -1, 0, nil, nil
+	return &c
+}
+
 // classifyExclusions fills IEPExclude. Let M be the positions whose
 // neighbourhoods IEP set i intersects (its parent, or its buffer's chain of
 // steps). A prefix position p is

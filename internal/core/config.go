@@ -75,9 +75,9 @@ type Config struct {
 
 // NewConfig compiles a configuration. The schedule must be a permutation of
 // the pattern's vertices and the restrictions must reference pattern
-// vertices; neither is required to be "efficient" or complete — experiment
-// harnesses deliberately run eliminated schedules and foreign restriction
-// sets (Figures 2b and 9).
+// vertices; neither is required to be "efficient" or complete — tests
+// deliberately run eliminated schedules and foreign restriction sets (the
+// claims of Figures 2b and 9).
 func NewConfig(pat *pattern.Pattern, sched schedule.Schedule, rs restrict.Set) (*Config, error) {
 	n := pat.N()
 	if len(sched.Order) != n {
@@ -350,8 +350,8 @@ func (c *Config) IEPDivisor() int64 { return c.iepDen }
 // restriction sets).
 func (c *Config) IEPNumerator() int64 { return c.iepNum }
 
-// Plan exposes the compiled loop program (read-only; used by the cost model
-// and experiment reports).
+// PlanView exposes the compiled loop program (read-only), the input
+// costmodel.Estimate prices.
 func (c *Config) PlanView() schedule.Plan { return c.plan }
 
 // PosRestrictions returns the restrictions mapped to schedule positions as

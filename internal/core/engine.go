@@ -65,6 +65,10 @@ type RunOptions struct {
 	// and without Stats; the disabled path pays one nil check per
 	// candidate scan. Allocate with telemetry.NewRunStats(cfg.N()).
 	Stats *telemetry.RunStats
+	// work, when set, is an orientation probe's work cap: the workers stop
+	// the run once together they have bound more candidates than it allows.
+	// Needs Stats.
+	work *workCap
 }
 
 // Count returns the number of embeddings of the configuration's pattern by
@@ -297,7 +301,7 @@ func (c *Config) newWorker(g *graph.Graph, opt RunOptions, useIEP bool, visit fu
 		return k
 	}
 	r := newRunner(c, g, useIEP, visit, stop)
-	r.st = st
+	r.st, r.work = st, opt.work
 	return r
 }
 
@@ -397,6 +401,9 @@ type runner struct {
 	stop  *atomic.Bool
 	count int64
 	st    *telemetry.RunStats // nil when telemetry is disabled
+	work  *workCap            // nil unless the run is an orientation probe
+	// charged is the work this runner has charged to work so far.
+	charged uint64
 
 	calc    *iep.Calculator
 	iepSets [][]uint32
@@ -449,6 +456,9 @@ func (r *runner) RunRoot(start, end int) {
 		lst.Scan(end-start, 0)
 	}
 	for v := start; v < end; v++ {
+		if r.work != nil {
+			r.work.charge(r)
+		}
 		if r.stop != nil && r.stop.Load() {
 			return
 		}
@@ -475,6 +485,9 @@ func (r *runner) RunRootEdges(start, end int) {
 	g := r.g
 	v := g.SlotOwner(start)
 	for start < end {
+		if r.work != nil {
+			r.work.charge(r)
+		}
 		if r.stop != nil && r.stop.Load() {
 			return
 		}

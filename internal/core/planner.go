@@ -33,13 +33,15 @@ type PlanOptions struct {
 	// Phase1Only disables the Phase-2 schedule filter (baseline
 	// reproduction: GraphZero generates connected schedules only).
 	Phase1Only bool
-	// KeepAll retains every ranked configuration in the result (used by
-	// the experiment harness; costs one compile per configuration).
+	// KeepAll retains every ranked (schedule, restriction set, predicted
+	// cost) in PlanResult.Ranked, for tests and benchmarks that compare
+	// the planner's choice with the rest of the space. It compiles
+	// nothing extra.
 	KeepAll bool
 }
 
-// Candidate pairs a configuration with its predicted cost before
-// compilation; exposed for experiment reporting.
+// Candidate pairs an uncompiled configuration with its predicted cost: one
+// entry of PlanResult.Ranked (see PlanOptions.KeepAll).
 type Candidate struct {
 	Schedule     schedule.Schedule
 	Restrictions restrict.Set

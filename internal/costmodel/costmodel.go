@@ -76,8 +76,8 @@ func (p Params) AvgDegree() float64 {
 	return 2 * p.Edges / p.Vertices
 }
 
-// Breakdown exposes the per-loop factors behind a prediction, for
-// inspection and experiment reporting.
+// Breakdown exposes the per-loop factors behind a prediction; drift reports
+// (core.Config.PredictedLevels) compare them with a run's counters.
 type Breakdown struct {
 	LoopSize   []float64 // l_i
 	FilterProb []float64 // f_i

@@ -302,25 +302,29 @@ type ProfileReport struct {
 }
 
 // plan resolves the cached configuration for (graph, pattern spec, planner),
-// running the planner on a miss. planSec is the wall time this call spent
-// planning — ≈0 on a hit, the point of the cache.
+// running the planner on a miss — and, unless the planner is the GraphZero
+// baseline, the orientation step (core.Config.Orient) on the per-job worker
+// budget, so the cache holds the oriented configuration and a miss's
+// preparation time includes the probe. planSec is the wall time this call
+// spent planning — ≈0 on a hit, the point of the cache.
 func (s *Server) plan(rg *residentGraph, pat *pattern.Pattern, planner string) (cfg *core.Config, planSec float64, hit bool, err error) {
 	key := planKey{graphName: rg.name, graphFP: rg.fp, patternCK: pat.CanonicalKey(), options: planner}
 	t0 := time.Now()
 	cfg, _, hit, err = s.cache.get(key, func() (*core.Config, time.Duration, error) {
-		var (
-			res *core.PlanResult
-			err error
-		)
 		if planner == "graphzero" {
-			res, err = core.PlanGraphZero(pat, rg.g.Stats())
-		} else {
-			res, err = core.Plan(pat, rg.g.Stats(), core.PlanOptions{})
+			res, err := core.PlanGraphZero(pat, rg.g.Stats())
+			if err != nil {
+				return nil, 0, err
+			}
+			return res.Best, res.PrepTime, nil
 		}
+		res, err := core.Plan(pat, rg.g.Stats(), core.PlanOptions{})
 		if err != nil {
 			return nil, 0, err
 		}
-		return res.Best, res.PrepTime, nil
+		t1 := time.Now()
+		oriented, _, err := res.Best.Orient(rg.g, s.opt.WorkersPerJob)
+		return oriented, res.PrepTime + time.Since(t1), err
 	})
 	return cfg, time.Since(t0).Seconds(), hit, err
 }

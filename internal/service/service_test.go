@@ -753,6 +753,40 @@ func TestPlanCacheBuildErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestPlanCacheHoldsOrientedConfig: a plan-cache miss runs the orientation
+// step, so the cache holds what core.Config.Orient picks — the mirror, for
+// the rectangle on a degree-ordered BA graph — while the GraphZero baseline
+// is cached exactly as planned.
+func TestPlanCacheHoldsOrientedConfig(t *testing.T) {
+	g := baFixture(2000, 8, 4242)
+	s := newTestServer(t, g, Options{})
+	rg, err := s.resolveGraph("ba")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Plan(pattern.Rectangle(), g.Stats(), core.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, o, err := res.Best.Orient(g, 1)
+	if err != nil || !o.Mirrored {
+		t.Fatalf("rectangle on the BA fixture: %s (err %v), want mirrored", o, err)
+	}
+	gz, err := core.PlanGraphZero(pattern.Rectangle(), g.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for planner, wantSet := range map[string]string{"": want.Restrictions.String(), "graphzero": gz.Best.Restrictions.String()} {
+		cfg, _, hit, err := s.plan(rg, pattern.Rectangle(), planner)
+		if err != nil || hit {
+			t.Fatalf("planner %q: hit=%v err=%v, want a miss", planner, hit, err)
+		}
+		if got := cfg.Restrictions.String(); got != wantSet {
+			t.Errorf("planner %q cached %s, want %s", planner, got, wantSet)
+		}
+	}
+}
+
 // TestPlanCachePanicSafe: a panicking build must not leave the entry
 // in-flight (waiters would block forever holding admission slots); the key
 // must be retryable afterwards.
