@@ -64,8 +64,6 @@ func main() {
 		hybrid      = flag.Bool("hybrid", false, "run on the degree-ordered, bitmap-accelerated hybrid adjacency view")
 		hubBudget   = flag.Int64("hub-budget", 0, "hub-bitmap memory budget in bytes with -hybrid (0 = 64 MiB)")
 		hubFloor    = flag.Int("hub-floor", 0, "minimum degree for a hub bitmap with -hybrid (0 = default 64)")
-		baseline    = flag.Bool("graphzero", false, "plan like the GraphZero baseline")
-		edgePar     = flag.String("edge-parallel", "auto", "root task shape: auto, on, or off")
 		tierName    = flag.String("tier", "auto", "counting execution tier: auto, interpret or generated (the clique kernel: k3 and every larger clique)")
 		nodes       = flag.Int("nodes", 0, "count on a cluster of this many in-process nodes (0 = single process)")
 		nodeWorkers = flag.Int("node-workers", 2, "worker goroutines per node with -nodes")
@@ -186,18 +184,6 @@ func main() {
 	if *statsOn {
 		runStats = graphpi.NewRunStats(p.N())
 		opts = append(opts, graphpi.WithRunStats(runStats))
-	}
-	if *baseline {
-		opts = append(opts, graphpi.WithGraphZeroBaseline())
-	}
-	switch strings.ToLower(*edgePar) {
-	case "auto":
-	case "on":
-		opts = append(opts, graphpi.WithEdgeParallelRoots(true))
-	case "off":
-		opts = append(opts, graphpi.WithEdgeParallelRoots(false))
-	default:
-		failUsage(fmt.Errorf("-edge-parallel must be auto, on or off, got %q", *edgePar))
 	}
 	if *nodes > 0 || len(workerAddrs) > 0 {
 		if *workers != 0 {

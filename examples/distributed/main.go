@@ -9,10 +9,10 @@
 // worker code behind a net.Pipe; see DESIGN.md §3 for why sharing one machine
 // preserves the load-balancing behavior the paper studies), then over TCP,
 // where each rank is a separate worker serving its own replica of the graph.
-// The master packs edge-parallel adjacency-slot tasks whenever the planned
-// schedule allows it, so a hub vertex's work spreads across many small tasks
-// instead of pinning one node; the middle section contrasts the two task
-// shapes on the same job.
+// The master cuts tasks of about equal predicted work, as edge-parallel
+// adjacency-slot ranges whenever the planned schedule allows it, so a hub
+// vertex's work spreads across many small tasks instead of pinning one node;
+// the middle section breaks the 4-node run's busy time down node by node.
 //
 // Run with:
 //
@@ -20,12 +20,13 @@
 //
 // The TCP section spawns loopback workers in-process for a self-contained
 // demo; across machines the same thing is `graphpi -serve`/`-join` with a
-// shared GPiCSR2 snapshot (see the README's distributed quickstart).
+// shared GPiCSR3 snapshot (see the README's distributed quickstart).
 package main
 
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"graphpi"
 )
@@ -38,7 +39,10 @@ func main() {
 	p := graphpi.House()
 	fmt.Printf("graph: %s — %s\npattern: %s\n\n", g.Name(), g.StatsString(), p)
 
-	var base float64
+	var (
+		base float64
+		last *graphpi.ClusterResult
+	)
 	for _, nodes := range []int{1, 2, 4} {
 		res, err := graphpi.ClusterCount(g, p, graphpi.ClusterOptions{
 			Nodes:          nodes,
@@ -48,6 +52,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		if last != nil && res.Count != last.Count {
+			log.Fatalf("count mismatch: %d nodes %d != %d", nodes, res.Count, last.Count)
+		}
+		last = res
 		secs := res.Elapsed.Seconds()
 		if nodes == 1 {
 			base = secs
@@ -58,26 +66,20 @@ func main() {
 			res.TasksPerNode, res.MaxBusyShare(), 1/float64(nodes))
 	}
 
-	// The same job with both task shapes: vertex ranges let one hub-heavy
-	// chunk dominate a node's busy time; edge-parallel slot tasks split
-	// every adjacency across tasks, so busy time spreads evenly.
-	fmt.Println("\ntask shape comparison (4 nodes):")
-	for _, mode := range []graphpi.EdgeParallelMode{graphpi.EdgeParallelOff, graphpi.EdgeParallelOn} {
-		res, err := graphpi.ClusterCount(g, p, graphpi.ClusterOptions{
-			Nodes:          4,
-			WorkersPerNode: 2,
-			UseIEP:         true,
-			EdgeParallel:   mode,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		shape := "vertex ranges"
-		if res.EdgeParallel {
-			shape = "edge slots   "
-		}
-		fmt.Printf("  %s  %4d tasks  max busy share %.2f  time=%.3fs\n",
-			shape, res.Tasks, res.MaxBusyShare(), res.Elapsed.Seconds())
+	// The 4-node run node by node: each node's share of the total busy
+	// time, which on-demand grants of equal-work tasks keep near 1/4.
+	shape := "vertex ranges"
+	if last.EdgeParallel {
+		shape = "edge slots"
+	}
+	fmt.Printf("\nper-node load (4 nodes, %d tasks cut as %s):\n", last.Tasks, shape)
+	var total time.Duration
+	for _, b := range last.BusyPerNode {
+		total += b
+	}
+	for i, b := range last.BusyPerNode {
+		fmt.Printf("  node %d: %4d tasks  busy %v  share %.2f\n",
+			i, last.TasksPerNode[i], b.Round(time.Millisecond), float64(b)/float64(total))
 	}
 
 	// The same job again, but with the ranks as real TCP worker processes

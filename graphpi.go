@@ -332,43 +332,14 @@ func Motifs(n int) []*Pattern {
 type Option func(*options)
 
 type options struct {
-	workers   int
-	chunkSize int
-	maxSets   int
-	baseline  bool
-	edgePar   core.EdgeParallelMode
-	tier      core.Tier
-	stats     *telemetry.RunStats
-	tracer    *telemetry.Tracer
+	workers int
+	tier    core.Tier
+	stats   *telemetry.RunStats
+	tracer  *telemetry.Tracer
 }
 
 // WithWorkers sets the number of worker goroutines (default: GOMAXPROCS).
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
-
-// WithChunkSize fixes the outer-loop task granularity at n vertices per task
-// (a test hook); by default tasks are cut by predicted work.
-func WithChunkSize(n int) Option { return func(o *options) { o.chunkSize = n } }
-
-// WithMaxRestrictionSets caps Algorithm 1's restriction-set family size.
-func WithMaxRestrictionSets(n int) Option { return func(o *options) { o.maxSets = n } }
-
-// WithGraphZeroBaseline plans like the reproduced GraphZero baseline
-// (single restriction set, Phase-1 schedules, degree-only cost model).
-func WithGraphZeroBaseline() Option { return func(o *options) { o.baseline = true } }
-
-// WithEdgeParallelRoots forces edge-parallel root scheduling on or off.
-// The default (without this option) is automatic: eligible schedules use the
-// edge sweep whenever more than one worker runs, so a hub vertex cannot
-// serialize a whole outer-loop chunk.
-func WithEdgeParallelRoots(enabled bool) Option {
-	return func(o *options) {
-		if enabled {
-			o.edgePar = core.EdgeParallelOn
-		} else {
-			o.edgePar = core.EdgeParallelOff
-		}
-	}
-}
 
 // Tier selects the executor counting runs use: TierAuto (the default) picks
 // the word-parallel clique kernel (TierGenerated) for total-order-restricted
@@ -468,33 +439,22 @@ type Plan struct {
 // whichever exact candidate counts on the graph show to be at least twice
 // cheaper at the shallowest loop depth that tells them apart; the first plan
 // of a configuration pays for that probe, later plans reuse its decision.
-// The GraphZero baseline is never mirrored.
 func NewPlan(g *Graph, p *Pattern, opts ...Option) (*Plan, error) {
 	var o options
 	for _, fn := range opts {
 		fn(&o)
 	}
-	var (
-		res *core.PlanResult
-		err error
-	)
 	t0 := time.Now()
-	if o.baseline {
-		res, err = core.PlanGraphZero(p.p, g.g.Stats())
-	} else {
-		res, err = core.Plan(p.p, g.g.Stats(), core.PlanOptions{MaxRestrictionSets: o.maxSets})
-	}
+	res, err := core.Plan(p.p, g.g.Stats(), core.PlanOptions{})
 	if err != nil {
 		return nil, err
 	}
-	pl := &Plan{g: g, cfg: res.Best, prep: res.PrepTime, opts: o}
-	if !o.baseline {
-		t1 := time.Now()
-		if pl.cfg, pl.orient, err = g.orient(res.Best, o.workers); err != nil {
-			return nil, err
-		}
-		pl.prep += time.Since(t1)
+	pl := &Plan{g: g, opts: o}
+	t1 := time.Now()
+	if pl.cfg, pl.orient, err = g.orient(res.Best, o.workers); err != nil {
+		return nil, err
 	}
+	pl.prep = res.PrepTime + time.Since(t1)
 	o.tracer.Span("plan", t0, map[string]string{
 		"graph": g.Name(), "pattern": p.String(), "orientation": pl.orient.String(),
 	})
@@ -526,8 +486,7 @@ func (pl *Plan) NewRunStats() *RunStats { return telemetry.NewRunStats(pl.cfg.N(
 
 // Explain returns the cost model's per-level predictions for this plan
 // without executing anything: a DriftReport whose actual counters are zero.
-// ok is false when the plan carries no cost-model statistics (e.g. a
-// baseline planner configuration built without them).
+// ok is false when the plan carries no cost-model statistics.
 func (pl *Plan) Explain(useIEP bool) (*DriftReport, bool) {
 	return pl.cfg.DriftReport(useIEP, nil)
 }
@@ -581,8 +540,7 @@ func (pl *Plan) PredictedCost() float64 { return pl.cfg.Cost }
 // actually run on: TierAuto resolves to the clique kernel for total-order
 // cliques, and every other request (e.g. TierGenerated for a pattern that is
 // no clique) resolves to the interpreter — the same silent fallback the
-// engine takes. Both counting calls resolve alike; useIEP is kept for
-// callers that pass it.
+// engine takes. Both counting calls resolve alike, so useIEP is ignored.
 func (pl *Plan) ExecutionTier(useIEP bool) Tier {
 	return pl.cfg.ResolveTier(pl.opts.tier)
 }
@@ -596,11 +554,9 @@ func (pl *Plan) Describe() string {
 
 func (pl *Plan) runOptions() core.RunOptions {
 	return core.RunOptions{
-		Workers:      pl.opts.workers,
-		ChunkSize:    pl.opts.chunkSize,
-		EdgeParallel: pl.opts.edgePar,
-		Tier:         pl.opts.tier,
-		Stats:        pl.opts.stats,
+		Workers: pl.opts.workers,
+		Tier:    pl.opts.tier,
+		Stats:   pl.opts.stats,
 	}
 }
 
@@ -621,29 +577,6 @@ func Count(g *Graph, p *Pattern, opts ...Option) (int64, error) {
 	return pl.CountIEP(), nil
 }
 
-// EdgeParallelMode selects the cluster's task shape: Auto (the zero value)
-// packs edge-slot tasks whenever the planned schedule is eligible and more
-// than one worker runs in total, On forces them whenever eligible, Off
-// always packs outer-loop vertex ranges.
-type EdgeParallelMode int
-
-const (
-	EdgeParallelAuto EdgeParallelMode = iota
-	EdgeParallelOn
-	EdgeParallelOff
-)
-
-func (m EdgeParallelMode) core() core.EdgeParallelMode {
-	switch m {
-	case EdgeParallelOn:
-		return core.EdgeParallelOn
-	case EdgeParallelOff:
-		return core.EdgeParallelOff
-	default:
-		return core.EdgeParallelAuto
-	}
-}
-
 // ClusterOptions configures a distributed run (paper §IV-E).
 type ClusterOptions struct {
 	// Nodes is the number of compute nodes (MPI ranks), run in-process.
@@ -654,14 +587,6 @@ type ClusterOptions struct {
 	WorkersPerNode int
 	// UseIEP enables Inclusion-Exclusion counting.
 	UseIEP bool
-	// EdgeParallel selects the task shape. Leaving it Auto defers to
-	// WithEdgeParallelRoots when that option is present, otherwise to the
-	// automatic eligibility check.
-	EdgeParallel EdgeParallelMode
-	// ChunkSize is the task granularity in outermost-loop vertices: < 1 →
-	// cut by predicted work (WithChunkSize applies when this is unset);
-	// > 0 → fixed-size test hook, ⌈|V|/ChunkSize⌉ equal-size tasks.
-	ChunkSize int
 	// Workers lists TCP worker addresses (cluster.Serve / ServeCluster
 	// listeners, or `graphpi -serve`). When non-empty, ClusterCount dials
 	// them for the run instead of running nodes in-process; every
@@ -677,7 +602,9 @@ type ClusterResult struct {
 	Elapsed time.Duration
 	// Tasks is the total number of tasks the master created.
 	Tasks int
-	// EdgeParallel reports whether the run used edge-slot tasks.
+	// EdgeParallel reports whether the master cut edge-slot tasks (it does
+	// whenever the schedule allows and more than one worker runs) rather
+	// than vertex ranges.
 	EdgeParallel bool
 	// TasksPerNode is how many tasks each node executed (load balance
 	// evidence).
@@ -733,19 +660,14 @@ func CountLabeled(g *Graph, vertexLabels []VertexLabel, p *Pattern, patternLabel
 	if err != nil {
 		return 0, err
 	}
-	return labeled.Count(g.g, vertexLabels, lp, core.RunOptions{
-		Workers:   o.workers,
-		ChunkSize: o.chunkSize,
-	})
+	return labeled.Count(g.g, vertexLabels, lp, core.RunOptions{Workers: o.workers})
 }
 
 // ClusterCount plans and counts on a cluster whose nodes take tasks from the
 // master on demand. By default the nodes run in-process; set
 // ClusterOptions.Workers (or use a ConnectCluster handle) to run the same job
-// across TCP worker processes. Plan options apply: WithChunkSize
-// sets the task granularity (unless ClusterOptions.ChunkSize overrides it)
-// and WithEdgeParallelRoots forces the task shape when
-// ClusterOptions.EdgeParallel is left Auto.
+// across TCP worker processes. The master cuts the tasks by predicted work,
+// the same cut a local run makes.
 func ClusterCount(g *Graph, p *Pattern, copt ClusterOptions, opts ...Option) (*ClusterResult, error) {
 	if len(copt.Workers) > 0 {
 		c, err := ConnectCluster(copt.Workers...)
@@ -765,22 +687,12 @@ func clusterCount(tr cluster.Transport, g *Graph, p *Pattern, copt ClusterOption
 	if err != nil {
 		return nil, err
 	}
-	edgePar := copt.EdgeParallel.core()
-	if copt.EdgeParallel == EdgeParallelAuto {
-		edgePar = pl.opts.edgePar
-	}
-	chunk := copt.ChunkSize
-	if chunk < 1 {
-		chunk = pl.opts.chunkSize
-	}
 	t0 := time.Now()
 	defer pl.opts.tracer.Span("cluster-deal", t0, map[string]string{"pattern": p.String()})
 	res, err := cluster.Run(pl.cfg, g.g, cluster.Options{
 		Nodes:          copt.Nodes,
 		WorkersPerNode: copt.WorkersPerNode,
 		UseIEP:         copt.UseIEP,
-		EdgeParallel:   edgePar,
-		ChunkSize:      chunk,
 		Transport:      tr,
 	})
 	if err != nil {

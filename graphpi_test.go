@@ -151,22 +151,6 @@ func TestPatternConstructors(t *testing.T) {
 	}
 }
 
-func TestBaselineOptionAgrees(t *testing.T) {
-	g := GenerateBA(200, 4, 9)
-	p := House()
-	full, err := Count(g, p, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := NewPlan(g, p, WithGraphZeroBaseline(), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := base.Count(); got != full {
-		t.Errorf("baseline count = %d, GraphPi = %d", got, full)
-	}
-}
-
 func TestClusterCountFacade(t *testing.T) {
 	g := GenerateBA(300, 4, 21)
 	p := House()
@@ -193,10 +177,10 @@ func TestClusterCountFacade(t *testing.T) {
 }
 
 // TestClusterCountHybridEquivalence pins the facade's distributed counts to
-// the single-node engine across {plain, IEP} x {1, N} nodes x {vertex, edge}
-// task shapes on both the original and Optimize()d graph for the named
-// pattern suite — including the plan options (WithEdgeParallelRoots,
-// WithChunkSize) the facade now threads through to the cluster runtime.
+// the single-node engine across {plain, IEP} x {1, N} nodes on both the
+// original and Optimize()d graph for the named pattern suite, with the task
+// shape and cut the master picks. Forced shapes and small tasks are
+// cluster.TestClusterHybridEquivalence's.
 func TestClusterCountHybridEquivalence(t *testing.T) {
 	g := GenerateBA(250, 5, 17)
 	og := g.Optimize(1 << 22)
@@ -209,54 +193,21 @@ func TestClusterCountHybridEquivalence(t *testing.T) {
 		for gi, dg := range []*Graph{g, og} {
 			for _, useIEP := range []bool{false, true} {
 				for _, nodes := range []int{1, 3} {
-					for _, mode := range []EdgeParallelMode{EdgeParallelOff, EdgeParallelOn} {
-						res, err := ClusterCount(dg, p, ClusterOptions{
-							Nodes:          nodes,
-							WorkersPerNode: 2,
-							UseIEP:         useIEP,
-							EdgeParallel:   mode,
-						}, WithChunkSize(8))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if res.Count != want {
-							t.Errorf("%s optimized=%v iep=%v nodes=%d mode=%d: count = %d, want %d",
-								p.Name(), gi == 1, useIEP, nodes, mode, res.Count, want)
-						}
-						if mode == EdgeParallelOff && res.EdgeParallel {
-							t.Errorf("%s: EdgeParallelOff ran slot tasks", p.Name())
-						}
+					res, err := ClusterCount(dg, p, ClusterOptions{
+						Nodes:          nodes,
+						WorkersPerNode: 2,
+						UseIEP:         useIEP,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Count != want {
+						t.Errorf("%s optimized=%v iep=%v nodes=%d: count = %d, want %d",
+							p.Name(), gi == 1, useIEP, nodes, res.Count, want)
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestClusterCountEdgeParallelOption checks that WithEdgeParallelRoots is no
-// longer silently ignored by the facade: forcing it off must yield vertex
-// tasks even when the schedule is eligible.
-func TestClusterCountEdgeParallelOption(t *testing.T) {
-	g := GenerateBA(300, 4, 9)
-	p := Triangle()
-	off, err := ClusterCount(g, p, ClusterOptions{Nodes: 2, WorkersPerNode: 2},
-		WithEdgeParallelRoots(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.EdgeParallel {
-		t.Error("WithEdgeParallelRoots(false) ignored by ClusterCount")
-	}
-	on, err := ClusterCount(g, p, ClusterOptions{Nodes: 2, WorkersPerNode: 2},
-		WithEdgeParallelRoots(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !on.EdgeParallel {
-		t.Error("WithEdgeParallelRoots(true) ignored by ClusterCount")
-	}
-	if on.Count != off.Count {
-		t.Errorf("edge %d != vertex %d", on.Count, off.Count)
 	}
 }
 
@@ -418,8 +369,7 @@ func TestOptimizeFacade(t *testing.T) {
 	}
 	for _, opts := range [][]Option{
 		{WithWorkers(2)},
-		{WithWorkers(2), WithEdgeParallelRoots(true)},
-		{WithWorkers(1), WithEdgeParallelRoots(false)},
+		{WithWorkers(1)},
 	} {
 		got, err := Count(og, p, opts...)
 		if err != nil {
@@ -711,8 +661,8 @@ func TestNamedPatternFacade(t *testing.T) {
 // TestNewPlanOrientation covers the facade's side of the orientation step:
 // on an Optimize()d graph the first plan of a configuration probes and says
 // so in Describe and the plan span, concurrent and later plans of it reuse
-// that one decision, and neither the GraphZero baseline nor a graph that is
-// not degree-ordered is ever oriented.
+// that one decision, and a graph that is not degree-ordered is never
+// oriented.
 func TestNewPlanOrientation(t *testing.T) {
 	raw := GenerateBA(2000, 8, 4242)
 	g := raw.Optimize(0)
@@ -755,19 +705,14 @@ func TestNewPlanOrientation(t *testing.T) {
 		t.Errorf("%d orientation decisions memoised for one configuration", len(g.oriented))
 	}
 
-	for name, pl := range map[string]func() (*Plan, error){
-		"graphzero baseline": func() (*Plan, error) { return NewPlan(g, Rectangle(), WithGraphZeroBaseline()) },
-		"unoptimized graph":  func() (*Plan, error) { return NewPlan(raw, Rectangle()) },
-	} {
-		p, err := pl()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.orient.Probed || !strings.Contains(p.Describe(), "orientation kept (not probed)") {
-			t.Errorf("%s: %s, want the planned set unprobed", name, p.Describe())
-		}
-		if got := p.CountIEP(); got != want {
-			t.Errorf("%s: CountIEP %d, want %d", name, got, want)
-		}
+	unopt, err := NewPlan(raw, Rectangle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unopt.orient.Probed || !strings.Contains(unopt.Describe(), "orientation kept (not probed)") {
+		t.Errorf("unoptimized graph: %s, want the planned set unprobed", unopt.Describe())
+	}
+	if got := unopt.CountIEP(); got != want {
+		t.Errorf("unoptimized graph: CountIEP %d, want %d", got, want)
 	}
 }

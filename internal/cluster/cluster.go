@@ -54,8 +54,8 @@ type Options struct {
 	UseIEP bool
 	// EdgeParallel selects the task shape. Auto (the zero value) packs
 	// edge-slot tasks whenever the schedule is eligible and more than one
-	// worker runs in total; On forces slot tasks whenever eligible; Off
-	// always packs vertex ranges (the pre-hybrid behavior).
+	// worker runs in total; On (slot tasks whenever eligible) and Off
+	// (always vertex ranges) are test hooks that force one shape.
 	EdgeParallel core.EdgeParallelMode
 	// NodeDelay artificially slows one rank per task (failure/straggler
 	// injection for tests); 0 disables.

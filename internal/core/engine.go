@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
-	"time"
 
 	"graphpi/internal/codegen"
 	"graphpi/internal/graph"
@@ -15,7 +13,9 @@ import (
 	"graphpi/internal/vertexset"
 )
 
-// EdgeParallelMode selects how the outermost loops are parallelized.
+// EdgeParallelMode selects how the outermost loops are parallelized. Only
+// tests set it: the engine picks the task shape (RootTasks), and On and Off
+// exist so equivalence tests can force both shapes.
 type EdgeParallelMode uint8
 
 const (
@@ -42,17 +42,14 @@ type RunOptions struct {
 	// into a sweep over CSR edge slots, making work units proportional to
 	// edges instead of vertices — a single hub can no longer serialize a
 	// whole chunk (paper §IV-E's skew problem). Auto enables it for
-	// multi-worker runs on eligible schedules.
+	// multi-worker runs on eligible schedules; On and Off are test hooks.
 	EdgeParallel EdgeParallelMode
-	// Budget, when positive, aborts the run cooperatively once exceeded
-	// (the paper's 48-hour "T" cutoff). The *Ctx methods report such an
-	// abort as ErrBudgetExceeded.
-	Budget time.Duration
 	// Context, when non-nil, cancels the run cooperatively: every worker
 	// observes cancellation at its next outer-loop vertex (or edge-slot
 	// group) boundary and returns, so taskpool goroutines are freed within
-	// one chunk even when the full search would run for minutes. Use the
-	// *Ctx methods to learn whether a run was cancelled.
+	// one chunk even when the full search would run for minutes. A context
+	// deadline is the way to bound a run's time. Use the *Ctx methods to
+	// learn whether a run was cancelled.
 	Context context.Context
 	// Tier selects the executor for counting runs (see Tier). TierAuto
 	// picks the clique kernel for total-order cliques; enumeration and every
@@ -78,8 +75,7 @@ type RunOptions struct {
 //
 //graphpi:deterministic
 func (c *Config) Count(g *graph.Graph, opt RunOptions) int64 {
-	n, _ := c.execute(g, opt, false, nil)
-	return n
+	return c.execute(g, opt, false, nil)
 }
 
 // CountIEP counts embeddings using the Inclusion-Exclusion Principle over
@@ -88,25 +84,7 @@ func (c *Config) Count(g *graph.Graph, opt RunOptions) int64 {
 //
 //graphpi:deterministic
 func (c *Config) CountIEP(g *graph.Graph, opt RunOptions) int64 {
-	n, _ := c.execute(g, opt, true, nil)
-	return n
-}
-
-// ErrBudgetExceeded reports that a *Ctx run was aborted by RunOptions.Budget
-// rather than by its context.
-var ErrBudgetExceeded = errors.New("core: run budget exceeded")
-
-// ctxErr maps a run's outcome to the error the *Ctx methods return: the
-// context's error when it was cancelled, ErrBudgetExceeded when the budget
-// timer aborted the run, nil only when the run truly completed.
-func ctxErr(ctx context.Context, complete bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if !complete {
-		return ErrBudgetExceeded
-	}
-	return nil
+	return c.execute(g, opt, true, nil)
 }
 
 // CountCtx is Count under a context: the run stops cooperatively when ctx
@@ -114,15 +92,13 @@ func ctxErr(ctx context.Context, complete bool) error {
 // A nil error means the count ran to completion and is exact.
 func (c *Config) CountCtx(ctx context.Context, g *graph.Graph, opt RunOptions) (int64, error) {
 	opt.Context = ctx
-	n, complete := c.execute(g, opt, false, nil)
-	return n, ctxErr(ctx, complete)
+	return c.execute(g, opt, false, nil), ctx.Err()
 }
 
 // CountIEPCtx is CountIEP under a context (see CountCtx).
 func (c *Config) CountIEPCtx(ctx context.Context, g *graph.Graph, opt RunOptions) (int64, error) {
 	opt.Context = ctx
-	n, complete := c.execute(g, opt, true, nil)
-	return n, ctxErr(ctx, complete)
+	return c.execute(g, opt, true, nil), ctx.Err()
 }
 
 // EnumerateCtx is Enumerate under a context: cancellation stops every worker
@@ -130,8 +106,7 @@ func (c *Config) CountIEPCtx(ctx context.Context, g *graph.Graph, opt RunOptions
 // returned tally counts the visits that did happen; the error is ctx's.
 func (c *Config) EnumerateCtx(ctx context.Context, g *graph.Graph, opt RunOptions, visit func([]uint32) bool) (int64, error) {
 	opt.Context = ctx
-	n, complete := c.execute(g, opt, false, visit)
-	return n, ctxErr(ctx, complete)
+	return c.execute(g, opt, false, visit), ctx.Err()
 }
 
 // Enumerate invokes visit for every embedding found. The slice passed to
@@ -142,8 +117,7 @@ func (c *Config) EnumerateCtx(ctx context.Context, g *graph.Graph, opt RunOption
 // Enumerate returns the number of embeddings visited (if stopped early, the
 // tally reflects the visits that happened).
 func (c *Config) Enumerate(g *graph.Graph, opt RunOptions, visit func([]uint32) bool) int64 {
-	n, _ := c.execute(g, opt, false, visit)
-	return n
+	return c.execute(g, opt, false, visit)
 }
 
 // EdgeParallelEligible reports whether the first two loops can be flattened
@@ -214,30 +188,22 @@ func (c *Config) RootTasks(g *graph.Graph, opt RunOptions, useIEP, enumerate boo
 	}
 }
 
-func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func([]uint32) bool) (int64, bool) {
+func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func([]uint32) bool) int64 {
 	nv := g.NumVertices()
 	if nv == 0 {
-		return 0, true
+		return 0
 	}
 	workers := taskpool.Workers(opt.Workers)
-	var stop, aborted atomic.Bool
-	if opt.Budget > 0 {
-		timer := time.AfterFunc(opt.Budget, func() {
-			aborted.Store(true)
-			stop.Store(true)
-		})
-		defer timer.Stop()
-	}
+	var stop atomic.Bool
 	if ctx := opt.Context; ctx != nil {
 		if ctx.Err() != nil {
-			return 0, false
+			return 0
 		}
 		watchDone := make(chan struct{})
 		defer close(watchDone)
 		go func() {
 			select {
 			case <-ctx.Done():
-				aborted.Store(true)
 				stop.Store(true)
 			case <-watchDone:
 			}
@@ -272,7 +238,7 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 	if useIEP {
 		total = c.ScaleIEP(total)
 	}
-	return total, !aborted.Load()
+	return total
 }
 
 // tierWorker is one worker's state on either executor (*runner,

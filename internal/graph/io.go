@@ -171,10 +171,11 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads a snapshot produced by WriteBinary (GPiCSR2) or by the
-// previous release (GPiCSR1) and validates its structural invariants before
-// returning. Reordered GPiCSR2 graphs come back with their id maps intact
-// and their hub bitmaps rebuilt under the stored budget.
+// ReadBinary reads a snapshot produced by WriteBinary (GPiCSR3) or by an
+// earlier release (GPiCSR2, GPiCSR1) and validates its structural invariants
+// before returning. Reordered GPiCSR2/GPiCSR3 graphs come back with their id
+// maps intact and their hub bitmaps rebuilt under the stored budget (and,
+// for GPiCSR3, the stored hub degree floor).
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binaryMagic))

@@ -267,11 +267,19 @@ func (p *Pattern) Relabel(order []int) *Pattern {
 	return q
 }
 
-// Isomorphic reports whether p and q are isomorphic, by brute force over
-// vertex bijections. Usable only at pattern scale, which is the point.
+// Isomorphic reports whether p and q are isomorphic.
 func (p *Pattern) Isomorphic(q *Pattern) bool {
+	_, ok := p.IsomorphismTo(q)
+	return ok
+}
+
+// IsomorphismTo returns a vertex bijection f with every edge (u, v) of p an
+// edge (f[u], f[v]) of q, found by brute force over bijections — usable only
+// at pattern scale, which is the point. ok is false when p and q are not
+// isomorphic.
+func (p *Pattern) IsomorphismTo(q *Pattern) (f perm.Perm, ok bool) {
 	if p.n != q.n || p.NumEdges() != q.NumEdges() {
-		return false
+		return nil, false
 	}
 	// Degree multiset must match.
 	dp := make([]int, p.n)
@@ -283,30 +291,28 @@ func (p *Pattern) Isomorphic(q *Pattern) bool {
 	sort.Ints(dq)
 	for i := range dp {
 		if dp[i] != dq[i] {
-			return false
+			return nil, false
 		}
 	}
-	found := false
-	perm.ForEach(p.n, func(f perm.Perm) bool {
-		ok := true
-		for u := 0; u < p.n && ok; u++ {
+	perm.ForEach(p.n, func(g perm.Perm) bool {
+		edges := true
+		for u := 0; u < p.n && edges; u++ {
 			m := p.adj[u]
 			for m != 0 {
 				v := bits.TrailingZeros16(m)
-				if !q.HasEdge(int(f[u]), int(f[v])) {
-					ok = false
+				if !q.HasEdge(int(g[u]), int(g[v])) {
+					edges = false
 					break
 				}
 				m &= m - 1
 			}
 		}
-		if ok {
-			found = true
-			return false
+		if edges {
+			f, ok = g.Clone(), true
 		}
-		return true
+		return !edges
 	})
-	return found
+	return f, ok
 }
 
 // CanonicalKey returns a string that is equal for isomorphic patterns:

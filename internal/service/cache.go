@@ -12,15 +12,17 @@ import (
 
 // planCache memoizes GraphPi's expensive preprocessing — restriction-set
 // generation, 2-phase schedule generation and performance prediction — per
-// (graph fingerprint, canonical pattern form, planner options). The paper
-// amortizes that cost across one long batch run; a resident service
-// amortizes it across queries: a repeat query skips the search entirely and
-// goes straight to execution, so its planning latency is a map lookup.
+// (graph fingerprint, canonical pattern form). The paper amortizes that cost
+// across one long batch run; a resident service amortizes it across queries:
+// a repeat query skips the search entirely and goes straight to execution,
+// so its planning latency is a map lookup.
 //
 // Keys use the pattern's canonical form (the lexicographically-least
 // relabeling, computed via internal/perm), so isomorphic patterns written
 // differently — "house" by name versus its adjacency matrix with the
-// vertices shuffled — share one entry. The graph component is the cluster
+// vertices shuffled — share one entry, planned for whichever spelling
+// missed first; enumeration maps that spelling's embeddings back to the
+// request's (runEnumerate). The graph component is the cluster
 // handshake fingerprint, so an entry can never be replayed against a
 // different resident graph.
 //
@@ -54,7 +56,6 @@ type planKey struct {
 	graphName string // resident registration name
 	graphFP   string // cluster.FingerprintKey of the resident graph
 	patternCK string // pattern.CanonicalKey: equal across isomorphic forms
-	options   string // planner options that change the search outcome
 }
 
 type cacheEntry struct {

@@ -33,12 +33,12 @@ import (
 // Query parameters for /count and /enumerate: graph (resident graph name;
 // optional when exactly one graph is resident), pattern (a named pattern or
 // "n:adjacency"), iep (default true for /count), backend (auto|local|
-// cluster), workers (per-job budget cap), planner (graphpi|graphzero),
+// cluster), workers (per-job budget cap),
 // tier (count: auto|interpret|generated; local backend only), profile
 // (count: collect per-level run stats and a cost-model drift report into the
 // result's "profile" field), and limit (enumerate: stop after N embeddings).
 // Unknown parameters are ignored. /explain accepts the same
-// graph/pattern/iep/planner/tier parameters.
+// graph/pattern/iep/tier parameters.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -113,18 +113,10 @@ func parseQuery(r *http.Request, countDefaultIEP bool) (queryRequest, error) {
 		graphName:   q.Get("graph"),
 		patternSpec: q.Get("pattern"),
 		backendName: q.Get("backend"),
-		planner:     q.Get("planner"),
 		useIEP:      countDefaultIEP,
 	}
 	if req.patternSpec == "" {
 		return req, &statusError{400, "pattern parameter required"}
-	}
-	switch p := req.planner; p {
-	case "", "graphpi":
-		req.planner = ""
-	case "graphzero":
-	default:
-		return req, &statusError{400, fmt.Sprintf("unknown planner %q (want graphpi or graphzero)", p)}
 	}
 	if v := q.Get("iep"); v != "" {
 		b, err := strconv.ParseBool(v)

@@ -17,7 +17,6 @@ import (
 type explainResult struct {
 	Graph    string `json:"graph"`
 	Pattern  string `json:"pattern"`
-	Planner  string `json:"planner"`
 	Schedule string `json:"schedule"`
 	IEP      bool   `json:"iep"`
 	Cache    string `json:"cache"` // hit | miss — whether the plan was cached
@@ -46,19 +45,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &statusError{400, err.Error()})
 		return
 	}
-	cfg, planSec, hit, err := s.plan(rg, pat, req.planner)
+	cfg, planSec, hit, err := s.plan(rg, pat)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	planner := req.planner
-	if planner == "" {
-		planner = "graphpi"
-	}
 	res := explainResult{
 		Graph:    rg.name,
 		Pattern:  pat.String(),
-		Planner:  planner,
 		Schedule: cfg.Schedule.String(),
 		IEP:      req.useIEP,
 		Cache:    cacheLabel(hit),

@@ -6,8 +6,8 @@
 // Three pieces carry the load:
 //
 //   - a plan cache (cache.go) keyed by graph fingerprint + canonical pattern
-//     form + planner options, so a repeat query skips schedule/restriction
-//     search entirely and its planning latency collapses to a map lookup;
+//     form, so a repeat query skips schedule/restriction search entirely
+//     and its planning latency collapses to a map lookup;
 //   - an admission controller (admit.go) — a bounded run-slot gate with a
 //     FIFO waiting line and fast 429s beyond it — plus per-job worker
 //     budgets drawn from a shared taskpool.Limiter, so concurrent jobs
@@ -37,6 +37,7 @@ import (
 	"graphpi/internal/core"
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
+	"graphpi/internal/perm"
 	"graphpi/internal/taskpool"
 	"graphpi/internal/telemetry"
 )
@@ -257,7 +258,6 @@ type queryRequest struct {
 	useIEP      bool
 	backendName string    // "", "auto", "local", "cluster"
 	workers     int       // requested budget; 0 → the per-job default
-	planner     string    // "" | "graphzero"
 	limit       int64     // enumerate: stop after this many embeddings (0 = all)
 	tier        core.Tier // requested execution tier (local backend only)
 	profile     bool      // collect per-level run stats + drift (?profile=1)
@@ -301,23 +301,16 @@ type ProfileReport struct {
 	Note string `json:"note,omitempty"`
 }
 
-// plan resolves the cached configuration for (graph, pattern spec, planner),
-// running the planner on a miss — and, unless the planner is the GraphZero
-// baseline, the orientation step (core.Config.Orient) on the per-job worker
-// budget, so the cache holds the oriented configuration and a miss's
-// preparation time includes the probe. planSec is the wall time this call
-// spent planning — ≈0 on a hit, the point of the cache.
-func (s *Server) plan(rg *residentGraph, pat *pattern.Pattern, planner string) (cfg *core.Config, planSec float64, hit bool, err error) {
-	key := planKey{graphName: rg.name, graphFP: rg.fp, patternCK: pat.CanonicalKey(), options: planner}
+// plan resolves the cached configuration for (graph, pattern), running the
+// planner and then the orientation step (core.Config.Orient) on the per-job
+// worker budget on a miss, so the cache holds the oriented configuration and
+// a miss's preparation time includes the probe. The configuration searches
+// for cfg.Pattern, which is pat or another spelling of it. planSec is the
+// wall time this call spent planning — ≈0 on a hit, the point of the cache.
+func (s *Server) plan(rg *residentGraph, pat *pattern.Pattern) (cfg *core.Config, planSec float64, hit bool, err error) {
+	key := planKey{graphName: rg.name, graphFP: rg.fp, patternCK: pat.CanonicalKey()}
 	t0 := time.Now()
 	cfg, _, hit, err = s.cache.get(key, func() (*core.Config, time.Duration, error) {
-		if planner == "graphzero" {
-			res, err := core.PlanGraphZero(pat, rg.g.Stats())
-			if err != nil {
-				return nil, 0, err
-			}
-			return res.Best, res.PrepTime, nil
-		}
 		res, err := core.Plan(pat, rg.g.Stats(), core.PlanOptions{})
 		if err != nil {
 			return nil, 0, err
@@ -389,7 +382,7 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 	defer s.admit.release()
 
 	tPlan := time.Now()
-	cfg, planSec, hit, err := s.plan(rg, pat, req.planner)
+	cfg, planSec, hit, err := s.plan(rg, pat)
 	s.opt.Tracer.Span("plan", tPlan, map[string]string{
 		"graph": rg.name, "pattern": pat.String(), "cache": cacheLabel(hit),
 	})
@@ -508,10 +501,18 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 	}
 	defer s.admit.release()
 
-	cfg, planSec, hit, err := s.plan(rg, pat, req.planner)
+	cfg, planSec, hit, err := s.plan(rg, pat)
 	if err != nil {
 		s.countFinish(j, 0, err)
 		return nil, err
+	}
+	// The cached configuration may search for another spelling of the
+	// pattern (the cache key is the canonical form, so the two are
+	// isomorphic); its embeddings are indexed by that spelling's vertices.
+	// iso[u] is the configuration's vertex for requested vertex u.
+	var iso perm.Perm
+	if pat.AdjacencyString() != cfg.Pattern.AdjacencyString() {
+		iso, _ = pat.IsomorphismTo(cfg.Pattern)
 	}
 	workers, err := s.workers.Acquire(ctx, s.jobBudget(req.workers))
 	if err != nil {
@@ -539,6 +540,13 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 		}
 		if req.limit <= 0 {
 			emitted.Add(1)
+		}
+		if iso != nil {
+			mapped := make([]uint32, len(iso))
+			for u, v := range iso {
+				mapped[u] = emb[v]
+			}
+			emb = mapped
 		}
 		if !visit(emb) {
 			emitted.Add(-1)

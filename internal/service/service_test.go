@@ -246,6 +246,57 @@ func TestServiceE2ESmoke(t *testing.T) {
 // TestServiceCountsBitIdentical is the backend-equivalence acceptance
 // criterion: for every evaluation pattern on the skewed BA fixture, the
 // direct library call, the service's local backend and the service's
+// TestServiceEnumerateRespelling: the plan cache is keyed by the canonical
+// form, so a respelled pattern hits the configuration planned for the first
+// spelling. /enumerate must still emit embeddings of the pattern as the
+// request spells it: emb[i]–emb[j] is an edge of the original graph for
+// every edge (i, j) of the requested pattern.
+func TestServiceEnumerateRespelling(t *testing.T) {
+	orig := graph.BarabasiAlbert(600, 5, 7)
+	s := newTestServer(t, baFixture(600, 5, 7), Options{})
+	base := startHTTP(t, s)
+	respelled := pattern.House().Relabel([]int{4, 2, 0, 1, 3})
+	for i, pat := range []*pattern.Pattern{pattern.House(), respelled} {
+		spec := fmt.Sprintf("%d:%s", pat.N(), pat.AdjacencyString())
+		resp, err := http.Get(base + "/enumerate?graph=ba&limit=2000&pattern=" + spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			lines = append(lines, sc.Text())
+		}
+		resp.Body.Close()
+		if len(lines) != 2001 {
+			t.Fatalf("spelling %d: %d lines, want 2000 embeddings + trailer", i, len(lines))
+		}
+		var trailer queryResult
+		if err := json.Unmarshal([]byte(lines[2000]), &trailer); err != nil {
+			t.Fatalf("trailer %q: %v", lines[2000], err)
+		}
+		if wantCache := []string{"miss", "hit"}[i]; trailer.Cache != wantCache {
+			t.Fatalf("spelling %d: cache %q, want %q", i, trailer.Cache, wantCache)
+		}
+		bad := 0
+		for _, line := range lines[:2000] {
+			var emb []uint32
+			if err := json.Unmarshal([]byte(line), &emb); err != nil || len(emb) != pat.N() {
+				t.Fatalf("spelling %d: line %q is not an embedding", i, line)
+			}
+			for _, e := range pat.Edges() {
+				if !orig.HasEdge(emb[e[0]], emb[e[1]]) {
+					bad++
+					break
+				}
+			}
+		}
+		if bad > 0 {
+			t.Errorf("spelling %d: %d of 2000 embeddings break an edge of the requested pattern", i, bad)
+		}
+	}
+}
+
 // cluster backend produce the same number.
 func TestServiceCountsBitIdentical(t *testing.T) {
 	g := baFixture(400, 5, 31)
@@ -490,7 +541,6 @@ func TestServiceErrorStatuses(t *testing.T) {
 		{"/count?graph=ba&pattern=house&iep=maybe", 400},
 		{"/count?graph=ba&pattern=house&backend=gpu", 400},
 		{"/count?graph=ba&pattern=house&backend=cluster", 400}, // none configured
-		{"/count?graph=ba&pattern=house&planner=psychic", 400},
 		{"/count?graph=ba&pattern=house&workers=-2", 400},
 		{"/enumerate?graph=ba&pattern=house&limit=x", 400},
 		{"/enumerate?graph=ba&pattern=house&backend=cluster", 400}, // counts only on the wire
@@ -755,8 +805,7 @@ func TestPlanCacheBuildErrorNotCached(t *testing.T) {
 
 // TestPlanCacheHoldsOrientedConfig: a plan-cache miss runs the orientation
 // step, so the cache holds what core.Config.Orient picks — the mirror, for
-// the rectangle on a degree-ordered BA graph — while the GraphZero baseline
-// is cached exactly as planned.
+// the rectangle on a degree-ordered BA graph.
 func TestPlanCacheHoldsOrientedConfig(t *testing.T) {
 	g := baFixture(2000, 8, 4242)
 	s := newTestServer(t, g, Options{})
@@ -772,18 +821,12 @@ func TestPlanCacheHoldsOrientedConfig(t *testing.T) {
 	if err != nil || !o.Mirrored {
 		t.Fatalf("rectangle on the BA fixture: %s (err %v), want mirrored", o, err)
 	}
-	gz, err := core.PlanGraphZero(pattern.Rectangle(), g.Stats())
-	if err != nil {
-		t.Fatal(err)
+	cfg, _, hit, err := s.plan(rg, pattern.Rectangle())
+	if err != nil || hit {
+		t.Fatalf("hit=%v err=%v, want a miss", hit, err)
 	}
-	for planner, wantSet := range map[string]string{"": want.Restrictions.String(), "graphzero": gz.Best.Restrictions.String()} {
-		cfg, _, hit, err := s.plan(rg, pattern.Rectangle(), planner)
-		if err != nil || hit {
-			t.Fatalf("planner %q: hit=%v err=%v, want a miss", planner, hit, err)
-		}
-		if got := cfg.Restrictions.String(); got != wantSet {
-			t.Errorf("planner %q cached %s, want %s", planner, got, wantSet)
-		}
+	if got, wantSet := cfg.Restrictions.String(), want.Restrictions.String(); got != wantSet {
+		t.Errorf("cached %s, want %s", got, wantSet)
 	}
 }
 
