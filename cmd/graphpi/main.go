@@ -45,6 +45,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"graphpi"
@@ -59,12 +61,11 @@ func main() {
 		patAdj      = flag.String("pattern-adj", "", "pattern as n:rowmajor01matrix, overrides -pattern")
 		useIEP      = flag.Bool("iep", false, "count with the Inclusion-Exclusion Principle")
 		list        = flag.Bool("list", false, "list embeddings instead of counting")
-		limit       = flag.Int64("limit", 20, "max embeddings to list with -list")
+		limit       = flag.Int64("limit", 20, "max embeddings to list with -list (0 = all)")
 		workers     = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS; with -serve, 0 = honor the master; with -server, the shared job worker budget)")
 		hybrid      = flag.Bool("hybrid", false, "run on the degree-ordered, bitmap-accelerated hybrid adjacency view")
 		hubBudget   = flag.Int64("hub-budget", 0, "hub-bitmap memory budget in bytes with -hybrid (0 = 64 MiB)")
 		hubFloor    = flag.Int("hub-floor", 0, "minimum degree for a hub bitmap with -hybrid (0 = default 64)")
-		tierName    = flag.String("tier", "auto", "counting execution tier: auto, interpret or generated (the clique kernel: k3 and every larger clique)")
 		nodes       = flag.Int("nodes", 0, "count on a cluster of this many in-process nodes (0 = single process)")
 		nodeWorkers = flag.Int("node-workers", 2, "worker goroutines per node with -nodes")
 		serveAddr   = flag.String("serve", "", "run as a cluster worker process listening on this address (e.g. :9421)")
@@ -95,15 +96,11 @@ func main() {
 		serverAddr:  *serverAddr,
 		clusterWk:   *clusterWk,
 		list:        *list,
+		limit:       *limit,
 		emitGo:      *emitGo,
-		tierName:    *tierName,
 		pprofOn:     *pprofOn,
 		statsOn:     *statsOn,
 	}); err != nil {
-		failUsage(err)
-	}
-	tier, err := graphpi.ParseTier(*tierName)
-	if err != nil {
 		failUsage(err)
 	}
 	workerAddrs, err := parseAddrList("-join", *joinAddrs)
@@ -176,7 +173,7 @@ func main() {
 	}
 	fmt.Printf("pattern: %s\n", p)
 
-	opts := []graphpi.Option{graphpi.WithWorkers(*workers), graphpi.WithTier(tier)}
+	opts := []graphpi.Option{graphpi.WithWorkers(*workers)}
 	if tracer != nil {
 		opts = append(opts, graphpi.WithTracer(tracer))
 	}
@@ -188,9 +185,6 @@ func main() {
 	if *nodes > 0 || len(workerAddrs) > 0 {
 		if *workers != 0 {
 			fmt.Fprintln(os.Stderr, "graphpi: -workers is ignored in cluster modes; use -node-workers")
-		}
-		if tier != graphpi.TierAuto {
-			fmt.Fprintln(os.Stderr, "graphpi: -tier is ignored in cluster modes (workers run the clique kernel for cliques, the interpreter otherwise)")
 		}
 		runCluster(g, p, *nodes, *nodeWorkers, *useIEP, workerAddrs, opts)
 		return
@@ -219,14 +213,8 @@ func main() {
 	start := time.Now()
 	switch {
 	case *list:
-		shown := int64(0)
-		total := plan.Enumerate(func(emb []uint32) bool {
-			shown++
-			fmt.Printf("  %v\n", emb)
-			return shown < *limit
-		})
-		fmt.Printf("listed %d embeddings in %v (stopped at limit %d)\n",
-			total, time.Since(start).Round(time.Millisecond), *limit)
+		shown := listEmbeddings(os.Stdout, plan, *limit)
+		fmt.Printf("listed %d embeddings in %v\n", shown, time.Since(start).Round(time.Millisecond))
 	case *useIEP:
 		count := plan.CountIEP()
 		fmt.Printf("count (IEP): %d in %v\n", count, time.Since(start).Round(time.Millisecond))
@@ -237,6 +225,32 @@ func main() {
 	if runStats != nil {
 		printRunStats(plan, *useIEP && !*list, runStats)
 	}
+}
+
+// listEmbeddings writes up to limit embeddings (0 = all) to w, one per line,
+// and returns how many it wrote. Enumerate visits from every worker at
+// once, so a visit claims its line with an atomic increment before it
+// prints, and prints under a lock.
+func listEmbeddings(w io.Writer, plan *graphpi.Plan, limit int64) int64 {
+	var (
+		claimed atomic.Int64
+		mu      sync.Mutex
+	)
+	plan.Enumerate(func(emb []uint32) bool {
+		n := claimed.Add(1)
+		if limit > 0 && n > limit {
+			return false
+		}
+		mu.Lock()
+		fmt.Fprintf(w, "  %v\n", emb)
+		mu.Unlock()
+		return limit == 0 || n < limit
+	})
+	shown := claimed.Load()
+	if limit > 0 {
+		shown = min(shown, limit)
+	}
+	return shown
 }
 
 // printRunStats renders the run's per-level telemetry and the cost-model
@@ -280,7 +294,7 @@ type flagState struct {
 	serveAddr, joinAddrs, serverAddr string
 	clusterWk, emitGo                string
 	list                             bool
-	tierName                         string
+	limit                            int64
 	pprofOn, statsOn                 bool
 }
 
@@ -304,6 +318,9 @@ func validateFlags(f flagState) error {
 	}
 	if f.cacheBytes < 0 {
 		return fmt.Errorf("-plan-cache must be >= 0 (0 = default), got %d", f.cacheBytes)
+	}
+	if f.limit < 0 {
+		return fmt.Errorf("-limit must be >= 0 (0 = list every embedding), got %d", f.limit)
 	}
 
 	// A process runs exactly one mode. Name every conflicting pair so the
@@ -351,17 +368,6 @@ func validateFlags(f flagState) error {
 			return fmt.Errorf("-serve cannot be combined with -list or -emit-go")
 		case f.joinAddrs != "" || f.nodes > 0:
 			return fmt.Errorf("cluster modes count only; they cannot be combined with -list or -emit-go")
-		}
-	}
-
-	// -tier steers the one-shot query engine. "" and "auto" both mean the
-	// default.
-	if f.tierName != "" && f.tierName != "auto" {
-		switch {
-		case f.serverAddr != "":
-			return fmt.Errorf("-tier does not apply to -server (pass tier= per query instead)")
-		case f.serveAddr != "":
-			return fmt.Errorf("-tier does not apply to -serve (workers run the clique kernel for cliques, the interpreter otherwise)")
 		}
 	}
 

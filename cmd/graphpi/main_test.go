@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"graphpi"
 )
 
 // TestValidateFlagsModeExclusivity pins the satellite contract: requesting
@@ -41,9 +44,8 @@ func TestValidateFlagsModeExclusivity(t *testing.T) {
 		{"negative plan cache", func(f *flagState) { f.serverAddr = ":8080"; f.cacheBytes = -1 }, "-plan-cache"},
 		{"bad server addr", func(f *flagState) { f.serverAddr = "8080" }, "not host:port"},
 		{"bad serve addr", func(f *flagState) { f.serveAddr = "no-port" }, "not host:port"},
-		{"tier one-shot", func(f *flagState) { f.tierName = "generated" }, ""},
-		{"tier+server", func(f *flagState) { f.serverAddr = ":8080"; f.tierName = "interpret" }, "-tier does not apply to -server"},
-		{"tier+serve", func(f *flagState) { f.serveAddr = ":9421"; f.tierName = "generated" }, "-tier does not apply to -serve"},
+		{"list without limit", func(f *flagState) { f.list = true }, ""},
+		{"negative limit", func(f *flagState) { f.list = true; f.limit = -3 }, "-limit must be"},
 	}
 	for _, tc := range cases {
 		f := base
@@ -56,6 +58,34 @@ func TestValidateFlagsModeExclusivity(t *testing.T) {
 			t.Errorf("%s: expected error containing %q, got nil", tc.name, tc.wantErr)
 		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestListEmbeddingsLimit: -list prints exactly -limit embeddings even
+// though a 4-worker plan visits from four goroutines at once, and -limit 0
+// prints every embedding. Run under -race it also checks that the visits
+// share the writer safely.
+func TestListEmbeddingsLimit(t *testing.T) {
+	g := graphpi.GenerateBA(400, 4, 3)
+	plan, err := graphpi.NewPlan(g, graphpi.House(), graphpi.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := plan.Count()
+	if total < 100 {
+		t.Fatalf("fixture has only %d houses", total)
+	}
+	for _, limit := range []int64{1, 3, 50, 0} {
+		var buf bytes.Buffer
+		shown := listEmbeddings(&buf, plan, limit)
+		want := limit
+		if limit == 0 {
+			want = total
+		}
+		lines := int64(strings.Count(buf.String(), "\n"))
+		if shown != want || lines != want {
+			t.Errorf("-limit %d: reported %d, printed %d lines, want %d", limit, shown, lines, want)
 		}
 	}
 }

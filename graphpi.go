@@ -37,13 +37,11 @@ import (
 	"sync"
 	"time"
 
-	"graphpi/internal/approx"
 	"graphpi/internal/cluster"
 	"graphpi/internal/codegen"
 	"graphpi/internal/core"
 	"graphpi/internal/dataset"
 	"graphpi/internal/graph"
-	"graphpi/internal/labeled"
 	"graphpi/internal/pattern"
 	"graphpi/internal/service"
 	"graphpi/internal/telemetry"
@@ -202,8 +200,8 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 // an Optimize()d graph persist the degree-ordered id maps, the hub-bitmap
 // budget and the hub degree floor, so the hybrid view's Reorder cost is
 // paid once per dataset: LoadGraph restores the view (bitmaps are rebuilt,
-// not stored) and Enumerate keeps reporting original vertex ids. Snapshots
-// written by previous releases (GPiCSR1/GPiCSR2) still load.
+// not stored) and Enumerate keeps reporting original vertex ids. LoadGraph
+// rejects the older GPiCSR1/GPiCSR2 snapshots by name; regenerate them.
 func (g *Graph) SaveBinary(path string) error { return graph.SaveBinaryFile(path, g.g) }
 
 // LoadDataset builds one of the six named synthetic stand-in datasets
@@ -418,10 +416,6 @@ func WithRunStats(st *RunStats) Option { return func(o *options) { o.stats = st 
 // lifecycle to t. A nil tracer is a no-op.
 func WithTracer(t *Tracer) Option { return func(o *options) { o.tracer = t } }
 
-// ParseTier parses a tier name as accepted by the CLI and the query service
-// ("auto", "interpret"/"interpreted", "generated").
-func ParseTier(s string) (Tier, error) { return core.ParseTier(s) }
-
 // Plan is a compiled, ready-to-run matching configuration for one
 // (graph, pattern) pair.
 type Plan struct {
@@ -623,44 +617,6 @@ type ClusterResult struct {
 // (0 when none was recorded). Perfect balance is 1/Nodes.
 func (r *ClusterResult) MaxBusyShare() float64 {
 	return cluster.MaxBusyShare(r.BusyPerNode)
-}
-
-// EstimateCount approximates the embedding count with an ASAP-style
-// Horvitz–Thompson sampler (unbiased; accuracy degrades for rare patterns —
-// the trade-off the paper discusses in §II). samples controls the
-// latency/accuracy balance; the result is deterministic for a fixed seed.
-func EstimateCount(g *Graph, p *Pattern, samples int, seed uint64, opts ...Option) (float64, error) {
-	var o options
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return approx.Estimate(g.g, p.p, approx.Options{
-		Samples: samples,
-		Seed:    seed,
-		Workers: o.workers,
-	})
-}
-
-// VertexLabel is a data- or pattern-vertex label for labeled matching.
-type VertexLabel = labeled.Label
-
-// WildcardLabel matches any data-vertex label in a labeled pattern.
-const WildcardLabel = labeled.Wildcard
-
-// CountLabeled counts embeddings of a vertex-labeled pattern:
-// patternLabels[i] constrains pattern vertex i (WildcardLabel = no
-// constraint) and vertexLabels[v] is the label of data vertex v. See
-// internal/labeled for the exactness argument.
-func CountLabeled(g *Graph, vertexLabels []VertexLabel, p *Pattern, patternLabels []VertexLabel, opts ...Option) (int64, error) {
-	var o options
-	for _, fn := range opts {
-		fn(&o)
-	}
-	lp, err := labeled.NewPattern(p.p, patternLabels)
-	if err != nil {
-		return 0, err
-	}
-	return labeled.Count(g.g, vertexLabels, lp, core.RunOptions{Workers: o.workers})
 }
 
 // ClusterCount plans and counts on a cluster whose nodes take tasks from the

@@ -274,50 +274,6 @@ func TestRMATGenerator(t *testing.T) {
 	}
 }
 
-func TestEstimateCountFacade(t *testing.T) {
-	g := GenerateBA(800, 6, 5)
-	p := Triangle()
-	exact, err := Count(g, p, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := EstimateCount(g, p, 200000, 11, WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := (est - float64(exact)) / float64(exact)
-	if rel < -0.25 || rel > 0.25 {
-		t.Errorf("estimate %.0f vs exact %d (rel %.2f)", est, exact, rel)
-	}
-	if _, err := EstimateCount(g, p, 0, 1); err == nil {
-		t.Error("zero samples accepted")
-	}
-}
-
-func TestCountLabeledFacade(t *testing.T) {
-	g, err := NewGraph(4, [][2]uint32{{0, 1}, {1, 2}, {2, 0}, {0, 3}, {1, 3}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// K4 labeled [0,0,1,1]: triangles with labels {0,0,1}: two of them.
-	got, err := CountLabeled(g, []VertexLabel{0, 0, 1, 1}, Triangle(),
-		[]VertexLabel{0, 0, 1}, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Errorf("labeled count = %d, want 2", got)
-	}
-	wild, err := CountLabeled(g, []VertexLabel{0, 0, 1, 1}, Triangle(),
-		[]VertexLabel{WildcardLabel, WildcardLabel, WildcardLabel})
-	if err != nil || wild != 4 {
-		t.Errorf("wildcard count = %d (%v), want 4", wild, err)
-	}
-	if _, err := CountLabeled(g, []VertexLabel{0}, Triangle(), []VertexLabel{0, 0, 0}); err == nil {
-		t.Error("short label vector accepted")
-	}
-}
-
 func TestGenerateSourceFacade(t *testing.T) {
 	g := GenerateGNM(50, 150, 1)
 	plan, err := NewPlan(g, Triangle())

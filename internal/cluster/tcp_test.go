@@ -39,7 +39,7 @@ func runWithTimeout(t *testing.T, d time.Duration, cfg *core.Config, g *graph.Gr
 }
 
 // TestTCPSnapshotWorker exercises the deployment path the transport is built
-// for: the worker loads its replica from a GPiCSR2 snapshot it did not
+// for: the worker loads its replica from a GPiCSR3 snapshot it did not
 // write, including an Optimize()d view, and produces the master's exact
 // counts.
 func TestTCPSnapshotWorker(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"graphpi/internal/baseline"
 	"graphpi/internal/codegen"
 	"graphpi/internal/core"
 	"graphpi/internal/graph"
@@ -231,9 +232,10 @@ func TestKernelIDsMatchTelemetry(t *testing.T) {
 }
 
 // TestGeneratedProgramMatchesEngine compiles the generated program with the
-// host toolchain and compares its output with the interpreted engine — the
-// full Figure-3 pipeline (configuration → code generation → compilation →
-// execution).
+// host toolchain and compares its output with the interpreted engine and
+// the brute-force oracle — the full Figure-3 pipeline (configuration → code
+// generation → compilation → execution). Cycle6Tri's restriction set is
+// not a total order, so its loops keep bounds on only some positions.
 func TestGeneratedProgramMatchesEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles with the host go toolchain")
@@ -242,7 +244,7 @@ func TestGeneratedProgramMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Skip("go toolchain not in PATH")
 	}
-	g := graph.BarabasiAlbert(400, 5, 77)
+	g := graph.BarabasiAlbert(150, 4, 77)
 	dir := t.TempDir()
 	graphPath := filepath.Join(dir, "g.txt")
 	f, err := os.Create(graphPath)
@@ -256,9 +258,16 @@ func TestGeneratedProgramMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, p := range []*pattern.Pattern{pattern.Triangle(), pattern.House(), pattern.Rectangle()} {
+	cyc := pattern.Cycle6Tri()
+	for _, p := range []*pattern.Pattern{pattern.Triangle(), pattern.House(), pattern.Rectangle(), cyc} {
 		cfg := configFor(t, p)
 		want := cfg.Count(g, core.RunOptions{Workers: 1})
+		if oracle := baseline.BruteForceCount(g, p); want != oracle || want == 0 {
+			t.Fatalf("%s: engine counted %d, brute force %d (want equal and nonzero)", p, want, oracle)
+		}
+		if p == cyc && len(cfg.Restrictions) >= p.N()-1 {
+			t.Fatalf("%s: restriction set %s may be a total order", p, cfg.Restrictions)
+		}
 
 		src, err := codegen.GenerateSource(cfg.SourceSpec())
 		if err != nil {
@@ -291,7 +300,7 @@ func TestGeneratedProgramMatchesEngine(t *testing.T) {
 			t.Fatalf("%s: bad output %q", p, out)
 		}
 		if got != want {
-			t.Errorf("%s: generated binary counted %d, engine %d", p, got, want)
+			t.Errorf("%s: generated binary counted %d, engine and brute force %d", p, got, want)
 		}
 	}
 }

@@ -31,8 +31,7 @@ const (
 	TierInterpret
 	// TierCompiled named the removed runtime-compiled closure tier.
 	//
-	// Deprecated: it resolves to the interpreter; ParseTier no longer
-	// accepts its name.
+	// Deprecated: it resolves to the interpreter.
 	TierCompiled
 	// TierGenerated forces the clique kernel; runs of any other
 	// configuration fall back to the interpreter (CompileTier reports the
@@ -51,20 +50,6 @@ func (t Tier) String() string {
 	default:
 		return "auto"
 	}
-}
-
-// ParseTier parses a tier name as accepted by the CLI and the service
-// ("auto", "interpret"/"interpreted", "generated").
-func ParseTier(s string) (Tier, error) {
-	switch s {
-	case "", "auto":
-		return TierAuto, nil
-	case "interpret", "interpreted":
-		return TierInterpret, nil
-	case "generated":
-		return TierGenerated, nil
-	}
-	return TierAuto, fmt.Errorf("core: unknown tier %q (want auto, interpret or generated)", s)
 }
 
 // ResolveTier reports the executor a counting run with the given request

@@ -10,7 +10,6 @@ package graph
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 )
 
@@ -38,24 +37,16 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(snapshotBytes(f, star))
 	f.Add(snapshotBytes(f, star.Reorder()))
 
-	// Legacy GPiCSR1 layout (no name/reorder sections): magic, n, offsets,
-	// adjacency length, adjacency — hand-built, since WriteBinary only emits
-	// the current version.
-	var v1 bytes.Buffer
-	v1.WriteString(binaryMagicV1)
-	for _, word := range []int64{2 /* n */, 0, 1, 2 /* offsets */, 2 /* adj len */} {
-		binary.Write(&v1, binary.LittleEndian, word)
-	}
-	binary.Write(&v1, binary.LittleEndian, []uint32{1, 0})
-	f.Add(v1.Bytes())
+	// The GPiCSR3 layout built field by field rather than by WriteBinary.
+	f.Add(handBuiltPath())
 
-	// Hostile headers: a version-2 snapshot declaring a huge vertex count
-	// with no data behind it, and a bad magic.
-	var huge bytes.Buffer
-	huge.WriteString(binaryMagicV2)
-	binary.Write(&huge, binary.LittleEndian, int64(1<<40))
-	f.Add(huge.Bytes())
+	// Hostile headers: a snapshot declaring a huge vertex count with no
+	// data behind it, a bad magic, and the versions no longer read.
+	f.Add(v3Header(1 << 40))
+	f.Add(v3Header(MaxVertices-1, 0, 0, 0, 0))
 	f.Add([]byte("GPiCSR9\nxxxxxxxx"))
+	f.Add(append([]byte("GPiCSR1\n"), handBuiltPath()[len(binaryMagic):]...))
+	f.Add(append([]byte("GPiCSR2\n"), handBuiltPath()[len(binaryMagic):]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))

@@ -2,8 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"encoding/binary"
-	"io"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -275,7 +273,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryRoundTripOptimized checks that the GPiCSR2 snapshot persists the
+// TestBinaryRoundTripOptimized checks that the GPiCSR3 snapshot persists the
 // hybrid view: dataset name, reorder maps, and a rebuilt hub set of the same
 // size — so Optimize cost is paid once per dataset.
 func TestBinaryRoundTripOptimized(t *testing.T) {
@@ -342,49 +340,6 @@ func TestBinaryRoundTripEmpty(t *testing.T) {
 		if g2.NumVertices() != 0 || g2.NumEdges() != 0 {
 			t.Errorf("%s: round trip produced |V|=%d |E|=%d", name, g2.NumVertices(), g2.NumEdges())
 		}
-	}
-}
-
-// writeBinaryV1 reproduces the previous release's writer byte-for-byte so
-// the compatibility path stays pinned even though the code now writes v2.
-func writeBinaryV1(w io.Writer, g *Graph) error {
-	if _, err := w.Write([]byte("GPiCSR1\n")); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, int64(g.NumVertices())); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, g.offsets); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, g.adj)
-}
-
-func TestBinaryReadsV1Snapshots(t *testing.T) {
-	g := BarabasiAlbert(150, 4, 7)
-	var buf bytes.Buffer
-	if err := writeBinaryV1(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalGraphs(g, g2) {
-		t.Error("v1 snapshot round trip changed the graph")
-	}
-	// The old writer emitted no offsets array for a zero-value graph; the
-	// reader must tolerate that layout too.
-	buf.Reset()
-	if err := writeBinaryV1(&buf, &Graph{}); err != nil {
-		t.Fatal(err)
-	}
-	g2, err = ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("empty v1 snapshot: %v", err)
-	}
-	if g2.NumVertices() != 0 {
-		t.Errorf("empty v1 snapshot gave |V|=%d", g2.NumVertices())
 	}
 }
 

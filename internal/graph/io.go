@@ -3,7 +3,6 @@ package graph
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -85,19 +84,17 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Binary snapshot versions. GPiCSR1 (two releases back) stores only the
-// raw CSR arrays; GPiCSR2 adds the dataset name, the degree-ordered reorder
-// map of an Optimize()d graph (so a reloaded graph's Enumerate still reports
-// original vertex ids) and the hub-bitmap budget; GPiCSR3 adds the hub
-// degree floor, so a view tuned with OptimizeHubs no longer silently
-// rebuilds with the default floor on load. Hub bitmaps themselves are
-// rebuilt on load, not stored: they are cheap to reconstruct and their
-// packed form would dominate the file. WriteBinary always emits GPiCSR3;
-// ReadBinary accepts all three.
+// The binary snapshot format is GPiCSR3: the raw CSR arrays plus the dataset
+// name, the degree-ordered reorder map of an Optimize()d graph (so a
+// reloaded graph's Enumerate still reports original vertex ids), and the
+// hub-bitmap budget and degree floor (so a view tuned with OptimizeHubs
+// rebuilds the same hub set on load). Hub bitmaps themselves are rebuilt on
+// load, not stored: they are cheap to reconstruct and their packed form
+// would dominate the file. Older versions (GPiCSR1, GPiCSR2) are rejected by
+// name; regenerate them from the source graph.
 const (
-	binaryMagicV1 = "GPiCSR1\n"
-	binaryMagicV2 = "GPiCSR2\n"
-	binaryMagic   = "GPiCSR3\n"
+	snapshotPrefix = "GPiCSR"
+	binaryMagic    = snapshotPrefix + "3\n"
 
 	// maxSnapshotName bounds the stored dataset-name length so a corrupt
 	// header cannot drive a huge allocation.
@@ -171,24 +168,23 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads a snapshot produced by WriteBinary (GPiCSR3) or by an
-// earlier release (GPiCSR2, GPiCSR1) and validates its structural invariants
-// before returning. Reordered GPiCSR2/GPiCSR3 graphs come back with their id
-// maps intact and their hub bitmaps rebuilt under the stored budget (and,
-// for GPiCSR3, the stored hub degree floor).
+// ReadBinary reads a GPiCSR3 snapshot produced by WriteBinary and validates
+// its structural invariants before returning. A reordered graph comes back
+// with its id maps intact and its hub bitmaps rebuilt under the stored
+// budget and degree floor. Snapshots of older versions fail with an error
+// that names the version.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binaryMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("graph: reading binary header: %w", err)
 	}
-	switch string(magic) {
-	case binaryMagicV1:
-		return readBinaryV1(br)
-	case binaryMagicV2:
-		return readBinaryV2(br, false)
-	case binaryMagic:
-		return readBinaryV2(br, true)
+	switch m := string(magic); {
+	case m == binaryMagic:
+		return readBinary(br)
+	case strings.HasPrefix(m, snapshotPrefix) && strings.HasSuffix(m, "\n"):
+		return nil, fmt.Errorf("graph: %s snapshot: only %s is read; regenerate the snapshot from its source graph",
+			strings.TrimSpace(m), strings.TrimSpace(binaryMagic))
 	default:
 		return nil, fmt.Errorf("graph: bad magic %q", magic)
 	}
@@ -221,33 +217,8 @@ func readChunked[T int64 | uint32](br *bufio.Reader, count int64, what string) (
 	return out, nil
 }
 
-// readBinaryV1 reads the legacy layout: n, offsets, adj. The old writer
-// emitted zero offset words for a zero-value graph (nil offsets), so n = 0
-// tolerates a missing offsets array.
-func readBinaryV1(br *bufio.Reader) (*Graph, error) {
-	n, err := readCount(br)
-	if err != nil {
-		return nil, err
-	}
-	offsets, err := readChunked[int64](br, n+1, "offsets")
-	if err != nil {
-		if n == 0 && errors.Is(err, io.EOF) {
-			return &Graph{}, nil
-		}
-		return nil, err
-	}
-	g := &Graph{offsets: offsets}
-	if err := readAdjacency(br, g, n); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// readBinaryV2 reads the GPiCSR2 layout and, with hasHubFloor, the GPiCSR3
-// layout (identical except for the hub degree floor between the hub budget
-// and the offsets). GPiCSR2 snapshots rebuild with the default floor — the
-// exact pre-GPiCSR3 behavior.
-func readBinaryV2(br *bufio.Reader, hasHubFloor bool) (*Graph, error) {
+// readBinary reads the GPiCSR3 layout after its magic (see WriteBinary).
+func readBinary(br *bufio.Reader) (*Graph, error) {
 	n, err := readCount(br)
 	if err != nil {
 		return nil, err
@@ -294,13 +265,11 @@ func readBinaryV2(br *bufio.Reader, hasHubFloor bool) (*Graph, error) {
 		return nil, fmt.Errorf("graph: negative hub budget %d", hubBytes)
 	}
 	var hubFloor int64
-	if hasHubFloor {
-		if err := binary.Read(br, binary.LittleEndian, &hubFloor); err != nil {
-			return nil, fmt.Errorf("graph: reading hub degree floor: %w", err)
-		}
-		if hubFloor < 0 || hubFloor > maxSnapshotHubFloor {
-			return nil, fmt.Errorf("graph: invalid hub degree floor %d", hubFloor)
-		}
+	if err := binary.Read(br, binary.LittleEndian, &hubFloor); err != nil {
+		return nil, fmt.Errorf("graph: reading hub degree floor: %w", err)
+	}
+	if hubFloor < 0 || hubFloor > maxSnapshotHubFloor {
+		return nil, fmt.Errorf("graph: invalid hub degree floor %d", hubFloor)
 	}
 	g.offsets, err = readChunked[int64](br, n+1, "offsets")
 	if err != nil {
@@ -389,9 +358,9 @@ func LoadAnyFile(path string) (*Graph, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	head, _ := br.Peek(6)
+	head, _ := br.Peek(len(snapshotPrefix))
 	var g *Graph
-	if string(head) == "GPiCSR" {
+	if string(head) == snapshotPrefix {
 		g, err = ReadBinary(br)
 	} else {
 		g, err = ReadEdgeList(br)

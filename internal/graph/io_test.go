@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
-// These tests pin the robustness contract of ReadBinary: cluster workers now
-// load GPiCSR2 snapshots from disk they did not write (shared filesystems,
+// These tests pin the robustness contract of ReadBinary: cluster workers
+// load GPiCSR3 snapshots from disk they did not write (shared filesystems,
 // rsync'd replicas), so every corrupt or truncated input must surface as an
 // error — never a panic, never a silently wrong graph.
 
@@ -54,6 +57,29 @@ const (
 	offOffsets  = 48
 )
 
+// handBuiltPath is the GPiCSR3 snapshot of the 3-vertex path 0-1-2 written
+// field by field from the layout WriteBinary documents, not by WriteBinary.
+func handBuiltPath() []byte {
+	var buf bytes.Buffer
+	buf.WriteString(binaryMagic)
+	// n, nameLen, mapLen, hubBytes, hubFloor, offsets.
+	for _, word := range []int64{3, 0, 0, 0, 0, 0, 1, 3, 4} {
+		binary.Write(&buf, binary.LittleEndian, word)
+	}
+	binary.Write(&buf, binary.LittleEndian, []uint32{1, 0, 2, 1})
+	return buf.Bytes()
+}
+
+// v3Header is a GPiCSR3 header claiming n vertices, followed by the given
+// int64 fields (name length, map length, ...) and nothing else.
+func v3Header(n int64, fields ...int64) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(binaryMagic)
+	binary.Write(&buf, binary.LittleEndian, n)
+	binary.Write(&buf, binary.LittleEndian, fields)
+	return buf.Bytes()
+}
+
 func pathGraph(t *testing.T) *Graph {
 	t.Helper()
 	g, err := FromEdges(3, [][2]uint32{{0, 1}, {1, 2}})
@@ -63,9 +89,10 @@ func pathGraph(t *testing.T) *Graph {
 	return g
 }
 
-// TestReadBinaryTruncatedEverywhere feeds every strict prefix of valid V2
-// and V1 snapshots to ReadBinary — plain, named, and reordered-with-hubs
-// variants, so every parser section gets cut mid-field at least once.
+// TestReadBinaryTruncatedEverywhere feeds every strict prefix of valid
+// snapshots to ReadBinary — plain, named, reordered-with-hubs and the
+// hand-built layout — so every parser section gets cut mid-field at least
+// once.
 func TestReadBinaryTruncatedEverywhere(t *testing.T) {
 	plain := pathGraph(t)
 	named := pathGraph(t)
@@ -76,17 +103,13 @@ func TestReadBinaryTruncatedEverywhere(t *testing.T) {
 		t.Fatal("fixture needs hubs so the hub-budget field is nonzero")
 	}
 	fixtures := map[string][]byte{
-		"plain":     snapshotOf(t, plain),
-		"named":     snapshotOf(t, named),
-		"optimized": snapshotOf(t, opt),
-		"v1": func() []byte {
-			var buf bytes.Buffer
-			buf.WriteString("GPiCSR1\n")
-			binary.Write(&buf, binary.LittleEndian, int64(3))
-			binary.Write(&buf, binary.LittleEndian, []int64{0, 1, 3, 4})
-			binary.Write(&buf, binary.LittleEndian, []uint32{1, 0, 2, 1})
-			return buf.Bytes()
-		}(),
+		"plain":      snapshotOf(t, plain),
+		"named":      snapshotOf(t, named),
+		"optimized":  snapshotOf(t, opt),
+		"hand-built": handBuiltPath(),
+	}
+	if !bytes.Equal(fixtures["hand-built"], fixtures["plain"]) {
+		t.Fatal("WriteBinary's output differs from the documented GPiCSR3 layout")
 	}
 	for name, data := range fixtures {
 		if _, err := readNoPanic(t, name, data); err != nil {
@@ -103,12 +126,42 @@ func TestReadBinaryTruncatedEverywhere(t *testing.T) {
 
 func TestReadBinaryBadMagic(t *testing.T) {
 	data := snapshotOf(t, pathGraph(t))
-	for _, magic := range []string{"GPiCSR9\n", "XXXXXXXX", "GPiCSR2 "} {
+	for _, magic := range []string{"GPiCSR9\n", "XXXXXXXX", "GPiCSR2 ", "GPiCSR3 "} {
 		bad := append([]byte{}, data...)
 		copy(bad, magic)
 		if _, err := readNoPanic(t, magic, bad); err == nil {
 			t.Errorf("magic %q accepted", magic)
 		}
+	}
+}
+
+// TestReadBinaryRejectsOldVersions: GPiCSR1 and GPiCSR2 snapshots are no
+// longer read. The error names the version and says to regenerate, both
+// from ReadBinary and through LoadAnyFile's format detection.
+func TestReadBinaryRejectsOldVersions(t *testing.T) {
+	body := snapshotOf(t, pathGraph(t))[len(binaryMagic):]
+	dir := t.TempDir()
+	for _, version := range []string{"GPiCSR1", "GPiCSR2"} {
+		data := append([]byte(version+"\n"), body...)
+		check := func(how string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("%s: %s snapshot accepted", how, version)
+			}
+			if msg := err.Error(); !strings.Contains(msg, version) || !strings.Contains(msg, "regenerate") {
+				t.Errorf("%s: error %q does not name %s and say to regenerate", how, msg, version)
+			}
+		}
+		_, err := readNoPanic(t, version, data)
+		check("ReadBinary", err)
+		_, err = readNoPanic(t, version+" header only", []byte(version+"\n"))
+		check("ReadBinary (header only)", err)
+		path := filepath.Join(dir, version+".bin")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadAnyFile(path)
+		check("LoadAnyFile", err)
 	}
 }
 
@@ -145,6 +198,8 @@ func TestReadBinaryInconsistentOffsets(t *testing.T) {
 		"huge name length":      func(d []byte) { put64(d, offNameLen, 1<<30) },
 		"bad map length":        func(d []byte) { put64(d, offMapLen, 2) },
 		"negative hub budget":   func(d []byte) { put64(d, offHubBytes, -1) },
+		"negative hub floor":    func(d []byte) { put64(d, offHubFloor, -1) },
+		"absurd hub floor":      func(d []byte) { put64(d, offHubFloor, int64(MaxVertices)+1) },
 	}
 	for name, corrupt := range cases {
 		data := append([]byte{}, base...)
@@ -166,28 +221,16 @@ func TestReadBinaryInconsistentOffsets(t *testing.T) {
 func TestReadBinaryHugeHeaderCounts(t *testing.T) {
 	n := int64(MaxVertices - 1)
 	headers := map[string][]byte{
-		"v2 offsets": func() []byte {
-			var buf bytes.Buffer
-			buf.WriteString("GPiCSR2\n")
-			binary.Write(&buf, binary.LittleEndian, n)        // vertex count
-			binary.Write(&buf, binary.LittleEndian, int64(0)) // name length
-			binary.Write(&buf, binary.LittleEndian, int64(0)) // map length
-			binary.Write(&buf, binary.LittleEndian, int64(0)) // hub budget
-			return buf.Bytes()
-		}(),
-		"v2 reorder map": func() []byte {
-			var buf bytes.Buffer
-			buf.WriteString("GPiCSR2\n")
-			binary.Write(&buf, binary.LittleEndian, n)
-			binary.Write(&buf, binary.LittleEndian, int64(0))
-			binary.Write(&buf, binary.LittleEndian, n) // map length = n
-			return buf.Bytes()
-		}(),
-		"v1 offsets": func() []byte {
-			var buf bytes.Buffer
-			buf.WriteString("GPiCSR1\n")
-			binary.Write(&buf, binary.LittleEndian, n)
-			return buf.Bytes()
+		// name length, map length, hub budget, hub floor; no offsets.
+		"offsets": v3Header(n, 0, 0, 0, 0),
+		// name length, map length = n; no map.
+		"reorder map": v3Header(n, 0, n),
+		// Valid offsets claiming 2^33 adjacency slots; no adjacency.
+		"adjacency": func() []byte {
+			const m = 100000
+			fields := make([]int64, 4+m+1)
+			fields[len(fields)-1] = 1 << 33
+			return v3Header(m, fields...)
 		}(),
 	}
 	for name, data := range headers {
@@ -265,32 +308,6 @@ func TestBuildHubBitmapsDegreeFloor(t *testing.T) {
 	}
 }
 
-// writeBinaryV2 reproduces the GPiCSR2 writer byte-for-byte (no hub degree
-// floor field) so the compatibility path stays pinned now that the code
-// writes GPiCSR3.
-func writeBinaryV2(t *testing.T, g *Graph) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString("GPiCSR2\n")
-	name := g.Name()
-	for _, v := range []int64{int64(g.NumVertices()), int64(len(name))} {
-		binary.Write(&buf, binary.LittleEndian, v)
-	}
-	buf.WriteString(name)
-	binary.Write(&buf, binary.LittleEndian, int64(len(g.NewToOld())))
-	if len(g.NewToOld()) > 0 {
-		binary.Write(&buf, binary.LittleEndian, g.NewToOld())
-	}
-	var hubBytes int64
-	if g.NumHubs() > 0 {
-		hubBytes = g.HubMemoryBytes()
-	}
-	binary.Write(&buf, binary.LittleEndian, hubBytes)
-	binary.Write(&buf, binary.LittleEndian, g.offsets)
-	binary.Write(&buf, binary.LittleEndian, g.adj)
-	return buf.Bytes()
-}
-
 // TestSnapshotPersistsHubDegreeFloor pins the GPiCSR3 field: on a flat graph
 // whose hubs only exist below the default floor, a save/load round trip must
 // reproduce the tuned hub set — the pre-GPiCSR3 behavior (rebuild with the
@@ -317,38 +334,6 @@ func TestSnapshotPersistsHubDegreeFloor(t *testing.T) {
 	for v := 0; v < g.NumVertices(); v++ {
 		if (g.HubBitmap(uint32(v)) != nil) != (g2.HubBitmap(uint32(v)) != nil) {
 			t.Fatalf("hub bitmap presence differs at vertex %d", v)
-		}
-	}
-}
-
-// TestReadBinaryV2Compat: GPiCSR2 snapshots (no floor field) must still load
-// and rebuild with the default floor.
-func TestReadBinaryV2Compat(t *testing.T) {
-	g := BarabasiAlbert(500, 6, 21).Reorder()
-	g.SetName("v2-compat")
-	g.BuildHubBitmaps(1<<20, 0)
-	if g.NumHubs() == 0 {
-		t.Fatal("fixture needs hubs")
-	}
-	g2, err := readNoPanic(t, "v2", writeBinaryV2(t, g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.Name() != "v2-compat" || !g2.IsReordered() {
-		t.Fatalf("v2 snapshot lost name/reorder: name=%q reordered=%v", g2.Name(), g2.IsReordered())
-	}
-	if g2.NumHubs() != g.NumHubs() {
-		t.Errorf("v2 rebuilt hubs = %d, want %d", g2.NumHubs(), g.NumHubs())
-	}
-	if g2.HubDegreeFloor() != DefaultHubDegreeFloor {
-		t.Errorf("v2 floor = %d, want default %d", g2.HubDegreeFloor(), DefaultHubDegreeFloor)
-	}
-	// Truncations of the v2 layout must keep erroring through the shared
-	// parser now that it serves two versions.
-	data := writeBinaryV2(t, g)
-	for cut := 0; cut < len(data); cut += 101 {
-		if _, err := readNoPanic(t, fmt.Sprintf("v2[:%d]", cut), data[:cut]); err == nil {
-			t.Fatalf("v2 truncated to %d/%d bytes accepted", cut, len(data))
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"graphpi/internal/cluster"
-	"graphpi/internal/core"
 	"graphpi/internal/graph"
 )
 
@@ -33,12 +32,12 @@ import (
 // Query parameters for /count and /enumerate: graph (resident graph name;
 // optional when exactly one graph is resident), pattern (a named pattern or
 // "n:adjacency"), iep (default true for /count), backend (auto|local|
-// cluster), workers (per-job budget cap),
-// tier (count: auto|interpret|generated; local backend only), profile
-// (count: collect per-level run stats and a cost-model drift report into the
-// result's "profile" field), and limit (enumerate: stop after N embeddings).
-// Unknown parameters are ignored. /explain accepts the same
-// graph/pattern/iep/tier parameters.
+// cluster), workers (per-job budget cap), profile (count: collect
+// per-level run stats and a cost-model drift report into the result's
+// "profile" field), and limit (enumerate: stop after N embeddings).
+// Unknown parameters are ignored: the engine picks the executor, so a tier=
+// parameter has no effect. /explain accepts the same graph/pattern/iep
+// parameters.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -138,13 +137,6 @@ func parseQuery(r *http.Request, countDefaultIEP bool) (queryRequest, error) {
 			return req, &statusError{400, fmt.Sprintf("bad limit value %q", v)}
 		}
 		req.limit = n
-	}
-	if v := q.Get("tier"); v != "" {
-		t, err := core.ParseTier(v)
-		if err != nil {
-			return req, &statusError{400, err.Error()}
-		}
-		req.tier = t
 	}
 	if v := q.Get("profile"); v != "" {
 		b, err := strconv.ParseBool(v)
@@ -278,7 +270,7 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &statusError{400, "path required"})
 		return
 	}
-	g, err := loadGraphFile(req.Path)
+	g, err := graph.LoadAnyFile(req.Path)
 	if err != nil {
 		writeError(w, &statusError{400, err.Error()})
 		return
@@ -338,10 +330,4 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	j.Cancel()
 	writeJSON(w, http.StatusOK, map[string]any{"job": id, "cancel": "requested", "status": j.info().Status})
-}
-
-// loadGraphFile reads a snapshot or edge-list file with format
-// auto-detection (shared with the facade's LoadGraph).
-func loadGraphFile(path string) (*graph.Graph, error) {
-	return graph.LoadAnyFile(path)
 }

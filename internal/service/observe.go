@@ -3,6 +3,7 @@ package service
 import (
 	"net/http"
 
+	"graphpi/internal/core"
 	"graphpi/internal/pattern"
 	"graphpi/internal/telemetry"
 )
@@ -20,7 +21,7 @@ type explainResult struct {
 	Schedule string `json:"schedule"`
 	IEP      bool   `json:"iep"`
 	Cache    string `json:"cache"` // hit | miss — whether the plan was cached
-	// Tier is the execution tier a local run of this plan would resolve to.
+	// Tier is the executor a run of this plan uses, on either backend.
 	Tier          string  `json:"tier"`
 	PlanSec       float64 `json:"plan_seconds"`
 	PredictedCost float64 `json:"predicted_cost,omitempty"`
@@ -56,7 +57,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Schedule: cfg.Schedule.String(),
 		IEP:      req.useIEP,
 		Cache:    cacheLabel(hit),
-		Tier:     cfg.ResolveTier(req.tier).String(),
+		Tier:     cfg.ResolveTier(core.TierAuto).String(),
 		PlanSec:  planSec,
 	}
 	if d, ok := cfg.DriftReport(req.useIEP, nil); ok {

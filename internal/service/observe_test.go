@@ -34,52 +34,59 @@ func TestServiceProfilePerTier(t *testing.T) {
 	s := newTestServer(t, g, Options{})
 	base := startHTTP(t, s)
 
-	// k4 is a clique, so both tiers are real executors rather than a silent
-	// interpreter fallback.
-	var ref queryResult
-	if code := getJSON(t, base+"/count?graph=ba&pattern=k4", &ref); code != 200 {
-		t.Fatalf("reference count: status %d", code)
-	}
-	if ref.Profile != nil {
-		t.Fatal("profile payload present without ?profile=1")
-	}
-
-	for _, tc := range []struct{ tier, label string }{
-		{"interpret", "interpreted"},
-		{"generated", "generated"},
+	// The engine counts k4 on the clique kernel and the house on the
+	// interpreter, so the two patterns profile both executors.
+	for _, tc := range []struct {
+		pattern, label string
+		levels         int
+	}{
+		{"k4", "generated", 4},
+		{"house", "interpreted", 5},
 	} {
-		url := base + "/count?graph=ba&pattern=k4&tier=" + tc.tier + "&profile=1"
+		var ref queryResult
+		if code := getJSON(t, base+"/count?graph=ba&pattern="+tc.pattern, &ref); code != 200 {
+			t.Fatalf("%s reference count: status %d", tc.pattern, code)
+		}
+		if ref.Profile != nil {
+			t.Fatalf("%s: profile payload present without ?profile=1", tc.pattern)
+		}
+		url := base + "/count?graph=ba&pattern=" + tc.pattern + "&profile=1"
 		var qr queryResult
 		if code := getJSON(t, url, &qr); code != 200 {
 			t.Fatalf("%s: status %d", url, code)
 		}
 		if qr.Count != ref.Count {
-			t.Errorf("tier %s profiled count %d, want %d", tc.tier, qr.Count, ref.Count)
+			t.Errorf("%s profiled count %d, want %d", tc.pattern, qr.Count, ref.Count)
 		}
 		p := qr.Profile
 		if p == nil {
-			t.Fatalf("tier %s: no profile payload", tc.tier)
+			t.Fatalf("%s: no profile payload", tc.pattern)
 		}
 		if p.Tier != tc.label || p.Tier != qr.Tier {
-			t.Errorf("tier %s: profile labels %q, result %q, want %q", tc.tier, p.Tier, qr.Tier, tc.label)
+			t.Errorf("%s: profile labels %q, result %q, want %q", tc.pattern, p.Tier, qr.Tier, tc.label)
 		}
-		if len(p.Levels) != 4 {
-			t.Fatalf("tier %s: %d profiled levels, want 4", tc.tier, len(p.Levels))
+		if len(p.Levels) != tc.levels {
+			t.Fatalf("%s: %d profiled levels, want %d", tc.pattern, len(p.Levels), tc.levels)
 		}
 		if p.Levels[0].Scans == 0 {
-			t.Errorf("tier %s: no level-0 scans recorded", tc.tier)
+			t.Errorf("%s: no level-0 scans recorded", tc.pattern)
 		}
 		// BA(300,4) has plenty of edges without a common neighbour: every
-		// tier must report the prefixes it abandoned on an empty intersection
-		// (for the clique kernel, an all-zero row of the root's matrix).
-		if cuts := p.Levels[1].Cuts + p.Levels[2].Cuts; cuts == 0 {
-			t.Errorf("tier %s: profile reports no empty-set cuts", tc.tier)
+		// executor must report the prefixes it abandoned on an empty
+		// intersection (for the clique kernel, an all-zero row of the root's
+		// matrix).
+		var cuts uint64
+		for _, l := range p.Levels[1:] {
+			cuts += l.Cuts
+		}
+		if cuts == 0 {
+			t.Errorf("%s: profile reports no empty-set cuts", tc.pattern)
 		}
 		if p.Drift == nil {
-			t.Fatalf("tier %s: no drift report", tc.tier)
+			t.Fatalf("%s: no drift report", tc.pattern)
 		}
-		if len(p.Drift.Levels) != 4 || p.Drift.PredictedCost <= 0 {
-			t.Errorf("tier %s: drift = %d levels, cost %v", tc.tier, len(p.Drift.Levels), p.Drift.PredictedCost)
+		if len(p.Drift.Levels) != tc.levels || p.Drift.PredictedCost <= 0 {
+			t.Errorf("%s: drift = %d levels, cost %v", tc.pattern, len(p.Drift.Levels), p.Drift.PredictedCost)
 		}
 		var sawActual bool
 		for _, ld := range p.Drift.Levels {
@@ -88,7 +95,7 @@ func TestServiceProfilePerTier(t *testing.T) {
 			}
 		}
 		if !sawActual {
-			t.Errorf("tier %s: drift report carries no actual counters", tc.tier)
+			t.Errorf("%s: drift report carries no actual counters", tc.pattern)
 		}
 	}
 

@@ -256,11 +256,10 @@ type queryRequest struct {
 	graphName   string
 	patternSpec string
 	useIEP      bool
-	backendName string    // "", "auto", "local", "cluster"
-	workers     int       // requested budget; 0 → the per-job default
-	limit       int64     // enumerate: stop after this many embeddings (0 = all)
-	tier        core.Tier // requested execution tier (local backend only)
-	profile     bool      // collect per-level run stats + drift (?profile=1)
+	backendName string // "", "auto", "local", "cluster"
+	workers     int    // requested budget; 0 → the per-job default
+	limit       int64  // enumerate: stop after this many embeddings (0 = all)
+	profile     bool   // collect per-level run stats + drift (?profile=1)
 }
 
 // queryResult is the outcome of a count job (and the trailer of an
@@ -416,7 +415,7 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 
 	j.setRunning(be.name(), workers, hit)
 	t0 := time.Now()
-	count, err := be.count(ctx, cfg, rg.g, req.useIEP, workers, req.tier, stats)
+	count, err := be.count(ctx, cfg, rg.g, req.useIEP, workers, stats)
 	execSec := time.Since(t0).Seconds()
 	mCountQueries.Inc()
 	mQueryLatency.Observe(time.Since(t0))
@@ -441,13 +440,8 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 		ExecSec: execSec,
 	}
 	res.Schedule = cfg.Schedule.String()
-	// Label the executor that ran. Local jobs honour the requested tier;
-	// cluster workers pick the executor as an automatic request would.
-	if local {
-		res.Tier = cfg.ResolveTier(req.tier).String()
-	} else {
-		res.Tier = cfg.ResolveTier(core.TierAuto).String()
-	}
+	// Label the executor that ran; both backends let the engine pick it.
+	res.Tier = cfg.ResolveTier(core.TierAuto).String()
 	if req.profile {
 		p := &ProfileReport{Tier: res.Tier}
 		if local {

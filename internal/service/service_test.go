@@ -369,12 +369,10 @@ func TestServiceCacheStampede(t *testing.T) {
 	}
 }
 
-// TestServiceTierSelection: the tier query parameter picks the local
-// executor, the result labels the one that actually ran (including the
-// silent interpreter fallback when the requested clique kernel cannot take
-// the pattern), counts stay bit-identical across tiers, a plan-cache hit runs
-// on the same executor, the removed "compiled" tier is a 400, and the removed
-// aux= parameter is ignored.
+// TestServiceTierSelection: the engine picks the executor (the clique kernel
+// for k4, the interpreter for the house), the result labels the one that
+// ran, counts match the interpreter's, a plan-cache hit runs on the same
+// executor, and the removed tier= and aux= parameters are ignored.
 func TestServiceTierSelection(t *testing.T) {
 	g := baFixture(300, 4, 7)
 	s := newTestServer(t, g, Options{})
@@ -399,14 +397,12 @@ func TestServiceTierSelection(t *testing.T) {
 		want int64
 	}{
 		{"/count?graph=ba&pattern=house", "interpreted", wantHouse}, // auto → interpreter
-		{"/count?graph=ba&pattern=house&tier=interpret", "interpreted", wantHouse},
-		// The clique kernel cannot take the house: the engine falls back to the
-		// interpreter and the result says so.
-		{"/count?graph=ba&pattern=house&tier=generated", "interpreted", wantHouse},
-		{"/count?graph=ba&pattern=k4", "generated", wantK4}, // auto → clique kernel
-		{"/count?graph=ba&pattern=k4&tier=interpret", "interpreted", wantK4},
+		{"/count?graph=ba&pattern=k4", "generated", wantK4},         // auto → clique kernel
 		// The repeat is a plan-cache hit and runs on the same executor.
 		{"/count?graph=ba&pattern=k4", "generated", wantK4},
+		// tier= does not override the executor; it is an unknown
+		// parameter and ignored like any other.
+		{"/count?graph=ba&pattern=k4&tier=interpret", "generated", wantK4},
 		// aux= named the removed auxiliary-graph pruning; it is now an
 		// unknown parameter and ignored like any other.
 		{"/count?graph=ba&pattern=house&aux=force", "interpreted", wantHouse},
@@ -421,12 +417,6 @@ func TestServiceTierSelection(t *testing.T) {
 		}
 		if qr.Count != tc.want {
 			t.Errorf("%s: count %d, want %d", tc.url, qr.Count, tc.want)
-		}
-	}
-
-	for _, tier := range []string{"quantum", "compiled"} {
-		if code := getJSON(t, base+"/count?graph=ba&pattern=house&tier="+tier, nil); code != 400 {
-			t.Errorf("tier=%s status %d, want 400", tier, code)
 		}
 	}
 }
