@@ -88,6 +88,7 @@ func main() {
 		nodes:       *nodes,
 		nodeWorkers: *nodeWorkers,
 		hubFloor:    *hubFloor,
+		hubBudget:   *hubBudget,
 		maxJobs:     *maxJobs,
 		maxQueue:    *maxQueue,
 		cacheBytes:  *cacheBytes,
@@ -290,7 +291,7 @@ func printRunStats(plan *graphpi.Plan, useIEP bool, st *graphpi.RunStats) {
 type flagState struct {
 	nodes, nodeWorkers, hubFloor     int
 	maxJobs, maxQueue                int
-	cacheBytes                       int64
+	hubBudget, cacheBytes            int64
 	serveAddr, joinAddrs, serverAddr string
 	clusterWk, emitGo                string
 	list                             bool
@@ -309,6 +310,9 @@ func validateFlags(f flagState) error {
 	}
 	if f.hubFloor < 0 {
 		return fmt.Errorf("-hub-floor must be >= 0, got %d", f.hubFloor)
+	}
+	if f.hubBudget < 0 {
+		return fmt.Errorf("-hub-budget must be >= 0 (0 = default), got %d", f.hubBudget)
 	}
 	if f.maxJobs < 0 {
 		return fmt.Errorf("-max-jobs must be >= 0 (0 = default), got %d", f.maxJobs)

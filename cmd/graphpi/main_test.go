@@ -39,6 +39,7 @@ func TestValidateFlagsModeExclusivity(t *testing.T) {
 		{"negative nodes", func(f *flagState) { f.nodes = -1 }, "-nodes must be"},
 		{"bad node workers", func(f *flagState) { f.nodes = 2; f.nodeWorkers = 0 }, "-node-workers"},
 		{"negative hub floor", func(f *flagState) { f.hubFloor = -1 }, "-hub-floor"},
+		{"negative hub budget", func(f *flagState) { f.hubBudget = -1 }, "-hub-budget"},
 		{"negative max jobs", func(f *flagState) { f.serverAddr = ":8080"; f.maxJobs = -5 }, "-max-jobs"},
 		{"negative max queue", func(f *flagState) { f.serverAddr = ":8080"; f.maxQueue = -1 }, "-max-queue"},
 		{"negative plan cache", func(f *flagState) { f.serverAddr = ":8080"; f.cacheBytes = -1 }, "-plan-cache"},

@@ -1,8 +1,7 @@
 // Command graphpivet is graphpi's project-specific static-analysis suite: a
 // vet tool that machine-checks the engine's correctness invariants — wire
 // constants fully plumbed, mutex annotations honored, count paths
-// deterministic, contexts threaded, IO errors handled, telemetry metrics
-// registered once at package level. Run it through the
+// deterministic, contexts threaded, IO errors handled. Run it through the
 // standard build machinery so results are cached per package:
 //
 //	go build -o bin/graphpivet ./cmd/graphpivet
@@ -23,7 +22,6 @@ import (
 	"graphpi/internal/analysis/determinism"
 	"graphpi/internal/analysis/ioerr"
 	"graphpi/internal/analysis/lockcheck"
-	"graphpi/internal/analysis/statcheck"
 	"graphpi/internal/analysis/wirecheck"
 )
 
@@ -34,6 +32,5 @@ func main() {
 		determinism.Analyzer,
 		ctxflow.Analyzer,
 		ioerr.Analyzer,
-		statcheck.Analyzer,
 	)
 }

@@ -71,6 +71,11 @@ func MustNew(n int, edges [][2]int, name string) *Pattern {
 // of '0'/'1' characters of length n², the input format the GraphPi reference
 // implementation uses. The matrix must be symmetric with a zero diagonal.
 func ParseAdjacency(n int, matrix string, name string) (*Pattern, error) {
+	// Range-check before squaring: n*n wraps to 0 for n = ±2^32, which
+	// would accept the empty matrix.
+	if n < 1 || n > MaxVertices {
+		return nil, fmt.Errorf("pattern: %d vertices out of range [1,%d]", n, MaxVertices)
+	}
 	if len(matrix) != n*n {
 		return nil, fmt.Errorf("pattern: adjacency string has %d chars, want %d", len(matrix), n*n)
 	}

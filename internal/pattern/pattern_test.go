@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -81,6 +82,52 @@ func TestParseAdjacency(t *testing.T) {
 			t.Errorf("ParseAdjacency(%d, %q) accepted", bad.n, bad.s)
 		}
 	}
+	// Sizes whose square wraps to 0 must not reach the matrix indexing.
+	for _, spec := range []string{"4294967296:", "-4294967296:", "0:", "-1:", "13:"} {
+		if _, err := Parse(spec); err == nil {
+			t.Errorf("Parse(%q) accepted", spec)
+		}
+	}
+}
+
+// FuzzParsePattern: for any spec string Parse never panics, and a pattern
+// it accepts has a supported size and survives a round trip through its
+// own "n:matrix" spelling with the same adjacency and canonical key.
+// CanonicalKey walks all n! relabelings, so it is compared only up to
+// fuzzCanonicalMax vertices; above that the equal adjacency strings already
+// imply equal keys.
+const fuzzCanonicalMax = 7
+
+func FuzzParsePattern(f *testing.F) {
+	for _, name := range []string{"triangle", "rectangle", "pentagon", "house", "cycle6tri", "k4", "k7"} {
+		f.Add(name)
+	}
+	for _, p := range EvaluationPatterns() {
+		f.Add(fmt.Sprintf("%d:%s", p.N(), p.AdjacencyString()))
+	}
+	for _, spec := range []string{"4294967296:", "-1:", "0:", "3: 011101110 ", "2:0110"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		if p.N() < 1 || p.N() > MaxVertices {
+			t.Fatalf("Parse(%q) gave %d vertices, outside [1,%d]", spec, p.N(), MaxVertices)
+		}
+		again := fmt.Sprintf("%d:%s", p.N(), p.AdjacencyString())
+		q, err := Parse(again)
+		if err != nil {
+			t.Fatalf("re-parsing %q (from %q): %v", again, spec, err)
+		}
+		if q.AdjacencyString() != p.AdjacencyString() {
+			t.Fatalf("re-parsing %q (from %q) changed the adjacency", again, spec)
+		}
+		if p.N() <= fuzzCanonicalMax && q.CanonicalKey() != p.CanonicalKey() {
+			t.Fatalf("re-parsing %q (from %q) changed the canonical key", again, spec)
+		}
+	})
 }
 
 func TestConnectivity(t *testing.T) {

@@ -203,7 +203,3 @@ func (c *planCache) stats() cacheStats {
 		Plans:     c.plans.Load(),
 	}
 }
-
-// PlanningRuns exposes the planning-run counter for tests: a cache hit must
-// leave it unchanged.
-func (c *planCache) PlanningRuns() int64 { return c.plans.Load() }

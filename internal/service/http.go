@@ -26,7 +26,7 @@ import (
 //	GET  /jobs/{id}             one job
 //	POST /jobs/{id}/cancel      cancel a queued or running job
 //	GET  /explain               plan + cost-model predictions, no execution
-//	GET  /metrics               JSON counters; ?format=prometheus for scrapers
+//	GET  /metrics               JSON counters and latency histograms
 //	GET  /debug/pprof/...       net/http/pprof (only with Options.EnablePprof)
 //
 // Query parameters for /count and /enumerate: graph (resident graph name;
@@ -268,6 +268,10 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Path == "" {
 		writeError(w, &statusError{400, "path required"})
+		return
+	}
+	if req.HubBudget < 0 || req.HubFloor < 0 {
+		writeError(w, &statusError{400, fmt.Sprintf("hub_budget and hub_floor must be >= 0 (0 = default), got %d and %d", req.HubBudget, req.HubFloor)})
 		return
 	}
 	g, err := graph.LoadAnyFile(req.Path)

@@ -2,12 +2,11 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
-
-	"graphpi/internal/telemetry"
 )
 
 // get fetches a URL and returns the response with its body read out, for
@@ -112,7 +111,7 @@ func TestServiceProfilePerTier(t *testing.T) {
 // TestServiceProfileOnCluster: the wire protocol reduces counts, not
 // counters, so a profiled cluster query degrades to predictions-only with an
 // explanatory note instead of failing or silently returning zeros as actuals.
-// The pool's master-side histograms reach the Prometheus exposition.
+// The pool's master-side histograms reach the JSON metrics snapshot.
 func TestServiceProfileOnCluster(t *testing.T) {
 	g := baFixture(300, 4, 7)
 	addrs := startWorkers(t, g, 2)
@@ -142,17 +141,19 @@ func TestServiceProfileOnCluster(t *testing.T) {
 		t.Errorf("cluster profile should still carry predictions, got %+v", p.Drift)
 	}
 
-	var expo strings.Builder
-	if _, err := s.promExposition().WriteTo(&expo); err != nil {
+	body, err := json.Marshal(s.MetricsSnapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, family := range []string{"graphpi_cluster_task_gap_seconds", "graphpi_cluster_redeal_seconds"} {
-		if !strings.Contains(expo.String(), "# TYPE "+family+" histogram") {
-			t.Errorf("exposition is missing the %s histogram", family)
-		}
+	m := flattenJSON(t, body)
+	if n, _ := m["cluster_task_gap_seconds.count"].(float64); n <= 0 {
+		t.Errorf("cluster_task_gap_seconds.count = %v, want > 0 after a cluster query", m["cluster_task_gap_seconds.count"])
 	}
-	if strings.Contains(expo.String(), "steal") {
-		t.Error("exposition still carries a steal-relay family; nodes no longer steal")
+	if _, ok := m["cluster_redeal_seconds.count"]; !ok {
+		t.Error("metrics snapshot is missing cluster_redeal_seconds")
+	}
+	if strings.Contains(string(body), "steal") {
+		t.Error("metrics snapshot still carries a steal-relay field; nodes no longer steal")
 	}
 }
 
@@ -196,55 +197,103 @@ func TestServiceExplain(t *testing.T) {
 	}
 }
 
-// TestServiceMetricsFormats: /metrics is never cacheable, serves JSON by
-// default, renders valid Prometheus text exposition behind ?format=prometheus
-// (validated with the same promtool-style checker CI uses), and rejects
-// unknown formats.
-func TestServiceMetricsFormats(t *testing.T) {
+// TestServiceMetricsJSON: /metrics is one JSON snapshot, never cacheable,
+// whose counters belong to the Server: three count queries (one profiled)
+// read back exactly, every field name stays put, a format= parameter is
+// ignored like any unknown one, and a second Server in the same process
+// starts from zero.
+func TestServiceMetricsJSON(t *testing.T) {
 	g := baFixture(300, 4, 7)
 	s := newTestServer(t, g, Options{})
 	base := startHTTP(t, s)
 
-	// Run one profiled count so the process-level counters and the latency
-	// histogram hold nonzero samples.
-	if code := getJSON(t, base+"/count?graph=ba&pattern=p3&profile=1", nil); code != 200 {
-		t.Fatal("seed count failed")
+	for _, q := range []string{"pattern=p3&profile=1", "pattern=p3", "pattern=triangle"} {
+		if code := getJSON(t, base+"/count?graph=ba&"+q, nil); code != 200 {
+			t.Fatalf("count %s: status %d", q, code)
+		}
 	}
 
-	resp, _ := get(t, base+"/metrics")
+	resp, body := get(t, base+"/metrics")
 	if resp.StatusCode != 200 || resp.Header.Get("Cache-Control") != "no-store" {
 		t.Fatalf("GET /metrics: status %d, Cache-Control %q", resp.StatusCode, resp.Header.Get("Cache-Control"))
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("default /metrics Content-Type = %q, want JSON", ct)
+		t.Fatalf("/metrics Content-Type = %q, want JSON", ct)
 	}
-
-	resp, body := get(t, base+"/metrics?format=prometheus")
-	if resp.StatusCode != 200 || resp.Header.Get("Cache-Control") != "no-store" {
-		t.Fatalf("prometheus /metrics: status %d, Cache-Control %q", resp.StatusCode, resp.Header.Get("Cache-Control"))
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != telemetry.PromContentType {
-		t.Fatalf("prometheus Content-Type = %q, want %q", ct, telemetry.PromContentType)
-	}
-	if err := telemetry.CheckExposition(body); err != nil {
-		t.Fatalf("exposition fails validation: %v\n%s", err, body)
-	}
-	for _, want := range []string{
-		"graphpi_uptime_seconds ",
-		"graphpi_jobs_total{state=\"done\"}",
-		"graphpi_count_queries_total ",
-		"graphpi_profiled_runs_total ",
-		"graphpi_query_seconds_bucket{",
+	m := flattenJSON(t, body)
+	for path, want := range map[string]float64{
+		"jobs.count_queries":  3,
+		"jobs.profiled_runs":  1,
+		"query_seconds.count": 3,
+		"jobs.done":           3,
 	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("exposition is missing %q", want)
+		if got, ok := m[path]; !ok || got != want {
+			t.Errorf("%s = %v, want %v", path, got, want)
+		}
+	}
+	for _, path := range []string{
+		"uptime_seconds", "graphs", "queue_depth", "running_jobs", "busy_workers", "worker_cap",
+		"jobs.created", "jobs.failed", "jobs.canceled", "jobs.rejected",
+		"cache.entries", "cache.bytes", "cache.budget_bytes", "cache.hits", "cache.misses",
+		"cache.evictions", "cache.planning_runs", "cache_hit_rate",
+		"workers_configured", "workers_alive", "rejoins_total", "tasks_redealt_total", "job_retries_total",
+		"query_seconds.sumNS",
+	} {
+		if _, ok := m[path]; !ok {
+			t.Errorf("/metrics is missing %s", path)
+		}
+	}
+	for _, path := range []string{"cluster_task_gap_seconds.count", "cluster_redeal_seconds.count"} {
+		if _, ok := m[path]; ok {
+			t.Errorf("/metrics carries %s without a cluster configured", path)
 		}
 	}
 
-	resp, _ = get(t, base+"/metrics?format=xml")
-	if resp.StatusCode != 400 {
-		t.Fatalf("unknown format: status %d, want 400", resp.StatusCode)
+	// format= is ignored like any unknown parameter: every value gets the
+	// same JSON.
+	for _, f := range []string{"text", "xml"} {
+		resp, body = get(t, base+"/metrics?format="+f)
+		if resp.StatusCode != 200 || !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
+			t.Fatalf("/metrics?format=%s: status %d, Content-Type %q", f, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		again := flattenJSON(t, body)
+		if len(again) != len(m) {
+			t.Errorf("format=%s changed the shape: %d fields, want %d", f, len(again), len(m))
+		}
+		for path := range m {
+			if _, ok := again[path]; !ok {
+				t.Errorf("format=%s dropped %s", f, path)
+			}
+		}
 	}
+
+	fresh := newTestServer(t, g, Options{}).MetricsSnapshot()
+	if fresh.Jobs.CountQueries != 0 || fresh.Jobs.ProfiledRuns != 0 || fresh.QuerySeconds.Count != 0 {
+		t.Errorf("a second Server shares counters: jobs %+v, query_seconds.count %d", fresh.Jobs, fresh.QuerySeconds.Count)
+	}
+}
+
+// flattenJSON decodes a JSON object into dotted paths to its leaves (arrays
+// count as leaves), so tests can name fields the way clients read them.
+func flattenJSON(t *testing.T, body []byte) map[string]any {
+	t.Helper()
+	var root map[string]any
+	if err := json.Unmarshal(body, &root); err != nil {
+		t.Fatalf("decoding %s: %v", body, err)
+	}
+	out := map[string]any{}
+	var walk func(prefix string, v map[string]any)
+	walk = func(prefix string, v map[string]any) {
+		for k, x := range v {
+			if sub, ok := x.(map[string]any); ok {
+				walk(prefix+k+".", sub)
+			} else {
+				out[prefix+k] = x
+			}
+		}
+	}
+	walk("", root)
+	return out
 }
 
 // TestServicePprofGate: the pprof surface exists only when the operator

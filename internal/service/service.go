@@ -42,17 +42,6 @@ import (
 	"graphpi/internal/telemetry"
 )
 
-// Process-level metrics, registered once at package level (the statcheck
-// convention). Servers share them: they describe the process, not one Server.
-var (
-	mCountQueries = telemetry.NewCounter("graphpi_count_queries_total",
-		"Count queries executed to completion or failure, any backend.")
-	mProfiledRuns = telemetry.NewCounter("graphpi_profiled_runs_total",
-		"Count queries that ran with ?profile=1 per-level stats collection.")
-	mQueryLatency = telemetry.NewHistogram("graphpi_query_seconds",
-		"End-to-end count query latency, admission through backend completion.")
-)
-
 // Options configures a Server. Zero values pick sane defaults.
 type Options struct {
 	// MaxConcurrent bounds how many jobs execute at once (default 2).
@@ -142,6 +131,12 @@ type Server struct {
 	jobsFailed   atomic.Int64
 	jobsCanceled atomic.Int64
 	jobsRejected atomic.Int64
+	// countQueries counts count queries that reached a backend (success or
+	// failure), profiledRuns those that ran with ?profile=1; queryLatency
+	// times each such backend run.
+	countQueries atomic.Int64
+	profiledRuns atomic.Int64
+	queryLatency telemetry.Histogram
 }
 
 // residentGraph is one registered graph plus its cached identity.
@@ -211,8 +206,7 @@ func (s *Server) Graph(name string) (*graph.Graph, bool) {
 	return rg.g, true
 }
 
-// GraphNames lists the registered graph names (sorted by registration map
-// iteration is fine for tests; HTTP sorts).
+// graphList returns the resident graphs in map order (callers sort).
 func (s *Server) graphList() []*residentGraph {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -410,15 +404,15 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 	var stats *telemetry.RunStats
 	if req.profile {
 		stats = telemetry.NewRunStats(cfg.N())
-		mProfiledRuns.Inc()
+		s.profiledRuns.Add(1)
 	}
 
 	j.setRunning(be.name(), workers, hit)
 	t0 := time.Now()
 	count, err := be.count(ctx, cfg, rg.g, req.useIEP, workers, stats)
 	execSec := time.Since(t0).Seconds()
-	mCountQueries.Inc()
-	mQueryLatency.Observe(time.Since(t0))
+	s.countQueries.Add(1)
+	s.queryLatency.Observe(time.Since(t0))
 	s.opt.Tracer.Span("run", t0, map[string]string{
 		"graph": rg.name, "pattern": pat.String(), "backend": be.name(),
 	})
@@ -588,7 +582,8 @@ func cacheLabel(hit bool) string {
 	return "miss"
 }
 
-// Metrics is the expvar-style snapshot served at /metrics.
+// Metrics is the snapshot served at /metrics: every number the service
+// reports, counted since this Server was created.
 type Metrics struct {
 	UptimeSec   float64    `json:"uptime_seconds"`
 	Graphs      int        `json:"graphs"`
@@ -600,6 +595,8 @@ type Metrics struct {
 	Cache       cacheStats `json:"cache"`
 	HitRate     float64    `json:"cache_hit_rate"`
 	Cluster     []string   `json:"cluster_workers,omitempty"`
+	// QuerySeconds is the latency of every count query's backend run.
+	QuerySeconds telemetry.HistogramSnapshot `json:"query_seconds"`
 
 	// Cluster data-plane health (all zero without -cluster-workers;
 	// workers_alive is 0 when the pool state is unknown — no transport
@@ -609,15 +606,23 @@ type Metrics struct {
 	RejoinsTotal      int64 `json:"rejoins_total"`
 	RedealtTotal      int64 `json:"tasks_redealt_total"`
 	JobRetriesTotal   int64 `json:"job_retries_total"`
+	// The master's gap between consecutive task acks per rank (a per-task
+	// latency proxy) and its re-deal drain times after a worker loss.
+	// Present only with a cluster configured.
+	ClusterTaskGap *telemetry.HistogramSnapshot `json:"cluster_task_gap_seconds,omitempty"`
+	ClusterRedeal  *telemetry.HistogramSnapshot `json:"cluster_redeal_seconds,omitempty"`
 }
 
-// JobCounts aggregates job outcomes since start.
+// JobCounts aggregates job outcomes since start, plus the count queries
+// that reached a backend and how many of those were profiled.
 type JobCounts struct {
-	Created  int64 `json:"created"`
-	Done     int64 `json:"done"`
-	Failed   int64 `json:"failed"`
-	Canceled int64 `json:"canceled"`
-	Rejected int64 `json:"rejected"`
+	Created      int64 `json:"created"`
+	Done         int64 `json:"done"`
+	Failed       int64 `json:"failed"`
+	Canceled     int64 `json:"canceled"`
+	Rejected     int64 `json:"rejected"`
+	CountQueries int64 `json:"count_queries"`
+	ProfiledRuns int64 `json:"profiled_runs"`
 }
 
 // MetricsSnapshot assembles the current metrics.
@@ -631,12 +636,15 @@ func (s *Server) MetricsSnapshot() Metrics {
 		WorkerCap:   s.workers.Cap(),
 		Cache:       cs,
 		Jobs: JobCounts{
-			Created:  s.jobsCreated.Load(),
-			Done:     s.jobsDone.Load(),
-			Failed:   s.jobsFailed.Load(),
-			Canceled: s.jobsCanceled.Load(),
-			Rejected: s.jobsRejected.Load(),
+			Created:      s.jobsCreated.Load(),
+			Done:         s.jobsDone.Load(),
+			Failed:       s.jobsFailed.Load(),
+			Canceled:     s.jobsCanceled.Load(),
+			Rejected:     s.jobsRejected.Load(),
+			CountQueries: s.countQueries.Load(),
+			ProfiledRuns: s.profiledRuns.Load(),
 		},
+		QuerySeconds: s.queryLatency.Snapshot(),
 	}
 	s.mu.RLock()
 	m.Graphs = len(s.graphs)
@@ -654,6 +662,7 @@ func (s *Server) MetricsSnapshot() Metrics {
 		m.RejoinsTotal = st.Rejoins
 		m.RedealtTotal = st.Redealt
 		m.JobRetriesTotal = s.cluster.jobRetries.Load()
+		m.ClusterTaskGap, m.ClusterRedeal = &st.TaskGap, &st.Redeal
 	}
 	return m
 }
@@ -669,7 +678,3 @@ func (s *Server) ClusterDegraded() bool {
 	st, known := s.cluster.poolStats()
 	return known && st.Live == 0
 }
-
-// PlanningRuns exposes the cache's planning-run counter (test hook: a cache
-// hit must not move it).
-func (s *Server) PlanningRuns() int64 { return s.cache.PlanningRuns() }

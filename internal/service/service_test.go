@@ -137,7 +137,7 @@ func TestServiceE2ESmoke(t *testing.T) {
 	if cold.Cache != "miss" {
 		t.Fatalf("cold query cache = %q, want miss", cold.Cache)
 	}
-	plansAfterCold := s.PlanningRuns()
+	plansAfterCold := s.MetricsSnapshot().Cache.Plans
 	if plansAfterCold < 1 {
 		t.Fatalf("cold query ran %d planning runs", plansAfterCold)
 	}
@@ -151,7 +151,7 @@ func TestServiceE2ESmoke(t *testing.T) {
 	if warm.Count != want || warm.Cache != "hit" {
 		t.Fatalf("warm query = count %d cache %q, want %d/hit", warm.Count, warm.Cache, cold.Count)
 	}
-	if got := s.PlanningRuns(); got != plansAfterCold {
+	if got := s.MetricsSnapshot().Cache.Plans; got != plansAfterCold {
 		t.Fatalf("cache hit ran the planner: %d → %d runs", plansAfterCold, got)
 	}
 	if warm.PlanSec > cold.PlanSec && warm.PlanSec > 0.05 {
@@ -364,7 +364,7 @@ func TestServiceCacheStampede(t *testing.T) {
 			t.Fatalf("query %d count %d != %d", i, counts[i], counts[0])
 		}
 	}
-	if runs := s.PlanningRuns(); runs != 1 {
+	if runs := s.MetricsSnapshot().Cache.Plans; runs != 1 {
 		t.Fatalf("%d concurrent identical queries ran the planner %d times, want 1", N, runs)
 	}
 }
@@ -535,11 +535,41 @@ func TestServiceErrorStatuses(t *testing.T) {
 		{"/enumerate?graph=ba&pattern=house&limit=x", 400},
 		{"/enumerate?graph=ba&pattern=house&backend=cluster", 400}, // counts only on the wire
 		{"/enumerate?graph=ba&pattern=house&backend=gpu", 400},
+		// A vertex count whose square wraps to 0 is out of range, not a panic.
+		{"/count?graph=ba&pattern=4294967296:", 400},
+		{"/enumerate?graph=ba&pattern=4294967296:", 400},
+		{"/explain?graph=ba&pattern=4294967296:", 400},
 		{"/count?pattern=house", 200}, // single resident graph: name optional
 	}
 	for _, tc := range cases {
 		if code := getJSON(t, base+tc.url, nil); code != tc.want {
 			t.Errorf("GET %s = %d, want %d", tc.url, code, tc.want)
+		}
+	}
+
+	// POST /graphs: negative hub parameters are errors, not defaults. The
+	// last row loads the same snapshot to show the file itself is fine.
+	snap := filepath.Join(t.TempDir(), "ba.bin")
+	if err := graph.SaveBinaryFile(snap, graph.BarabasiAlbert(100, 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		extra string
+		want  int
+	}{
+		{`"hub_budget":-1`, 400},
+		{`"hub_floor":-3`, 400},
+		{`"hub_budget":4096`, 201},
+	} {
+		body := fmt.Sprintf(`{"name":"loaded","path":%q,"optimize":true,%s}`, snap, tc.extra)
+		resp, err := http.Post(base+"/graphs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("POST /graphs with %s = %d, want %d", tc.extra, resp.StatusCode, tc.want)
 		}
 	}
 }
@@ -754,19 +784,19 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 		t.Fatalf("cache over budget: %+v", st)
 	}
 	// The oldest key was evicted: asking again must re-plan (a miss).
-	before := c.PlanningRuns()
+	before := c.stats().Plans
 	if _, _, hit, err := c.get(key("Triangle"), build(pattern.Triangle())); err != nil || hit {
 		t.Fatalf("evicted key returned hit=%v err=%v", hit, err)
 	}
-	if c.PlanningRuns() != before+1 {
+	if c.stats().Plans != before+1 {
 		t.Fatal("evicted key did not re-plan")
 	}
 	// The most recent key is still resident: a hit, no planning.
-	before = c.PlanningRuns()
+	before = c.stats().Plans
 	if _, _, hit, err := c.get(key("Pentagon"), build(pattern.Pentagon())); err != nil || !hit {
 		t.Fatalf("resident key returned hit=%v err=%v", hit, err)
 	}
-	if c.PlanningRuns() != before {
+	if c.stats().Plans != before {
 		t.Fatal("resident key re-planned")
 	}
 }

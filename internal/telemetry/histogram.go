@@ -54,30 +54,15 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start))
 }
 
-// Reset zeroes the histogram. Concurrent observers may smear one in-flight
-// observation across the boundary; callers reset only between jobs, when the
-// control plane is quiescent.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	h.count.Store(0)
-	h.sumNS.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
-// Bucket is one exposition bucket: the count of observations at or below
-// UpperNS (cumulative counts are computed by the exposition layer).
+// Bucket is one snapshot bucket: the count of observations in the log2
+// bucket whose inclusive upper bound is UpperNS (not cumulative).
 type Bucket struct {
 	UpperNS int64 `json:"upperNS"`
 	Count   int64 `json:"count"`
 }
 
 // HistogramSnapshot is an immutable copy of a Histogram, the form embedded
-// in JSON stats structs and rendered to Prometheus exposition. Zero-count
-// buckets are elided.
+// in JSON stats structs. Zero-count buckets are elided.
 type HistogramSnapshot struct {
 	Count   int64    `json:"count"`
 	SumNS   int64    `json:"sumNS"`
@@ -101,7 +86,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // upperOf returns the inclusive upper bound (ns) of bucket i.
 func upperOf(i int) int64 {
 	if i >= histBuckets-1 {
-		return int64(1)<<62 - 1 // effectively +Inf; exposition maps it so
+		return int64(1)<<62 - 1 // effectively +Inf
 	}
 	return int64(1)<<(i+1) - 1
 }
@@ -135,12 +120,4 @@ func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
 			s.Buckets = append(s.Buckets, Bucket{UpperNS: up, Count: n})
 		}
 	}
-}
-
-// MeanNS returns the mean observation in nanoseconds (0 when empty).
-func (s HistogramSnapshot) MeanNS() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.SumNS / s.Count
 }

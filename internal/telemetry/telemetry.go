@@ -1,7 +1,8 @@
 // Package telemetry is GraphPi's instrumentation layer: per-level run
-// statistics collected by every execution tier, latency histograms for the
-// cluster control plane, a named-metric registry with Prometheus text
-// exposition, cost-model drift reports, and an NDJSON span tracer.
+// statistics collected by every execution tier, lock-free latency histograms
+// (the query service's and the cluster control plane's, served as JSON
+// snapshots on /metrics), cost-model drift reports, and an NDJSON span
+// tracer.
 //
 // The design goal is near-zero overhead. Collection is opt-in per run: the
 // engine carries a *RunStats pointer that is nil when telemetry is disabled,
@@ -31,21 +32,6 @@ const (
 	// NumKernels is the kernel family count.
 	NumKernels
 )
-
-// KernelName returns the exposition label of a kernel family index.
-func KernelName(k int) string {
-	switch k {
-	case KernelMerge:
-		return "merge"
-	case KernelGallop:
-		return "gallop"
-	case KernelBitmap:
-		return "bitmap"
-	case KernelAux:
-		return "aux"
-	}
-	return "unknown"
-}
 
 // LevelStats holds the per-schedule-level counters one run accumulates.
 // All fields are plain integers: a LevelStats belongs to one worker until
