@@ -260,9 +260,9 @@ func printRunStats(plan *graphpi.Plan, useIEP bool, st *graphpi.RunStats) {
 	fmt.Println("run stats (per schedule level):")
 	for d := range st.Levels {
 		l := &st.Levels[d]
-		fmt.Printf("  level %d: scans=%d cand=%d (max %d) isect=%d [merge %d, gallop %d, bitmap %d] prunes=%d dups=%d cuts=%d iep=%d wall~%v\n",
+		fmt.Printf("  level %d: scans=%d cand=%d (max %d) isect=%d [merge %d, gallop %d, bitmap %d, memo %d] prunes=%d dups=%d cuts=%d iep=%d wall~%v\n",
 			d, l.Scans, l.Candidates, l.CandMax, l.Intersections,
-			l.Kernels[0], l.Kernels[1], l.Kernels[2],
+			l.Kernels[0], l.Kernels[1], l.Kernels[2], l.MemoHits,
 			l.Prunes, l.DupSkips, l.Cuts, l.IEPCounts,
 			time.Duration(l.WallNS).Round(time.Microsecond))
 	}

@@ -168,7 +168,9 @@ func (g *Graph) OptimizeHubs(hubBudgetBytes int64, hubDegreeFloor int) *Graph {
 // by Optimize.
 func (g *Graph) IsOptimized() bool { return g.g.IsReordered() }
 
-// NewGraph builds a graph with n vertices from an undirected edge list.
+// NewGraph builds a graph with n vertices from an undirected edge list. It
+// returns an error when n is negative or an edge names a vertex outside
+// 0..n-1.
 func NewGraph(n int, edges [][2]uint32) (*Graph, error) {
 	gg, err := graph.FromEdges(n, edges)
 	if err != nil {

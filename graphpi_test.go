@@ -289,6 +289,26 @@ func TestGenerateSourceFacade(t *testing.T) {
 	}
 }
 
+// TestNewGraphRejectsBadInput: a negative vertex count used to panic in
+// makeslice and an out-of-range endpoint silently grew the graph past n.
+func TestNewGraphRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		edges [][2]uint32
+	}{
+		{-1, nil},
+		{2, [][2]uint32{{0, 5}}},
+	} {
+		if g, err := NewGraph(tc.n, tc.edges); err == nil {
+			t.Errorf("NewGraph(%d, %v) = %d vertices, want an error", tc.n, tc.edges, g.NumVertices())
+		}
+	}
+	g, err := NewGraph(3, [][2]uint32{{0, 1}})
+	if err != nil || g.NumVertices() != 3 {
+		t.Fatalf("NewGraph(3, {0,1}) = %v, %v; want 3 vertices", g, err)
+	}
+}
+
 func TestNewGraphFacade(t *testing.T) {
 	g, err := NewGraph(4, [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	if err != nil {

@@ -1,6 +1,7 @@
 package codegen_test
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -301,6 +302,84 @@ func TestGeneratedProgramMatchesEngine(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: generated binary counted %d, engine and brute force %d", p, got, want)
+		}
+	}
+}
+
+// TestLowerMemoisesInvariantSteps pins markInvariant on the configurations the
+// planner picks for the harness's BA(30k,8) queries: exactly Cycle6Tri's
+// N(v0)∩N(v2) and ref-p4's N(v1)∩N(v3) are loop-invariant, in the enumeration
+// nest and in the IEP nest alike.
+func TestLowerMemoisesInvariantSteps(t *testing.T) {
+	refP4, err := pattern.ParseAdjacency(6, "011110101011110010100001111000010100", "ref-p4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// set(a, b, c, d) is {id(a)>id(b), id(c)>id(d)}.
+	set := func(pairs ...uint8) (rs restrict.Set) {
+		for i := 0; i+1 < len(pairs); i += 2 {
+			rs = append(rs, restrict.Restriction{First: pairs[i], Second: pairs[i+1]})
+		}
+		return rs
+	}
+	identity := func(n int) schedule.Schedule {
+		s := schedule.Schedule{Order: make([]uint8, n)}
+		for i := range s.Order {
+			s.Order[i] = uint8(i)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name  string
+		p     *pattern.Pattern
+		sched schedule.Schedule
+		rs    restrict.Set
+		want  string // marked steps as depth:left-parent:context
+	}{
+		{"cycle6tri", pattern.Cycle6Tri(), identity(6), set(1, 2), "2:0:[0]"},
+		{"ref-p4", refP4, identity(6), set(0, 1, 2, 4), "3:1:[1]"},
+		{"house", pattern.House(), identity(5), set(0, 1), ""},
+		// Its window reads v1, the loop between the operands and the key.
+		{"rectangle", pattern.Rectangle(), identity(4), set(0, 2, 1, 0, 1, 3), ""},
+		{"rectangle-mirror", pattern.Rectangle(), identity(4), set(2, 0, 0, 1, 3, 1), ""},
+		// Their key loops scan a neighbourhood bound below the context.
+		{"pentagon", pattern.Pentagon(), identity(5), set(0, 1, 2, 0, 3, 1, 4, 1), ""},
+		{"k23", pattern.P4(), schedule.Schedule{Order: []uint8{0, 2, 1, 3, 4}}, set(0, 1, 2, 3, 3, 4), ""},
+		{"k4", pattern.Clique(4), identity(4), set(0, 1, 1, 2, 2, 3), ""},
+	} {
+		cfg, err := core.NewConfig(tc.p, tc.sched, tc.rs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		specs := []codegen.Spec{cfg.SourceSpec()}
+		if k := cfg.KIEP(); k > 0 {
+			spec := cfg.SourceSpec()
+			spec.KIEP, spec.IEPNum, spec.IEPDen = k, cfg.IEPNumerator(), cfg.IEPDivisor()
+			specs = append(specs, spec)
+		}
+		src, err := codegen.GenerateSource(cfg.SourceSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(src, "// loop-invariant"); got != strings.Count(tc.want, ":[") {
+			t.Errorf("%s: generated source has %d loop-invariant comments, want one per memoised step", tc.name, got)
+		}
+		for _, spec := range specs {
+			prog, err := codegen.Lower(spec)
+			if err != nil {
+				t.Fatalf("%s (KIEP %d): %v", tc.name, spec.KIEP, err)
+			}
+			var got []string
+			for _, lv := range prog.Levels {
+				for _, st := range lv.Steps {
+					if st.Memo != nil {
+						got = append(got, fmt.Sprintf("%d:%d:%v", st.Depth, st.LeftParent, st.Memo))
+					}
+				}
+			}
+			if g := strings.Join(got, " "); g != tc.want {
+				t.Errorf("%s (KIEP %d): memoised steps %q, want %q", tc.name, spec.KIEP, g, tc.want)
+			}
 		}
 	}
 }

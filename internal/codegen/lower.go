@@ -10,7 +10,9 @@
 //     nest with restriction windows and duplicate checks resolved per level.
 //     It also decides how much of every hoisted intersection is worth
 //     computing — the restriction bounds a Step applies to its operands (see
-//     Step) — and the interpreter in internal/core obeys that one decision.
+//     Step) — and which steps are loop-invariant, so that a repeat can be
+//     served from a memo; the interpreter in internal/core obeys both
+//     decisions.
 //   - GenerateSource (source.go) renders the same Program as a standalone
 //     Go main package, keeping the paper's emit-and-inspect architecture
 //     reproducible from the identical lowering.
@@ -76,11 +78,19 @@ type Spec struct {
 // between the step and that consumer only multiplies what the consumer
 // yields, and an empty loop, like an empty factor of the IEP product, yields
 // nothing to count or to enumerate.
+//
+// A step is loop-invariant when its output is a function of the vertex bound
+// at Depth and of a context that some intermediate loop does not touch; Memo
+// then lists the context (see markInvariant) and the executor may serve a
+// repeated key from a memo instead of intersecting again.
 type Step struct {
 	schedule.Step
 	// Lowers/Uppers are the positions p <= Depth whose bound vertex lower-
 	// (out > v_p) or upper-limits (out < v_p) the output.
 	Lowers, Uppers []uint8
+	// Memo lists, ascending, the positions other than Depth that the output
+	// depends on when the step is loop-invariant, and is nil otherwise.
+	Memo []uint8
 }
 
 // Level is one loop of the lowered nest.
@@ -200,6 +210,7 @@ func Lower(spec Spec) (*Program, error) {
 	if err := p.boundSteps(); err != nil {
 		return nil, err
 	}
+	p.markInvariant()
 	p.classifyExclusions()
 	return p, nil
 }
@@ -238,13 +249,7 @@ func (p *Program) classifyExclusions() {
 	if p.IEPCut < 0 {
 		return
 	}
-	producer := make([]*Step, p.NumBufs)
-	for d := range p.Levels {
-		for i := range p.Levels[d].Steps {
-			st := &p.Levels[d].Steps[i]
-			producer[st.Out] = st
-		}
-	}
+	producer := p.producers()
 	// bufParents returns buffer b's position mask and whether every step of
 	// its chain is unwindowed.
 	var bufParents func(b int) (uint16, bool)
@@ -386,12 +391,6 @@ func (p *Program) boundSteps() error {
 		}
 		return m
 	}
-	mask := func(ps []uint8) (m uint16) {
-		for _, q := range ps {
-			m |= 1 << q
-		}
-		return m
-	}
 	shared := make([]masks, p.NumBufs)
 	used := make([]bool, p.NumBufs)
 	consume := func(b int, m masks) error {
@@ -457,11 +456,83 @@ func (p *Program) boundSteps() error {
 		lv := &p.Levels[d]
 		if lv.Cand.Kind == schedule.CandBuffer {
 			st := producer[lv.Cand.Buf]
-			lv.Lowers = without(lv.Lowers, mask(st.Lowers))
-			lv.Uppers = without(lv.Uppers, mask(st.Uppers))
+			lv.Lowers = without(lv.Lowers, posMask(st.Lowers))
+			lv.Uppers = without(lv.Uppers, posMask(st.Uppers))
 		}
 	}
 	return nil
+}
+
+// markInvariant sets Memo on the loop-invariant steps. A step's context is
+// every position its output depends on other than its own depth d: its left
+// parent or the positions of its buffer's chain (each chain step's depth,
+// window and left parent), and its own window. Let q be the newest context
+// position. The step is marked when
+//
+//   - q < d-1: at least one loop between q and d rebinds without changing the
+//     step's operands, so the same key v_d can recur under one context; and
+//   - loop d draws its candidates from a set bound at or above q (a
+//     neighbourhood of a position <= q, a buffer whose chain ends there, or
+//     the whole vertex set): the intermediate loops then scan the same keys
+//     again. Without it a key seldom recurs and the memo costs more than it
+//     saves (K2,3 and the Pentagon key on a neighbourhood bound below q).
+//
+// Cycle6Tri's N(v0)∩N(v2) under its depth-1 loop is the model case: context
+// {0}, key v2 drawn from N(v0), recomputed for every v1 without the memo.
+func (p *Program) markInvariant() {
+	producer := p.producers()
+	// deps returns the positions buffer b's content depends on.
+	var deps func(b int) uint16
+	deps = func(b int) uint16 {
+		st := producer[b]
+		m := uint16(1)<<st.Depth | posMask(st.Lowers) | posMask(st.Uppers)
+		if st.LeftBuf < 0 {
+			return m | 1<<st.LeftParent
+		}
+		return m | deps(st.LeftBuf)
+	}
+	for d := range p.Levels {
+		lv := &p.Levels[d]
+		src := -1 // where loop d's candidate set is bound; -1: the vertex set
+		switch lv.Cand.Kind {
+		case schedule.CandNeighborhood:
+			src = lv.Cand.Parent
+		case schedule.CandBuffer:
+			src = bits.Len16(deps(lv.Cand.Buf)) - 1
+		}
+		for i := range lv.Steps {
+			st := &lv.Steps[i]
+			ctx := deps(st.Out) &^ (1 << d)
+			if q := bits.Len16(ctx) - 1; q < d-1 && src <= q {
+				for pos := uint8(0); ctx != 0; pos, ctx = pos+1, ctx>>1 {
+					if ctx&1 != 0 {
+						st.Memo = append(st.Memo, pos)
+					}
+				}
+			}
+		}
+	}
+}
+
+// producers maps each buffer to the step that writes it (Lower has checked
+// that every buffer has exactly one).
+func (p *Program) producers() []*Step {
+	producer := make([]*Step, p.NumBufs)
+	for d := range p.Levels {
+		for i := range p.Levels[d].Steps {
+			st := &p.Levels[d].Steps[i]
+			producer[st.Out] = st
+		}
+	}
+	return producer
+}
+
+// posMask returns the positions ps as a bitmask.
+func posMask(ps []uint8) (m uint16) {
+	for _, q := range ps {
+		m |= 1 << q
+	}
+	return m
 }
 
 // without returns ps minus the positions in drop, leaving ps untouched (it

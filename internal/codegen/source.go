@@ -89,6 +89,14 @@ func GenerateSource(spec Spec) (string, error) {
 				left = fmt.Sprintf("window(%s, %s, %s)", left, lo, hi)
 				right = fmt.Sprintf("window(%s, %s, %s)", right, lo, hi)
 			}
+			if st.Memo != nil {
+				ctx := make([]string, len(st.Memo))
+				for i, p := range st.Memo {
+					ctx[i] = fmt.Sprintf("v%d", p)
+				}
+				fmt.Fprintf(&b, "%s// loop-invariant: a function of %s under fixed %s; the engine memoises it\n",
+					inner, v, strings.Join(ctx, ", "))
+			}
 			fmt.Fprintf(&b, "%sbufs[%d] = intersect(bufs[%d][:0], %s, %s)\n",
 				inner, st.Out, st.Out, left, right)
 			fmt.Fprintf(&b, "%sif len(bufs[%d]) == 0 {\n%s\tcontinue // empty set: nothing below can match\n%s}\n",

@@ -371,6 +371,10 @@ type runner struct {
 	// charged is the work this runner has charged to work so far.
 	charged uint64
 
+	// memos[b] serves the repeats of the loop-invariant step that outputs
+	// buffer b; nil when that step is not marked.
+	memos []*memo
+
 	calc    *iep.Calculator
 	iepSets [][]uint32
 	iepBMs  []vertexset.Bitmap
@@ -391,8 +395,18 @@ func newRunner(cfg *Config, g *graph.Graph, useIEP bool, visit func([]uint32) bo
 		stop:  stop,
 	}
 	maxDeg := g.MaxDegree()
+	r.memos = make([]*memo, prog.NumBufs)
+	for _, lv := range prog.Levels {
+		for _, st := range lv.Steps {
+			if st.Memo != nil {
+				r.memos[st.Out] = newMemo(len(st.Memo), maxDeg)
+			}
+		}
+	}
 	for i := range r.bufs {
-		r.bufs[i] = taskpool.Owned[uint32](0, maxDeg)
+		if r.memos[i] == nil { // a memoised step's output lives in its memo
+			r.bufs[i] = taskpool.Owned[uint32](0, maxDeg)
+		}
 	}
 	if visit != nil {
 		r.emb = taskpool.Owned[uint32](cfg.n, cfg.n)
@@ -588,8 +602,10 @@ func (r *runner) descend(lv *codegen.Level) bool {
 
 // runSteps executes the intersections hoisted to this depth, each trimmed to
 // the window the lowering gave it and dispatched per call by the bounded
-// hybrid kernel (hub-bitmap probe, merge or gallop). It stops at the first
-// empty output and reports false: the prefix cannot be extended (see
+// hybrid kernel (hub-bitmap probe, merge or gallop). A loop-invariant step
+// first asks its memo, which answers a key it has seen under the current
+// context without a kernel. runSteps stops at the first empty output —
+// computed or served — and reports false: the prefix cannot be extended (see
 // codegen.Step), so the caller skips the remaining steps, every deeper loop
 // and the IEP evaluation.
 func (r *runner) runSteps(depth int) bool {
@@ -600,21 +616,39 @@ func (r *runner) runSteps(depth int) bool {
 	lst := r.st.Level(depth)
 	for i := range steps {
 		stp := &steps[i]
-		lo, hi := codegen.Bounds(r.bound, stp.Lowers, stp.Uppers)
 		rv := r.bound[stp.Depth]
-		var left []uint32
-		var leftBM vertexset.Bitmap
-		if stp.LeftBuf >= 0 {
-			left = r.bufs[stp.LeftBuf]
+		dst, m := r.bufs[stp.Out], r.memos[stp.Out]
+		var out []uint32
+		var slot int
+		served := false
+		if m != nil {
+			out, slot, served = m.lookup(r.bound, stp.Memo, rv)
+			dst = m.scratch
+		}
+		if served {
+			if lst != nil {
+				lst.MemoHit()
+			}
 		} else {
-			lp := r.bound[stp.LeftParent]
-			left, leftBM = r.g.Neighbors(lp), r.g.HubBitmap(lp)
+			lo, hi := codegen.Bounds(r.bound, stp.Lowers, stp.Uppers)
+			var left []uint32
+			var leftBM vertexset.Bitmap
+			if stp.LeftBuf >= 0 {
+				left = r.bufs[stp.LeftBuf]
+			} else {
+				lp := r.bound[stp.LeftParent]
+				left, leftBM = r.g.Neighbors(lp), r.g.HubBitmap(lp)
+			}
+			var k vertexset.Kernel
+			out, k = vertexset.IntersectWindow(dst, left, r.g.Neighbors(rv), leftBM, r.g.HubBitmap(rv), lo, hi)
+			if lst != nil {
+				lst.Intersect(int(k))
+			}
+			if m != nil {
+				m.store(slot, rv, out)
+			}
 		}
-		out, k := vertexset.IntersectWindow(r.bufs[stp.Out], left, r.g.Neighbors(rv), leftBM, r.g.HubBitmap(rv), lo, hi)
 		r.bufs[stp.Out] = out
-		if lst != nil {
-			lst.Intersect(int(k))
-		}
 		if len(out) == 0 {
 			if lst != nil {
 				lst.Cuts++

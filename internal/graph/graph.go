@@ -358,8 +358,19 @@ func (b *Builder) Build() (*Graph, error) {
 	return g, nil
 }
 
-// FromEdges builds a graph with n vertices from an explicit edge list.
+// FromEdges builds a graph with exactly n vertices from an explicit edge
+// list. Unlike a Builder, which grows to cover its edges (the loaders rely on
+// that), it rejects a negative n and any edge with an endpoint outside
+// 0..n-1, naming the edge.
 func FromEdges(n int, edges [][2]uint32) (*Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	}
+	for i, e := range edges {
+		if uint64(e[0]) >= uint64(n) || uint64(e[1]) >= uint64(n) {
+			return nil, fmt.Errorf("graph: edge %d {%d, %d} has an endpoint outside the %d vertices 0..n-1", i, e[0], e[1], n)
+		}
+	}
 	b := NewBuilder(n, len(edges))
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])

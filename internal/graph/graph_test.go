@@ -40,6 +40,40 @@ func TestBuilderBasics(t *testing.T) {
 	}
 }
 
+// TestFromEdgesVertexCount pins FromEdges to exactly n vertices: a negative
+// n and an endpoint outside 0..n-1 are errors naming the problem (the Builder
+// underneath would have panicked or grown), isolated vertices are kept.
+func TestFromEdgesVertexCount(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		n       int
+		edges   [][2]uint32
+		wantErr string // "" → builds with n vertices
+	}{
+		{"negative", -1, nil, "negative vertex count -1"},
+		{"negative with edges", -3, [][2]uint32{{0, 1}}, "negative vertex count -3"},
+		{"endpoint past n", 2, [][2]uint32{{0, 1}, {0, 5}}, "edge 1 {0, 5}"},
+		{"endpoint equal to n", 3, [][2]uint32{{3, 0}}, "edge 0 {3, 0}"},
+		{"no vertices, one edge", 0, [][2]uint32{{0, 1}}, "edge 0 {0, 1}"},
+		{"max endpoint", 4, [][2]uint32{{0, ^uint32(0)}}, "edge 0 {0, 4294967295}"},
+		{"empty", 0, nil, ""},
+		{"isolated vertices kept", 6, [][2]uint32{{0, 1}}, ""},
+		{"self-loop in range dropped", 2, [][2]uint32{{1, 1}, {0, 1}}, ""},
+	} {
+		g, err := FromEdges(tc.n, tc.edges)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case g.NumVertices() != tc.n:
+			t.Errorf("%s: %d vertices, want %d", tc.name, g.NumVertices(), tc.n)
+		}
+	}
+}
+
 func TestEmptyGraph(t *testing.T) {
 	g, err := NewBuilder(0, 0).Build()
 	if err != nil {

@@ -44,10 +44,14 @@ type LevelStats struct {
 	// restriction-window narrowing. CandMax is the largest single set.
 	Candidates uint64 `json:"candidates"`
 	CandMax    uint64 `json:"candMax"`
-	// Intersections counts set intersections hoisted to this level, split
-	// by kernel family in Kernels.
+	// Intersections counts the evaluations of the steps hoisted to this
+	// level, computed or served from the loop-invariant memo: the work the
+	// loop nest asks for, whichever way it was done. Kernels splits the
+	// computed ones by kernel family and MemoHits counts the served ones, so
+	// the Kernels entries and MemoHits sum to Intersections.
 	Intersections uint64             `json:"intersections"`
 	Kernels       [NumKernels]uint64 `json:"kernels"`
+	MemoHits      uint64             `json:"memoHits"`
 	// Prunes counts candidates removed by this level's restriction window
 	// (the paper's asymmetric-restriction break, observed).
 	Prunes uint64 `json:"prunes"`
@@ -113,6 +117,12 @@ func (l *LevelStats) Intersect(kernel int) {
 	l.Kernels[kernel]++
 }
 
+// MemoHit records one step evaluation served from the memo, with no kernel.
+func (l *LevelStats) MemoHit() {
+	l.Intersections++
+	l.MemoHits++
+}
+
 // merge folds o into l.
 func (l *LevelStats) merge(o *LevelStats) {
 	l.Scans += o.Scans
@@ -124,6 +134,7 @@ func (l *LevelStats) merge(o *LevelStats) {
 	for k := range l.Kernels {
 		l.Kernels[k] += o.Kernels[k]
 	}
+	l.MemoHits += o.MemoHits
 	l.Prunes += o.Prunes
 	l.DupSkips += o.DupSkips
 	l.IEPCounts += o.IEPCounts
@@ -180,7 +191,8 @@ func (s *RunStats) Reset() {
 	}
 }
 
-// TotalIntersections sums intersections over all levels.
+// TotalIntersections sums step evaluations over all levels, memo hits
+// included: it is the loop nest's demand, which the cost model predicts.
 func (s *RunStats) TotalIntersections() uint64 {
 	var t uint64
 	if s == nil {

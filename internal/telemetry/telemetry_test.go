@@ -16,19 +16,21 @@ func TestRunStatsMerge(t *testing.T) {
 	a.Levels[1].Intersect(KernelMerge)
 	b.Levels[1].Scan(20, 0)
 	b.Levels[1].Intersect(KernelBitmap)
+	b.Levels[1].MemoHit()
 	b.Levels[2].DupSkips = 4
 	a.Merge(b)
 	l := a.Levels[1]
 	if l.Scans != 2 || l.Candidates != 30 || l.CandMax != 20 || l.Prunes != 2 {
 		t.Errorf("merged level 1 = %+v", l)
 	}
-	if l.Intersections != 2 || l.Kernels[KernelMerge] != 1 || l.Kernels[KernelBitmap] != 1 {
+	// A memo hit is an intersection the nest asked for, served with no kernel.
+	if l.Intersections != 3 || l.Kernels[KernelMerge] != 1 || l.Kernels[KernelBitmap] != 1 || l.MemoHits != 1 {
 		t.Errorf("merged kernels = %+v", l)
 	}
 	if a.Levels[2].DupSkips != 4 {
 		t.Errorf("dup skips not merged")
 	}
-	if a.TotalIntersections() != 2 || a.TotalCandidates() != 30 {
+	if a.TotalIntersections() != 3 || a.TotalCandidates() != 30 {
 		t.Errorf("totals = %d/%d", a.TotalIntersections(), a.TotalCandidates())
 	}
 }
