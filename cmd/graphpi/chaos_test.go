@@ -42,11 +42,7 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 	if err := g.SaveBinary(snap); err != nil {
 		t.Fatal(err)
 	}
-	p, err := graphpi.NamedPattern("house")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := graphpi.NewPlan(g, p)
+	plan, err := graphpi.NewPlan(g, graphpi.House())
 	if err != nil {
 		t.Fatal(err)
 	}

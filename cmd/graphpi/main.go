@@ -4,7 +4,7 @@
 //
 //	graphpi -graph data.txt -pattern house
 //	graphpi -dataset WikiVote-S -pattern p3 -iep
-//	graphpi -graph data.bin -pattern-adj 5:0110110011... -list -limit 10
+//	graphpi -graph data.bin -pattern 5:0110110011... -list -limit 10
 //	graphpi -dataset Orkut-S -pattern house -iep -nodes 4 -node-workers 2
 //
 // Distributed mode runs the same jobs across TCP worker processes that each
@@ -27,8 +27,8 @@
 // worker (-serve), a cluster master (-join), or a query server (-server);
 // combining those flags is an error, never a silent preference.
 //
-// Patterns can be named (triangle, rectangle, pentagon, house, cycle6tri,
-// p1..p6, k3..k12) or given as an n:adjacency-matrix string. The tool prints
+// -pattern takes a name (triangle, rectangle, pentagon, house, cycle6tri,
+// p1..p6, k3..k12) or an n:rowmajor01matrix adjacency string. The tool prints
 // the chosen configuration (schedule + restrictions), the preprocessing
 // time, and the result.
 //
@@ -43,7 +43,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,15 +56,13 @@ func main() {
 		graphPath   = flag.String("graph", "", "edge-list or binary graph file")
 		datasetName = flag.String("dataset", "", "built-in synthetic dataset ("+strings.Join(graphpi.DatasetNames(), ", ")+")")
 		scale       = flag.Float64("scale", 1.0, "dataset scale factor")
-		patName     = flag.String("pattern", "triangle", "named pattern (triangle, rectangle, pentagon, house, cycle6tri, p1..p6, k3..k12)")
-		patAdj      = flag.String("pattern-adj", "", "pattern as n:rowmajor01matrix, overrides -pattern")
+		patSpec     = flag.String("pattern", "triangle", "pattern: a name (triangle, rectangle, pentagon, house, cycle6tri, p1..p6, k3..k12) or n:rowmajor01matrix")
 		useIEP      = flag.Bool("iep", false, "count with the Inclusion-Exclusion Principle")
 		list        = flag.Bool("list", false, "list embeddings instead of counting")
 		limit       = flag.Int64("limit", 20, "max embeddings to list with -list (0 = all)")
 		workers     = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS; with -serve, 0 = honor the master; with -server, the shared job worker budget)")
 		hybrid      = flag.Bool("hybrid", false, "run on the degree-ordered, bitmap-accelerated hybrid adjacency view")
 		hubBudget   = flag.Int64("hub-budget", 0, "hub-bitmap memory budget in bytes with -hybrid (0 = 64 MiB)")
-		hubFloor    = flag.Int("hub-floor", 0, "minimum degree for a hub bitmap with -hybrid (0 = default 64)")
 		nodes       = flag.Int("nodes", 0, "count on a cluster of this many in-process nodes (0 = single process)")
 		nodeWorkers = flag.Int("node-workers", 2, "worker goroutines per node with -nodes")
 		serveAddr   = flag.String("serve", "", "run as a cluster worker process listening on this address (e.g. :9421)")
@@ -87,7 +84,6 @@ func main() {
 	if err := validateFlags(flagState{
 		nodes:       *nodes,
 		nodeWorkers: *nodeWorkers,
-		hubFloor:    *hubFloor,
 		hubBudget:   *hubBudget,
 		maxJobs:     *maxJobs,
 		maxQueue:    *maxQueue,
@@ -142,7 +138,7 @@ func main() {
 		fmt.Printf("graph: %s (%s)\n", g.Name(), g.StatsString())
 		if *hybrid {
 			prep := time.Now()
-			g = g.OptimizeHubs(*hubBudget, *hubFloor)
+			g = g.Optimize(*hubBudget)
 			fmt.Printf("hybrid view: degree-ordered, bitmaps built in %v\n",
 				time.Since(prep).Round(time.Microsecond))
 		}
@@ -168,7 +164,7 @@ func main() {
 		return
 	}
 
-	p, err := loadPattern(*patName, *patAdj)
+	p, err := graphpi.ParsePattern(*patSpec)
 	if err != nil {
 		failUsage(err)
 	}
@@ -289,7 +285,7 @@ func printRunStats(plan *graphpi.Plan, useIEP bool, st *graphpi.RunStats) {
 // flagState carries the mode-relevant flags into validateFlags (testable
 // without a flag.FlagSet).
 type flagState struct {
-	nodes, nodeWorkers, hubFloor     int
+	nodes, nodeWorkers               int
 	maxJobs, maxQueue                int
 	hubBudget, cacheBytes            int64
 	serveAddr, joinAddrs, serverAddr string
@@ -307,9 +303,6 @@ func validateFlags(f flagState) error {
 	}
 	if f.nodes > 0 && f.nodeWorkers < 1 {
 		return fmt.Errorf("-node-workers must be >= 1, got %d", f.nodeWorkers)
-	}
-	if f.hubFloor < 0 {
-		return fmt.Errorf("-hub-floor must be >= 0, got %d", f.hubFloor)
 	}
 	if f.hubBudget < 0 {
 		return fmt.Errorf("-hub-budget must be >= 0 (0 = default), got %d", f.hubBudget)
@@ -488,11 +481,19 @@ func runServe(addr string, g *graphpi.Graph, workerOverride int) {
 // workers when addrs is non-empty — and reports the per-node load balance
 // (tasks, busy time) alongside the count.
 func runCluster(g *graphpi.Graph, p *graphpi.Pattern, nodes, workersPerNode int, useIEP bool, addrs []string, opts []graphpi.Option) {
-	res, err := graphpi.ClusterCount(g, p, graphpi.ClusterOptions{
+	count := graphpi.ClusterCount
+	if len(addrs) > 0 {
+		c, err := graphpi.ConnectCluster(addrs...)
+		if err != nil {
+			fail(err)
+		}
+		defer c.Close()
+		count = c.Count
+	}
+	res, err := count(g, p, graphpi.ClusterOptions{
 		Nodes:          nodes,
 		WorkersPerNode: workersPerNode,
 		UseIEP:         useIEP,
-		Workers:        addrs,
 	}, opts...)
 	if err != nil {
 		fail(err)
@@ -525,21 +526,6 @@ func loadGraph(path, ds string, scale float64) (*graphpi.Graph, error) {
 	default:
 		return nil, fmt.Errorf("one of -graph or -dataset is required")
 	}
-}
-
-func loadPattern(name, adj string) (*graphpi.Pattern, error) {
-	if adj != "" {
-		parts := strings.SplitN(adj, ":", 2)
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("-pattern-adj must be n:matrix")
-		}
-		n, err := strconv.Atoi(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad pattern size %q: %v", parts[0], err)
-		}
-		return graphpi.PatternFromAdjacency(n, parts[1], "custom")
-	}
-	return graphpi.NamedPattern(name)
 }
 
 // Exit codes, unified across every mode: 1 for runtime failures, 2 for

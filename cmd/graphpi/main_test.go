@@ -2,6 +2,11 @@ package main
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -38,7 +43,6 @@ func TestValidateFlagsModeExclusivity(t *testing.T) {
 		{"emit-go+nodes", func(f *flagState) { f.nodes = 2; f.emitGo = "x.go" }, "count only"},
 		{"negative nodes", func(f *flagState) { f.nodes = -1 }, "-nodes must be"},
 		{"bad node workers", func(f *flagState) { f.nodes = 2; f.nodeWorkers = 0 }, "-node-workers"},
-		{"negative hub floor", func(f *flagState) { f.hubFloor = -1 }, "-hub-floor"},
 		{"negative hub budget", func(f *flagState) { f.hubBudget = -1 }, "-hub-budget"},
 		{"negative max jobs", func(f *flagState) { f.serverAddr = ":8080"; f.maxJobs = -5 }, "-max-jobs"},
 		{"negative max queue", func(f *flagState) { f.serverAddr = ":8080"; f.maxQueue = -1 }, "-max-queue"},
@@ -103,5 +107,51 @@ func TestParseAddrList(t *testing.T) {
 	}
 	if got, err := parseAddrList("-join", ""); err != nil || got != nil {
 		t.Fatalf("empty list = %v, %v; want nil, nil", got, err)
+	}
+}
+
+// TestCLIFlags pins the CLI's flag names. It finds them with the rule the
+// benchmark's surface.cli_flags count uses — every flag.X call in main.go
+// with at least three arguments, flag.Parse aside — so a flag added or
+// removed shows up here as a reviewed change of the list.
+func TestCLIFlags(t *testing.T) {
+	want := []string{
+		"cluster-retries", "cluster-workers", "dataset", "emit-go", "graph",
+		"graph-name", "hub-budget", "hybrid", "iep", "join", "limit", "list",
+		"max-jobs", "max-queue", "node-workers", "nodes", "pattern",
+		"plan-cache", "pprof", "scale", "serve", "server", "stats", "trace",
+		"workers",
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" || sel.Sel.Name == "Parse" || len(call.Args) < 3 {
+			return true
+		}
+		lit, ok := call.Args[0].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			t.Fatalf("flag.%s at %v: name is not a string literal", sel.Sel.Name, call.Pos())
+		}
+		name, err := strconv.Unquote(lit.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, name)
+		return true
+	})
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("CLI flags:\n got  %q\n want %q", got, want)
 	}
 }

@@ -130,9 +130,6 @@ func (g *Graph) Degree(v uint32) int { return g.g.Degree(v) }
 // Neighbors returns the ascending neighbor list of v (read-only view).
 func (g *Graph) Neighbors(v uint32) []uint32 { return g.g.Neighbors(v) }
 
-// HasEdge reports whether the undirected edge {u,v} exists.
-func (g *Graph) HasEdge(u, v uint32) bool { return g.g.HasEdge(u, v) }
-
 // StatsString renders |V|, |E|, triangle count and degree statistics.
 func (g *Graph) StatsString() string { return g.g.Stats().String() }
 
@@ -146,27 +143,12 @@ func (g *Graph) StatsString() string { return g.g.Stats().String() }
 //
 // hubBudgetBytes bounds the memory of the hub bitmaps, their 4-byte-per-
 // vertex index included (<= 0 → 64 MiB, the same default as the query
-// service's hub_budget). Vertices only become hubs above a degree floor of
-// 64; use OptimizeHubs to tune it.
+// service's hub_budget). Vertices only become hubs above a degree of 64.
+// Optimizing a view that is already optimized, such as a reloaded snapshot,
+// keeps its vertex order, and with hubBudgetBytes <= 0 its hub set too.
 func (g *Graph) Optimize(hubBudgetBytes int64) *Graph {
-	return g.OptimizeHubs(hubBudgetBytes, 0)
+	return &Graph{g: g.g.Optimize(hubBudgetBytes)}
 }
-
-// OptimizeHubs is Optimize with an explicit hub degree floor: only vertices
-// with degree >= hubDegreeFloor are eligible for an adjacency bitset
-// (<= 0 → the default floor of 64). Lowering the floor trades budget for
-// coverage on flatter degree distributions; snapshots of the view persist
-// both the budget and the floor, so SaveBinary/LoadGraph round trips
-// rebuild the same hub set.
-func (g *Graph) OptimizeHubs(hubBudgetBytes int64, hubDegreeFloor int) *Graph {
-	og := g.g.Reorder()
-	og.BuildHubBitmaps(hubBudgetBytes, hubDegreeFloor)
-	return &Graph{g: og}
-}
-
-// IsOptimized reports whether this graph is a degree-ordered view produced
-// by Optimize.
-func (g *Graph) IsOptimized() bool { return g.g.IsReordered() }
 
 // NewGraph builds a graph with n vertices from an undirected edge list. It
 // returns an error when n is negative or an edge names a vertex outside
@@ -189,21 +171,13 @@ func LoadGraph(path string) (*Graph, error) {
 	return &Graph{g: gg}, nil
 }
 
-// ReadGraph parses an edge list from r.
-func ReadGraph(r io.Reader) (*Graph, error) {
-	gg, err := graph.ReadEdgeList(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Graph{g: gg}, nil
-}
-
 // SaveBinary writes the fast binary snapshot format (GPiCSR3). Snapshots of
-// an Optimize()d graph persist the degree-ordered id maps, the hub-bitmap
-// budget and the hub degree floor, so the hybrid view's Reorder cost is
-// paid once per dataset: LoadGraph restores the view (bitmaps are rebuilt,
-// not stored) and Enumerate keeps reporting original vertex ids. LoadGraph
-// rejects the older GPiCSR1/GPiCSR2 snapshots by name; regenerate them.
+// an Optimize()d graph persist the degree-ordered id maps and the hub set's
+// size, so the hybrid view's Reorder cost is paid once per dataset:
+// LoadGraph restores the view (bitmaps are rebuilt, not stored), Optimize(0)
+// on it returns it as it is, and Enumerate keeps reporting original vertex
+// ids. LoadGraph rejects the older GPiCSR1/GPiCSR2 snapshots by name;
+// regenerate them.
 func (g *Graph) SaveBinary(path string) error { return graph.SaveBinaryFile(path, g.g) }
 
 // LoadDataset builds one of the six named synthetic stand-in datasets
@@ -227,16 +201,6 @@ func GenerateBA(n, edgesPerVertex int, seed uint64) *Graph {
 	return &Graph{g: graph.BarabasiAlbert(n, edgesPerVertex, seed)}
 }
 
-// GenerateGNM returns a uniform G(n,m) random graph.
-func GenerateGNM(n, m int, seed uint64) *Graph {
-	return &Graph{g: graph.GNM(n, m, seed)}
-}
-
-// GenerateRMAT returns an RMAT graph with 2^scale vertices (heavy skew).
-func GenerateRMAT(scale, edges int, seed uint64) *Graph {
-	return &Graph{g: graph.RMAT(scale, edges, 0.57, 0.19, 0.19, seed)}
-}
-
 // Pattern is a small undirected query graph.
 type Pattern struct {
 	p *pattern.Pattern
@@ -245,16 +209,6 @@ type Pattern struct {
 // NewPattern builds a pattern with n vertices from an edge list.
 func NewPattern(n int, edges [][2]int, name string) (*Pattern, error) {
 	pp, err := pattern.New(n, edges, name)
-	if err != nil {
-		return nil, err
-	}
-	return &Pattern{p: pp}, nil
-}
-
-// PatternFromAdjacency parses the row-major 0/1 adjacency-matrix string
-// format used by the GraphPi reference implementation.
-func PatternFromAdjacency(n int, matrix, name string) (*Pattern, error) {
-	pp, err := pattern.ParseAdjacency(n, matrix, name)
 	if err != nil {
 		return nil, err
 	}
@@ -284,37 +238,17 @@ func Cycle6Tri() *Pattern { return &Pattern{p: pattern.Cycle6Tri()} }
 // Clique returns the complete pattern K_n (n ≤ 12).
 func Clique(n int) *Pattern { return &Pattern{p: pattern.Clique(n)} }
 
-// NamedPattern resolves a pattern by name, case-insensitively: the worked
-// examples (triangle, rectangle, pentagon, house, cycle6tri), the
-// evaluation suite p1..p6, and cliques k3..k12 — the names the CLI and the
-// query service accept.
-func NamedPattern(name string) (*Pattern, error) {
-	pp, err := pattern.Named(name)
-	if err != nil {
-		return nil, err
-	}
-	return &Pattern{p: pp}, nil
-}
-
-// ParsePattern resolves a pattern spec: a NamedPattern name or the
-// "n:rowmajor01matrix" adjacency form.
+// ParsePattern resolves a pattern spec, the one spelling the CLI and the
+// query service accept: a name, case-insensitively — the worked examples
+// (triangle, rectangle, pentagon, house, cycle6tri), the evaluation suite
+// p1..p6 and cliques k3..k12 — or "n:rowmajor01matrix", the adjacency
+// matrix of the GraphPi reference drivers, which is named "custom".
 func ParsePattern(spec string) (*Pattern, error) {
 	pp, err := pattern.Parse(spec)
 	if err != nil {
 		return nil, err
 	}
 	return &Pattern{p: pp}, nil
-}
-
-// EvaluationPatterns returns P1–P6, the suite used throughout the paper's
-// evaluation section.
-func EvaluationPatterns() []*Pattern {
-	ps := pattern.EvaluationPatterns()
-	out := make([]*Pattern, len(ps))
-	for i, p := range ps {
-		out[i] = &Pattern{p: p}
-	}
-	return out
 }
 
 // Motifs returns all connected patterns with n vertices up to isomorphism
@@ -383,7 +317,7 @@ func WithAux(AuxMode) Option { return func(*options) {} }
 // RunStats is the per-level execution telemetry a run collects: candidate
 // scans and set sizes, intersection counts by kernel family, restriction
 // prunes, duplicate skips, IEP evaluations, and sampled wall time — indexed
-// by schedule level. See Plan.NewRunStats and WithRunStats.
+// by schedule level. See NewRunStats and WithRunStats.
 type RunStats = telemetry.RunStats
 
 // LevelStats is one schedule level's counters within a RunStats.
@@ -391,7 +325,7 @@ type LevelStats = telemetry.LevelStats
 
 // DriftReport reconciles a run's collected statistics against the planner's
 // cost-model predictions (the paper's Eq. 6/7 factors), level by level. See
-// Plan.Explain and Plan.Drift.
+// Plan.Drift.
 type DriftReport = telemetry.DriftReport
 
 // Tracer writes NDJSON span events (plan, run, cluster-deal) to a
@@ -402,16 +336,15 @@ type Tracer = telemetry.Tracer
 func NewTracer(w io.Writer) *Tracer { return telemetry.NewTracer(w) }
 
 // NewRunStats allocates a telemetry sink for a pattern with n vertices (one
-// counter block per schedule level), for WithRunStats. Plan.NewRunStats is
-// the same thing sized from an existing plan.
+// counter block per schedule level), for WithRunStats.
 func NewRunStats(n int) *RunStats { return telemetry.NewRunStats(n) }
 
 // WithRunStats directs per-level execution telemetry into st for every run
 // of the plan. Collection is opt-in because it is per-run state: allocate
-// with Plan.NewRunStats (or telemetry.NewRunStats(pattern.N())) and reuse
-// across runs via st.Reset. Counts are bit-identical with or without stats;
-// the overhead is one nil check per candidate scan when disabled and plain
-// per-worker counters when enabled.
+// with NewRunStats(pattern.N()) and reuse across runs via st.Reset. Counts
+// are bit-identical with or without stats; the overhead is one nil check
+// per candidate scan when disabled and plain per-worker counters when
+// enabled.
 func WithRunStats(st *RunStats) Option { return func(o *options) { o.stats = st } }
 
 // WithTracer emits coarse phase spans (plan, run) for the plan's
@@ -474,22 +407,10 @@ func (pl *Plan) CountIEP() int64 {
 	return n
 }
 
-// NewRunStats allocates a telemetry sink sized for this plan's schedule, for
-// use with WithRunStats (typically passed to NewPlan; a sink can also be
-// installed on an existing plan's runs by re-planning). Reuse across runs
-// with Reset.
-func (pl *Plan) NewRunStats() *RunStats { return telemetry.NewRunStats(pl.cfg.N()) }
-
-// Explain returns the cost model's per-level predictions for this plan
-// without executing anything: a DriftReport whose actual counters are zero.
-// ok is false when the plan carries no cost-model statistics.
-func (pl *Plan) Explain(useIEP bool) (*DriftReport, bool) {
-	return pl.cfg.DriftReport(useIEP, nil)
-}
-
 // Drift reconciles collected run statistics against the plan's cost-model
 // predictions: the per-level actual/predicted ratios that show where the
-// model mispredicts on this graph. ok is false when the plan carries no
+// model mispredicts on this graph. With st nil it returns the predictions
+// alone, without executing anything. ok is false when the plan carries no
 // cost-model statistics.
 func (pl *Plan) Drift(useIEP bool, st *RunStats) (*DriftReport, bool) {
 	return pl.cfg.DriftReport(useIEP, st)
@@ -527,10 +448,6 @@ func (pl *Plan) EnumerateCtx(ctx context.Context, visit func(embedding []uint32)
 // performance prediction) duration — the paper's Table III quantity — plus
 // the orientation probe when this plan ran it.
 func (pl *Plan) PrepTime() time.Duration { return pl.prep }
-
-// PredictedCost returns the performance model's cost estimate for the
-// selected configuration (relative units).
-func (pl *Plan) PredictedCost() float64 { return pl.cfg.Cost }
 
 // ExecutionTier reports the tier a Count/CountIEP call on this plan will
 // actually run on: TierAuto resolves to the clique kernel for total-order
@@ -576,20 +493,12 @@ func Count(g *Graph, p *Pattern, opts ...Option) (int64, error) {
 // ClusterOptions configures a distributed run (paper §IV-E).
 type ClusterOptions struct {
 	// Nodes is the number of compute nodes (MPI ranks), run in-process.
-	// Ignored when the run targets TCP workers (Workers below, or a Cluster
-	// handle): the rank count is then the connected worker set.
+	// Ignored by Cluster.Count: the rank set is then the connected workers.
 	Nodes int
 	// WorkersPerNode is the number of worker goroutines per node.
 	WorkersPerNode int
 	// UseIEP enables Inclusion-Exclusion counting.
 	UseIEP bool
-	// Workers lists TCP worker addresses (cluster.Serve / ServeCluster
-	// listeners, or `graphpi -serve`). When non-empty, ClusterCount dials
-	// them for the run instead of running nodes in-process; every
-	// worker must hold a replica of the same graph (typically loaded from
-	// a shared GPiCSR3 snapshot). For repeated counts against the same
-	// workers, dial once with ConnectCluster instead.
-	Workers []string
 }
 
 // ClusterResult reports a distributed run.
@@ -621,20 +530,11 @@ func (r *ClusterResult) MaxBusyShare() float64 {
 	return cluster.MaxBusyShare(r.BusyPerNode)
 }
 
-// ClusterCount plans and counts on a cluster whose nodes take tasks from the
-// master on demand. By default the nodes run in-process; set
-// ClusterOptions.Workers (or use a ConnectCluster handle) to run the same job
-// across TCP worker processes. The master cuts the tasks by predicted work,
-// the same cut a local run makes.
+// ClusterCount plans and counts on copt.Nodes in-process nodes that take
+// tasks from the master on demand; ConnectCluster(...).Count runs the same
+// job across TCP worker processes. The master cuts the tasks by predicted
+// work, the same cut a local run makes.
 func ClusterCount(g *Graph, p *Pattern, copt ClusterOptions, opts ...Option) (*ClusterResult, error) {
-	if len(copt.Workers) > 0 {
-		c, err := ConnectCluster(copt.Workers...)
-		if err != nil {
-			return nil, err
-		}
-		defer c.Close()
-		return c.Count(g, p, copt, opts...)
-	}
 	return clusterCount(nil, g, p, copt, opts...)
 }
 
@@ -678,7 +578,6 @@ func clusterCount(tr cluster.Transport, g *Graph, p *Pattern, copt ClusterOption
 // handle. A job errors only when every worker is lost at once.
 type Cluster struct {
 	tr cluster.Transport
-	n  int
 }
 
 // ConnectCluster dials worker processes at addrs (see ServeCluster and
@@ -691,18 +590,14 @@ func ConnectCluster(addrs ...string) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{tr: tr, n: len(addrs)}, nil
+	return &Cluster{tr: tr}, nil
 }
-
-// Workers returns the number of connected worker processes.
-func (c *Cluster) Workers() int { return c.n }
 
 // Close disconnects from the workers.
 func (c *Cluster) Close() error { return c.tr.Close() }
 
 // Count plans and counts across the connected workers. ClusterOptions.Nodes
-// and ClusterOptions.Workers are ignored — the rank set is this handle's
-// worker set.
+// is ignored — the rank set is this handle's worker set.
 func (c *Cluster) Count(g *Graph, p *Pattern, copt ClusterOptions, opts ...Option) (*ClusterResult, error) {
 	return clusterCount(c.tr, g, p, copt, opts...)
 }

@@ -53,7 +53,7 @@ func TestTCPSnapshotWorker(t *testing.T) {
 			if err := graph.SaveBinaryFile(path, dg); err != nil {
 				t.Fatal(err)
 			}
-			replica, err := graph.LoadBinaryFile(path)
+			replica, err := graph.LoadAnyFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}

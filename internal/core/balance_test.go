@@ -59,7 +59,7 @@ func TestEdgeParallelBalance(t *testing.T) {
 	}
 
 	maxShare := func(tasks []taskpool.Range, edge bool) float64 {
-		c := NewCounter(cfg, g, false)
+		c := NewCounter(cfg, g, false, nil)
 		var maxDelta, prev int64
 		for _, tk := range tasks {
 			if edge {
@@ -105,7 +105,7 @@ func TestCountEdgeRangeCoversExactly(t *testing.T) {
 	}
 	want := cfg.Count(g, RunOptions{Workers: 1})
 	for _, chunk := range []int{1, 7, 64, 100000} {
-		c := NewCounter(cfg, g, false)
+		c := NewCounter(cfg, g, false, nil)
 		for _, tk := range equalCut(g.NumAdjSlots(), chunk) {
 			c.CountEdgeRange(tk.Start, tk.End)
 		}

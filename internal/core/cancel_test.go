@@ -138,7 +138,7 @@ func TestCounterStop(t *testing.T) {
 	var stop atomic.Bool
 	stop.Store(true)
 	for _, cfg := range []*Config{house, cliqueConfig(t, 4)} {
-		c := NewCounterStop(cfg, g, false, &stop)
+		c := NewCounter(cfg, g, false, &stop)
 		c.CountRange(0, g.NumVertices())
 		c.CountEdgeRange(0, g.NumAdjSlots())
 		if c.Raw() != 0 {

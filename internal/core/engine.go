@@ -302,18 +302,14 @@ type Counter struct {
 	w tierWorker
 }
 
-// NewCounter creates a Counter bound to a configuration and graph.
-func NewCounter(cfg *Config, g *graph.Graph, useIEP bool) *Counter {
-	return NewCounterStop(cfg, g, useIEP, nil)
-}
-
-// NewCounterStop is NewCounter with a shared stop flag: once stop becomes
-// true the Counter abandons its current range at the next outer-loop
-// boundary and every later CountRange/CountEdgeRange call returns
-// immediately. A stopped Counter's tally is partial — the flag exists so an
-// external runtime (a cluster worker whose master disconnected, a cancelled
-// service job) can free its workers without finishing dead work.
-func NewCounterStop(cfg *Config, g *graph.Graph, useIEP bool, stop *atomic.Bool) *Counter {
+// NewCounter creates a Counter bound to a configuration and graph. stop, a
+// shared flag that may be nil, lets an external runtime (a cluster worker
+// whose master disconnected, a cancelled service job) free its workers
+// without finishing dead work: once it becomes true the Counter abandons its
+// current range at the next outer-loop boundary and every later
+// CountRange/CountEdgeRange call returns immediately, leaving a partial
+// tally.
+func NewCounter(cfg *Config, g *graph.Graph, useIEP bool, stop *atomic.Bool) *Counter {
 	return &Counter{w: cfg.newWorker(g, RunOptions{}, useIEP, nil, stop)}
 }
 

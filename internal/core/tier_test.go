@@ -67,11 +67,11 @@ func matrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, tiers
 	}
 }
 
-// TestTierMatrixNamedPatterns runs the paper's evaluation patterns through
+// TestTierMatrixEvaluationPatterns runs the paper's evaluation patterns through
 // the workers × scheduling matrix of the executor TierAuto picks (the
 // interpreter: none of them is a clique) on plain and bitmap-accelerated
 // graphs.
-func TestTierMatrixNamedPatterns(t *testing.T) {
+func TestTierMatrixEvaluationPatterns(t *testing.T) {
 	g := graph.BarabasiAlbert(250, 4, 7)
 	gHub := graph.BarabasiAlbert(250, 4, 7)
 	gHub.BuildHubBitmaps(1<<24, 8)
@@ -332,7 +332,7 @@ func TestCounterExecutor(t *testing.T) {
 	} {
 		for _, useIEP := range []bool{false, true} {
 			want := tc.cfg.CountIEP(g, RunOptions{Workers: 1, Tier: TierInterpret})
-			c := NewCounter(tc.cfg, g, useIEP)
+			c := NewCounter(tc.cfg, g, useIEP, nil)
 			if _, ok := c.w.(*codegen.Clique); ok != tc.clique {
 				t.Fatalf("%s: counter runs %T, want the clique kernel: %v", tc.cfg.Pattern, c.w, tc.clique)
 			}
@@ -343,7 +343,7 @@ func TestCounterExecutor(t *testing.T) {
 			if !tc.cfg.EdgeParallelEligible(useIEP) {
 				continue
 			}
-			c = NewCounter(tc.cfg, g, useIEP)
+			c = NewCounter(tc.cfg, g, useIEP, nil)
 			for _, tk := range equalCut(g.NumAdjSlots(), 37) {
 				c.CountEdgeRange(tk.Start, tk.End)
 			}

@@ -304,10 +304,6 @@ func (b *Builder) AddEdge(u, v uint32) {
 	b.edges = append(b.edges, uint64(u)<<32|uint64(v))
 }
 
-// NumPendingEdges returns the number of edges recorded so far, before
-// deduplication.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build produces the immutable CSR graph. The builder can be reused after
 // Build; its recorded edges are retained.
 func (b *Builder) Build() (*Graph, error) {

@@ -409,14 +409,14 @@ func TestBinaryFileRoundTrip(t *testing.T) {
 	if err := SaveBinaryFile(path, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := LoadBinaryFile(path)
+	g2, err := LoadAnyFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalGraphs(g, g2) {
 		t.Error("file round trip changed the graph")
 	}
-	if _, err := LoadBinaryFile(path + ".missing"); err == nil {
+	if _, err := LoadAnyFile(path + ".missing"); err == nil {
 		t.Error("loading missing file succeeded")
 	}
 }

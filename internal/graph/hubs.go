@@ -14,10 +14,8 @@ import (
 
 // DefaultHubDegreeFloor is the smallest degree worth a bitmap when the
 // caller does not choose one: below it the scalar kernels are already cheap
-// and the bitmap's O(n/64) memory would be wasted. Workload-aware callers
-// (the ROADMAP's cost-model budget tuning) can lower the floor for
-// intersection-heavy schedules or raise it to reserve the budget for the
-// very top of the degree distribution.
+// and the bitmap's O(n/64) memory would be wasted. Optimize, behind every
+// public entry point, always builds hubs at this floor.
 const DefaultHubDegreeFloor = 64
 
 // DefaultHubBudget is the bitmap memory budget BuildHubBitmaps applies when
@@ -98,11 +96,6 @@ func (g *Graph) BuildHubBitmaps(budgetBytes int64, degreeFloor int) int {
 // NumHubs returns the number of vertices with a precomputed adjacency
 // bitmap (0 when BuildHubBitmaps has not run).
 func (g *Graph) NumHubs() int { return g.numHubs }
-
-// HubDegreeFloor returns the degree floor the current hub set was built
-// with (0 when BuildHubBitmaps has not run). Snapshots persist it so a
-// non-default floor survives a save/load round trip.
-func (g *Graph) HubDegreeFloor() int { return g.hubFloor }
 
 // HubBitmap returns the adjacency bitset of v, or nil when v has none. The
 // bitmap aliases the graph's storage and must not be modified.

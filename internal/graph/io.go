@@ -87,11 +87,11 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // The binary snapshot format is GPiCSR3: the raw CSR arrays plus the dataset
 // name, the degree-ordered reorder map of an Optimize()d graph (so a
 // reloaded graph's Enumerate still reports original vertex ids), and the
-// hub-bitmap budget and degree floor (so a view tuned with OptimizeHubs
-// rebuilds the same hub set on load). Hub bitmaps themselves are rebuilt on
-// load, not stored: they are cheap to reconstruct and their packed form
-// would dominate the file. Older versions (GPiCSR1, GPiCSR2) are rejected by
-// name; regenerate them from the source graph.
+// hub-bitmap budget and degree floor (so the same hub set is rebuilt on
+// load, whatever floor BuildHubBitmaps was given). Hub bitmaps themselves
+// are rebuilt on load, not stored: they are cheap to reconstruct and their
+// packed form would dominate the file. Older versions (GPiCSR1, GPiCSR2) are
+// rejected by name; regenerate them from the source graph.
 const (
 	snapshotPrefix = "GPiCSR"
 	binaryMagic    = snapshotPrefix + "3\n"
@@ -365,20 +365,6 @@ func LoadAnyFile(path string) (*Graph, error) {
 	} else {
 		g, err = ReadEdgeList(br)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return g, nil
-}
-
-// LoadBinaryFile reads a snapshot from path.
-func LoadBinaryFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	g, err := ReadBinary(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -325,8 +325,8 @@ func TestSnapshotPersistsHubDegreeFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.HubDegreeFloor() != 4 {
-		t.Errorf("reloaded floor = %d, want 4", g2.HubDegreeFloor())
+	if g2.hubFloor != 4 {
+		t.Errorf("reloaded floor = %d, want 4", g2.hubFloor)
 	}
 	if g2.NumHubs() != g.NumHubs() {
 		t.Errorf("reloaded hubs = %d, want %d", g2.NumHubs(), g.NumHubs())

@@ -23,7 +23,7 @@ import "sort"
 // degree (new id 0 has maximum degree; ties break by ascending current id).
 // The returned graph remembers the id maps: NewToOld/OldToNew return them and
 // the execution engine uses them to report original ids from Enumerate.
-// Reordering a graph that is itself reordered composes the maps, so OrigID
+// Reordering a graph that is itself reordered composes the maps, so NewToOld
 // always reaches the ids of the graph the chain started from.
 func (g *Graph) Reorder() *Graph {
 	n := g.NumVertices()
@@ -32,7 +32,7 @@ func (g *Graph) Reorder() *Graph {
 	}
 	order := degreeDescOrder(g) // new id → current id
 	// cur2new relabels this graph's ids; the stored maps compose with any
-	// previous reordering so OrigID always reaches the pre-Reorder ids of
+	// previous reordering so NewToOld always reaches the pre-Reorder ids of
 	// the ORIGINAL graph, keeping Enumerate's original-id contract intact
 	// even for Reorder-of-Reorder.
 	cur2new := make([]uint32, n)
@@ -100,12 +100,38 @@ func (g *Graph) NewToOld() []uint32 { return g.newToOld }
 // The returned slice is the graph's own storage; do not modify.
 func (g *Graph) OldToNew() []uint32 { return g.oldToNew }
 
-// OrigID maps a vertex id of this graph back to the id in the original
-// (never-reordered) graph at the root of the Reorder chain. For
-// non-reordered graphs it is the identity.
-func (g *Graph) OrigID(v uint32) uint32 {
-	if g.newToOld == nil {
-		return v
+// Optimize returns the hybrid-adjacency view of g: g reordered (Reorder)
+// with hub bitmaps built under hubBudgetBytes at DefaultHubDegreeFloor. It
+// is the one routine behind the facade's Graph.Optimize and the service's
+// POST /graphs.
+//
+// A graph that is already a degree-ordered view, such as a reloaded
+// snapshot of one, keeps its vertex order: Reorder would give the identity
+// permutation there, so the view shares g's adjacency and id maps instead
+// of sorting them again. With hubBudgetBytes <= 0 it also keeps g's hub set
+// when g has one. g itself is never modified, so it may be shared.
+func (g *Graph) Optimize(hubBudgetBytes int64) *Graph {
+	if !g.IsReordered() || !g.degreeOrdered() {
+		og := g.Reorder()
+		og.BuildHubBitmaps(hubBudgetBytes, 0)
+		return og
 	}
-	return g.newToOld[v]
+	og := &Graph{offsets: g.offsets, adj: g.adj, name: g.name, newToOld: g.newToOld, oldToNew: g.oldToNew}
+	if hubBudgetBytes <= 0 && g.numHubs > 0 {
+		og.hubIdx, og.hubBits, og.hubWords, og.numHubs, og.hubFloor = g.hubIdx, g.hubBits, g.hubWords, g.numHubs, g.hubFloor
+	} else {
+		og.BuildHubBitmaps(hubBudgetBytes, 0)
+	}
+	return og
+}
+
+// degreeOrdered reports whether degrees do not increase with the vertex id,
+// the case where degreeDescOrder is the identity.
+func (g *Graph) degreeOrdered() bool {
+	for v := 1; v < g.NumVertices(); v++ {
+		if g.Degree(uint32(v)) > g.Degree(uint32(v-1)) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"graphpi/internal/vertexset"
@@ -38,12 +40,9 @@ func TestReorderMapsAreInverse(t *testing.T) {
 		if o2n[n2o[v]] != uint32(v) {
 			t.Fatalf("maps not inverse at new id %d", v)
 		}
-		if rg.OrigID(uint32(v)) != n2o[v] {
-			t.Fatalf("OrigID(%d) = %d, want %d", v, rg.OrigID(uint32(v)), n2o[v])
-		}
 	}
-	if g.NewToOld() != nil || g.OrigID(5) != 5 {
-		t.Fatal("non-reordered graph should have identity OrigID and nil maps")
+	if g.NewToOld() != nil || g.OldToNew() != nil {
+		t.Fatal("non-reordered graph should have nil maps")
 	}
 }
 
@@ -167,7 +166,7 @@ func TestSlotOwnerWithIsolatedVertices(t *testing.T) {
 	}
 }
 
-// TestReorderComposesMaps pins the Reorder-of-Reorder contract: OrigID must
+// TestReorderComposesMaps pins the Reorder-of-Reorder contract: NewToOld must
 // always reach the ids of the graph at the root of the chain.
 func TestReorderComposesMaps(t *testing.T) {
 	g := BarabasiAlbert(300, 3, 19)
@@ -183,5 +182,49 @@ func TestReorderComposesMaps(t *testing.T) {
 				t.Fatalf("edge {%d,%d} (orig ids) missing after double reorder", n2o[v], n2o[w])
 			}
 		}
+	}
+}
+
+// TestOptimizeReloadedView: Optimize of a reloaded optimized snapshot keeps
+// the snapshot's vertex order (shared adjacency and id maps, no second
+// sort), keeps its hub set at budget 0, equals a fresh Reorder of it, and
+// never touches the receiver, even when it rebuilds hubs.
+func TestOptimizeReloadedView(t *testing.T) {
+	g := BarabasiAlbert(600, 5, 23)
+	// A budget of three bitmaps, below the six vertices above the floor.
+	og := g.Optimize(int64(4*600 + 3*8*vertexset.BitmapWords(600)))
+	if !og.IsReordered() || og.NumHubs() == 0 || g.IsReordered() || g.NumHubs() != 0 {
+		t.Fatalf("Optimize of a plain graph: reordered %v, %d hubs; receiver reordered %v, %d hubs",
+			og.IsReordered(), og.NumHubs(), g.IsReordered(), g.NumHubs())
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, og); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hubs, hubBytes := loaded.NumHubs(), loaded.HubMemoryBytes()
+
+	kept := loaded.Optimize(0)
+	if &kept.adj[0] != &loaded.adj[0] || &kept.NewToOld()[0] != &loaded.NewToOld()[0] {
+		t.Error("Optimize(0) of a degree-ordered view copied its adjacency or id map")
+	}
+	if re := loaded.Reorder(); !equalGraphs(kept, re) || !slices.Equal(kept.NewToOld(), re.NewToOld()) {
+		t.Error("Optimize(0) of a degree-ordered view differs from its Reorder")
+	}
+	if kept.NumHubs() != hubs || kept.HubMemoryBytes() != hubBytes {
+		t.Errorf("Optimize(0) rebuilt the hub set: %d hubs (%d B), snapshot %d (%d B)",
+			kept.NumHubs(), kept.HubMemoryBytes(), hubs, hubBytes)
+	}
+
+	rebuilt := loaded.Optimize(DefaultHubBudget)
+	if rebuilt.NumHubs() <= hubs {
+		t.Errorf("Optimize(%d) built %d hubs, want more than the snapshot's %d", DefaultHubBudget, rebuilt.NumHubs(), hubs)
+	}
+	if loaded.NumHubs() != hubs || loaded.HubMemoryBytes() != hubBytes {
+		t.Errorf("Optimize modified its receiver: %d hubs (%d B), want %d (%d B)",
+			loaded.NumHubs(), loaded.HubMemoryBytes(), hubs, hubBytes)
 	}
 }

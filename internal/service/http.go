@@ -257,7 +257,6 @@ type loadGraphRequest struct {
 	Path      string `json:"path"`
 	Optimize  bool   `json:"optimize"`
 	HubBudget int64  `json:"hub_budget,omitempty"`
-	HubFloor  int    `json:"hub_floor,omitempty"`
 }
 
 func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
@@ -270,8 +269,8 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &statusError{400, "path required"})
 		return
 	}
-	if req.HubBudget < 0 || req.HubFloor < 0 {
-		writeError(w, &statusError{400, fmt.Sprintf("hub_budget and hub_floor must be >= 0 (0 = default), got %d and %d", req.HubBudget, req.HubFloor)})
+	if req.HubBudget < 0 {
+		writeError(w, &statusError{400, fmt.Sprintf("hub_budget must be >= 0 (0 = default), got %d", req.HubBudget)})
 		return
 	}
 	g, err := graph.LoadAnyFile(req.Path)
@@ -280,15 +279,7 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Optimize {
-		if !g.IsReordered() {
-			g = g.Reorder()
-		}
-		// Rebuild hubs when the snapshot carries none or the operator tuned
-		// the parameters; an already-tuned snapshot's hub set is kept when
-		// the request leaves them at defaults.
-		if g.NumHubs() == 0 || req.HubBudget > 0 || req.HubFloor > 0 {
-			g.BuildHubBitmaps(req.HubBudget, req.HubFloor)
-		}
+		g = g.Optimize(req.HubBudget)
 	}
 	name := req.Name
 	if name == "" {

@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"graphpi/internal/core"
-	"graphpi/internal/pattern"
 	"graphpi/internal/telemetry"
 )
 
@@ -41,9 +40,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	pat, err := pattern.Parse(req.patternSpec)
+	pat, err := parseQueryPattern(req.patternSpec)
 	if err != nil {
-		writeError(w, &statusError{400, err.Error()})
+		writeError(w, err)
 		return
 	}
 	cfg, planSec, hit, err := s.plan(rg, pat)

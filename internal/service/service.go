@@ -245,6 +245,28 @@ type statusError struct {
 
 func (e *statusError) Error() string { return e.msg }
 
+// maxQueryPatternVertices bounds the pattern size a query may name. Planning
+// runs after admission, inside a run slot, and its time grows factorially in
+// the pattern size: on BA(3000,4) statistics core.Plan took 0.38 s for K8,
+// 2.3 s for K9 and 22 s for K10, and K12 did not finish in 95 s. ROADMAP
+// item 9(b), a planner that is not factorial in the pattern size, lifts the
+// bound.
+const maxQueryPatternVertices = 9
+
+// parseQueryPattern resolves a query's pattern spec, answering 400 for a
+// spec pattern.Parse rejects or a pattern above maxQueryPatternVertices.
+// Callers run it before creating a job or holding a run slot.
+func parseQueryPattern(spec string) (*pattern.Pattern, error) {
+	pat, err := pattern.Parse(spec)
+	if err != nil {
+		return nil, &statusError{400, err.Error()}
+	}
+	if pat.N() > maxQueryPatternVertices {
+		return nil, &statusError{400, fmt.Sprintf("pattern %s has %d vertices; queries take at most %d", pat, pat.N(), maxQueryPatternVertices)}
+	}
+	return pat, nil
+}
+
 // queryRequest is one parsed count/enumerate request.
 type queryRequest struct {
 	graphName   string
@@ -352,9 +374,9 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 	if err != nil {
 		return nil, err
 	}
-	pat, err := pattern.Parse(req.patternSpec)
+	pat, err := parseQueryPattern(req.patternSpec)
 	if err != nil {
-		return nil, &statusError{400, err.Error()}
+		return nil, err
 	}
 	be, err := s.pickBackend(req)
 	if err != nil {
@@ -471,9 +493,9 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 	if err != nil {
 		return nil, err
 	}
-	pat, err := pattern.Parse(req.patternSpec)
+	pat, err := parseQueryPattern(req.patternSpec)
 	if err != nil {
-		return nil, &statusError{400, err.Error()}
+		return nil, err
 	}
 
 	j, ctx := s.jobs.create(ctx, "enumerate", rg.name, pat.String())

@@ -539,6 +539,13 @@ func TestServiceErrorStatuses(t *testing.T) {
 		{"/count?graph=ba&pattern=4294967296:", 400},
 		{"/enumerate?graph=ba&pattern=4294967296:", 400},
 		{"/explain?graph=ba&pattern=4294967296:", 400},
+		// Patterns above maxQueryPatternVertices: planning them would hold
+		// a run slot for seconds (K10) to minutes (K12).
+		{"/count?graph=ba&pattern=k10", 400},
+		{"/count?graph=ba&pattern=k12", 400},
+		{"/enumerate?graph=ba&pattern=K12", 400},
+		{"/explain?graph=ba&pattern=k12", 400},
+		{"/count?graph=ba&pattern=" + cycleSpec(10), 400},
 		{"/count?pattern=house", 200}, // single resident graph: name optional
 	}
 	for _, tc := range cases {
@@ -546,8 +553,12 @@ func TestServiceErrorStatuses(t *testing.T) {
 			t.Errorf("GET %s = %d, want %d", tc.url, code, tc.want)
 		}
 	}
+	// Every 400 above is answered before a job exists.
+	if m := s.MetricsSnapshot(); m.Jobs.Created != 1 {
+		t.Errorf("jobs created = %d, want 1 (the house count)", m.Jobs.Created)
+	}
 
-	// POST /graphs: negative hub parameters are errors, not defaults. The
+	// POST /graphs: a negative hub budget is an error, not a default. The
 	// last row loads the same snapshot to show the file itself is fine.
 	snap := filepath.Join(t.TempDir(), "ba.bin")
 	if err := graph.SaveBinaryFile(snap, graph.BarabasiAlbert(100, 3, 1)); err != nil {
@@ -558,7 +569,6 @@ func TestServiceErrorStatuses(t *testing.T) {
 		want  int
 	}{
 		{`"hub_budget":-1`, 400},
-		{`"hub_floor":-3`, 400},
 		{`"hub_budget":4096`, 201},
 	} {
 		body := fmt.Sprintf(`{"name":"loaded","path":%q,"optimize":true,%s}`, snap, tc.extra)
@@ -572,6 +582,19 @@ func TestServiceErrorStatuses(t *testing.T) {
 			t.Errorf("POST /graphs with %s = %d, want %d", tc.extra, resp.StatusCode, tc.want)
 		}
 	}
+}
+
+// cycleSpec spells the n-cycle as an "n:rowmajor01matrix" pattern spec.
+func cycleSpec(n int) string {
+	m := make([]byte, n*n)
+	for i := range m {
+		m[i] = '0'
+	}
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		m[i*n+j], m[j*n+i] = '1', '1'
+	}
+	return fmt.Sprintf("%d:%s", n, m)
 }
 
 // TestServiceClusterBackendSurvivesCancel: after a cancelled cluster job
