@@ -60,7 +60,7 @@ func main() {
 		useIEP      = flag.Bool("iep", false, "count with the Inclusion-Exclusion Principle")
 		list        = flag.Bool("list", false, "list embeddings instead of counting")
 		limit       = flag.Int64("limit", 20, "max embeddings to list with -list (0 = all)")
-		workers     = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS; with -serve, 0 = honor the master; with -server, the shared job worker budget)")
+		workers     = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS; with -serve, 0 = honor the master; with -server, the budget the run slots share, which caps -max-jobs)")
 		hybrid      = flag.Bool("hybrid", false, "run on the degree-ordered, bitmap-accelerated hybrid adjacency view")
 		hubBudget   = flag.Int64("hub-budget", 0, "hub-bitmap memory budget in bytes with -hybrid (0 = 64 MiB)")
 		nodes       = flag.Int("nodes", 0, "count on a cluster of this many in-process nodes (0 = single process)")
@@ -72,8 +72,6 @@ func main() {
 		graphName   = flag.String("graph-name", "", "with -server: name the resident graph is served under (default: its dataset name, or \"default\")")
 		maxJobs     = flag.Int("max-jobs", 0, "with -server: max concurrently executing queries (0 = 2)")
 		maxQueue    = flag.Int("max-queue", 0, "with -server: max queries waiting for a slot before 429s (0 = 64)")
-		cacheBytes  = flag.Int64("plan-cache", 0, "with -server: plan cache budget in bytes (0 = 8 MiB)")
-		clusterRtry = flag.Int("cluster-retries", 0, "with -server: retries for a failed cluster job (0 = 2, negative = none)")
 		emitGo      = flag.String("emit-go", "", "write standalone Go source for the planned configuration to this path and exit")
 		tracePath   = flag.String("trace", "", "append NDJSON span events (plan/run/cluster-deal) to this file")
 		pprofOn     = flag.Bool("pprof", false, "with -server: expose net/http/pprof under /debug/pprof/")
@@ -87,7 +85,6 @@ func main() {
 		hubBudget:   *hubBudget,
 		maxJobs:     *maxJobs,
 		maxQueue:    *maxQueue,
-		cacheBytes:  *cacheBytes,
 		serveAddr:   *serveAddr,
 		joinAddrs:   *joinAddrs,
 		serverAddr:  *serverAddr,
@@ -152,8 +149,6 @@ func main() {
 			workers:      *workers,
 			maxJobs:      *maxJobs,
 			maxQueue:     *maxQueue,
-			cacheBytes:   *cacheBytes,
-			retries:      *clusterRtry,
 			pprof:        *pprofOn,
 			traceW:       traceW,
 		})
@@ -287,7 +282,7 @@ func printRunStats(plan *graphpi.Plan, useIEP bool, st *graphpi.RunStats) {
 type flagState struct {
 	nodes, nodeWorkers               int
 	maxJobs, maxQueue                int
-	hubBudget, cacheBytes            int64
+	hubBudget                        int64
 	serveAddr, joinAddrs, serverAddr string
 	clusterWk, emitGo                string
 	list                             bool
@@ -312,9 +307,6 @@ func validateFlags(f flagState) error {
 	}
 	if f.maxQueue < 0 {
 		return fmt.Errorf("-max-queue must be >= 0 (0 = default), got %d", f.maxQueue)
-	}
-	if f.cacheBytes < 0 {
-		return fmt.Errorf("-plan-cache must be >= 0 (0 = default), got %d", f.cacheBytes)
 	}
 	if f.limit < 0 {
 		return fmt.Errorf("-limit must be >= 0 (0 = list every embedding), got %d", f.limit)
@@ -413,8 +405,6 @@ type serverOptions struct {
 	workers      int
 	maxJobs      int
 	maxQueue     int
-	cacheBytes   int64
-	retries      int
 	pprof        bool
 	traceW       io.Writer
 }
@@ -434,10 +424,8 @@ func runServer(addr string, g *graphpi.Graph, opt serverOptions) {
 		MaxConcurrentJobs:     opt.maxJobs,
 		MaxQueuedJobs:         opt.maxQueue,
 		TotalWorkers:          opt.workers,
-		PlanCacheBytes:        opt.cacheBytes,
 		ClusterWorkers:        opt.clusterAddrs,
 		ClusterWorkersPerNode: opt.nodeWorkers,
-		ClusterJobRetries:     opt.retries,
 		EnablePprof:           opt.pprof,
 		TraceWriter:           opt.traceW,
 		Logf: func(format string, args ...any) {

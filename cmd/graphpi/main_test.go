@@ -46,7 +46,6 @@ func TestValidateFlagsModeExclusivity(t *testing.T) {
 		{"negative hub budget", func(f *flagState) { f.hubBudget = -1 }, "-hub-budget"},
 		{"negative max jobs", func(f *flagState) { f.serverAddr = ":8080"; f.maxJobs = -5 }, "-max-jobs"},
 		{"negative max queue", func(f *flagState) { f.serverAddr = ":8080"; f.maxQueue = -1 }, "-max-queue"},
-		{"negative plan cache", func(f *flagState) { f.serverAddr = ":8080"; f.cacheBytes = -1 }, "-plan-cache"},
 		{"bad server addr", func(f *flagState) { f.serverAddr = "8080" }, "not host:port"},
 		{"bad serve addr", func(f *flagState) { f.serveAddr = "no-port" }, "not host:port"},
 		{"list without limit", func(f *flagState) { f.list = true }, ""},
@@ -116,11 +115,10 @@ func TestParseAddrList(t *testing.T) {
 // removed shows up here as a reviewed change of the list.
 func TestCLIFlags(t *testing.T) {
 	want := []string{
-		"cluster-retries", "cluster-workers", "dataset", "emit-go", "graph",
-		"graph-name", "hub-budget", "hybrid", "iep", "join", "limit", "list",
-		"max-jobs", "max-queue", "node-workers", "nodes", "pattern",
-		"plan-cache", "pprof", "scale", "serve", "server", "stats", "trace",
-		"workers",
+		"cluster-workers", "dataset", "emit-go", "graph", "graph-name",
+		"hub-budget", "hybrid", "iep", "join", "limit", "list", "max-jobs",
+		"max-queue", "node-workers", "nodes", "pattern", "pprof", "scale",
+		"serve", "server", "stats", "trace", "workers",
 	}
 	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.SkipObjectResolution)
 	if err != nil {

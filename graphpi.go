@@ -172,7 +172,7 @@ func LoadGraph(path string) (*Graph, error) {
 }
 
 // SaveBinary writes the fast binary snapshot format (GPiCSR3). Snapshots of
-// an Optimize()d graph persist the degree-ordered id maps and the hub set's
+// an Optimize()d graph persist the degree-ordered id map and the hub set's
 // size, so the hybrid view's Reorder cost is paid once per dataset:
 // LoadGraph restores the view (bitmaps are rebuilt, not stored), Optimize(0)
 // on it returns it as it is, and Enumerate keeps reporting original vertex
@@ -655,19 +655,16 @@ type QueryServiceOptions struct {
 	// Graphs are the resident graphs, by name. Optimize them before
 	// registering; they are treated as immutable once served.
 	Graphs map[string]*Graph
-	// MaxConcurrentJobs bounds simultaneously executing queries (0 → 2).
+	// MaxConcurrentJobs bounds the run slots, i.e. simultaneously admitted
+	// queries (0 → 2, capped at TotalWorkers).
 	MaxConcurrentJobs int
 	// MaxQueuedJobs bounds queries waiting for a run slot; beyond it the
 	// server answers 429 (0 → 64).
 	MaxQueuedJobs int
-	// TotalWorkers is the worker-goroutine budget local jobs share
-	// (0 → GOMAXPROCS).
+	// TotalWorkers is the worker-goroutine budget the run slots share
+	// (0 → GOMAXPROCS): each slot carries
+	// TotalWorkers / MaxConcurrentJobs workers.
 	TotalWorkers int
-	// WorkersPerJob is the default per-job worker budget
-	// (0 → TotalWorkers / MaxConcurrentJobs).
-	WorkersPerJob int
-	// PlanCacheBytes is the plan cache budget (0 → 8 MiB).
-	PlanCacheBytes int64
 	// ClusterWorkers lists TCP cluster worker addresses (ServeCluster /
 	// `graphpi -serve` listeners). When set, counting queries dispatch to
 	// the cluster by default; every worker must hold a replica of the
@@ -676,11 +673,6 @@ type QueryServiceOptions struct {
 	// ClusterWorkersPerNode is the per-rank worker count for dispatched
 	// jobs (0 → 2).
 	ClusterWorkersPerNode int
-	// ClusterJobRetries is how many times a failed cluster job is retried
-	// before the client sees its error (0 → 2, negative → no retries).
-	// Individual worker loss is recovered within an attempt by re-dealing;
-	// retries cover losing the whole fleet at once.
-	ClusterJobRetries int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the query
 	// handler — an operator opt-in (the profiler exposes heap contents).
 	EnablePprof bool
@@ -712,11 +704,8 @@ func ServeQueries(addr string, opt QueryServiceOptions) (*QueryServer, error) {
 		MaxConcurrent:         opt.MaxConcurrentJobs,
 		MaxQueue:              opt.MaxQueuedJobs,
 		TotalWorkers:          opt.TotalWorkers,
-		WorkersPerJob:         opt.WorkersPerJob,
-		CacheBytes:            opt.PlanCacheBytes,
 		ClusterAddrs:          opt.ClusterWorkers,
 		ClusterWorkersPerNode: opt.ClusterWorkersPerNode,
-		ClusterJobRetries:     opt.ClusterJobRetries,
 		EnablePprof:           opt.EnablePprof,
 		Tracer:                telemetry.NewTracer(opt.TraceWriter),
 		Logf:                  opt.Logf,

@@ -31,10 +31,9 @@ type Graph struct {
 
 	name string // optional dataset label, used in reports
 
-	// Degree-ordered relabeling (see reorder.go); nil for graphs not
-	// produced by Reorder.
+	// Degree-ordered relabeling (see reorder.go): the new→old id map, nil
+	// for graphs not produced by Reorder or read from a reordered snapshot.
 	newToOld []uint32
-	oldToNew []uint32
 
 	// Hub adjacency bitmaps (see hubs.go); hubIdx is nil until
 	// BuildHubBitmaps runs.

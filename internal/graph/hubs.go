@@ -28,8 +28,9 @@ const DefaultHubBudget = 64 << 20
 // hub memory — bitmaps plus the 4n-byte vertex index — within budgetBytes
 // (<= 0 → DefaultHubBudget), restricted to members with degree >=
 // degreeFloor (<= 0 → DefaultHubDegreeFloor). It returns K. Calling it
-// again replaces the previous hub set. On a Reorder()ed graph the hubs are
-// exactly the id prefix [0, K).
+// again replaces the previous hub set. On a Reorder()ed graph, or any graph
+// whose degrees do not increase with the id, the hubs are exactly the id
+// prefix [0, K).
 //
 // BuildHubBitmaps is not safe to call concurrently with readers; build the
 // hub set before sharing the graph across workers.
@@ -55,11 +56,12 @@ func (g *Graph) BuildHubBitmaps(budgetBytes int64, degreeFloor int) int {
 	if maxK <= 0 {
 		return 0
 	}
-	// Top-K by degree. On a Reorder()ed graph ids already descend by
-	// degree, so the hubs are the id prefix and no sort is needed;
-	// elsewhere pay one O(n log n) sort.
+	// Top-K by degree. Where ids already descend by degree (a Reorder()ed
+	// graph) the hubs are the id prefix and no sort is needed; elsewhere pay
+	// one O(n log n) sort. A reorder map alone proves nothing: a snapshot may
+	// carry any permutation, so check the degrees themselves.
 	var order []uint32
-	if !g.IsReordered() {
+	if !g.degreeOrdered() {
 		order = degreeDescOrder(g)
 	}
 	hubAt := func(i int) uint32 {

@@ -170,7 +170,7 @@ func WriteBinary(w io.Writer, g *Graph) error {
 
 // ReadBinary reads a GPiCSR3 snapshot produced by WriteBinary and validates
 // its structural invariants before returning. A reordered graph comes back
-// with its id maps intact and its hub bitmaps rebuilt under the stored
+// with its id map intact and its hub bitmaps rebuilt under the stored
 // budget and degree floor. Snapshots of older versions fail with an error
 // that names the version.
 func ReadBinary(r io.Reader) (*Graph, error) {
@@ -247,14 +247,12 @@ func readBinary(br *bufio.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		g.oldToNew = make([]uint32, mapLen)
 		seen := make([]bool, mapLen)
 		for newV, oldV := range g.newToOld {
 			if int64(oldV) >= mapLen || seen[oldV] {
 				return nil, fmt.Errorf("graph: reorder map is not a permutation at %d", newV)
 			}
 			seen[oldV] = true
-			g.oldToNew[oldV] = uint32(newV)
 		}
 	}
 	var hubBytes int64

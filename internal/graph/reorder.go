@@ -16,13 +16,13 @@ import "sort"
 //
 // Embedding counts are invariant under relabeling (restrictions only need
 // *some* consistent total order), but reported embeddings must use original
-// ids, so the reordered graph carries the old↔new maps and the engine
+// ids, so the reordered graph carries the new→old map and the engine
 // translates at the leaves.
 
 // Reorder returns a copy of the graph relabeled so vertex ids descend by
 // degree (new id 0 has maximum degree; ties break by ascending current id).
-// The returned graph remembers the id maps: NewToOld/OldToNew return them and
-// the execution engine uses them to report original ids from Enumerate.
+// The returned graph remembers the id map: NewToOld returns it and the
+// execution engine uses it to report original ids from Enumerate.
 // Reordering a graph that is itself reordered composes the maps, so NewToOld
 // always reaches the ids of the graph the chain started from.
 func (g *Graph) Reorder() *Graph {
@@ -31,7 +31,7 @@ func (g *Graph) Reorder() *Graph {
 		return &Graph{name: g.name}
 	}
 	order := degreeDescOrder(g) // new id → current id
-	// cur2new relabels this graph's ids; the stored maps compose with any
+	// cur2new relabels this graph's ids; the stored map composes with any
 	// previous reordering so NewToOld always reaches the pre-Reorder ids of
 	// the ORIGINAL graph, keeping Enumerate's original-id contract intact
 	// even for Reorder-of-Reorder.
@@ -46,15 +46,10 @@ func (g *Graph) Reorder() *Graph {
 			newToOld[newV] = g.newToOld[curV]
 		}
 	}
-	oldToNew := make([]uint32, n)
-	for newV, oldV := range newToOld {
-		oldToNew[oldV] = uint32(newV)
-	}
 	out := &Graph{
 		offsets:  make([]int64, n+1),
 		name:     g.name,
 		newToOld: newToOld,
-		oldToNew: oldToNew,
 	}
 	for newV, curV := range order {
 		out.offsets[newV+1] = out.offsets[newV] + int64(g.Degree(curV))
@@ -96,10 +91,6 @@ func (g *Graph) IsReordered() bool { return g.newToOld != nil }
 // The returned slice is the graph's own storage; do not modify.
 func (g *Graph) NewToOld() []uint32 { return g.newToOld }
 
-// OldToNew returns the old→new id map of a reordered graph (nil otherwise).
-// The returned slice is the graph's own storage; do not modify.
-func (g *Graph) OldToNew() []uint32 { return g.oldToNew }
-
 // Optimize returns the hybrid-adjacency view of g: g reordered (Reorder)
 // with hub bitmaps built under hubBudgetBytes at DefaultHubDegreeFloor. It
 // is the one routine behind the facade's Graph.Optimize and the service's
@@ -107,7 +98,7 @@ func (g *Graph) OldToNew() []uint32 { return g.oldToNew }
 //
 // A graph that is already a degree-ordered view, such as a reloaded
 // snapshot of one, keeps its vertex order: Reorder would give the identity
-// permutation there, so the view shares g's adjacency and id maps instead
+// permutation there, so the view shares g's adjacency and id map instead
 // of sorting them again. With hubBudgetBytes <= 0 it also keeps g's hub set
 // when g has one. g itself is never modified, so it may be shared.
 func (g *Graph) Optimize(hubBudgetBytes int64) *Graph {
@@ -116,7 +107,7 @@ func (g *Graph) Optimize(hubBudgetBytes int64) *Graph {
 		og.BuildHubBitmaps(hubBudgetBytes, 0)
 		return og
 	}
-	og := &Graph{offsets: g.offsets, adj: g.adj, name: g.name, newToOld: g.newToOld, oldToNew: g.oldToNew}
+	og := &Graph{offsets: g.offsets, adj: g.adj, name: g.name, newToOld: g.newToOld}
 	if hubBudgetBytes <= 0 && g.numHubs > 0 {
 		og.hubIdx, og.hubBits, og.hubWords, og.numHubs, og.hubFloor = g.hubIdx, g.hubBits, g.hubWords, g.numHubs, g.hubFloor
 	} else {

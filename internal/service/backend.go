@@ -47,7 +47,7 @@ func (localBackend) count(ctx context.Context, cfg *core.Config, g *graph.Graph,
 // a worker lost mid-job has its tasks re-dealt to survivors and is redialed
 // before the next job, so the transport survives failures and is kept across
 // them. A job that still fails (e.g. every worker lost at once) is retried
-// with a bounded attempt budget — each retry re-enters the transport's
+// clusterJobRetries times — each retry re-enters the transport's
 // redial sweep, so a restarted fleet recovers the query without the client
 // resubmitting. Only cancellation drops the transport: a cancelled job
 // abandons its session by closing the connections, which both unblocks the
@@ -58,7 +58,6 @@ func (localBackend) count(ctx context.Context, cfg *core.Config, g *graph.Graph,
 type clusterBackend struct {
 	addrs          []string
 	workersPerNode int
-	retries        int // extra attempts after the first (≥ 0)
 	tracer         *telemetry.Tracer
 
 	jobMu sync.Mutex // one wire job at a time
@@ -71,17 +70,19 @@ type clusterBackend struct {
 	jobRetries atomic.Int64
 }
 
-func newClusterBackend(addrs []string, workersPerNode, retries int, tracer *telemetry.Tracer) *clusterBackend {
+// clusterJobRetries is how many times a failed cluster job is retried before
+// its error reaches the client. Worker loss mid-job is already recovered
+// inside a single attempt by the elastic transport; retries cover total
+// failures — every worker lost at once, or a fleet that is restarting.
+const clusterJobRetries = 2
+
+func newClusterBackend(addrs []string, workersPerNode int, tracer *telemetry.Tracer) *clusterBackend {
 	if workersPerNode < 1 {
 		workersPerNode = 2
-	}
-	if retries < 0 {
-		retries = 0
 	}
 	return &clusterBackend{
 		addrs:          append([]string(nil), addrs...),
 		workersPerNode: workersPerNode,
-		retries:        retries,
 		tracer:         tracer,
 	}
 }
@@ -156,7 +157,7 @@ func (b *clusterBackend) count(ctx context.Context, cfg *core.Config, g *graph.G
 	b.jobMu.Lock()
 	defer b.jobMu.Unlock()
 	var lastErr error
-	for attempt := 0; attempt <= b.retries; attempt++ {
+	for attempt := 0; attempt <= clusterJobRetries; attempt++ {
 		if attempt > 0 {
 			b.jobRetries.Add(1)
 			// Brief linear backoff before re-entering the redial sweep:
@@ -213,7 +214,7 @@ func (b *clusterBackend) count(ctx context.Context, cfg *core.Config, g *graph.G
 			return 0, ctx.Err()
 		}
 	}
-	return 0, fmt.Errorf("service: cluster job failed after %d attempts: %w", b.retries+1, lastErr)
+	return 0, fmt.Errorf("service: cluster job failed after %d attempts: %w", clusterJobRetries+1, lastErr)
 }
 
 func (b *clusterBackend) close() {

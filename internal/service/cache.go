@@ -26,11 +26,12 @@ import (
 // handshake fingerprint, so an entry can never be replayed against a
 // different resident graph.
 //
-// Entries are LRU-evicted under a byte budget (coarse per-entry estimate;
-// compiled configurations are small, so the budget is really a count bound
-// that scales with pattern size). Concurrent requests for the same missing
-// key coalesce onto one planning run: the first caller builds while the
-// rest wait on the entry — the cache-stampede guard, asserted by test.
+// Entries are LRU-evicted under a fixed byte budget, planCacheBytes
+// (coarse per-entry estimate; compiled configurations are small, so the
+// budget is really a count bound that scales with pattern size).
+// Concurrent requests for the same missing key coalesce onto one planning
+// run: the first caller builds while the rest wait on the entry — the
+// cache-stampede guard, asserted by test.
 type planCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -72,9 +73,6 @@ type cacheEntry struct {
 }
 
 func newPlanCache(budgetBytes int64) *planCache {
-	if budgetBytes <= 0 {
-		budgetBytes = defaultCacheBytes
-	}
 	return &planCache{
 		budget: budgetBytes,
 		lru:    list.New(),
@@ -82,7 +80,9 @@ func newPlanCache(budgetBytes int64) *planCache {
 	}
 }
 
-const defaultCacheBytes = 8 << 20
+// planCacheBytes is the service's plan-cache budget: thousands of
+// house-sized entries.
+const planCacheBytes = 8 << 20
 
 // get returns the cached configuration for key, building it with build on a
 // miss. hit reports whether a planning run was avoided (a waiter coalescing

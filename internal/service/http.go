@@ -36,8 +36,9 @@ import (
 // per-level run stats and a cost-model drift report into the result's
 // "profile" field), and limit (enumerate: stop after N embeddings).
 // Unknown parameters are ignored: the engine picks the executor, so a tier=
-// parameter has no effect. /explain accepts the same graph/pattern/iep
-// parameters.
+// parameter has no effect. /explain accepts the same graph/pattern/iep/
+// workers parameters and, like /count, plans inside a run slot (429 when
+// the queue is full).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -9,8 +9,9 @@ import (
 )
 
 // Job states. A job is queued from creation until the admission controller
-// grants it a run slot and worker budget, running until its backend returns,
-// and then exactly one of done / failed / canceled.
+// grants it a run slot (which carries its worker budget) and it is planned,
+// running until its backend returns, and then exactly one of done / failed /
+// canceled. An explain job finishes without running.
 const (
 	JobQueued   = "queued"
 	JobRunning  = "running"
@@ -23,7 +24,7 @@ const (
 // payload). Fields are snapshots; ask again for fresh ones.
 type JobInfo struct {
 	ID       string  `json:"id"`
-	Kind     string  `json:"kind"` // count | enumerate
+	Kind     string  `json:"kind"` // count | enumerate | explain
 	Graph    string  `json:"graph"`
 	Pattern  string  `json:"pattern"`
 	Backend  string  `json:"backend,omitempty"`
@@ -134,21 +135,20 @@ func (j *job) Cancel() {
 	}
 }
 
-// jobTable tracks every live job plus a bounded history of finished ones so
-// /jobs answers stay useful without growing forever.
+// jobTable tracks every live job plus the last keepFinishedJobs finished
+// ones, so /jobs answers stay useful without growing forever.
 type jobTable struct {
 	mu       sync.Mutex
 	next     int64
 	jobs     map[string]*job
 	finished []string // finished ids in completion order, pruned FIFO
-	keep     int
 }
 
-func newJobTable(keepFinished int) *jobTable {
-	if keepFinished < 1 {
-		keepFinished = 256
-	}
-	return &jobTable{jobs: map[string]*job{}, keep: keepFinished}
+// keepFinishedJobs bounds the finished-job history /jobs reports.
+const keepFinishedJobs = 256
+
+func newJobTable() *jobTable {
+	return &jobTable{jobs: map[string]*job{}}
 }
 
 // create registers a new queued job and returns it with its cancelable
@@ -183,7 +183,7 @@ func (t *jobTable) retire(j *job) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.finished = append(t.finished, j.id)
-	for len(t.finished) > t.keep {
+	for len(t.finished) > keepFinishedJobs {
 		delete(t.jobs, t.finished[0])
 		t.finished = t.finished[1:]
 	}

@@ -29,37 +29,31 @@ type explainResult struct {
 	Predicted *telemetry.DriftReport `json:"predicted,omitempty"`
 }
 
+// handleExplain answers from the shared prologue alone: the explain job
+// holds a run slot while it plans (and, on a cache miss, probes), and a full
+// queue sheds it with 429 exactly as it sheds /count.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	req, err := parseQuery(r, true)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	rg, err := s.resolveGraph(req.graphName)
+	q, err := s.begin(r.Context(), "explain", req)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	pat, err := parseQueryPattern(req.patternSpec)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	cfg, planSec, hit, err := s.plan(rg, pat)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+	defer s.end(q, 0, nil)
 	res := explainResult{
-		Graph:    rg.name,
-		Pattern:  pat.String(),
-		Schedule: cfg.Schedule.String(),
+		Graph:    q.rg.name,
+		Pattern:  q.pat.String(),
+		Schedule: q.cfg.Schedule.String(),
 		IEP:      req.useIEP,
-		Cache:    cacheLabel(hit),
-		Tier:     cfg.ResolveTier(core.TierAuto).String(),
-		PlanSec:  planSec,
+		Cache:    cacheLabel(q.hit),
+		Tier:     q.cfg.ResolveTier(core.TierAuto).String(),
+		PlanSec:  q.planSec,
 	}
-	if d, ok := cfg.DriftReport(req.useIEP, nil); ok {
+	if d, ok := q.cfg.DriftReport(req.useIEP, nil); ok {
 		res.Predicted = d
 		res.PredictedCost = d.PredictedCost
 	}

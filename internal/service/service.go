@@ -9,15 +9,17 @@
 //     form, so a repeat query skips schedule/restriction search entirely
 //     and its planning latency collapses to a map lookup;
 //   - an admission controller (admit.go) — a bounded run-slot gate with a
-//     FIFO waiting line and fast 429s beyond it — plus per-job worker
-//     budgets drawn from a shared taskpool.Limiter, so concurrent jobs
-//     share the machine instead of oversubscribing it; and
+//     FIFO waiting line and fast 429s beyond it, whose every slot carries
+//     its job's share of the worker budget, so concurrent jobs share the
+//     machine instead of oversubscribing it; and
 //   - a backend abstraction (backend.go): the same compiled configuration
 //     executes on the in-process engine or across TCP cluster workers,
 //     bit-identically, so deployments scale from one box to a worker fleet
 //     without clients noticing.
 //
-// Every query is a job: observable via /jobs, cancellable via
+// Every query — count, enumerate or explain — is a job that passes the same
+// prologue (Server.begin: resolve graph, parse pattern, admit, plan):
+// observable via /jobs, cancellable via
 // /jobs/{id}/cancel, and cancelled implicitly when its client disconnects —
 // cancellation reaches the core counting loops through context plumbing
 // (core.RunOptions.Context) and frees the job's workers within one
@@ -38,26 +40,21 @@ import (
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
 	"graphpi/internal/perm"
-	"graphpi/internal/taskpool"
 	"graphpi/internal/telemetry"
 )
 
 // Options configures a Server. Zero values pick sane defaults.
 type Options struct {
-	// MaxConcurrent bounds how many jobs execute at once (default 2).
+	// MaxConcurrent bounds how many jobs hold a run slot at once (default
+	// 2, and never more than TotalWorkers).
 	MaxConcurrent int
 	// MaxQueue bounds how many admitted jobs may wait for a run slot;
 	// arrivals beyond it are rejected with ErrQueueFull (default 64).
 	MaxQueue int
-	// TotalWorkers is the shared worker-goroutine budget local jobs draw
-	// from (default GOMAXPROCS).
+	// TotalWorkers is the worker-goroutine budget the run slots share
+	// (default GOMAXPROCS). Each slot carries ⌊TotalWorkers/MaxConcurrent⌋
+	// workers; a request's workers= parameter may ask for fewer.
 	TotalWorkers int
-	// WorkersPerJob is the default worker budget per job (default
-	// TotalWorkers / MaxConcurrent, at least 1). Requests may ask for
-	// fewer; asking for more is clamped.
-	WorkersPerJob int
-	// CacheBytes is the plan cache's byte budget (default 8 MiB).
-	CacheBytes int64
 	// ClusterAddrs lists TCP cluster workers (cluster.Serve listeners).
 	// When set, counting jobs default to cluster dispatch; every worker
 	// must hold a replica of the resident graph a job targets.
@@ -65,15 +62,6 @@ type Options struct {
 	// ClusterWorkersPerNode is the per-rank worker count for dispatched
 	// jobs (default 2; workers may override via their ServeOptions).
 	ClusterWorkersPerNode int
-	// ClusterJobRetries is how many times a failed cluster job is retried
-	// before its error reaches the client (default 2; negative → 0). Worker
-	// loss mid-job is already recovered inside a single attempt by the
-	// elastic transport; retries cover total failures — every worker lost at
-	// once, or a fleet that is restarting.
-	ClusterJobRetries int
-	// KeepFinishedJobs bounds the finished-job history /jobs reports
-	// (default 256).
-	KeepFinishedJobs int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the service
 	// handler. Off by default: the profiler exposes heap contents, so it is
 	// an operator opt-in (-pprof on the CLI), not a public surface.
@@ -95,20 +83,9 @@ func (o *Options) normalize() {
 	if o.TotalWorkers < 1 {
 		o.TotalWorkers = runtime.GOMAXPROCS(0)
 	}
-	if o.WorkersPerJob < 1 {
-		o.WorkersPerJob = o.TotalWorkers / o.MaxConcurrent
-		if o.WorkersPerJob < 1 {
-			o.WorkersPerJob = 1
-		}
-	}
-	if o.CacheBytes <= 0 {
-		o.CacheBytes = defaultCacheBytes
-	}
-	if o.ClusterJobRetries == 0 {
-		o.ClusterJobRetries = 2
-	} else if o.ClusterJobRetries < 0 {
-		o.ClusterJobRetries = 0
-	}
+	// Every slot carries at least one worker, so slots beyond the worker
+	// budget would oversubscribe it.
+	o.MaxConcurrent = min(o.MaxConcurrent, o.TotalWorkers)
 }
 
 // Server is the resident query service. Create one with New, register
@@ -118,7 +95,6 @@ type Server struct {
 	cache   *planCache
 	jobs    *jobTable
 	admit   *admission
-	workers *taskpool.Limiter
 	local   localBackend
 	cluster *clusterBackend
 	start   time.Time
@@ -150,16 +126,15 @@ type residentGraph struct {
 func New(opt Options) *Server {
 	opt.normalize()
 	s := &Server{
-		opt:     opt,
-		cache:   newPlanCache(opt.CacheBytes),
-		jobs:    newJobTable(opt.KeepFinishedJobs),
-		admit:   newAdmission(opt.MaxConcurrent, opt.MaxQueue),
-		workers: taskpool.NewLimiter(opt.TotalWorkers),
-		start:   time.Now(),
-		graphs:  map[string]*residentGraph{},
+		opt:    opt,
+		cache:  newPlanCache(planCacheBytes),
+		jobs:   newJobTable(),
+		admit:  newAdmission(opt.MaxConcurrent, opt.TotalWorkers/opt.MaxConcurrent, opt.MaxQueue),
+		start:  time.Now(),
+		graphs: map[string]*residentGraph{},
 	}
 	if len(opt.ClusterAddrs) > 0 {
-		s.cluster = newClusterBackend(opt.ClusterAddrs, opt.ClusterWorkersPerNode, opt.ClusterJobRetries, opt.Tracer)
+		s.cluster = newClusterBackend(opt.ClusterAddrs, opt.ClusterWorkersPerNode, opt.Tracer)
 	}
 	return s
 }
@@ -273,7 +248,7 @@ type queryRequest struct {
 	patternSpec string
 	useIEP      bool
 	backendName string // "", "auto", "local", "cluster"
-	workers     int    // requested budget; 0 → the per-job default
+	workers     int    // requested budget; 0 → the run slot's whole budget
 	limit       int64  // enumerate: stop after this many embeddings (0 = all)
 	profile     bool   // collect per-level run stats + drift (?profile=1)
 }
@@ -317,12 +292,12 @@ type ProfileReport struct {
 }
 
 // plan resolves the cached configuration for (graph, pattern), running the
-// planner and then the orientation step (core.Config.Orient) on the per-job
-// worker budget on a miss, so the cache holds the oriented configuration and
-// a miss's preparation time includes the probe. The configuration searches
+// planner and then the orientation step (core.Config.Orient) on the job's
+// workers on a miss, so the cache holds the oriented configuration and a
+// miss's preparation time includes the probe. The configuration searches
 // for cfg.Pattern, which is pat or another spelling of it. planSec is the
 // wall time this call spent planning — ≈0 on a hit, the point of the cache.
-func (s *Server) plan(rg *residentGraph, pat *pattern.Pattern) (cfg *core.Config, planSec float64, hit bool, err error) {
+func (s *Server) plan(rg *residentGraph, pat *pattern.Pattern, workers int) (cfg *core.Config, planSec float64, hit bool, err error) {
 	key := planKey{graphName: rg.name, graphFP: rg.fp, patternCK: pat.CanonicalKey()}
 	t0 := time.Now()
 	cfg, _, hit, err = s.cache.get(key, func() (*core.Config, time.Duration, error) {
@@ -331,7 +306,7 @@ func (s *Server) plan(rg *residentGraph, pat *pattern.Pattern) (cfg *core.Config
 			return nil, 0, err
 		}
 		t1 := time.Now()
-		oriented, _, err := res.Best.Orient(rg.g, s.opt.WorkersPerJob)
+		oriented, _, err := res.Best.Orient(rg.g, workers)
 		return oriented, res.PrepTime + time.Since(t1), err
 	})
 	return cfg, time.Since(t0).Seconds(), hit, err
@@ -358,18 +333,26 @@ func (s *Server) pickBackend(req queryRequest) (backend, error) {
 	}
 }
 
-// jobBudget clamps a request's worker ask to the per-job budget.
-func (s *Server) jobBudget(requested int) int {
-	w := s.opt.WorkersPerJob
-	if requested > 0 && requested < w {
-		w = requested
-	}
-	return w
+// query is a request past the prologue every endpoint shares: its graph is
+// resolved, its pattern parsed, its job registered, it holds a run slot with
+// its worker budget, and its configuration is planned.
+type query struct {
+	ctx     context.Context // the job's context: cancelled by /jobs/{id}/cancel
+	job     *job
+	rg      *residentGraph
+	pat     *pattern.Pattern
+	cfg     *core.Config
+	workers int // the slot's worker budget; the probe and a local run use it
+	hit     bool
+	planSec float64
 }
 
-// runCount executes one counting query end to end: admission, plan (via
-// cache), worker budget, backend execution, job bookkeeping.
-func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, error) {
+// begin runs the prologue of a count, enumerate or explain request: resolve
+// graph → parse pattern → admit → plan. Nothing plans, probes or runs before
+// the job holds a run slot. On success the caller owns the slot and must
+// call end exactly once; on error begin has already recorded and retired
+// the job.
+func (s *Server) begin(ctx context.Context, kind string, req queryRequest) (*query, error) {
 	rg, err := s.resolveGraph(req.graphName)
 	if err != nil {
 		return nil, err
@@ -378,46 +361,57 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 	if err != nil {
 		return nil, err
 	}
-	be, err := s.pickBackend(req)
-	if err != nil {
-		return nil, err
-	}
-
-	j, ctx := s.jobs.create(ctx, "count", rg.name, pat.String())
+	j, ctx := s.jobs.create(ctx, kind, rg.name, pat.String())
 	s.jobsCreated.Add(1)
-	defer s.jobs.retire(j)
-
-	if err := s.admit.acquire(ctx); err != nil {
+	workers, err := s.admit.acquire(ctx, req.workers)
+	if err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			s.jobsRejected.Add(1)
 		}
 		s.countFinish(j, 0, err)
+		s.jobs.retire(j)
 		return nil, err
 	}
-	defer s.admit.release()
-
+	q := &query{ctx: ctx, job: j, rg: rg, pat: pat, workers: workers}
 	tPlan := time.Now()
-	cfg, planSec, hit, err := s.plan(rg, pat)
+	q.cfg, q.planSec, q.hit, err = s.plan(rg, pat, workers)
 	s.opt.Tracer.Span("plan", tPlan, map[string]string{
-		"graph": rg.name, "pattern": pat.String(), "cache": cacheLabel(hit),
+		"graph": rg.name, "pattern": pat.String(), "cache": cacheLabel(q.hit),
 	})
 	if err != nil {
-		s.countFinish(j, 0, err)
+		s.end(q, 0, err)
 		return nil, err
 	}
+	return q, nil
+}
 
-	// Worker budget: local jobs draw goroutine slots from the shared pool;
-	// cluster jobs burn remote cores and only hold their run slot here.
+// end records a begun query's outcome, returns its run slot and retires its
+// job.
+func (s *Server) end(q *query, count int64, err error) {
+	s.countFinish(q.job, count, err)
+	s.admit.release(q.workers)
+	s.jobs.retire(q.job)
+}
+
+// runCount executes one counting query end to end: the shared prologue,
+// backend execution, job bookkeeping.
+func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, error) {
+	be, err := s.pickBackend(req)
+	if err != nil {
+		return nil, err
+	}
+	q, err := s.begin(ctx, "count", req)
+	if err != nil {
+		return nil, err
+	}
+	cfg := q.cfg
+
+	// Local jobs run on the slot's workers; cluster jobs burn remote cores
+	// and report none.
 	workers := 0
 	local := be == backend(s.local)
 	if local {
-		w, err := s.workers.Acquire(ctx, s.jobBudget(req.workers))
-		if err != nil {
-			s.countFinish(j, 0, err)
-			return nil, err
-		}
-		workers = w
-		defer s.workers.Release(w)
+		workers = q.workers
 	}
 
 	// ?profile=1: hand the backend a stats sink. Local runs merge every
@@ -429,30 +423,29 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 		s.profiledRuns.Add(1)
 	}
 
-	j.setRunning(be.name(), workers, hit)
+	q.job.setRunning(be.name(), workers, q.hit)
 	t0 := time.Now()
-	count, err := be.count(ctx, cfg, rg.g, req.useIEP, workers, stats)
+	count, err := be.count(q.ctx, cfg, q.rg.g, req.useIEP, workers, stats)
 	execSec := time.Since(t0).Seconds()
 	s.countQueries.Add(1)
 	s.queryLatency.Observe(time.Since(t0))
 	s.opt.Tracer.Span("run", t0, map[string]string{
-		"graph": rg.name, "pattern": pat.String(), "backend": be.name(),
+		"graph": q.rg.name, "pattern": q.pat.String(), "backend": be.name(),
 	})
+	s.end(q, count, err)
 	if err != nil {
-		s.countFinish(j, count, err)
 		return nil, err
 	}
-	s.countFinish(j, count, nil)
 	res := &queryResult{
-		Job:     j.id,
-		Graph:   rg.name,
-		Pattern: pat.String(),
+		Job:     q.job.id,
+		Graph:   q.rg.name,
+		Pattern: q.pat.String(),
 		Backend: be.name(),
 		Count:   count,
 		IEP:     req.useIEP,
-		Cache:   cacheLabel(hit),
+		Cache:   cacheLabel(q.hit),
 		Workers: workers,
-		PlanSec: planSec,
+		PlanSec: q.planSec,
 		ExecSec: execSec,
 	}
 	res.Schedule = cfg.Schedule.String()
@@ -489,31 +482,8 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 	if _, err := s.pickBackend(req); err != nil {
 		return nil, err
 	}
-	rg, err := s.resolveGraph(req.graphName)
+	q, err := s.begin(ctx, "enumerate", req)
 	if err != nil {
-		return nil, err
-	}
-	pat, err := parseQueryPattern(req.patternSpec)
-	if err != nil {
-		return nil, err
-	}
-
-	j, ctx := s.jobs.create(ctx, "enumerate", rg.name, pat.String())
-	s.jobsCreated.Add(1)
-	defer s.jobs.retire(j)
-
-	if err := s.admit.acquire(ctx); err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			s.jobsRejected.Add(1)
-		}
-		s.countFinish(j, 0, err)
-		return nil, err
-	}
-	defer s.admit.release()
-
-	cfg, planSec, hit, err := s.plan(rg, pat)
-	if err != nil {
-		s.countFinish(j, 0, err)
 		return nil, err
 	}
 	// The cached configuration may search for another spelling of the
@@ -521,17 +491,11 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 	// isomorphic); its embeddings are indexed by that spelling's vertices.
 	// iso[u] is the configuration's vertex for requested vertex u.
 	var iso perm.Perm
-	if pat.AdjacencyString() != cfg.Pattern.AdjacencyString() {
-		iso, _ = pat.IsomorphismTo(cfg.Pattern)
+	if q.pat.AdjacencyString() != q.cfg.Pattern.AdjacencyString() {
+		iso, _ = q.pat.IsomorphismTo(q.cfg.Pattern)
 	}
-	workers, err := s.workers.Acquire(ctx, s.jobBudget(req.workers))
-	if err != nil {
-		s.countFinish(j, 0, err)
-		return nil, err
-	}
-	defer s.workers.Release(workers)
 
-	j.setRunning("local", workers, hit)
+	q.job.setRunning("local", q.workers, q.hit)
 	// Visit runs concurrently from the job's workers: reserve an emission
 	// slot before writing (and back out on failure), so the stream never
 	// exceeds the limit and the tally stays exact under contention.
@@ -542,7 +506,7 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 	// already had its in-flight visit counted by the engine, so the raw
 	// count can exceed what the stream carried.
 	t0 := time.Now()
-	_, err = cfg.EnumerateCtx(ctx, rg.g, core.RunOptions{Workers: workers}, func(emb []uint32) bool {
+	_, err = q.cfg.EnumerateCtx(q.ctx, q.rg.g, core.RunOptions{Workers: q.workers}, func(emb []uint32) bool {
 		if req.limit > 0 && emitted.Add(1) > req.limit {
 			emitted.Add(-1)
 			truncated.Store(true)
@@ -565,20 +529,19 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 		return true
 	})
 	execSec := time.Since(t0).Seconds()
+	s.end(q, emitted.Load(), err)
 	if err != nil {
-		s.countFinish(j, emitted.Load(), err)
 		return nil, err
 	}
-	s.countFinish(j, emitted.Load(), nil)
 	return &queryResult{
-		Job:       j.id,
-		Graph:     rg.name,
-		Pattern:   pat.String(),
+		Job:       q.job.id,
+		Graph:     q.rg.name,
+		Pattern:   q.pat.String(),
 		Backend:   "local",
 		Count:     emitted.Load(),
-		Cache:     cacheLabel(hit),
-		Workers:   workers,
-		PlanSec:   planSec,
+		Cache:     cacheLabel(q.hit),
+		Workers:   q.workers,
+		PlanSec:   q.planSec,
 		ExecSec:   execSec,
 		Truncated: truncated.Load(),
 	}, nil
@@ -654,8 +617,8 @@ func (s *Server) MetricsSnapshot() Metrics {
 		UptimeSec:   time.Since(s.start).Seconds(),
 		QueueDepth:  s.admit.queueDepth(),
 		RunningJobs: s.admit.running(),
-		BusyWorkers: s.workers.InUse(),
-		WorkerCap:   s.workers.Cap(),
+		BusyWorkers: s.admit.busyWorkers(),
+		WorkerCap:   s.opt.TotalWorkers,
 		Cache:       cs,
 		Jobs: JobCounts{
 			Created:      s.jobsCreated.Load(),

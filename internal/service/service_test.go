@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -425,6 +426,7 @@ func TestServiceTierSelection(t *testing.T) {
 // taskpool workers promptly — far faster than the job would have run — and
 // records the job as canceled.
 func TestServiceCancelReleasesWorkers(t *testing.T) {
+	checkNoLeak(t)
 	// Big enough that a full non-IEP house count takes many seconds.
 	g := baFixture(30000, 8, 3)
 	s := newTestServer(t, g, Options{MaxConcurrent: 1, TotalWorkers: 2})
@@ -434,13 +436,7 @@ func TestServiceCancelReleasesWorkers(t *testing.T) {
 	var status int
 	go func() {
 		defer close(done)
-		resp, err := http.Get(base + "/count?graph=ba&pattern=house&iep=false")
-		if err != nil {
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		status = resp.StatusCode
+		status = statusOf(base + "/count?graph=ba&pattern=house&iep=false")
 	}()
 
 	// Find the running job.
@@ -489,22 +485,15 @@ func TestServiceCancelReleasesWorkers(t *testing.T) {
 // TestServiceAdmissionControl: with one run slot and a one-deep queue, a
 // third concurrent query is shed with ErrQueueFull (HTTP 429).
 func TestServiceAdmissionControl(t *testing.T) {
+	checkNoLeak(t)
 	g := baFixture(20000, 8, 5)
 	s := newTestServer(t, g, Options{MaxConcurrent: 1, MaxQueue: 1, TotalWorkers: 1})
 	base := startHTTP(t, s)
 
-	slow := func() int {
-		resp, err := http.Get(base + "/count?graph=ba&pattern=house&iep=false")
-		if err != nil {
-			return -1
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode
-	}
-	go slow()
+	slow := base + "/count?graph=ba&pattern=house&iep=false"
+	go statusOf(slow)
 	waitFor(t, "first job running", func() bool { return s.MetricsSnapshot().RunningJobs == 1 })
-	go slow()
+	go statusOf(slow)
 	waitFor(t, "second job queued", func() bool { return s.MetricsSnapshot().QueueDepth == 1 })
 
 	var rejected queryResult
@@ -514,6 +503,112 @@ func TestServiceAdmissionControl(t *testing.T) {
 	}
 	if m := s.MetricsSnapshot(); m.Jobs.Rejected < 1 {
 		t.Fatalf("rejection not counted: %+v", m.Jobs)
+	}
+}
+
+// TestServiceExplainBurst: /explain plans inside a run slot, so once the
+// slot is taken and the one-deep queue is full, a burst of cold /explain
+// requests is shed with 429 — planning nothing — exactly as /count would be.
+// Once the running job ends, the queued explain answers, and at rest a cold
+// /explain answers too.
+func TestServiceExplainBurst(t *testing.T) {
+	checkNoLeak(t)
+	g := baFixture(20000, 8, 5)
+	s := newTestServer(t, g, Options{MaxConcurrent: 1, MaxQueue: 1, TotalWorkers: 1})
+	base := startHTTP(t, s)
+
+	go statusOf(base + "/count?graph=ba&pattern=house&iep=false")
+	var running string
+	waitFor(t, "count job running", func() bool {
+		for _, j := range s.jobs.list() {
+			if j.Kind == "count" && j.Status == JobRunning {
+				running = j.ID
+				return true
+			}
+		}
+		return false
+	})
+	plans := s.MetricsSnapshot().Cache.Plans
+
+	queued := make(chan int, 1)
+	go func() { queued <- statusOf(base + "/explain?graph=ba&pattern=p3") }()
+	waitFor(t, "explain queued", func() bool { return s.MetricsSnapshot().QueueDepth == 1 })
+
+	burst := []string{"house", "k5", "pentagon", "p5", "cycle6tri"}
+	for _, p := range burst {
+		if code := getJSON(t, base+"/explain?graph=ba&pattern="+p, nil); code != http.StatusTooManyRequests {
+			t.Errorf("cold /explain of %s with the queue full: status %d, want 429", p, code)
+		}
+	}
+	m := s.MetricsSnapshot()
+	if m.Jobs.Rejected != int64(len(burst)) {
+		t.Errorf("rejected = %d, want %d", m.Jobs.Rejected, len(burst))
+	}
+	if m.Cache.Plans != plans {
+		t.Errorf("shed explains ran the planner: %d → %d runs", plans, m.Cache.Plans)
+	}
+
+	resp, err := http.Post(base+"/jobs/"+running+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if code := <-queued; code != 200 {
+		t.Fatalf("queued /explain after the slot freed: status %d, want 200", code)
+	}
+
+	var rest explainResult
+	if code := getJSON(t, base+"/explain?graph=ba&pattern=k5", &rest); code != 200 || rest.Cache != "miss" {
+		t.Fatalf("cold /explain at rest: status %d cache %q, want 200 miss", code, rest.Cache)
+	}
+}
+
+// TestServiceNeverOversubscribes: each run slot carries its job's worker
+// budget, so during a burst of 2 × MaxConcurrent local counts the granted
+// budgets never sum past the worker cap — with more workers than slots and
+// with fewer (normalize then lowers the slot count).
+func TestServiceNeverOversubscribes(t *testing.T) {
+	g := baFixture(3000, 8, 11)
+	for _, tc := range []struct {
+		name         string
+		total, slots int
+	}{
+		{"workers>=slots", 4, 2},
+		{"workers<slots", 1, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkNoLeak(t)
+			s := newTestServer(t, g, Options{MaxConcurrent: tc.slots, TotalWorkers: tc.total})
+			base := startHTTP(t, s)
+			codes := make(chan int, 2*tc.slots)
+			for i := 0; i < 2*tc.slots; i++ {
+				go func() { codes <- statusOf(base + "/count?graph=ba&pattern=house&iep=false") }()
+			}
+			var maxBusy, maxRunning int
+			for done := 0; done < 2*tc.slots; {
+				select {
+				case code := <-codes:
+					if code != 200 {
+						t.Errorf("count status %d, want 200", code)
+					}
+					done++
+				default:
+					m := s.MetricsSnapshot()
+					if m.BusyWorkers > m.WorkerCap {
+						t.Fatalf("busy_workers %d > worker_cap %d", m.BusyWorkers, m.WorkerCap)
+					}
+					maxBusy, maxRunning = max(maxBusy, m.BusyWorkers), max(maxRunning, m.RunningJobs)
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			if m := s.MetricsSnapshot(); m.WorkerCap != tc.total || m.BusyWorkers != 0 {
+				t.Errorf("after the burst: worker_cap %d, busy_workers %d; want %d, 0", m.WorkerCap, m.BusyWorkers, tc.total)
+			}
+			if slots := min(tc.slots, tc.total); maxRunning > slots || maxBusy == 0 {
+				t.Errorf("peak running %d (slots %d), peak busy %d", maxRunning, slots, maxBusy)
+			}
+			t.Logf("peak running %d, peak busy_workers %d of %d", maxRunning, maxBusy, tc.total)
+		})
 	}
 }
 
@@ -690,7 +785,7 @@ func (l *trackingListener) kill() {
 func TestServiceSurvivesWorkerLoss(t *testing.T) {
 	g := baFixture(2000, 5, 17)
 	addrs, kill := killableWorkers(t, g, 3)
-	s := newTestServer(t, g, Options{ClusterAddrs: addrs, MaxConcurrent: 1, ClusterJobRetries: 2})
+	s := newTestServer(t, g, Options{ClusterAddrs: addrs, MaxConcurrent: 1})
 	base := startHTTP(t, s)
 
 	if code := getJSON(t, base+"/healthz", nil); code != 200 {
@@ -864,7 +959,7 @@ func TestPlanCacheHoldsOrientedConfig(t *testing.T) {
 	if err != nil || !o.Mirrored {
 		t.Fatalf("rectangle on the BA fixture: %s (err %v), want mirrored", o, err)
 	}
-	cfg, _, hit, err := s.plan(rg, pattern.Rectangle())
+	cfg, _, hit, err := s.plan(rg, pattern.Rectangle(), 1)
 	if err != nil || hit {
 		t.Fatalf("hit=%v err=%v, want a miss", hit, err)
 	}
@@ -903,6 +998,39 @@ func TestPlanCachePanicSafe(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("get blocked after a panicking build — entry left in-flight")
 	}
+}
+
+// statusOf GETs url and returns the status code, or -1 when the request
+// fails; unlike getJSON it is safe off the test goroutine.
+func statusOf(url string) int {
+	resp, err := http.Get(url)
+	if err != nil {
+		return -1
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode
+}
+
+// checkNoLeak records the goroutine count and, once the test's servers have
+// closed (cleanups run last-registered first, so call it before starting
+// them), waits for the count to return to that baseline.
+func checkNoLeak(t *testing.T) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		http.DefaultClient.CloseIdleConnections()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines after Close, %d before the test:\n%s",
+					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 }
 
 // waitFor polls cond for up to 5 seconds.
