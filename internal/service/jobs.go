@@ -144,7 +144,8 @@ type jobTable struct {
 	finished []string // finished ids in completion order, pruned FIFO
 }
 
-// keepFinishedJobs bounds the finished-job history /jobs reports.
+// keepFinishedJobs bounds the finished-job history /jobs reports; explain
+// jobs take entries in it like count and enumerate jobs.
 const keepFinishedJobs = 256
 
 func newJobTable() *jobTable {

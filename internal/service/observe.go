@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"net/http"
 
 	"graphpi/internal/core"
@@ -29,22 +30,33 @@ type explainResult struct {
 	Predicted *telemetry.DriftReport `json:"predicted,omitempty"`
 }
 
-// handleExplain answers from the shared prologue alone: the explain job
-// holds a run slot while it plans (and, on a cache miss, probes), and a full
-// queue sheds it with 429 exactly as it sheds /count.
+// handleExplain serves GET /explain from the shared prologue alone: the
+// explain job holds a run slot while it plans (and, on a cache miss,
+// probes), and a full queue sheds it with 429 exactly as it sheds /count.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	req, err := parseQuery(r, true)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	q, err := s.begin(r.Context(), "explain", req)
+	res, err := s.explain(r.Context(), req)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	defer s.end(q, 0, nil)
-	res := explainResult{
+	writeJSON(w, http.StatusOK, res)
+}
+
+// explain plans one query and reports the plan without running it. Its job
+// returns the run slot once the report is built, before the reply is
+// written, as a count job does.
+func (s *Server) explain(ctx context.Context, req queryRequest) (_ *explainResult, err error) {
+	q, err := s.begin(ctx, "explain", req)
+	if err != nil {
+		return nil, err
+	}
+	defer s.end(q, new(int64), &err) // an explain job counts nothing
+	res := &explainResult{
 		Graph:    q.rg.name,
 		Pattern:  q.pat.String(),
 		Schedule: q.cfg.Schedule.String(),
@@ -57,7 +69,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		res.Predicted = d
 		res.PredictedCost = d.PredictedCost
 	}
-	writeJSON(w, http.StatusOK, res)
+	return res, nil
 }
 
 // handleMetrics serves /metrics: the JSON Metrics snapshot. It is a

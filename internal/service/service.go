@@ -350,8 +350,8 @@ type query struct {
 // begin runs the prologue of a count, enumerate or explain request: resolve
 // graph → parse pattern → admit → plan. Nothing plans, probes or runs before
 // the job holds a run slot. On success the caller owns the slot and must
-// call end exactly once; on error begin has already recorded and retired
-// the job.
+// defer end at once; on an error or a planner panic begin has already
+// recorded the job's failure, returned its slot and retired it.
 func (s *Server) begin(ctx context.Context, kind string, req queryRequest) (*query, error) {
 	rg, err := s.resolveGraph(req.graphName)
 	if err != nil {
@@ -373,21 +373,44 @@ func (s *Server) begin(ctx context.Context, kind string, req queryRequest) (*que
 		return nil, err
 	}
 	q := &query{ctx: ctx, job: j, rg: rg, pat: pat, workers: workers}
+	defer func() {
+		if p := recover(); p != nil {
+			s.finish(q, 0, errPlanPanic)
+			panic(p)
+		}
+	}()
 	tPlan := time.Now()
 	q.cfg, q.planSec, q.hit, err = s.plan(rg, pat, workers)
 	s.opt.Tracer.Span("plan", tPlan, map[string]string{
 		"graph": rg.name, "pattern": pat.String(), "cache": cacheLabel(q.hit),
 	})
 	if err != nil {
-		s.end(q, 0, err)
+		s.finish(q, 0, err)
 		return nil, err
 	}
 	return q, nil
 }
 
-// end records a begun query's outcome, returns its run slot and retires its
-// job.
-func (s *Server) end(q *query, count int64, err error) {
+// end is deferred by every caller begin handed a query to, with pointers to
+// the count and error the caller will return; it finishes the query with
+// them. A panic between begin and end (a backend run, result building)
+// still fails the job and returns its slot before it propagates, so a
+// panicking request cannot wedge admission.
+func (s *Server) end(q *query, count *int64, err *error) {
+	if p := recover(); p != nil {
+		s.finish(q, 0, errJobPanic)
+		panic(p)
+	}
+	s.finish(q, *count, *err)
+}
+
+// errJobPanic is the recorded failure of a job whose request panicked after
+// planning.
+var errJobPanic = errors.New("service: job panicked")
+
+// finish records a begun query's outcome, returns its run slot and retires
+// its job.
+func (s *Server) finish(q *query, count int64, err error) {
 	s.countFinish(q.job, count, err)
 	s.admit.release(q.workers)
 	s.jobs.retire(q.job)
@@ -395,7 +418,7 @@ func (s *Server) end(q *query, count int64, err error) {
 
 // runCount executes one counting query end to end: the shared prologue,
 // backend execution, job bookkeeping.
-func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, error) {
+func (s *Server) runCount(ctx context.Context, req queryRequest) (_ *queryResult, err error) {
 	be, err := s.pickBackend(req)
 	if err != nil {
 		return nil, err
@@ -404,6 +427,8 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 	if err != nil {
 		return nil, err
 	}
+	var count int64
+	defer s.end(q, &count, &err)
 	cfg := q.cfg
 
 	// Local jobs run on the slot's workers; cluster jobs burn remote cores
@@ -425,14 +450,13 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 
 	q.job.setRunning(be.name(), workers, q.hit)
 	t0 := time.Now()
-	count, err := be.count(q.ctx, cfg, q.rg.g, req.useIEP, workers, stats)
+	count, err = be.count(q.ctx, cfg, q.rg.g, req.useIEP, workers, stats)
 	execSec := time.Since(t0).Seconds()
 	s.countQueries.Add(1)
 	s.queryLatency.Observe(time.Since(t0))
 	s.opt.Tracer.Span("run", t0, map[string]string{
 		"graph": q.rg.name, "pattern": q.pat.String(), "backend": be.name(),
 	})
-	s.end(q, count, err)
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +496,7 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (*queryResult, 
 // runEnumerate executes one enumerate query, invoking visit for every
 // embedding (possibly from several goroutines; visit must serialize its own
 // output). It returns the stream trailer.
-func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func([]uint32) bool) (*queryResult, error) {
+func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func([]uint32) bool) (_ *queryResult, err error) {
 	// Enumerate always runs locally (the cluster wire reduces counts, not
 	// embedding streams): an explicit cluster request is an error, auto
 	// falls through to local, and unknown names get pickBackend's 400.
@@ -486,6 +510,8 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 	if err != nil {
 		return nil, err
 	}
+	var count int64
+	defer s.end(q, &count, &err)
 	// The cached configuration may search for another spelling of the
 	// pattern (the cache key is the canonical form, so the two are
 	// isomorphic); its embeddings are indexed by that spelling's vertices.
@@ -529,7 +555,7 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 		return true
 	})
 	execSec := time.Since(t0).Seconds()
-	s.end(q, emitted.Load(), err)
+	count = emitted.Load()
 	if err != nil {
 		return nil, err
 	}
@@ -538,7 +564,7 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 		Graph:     q.rg.name,
 		Pattern:   q.pat.String(),
 		Backend:   "local",
-		Count:     emitted.Load(),
+		Count:     count,
 		Cache:     cacheLabel(q.hit),
 		Workers:   q.workers,
 		PlanSec:   q.planSec,
@@ -574,8 +600,8 @@ type Metrics struct {
 	Graphs      int        `json:"graphs"`
 	QueueDepth  int        `json:"queue_depth"`
 	RunningJobs int        `json:"running_jobs"`
-	BusyWorkers int        `json:"busy_workers"`
-	WorkerCap   int        `json:"worker_cap"`
+	BusyWorkers int        `json:"busy_workers"` // granted slots' budgets, cluster jobs' included
+	WorkerCap   int        `json:"worker_cap"`   // TotalWorkers
 	Jobs        JobCounts  `json:"jobs"`
 	Cache       cacheStats `json:"cache"`
 	HitRate     float64    `json:"cache_hit_rate"`
@@ -599,7 +625,8 @@ type Metrics struct {
 }
 
 // JobCounts aggregates job outcomes since start, plus the count queries
-// that reached a backend and how many of those were profiled.
+// that reached a backend and how many of those were profiled. Explain jobs
+// count in Created through Rejected like count and enumerate jobs.
 type JobCounts struct {
 	Created      int64 `json:"created"`
 	Done         int64 `json:"done"`

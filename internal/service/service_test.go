@@ -334,9 +334,11 @@ func TestServiceCountsBitIdentical(t *testing.T) {
 // coalesce onto one planning run — the stampede guard.
 func TestServiceCacheStampede(t *testing.T) {
 	g := baFixture(300, 4, 7)
-	s := newTestServer(t, g, Options{MaxConcurrent: 8})
-
 	const N = 8
+	// N slots of one worker each, so all N queries hold a slot and plan at
+	// once whatever GOMAXPROCS is.
+	s := newTestServer(t, g, Options{MaxConcurrent: N, TotalWorkers: N})
+
 	counts := make([]int64, N)
 	errs := make([]error, N)
 	var wg sync.WaitGroup
@@ -503,6 +505,56 @@ func TestServiceAdmissionControl(t *testing.T) {
 	}
 	if m := s.MetricsSnapshot(); m.Jobs.Rejected < 1 {
 		t.Fatalf("rejection not counted: %+v", m.Jobs)
+	}
+}
+
+// TestServicePanicReleasesSlot: a request that panics while it holds a run
+// slot — in the planner, or between begin and end — fails its job and
+// returns the slot and its workers before the panic propagates, so the
+// one-slot server still answers the next query.
+func TestServicePanicReleasesSlot(t *testing.T) {
+	g := baFixture(300, 4, 7)
+	s := newTestServer(t, g, Options{MaxConcurrent: 1, MaxQueue: 1, TotalWorkers: 1})
+	// A resident graph with no data: planning it dereferences nil.
+	s.graphs["broken"] = &residentGraph{name: "broken", fp: "broken"}
+	// A leaked slot makes later requests wait; the deadline turns that wait
+	// into a failure.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("planning a graph without data", func() {
+		s.runCount(ctx, queryRequest{graphName: "broken", patternSpec: "triangle"})
+	})
+	mustPanic("a panic after planning", func() {
+		q, err := s.begin(ctx, "count", queryRequest{graphName: "ba", patternSpec: "triangle"})
+		if err != nil {
+			t.Errorf("begin: %v", err)
+			return
+		}
+		var count int64
+		defer s.end(q, &count, &err)
+		panic("backend bug")
+	})
+	m := s.MetricsSnapshot()
+	if m.RunningJobs != 0 || m.BusyWorkers != 0 || m.Jobs.Failed != 2 {
+		t.Fatalf("after two panics: running_jobs %d, busy_workers %d, failed %d; want 0, 0, 2",
+			m.RunningJobs, m.BusyWorkers, m.Jobs.Failed)
+	}
+	for _, j := range s.jobs.list() {
+		if j.Status != JobFailed {
+			t.Errorf("job %s (%s) is %s, want %s", j.ID, j.Graph, j.Status, JobFailed)
+		}
+	}
+	if _, err := s.runCount(ctx, queryRequest{graphName: "ba", patternSpec: "triangle"}); err != nil {
+		t.Fatalf("query after the panics: %v", err)
 	}
 }
 
