@@ -74,6 +74,8 @@ func BenchmarkPlan(b *testing.B) {
 		{"p5", pattern.P5},
 		{"k7", func() *pattern.Pattern { return pattern.Clique(7) }},
 		{"prism", pattern.Prism},
+		{"k8", func() *pattern.Pattern { return pattern.Clique(8) }},                // the order table's largest degree
+		{"k45", func() *pattern.Pattern { return pattern.CompleteBipartite(4, 5) }}, // 9 vertices: no order table
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

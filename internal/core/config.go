@@ -17,7 +17,6 @@ import (
 	"graphpi/internal/costmodel"
 	"graphpi/internal/iep"
 	"graphpi/internal/pattern"
-	"graphpi/internal/perm"
 	"graphpi/internal/restrict"
 	"graphpi/internal/schedule"
 )
@@ -209,12 +208,6 @@ func (c *Config) program(useIEP bool) *codegen.Program {
 	return c.progEnum
 }
 
-// maxIEPExactnessN caps the pattern size for which the IEP over-count
-// correction is verified (the check enumerates all n! relative orders).
-// Larger patterns simply fall back to plain enumeration when CountIEP is
-// requested; the paper's patterns stop at 7 vertices.
-const maxIEPExactnessN = 8
-
 // computeIEPScaling determines the largest usable IEP suffix and the exact
 // over-count correction.
 //
@@ -225,114 +218,52 @@ const maxIEPExactnessN = 8
 // passing the outer restrictions — which holds for the configurations the
 // paper exercises but not for every (schedule, restriction set) pair
 // Algorithm 1 can emit. We therefore verify exactness explicitly: for k
-// from the schedule's independent suffix downward, enumerate the n!
-// relative orders grouped into automorphism cosets and check that the
+// from the schedule's independent suffix downward, read off the pattern's
+// order table (its n! relative orders grouped into automorphism cosets) the
 // per-coset counts of orders passing (a) the full set and (b) the
-// outer-only set are constants. The first k that passes fixes the scaling
-// CountIEP must apply (full/outer, i.e. iepNum/iepDen); if none passes,
-// CountIEP falls back to full enumeration (kIEP = 0).
+// outer-only set, and check that they are constants. The first k that
+// passes fixes the scaling CountIEP must apply (full/outer, i.e.
+// iepNum/iepDen); if none passes, CountIEP falls back to full enumeration
+// (kIEP = 0). Patterns above perm.MaxTableDegree vertices have no table and
+// always fall back; the paper's patterns stop at 7 vertices.
 func (c *Config) computeIEPScaling() {
 	c.iepNum, c.iepDen = 1, 1
 	if c.kIEP < 1 || c.n < 2 {
 		c.kIEP = 0
 		return
 	}
-	if c.n > maxIEPExactnessN {
+	t := c.Pattern.OrderTable()
+	if t == nil {
 		c.kIEP = 0
 		return
 	}
-	full := c.posRestrictionSet(c.n)
-	auts := c.relabeled.Automorphisms()
-	for k := c.kIEP; k >= 1; k-- {
-		outer := c.posRestrictionSet(c.n - k)
-		num, den, ok := cosetConstants(c.n, auts, full, outer)
-		if ok {
+	num, fullOK := t.PerCoset(t.Satisfying(c.vertexGreater(c.n)))
+	for k := c.kIEP; k >= 1 && fullOK; k-- {
+		den, ok := t.PerCoset(t.Satisfying(c.vertexGreater(c.n - k)))
+		if ok && den > 0 {
 			c.kIEP = k
-			c.iepNum, c.iepDen = num, den
+			c.iepNum, c.iepDen = int64(num), int64(den)
 			return
 		}
 	}
 	c.kIEP = 0
 }
 
-// posRestrictionSet collects the restrictions (in position space) whose
-// later endpoint lies before cut — i.e. the checks executed by the
-// outermost cut loops.
-func (c *Config) posRestrictionSet(cut int) restrict.Set {
-	var out restrict.Set
+// vertexGreater collects the restrictions whose later endpoint's schedule
+// position lies before cut — the checks executed by the outermost cut
+// loops — on the pattern's own vertices, as greater masks: bit u of
+// greater[v] demands id(u) > id(v).
+func (c *Config) vertexGreater(cut int) []uint16 {
+	greater := make([]uint16, c.n)
 	for d := 0; d < cut && d < c.n; d++ {
 		for _, p := range c.lowers[d] {
-			out = append(out, restrict.Restriction{First: uint8(d), Second: p})
+			greater[c.order[p]] |= 1 << c.order[d]
 		}
 		for _, p := range c.uppers[d] {
-			out = append(out, restrict.Restriction{First: p, Second: uint8(d)})
+			greater[c.order[d]] |= 1 << c.order[p]
 		}
 	}
-	return out.Canonicalize()
-}
-
-// cosetConstants partitions the n! relative orders into automorphism cosets
-// (σ ~ σ∘a) and returns the per-coset counts of orders satisfying the full
-// and outer restriction sets, provided those counts are the same for every
-// coset; ok is false otherwise.
-func cosetConstants(n int, auts []perm.Perm, full, outer restrict.Set) (numFull, numOuter int64, ok bool) {
-	pass := func(sigma perm.Perm, s restrict.Set) bool {
-		for _, r := range s {
-			if sigma[r.First] <= sigma[r.Second] {
-				return false
-			}
-		}
-		return true
-	}
-	visited := make([]bool, perm.Factorial(n))
-	tau := make(perm.Perm, n)
-	first := true
-	ok = true
-	perm.ForEach(n, func(sigma perm.Perm) bool {
-		if visited[lehmerRank(sigma)] {
-			return true
-		}
-		var mFull, mOuter int64
-		for _, a := range auts {
-			for i := range a {
-				tau[i] = sigma[a[i]]
-			}
-			visited[lehmerRank(tau)] = true
-			if pass(tau, outer) {
-				mOuter++
-				if pass(tau, full) {
-					mFull++
-				}
-			}
-		}
-		if first {
-			numFull, numOuter, first = mFull, mOuter, false
-		} else if mFull != numFull || mOuter != numOuter {
-			ok = false
-			return false
-		}
-		return true
-	})
-	if numOuter == 0 {
-		return 0, 0, false // inconsistent set: nothing would ever be counted
-	}
-	return numFull, numOuter, ok
-}
-
-// lehmerRank maps a permutation to its lexicographic rank in [0, n!).
-func lehmerRank(p perm.Perm) int64 {
-	n := len(p)
-	var rank int64
-	for i := 0; i < n; i++ {
-		smaller := 0
-		for j := i + 1; j < n; j++ {
-			if p[j] < p[i] {
-				smaller++
-			}
-		}
-		rank += int64(smaller) * perm.Factorial(n-1-i)
-	}
-	return rank
+	return greater
 }
 
 // N returns the pattern size.

@@ -83,7 +83,7 @@ func (c *Config) CompileTier(g *graph.Graph, useIEP bool, tier Tier) (Tier, erro
 // way. Under a total order exactly one ordering of each clique passes the
 // restrictions, so the kernel's fixed descending order counts the same set —
 // regardless of which total order the planner picked. (This also makes the
-// substitution valid for k > maxIEPExactnessN, where the coset verification
+// substitution valid for k > perm.MaxTableDegree, where the coset verification
 // cannot run.)
 func (c *Config) detectCliqueKernel(w restrict.Windows) {
 	n := c.n

@@ -7,6 +7,7 @@ import (
 	"graphpi/internal/codegen"
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
+	"graphpi/internal/perm"
 	"graphpi/internal/restrict"
 	"graphpi/internal/schedule"
 	"graphpi/internal/telemetry"
@@ -133,7 +134,7 @@ func TestGeneratedCliqueTierMatrix(t *testing.T) {
 		tiers := []Tier{TierAuto, TierGenerated}
 		for _, gg := range []*graph.Graph{g, gHub} {
 			matrixCompare(t, cfg.Pattern.Name(), cfg, gg, tiers, false)
-			if q <= maxIEPExactnessN {
+			if q <= perm.MaxTableDegree {
 				matrixCompare(t, cfg.Pattern.Name(), cfg, gg, tiers, true)
 			}
 		}

@@ -1,6 +1,7 @@
 package pattern_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -43,34 +44,47 @@ func TestAutomorphismsMatchBruteForce(t *testing.T) {
 		}
 		// ForEach is lexicographic, so equality in order is sortedness too.
 		for i := range got {
-			if !perm.Equal(got[i], want[i]) {
+			if !slices.Equal(got[i], want[i]) {
 				t.Errorf("%s: automorphism %d is %v, brute force has %v", np.Name, i, got[i], want[i])
 				break
 			}
 		}
-		if !perm.IsGroup(got) {
+		// got holds distinct permutations, so it is a group exactly when the
+		// group it generates is no larger.
+		if len(perm.Closure(got)) != len(got) {
 			t.Errorf("%s: automorphisms do not form a group", np.Name)
 		}
 	}
 }
 
 // TestAutomorphismsConcurrent asks one cold Pattern for its memoised
-// automorphisms from many goroutines at once. Run under -race.
+// automorphisms and order table (which reads them) from many goroutines at
+// once. Run under -race.
 func TestAutomorphismsConcurrent(t *testing.T) {
 	p := pattern.Prism()
 	var wg sync.WaitGroup
 	sizes := make([]int, 8)
+	tables := make([]*perm.OrderTable, 8)
 	for i := range sizes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if i%2 == 0 {
+				tables[i] = p.OrderTable()
+			}
 			sizes[i] = len(p.Automorphisms())
+			if i%2 == 1 {
+				tables[i] = p.OrderTable()
+			}
 		}()
 	}
 	wg.Wait()
 	for i, n := range sizes {
 		if n != 12 {
 			t.Errorf("goroutine %d saw %d automorphisms, want 12", i, n)
+		}
+		if tables[i] == nil || tables[i] != tables[0] {
+			t.Errorf("goroutine %d saw order table %p, goroutine 0 %p", i, tables[i], tables[0])
 		}
 	}
 }

@@ -34,6 +34,9 @@ type Pattern struct {
 
 	autsOnce sync.Once
 	auts     []perm.Perm // memoised by Automorphisms
+
+	tableOnce sync.Once
+	table     *perm.OrderTable // memoised by OrderTable
 }
 
 // New builds a pattern with n vertices and the given undirected edges.
@@ -227,6 +230,20 @@ func (p *Pattern) Automorphisms() []perm.Perm {
 		p.extendAutomorphism(make(perm.Perm, p.n), 0, 0)
 	})
 	return p.auts
+}
+
+// OrderTable returns the pattern's n! relative orders laid out by
+// automorphism coset (perm.OrderTable), or nil above perm.MaxTableDegree
+// vertices. Like Automorphisms it is built once per Pattern, so restriction
+// generation, validation and the IEP check of every configuration compiled
+// for the pattern share one table; callers must not modify it.
+func (p *Pattern) OrderTable() *perm.OrderTable {
+	p.tableOnce.Do(func() {
+		if p.n <= perm.MaxTableDegree {
+			p.table = perm.NewOrderTable(p.n, p.Automorphisms())
+		}
+	})
+	return p.table
 }
 
 // extendAutomorphism backtracks over the images of vertices u, u+1, …: q[u]

@@ -56,19 +56,6 @@ func (p Perm) IsIdentity() bool {
 	return true
 }
 
-// Equal reports whether p and q are the same permutation.
-func Equal(p, q Perm) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i] != q[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Compose returns the permutation r with r(i) = p(q(i)).
 func Compose(p, q Perm) Perm {
 	if len(p) != len(q) {
@@ -212,35 +199,6 @@ func Sort(ps []Perm) {
 	sort.Slice(ps, func(i, j int) bool {
 		return strings.Compare(string(ps[i]), string(ps[j])) < 0
 	})
-}
-
-// IsGroup reports whether the given set of permutations is closed under
-// composition and inverse and contains the identity.
-func IsGroup(ps []Perm) bool {
-	if len(ps) == 0 {
-		return false
-	}
-	set := make(map[string]bool, len(ps))
-	for _, p := range ps {
-		if !p.Valid() || len(p) != len(ps[0]) {
-			return false
-		}
-		set[p.key()] = true
-	}
-	if !set[Identity(len(ps[0])).key()] {
-		return false
-	}
-	for _, p := range ps {
-		if !set[p.Inverse().key()] {
-			return false
-		}
-		for _, q := range ps {
-			if !set[Compose(p, q).key()] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ForEach enumerates all n! permutations of {0,…,n-1} in lexicographic

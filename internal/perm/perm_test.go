@@ -3,6 +3,7 @@ package perm
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -38,7 +39,7 @@ func TestComposeInverse(t *testing.T) {
 	pq := Compose(p, q)
 	// (p∘q)(2) = p(3) = 3, (p∘q)(3) = p(2) = 0
 	want := Perm{1, 2, 3, 0}
-	if !Equal(pq, want) {
+	if !slices.Equal(pq, want) {
 		t.Errorf("Compose = %v, want %v", pq, want)
 	}
 	if !Compose(p, p.Inverse()).IsIdentity() || !Compose(p.Inverse(), p).IsIdentity() {
@@ -86,6 +87,35 @@ func TestTwoCycles(t *testing.T) {
 	}
 }
 
+// isGroup reports whether the given set of permutations is closed under
+// composition and inverse and contains the identity.
+func isGroup(ps []Perm) bool {
+	if len(ps) == 0 {
+		return false
+	}
+	set := make(map[string]bool, len(ps))
+	for _, p := range ps {
+		if !p.Valid() || len(p) != len(ps[0]) {
+			return false
+		}
+		set[p.key()] = true
+	}
+	if !set[Identity(len(ps[0])).key()] {
+		return false
+	}
+	for _, p := range ps {
+		if !set[p.Inverse().key()] {
+			return false
+		}
+		for _, q := range ps {
+			if !set[Compose(p, q).key()] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestClosure(t *testing.T) {
 	// The rotation (0 1 2 3) and reflection (1 3) generate the dihedral
 	// group D4 of order 8 — the automorphism group of the rectangle pattern
@@ -96,12 +126,12 @@ func TestClosure(t *testing.T) {
 	if len(g) != 8 {
 		t.Fatalf("|D4| = %d, want 8", len(g))
 	}
-	if !IsGroup(g) {
+	if !isGroup(g) {
 		t.Error("closure is not a group")
 	}
 	// Cyclic group C5.
 	c5 := Closure([]Perm{{1, 2, 3, 4, 0}})
-	if len(c5) != 5 || !IsGroup(c5) {
+	if len(c5) != 5 || !isGroup(c5) {
 		t.Errorf("|C5| = %d, want 5", len(c5))
 	}
 	if Closure(nil) != nil {
@@ -111,14 +141,14 @@ func TestClosure(t *testing.T) {
 
 func TestIsGroupRejects(t *testing.T) {
 	// Missing identity.
-	if IsGroup([]Perm{{1, 0}}) {
+	if isGroup([]Perm{{1, 0}}) {
 		t.Error("set without identity accepted")
 	}
 	// Not closed.
-	if IsGroup([]Perm{{0, 1, 2}, {1, 2, 0}}) {
+	if isGroup([]Perm{{0, 1, 2}, {1, 2, 0}}) {
 		t.Error("non-closed set accepted")
 	}
-	if IsGroup(nil) {
+	if isGroup(nil) {
 		t.Error("empty set accepted")
 	}
 }
@@ -191,7 +221,7 @@ func TestGroupAxiomsProperty(t *testing.T) {
 		n := 1 + r.IntN(10)
 		p, q, s := randPerm(r, n), randPerm(r, n), randPerm(r, n)
 		// (p∘q)∘s == p∘(q∘s)
-		if !Equal(Compose(Compose(p, q), s), Compose(p, Compose(q, s))) {
+		if !slices.Equal(Compose(Compose(p, q), s), Compose(p, Compose(q, s))) {
 			return false
 		}
 		// Rebuilding from cycles gives back p.
@@ -201,7 +231,7 @@ func TestGroupAxiomsProperty(t *testing.T) {
 				rebuilt[cyc[i]] = cyc[(i+1)%len(cyc)]
 			}
 		}
-		if !Equal(rebuilt, p) {
+		if !slices.Equal(rebuilt, p) {
 			return false
 		}
 		// Every 2-cycle (i,j) satisfies p(i)=j, p(j)=i.
@@ -225,7 +255,7 @@ func TestClosureRedundantGenerators(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			gens := []Perm{randPerm(r, n), randPerm(r, n)}
 			g := Closure(gens)
-			if !IsGroup(g) {
+			if !isGroup(g) {
 				t.Fatalf("n=%d: closure of %v is not a group", n, gens)
 			}
 			again := Closure(append(append([]Perm{}, g...), gens...))
@@ -233,7 +263,7 @@ func TestClosureRedundantGenerators(t *testing.T) {
 				t.Fatalf("n=%d: closure of a group has %d elements, want %d", n, len(again), len(g))
 			}
 			for i := range g {
-				if !Equal(g[i], again[i]) {
+				if !slices.Equal(g[i], again[i]) {
 					t.Fatalf("n=%d: closure of a group differs at %d", n, i)
 				}
 			}

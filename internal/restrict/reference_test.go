@@ -78,11 +78,31 @@ func refCountOrderSurvivors(n int, s Set) int64 {
 	return count
 }
 
-type refGenerator struct {
-	*generator
+// refValidate is Validate by enumeration: the set must be consistent,
+// eliminate every non-identity automorphism and keep n!/|Aut| orders.
+func refValidate(pat *pattern.Pattern, s Set) bool {
+	n := pat.N()
+	if !refConsistent(n, s) {
+		return false
+	}
+	auts := pat.Automorphisms()
+	for _, a := range auts {
+		if !a.IsIdentity() && !refEliminates(s, a) {
+			return false
+		}
+	}
+	return refCountOrderSurvivors(n, s) == perm.Factorial(n)/int64(len(auts))
 }
 
-func (g refGenerator) generate(pg []perm.Perm, res Set) {
+type refGenerator struct {
+	n          int
+	wantOrders int64
+	opts       Options
+	visited    map[string]bool
+	results    map[string]Set
+}
+
+func (g *refGenerator) generate(pg []perm.Perm, res Set) {
 	if len(g.results) >= g.opts.MaxSets {
 		return
 	}
@@ -118,7 +138,7 @@ func (g refGenerator) generate(pg []perm.Perm, res Set) {
 	}
 }
 
-func (g refGenerator) candidates(pg []perm.Perm) []Restriction {
+func (g *refGenerator) candidates(pg []perm.Perm) []Restriction {
 	seen := map[Restriction]bool{}
 	var out []Restriction
 	add := func(a, b uint8) {
@@ -172,14 +192,13 @@ func refGenerate(pat *pattern.Pattern, opts Options) []Set {
 	if len(auts) > firstPermThreshold {
 		opts.FirstPermOnly = true
 	}
-	g := refGenerator{&generator{
+	g := &refGenerator{
 		n:          pat.N(),
-		auts:       auts,
 		wantOrders: perm.Factorial(pat.N()) / int64(len(auts)),
 		opts:       opts,
 		visited:    map[string]bool{},
 		results:    map[string]Set{},
-	}}
+	}
 	g.generate(auts, nil)
 	out := make([]Set, 0, len(g.results))
 	for _, s := range g.results {
@@ -253,4 +272,157 @@ func TestSetPredicatesMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomConnected draws a connected pattern on n vertices.
+func randomConnected(r *rand.Rand, n int) *pattern.Pattern {
+	for {
+		var edges [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if r.Float64() < 0.5 {
+					edges = append(edges, [2]int{u, v})
+				}
+			}
+		}
+		if p := pattern.MustNew(n, edges, "rand"); p.Connected() {
+			return p
+		}
+	}
+}
+
+// TestValidateMatchesReference: the transversal test on the order table
+// must accept exactly the sets the enumerating reference accepts —
+// complete sets, the same sets with a restriction dropped, reversed or its
+// reverse added (incomplete, over-restrictive, self-contradictory), and
+// random sets.
+func TestValidateMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(37, 11))
+	pats := []*pattern.Pattern{
+		pattern.Rectangle(), pattern.House(), pattern.Prism(), pattern.CycleN(8),
+		pattern.CompleteBipartite(2, 3), pattern.StarN(8), pattern.CliqueMinus(6),
+	}
+	for n := 3; n <= 8; n++ {
+		for i := 0; i < 6; i++ {
+			pats = append(pats, randomConnected(r, n))
+		}
+	}
+	accepted, rejected := 0, 0
+	for _, p := range pats {
+		n := p.N()
+		complete, err := Generate(p, Options{MaxSets: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		complete = append(complete, GraphZeroSet(p))
+		var sets []Set
+		for _, s := range complete {
+			sets = append(sets, s)
+			for i, x := range s {
+				rest := append(s[:i:i], s[i+1:]...)
+				sets = append(sets,
+					rest,
+					append(rest.Clone(), Restriction{x.Second, x.First}).Canonicalize(),
+					append(s.Clone(), Restriction{x.Second, x.First}).Canonicalize())
+			}
+		}
+		for trial := 0; trial < 8; trial++ {
+			var s Set
+			for k := r.IntN(n + 2); k > 0; k-- {
+				if a, b := r.IntN(n), r.IntN(n); a != b {
+					s = append(s, Restriction{uint8(a), uint8(b)})
+				}
+			}
+			sets = append(sets, s.Canonicalize())
+		}
+		for _, s := range sets {
+			got, want := Validate(p, s) == nil, refValidate(p, s)
+			if got != want {
+				t.Fatalf("%s %v: Validate accepts: %v, reference: %v", p, s, got, want)
+			}
+			if got {
+				accepted++
+			} else {
+				rejected++
+			}
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("%d sets accepted, %d rejected: the sample misses a side", accepted, rejected)
+	}
+	t.Logf("%d sets accepted, %d rejected", accepted, rejected)
+}
+
+// encodePattern and decodePattern are FuzzGenerate's input format: one byte
+// for the vertex count (2 + byte mod 6), then the upper adjacency triangle
+// row by row, one bit per vertex pair, low bit first.
+func encodePattern(p *pattern.Pattern) []byte {
+	out := []byte{byte(p.N() - 2)}
+	bit := 0
+	for u := 0; u < p.N(); u++ {
+		for v := u + 1; v < p.N(); v++ {
+			if bit%8 == 0 {
+				out = append(out, 0)
+			}
+			if p.HasEdge(u, v) {
+				out[len(out)-1] |= 1 << (bit % 8)
+			}
+			bit++
+		}
+	}
+	return out
+}
+
+func decodePattern(data []byte) *pattern.Pattern {
+	if len(data) == 0 {
+		return nil
+	}
+	n := 2 + int(data[0])%6
+	var edges [][2]int
+	bit := 0
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if i := 1 + bit/8; i < len(data) && data[i]&(1<<(bit%8)) != 0 {
+				edges = append(edges, [2]int{u, v})
+			}
+			bit++
+		}
+	}
+	return pattern.MustNew(n, edges, "fuzz")
+}
+
+// FuzzGenerate: on any connected pattern of up to 7 vertices, Generate must
+// return the reference's sets, in its order, at every cap.
+//
+//	go test -run '^$' -fuzz=FuzzGenerate -fuzztime=30s ./internal/restrict
+func FuzzGenerate(f *testing.F) {
+	for _, p := range namedPatterns() {
+		if p.N() <= 7 {
+			f.Add(encodePattern(p))
+		}
+	}
+	for _, np := range patterntest.Suite(5) {
+		f.Add(encodePattern(np.Pat))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := decodePattern(data)
+		if p == nil || !p.Connected() {
+			return
+		}
+		for _, maxSets := range []int{1, 8, 64} {
+			got, err := Generate(p, Options{MaxSets: maxSets})
+			if err != nil {
+				t.Fatalf("%s MaxSets=%d: %v", p, maxSets, err)
+			}
+			want := refGenerate(p, Options{MaxSets: maxSets})
+			if len(got) != len(want) {
+				t.Fatalf("%s MaxSets=%d: %d sets, reference has %d", p, maxSets, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].key() != want[i].key() {
+					t.Fatalf("%s MaxSets=%d: set %d is %v, reference has %v", p, maxSets, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }

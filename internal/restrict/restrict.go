@@ -54,23 +54,6 @@ func (s Set) Canonicalize() Set {
 	return out
 }
 
-// with returns a copy of the canonicalized set s that also holds r, in
-// canonical order; added is false when s already holds r.
-func (s Set) with(r Restriction) (out Set, added bool) {
-	i := 0
-	for i < len(s) && (s[i].First < r.First || s[i].First == r.First && s[i].Second < r.Second) {
-		i++
-	}
-	if i < len(s) && s[i] == r {
-		return nil, false
-	}
-	out = make(Set, len(s)+1)
-	copy(out, s[:i])
-	out[i] = r
-	copy(out[i+1:], s[i:])
-	return out, true
-}
-
 // Clone returns a copy of s.
 func (s Set) Clone() Set { return append(Set(nil), s...) }
 
@@ -108,22 +91,30 @@ func (s Set) greater() (greater [perm.MaxDegree]uint16) {
 	return greater
 }
 
-// Eliminates reports whether the permutation p (an automorphism of the
-// pattern) is eliminated by the restriction set: no id assignment can
-// satisfy the restrictions for both an embedding and its p-image. This is
-// the complement of the paper's no_conflict: the directed graph with edges
-// (a→b) and (p(a)→p(b)) for every restriction id(a)>id(b) has a cycle.
-func (s Set) Eliminates(p perm.Perm) bool {
-	return s.eliminates(s.greater(), p)
-}
-
-// eliminates is Eliminates given s.greater(), for callers that test one set
-// against a whole automorphism list.
-func (s Set) eliminates(greater [perm.MaxDegree]uint16, p perm.Perm) bool {
+// eliminates reports whether the permutation p (an automorphism of the
+// pattern) is eliminated by the restriction set s, whose greater masks are
+// greater: no id assignment can satisfy the restrictions for both an
+// embedding and its p-image. This is the complement of the paper's
+// no_conflict: the directed graph with edges (a→b) and (p(a)→p(b)) for every
+// restriction id(a)>id(b) has a cycle.
+func eliminates(greater [perm.MaxDegree]uint16, s []Restriction, p perm.Perm) bool {
 	for _, r := range s {
 		greater[p[r.Second]] |= 1 << p[r.First]
 	}
 	return !acyclic(len(p), &greater)
+}
+
+// fromGreater is the canonical set whose greater masks are greater.
+func fromGreater(n int, greater *[perm.MaxDegree]uint16) Set {
+	var s Set
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if greater[b]&(1<<a) != 0 {
+				s = append(s, Restriction{First: uint8(a), Second: uint8(b)})
+			}
+		}
+	}
+	return s
 }
 
 // acyclic reports whether the digraph on {0,…,n-1} with an edge u→v for every
@@ -177,15 +168,26 @@ func Generate(pat *pattern.Pattern, opts Options) ([]Set, error) {
 	if len(auts) > firstPermThreshold {
 		opts.FirstPermOnly = true
 	}
+	n := pat.N()
 	g := &generator{
-		n:          pat.N(),
+		n:          n,
 		auts:       auts,
-		wantOrders: perm.Factorial(pat.N()) / int64(len(auts)),
+		wantOrders: perm.Factorial(n) / int64(len(auts)),
 		opts:       opts,
-		visited:    map[string]bool{},
-		results:    map[string]Set{},
+		visited:    map[[perm.MaxDegree]uint16]bool{},
+		results:    map[[perm.MaxDegree]uint16]Set{},
+		remaining:  make([][]int32, 1),
 	}
-	g.generate(auts, nil, perm.Factorial(pat.N()))
+	if len(auts) > 1 {
+		if g.table = pat.OrderTable(); g.table != nil {
+			g.orders = [][]uint64{g.table.Satisfying(nil)}
+		}
+	}
+	all := make([]int32, len(auts))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	g.generate(all, [perm.MaxDegree]uint16{}, 0, perm.Factorial(n))
 	if len(g.results) == 0 {
 		return nil, fmt.Errorf("restrict: no valid restriction set found for %s", pat)
 	}
@@ -214,59 +216,85 @@ type generator struct {
 	auts       []perm.Perm
 	wantOrders int64 // n!/|Aut|: survivors a complete-and-exact set keeps
 	opts       Options
-	visited    map[string]bool
-	results    map[string]Set
+	// table is the pattern's order table (nil above perm.MaxTableDegree
+	// vertices or for a trivial group); orders[d] holds the orders a search
+	// node at depth d keeps, remaining[d] its surviving automorphisms and
+	// path[:d] its restrictions in the order they were added.
+	table     *perm.OrderTable
+	orders    [][]uint64
+	remaining [][]int32
+	path      []Restriction
+	// Sets are keyed by their greater masks (Set.greater).
+	visited map[[perm.MaxDegree]uint16]bool
+	results map[[perm.MaxDegree]uint16]Set
 }
 
-// generate is the recursive core of Algorithm 1. pg is the sub-multiset of
-// automorphisms not yet eliminated (always containing the identity);
-// res is the canonicalized restriction set built so far and survivors the
-// number of relative orders it keeps.
+// generate is the recursive core of Algorithm 1. pg indexes the
+// automorphisms not yet eliminated (always including the identity);
+// greater holds the restriction set built so far at search depth depth, and
+// survivors the number of relative orders it keeps (without a table).
 //
-// A restriction can only remove orders, and a complete set keeps exactly
-// wantOrders of them, so a child that keeps fewer has no complete set below
-// it and is dropped without being searched. That also covers the child that
-// contradicts itself (it keeps none).
-func (g *generator) generate(pg []perm.Perm, res Set, survivors int64) {
+// A complete set keeps exactly one relative order in each automorphism coset
+// (σ ~ σ∘a): two in one coset would leave the automorphism between them
+// uneliminated. A restriction can only remove orders, so a child that
+// leaves a coset empty has no complete set below it and is dropped without
+// being searched; that covers the child that contradicts itself (it keeps
+// none). Without a table the weaker form of the same cut applies: a child
+// that keeps fewer than wantOrders orders is dropped.
+func (g *generator) generate(pg []int32, greater [perm.MaxDegree]uint16, depth int, survivors int64) {
 	if len(g.results) >= g.opts.MaxSets {
 		return
 	}
 	if len(pg) <= 1 {
-		// Only the identity remains: res eliminates every automorphism.
+		// Only the identity remains: the set eliminates every automorphism.
 		// Per Algorithm 1 this leaf still runs validate(res_set): a set can
 		// kill all automorphisms yet also kill entire embedding classes
 		// (keep fewer than n!/|Aut| relative orders); such leaves return ∅.
-		if survivors == g.wantOrders {
-			g.results[res.key()] = res.Clone()
+		// With a table the coset cut has settled it: no coset is empty, and
+		// none keeps two orders, or the automorphism between them would
+		// remain.
+		if g.table != nil || survivors == g.wantOrders {
+			g.results[greater] = fromGreater(g.n, &greater)
 		}
 		return
 	}
-	candidates := g.candidates(pg)
-	for _, cand := range candidates {
+	if depth+1 == len(g.remaining) {
+		g.remaining = append(g.remaining, make([]int32, 0, len(pg)))
+		if g.table != nil {
+			g.orders = append(g.orders, make([]uint64, g.table.Words()))
+		}
+	}
+	for _, cand := range g.candidates(pg) {
 		if len(g.results) >= g.opts.MaxSets {
 			return
 		}
-		next, added := res.with(cand)
-		if !added {
+		a, b := cand.First, cand.Second
+		if greater[b]&(1<<a) != 0 {
 			continue // duplicate restriction
 		}
-		k := next.key()
-		if g.visited[k] {
+		next := greater
+		next[b] |= 1 << a
+		if g.visited[next] {
 			continue
 		}
-		g.visited[k] = true
-		greater := next.greater()
-		kept := perm.CountOrders(greater[:g.n], nil)
-		if kept < g.wantOrders {
+		g.visited[next] = true
+		kept := g.wantOrders
+		if g.table != nil {
+			if !g.table.Restrict(g.orders[depth+1], g.orders[depth], int(a), int(b)) {
+				continue
+			}
+		} else if kept = perm.CountOrders(next[:g.n], nil); kept < g.wantOrders {
 			continue
 		}
-		var remaining []perm.Perm
+		g.path = append(g.path[:depth], cand)
+		remaining := g.remaining[depth+1][:0]
 		for _, p := range pg {
-			if !next.eliminates(greater, p) {
+			if !eliminates(next, g.path, g.auts[p]) {
 				remaining = append(remaining, p)
 			}
 		}
-		g.generate(remaining, next, kept)
+		g.remaining[depth+1] = remaining
+		g.generate(remaining, next, depth+1, kept)
 	}
 }
 
@@ -277,13 +305,13 @@ func (g *generator) generate(pg []perm.Perm, res Set, survivors int64) {
 // involution with a transposition), it falls back to (v, p(v)) pairs of the
 // first non-identity permutation, which the DAG-based elimination handles
 // soundly; validation still guarantees correctness.
-func (g *generator) candidates(pg []perm.Perm) []Restriction {
+func (g *generator) candidates(pg []int32) []Restriction {
 	// Bit b of pairs[a] stands for the candidate id(a)>id(b); reading the
 	// masks in order yields the candidates sorted and without duplicates.
 	var pairs [perm.MaxDegree]uint16
 	found := false
-	for _, p := range pg {
-		for _, tc := range p.TwoCycles() {
+	for _, i := range pg {
+		for _, tc := range g.auts[i].TwoCycles() {
 			pairs[tc[0]] |= 1 << tc[1]
 			pairs[tc[1]] |= 1 << tc[0]
 			found = true
@@ -293,7 +321,8 @@ func (g *generator) candidates(pg []perm.Perm) []Restriction {
 		}
 	}
 	if !found {
-		for _, p := range pg {
+		for _, i := range pg {
+			p := g.auts[i]
 			if p.IsIdentity() {
 				continue
 			}
@@ -329,6 +358,12 @@ func CountOrderSurvivors(n int, s Set) int64 {
 // Validate checks that the restriction set is complete and exact for the
 // pattern: every non-identity automorphism is eliminated, the identity
 // survives, and the complete-graph count equals n!/|Aut| (paper §IV-A).
+//
+// Up to perm.MaxTableDegree vertices that is one test on the pattern's
+// order table: the set must keep exactly one relative order in each
+// automorphism coset. Two kept orders σ, σ∘a of one coset would let the
+// automorphism a survive; with at most one per coset, n!/|Aut| kept orders
+// hit every coset. Larger patterns are checked automorphism by automorphism.
 func Validate(pat *pattern.Pattern, s Set) error {
 	n := pat.N()
 	if !s.Consistent(n) {
@@ -336,18 +371,20 @@ func Validate(pat *pattern.Pattern, s Set) error {
 	}
 	auts := pat.Automorphisms()
 	greater := s.greater()
-	for _, a := range auts {
-		if a.IsIdentity() {
-			if s.eliminates(greater, a) {
-				return fmt.Errorf("restrict: set %v eliminates the identity", s)
-			}
-			continue
+	want := perm.Factorial(n) / int64(len(auts))
+	if t := pat.OrderTable(); t != nil {
+		orders := t.Satisfying(greater[:n])
+		if per, uniform := t.PerCoset(orders); !uniform || per != 1 {
+			return fmt.Errorf("restrict: set %v keeps %d of %d relative orders, not one in each of %d automorphism cosets",
+				s, t.Count(orders), perm.Factorial(n), want)
 		}
-		if !s.eliminates(greater, a) {
+		return nil
+	}
+	for _, a := range auts {
+		if !a.IsIdentity() && !eliminates(greater, s, a) {
 			return fmt.Errorf("restrict: set %v fails to eliminate automorphism %v", s, a)
 		}
 	}
-	want := perm.Factorial(n) / int64(len(auts))
 	if got := CountOrderSurvivors(n, s); got != want {
 		return fmt.Errorf("restrict: set %v keeps %d of %d relative orders, want %d",
 			s, got, perm.Factorial(n), want)

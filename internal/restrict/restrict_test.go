@@ -9,6 +9,10 @@ import (
 	"graphpi/internal/perm"
 )
 
+// Eliminates reports whether the set eliminates the permutation p (see
+// eliminates).
+func (s Set) Eliminates(p perm.Perm) bool { return eliminates(s.greater(), s, p) }
+
 func TestSetCanonicalize(t *testing.T) {
 	s := Set{{2, 1}, {0, 1}, {2, 1}, {0, 2}}
 	s = s.Canonicalize()
@@ -75,8 +79,8 @@ func TestCountOrderSurvivors(t *testing.T) {
 	}
 }
 
-func patterns(t *testing.T) []*pattern.Pattern {
-	t.Helper()
+// namedPatterns are the named patterns the package's tests sweep.
+func namedPatterns() []*pattern.Pattern {
 	ps := []*pattern.Pattern{
 		pattern.Triangle(), pattern.Rectangle(), pattern.Pentagon(),
 		pattern.House(), pattern.Cycle6Tri(), pattern.Prism(),
@@ -88,7 +92,7 @@ func patterns(t *testing.T) []*pattern.Pattern {
 }
 
 func TestGenerateProducesValidSets(t *testing.T) {
-	for _, p := range patterns(t) {
+	for _, p := range namedPatterns() {
 		sets, err := Generate(p, Options{MaxSets: 16})
 		if err != nil {
 			t.Errorf("%s: %v", p, err)
@@ -178,7 +182,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGraphZeroSetValid(t *testing.T) {
-	for _, p := range patterns(t) {
+	for _, p := range namedPatterns() {
 		s := GraphZeroSet(p)
 		if err := Validate(p, s); err != nil {
 			t.Errorf("%s: GraphZero set invalid: %v", p, err)
@@ -265,24 +269,43 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
+// TestLargeGroupClique7: cliques have the largest groups (K7 has 5040
+// automorphisms); generation must stay bounded and correct at K7, at K8 —
+// the order table's largest degree, where one coset spans 630 words — and on
+// a 9-vertex pattern, which has no table and is checked automorphism by
+// automorphism. Every set is checked against the enumerating reference.
 func TestLargeGroupClique7(t *testing.T) {
-	// K7 has 5040 automorphisms; generation must stay bounded and correct.
-	p := pattern.Clique(7)
-	sets, err := Generate(p, Options{MaxSets: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) == 0 {
-		t.Fatal("no sets for K7")
-	}
-	for _, s := range sets {
-		if err := Validate(p, s); err != nil {
-			t.Error(err)
+	for _, tc := range []struct {
+		pat     *pattern.Pattern
+		minSize int // a complete set for K_n pins a total order: n-1 restrictions at least
+	}{
+		{pattern.Clique(7), 6},
+		{pattern.Clique(8), 7},
+		{pattern.CompleteBipartite(4, 5), 2},
+	} {
+		p := tc.pat
+		sets, err := Generate(p, Options{MaxSets: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// A complete set for K_n must pin a total order: n-1 restrictions
-		// at minimum (and exactly n-1 when it is a chain).
-		if len(s) < 6 {
-			t.Errorf("K7 set too small: %v", s)
+		if len(sets) == 0 {
+			t.Fatalf("no sets for %s", p)
+		}
+		for _, s := range sets {
+			if err := Validate(p, s); err != nil {
+				t.Error(err)
+			}
+			if !refValidate(p, s) {
+				t.Errorf("%s: reference rejects %v", p, s)
+			}
+			if len(s) < tc.minSize {
+				t.Errorf("%s set too small: %v", p, s)
+			}
+			// One restriction fewer is complete only if the rest imply it.
+			short := append(s[:0:0], s[1:]...)
+			if got, want := Validate(p, short) == nil, refValidate(p, short); got != want {
+				t.Errorf("%s: Validate accepts %v: %v, reference %v", p, short, got, want)
+			}
 		}
 	}
 }

@@ -173,9 +173,15 @@ func (c *planCache) removeLocked(e *cacheEntry) {
 // entryBytes coarsely estimates a compiled configuration's footprint: the
 // schedule/restriction slices are tiny, so a fixed overhead plus small
 // per-vertex terms keeps eviction order sane without chasing exact sizes.
+// The one large part is the order table planning memoised on the pattern
+// (n² masks of n! bits, up to 8 vertices), which the entry keeps alive.
 func entryBytes(cfg *core.Config) int64 {
 	n := int64(cfg.N())
-	return 1024 + 64*n*n + 32*int64(len(cfg.Restrictions))
+	b := 1024 + 64*n*n + 32*int64(len(cfg.Restrictions))
+	if t := cfg.Pattern.OrderTable(); t != nil {
+		b += t.Bytes()
+	}
+	return b
 }
 
 // cacheStats is the metrics snapshot.
