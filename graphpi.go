@@ -393,7 +393,7 @@ func NewPlan(g *Graph, p *Pattern, opts ...Option) (*Plan, error) {
 // Count enumerates the full loop nest and returns the number of embeddings.
 func (pl *Plan) Count() int64 {
 	t0 := time.Now()
-	n := pl.cfg.Count(pl.g.g, pl.runOptions())
+	n := pl.bind(false).Count(pl.g.g, pl.runOptions())
 	pl.opts.tracer.Span("run", t0, map[string]string{"mode": "count"})
 	return n
 }
@@ -402,7 +402,7 @@ func (pl *Plan) Count() int64 {
 // workloads this is the method to use; it returns the same number as Count.
 func (pl *Plan) CountIEP() int64 {
 	t0 := time.Now()
-	n := pl.cfg.CountIEP(pl.g.g, pl.runOptions())
+	n := pl.bind(true).Count(pl.g.g, pl.runOptions())
 	pl.opts.tracer.Span("run", t0, map[string]string{"mode": "count-iep"})
 	return n
 }
@@ -413,7 +413,7 @@ func (pl *Plan) CountIEP() int64 {
 // alone, without executing anything. ok is false when the plan carries no
 // cost-model statistics.
 func (pl *Plan) Drift(useIEP bool, st *RunStats) (*DriftReport, bool) {
-	return pl.cfg.DriftReport(useIEP, st)
+	return pl.bind(useIEP).DriftReport(st)
 }
 
 // Enumerate calls visit for every embedding. The slice is indexed by
@@ -421,7 +421,7 @@ func (pl *Plan) Drift(useIEP bool, st *RunStats) (*DriftReport, bool) {
 // runs concurrently. Return false to stop early. Returns the number of
 // embeddings visited.
 func (pl *Plan) Enumerate(visit func(embedding []uint32) bool) int64 {
-	return pl.cfg.Enumerate(pl.g.g, pl.runOptions(), visit)
+	return pl.cfg.EnumerateAll(pl.g.g, pl.runOptions(), visit)
 }
 
 // CountCtx is Count under a context: cancellation stops every worker at its
@@ -429,19 +429,19 @@ func (pl *Plan) Enumerate(visit func(embedding []uint32) bool) int64 {
 // search would end. The partial tally is returned with ctx's error; a nil
 // error means the count ran to completion and is exact.
 func (pl *Plan) CountCtx(ctx context.Context) (int64, error) {
-	return pl.cfg.CountCtx(ctx, pl.g.g, pl.runOptions())
+	return pl.bind(false).Run(ctx, pl.g.g, pl.runOptions())
 }
 
 // CountIEPCtx is CountIEP under a context (see CountCtx).
 func (pl *Plan) CountIEPCtx(ctx context.Context) (int64, error) {
-	return pl.cfg.CountIEPCtx(ctx, pl.g.g, pl.runOptions())
+	return pl.bind(true).Run(ctx, pl.g.g, pl.runOptions())
 }
 
 // EnumerateCtx is Enumerate under a context: after cancellation no further
 // visits happen and the workers are released. Returns the number of visits
 // that did happen alongside ctx's error.
 func (pl *Plan) EnumerateCtx(ctx context.Context, visit func(embedding []uint32) bool) (int64, error) {
-	return pl.cfg.EnumerateCtx(ctx, pl.g.g, pl.runOptions(), visit)
+	return pl.cfg.Enumerate(ctx, pl.g.g, pl.runOptions(), visit)
 }
 
 // PrepTime returns the preprocessing (configuration generation plus
@@ -453,9 +453,9 @@ func (pl *Plan) PrepTime() time.Duration { return pl.prep }
 // actually run on: TierAuto resolves to the clique kernel for total-order
 // cliques, and every other request (e.g. TierGenerated for a pattern that is
 // no clique) resolves to the interpreter — the same silent fallback the
-// engine takes. Both counting calls resolve alike, so useIEP is ignored.
+// engine takes.
 func (pl *Plan) ExecutionTier(useIEP bool) Tier {
-	return pl.cfg.ResolveTier(pl.opts.tier)
+	return pl.bind(useIEP).Tier()
 }
 
 // Describe renders the chosen schedule and restriction set, and whether the
@@ -465,12 +465,12 @@ func (pl *Plan) Describe() string {
 		pl.cfg.Schedule, pl.cfg.Restrictions, pl.cfg.Cost, pl.cfg.KIEP(), pl.orient)
 }
 
+// bind fixes the nest and executor of the plan's counting runs (see
+// core.Config.Bind): the IEP nest when useIEP, on the WithTier executor.
+func (pl *Plan) bind(useIEP bool) core.Bound { return pl.cfg.Bind(useIEP, pl.opts.tier) }
+
 func (pl *Plan) runOptions() core.RunOptions {
-	return core.RunOptions{
-		Workers: pl.opts.workers,
-		Tier:    pl.opts.tier,
-		Stats:   pl.opts.stats,
-	}
+	return core.RunOptions{Workers: pl.opts.workers, Stats: pl.opts.stats}
 }
 
 // GenerateSource emits the plan's configuration as a standalone Go program

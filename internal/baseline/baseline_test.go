@@ -27,14 +27,14 @@ func TestAllSystemsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		if got := gz.Best.Count(g, core.RunOptions{Workers: 1}); got != want {
+		if got := gz.Best.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1}); got != want {
 			t.Errorf("%s: GraphZero = %d, want %d", p, got, want)
 		}
 		res, err := core.Plan(p, g.Stats(), core.PlanOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		if gp := res.Best.Count(g, core.RunOptions{Workers: 1}); gp != want {
+		if gp := res.Best.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1}); gp != want {
 			t.Errorf("%s: GraphPi = %d, want %d", p, gp, want)
 		}
 	}
@@ -85,7 +85,7 @@ func TestSystemsAgreeProperty(t *testing.T) {
 		}
 		g := graph.GNP(14, 0.4, seed)
 		gz, err := core.PlanGraphZero(p, g.Stats())
-		return err == nil && gz.Best.Count(g, core.RunOptions{Workers: 1}) == BruteForceCount(g, p)
+		return err == nil && gz.Best.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1}) == BruteForceCount(g, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

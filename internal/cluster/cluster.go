@@ -11,7 +11,7 @@
 //   - Run is the master's policy: it cuts the outer loops into tasks of
 //     equal predicted work (edge-parallel CSR adjacency slots when the planned
 //     schedule is eligible, outermost-loop vertices otherwise; see
-//     core.Config.RootTasks) and reduces the per-rank partial counts.
+//     core.Bound.RootTasks) and reduces the per-rank partial counts.
 //   - The transport (tcp_transport.go) is the master's plumbing. It holds the
 //     undealt tasks in one queue and grants them on demand: after each
 //     acknowledgement, every rank is topped up to its worker count. A lost
@@ -50,7 +50,7 @@ type Options struct {
 	// cut by predicted work; > 0 → fixed-size test hook, exactly like
 	// core.RunOptions.ChunkSize.
 	ChunkSize int
-	// UseIEP enables inclusion–exclusion counting.
+	// UseIEP asks Run to count on the IEP nest (core.Config.Bind).
 	UseIEP bool
 	// EdgeParallel selects the task shape. Auto (the zero value) packs
 	// edge-slot tasks whenever the schedule is eligible and more than one
@@ -138,10 +138,19 @@ func (r *Result) MaxBusyShare() float64 {
 // crosses a wire, but enough for on-demand grants to absorb a long task.
 const tasksPerWorker = 16
 
-// Run executes the configuration on a cluster and returns the embedding
-// count with per-rank statistics. Counts are exact and identical for any
-// node/worker configuration, either task shape, and every transport.
+// Run binds the configuration (core.Config.Bind with opt.UseIEP, the
+// executor left to the engine) and runs it with RunBound.
 func Run(cfg *core.Config, g *graph.Graph, opt Options) (*Result, error) {
+	return RunBound(cfg.Bind(opt.UseIEP, core.TierAuto), g, opt)
+}
+
+// RunBound executes a bound configuration on a cluster and returns the
+// embedding count with per-rank statistics; opt.UseIEP is ignored, as b
+// carries that decision. Counts are exact and identical for any node/worker
+// configuration, either task shape, and every transport. Workers rebind the
+// configuration they receive to the same nest, on the executor the engine
+// picks.
+func RunBound(b core.Bound, g *graph.Graph, opt Options) (*Result, error) {
 	opt.normalize()
 	tr := opt.Transport
 	if tr == nil {
@@ -163,16 +172,15 @@ func Run(cfg *core.Config, g *graph.Graph, opt Options) (*Result, error) {
 	// count as the transport resolves it (remote workers may override their
 	// per-rank count): equal predicted work per task, so one hub can no
 	// longer pin a rank while its peers wait for crumbs.
-	tasks, edgePar := cfg.RootTasks(g, core.RunOptions{
+	tasks, edgePar := b.RootTasks(g, core.RunOptions{
 		Workers:      tr.TotalWorkers(opt.WorkersPerNode),
 		ChunkSize:    opt.ChunkSize,
 		EdgeParallel: opt.EdgeParallel,
-	}, opt.UseIEP, false, tasksPerWorker)
+	}, tasksPerWorker)
 
 	job := &Job{
-		Cfg:            cfg,
+		Bound:          b,
 		Graph:          g,
-		UseIEP:         opt.UseIEP,
 		EdgeParallel:   edgePar,
 		WorkersPerRank: opt.WorkersPerNode,
 		NodeDelay:      opt.NodeDelay,
@@ -188,7 +196,7 @@ func Run(cfg *core.Config, g *graph.Graph, opt Options) (*Result, error) {
 		Nodes:        make([]NodeStats, nranks),
 		EdgeParallel: edgePar,
 	}
-	res.Count = reducePartials(cfg, opt.UseIEP, partials, res.Nodes)
+	res.Count = reducePartials(b, partials, res.Nodes)
 	return res, nil
 }
 
@@ -199,16 +207,13 @@ func Run(cfg *core.Config, g *graph.Graph, opt Options) (*Result, error) {
 // rank finished first.
 //
 //graphpi:deterministic
-func reducePartials(cfg *core.Config, useIEP bool, partials []RankResult, nodes []NodeStats) int64 {
+func reducePartials(b core.Bound, partials []RankResult, nodes []NodeStats) int64 {
 	var raw int64
 	for i, p := range partials {
 		raw += p.Raw
 		nodes[i] = p.Stats
 	}
-	if useIEP {
-		return cfg.ScaleIEP(raw)
-	}
-	return raw
+	return b.ScaleIEP(raw)
 }
 
 // String renders per-node statistics compactly.

@@ -96,7 +96,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	g := graph.BarabasiAlbert(400, 5, 77)
 	p := pattern.House()
 	cfg := planFor(t, g, p)
-	want := cfg.Count(g, core.RunOptions{Workers: 1})
+	want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 	for _, tc := range transportCases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, nodes := range []int{1, 2, 4} {
@@ -131,8 +131,8 @@ func TestClusterIEP(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 5, 13)
 	p := pattern.Cycle6Tri()
 	cfg := planFor(t, g, p)
-	want := cfg.CountIEP(g, core.RunOptions{Workers: 1})
-	if plain := cfg.Count(g, core.RunOptions{Workers: 2}); plain != want {
+	want := cfg.Bind(true, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
+	if plain := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 2}); plain != want {
 		t.Errorf("IEP %d != plain %d", want, plain)
 	}
 	for _, tc := range transportCases {
@@ -157,7 +157,7 @@ func TestClusterStragglerRunsFewerTasks(t *testing.T) {
 	g := graph.BarabasiAlbert(600, 4, 3)
 	p := pattern.Triangle()
 	cfg := planFor(t, g, p)
-	want := cfg.Count(g, core.RunOptions{Workers: 1})
+	want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 	for _, tc := range transportCases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.open(t, g, 3)
@@ -254,10 +254,10 @@ func TestClusterEdgeParallelBalance(t *testing.T) {
 	const nodes = 4
 	g := starRingGraph(30000)
 	cfg := hubRootTriangle(t)
-	if !cfg.EdgeParallelEligible(false) {
+	if !cfg.Bind(false, core.TierAuto).EdgeParallelEligible() {
 		t.Fatal("hub-root triangle should be edge-parallel eligible")
 	}
-	want := cfg.Count(g, core.RunOptions{Workers: 1, EdgeParallel: core.EdgeParallelOff})
+	want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1, EdgeParallel: core.EdgeParallelOff})
 
 	for _, tc := range transportCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -351,7 +351,7 @@ func TestClusterHybridEquivalence(t *testing.T) {
 					tr := tc.open(t, dg, nodes)
 					for _, p := range pats {
 						cfg := planFor(t, g, p)
-						want := cfg.Count(g, core.RunOptions{Workers: 1})
+						want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 						for _, useIEP := range []bool{false, true} {
 							for _, mode := range []core.EdgeParallelMode{core.EdgeParallelOff, core.EdgeParallelOn} {
 								res, err := Run(cfg, dg, Options{
@@ -384,7 +384,7 @@ func TestClusterDefaultsNormalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count != cfg.Count(g, core.RunOptions{Workers: 1}) {
+	if res.Count != cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1}) {
 		t.Error("default options wrong count")
 	}
 	if res.String() == "" {
@@ -403,10 +403,10 @@ func TestClusterCliqueKernel(t *testing.T) {
 			tr := tc.open(t, g, 3)
 			for _, q := range []int{4, 5} {
 				cfg := planFor(t, g, pattern.Clique(q))
-				if cfg.ResolveTier(core.TierAuto) != core.TierGenerated {
+				if cfg.Bind(false, core.TierAuto).Tier() != core.TierGenerated {
 					t.Fatalf("K%d: planned configuration does not resolve to the clique kernel", q)
 				}
-				want := cfg.CountIEP(g, core.RunOptions{Workers: 1, Tier: core.TierInterpret})
+				want := cfg.Bind(true, core.TierInterpret).Count(g, core.RunOptions{Workers: 1})
 				if want == 0 {
 					t.Fatalf("K%d: fixture has no cliques", q)
 				}
@@ -454,9 +454,9 @@ func TestClusterDefaultCut(t *testing.T) {
 			tr := tc.open(t, g, nodes)
 			for _, c := range cases {
 				cfg := planFor(t, g, c.p)
-				want := cfg.CountIEP(g, core.RunOptions{Workers: 1, Tier: core.TierInterpret})
+				want := cfg.Bind(true, core.TierInterpret).Count(g, core.RunOptions{Workers: 1})
 				opt := core.RunOptions{Workers: nodes * wpn, EdgeParallel: c.mode}
-				tasks, edge := cfg.RootTasks(g, opt, true, false, tasksPerWorker)
+				tasks, edge := cfg.Bind(true, core.TierAuto).RootTasks(g, opt, tasksPerWorker)
 				if edge != c.edge {
 					t.Fatalf("%s: cut edge-parallel=%v, want %v", c.name, edge, c.edge)
 				}

@@ -357,7 +357,7 @@ func drain(job *Job, rankID int, queue <-chan taskpool.Range, stop, halt *atomic
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			counter := core.NewCounter(job.Cfg, job.Graph, job.UseIEP, stop)
+			counter := core.NewCounter(job.Bound, job.Graph, stop)
 			defer func() { raw[w] = counter.Raw() }()
 			var prev int64
 			for t := range queue {

@@ -63,7 +63,7 @@ func TestTCPSnapshotWorker(t *testing.T) {
 			}
 			defer tr.Close()
 			cfg := planFor(t, g, pattern.House())
-			want := cfg.Count(g, core.RunOptions{Workers: 1})
+			want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 			res, err := Run(cfg, dg, Options{WorkersPerNode: 2, UseIEP: true, Transport: tr})
 			if err != nil {
 				t.Fatal(err)
@@ -82,7 +82,7 @@ func TestTCPSequentialJobs(t *testing.T) {
 	tr := dialWorkers(t, g, 2)
 	for _, p := range []*pattern.Pattern{pattern.Triangle(), pattern.Rectangle(), pattern.House()} {
 		cfg := planFor(t, g, p)
-		want := cfg.Count(g, core.RunOptions{Workers: 1})
+		want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 		for _, iep := range []bool{false, true} {
 			res, err := Run(cfg, g, Options{WorkersPerNode: 2, UseIEP: iep, Transport: tr})
 			if err != nil {
@@ -111,7 +111,7 @@ func TestTCPRanksFixed(t *testing.T) {
 	if len(res.Nodes) != 2 {
 		t.Fatalf("result has %d ranks, want 2", len(res.Nodes))
 	}
-	if want := cfg.Count(g, core.RunOptions{Workers: 1}); res.Count != want {
+	if want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1}); res.Count != want {
 		t.Errorf("count = %d, want %d", res.Count, want)
 	}
 }
@@ -210,7 +210,7 @@ func TestTCPWorkerDisconnect(t *testing.T) {
 	}
 	defer tr.Close()
 	cfg := planFor(t, g, pattern.House())
-	want := cfg.Count(g, core.RunOptions{Workers: 1})
+	want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 	res, err := runWithTimeout(t, 30*time.Second, cfg, g, Options{WorkersPerNode: 2, Transport: tr})
 	if err != nil {
 		t.Fatalf("lost worker was not recovered: %v", err)
@@ -277,7 +277,7 @@ func TestTCPWorkerLostDuringSetup(t *testing.T) {
 	}
 	defer tr.Close()
 	cfg := planFor(t, g, pattern.House())
-	want := cfg.Count(g, core.RunOptions{Workers: 1})
+	want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 	res, err := runWithTimeout(t, 30*time.Second, cfg, g, Options{WorkersPerNode: 2, Transport: tr})
 	if err != nil {
 		t.Fatalf("setup-phase loss was not recovered: %v", err)
@@ -303,7 +303,7 @@ func TestTCPWorkerCrashRejoins(t *testing.T) {
 	inner := dialWorkers(t, g, 2)
 	tr := NewFaultyTransport(inner, 1, 2)
 	cfg := planFor(t, g, pattern.House())
-	want := cfg.Count(g, core.RunOptions{Workers: 1})
+	want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 
 	res, err := runWithTimeout(t, 30*time.Second, cfg, g,
 		Options{WorkersPerNode: 2, ChunkSize: 8, Transport: tr})
@@ -355,7 +355,7 @@ func TestTCPColdWorkerSnapshot(t *testing.T) {
 	}
 	defer tr.Close()
 	cfg := planFor(t, g, pattern.House())
-	want := cfg.Count(g, core.RunOptions{Workers: 1})
+	want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 	res, err := runWithTimeout(t, 60*time.Second, cfg, g,
 		Options{WorkersPerNode: 2, UseIEP: true, Transport: tr})
 	if err != nil {
@@ -421,7 +421,7 @@ func TestServeSurvivesMasterDisconnect(t *testing.T) {
 		t.Fatalf("worker unusable after master disconnect: %v", err)
 	}
 	defer tr2.Close()
-	want := cfg.Count(g, core.RunOptions{Workers: 1})
+	want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 	res, err := runWithTimeout(t, 30*time.Second, cfg, g, Options{WorkersPerNode: 2, Transport: tr2})
 	if err != nil {
 		t.Fatal(err)
@@ -472,7 +472,7 @@ func TestTCPHandshakeRejectsStrangers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := cfg.Count(g, core.RunOptions{Workers: 1}); res.Count != want {
+	if want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1}); res.Count != want {
 		t.Errorf("count = %d, want %d", res.Count, want)
 	}
 }
@@ -537,7 +537,7 @@ func TestTCPWorkerOverrideCounts(t *testing.T) {
 		t.Errorf("TotalWorkers = %d, want the advertised override 3", tw)
 	}
 	cfg := planFor(t, g, pattern.House())
-	want := cfg.Count(g, core.RunOptions{Workers: 1})
+	want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 	res, err := Run(cfg, g, Options{WorkersPerNode: 8, Transport: tr})
 	if err != nil {
 		t.Fatal(err)
@@ -559,7 +559,7 @@ func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	inner := dialWorkers(t, g, 2)
 	tr := NewFaultyTransport(inner, 1, 2)
 	cfg := planFor(t, g, pattern.House())
-	want := cfg.Count(g, core.RunOptions{Workers: 1})
+	want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 
 	res, err := runWithTimeout(t, 30*time.Second, cfg, g,
 		Options{WorkersPerNode: 2, ChunkSize: 8, Transport: tr})
@@ -682,7 +682,7 @@ func TestIdleRankSendsOnlyAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := cfg.Count(g, core.RunOptions{Workers: 1}); res.Count != want {
+	if want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1}); res.Count != want {
 		t.Errorf("count = %d, want %d", res.Count, want)
 	}
 	if res.Nodes[1].TasksRun <= res.Nodes[0].TasksRun {

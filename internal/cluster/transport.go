@@ -40,18 +40,17 @@ type Transport interface {
 }
 
 // Job bundles everything the master ships to its ranks for one counting job.
-// The configuration travels as its inputs (pattern, schedule, restrictions)
-// plus a fingerprint of the graph, and each worker rebuilds the Job against
-// its own replica (wire.go's jobSpec).
+// The bound configuration travels as its inputs (pattern, schedule,
+// restrictions, whether it walks the IEP nest) plus a fingerprint of the
+// graph, and each worker rebuilds and rebinds the Job against its own replica
+// (wire.go's jobSpec).
 type Job struct {
-	// Cfg is the compiled configuration every rank executes.
-	Cfg *core.Config
+	// Bound is the bound configuration every rank executes. The ranks
+	// return raw tallies; the master applies its ScaleIEP correction.
+	Bound core.Bound
 	// Graph is the shared data graph (every rank holds a full replica, as
 	// in the paper's MPI implementation).
 	Graph *graph.Graph
-	// UseIEP tells ranks to run Inclusion-Exclusion counters. The final
-	// ScaleIEP correction is applied by the master, not the ranks.
-	UseIEP bool
 	// EdgeParallel is the resolved task shape: true when task ranges index
 	// CSR adjacency slots (Counter.CountEdgeRange), false when they index
 	// outermost-loop vertices (Counter.CountRange).

@@ -256,10 +256,11 @@ func FingerprintKey(g *graph.Graph) string {
 	return fmt.Sprintf("v%d:s%d:r%t:%s", fp.NumVertices, fp.NumAdjSlots, fp.Reordered, fp.Name)
 }
 
-// jobSpec is the wire form of a Job: the configuration is shipped as its
-// inputs (pattern, schedule, restrictions) and recompiled by core.NewConfig
-// on the worker — compilation is deterministic, so both sides execute the
-// identical loop program and counts stay bit-identical.
+// jobSpec is the wire form of a Job: the bound configuration is shipped as
+// its inputs (pattern, schedule, restrictions, and UseIEP: whether it walks
+// the IEP nest), recompiled by core.NewConfig and rebound on the worker —
+// compilation is deterministic, so both sides execute the identical loop
+// program and counts stay bit-identical.
 type jobSpec struct {
 	Rank           int
 	NumRanks       int
@@ -364,21 +365,22 @@ func decodeJob(payload []byte) (*jobSpec, error) {
 
 // jobSpecOf flattens a Job for the wire.
 func jobSpecOf(job *Job, rankID, nranks int) *jobSpec {
+	cfg := job.Bound.Config()
 	return &jobSpec{
 		Rank:           rankID,
 		NumRanks:       nranks,
 		WorkersPerRank: job.WorkersPerRank,
-		UseIEP:         job.UseIEP,
+		UseIEP:         job.Bound.IEP(),
 		EdgeParallel:   job.EdgeParallel,
 		DelayNS:        int64(job.NodeDelay),
 		DelayedRank:    job.DelayedRank,
 		FailRank:       job.FailRank,
 		FailAfterTasks: job.FailAfterTasks,
-		PatternN:       job.Cfg.Pattern.N(),
-		PatternName:    job.Cfg.Pattern.Name(),
-		PatternEdges:   job.Cfg.Pattern.Edges(),
-		Order:          append([]uint8(nil), job.Cfg.Schedule.Order...),
-		Restrictions:   restrictionPairs(job.Cfg.Restrictions),
+		PatternN:       cfg.Pattern.N(),
+		PatternName:    cfg.Pattern.Name(),
+		PatternEdges:   cfg.Pattern.Edges(),
+		Order:          append([]uint8(nil), cfg.Schedule.Order...),
+		Restrictions:   restrictionPairs(cfg.Restrictions),
 		Graph:          fingerprintOf(job.Graph),
 	}
 }
@@ -413,9 +415,8 @@ func (spec *jobSpec) compile(g *graph.Graph) (*Job, error) {
 		return nil, fmt.Errorf("bad job options: workers=%d", spec.WorkersPerRank)
 	}
 	return &Job{
-		Cfg:            cfg,
+		Bound:          cfg.Bind(spec.UseIEP, core.TierAuto),
 		Graph:          g,
-		UseIEP:         spec.UseIEP,
 		EdgeParallel:   spec.EdgeParallel,
 		WorkersPerRank: spec.WorkersPerRank,
 		NodeDelay:      time.Duration(spec.DelayNS),

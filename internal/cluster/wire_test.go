@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"graphpi/internal/core"
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
 	"graphpi/internal/taskpool"
@@ -47,9 +48,8 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	g := graph.BarabasiAlbert(120, 3, 1)
 	cfg := planFor(t, g, pattern.House())
 	job := &Job{
-		Cfg:            cfg,
+		Bound:          cfg.Bind(true, core.TierAuto),
 		Graph:          g,
-		UseIEP:         true,
 		EdgeParallel:   true,
 		WorkersPerRank: 3,
 		NodeDelay:      5 * time.Millisecond,
@@ -69,13 +69,13 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	}
 	// The planner's Cost is deliberately not shipped (workers execute, they
 	// don't re-plan); compare the executable parts.
-	if rebuilt.Cfg.Schedule.String() != cfg.Schedule.String() ||
-		rebuilt.Cfg.Restrictions.String() != cfg.Restrictions.String() ||
-		!rebuilt.Cfg.Pattern.Isomorphic(cfg.Pattern) {
-		t.Errorf("recompiled config %s != %s", rebuilt.Cfg, cfg)
+	if rebuilt.Bound.Config().Schedule.String() != cfg.Schedule.String() ||
+		rebuilt.Bound.Config().Restrictions.String() != cfg.Restrictions.String() ||
+		!rebuilt.Bound.Config().Pattern.Isomorphic(cfg.Pattern) {
+		t.Errorf("recompiled config %s != %s", rebuilt.Bound.Config(), cfg)
 	}
 	if rebuilt.NodeDelay != job.NodeDelay || rebuilt.DelayedRank != job.DelayedRank ||
-		!rebuilt.UseIEP || !rebuilt.EdgeParallel || rebuilt.WorkersPerRank != 3 {
+		!rebuilt.Bound.IEP() || !rebuilt.EdgeParallel || rebuilt.WorkersPerRank != 3 {
 		t.Errorf("job options lost: %+v", rebuilt)
 	}
 }
@@ -85,7 +85,7 @@ func TestJobSpecRoundTrip(t *testing.T) {
 func TestDecodersRejectTruncation(t *testing.T) {
 	g := graph.GNP(40, 0.3, 2)
 	cfg := planFor(t, g, pattern.Triangle())
-	job := &Job{Cfg: cfg, Graph: g, WorkersPerRank: 1}
+	job := &Job{Bound: cfg.Bind(false, core.TierAuto), Graph: g, WorkersPerRank: 1}
 	tasks := []taskpool.Range{{Start: 0, End: 7}, {Start: 7, End: 40}}
 
 	cases := map[string]struct {
@@ -164,7 +164,7 @@ func TestWelcomeCarriesReplicaState(t *testing.T) {
 func TestJobSpecCarriesFaultInjection(t *testing.T) {
 	g := graph.GNP(40, 0.3, 9)
 	cfg := planFor(t, g, pattern.Triangle())
-	job := &Job{Cfg: cfg, Graph: g, WorkersPerRank: 1, FailRank: 1, FailAfterTasks: 4}
+	job := &Job{Bound: cfg.Bind(false, core.TierAuto), Graph: g, WorkersPerRank: 1, FailRank: 1, FailAfterTasks: 4}
 	spec := jobSpecOf(job, 1, 3)
 	decoded, err := decodeJob(encodeJob(spec))
 	if err != nil {

@@ -262,7 +262,7 @@ func TestGeneratedProgramMatchesEngine(t *testing.T) {
 	cyc := pattern.Cycle6Tri()
 	for _, p := range []*pattern.Pattern{pattern.Triangle(), pattern.House(), pattern.Rectangle(), cyc} {
 		cfg := configFor(t, p)
-		want := cfg.Count(g, core.RunOptions{Workers: 1})
+		want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 		if oracle := baseline.BruteForceCount(g, p); want != oracle || want == 0 {
 			t.Fatalf("%s: engine counted %d, brute force %d (want equal and nonzero)", p, want, oracle)
 		}

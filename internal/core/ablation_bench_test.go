@@ -31,12 +31,12 @@ func BenchmarkAblationRestrictions(b *testing.B) {
 	without, _ := NewConfig(p, sres.Efficient[0], nil)
 	b.Run("with-restrictions", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			withSet.Count(g, RunOptions{Workers: 1})
+			withSet.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 		}
 	})
 	b.Run("no-restrictions", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			without.Count(g, RunOptions{Workers: 1})
+			without.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 		}
 	})
 }
@@ -58,12 +58,12 @@ func BenchmarkAblationScheduleChoice(b *testing.B) {
 	}
 	b.Run("model-selected", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res.Best.Count(g, RunOptions{Workers: 1})
+			res.Best.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 		}
 	})
 	b.Run("worst-ranked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			worstCfg.Count(g, RunOptions{Workers: 1})
+			worstCfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 		}
 	})
 }
@@ -76,7 +76,7 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 	for _, chunk := range []int{1, 16, 256, 4096} {
 		b.Run(chunkName(chunk), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg.Count(g, RunOptions{Workers: 4, ChunkSize: chunk})
+				cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 4, ChunkSize: chunk})
 			}
 		})
 	}

@@ -53,13 +53,13 @@ func TestEdgeParallelBalance(t *testing.T) {
 	const n = 20000
 	g := starRingGraph(n)
 	cfg := hubRootTriangle(t)
-	total := cfg.Count(g, RunOptions{Workers: 1, EdgeParallel: EdgeParallelOff})
+	total := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1, EdgeParallel: EdgeParallelOff})
 	if total < int64(n)-10 {
 		t.Fatalf("fixture broken: %d triangles", total)
 	}
 
 	maxShare := func(tasks []taskpool.Range, edge bool) float64 {
-		c := NewCounter(cfg, g, false, nil)
+		c := NewCounter(cfg.Bind(false, TierAuto), g, nil)
 		var maxDelta, prev int64
 		for _, tk := range tasks {
 			if edge {
@@ -79,9 +79,9 @@ func TestEdgeParallelBalance(t *testing.T) {
 	}
 
 	opt := RunOptions{Workers: 8, EdgeParallel: EdgeParallelOff}
-	vertexTasks, _ := cfg.RootTasks(g, opt, false, false, engineTasksPerWorker)
+	vertexTasks, _ := cfg.Bind(false, TierAuto).RootTasks(g, opt, engineTasksPerWorker)
 	opt.EdgeParallel = EdgeParallelOn
-	edgeTasks, _ := cfg.RootTasks(g, opt, false, false, engineTasksPerWorker)
+	edgeTasks, _ := cfg.Bind(false, TierAuto).RootTasks(g, opt, engineTasksPerWorker)
 
 	vShare := maxShare(vertexTasks, false)
 	eShare := maxShare(edgeTasks, true)
@@ -100,12 +100,12 @@ func TestEdgeParallelBalance(t *testing.T) {
 func TestCountEdgeRangeCoversExactly(t *testing.T) {
 	g := graph.BarabasiAlbert(500, 4, 3)
 	cfg := hubRootTriangle(t)
-	if !cfg.EdgeParallelEligible(false) {
+	if !cfg.Bind(false, TierAuto).EdgeParallelEligible() {
 		t.Fatal("triangle config should be edge-eligible")
 	}
-	want := cfg.Count(g, RunOptions{Workers: 1})
+	want := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 	for _, chunk := range []int{1, 7, 64, 100000} {
-		c := NewCounter(cfg, g, false, nil)
+		c := NewCounter(cfg.Bind(false, TierAuto), g, nil)
 		for _, tk := range equalCut(g.NumAdjSlots(), chunk) {
 			c.CountEdgeRange(tk.Start, tk.End)
 		}
@@ -125,7 +125,7 @@ func equalCut(n, size int) []taskpool.Range {
 // on and returns each task's work units: the scans, candidates and
 // intersections it recorded, summed over levels.
 func taskWork(cfg *Config, g *graph.Graph, tasks []taskpool.Range, edge bool) []uint64 {
-	w := cfg.newWorker(g, RunOptions{Stats: telemetry.NewRunStats(cfg.N())}, true, nil, nil)
+	w := cfg.Bind(true, TierAuto).newWorker(g, RunOptions{Stats: telemetry.NewRunStats(cfg.N())}, nil, nil)
 	work := make([]uint64, len(tasks))
 	var done uint64
 	for i, tk := range tasks {
@@ -186,7 +186,7 @@ func TestRootTasksBalanceByWorkUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := res.Best
-	tasks, edge := cfg.RootTasks(g, RunOptions{Workers: ranks}, true, false, 16)
+	tasks, edge := cfg.Bind(true, TierAuto).RootTasks(g, RunOptions{Workers: ranks}, 16)
 	n := g.NumVertices()
 	if edge {
 		n = g.NumAdjSlots()

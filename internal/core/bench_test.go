@@ -23,7 +23,7 @@ func BenchmarkCountTriangle(b *testing.B) {
 	cfg := benchPlan(b, g, pattern.Triangle())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.Count(g, RunOptions{Workers: 1})
+		cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 	}
 }
 
@@ -33,7 +33,7 @@ func BenchmarkCountHouse(b *testing.B) {
 	cfg := benchPlan(b, g, pattern.House())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.Count(g, RunOptions{Workers: 1})
+		cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 	}
 }
 
@@ -44,7 +44,7 @@ func BenchmarkCountHouseIEP(b *testing.B) {
 	cfg := benchPlan(b, g, pattern.House())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.CountIEP(g, RunOptions{Workers: 1})
+		cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1})
 	}
 }
 
@@ -54,7 +54,7 @@ func BenchmarkCountParallel(b *testing.B) {
 	cfg := benchPlan(b, g, pattern.House())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.CountIEP(g, RunOptions{Workers: 0})
+		cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 0})
 	}
 }
 

@@ -28,7 +28,7 @@ func TestCountCtxCancelStopsPromptly(t *testing.T) {
 	// Uncancelled baseline: the full search must be much slower than the
 	// cancelled run below, otherwise the test proves nothing.
 	t0 := time.Now()
-	want := cfg.Count(g, RunOptions{Workers: 2})
+	want := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 2})
 	full := time.Since(t0)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -37,7 +37,7 @@ func TestCountCtxCancelStopsPromptly(t *testing.T) {
 		cancel()
 	}()
 	t0 = time.Now()
-	n, err := cfg.CountCtx(ctx, g, RunOptions{Workers: 2})
+	n, err := cfg.Bind(false, TierAuto).Run(ctx, g, RunOptions{Workers: 2})
 	elapsed := time.Since(t0)
 	if err == nil {
 		t.Skip("search finished before the cancel fired; fixture too small for this machine")
@@ -60,7 +60,7 @@ func TestCountCtxAlreadyCancelled(t *testing.T) {
 	g, cfg := cancelFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	n, err := cfg.CountIEPCtx(ctx, g, RunOptions{Workers: 1})
+	n, err := cfg.Bind(true, TierAuto).Run(ctx, g, RunOptions{Workers: 1})
 	if err != context.Canceled {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
@@ -76,20 +76,20 @@ func TestCountCtxCompleteMatchesCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := res.Best
-	want := cfg.CountIEP(g, RunOptions{Workers: 2})
-	got, err := cfg.CountIEPCtx(context.Background(), g, RunOptions{Workers: 2})
+	want := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 2})
+	got, err := cfg.Bind(true, TierAuto).Run(context.Background(), g, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("CountIEPCtx = %d, CountIEP = %d", got, want)
+		t.Fatalf("Run = %d, Count = %d", got, want)
 	}
-	gotEnum, err := cfg.EnumerateCtx(context.Background(), g, RunOptions{Workers: 2}, func([]uint32) bool { return true })
+	gotEnum, err := cfg.Enumerate(context.Background(), g, RunOptions{Workers: 2}, func([]uint32) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotEnum != want {
-		t.Fatalf("EnumerateCtx visited %d, want %d", gotEnum, want)
+		t.Fatalf("Enumerate visited %d, want %d", gotEnum, want)
 	}
 }
 
@@ -100,7 +100,7 @@ func TestEnumerateCtxCancelStopsVisits(t *testing.T) {
 	// Each visit sleeps, modeling a streaming client; the context watcher's
 	// wake-up latency is then far smaller than one visit, so after cancel
 	// each worker reports at most the visit already in flight.
-	n, err := cfg.EnumerateCtx(ctx, g, RunOptions{Workers: 2}, func([]uint32) bool {
+	n, err := cfg.Enumerate(ctx, g, RunOptions{Workers: 2}, func([]uint32) bool {
 		if visits.Add(1) == 20 {
 			cancel()
 		}
@@ -119,7 +119,7 @@ func TestCountCtxBudgetAbort(t *testing.T) {
 	g, cfg := cancelFixture(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	n, err := cfg.CountCtx(ctx, g, RunOptions{Workers: 1})
+	n, err := cfg.Bind(false, TierAuto).Run(ctx, g, RunOptions{Workers: 1})
 	if err == nil {
 		t.Skip("search finished inside the deadline; fixture too small for this machine")
 	}
@@ -138,11 +138,55 @@ func TestCounterStop(t *testing.T) {
 	var stop atomic.Bool
 	stop.Store(true)
 	for _, cfg := range []*Config{house, cliqueConfig(t, 4)} {
-		c := NewCounter(cfg, g, false, &stop)
+		c := NewCounter(cfg.Bind(false, TierAuto), g, &stop)
 		c.CountRange(0, g.NumVertices())
 		c.CountEdgeRange(0, g.NumAdjSlots())
 		if c.Raw() != 0 {
 			t.Fatalf("%s: stopped counter tallied %d, want 0", cfg.Pattern, c.Raw())
 		}
+	}
+}
+
+// TestRunCancelReturnsCtxErr: a context cancelled before a run, or while it
+// runs, makes Bound.Run on either executor and Config.Enumerate return
+// ctx.Err(). A run cancelled before it starts tallies nothing.
+func TestRunCancelReturnsCtxErr(t *testing.T) {
+	g, house := cancelFixture(t)
+	dense, k6 := graph.GNP(600, 0.3, 1), cliqueConfig(t, 6)
+	opt := RunOptions{Workers: 2}
+	for _, tc := range []struct {
+		name string
+		run  func(ctx context.Context, cancel func()) (int64, error)
+	}{
+		{"interpreter", func(ctx context.Context, _ func()) (int64, error) {
+			return house.Bind(false, TierInterpret).Run(ctx, g, opt)
+		}},
+		{"clique kernel", func(ctx context.Context, _ func()) (int64, error) {
+			return k6.Bind(false, TierGenerated).Run(ctx, dense, opt)
+		}},
+		{"enumerate", func(ctx context.Context, cancel func()) (int64, error) {
+			var visits atomic.Int64
+			return house.Enumerate(ctx, g, opt, func([]uint32) bool {
+				if visits.Add(1) == 100 {
+					cancel()
+				}
+				return true
+			})
+		}},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if n, err := tc.run(ctx, cancel); err != context.Canceled || n != 0 {
+			t.Errorf("%s, cancelled before: %d, %v; want 0, context.Canceled", tc.name, n, err)
+		}
+		// Each count run takes over 50 times the deadline (House on the
+		// fixture, K6 on the dense graph); enumeration cancels itself from
+		// its 100th visit.
+		ctx, cancel = context.WithTimeout(context.Background(), 2*time.Millisecond)
+		n, err := tc.run(ctx, cancel)
+		if want := ctx.Err(); err == nil || err != want {
+			t.Errorf("%s, cancelled during: %d, %v; want ctx.Err() = %v", tc.name, n, err, want)
+		}
+		cancel()
 	}
 }

@@ -54,7 +54,7 @@ type Config struct {
 	// kIEP is the usable inclusion–exclusion suffix of this schedule,
 	// possibly shrunk so the over-count correction below is exact.
 	kIEP int
-	// CountIEP scales its raw tally by iepNum/iepDen: dropping the
+	// An IEP run scales its raw tally by iepNum/iepDen: dropping the
 	// restrictions of the innermost kIEP loops makes every subgraph be
 	// counted iepDen times instead of iepNum times (paper §IV-D's x is
 	// iepDen with iepNum = 1 for complete restriction sets).
@@ -174,7 +174,7 @@ func (c *Config) lowerPrograms() error {
 
 // lowerSpec produces the neutral description internal/codegen consumes —
 // the seam that keeps codegen free of a core dependency.
-func (c *Config) lowerSpec(useIEP bool) codegen.Spec {
+func (c *Config) lowerSpec(iep bool) codegen.Spec {
 	spec := codegen.Spec{
 		N:        c.n,
 		Plan:     c.plan,
@@ -182,7 +182,7 @@ func (c *Config) lowerSpec(useIEP bool) codegen.Spec {
 		Uppers:   c.uppers,
 		DupCheck: c.dupCheck,
 	}
-	if useIEP && c.effectiveIEPK() >= 1 {
+	if iep && c.effectiveIEPK() >= 1 {
 		spec.KIEP = c.kIEP
 		spec.IEPNum, spec.IEPDen = c.iepNum, c.iepDen
 	}
@@ -200,12 +200,20 @@ func (c *Config) SourceSpec() codegen.Spec {
 	return spec
 }
 
-// program returns the lowered nest a run with the given IEP request walks.
-func (c *Config) program(useIEP bool) *codegen.Program {
-	if useIEP && c.progIEP != nil {
-		return c.progIEP
+// effectiveIEPK returns the IEP suffix a run actually evaluates in closed
+// form: 0 when the pattern has a single vertex or the schedule admits no
+// suffix — and 0 for a one-loop suffix whose enumeration leaf needs no
+// duplicate check. Both forms then evaluate one set size per prefix, over the
+// same outer loops, but the IEP form has to drop the leaf's restrictions and
+// rescale, and an unwindowed IEP set at the end of a chain forfeits every
+// bound codegen.Lower could otherwise move into the chain's steps (a clique
+// under a total order loses all of them); the plain nest keeps them and its
+// leaf is a length add. The planner still sees KIEP() = 1.
+func (c *Config) effectiveIEPK() int {
+	if c.n < 2 || (c.kIEP == 1 && len(c.dupCheck[c.n-1]) == 0) {
+		return 0
 	}
-	return c.progEnum
+	return c.kIEP
 }
 
 // computeIEPScaling determines the largest usable IEP suffix and the exact
@@ -222,8 +230,8 @@ func (c *Config) program(useIEP bool) *codegen.Program {
 // order table (its n! relative orders grouped into automorphism cosets) the
 // per-coset counts of orders passing (a) the full set and (b) the
 // outer-only set, and check that they are constants. The first k that
-// passes fixes the scaling CountIEP must apply (full/outer, i.e.
-// iepNum/iepDen); if none passes, CountIEP falls back to full enumeration
+// passes fixes the scaling an IEP run must apply (full/outer, i.e.
+// iepNum/iepDen); if none passes, IEP runs fall back to full enumeration
 // (kIEP = 0). Patterns above perm.MaxTableDegree vertices have no table and
 // always fall back; the paper's patterns stop at 7 vertices.
 func (c *Config) computeIEPScaling() {
@@ -270,14 +278,14 @@ func (c *Config) vertexGreater(cut int) []uint16 {
 func (c *Config) N() int { return c.n }
 
 // KIEP returns the inclusion–exclusion suffix length this configuration can
-// exploit when counting (0 when CountIEP must fall back to enumeration).
+// exploit when counting (0 when IEP runs fall back to enumeration).
 func (c *Config) KIEP() int { return c.kIEP }
 
-// IEPDivisor returns the over-count divisor applied by CountIEP (the
+// IEPDivisor returns the over-count divisor an IEP run applies (the
 // paper's x; the full scaling is IEPNumerator()/IEPDivisor()).
 func (c *Config) IEPDivisor() int64 { return c.iepDen }
 
-// IEPNumerator returns the numerator of CountIEP's scaling (1 for complete
+// IEPNumerator returns the numerator of an IEP run's scaling (1 for complete
 // restriction sets).
 func (c *Config) IEPNumerator() int64 { return c.iepNum }
 

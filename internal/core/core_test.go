@@ -63,7 +63,7 @@ func TestCountTrianglesOnKnownGraphs(t *testing.T) {
 		{graph.Star(10), 0},
 	}
 	for _, c := range cases {
-		if got := cfg.Count(c.g, RunOptions{Workers: 1}); got != c.want {
+		if got := cfg.Bind(false, TierAuto).Count(c.g, RunOptions{Workers: 1}); got != c.want {
 			t.Errorf("%s: Count = %d, want %d", c.g.Name(), got, c.want)
 		}
 	}
@@ -75,7 +75,7 @@ func TestCountWithoutRestrictionsIsAutMultiple(t *testing.T) {
 		pattern.Triangle(), pattern.Rectangle(), pattern.House(),
 	} {
 		bare := mustConfig(t, p, identitySchedule(p.N()), nil)
-		got := bare.Count(g, RunOptions{Workers: 1})
+		got := bare.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 		want := baseline.BruteForceCount(g, p) * int64(len(p.Automorphisms()))
 		if got != want {
 			t.Errorf("%s unrestricted: %d, want %d", p, got, want)
@@ -101,7 +101,7 @@ func TestCountMatchesBruteForceAcrossConfigs(t *testing.T) {
 		for _, s := range sres.Efficient {
 			for _, rs := range sets {
 				cfg := mustConfig(t, p, s, rs)
-				if got := cfg.Count(g, RunOptions{Workers: 1}); got != want {
+				if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
 					t.Errorf("%s sched %v set %v: %d, want %d", p, s, rs, got, want)
 				}
 			}
@@ -122,7 +122,7 @@ func TestCountEliminatedSchedulesStillCorrect(t *testing.T) {
 	res := schedule.Generate(p, schedule.Options{KeepEliminated: true})
 	for _, s := range res.Eliminated[:10] {
 		cfg := mustConfig(t, p, s, sets[0])
-		if got := cfg.Count(g, RunOptions{Workers: 1}); got != want {
+		if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
 			t.Errorf("eliminated schedule %v: %d, want %d", s, got, want)
 		}
 	}
@@ -135,7 +135,7 @@ func TestGraphZeroRestrictionSetCorrect(t *testing.T) {
 		gz := restrict.GraphZeroSet(p)
 		sres := schedule.Generate(p, schedule.Options{})
 		cfg := mustConfig(t, p, sres.Efficient[0], gz)
-		if got := cfg.Count(g, RunOptions{Workers: 1}); got != want {
+		if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
 			t.Errorf("%s GraphZero set: %d, want %d", p, got, want)
 		}
 	}
@@ -150,10 +150,10 @@ func TestParallelCountMatchesSequential(t *testing.T) {
 	}
 	sres := schedule.Generate(p, schedule.Options{})
 	cfg := mustConfig(t, p, sres.Efficient[0], sets[0])
-	want := cfg.Count(g, RunOptions{Workers: 1})
+	want := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 	for _, workers := range []int{2, 4, 8} {
 		for _, chunk := range []int{0, 1, 17} {
-			if got := cfg.Count(g, RunOptions{Workers: workers, ChunkSize: chunk}); got != want {
+			if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: workers, ChunkSize: chunk}); got != want {
 				t.Errorf("workers=%d chunk=%d: %d, want %d", workers, chunk, got, want)
 			}
 		}
@@ -175,8 +175,8 @@ func TestCountIEPMatchesCount(t *testing.T) {
 		for _, s := range sres.Efficient {
 			for _, rs := range sets {
 				cfg := mustConfig(t, p, s, rs)
-				plain := cfg.Count(g, RunOptions{Workers: 1})
-				viaIEP := cfg.CountIEP(g, RunOptions{Workers: 1})
+				plain := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
+				viaIEP := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1})
 				if plain != viaIEP {
 					t.Errorf("%s sched %v set %v: IEP %d != plain %d (k=%d div=%d)",
 						p, s, rs, viaIEP, plain, cfg.KIEP(), cfg.IEPDivisor())
@@ -195,11 +195,11 @@ func TestCountIEPParallel(t *testing.T) {
 	}
 	sres := schedule.Generate(p, schedule.Options{})
 	cfg := mustConfig(t, p, sres.Efficient[0], sets[0])
-	want := cfg.CountIEP(g, RunOptions{Workers: 1})
-	if got := cfg.CountIEP(g, RunOptions{Workers: 4}); got != want {
+	want := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1})
+	if got := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 4}); got != want {
 		t.Errorf("parallel IEP %d != sequential %d", got, want)
 	}
-	if plain := cfg.Count(g, RunOptions{Workers: 4}); plain != want {
+	if plain := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 4}); plain != want {
 		t.Errorf("IEP %d != plain %d", want, plain)
 	}
 }
@@ -213,9 +213,9 @@ func TestEnumerateVisitsValidEmbeddings(t *testing.T) {
 	}
 	sres := schedule.Generate(p, schedule.Options{})
 	cfg := mustConfig(t, p, sres.Efficient[0], sets[0])
-	want := cfg.Count(g, RunOptions{Workers: 1})
+	want := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 	var seen int64
-	got := cfg.Enumerate(g, RunOptions{Workers: 1}, func(emb []uint32) bool {
+	got := cfg.EnumerateAll(g, RunOptions{Workers: 1}, func(emb []uint32) bool {
 		seen++
 		// Every pattern edge must be present between the mapped vertices.
 		for u := 0; u < p.N(); u++ {
@@ -246,7 +246,7 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	sets, _ := restrict.Generate(p, restrict.Options{})
 	cfg := mustConfig(t, p, identitySchedule(3), sets[0])
 	var visited int64
-	cfg.Enumerate(g, RunOptions{Workers: 1}, func([]uint32) bool {
+	cfg.EnumerateAll(g, RunOptions{Workers: 1}, func([]uint32) bool {
 		visited++
 		return visited < 5
 	})
@@ -261,9 +261,9 @@ func TestEnumerateParallelCount(t *testing.T) {
 	sets, _ := restrict.Generate(p, restrict.Options{})
 	sres := schedule.Generate(p, schedule.Options{})
 	cfg := mustConfig(t, p, sres.Efficient[0], sets[0])
-	want := cfg.Count(g, RunOptions{Workers: 1})
+	want := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 	var n int64
-	got := cfg.Enumerate(g, RunOptions{Workers: 4}, func([]uint32) bool { return true })
+	got := cfg.EnumerateAll(g, RunOptions{Workers: 4}, func([]uint32) bool { return true })
 	_ = n
 	if got != want {
 		t.Errorf("parallel Enumerate = %d, want %d", got, want)
@@ -275,11 +275,11 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 	sets, _ := restrict.Generate(p, restrict.Options{})
 	cfg := mustConfig(t, p, identitySchedule(3), sets[0])
 	empty, _ := graph.FromEdges(0, nil)
-	if got := cfg.Count(empty, RunOptions{}); got != 0 {
+	if got := cfg.Bind(false, TierAuto).Count(empty, RunOptions{}); got != 0 {
 		t.Errorf("empty graph count = %d", got)
 	}
 	two, _ := graph.FromEdges(2, [][2]uint32{{0, 1}})
-	if got := cfg.Count(two, RunOptions{}); got != 0 {
+	if got := cfg.Bind(false, TierAuto).Count(two, RunOptions{}); got != 0 {
 		t.Errorf("2-vertex graph count = %d", got)
 	}
 }
@@ -288,10 +288,10 @@ func TestSingleVertexPattern(t *testing.T) {
 	p := pattern.MustNew(1, nil, "v")
 	cfg := mustConfig(t, p, identitySchedule(1), nil)
 	g := graph.GNP(25, 0.2, 1)
-	if got := cfg.Count(g, RunOptions{Workers: 1}); got != 25 {
+	if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != 25 {
 		t.Errorf("single-vertex count = %d, want 25", got)
 	}
-	if got := cfg.CountIEP(g, RunOptions{Workers: 1}); got != 25 {
+	if got := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1}); got != 25 {
 		t.Errorf("single-vertex IEP count = %d, want 25", got)
 	}
 }
@@ -308,7 +308,7 @@ func TestPlanSelectsWorkingConfig(t *testing.T) {
 			t.Fatalf("%s: incomplete result", p)
 		}
 		want := baseline.BruteForceCount(graph.GNP(12, 0.5, 3), p)
-		got := res.Best.Count(graph.GNP(12, 0.5, 3), RunOptions{Workers: 1})
+		got := res.Best.Bind(false, TierAuto).Count(graph.GNP(12, 0.5, 3), RunOptions{Workers: 1})
 		if got != want {
 			t.Errorf("%s planned config count = %d, want %d", p, got, want)
 		}
@@ -346,7 +346,7 @@ func TestPlanGraphZeroBaseline(t *testing.T) {
 	}
 	small := graph.GNP(14, 0.5, 6)
 	want := baseline.BruteForceCount(small, p)
-	if got := res.Best.Count(small, RunOptions{Workers: 1}); got != want {
+	if got := res.Best.Bind(false, TierAuto).Count(small, RunOptions{Workers: 1}); got != want {
 		t.Errorf("GraphZero baseline count = %d, want %d", got, want)
 	}
 	if res.NumRestrictionSets != 1 {
@@ -386,10 +386,10 @@ func TestRandomGraphsPatternsProperty(t *testing.T) {
 			return false
 		}
 		want := baseline.BruteForceCount(g, p)
-		if res.Best.Count(g, RunOptions{Workers: 1}) != want {
+		if res.Best.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}) != want {
 			return false
 		}
-		if res.Best.CountIEP(g, RunOptions{Workers: 2}) != want {
+		if res.Best.Bind(true, TierAuto).Count(g, RunOptions{Workers: 2}) != want {
 			return false
 		}
 		return true

@@ -22,10 +22,10 @@ func TestSingleEdgePattern(t *testing.T) {
 	}
 	cfg := mustConfig(t, p, identitySchedule(2), sets[0])
 	g := graph.GNM(100, 321, 5)
-	if got := cfg.Count(g, RunOptions{Workers: 1}); got != 321 {
+	if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != 321 {
 		t.Errorf("edge count = %d, want 321", got)
 	}
-	if got := cfg.CountIEP(g, RunOptions{Workers: 2}); got != 321 {
+	if got := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 2}); got != 321 {
 		t.Errorf("edge IEP count = %d, want 321", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestIsolatedVerticesIgnored(t *testing.T) {
 	p := pattern.Triangle()
 	sets, _ := restrict.Generate(p, restrict.Options{})
 	cfg := mustConfig(t, p, identitySchedule(3), sets[0])
-	if got := cfg.Count(g, RunOptions{Workers: 4}); got != 1 {
+	if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 4}); got != 1 {
 		t.Errorf("count = %d, want 1", got)
 	}
 }
@@ -57,7 +57,7 @@ func TestBidirectionalRestrictionsOnOneDepth(t *testing.T) {
 	rs := restrict.Set{{First: 0, Second: 2}, {First: 2, Second: 1}}
 	cfg := mustConfig(t, p, identitySchedule(3), rs)
 	g := graph.GNP(20, 0.5, 13)
-	got := cfg.Count(g, RunOptions{Workers: 1})
+	got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 	// Reference: count injective paths v0-v1-v2 with v0 > v2 > v1.
 	var want int64
 	n := g.NumVertices()
@@ -92,7 +92,7 @@ func TestBudgetTruncates(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := cfg.CountCtx(ctx, g, RunOptions{Workers: 2})
+	_, err := cfg.Bind(false, TierAuto).Run(ctx, g, RunOptions{Workers: 2})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Skip("machine fast enough to finish before the deadline; nothing to assert")
@@ -112,7 +112,7 @@ func TestBudgetCompleteFlagOnFastRun(t *testing.T) {
 	cfg := mustConfig(t, p, identitySchedule(3), sets[0])
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	count, err := cfg.CountCtx(ctx, g, RunOptions{Workers: 1})
+	count, err := cfg.Bind(false, TierAuto).Run(ctx, g, RunOptions{Workers: 1})
 	if err != nil || count != 56 {
 		t.Errorf("fast run: count=%d err=%v", count, err)
 	}
@@ -128,7 +128,7 @@ func TestStarPatternLargeIEPSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Best.CountIEP(g, RunOptions{Workers: 2})
+	got := res.Best.Bind(true, TierAuto).Count(g, RunOptions{Workers: 2})
 	var want int64
 	for v := 0; v < g.NumVertices(); v++ {
 		d := int64(g.Degree(uint32(v)))
@@ -159,10 +159,10 @@ func TestCliquePatternsAgainstClosedForm(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := binom(10, int64(m))
-		if got := res.Best.Count(g, RunOptions{Workers: 1}); got != want {
+		if got := res.Best.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
 			t.Errorf("K%d in K10: %d, want %d", m, got, want)
 		}
-		if got := res.Best.CountIEP(g, RunOptions{Workers: 1}); got != want {
+		if got := res.Best.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
 			t.Errorf("K%d in K10 (IEP): %d, want %d", m, got, want)
 		}
 	}
@@ -186,7 +186,7 @@ func TestEnumerateEmbeddingIndexing(t *testing.T) {
 	sets, _ := restrict.Generate(p, restrict.Options{})
 	cfg := mustConfig(t, p, sched, sets[0])
 	g := graph.GNP(14, 0.6, 99)
-	cfg.Enumerate(g, RunOptions{Workers: 1}, func(emb []uint32) bool {
+	cfg.EnumerateAll(g, RunOptions{Workers: 1}, func(emb []uint32) bool {
 		for u := 0; u < p.N(); u++ {
 			for v := u + 1; v < p.N(); v++ {
 				if p.HasEdge(u, v) && !g.HasEdge(emb[u], emb[v]) {

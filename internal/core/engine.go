@@ -44,18 +44,6 @@ type RunOptions struct {
 	// whole chunk (paper §IV-E's skew problem). Auto enables it for
 	// multi-worker runs on eligible schedules; On and Off are test hooks.
 	EdgeParallel EdgeParallelMode
-	// Context, when non-nil, cancels the run cooperatively: every worker
-	// observes cancellation at its next outer-loop vertex (or edge-slot
-	// group) boundary and returns, so taskpool goroutines are freed within
-	// one chunk even when the full search would run for minutes. A context
-	// deadline is the way to bound a run's time. Use the *Ctx methods to
-	// learn whether a run was cancelled.
-	Context context.Context
-	// Tier selects the executor for counting runs (see Tier). TierAuto
-	// picks the clique kernel for total-order cliques; enumeration and every
-	// other configuration run on the interpreter. Counts are bit-identical
-	// across tiers, so the choice is purely about speed.
-	Tier Tier
 	// Stats, when non-nil, enables per-level telemetry: every worker
 	// records into a private shard and the shards are merged into Stats
 	// when the run returns. The counts themselves are bit-identical with
@@ -68,70 +56,105 @@ type RunOptions struct {
 	work *workCap
 }
 
-// Count returns the number of embeddings of the configuration's pattern by
-// enumerating the full loop nest (no IEP). If the restriction set is
-// complete, each embedding is counted exactly once; with an empty set the
-// result counts every automorphic image (|Aut| per embedding).
+// Bound is a configuration bound to one way of running it: the lowered nest
+// the interpreter walks — the nest cut for the inclusion–exclusion suffix
+// (paper §IV-D) or the full enumeration nest — and the executor that runs it,
+// the clique kernel or the interpreter. Config.Bind makes one; runs, root-task
+// cuts, cluster counters, the IEP scaling and drift reports read their
+// decisions from it, so none of them takes an IEP flag or a tier.
+type Bound struct {
+	cfg    *Config
+	prog   *codegen.Program
+	clique bool // runs on the clique kernel
+}
+
+// Bind fixes how counting runs of c execute. iep asks for the IEP nest: c
+// walks it when it has a usable IEP suffix, and otherwise counts exactly on
+// the full nest. tier picks the executor: the clique kernel when tier is
+// TierAuto or TierGenerated and c is a total-order clique, the interpreter
+// otherwise.
+func (c *Config) Bind(iep bool, tier Tier) Bound {
+	b := Bound{cfg: c, prog: c.progEnum}
+	if iep && c.progIEP != nil {
+		b.prog = c.progIEP
+	}
+	b.clique = c.clique && (tier == TierAuto || tier == TierGenerated)
+	return b
+}
+
+// Config returns the configuration b runs.
+func (b Bound) Config() *Config { return b.cfg }
+
+// IEP reports whether b walks the IEP nest, whose raw tallies ScaleIEP
+// corrects.
+func (b Bound) IEP() bool { return b.prog.IEPCut >= 0 }
+
+// Tier reports the executor b runs on: TierGenerated (the clique kernel) or
+// TierInterpret.
+func (b Bound) Tier() Tier {
+	if b.clique {
+		return TierGenerated
+	}
+	return TierInterpret
+}
+
+// Run counts the embeddings of b's pattern on g. With the full nest each
+// embedding counts once if the restriction set is complete, and |Aut| times
+// with an empty set; the IEP nest returns the same numbers, typically far
+// faster. The count is identical for every worker count and task shape.
+//
+// ctx cancels the run cooperatively: every worker observes cancellation at
+// its next outer-loop vertex (or edge-slot group) boundary and returns, so
+// the workers are freed within one task even when the full search would run
+// for minutes; a context deadline is the way to bound a run's time. A
+// cancelled run returns ctx.Err() with the partial tally; a nil error means
+// the count is exact.
 //
 //graphpi:deterministic
-func (c *Config) Count(g *graph.Graph, opt RunOptions) int64 {
-	return c.execute(g, opt, false, nil)
+func (b Bound) Run(ctx context.Context, g *graph.Graph, opt RunOptions) (int64, error) {
+	return b.execute(ctx.Done(), g, opt, nil), ctx.Err()
 }
 
-// CountIEP counts embeddings using the Inclusion-Exclusion Principle over
-// the configuration's independent innermost loops (paper §IV-D). Results
-// equal Count for complete restriction sets, typically far faster.
+// Count is Run for callers that hold no context (the facade's context-free
+// methods): the run cannot be cancelled.
 //
 //graphpi:deterministic
-func (c *Config) CountIEP(g *graph.Graph, opt RunOptions) int64 {
-	return c.execute(g, opt, true, nil)
+func (b Bound) Count(g *graph.Graph, opt RunOptions) int64 {
+	return b.execute(nil, g, opt, nil)
 }
 
-// CountCtx is Count under a context: the run stops cooperatively when ctx
-// is cancelled and the (partial) tally is returned alongside ctx's error.
-// A nil error means the count ran to completion and is exact.
-func (c *Config) CountCtx(ctx context.Context, g *graph.Graph, opt RunOptions) (int64, error) {
-	opt.Context = ctx
-	return c.execute(g, opt, false, nil), ctx.Err()
+// Enumerate invokes visit for every embedding found, on the interpreter
+// walking the full nest. The slice passed to visit is indexed by original
+// pattern vertex and reused between calls — copy it to retain. Embeddings are
+// reported in original vertex ids even on a Reorder()ed graph. visit may be
+// invoked concurrently from different workers when opt.Workers > 1; returning
+// false stops the enumeration. Enumerate returns the number of embeddings
+// visited (if stopped early, the tally reflects the visits that happened).
+// ctx cancels the run as it cancels Run: no visits happen after the workers
+// observe it, and the error is ctx's.
+func (c *Config) Enumerate(ctx context.Context, g *graph.Graph, opt RunOptions, visit func([]uint32) bool) (int64, error) {
+	return c.enumerator().execute(ctx.Done(), g, opt, visit), ctx.Err()
 }
 
-// CountIEPCtx is CountIEP under a context (see CountCtx).
-func (c *Config) CountIEPCtx(ctx context.Context, g *graph.Graph, opt RunOptions) (int64, error) {
-	opt.Context = ctx
-	return c.execute(g, opt, true, nil), ctx.Err()
+// EnumerateAll is Enumerate for callers that hold no context: only visit can
+// stop it.
+func (c *Config) EnumerateAll(g *graph.Graph, opt RunOptions, visit func([]uint32) bool) int64 {
+	return c.enumerator().execute(nil, g, opt, visit)
 }
 
-// EnumerateCtx is Enumerate under a context: cancellation stops every worker
-// at its next boundary and no further visits happen after that point. The
-// returned tally counts the visits that did happen; the error is ctx's.
-func (c *Config) EnumerateCtx(ctx context.Context, g *graph.Graph, opt RunOptions, visit func([]uint32) bool) (int64, error) {
-	opt.Context = ctx
-	return c.execute(g, opt, false, visit), ctx.Err()
-}
-
-// Enumerate invokes visit for every embedding found. The slice passed to
-// visit is indexed by original pattern vertex and reused between calls —
-// copy it to retain. Embeddings are reported in original vertex ids even on
-// a Reorder()ed graph. visit may be invoked concurrently from different
-// workers when opt.Workers > 1; returning false stops the enumeration.
-// Enumerate returns the number of embeddings visited (if stopped early, the
-// tally reflects the visits that happened).
-func (c *Config) Enumerate(g *graph.Graph, opt RunOptions, visit func([]uint32) bool) int64 {
-	return c.execute(g, opt, false, visit)
-}
+// enumerator is the binding every enumeration runs: the interpreter on the
+// full nest.
+func (c *Config) enumerator() Bound { return Bound{cfg: c, prog: c.progEnum} }
 
 // EdgeParallelEligible reports whether the first two loops can be flattened
 // into an edge sweep: depth 1 must iterate N(v0) and must not already be
 // consumed by the IEP suffix. RootTasks packs Counter.CountEdgeRange tasks
 // only then.
-func (c *Config) EdgeParallelEligible(useIEP bool) bool {
-	if c.n < 2 {
+func (b Bound) EdgeParallelEligible() bool {
+	if b.cfg.n < 2 || b.prog.IEPCut == 0 { // IEP takes over right after depth 0
 		return false
 	}
-	if useIEP && c.effectiveIEPK() >= c.n-1 {
-		return false // IEP takes over right after depth 0
-	}
-	cand := c.plan.Cand[1]
+	cand := b.cfg.plan.Cand[1]
 	return cand.Kind == schedule.CandNeighborhood && cand.Parent == 0
 }
 
@@ -144,9 +167,8 @@ const engineTasksPerWorker = 64
 // they are CSR slot ranges (edge-parallel) or vertex ranges. It is the one
 // cutter behind local runs and the cluster master: opt.Workers is the total
 // worker count the tasks are for and perWorker how many tasks each should
-// get; enumerate says whether the run visits embeddings (which always
-// interprets). Slot tasks are packed when the schedule is EdgeParallelEligible
-// and opt.EdgeParallel is On, or Auto with more than one worker.
+// get. Slot tasks are packed when b is EdgeParallelEligible and
+// opt.EdgeParallel is On, or Auto with more than one worker.
 //
 // Tasks hold about equal predicted work (taskpool.Cut). For the interpreter a
 // root of degree d weighs d²: as one vertex task, or as d slots of weight d.
@@ -157,9 +179,9 @@ const engineTasksPerWorker = 64
 // opt.ChunkSize is the fixed-size test hook: ⌈|V|/ChunkSize⌉ equal-size tasks
 // of either shape. One worker with no ChunkSize gets the whole loop as one
 // task, as it has nobody to balance against.
-func (c *Config) RootTasks(g *graph.Graph, opt RunOptions, useIEP, enumerate bool, perWorker int) ([]taskpool.Range, bool) {
+func (b Bound) RootTasks(g *graph.Graph, opt RunOptions, perWorker int) ([]taskpool.Range, bool) {
 	workers := taskpool.Workers(opt.Workers)
-	edgePar := c.EdgeParallelEligible(useIEP) &&
+	edgePar := b.EdgeParallelEligible() &&
 		opt.EdgeParallel != EdgeParallelOff &&
 		(opt.EdgeParallel == EdgeParallelOn || workers > 1)
 	nv := g.NumVertices()
@@ -173,7 +195,7 @@ func (c *Config) RootTasks(g *graph.Graph, opt RunOptions, useIEP, enumerate boo
 		return taskpool.Cut((nv+opt.ChunkSize-1)/opt.ChunkSize, 1, unit), edgePar
 	case workers == 1:
 		return taskpool.Cut(1, 1, unit), edgePar
-	case c.runsClique(opt.Tier, enumerate):
+	case b.clique:
 		return taskpool.Cut(workers*perWorker, 1, unit), edgePar
 	case edgePar:
 		return taskpool.Cut(workers*perWorker, nv, func(v int) (int, int64) {
@@ -188,28 +210,32 @@ func (c *Config) RootTasks(g *graph.Graph, opt RunOptions, useIEP, enumerate boo
 	}
 }
 
-func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func([]uint32) bool) int64 {
+// execute runs b over g, stopping cooperatively once done closes (a nil done
+// never does), and returns the scaled tally.
+func (b Bound) execute(done <-chan struct{}, g *graph.Graph, opt RunOptions, visit func([]uint32) bool) int64 {
 	nv := g.NumVertices()
 	if nv == 0 {
 		return 0
 	}
 	workers := taskpool.Workers(opt.Workers)
 	var stop atomic.Bool
-	if ctx := opt.Context; ctx != nil {
-		if ctx.Err() != nil {
+	if done != nil {
+		select {
+		case <-done:
 			return 0
+		default:
 		}
 		watchDone := make(chan struct{})
 		defer close(watchDone)
 		go func() {
 			select {
-			case <-ctx.Done():
+			case <-done:
 				stop.Store(true)
 			case <-watchDone:
 			}
 		}()
 	}
-	tasks, edgePar := c.RootTasks(g, opt, useIEP, visit != nil, engineTasksPerWorker)
+	tasks, edgePar := b.RootTasks(g, opt, engineTasksPerWorker)
 	// Every worker builds its executor on its first task and probes the
 	// shared stop flag at root boundaries; both executors take the same
 	// vertex- or edge-parallel root tasks.
@@ -219,7 +245,7 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 			return
 		}
 		if ws[w] == nil {
-			ws[w] = c.newWorker(g, opt, useIEP, visit, &stop)
+			ws[w] = b.newWorker(g, opt, visit, &stop)
 		}
 		if edgePar {
 			ws[w].RunRootEdges(rg.Start, rg.End)
@@ -235,10 +261,7 @@ func (c *Config) execute(g *graph.Graph, opt RunOptions, useIEP bool, visit func
 			opt.Stats.Merge(w.Stats())
 		}
 	}
-	if useIEP {
-		total = c.ScaleIEP(total)
-	}
-	return total
+	return b.ScaleIEP(total)
 }
 
 // tierWorker is one worker's state on either executor (*runner,
@@ -251,66 +274,41 @@ type tierWorker interface {
 	Stats() *telemetry.RunStats
 }
 
-// newWorker builds one worker's executor for a run with the given options:
-// the clique kernel for a counting run that resolves to it, the interpreter
-// otherwise — with a telemetry shard when opt.Stats is set. The clique kernel
-// tallies final counts; its configuration's effectiveIEPK is 0, so ScaleIEP
-// leaves them alone.
-func (c *Config) newWorker(g *graph.Graph, opt RunOptions, useIEP bool, visit func([]uint32) bool, stop *atomic.Bool) tierWorker {
+// newWorker builds one worker's executor: the clique kernel when b runs on
+// it, the interpreter walking b's nest otherwise — with a telemetry shard
+// when opt.Stats is set. The clique kernel tallies final counts; its
+// configuration has no IEP nest, so ScaleIEP leaves them alone.
+func (b Bound) newWorker(g *graph.Graph, opt RunOptions, visit func([]uint32) bool, stop *atomic.Bool) tierWorker {
 	var st *telemetry.RunStats
 	if opt.Stats != nil {
-		st = telemetry.NewRunStats(c.n)
+		st = telemetry.NewRunStats(b.cfg.n)
 	}
-	if c.runsClique(opt.Tier, visit != nil) {
-		k := codegen.NewClique(g, c.n, stop)
+	if b.clique {
+		k := codegen.NewClique(g, b.cfg.n, stop)
 		k.SetStats(st)
 		return k
 	}
-	r := newRunner(c, g, useIEP, visit, stop)
+	r := newRunner(b.cfg, b.prog, g, visit, stop)
 	r.st, r.work = st, opt.work
 	return r
 }
 
-// runsClique reports whether a run on the given tier executes on the clique
-// kernel: a counting run whose tier resolves to it.
-func (c *Config) runsClique(tier Tier, enumerate bool) bool {
-	return !enumerate && c.ResolveTier(tier) == TierGenerated
-}
-
-// effectiveIEPK returns the IEP suffix a run actually evaluates in closed
-// form: 0 when the pattern has a single vertex or the schedule admits no
-// suffix — and 0 for a one-loop suffix whose enumeration leaf needs no
-// duplicate check. Both forms then evaluate one set size per prefix, over the
-// same outer loops, but the IEP form has to drop the leaf's restrictions and
-// rescale, and an unwindowed IEP set at the end of a chain forfeits every
-// bound codegen.Lower could otherwise move into the chain's steps (a clique
-// under a total order loses all of them); the plain nest keeps them and its
-// leaf is a length add. The planner still sees KIEP() = 1.
-func (c *Config) effectiveIEPK() int {
-	if c.n < 2 || (c.kIEP == 1 && len(c.dupCheck[c.n-1]) == 0) {
-		return 0
-	}
-	return c.kIEP
-}
-
 // Counter is the task-execution primitive for external runtimes (the
-// cluster's workers): it runs the configuration over explicit outermost-loop
-// vertex or slot ranges and accumulates a raw tally, on the executor a local
-// count would pick — the clique kernel for a total-order clique, the
-// interpreter otherwise. One Counter per goroutine.
+// cluster's workers): it runs a bound configuration over explicit
+// outermost-loop vertex or slot ranges and accumulates a raw tally on the
+// bound executor. One Counter per goroutine.
 type Counter struct {
 	w tierWorker
 }
 
-// NewCounter creates a Counter bound to a configuration and graph. stop, a
-// shared flag that may be nil, lets an external runtime (a cluster worker
-// whose master disconnected, a cancelled service job) free its workers
-// without finishing dead work: once it becomes true the Counter abandons its
-// current range at the next outer-loop boundary and every later
-// CountRange/CountEdgeRange call returns immediately, leaving a partial
-// tally.
-func NewCounter(cfg *Config, g *graph.Graph, useIEP bool, stop *atomic.Bool) *Counter {
-	return &Counter{w: cfg.newWorker(g, RunOptions{}, useIEP, nil, stop)}
+// NewCounter creates a Counter running b on g. stop, a shared flag that may
+// be nil, lets an external runtime (a cluster worker whose master
+// disconnected, a cancelled service job) free its workers without finishing
+// dead work: once it becomes true the Counter abandons its current range at
+// the next outer-loop boundary and every later CountRange/CountEdgeRange call
+// returns immediately, leaving a partial tally.
+func NewCounter(b Bound, g *graph.Graph, stop *atomic.Bool) *Counter {
+	return &Counter{w: b.newWorker(g, RunOptions{}, nil, stop)}
 }
 
 // CountRange processes outer-loop vertices [start, end) and adds matches to
@@ -320,7 +318,7 @@ func (c *Counter) CountRange(start, end int) {
 }
 
 // CountEdgeRange processes the CSR adjacency slots [start, end) — the
-// edge-parallel task shape. Only valid when the configuration is
+// edge-parallel task shape. Only valid when the binding is
 // EdgeParallelEligible; the caller must cover every slot exactly once.
 func (c *Counter) CountEdgeRange(start, end int) {
 	if start < end {
@@ -331,11 +329,12 @@ func (c *Counter) CountEdgeRange(start, end int) {
 // Raw returns the accumulated tally, before any IEP scaling.
 func (c *Counter) Raw() int64 { return c.w.Count() }
 
-// ScaleIEP converts a raw tally summed over IEP-enabled Counters into the
-// final embedding count.
-func (c *Config) ScaleIEP(raw int64) int64 {
-	if c.effectiveIEPK() >= 1 {
-		return raw * c.iepNum / c.iepDen
+// ScaleIEP converts a raw tally summed over b's Counters into the final
+// embedding count: the IEP nest's over-count correction, the identity on the
+// full nest.
+func (b Bound) ScaleIEP(raw int64) int64 {
+	if b.IEP() {
+		return raw * b.prog.IEPNum / b.prog.IEPDen
 	}
 	return raw
 }
@@ -378,8 +377,7 @@ type runner struct {
 	_       taskpool.LinePad
 }
 
-func newRunner(cfg *Config, g *graph.Graph, useIEP bool, visit func([]uint32) bool, stop *atomic.Bool) *runner {
-	prog := cfg.program(useIEP)
+func newRunner(cfg *Config, prog *codegen.Program, g *graph.Graph, visit func([]uint32) bool, stop *atomic.Bool) *runner {
 	r := &runner{
 		cfg:   cfg,
 		prog:  prog,

@@ -45,7 +45,7 @@ func TestExcludedInAgainstMembership(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog := cfg.program(true)
+			prog := cfg.Bind(true, TierAuto).prog
 			if prog.IEPCut < 0 {
 				continue
 			}
@@ -62,7 +62,7 @@ func TestExcludedInAgainstMembership(t *testing.T) {
 
 func checkExclusions(t *testing.T, name string, cfg *Config, g *graph.Graph) {
 	t.Helper()
-	prog := cfg.program(true)
+	prog := cfg.Bind(true, TierAuto).prog
 	cut := prog.IEPCut
 	bound := make([]uint32, cfg.n)
 	sets := make([][]uint32, prog.KIEP)
@@ -149,7 +149,7 @@ func TestExclusionClassesOfHouse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog := cfg.program(true)
+		prog := cfg.Bind(true, TierAuto).prog
 		if prog.KIEP != 2 {
 			continue
 		}

@@ -129,13 +129,7 @@ func FuzzEngine(f *testing.F) {
 				for _, workers := range []int{1, 3} {
 					for _, ep := range []EdgeParallelMode{EdgeParallelOff, EdgeParallelOn} {
 						opt := RunOptions{Workers: workers, EdgeParallel: ep}
-						var got int64
-						if useIEP {
-							got = cfg.CountIEP(dg, opt)
-						} else {
-							got = cfg.Count(dg, opt)
-						}
-						if got != want {
+						if got := cfg.Bind(useIEP, TierAuto).Count(dg, opt); got != want {
 							t.Errorf("%s (%s) memo=%v iep=%v workers=%d edgePar=%d: counted %d, brute force %d",
 								p, cfg, cfg == memo, useIEP, workers, ep, got, want)
 						}

@@ -71,7 +71,7 @@ func BenchmarkRootScheduling(b *testing.B) {
 			opt := RunOptions{Workers: 8, EdgeParallel: bc.mode}
 			var n int64
 			for i := 0; i < b.N; i++ {
-				n = cfg.Count(g, opt)
+				n = cfg.Bind(false, TierAuto).Count(g, opt)
 			}
 			_ = n
 		})
@@ -86,15 +86,10 @@ func BenchmarkHubBitmaps(b *testing.B) {
 	cfg := benchConfig(b, g, pattern.House())
 	run := func(b *testing.B, iep bool) {
 		opt := RunOptions{Workers: 8, EdgeParallel: EdgeParallelOff}
-		var n int64
+		bound := cfg.Bind(iep, TierAuto)
 		for i := 0; i < b.N; i++ {
-			if iep {
-				n = cfg.CountIEP(g, opt)
-			} else {
-				n = cfg.Count(g, opt)
-			}
+			bound.Count(g, opt)
 		}
-		_ = n
 	}
 	b.Run("scalar/count", func(b *testing.B) {
 		g.BuildHubBitmaps(1, 0) // budget too small for any bitmap
@@ -126,13 +121,13 @@ func BenchmarkSeedVsHybrid(b *testing.B) {
 		b.Run(pat.Name()+"/seed", func(b *testing.B) {
 			opt := RunOptions{Workers: 8, EdgeParallel: EdgeParallelOff}
 			for i := 0; i < b.N; i++ {
-				cfg.Count(orig, opt)
+				cfg.Bind(false, TierAuto).Count(orig, opt)
 			}
 		})
 		b.Run(pat.Name()+"/hybrid", func(b *testing.B) {
 			opt := RunOptions{Workers: 8, EdgeParallel: EdgeParallelOn}
 			for i := 0; i < b.N; i++ {
-				cfg.Count(hyb, opt)
+				cfg.Bind(false, TierAuto).Count(hyb, opt)
 			}
 		})
 	}

@@ -67,8 +67,8 @@ func TestHybridGraphEquivalence(t *testing.T) {
 				continue // keep the suite fast; P3/P5/P6 run on the star
 			}
 			cfg := planFor(t, gs.orig, pat)
-			want := cfg.Count(gs.orig, RunOptions{Workers: 1, EdgeParallel: EdgeParallelOff})
-			wantIEP := cfg.CountIEP(gs.orig, RunOptions{Workers: 1, EdgeParallel: EdgeParallelOff})
+			want := cfg.Bind(false, TierAuto).Count(gs.orig, RunOptions{Workers: 1, EdgeParallel: EdgeParallelOff})
+			wantIEP := cfg.Bind(true, TierAuto).Count(gs.orig, RunOptions{Workers: 1, EdgeParallel: EdgeParallelOff})
 			if want != wantIEP {
 				t.Fatalf("%s/%s: seed Count %d != CountIEP %d", gs.name, pat.Name(), want, wantIEP)
 			}
@@ -76,13 +76,13 @@ func TestHybridGraphEquivalence(t *testing.T) {
 				for _, ep := range []EdgeParallelMode{EdgeParallelOff, EdgeParallelOn} {
 					opt := RunOptions{Workers: workers, EdgeParallel: ep}
 					label := fmt.Sprintf("%s/%s/w=%d/ep=%d", gs.name, pat.Name(), workers, ep)
-					if got := cfg.Count(gs.hyb, opt); got != want {
+					if got := cfg.Bind(false, TierAuto).Count(gs.hyb, opt); got != want {
 						t.Errorf("%s: hybrid Count = %d, want %d", label, got, want)
 					}
-					if got := cfg.CountIEP(gs.hyb, opt); got != want {
+					if got := cfg.Bind(true, TierAuto).Count(gs.hyb, opt); got != want {
 						t.Errorf("%s: hybrid CountIEP = %d, want %d", label, got, want)
 					}
-					if got := cfg.Count(gs.orig, opt); got != want {
+					if got := cfg.Bind(false, TierAuto).Count(gs.orig, opt); got != want {
 						t.Errorf("%s: original Count = %d, want %d", label, got, want)
 					}
 				}
@@ -120,7 +120,7 @@ func TestHybridEnumerateReportsOriginalIDs(t *testing.T) {
 				var embs []string
 				var lock = make(chan struct{}, 1)
 				lock <- struct{}{}
-				cfg.Enumerate(g, RunOptions{Workers: workers, EdgeParallel: ep}, func(e []uint32) bool {
+				cfg.EnumerateAll(g, RunOptions{Workers: workers, EdgeParallel: ep}, func(e []uint32) bool {
 					s := canon(e)
 					<-lock
 					embs = append(embs, s)
@@ -160,12 +160,12 @@ func TestDupCheckSkipsNothingRequired(t *testing.T) {
 	pat := pattern.PathN(4)
 	cfg := mustConfig(t, pat, identitySchedule(4), nil)
 	want := baseline.BruteForceCount(g, pat) * int64(len(pat.Automorphisms()))
-	if got := cfg.Count(g, RunOptions{Workers: 1}); got != want {
+	if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
 		t.Fatalf("unrestricted path count = %d, want %d", got, want)
 	}
 	rg := g.Reorder()
 	rg.BuildHubBitmaps(1<<22, 0)
-	if got := cfg.Count(rg, RunOptions{Workers: 3, EdgeParallel: EdgeParallelOn}); got != want {
+	if got := cfg.Bind(false, TierAuto).Count(rg, RunOptions{Workers: 3, EdgeParallel: EdgeParallelOn}); got != want {
 		t.Fatalf("hybrid unrestricted path count = %d, want %d", got, want)
 	}
 }
@@ -174,17 +174,17 @@ func TestDupCheckSkipsNothingRequired(t *testing.T) {
 func TestEdgeParallelEligibility(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 3, 8)
 	tri := planFor(t, g, pattern.Triangle())
-	if !tri.EdgeParallelEligible(false) {
+	if !tri.Bind(false, TierAuto).EdgeParallelEligible() {
 		t.Error("triangle enumeration should be edge-parallel eligible")
 	}
 	// Single-vertex pattern: no second loop.
 	one := mustConfig(t, pattern.MustNew(1, nil, "v"), identitySchedule(1), nil)
-	if one.EdgeParallelEligible(false) {
+	if one.Bind(false, TierAuto).EdgeParallelEligible() {
 		t.Error("1-vertex pattern cannot be edge-parallel")
 	}
 	// IEP consuming everything after depth 0 leaves no depth-1 loop.
 	star := planFor(t, g, pattern.StarN(3))
-	if star.effectiveIEPK() >= star.N()-1 && star.EdgeParallelEligible(true) {
+	if star.effectiveIEPK() >= star.N()-1 && star.Bind(true, TierAuto).EdgeParallelEligible() {
 		t.Error("full-suffix IEP run cannot be edge-parallel")
 	}
 }

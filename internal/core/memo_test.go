@@ -53,7 +53,7 @@ func memoLevels(prog *codegen.Program) map[int]bool {
 // checksum.
 func embeddingSum(c *Config, g *graph.Graph, opt RunOptions) (int64, uint64) {
 	var sum atomic.Uint64
-	n := c.Enumerate(g, opt, func(emb []uint32) bool {
+	n := c.EnumerateAll(g, opt, func(emb []uint32) bool {
 		h := uint64(14695981039346656037)
 		for _, v := range emb {
 			h = (h ^ uint64(v)) * 1099511628211
@@ -85,15 +85,12 @@ func TestMemoMatchesStrippedProgram(t *testing.T) {
 		plain := withoutMemo(memo)
 		wantN, wantSum := embeddingSum(plain, g, RunOptions{Workers: 1})
 		for _, useIEP := range []bool{false, true} {
-			marked := memoLevels(memo.program(useIEP))
+			marked := memoLevels(memo.Bind(useIEP, TierAuto).prog)
 			if len(marked) == 0 {
 				t.Fatalf("%s iep=%v: no loop-invariant step to test", tc.p, useIEP)
 			}
 			run := func(c *Config, opt RunOptions) int64 {
-				if useIEP {
-					return c.CountIEP(g, opt)
-				}
-				return c.Count(g, opt)
+				return c.Bind(useIEP, TierAuto).Count(g, opt)
 			}
 			for _, workers := range []int{1, 3} {
 				for _, ep := range []EdgeParallelMode{EdgeParallelOff, EdgeParallelOn} {

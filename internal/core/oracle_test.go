@@ -133,7 +133,7 @@ func TestCliquesAgainstBruteForce(t *testing.T) {
 		}
 		cfg := res.Best
 		for gname, g := range graphs {
-			if got := cfg.ResolveTier(core.TierGenerated); got != core.TierGenerated {
+			if got := cfg.Bind(false, core.TierGenerated).Tier(); got != core.TierGenerated {
 				t.Fatalf("K%d on %s: planned configuration resolves to tier %s, want the clique kernel", q, gname, got)
 			}
 			want := baseline.BruteForceCount(g, p)
@@ -141,11 +141,11 @@ func TestCliquesAgainstBruteForce(t *testing.T) {
 				for _, workers := range []int{1, 3} {
 					for _, ep := range []core.EdgeParallelMode{core.EdgeParallelOff, core.EdgeParallelOn} {
 						for _, stats := range []bool{false, true} {
-							opt := core.RunOptions{Workers: workers, Tier: tier, EdgeParallel: ep, ChunkSize: 2}
+							opt := core.RunOptions{Workers: workers, EdgeParallel: ep, ChunkSize: 2}
 							if stats {
 								opt.Stats = telemetry.NewRunStats(q)
 							}
-							if got := cfg.CountIEP(g, opt); got != want {
+							if got := cfg.Bind(true, tier).Count(g, opt); got != want {
 								t.Errorf("K%d on %s: CountIEP tier=%s workers=%d edgePar=%d stats=%v = %d, brute force %d",
 									q, gname, tier, workers, ep, stats, got, want)
 							}
@@ -197,7 +197,7 @@ func TestEmptySetCutOnTriangleFreeGraph(t *testing.T) {
 	}
 	cfg := res.Best
 	st := telemetry.NewRunStats(cfg.N())
-	if got := cfg.CountIEP(g, core.RunOptions{Workers: 1, Stats: st}); got != 0 {
+	if got := cfg.Bind(true, core.TierAuto).Count(g, core.RunOptions{Workers: 1, Stats: st}); got != 0 {
 		t.Fatalf("counted %d houses in a tree", got)
 	}
 	host := -1 // the shallowest level that hosts a step
@@ -229,16 +229,16 @@ func checkAgainstOracle(t *testing.T, name string, cfg *core.Config, g *graph.Gr
 	edges := p.Edges()
 	for _, workers := range []int{1, 3} {
 		for _, tier := range []core.Tier{core.TierInterpret, core.TierAuto} {
-			opt := core.RunOptions{Workers: workers, Tier: tier}
-			if got := cfg.Count(g, opt); got != want {
+			opt := core.RunOptions{Workers: workers}
+			if got := cfg.Bind(false, tier).Count(g, opt); got != want {
 				t.Errorf("%s: Count tier=%s workers=%d = %d, brute force %d", name, tier, workers, got, want)
 			}
-			if got := cfg.CountIEP(g, opt); got != want {
+			if got := cfg.Bind(true, tier).Count(g, opt); got != want {
 				t.Errorf("%s: CountIEP tier=%s workers=%d = %d, brute force %d", name, tier, workers, got, want)
 			}
 		}
 		var bad atomic.Int64
-		got := cfg.Enumerate(g, core.RunOptions{Workers: workers}, func(emb []uint32) bool {
+		got := cfg.EnumerateAll(g, core.RunOptions{Workers: workers}, func(emb []uint32) bool {
 			for _, e := range edges {
 				if !g.HasEdge(emb[e[0]], emb[e[1]]) {
 					bad.Add(1)

@@ -80,8 +80,8 @@ func (o Orientation) String() string {
 // lower degree", and the two orientations can differ several-fold. Orient
 // counts the exact candidate totals of both orientations at every loop depth
 // up to the IEP cut (n-2 without an IEP suffix): one pass per orientation,
-// each a CountIEP run on workers goroutines (< 1 → GOMAXPROCS) through the
-// nest the interpreter counts with, cut after that depth. It returns the
+// each a run on workers goroutines (< 1 → GOMAXPROCS) of the interpreter's
+// counting nest, cut after that depth. It returns the
 // mirror when, at the first depth where one orientation scans at most
 // 1/orientGap of the other's candidates, the mirror is that one; otherwise
 // it returns c. The decision uses counts, never time, so it is deterministic
@@ -128,17 +128,15 @@ func (c *Config) Orient(g *graph.Graph, workers int) (*Config, Orientation, erro
 	return c, o, nil
 }
 
-// probe runs c's counting nest cut after depth over every root, through
-// CountIEP on a shallow copy of c, and returns the candidate total of each
-// level 0..depth — the Candidates a CountIEP run's RunStats record there. ok
-// is false when the candidates bound above depth exceeded limit; the run's
-// work cap stops it early then.
+// probe runs c's counting nest cut after depth over every root on the
+// interpreter, and returns the candidate total of each level 0..depth — the
+// Candidates an IEP counting run's RunStats record there. ok is false when the
+// candidates bound above depth exceeded limit; the run's work cap stops it
+// early then.
 func (c *Config) probe(g *graph.Graph, depth, workers int, limit uint64) (totals []uint64, ok bool) {
-	cut := *c
-	cut.progEnum = c.program(true).CutAt(depth)
-	cut.progIEP = cut.progEnum
+	cut := Bound{cfg: c, prog: c.Bind(true, TierInterpret).prog.CutAt(depth)}
 	st := telemetry.NewRunStats(c.n)
-	cut.CountIEP(g, RunOptions{Workers: workers, Stats: st, work: &workCap{limit: limit}})
+	cut.Count(g, RunOptions{Workers: workers, Stats: st, work: &workCap{limit: limit}})
 	if boundAbove(st, depth) > limit {
 		return nil, false
 	}

@@ -49,11 +49,11 @@ func TestMirrorIsExactAndCostsTheSame(t *testing.T) {
 		want := baseline.BruteForceCount(g, tc.Pat)
 		var sets [2][]string
 		for i, c := range []*Config{cfg, m} {
-			opt := RunOptions{Workers: 2, Tier: TierInterpret}
-			if got := c.Count(g, opt); got != want {
+			opt := RunOptions{Workers: 2}
+			if got := c.Bind(false, TierInterpret).Count(g, opt); got != want {
 				t.Errorf("%s %v: Count %d, brute force %d", tc.Name, c.Restrictions, got, want)
 			}
-			if got := c.CountIEP(g, opt); got != want {
+			if got := c.Bind(true, TierInterpret).Count(g, opt); got != want {
 				t.Errorf("%s %v: CountIEP %d, brute force %d", tc.Name, c.Restrictions, got, want)
 			}
 			sets[i] = enumeratedSubgraphs(c, g, tc.Pat)
@@ -73,7 +73,7 @@ func TestMirrorIsExactAndCostsTheSame(t *testing.T) {
 func enumeratedSubgraphs(c *Config, g *graph.Graph, pat *pattern.Pattern) []string {
 	var mu sync.Mutex
 	seen := map[string]bool{}
-	c.Enumerate(g, RunOptions{Workers: 2}, func(emb []uint32) bool {
+	c.EnumerateAll(g, RunOptions{Workers: 2}, func(emb []uint32) bool {
 		var edges [][2]uint32
 		for _, e := range pat.Edges() {
 			a, b := emb[e[0]], emb[e[1]]
@@ -154,7 +154,7 @@ func TestOrientationDecision(t *testing.T) {
 		}
 		candidates := func(c *Config) uint64 {
 			st := telemetry.NewRunStats(c.N())
-			c.CountIEP(g, RunOptions{Workers: 2, Tier: TierInterpret, Stats: st})
+			c.Bind(true, TierInterpret).Count(g, RunOptions{Workers: 2, Stats: st})
 			return st.Levels[o.Depth].Candidates
 		}
 		plannedN, mirrorN := candidates(planned), candidates(m)

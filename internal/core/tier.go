@@ -52,28 +52,18 @@ func (t Tier) String() string {
 	}
 }
 
-// ResolveTier reports the executor a counting run with the given request
-// uses (the tier /count responses label results with): the clique kernel
-// when the request allows it and the configuration is a total-order clique,
-// the interpreter otherwise. Enumeration always interprets.
-func (c *Config) ResolveTier(tier Tier) Tier {
-	if c.clique && (tier == TierAuto || tier == TierGenerated) {
-		return TierGenerated
-	}
-	return TierInterpret
-}
-
-// CompileTier is ResolveTier for callers that must surface an unsatisfiable
-// request: an explicit TierGenerated on a configuration that is no clique
-// errors instead of falling back. A configuration is ready to run on either
-// executor once NewConfig returns, so nothing is built per graph; g and
-// useIEP are accepted for the callers that still pass them.
-func (c *Config) CompileTier(g *graph.Graph, useIEP bool, tier Tier) (Tier, error) {
+// CompileTier reports the executor a counting run with the given request
+// uses (Bound.Tier), for callers that must surface an unsatisfiable request:
+// an explicit TierGenerated on a configuration that is no clique errors
+// instead of falling back. A configuration is ready to run on either executor
+// once NewConfig returns, so nothing is built per graph; the graph and the
+// IEP flag are accepted for the callers that still pass them.
+func (c *Config) CompileTier(_ *graph.Graph, _ bool, tier Tier) (Tier, error) {
 	if tier == TierGenerated && !c.clique {
 		return TierInterpret, fmt.Errorf("core: no clique kernel for %s (the generated tier covers complete patterns of 3 or more vertices under a total-order restriction set)",
 			c.Pattern)
 	}
-	return c.ResolveTier(tier), nil
+	return c.Bind(false, tier).Tier(), nil
 }
 
 // detectCliqueKernel decides at configuration-compile time whether the

@@ -31,13 +31,13 @@ func BenchmarkTiers(b *testing.B) {
 		}
 		cfg := res.Best
 		for _, tier := range []Tier{TierInterpret, TierGenerated} {
-			if cfg.ResolveTier(tier) != tier {
+			if cfg.Bind(false, tier).Tier() != tier {
 				continue
 			}
 			b.Run(fmt.Sprintf("%s/%s", pc.name, tier), func(b *testing.B) {
-				opt := RunOptions{Workers: 1, Tier: tier}
+				bound, opt := cfg.Bind(true, tier), RunOptions{Workers: 1}
 				for i := 0; i < b.N; i++ {
-					cfg.CountIEP(g, opt)
+					bound.Count(g, opt)
 				}
 			})
 		}

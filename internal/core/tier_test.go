@@ -36,17 +36,14 @@ func cliqueConfig(t *testing.T, q int) *Config {
 // and must actually populate the per-level counters.
 func matrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, tiers []Tier, useIEP bool) {
 	t.Helper()
-	count := func(opt RunOptions) int64 {
-		if useIEP {
-			return cfg.CountIEP(g, opt)
-		}
-		return cfg.Count(g, opt)
+	count := func(tier Tier, opt RunOptions) int64 {
+		return cfg.Bind(useIEP, tier).Count(g, opt)
 	}
-	want := count(RunOptions{Workers: 1, Tier: TierInterpret})
+	want := count(TierInterpret, RunOptions{Workers: 1})
 	for _, tier := range tiers {
 		for _, workers := range []int{1, 4} {
 			for _, ep := range []EdgeParallelMode{EdgeParallelOff, EdgeParallelAuto, EdgeParallelOn} {
-				got := count(RunOptions{Workers: workers, EdgeParallel: ep, Tier: tier})
+				got := count(tier, RunOptions{Workers: workers, EdgeParallel: ep})
 				if got != want {
 					t.Errorf("%s iep=%v tier=%s workers=%d edgePar=%d: counted %d, interpreter %d",
 						name, useIEP, tier, workers, ep, got, want)
@@ -54,14 +51,14 @@ func matrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, tiers
 			}
 		}
 		st := telemetry.NewRunStats(cfg.N())
-		if got := count(RunOptions{Workers: 4, Tier: tier, Stats: st}); got != want {
+		if got := count(tier, RunOptions{Workers: 4, Stats: st}); got != want {
 			t.Errorf("%s iep=%v tier=%s with telemetry: counted %d, interpreter %d",
 				name, useIEP, tier, got, want)
 		}
 		if st.Levels[0].Scans == 0 {
 			t.Errorf("%s iep=%v tier=%s: telemetry run recorded no level-0 scans", name, useIEP, tier)
 		}
-		if leaf := st.Levels[cfg.N()-1]; cfg.ResolveTier(tier) == TierGenerated && leaf.Candidates != uint64(want) {
+		if leaf := st.Levels[cfg.N()-1]; cfg.Bind(false, tier).Tier() == TierGenerated && leaf.Candidates != uint64(want) {
 			t.Errorf("%s iep=%v tier=%s: the clique kernel's leaf level scanned %d candidates, count is %d",
 				name, useIEP, tier, leaf.Candidates, want)
 		}
@@ -169,13 +166,13 @@ func TestCliqueKernelOverCapRoot(t *testing.T) {
 	}
 	for q := 4; q <= 5; q++ { // a K3's list level is its last: nothing reaches level 2
 		cfg := cliqueConfig(t, q)
-		want := cfg.Count(g, RunOptions{Workers: 1, Tier: TierInterpret})
+		want := cfg.Bind(false, TierInterpret).Count(g, RunOptions{Workers: 1})
 		for _, opt := range []RunOptions{
-			{Workers: 1, Tier: TierGenerated},
-			{Workers: 4, Tier: TierGenerated, EdgeParallel: EdgeParallelOn},
+			{Workers: 1},
+			{Workers: 4, EdgeParallel: EdgeParallelOn},
 		} {
 			opt.Stats = telemetry.NewRunStats(q)
-			if got := cfg.Count(g, opt); got != want {
+			if got := cfg.Bind(false, TierGenerated).Count(g, opt); got != want {
 				t.Errorf("K%d workers=%d: clique kernel counted %d, interpreter %d", q, opt.Workers, got, want)
 			}
 			l2 := opt.Stats.Levels[2]
@@ -198,8 +195,8 @@ func TestOneLoopIEPSuffix(t *testing.T) {
 		t.Fatalf("K4 chain: KIEP %d, effective %d, want 1 and 0", k4.KIEP(), k4.effectiveIEPK())
 	}
 	st := telemetry.NewRunStats(4)
-	want := k4.Count(g, RunOptions{Workers: 1, Tier: TierInterpret})
-	if got := k4.CountIEP(g, RunOptions{Workers: 1, Tier: TierInterpret, Stats: st}); got != want {
+	want := k4.Bind(false, TierInterpret).Count(g, RunOptions{Workers: 1})
+	if got := k4.Bind(true, TierInterpret).Count(g, RunOptions{Workers: 1, Stats: st}); got != want {
 		t.Fatalf("K4 CountIEP = %d, Count = %d", got, want)
 	}
 	for d, l := range st.Levels {
@@ -222,7 +219,7 @@ func TestOneLoopIEPSuffix(t *testing.T) {
 			if cfg.effectiveIEPK() != 1 {
 				t.Errorf("%s %v: leaf needs duplicate checks %v but the IEP suffix was given up", p, s, cfg.dupCheck[cfg.n-1])
 			}
-			if got, want := cfg.CountIEP(g, RunOptions{Workers: 1}), cfg.Count(g, RunOptions{Workers: 1}); got != want {
+			if got, want := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1}), cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
 				t.Errorf("%s %v: CountIEP %d, Count %d", p, s, got, want)
 			}
 		}
@@ -255,7 +252,7 @@ func TestTierResolution(t *testing.T) {
 		{house, TierGenerated, TierInterpret}, // no clique: falls back
 		{house, TierCompiled, TierInterpret},
 	} {
-		if got := tc.cfg.ResolveTier(tc.req); got != tc.want {
+		if got := tc.cfg.Bind(false, tc.req).Tier(); got != tc.want {
 			t.Errorf("%s requesting %s resolves to %s, want %s", tc.cfg.Pattern, tc.req, got, tc.want)
 		}
 		got, err := tc.cfg.CompileTier(g, true, tc.req)
@@ -298,11 +295,7 @@ func TestRandomizedConfigs(t *testing.T) {
 		}
 		for _, useIEP := range []bool{false, true} {
 			count := func(tier Tier, workers int) int64 {
-				opt := RunOptions{Workers: workers, Tier: tier}
-				if useIEP {
-					return cfg.CountIEP(g, opt)
-				}
-				return cfg.Count(g, opt)
+				return cfg.Bind(useIEP, tier).Count(g, RunOptions{Workers: workers})
 			}
 			want := count(TierInterpret, 1)
 			if got := count(TierAuto, 1+rng.IntN(4)); got != want {
@@ -332,33 +325,25 @@ func TestCounterExecutor(t *testing.T) {
 		{res.Best, false},
 	} {
 		for _, useIEP := range []bool{false, true} {
-			want := tc.cfg.CountIEP(g, RunOptions{Workers: 1, Tier: TierInterpret})
-			c := NewCounter(tc.cfg, g, useIEP, nil)
+			want := tc.cfg.Bind(true, TierInterpret).Count(g, RunOptions{Workers: 1})
+			c := NewCounter(tc.cfg.Bind(useIEP, TierAuto), g, nil)
 			if _, ok := c.w.(*codegen.Clique); ok != tc.clique {
 				t.Fatalf("%s: counter runs %T, want the clique kernel: %v", tc.cfg.Pattern, c.w, tc.clique)
 			}
 			c.CountRange(0, g.NumVertices())
-			if got := scale(tc.cfg, useIEP, c.Raw()); got != want {
+			if got := tc.cfg.Bind(useIEP, TierAuto).ScaleIEP(c.Raw()); got != want {
 				t.Errorf("%s iep=%v: vertex-range counter %d, local %d", tc.cfg.Pattern, useIEP, got, want)
 			}
-			if !tc.cfg.EdgeParallelEligible(useIEP) {
+			if !tc.cfg.Bind(useIEP, TierAuto).EdgeParallelEligible() {
 				continue
 			}
-			c = NewCounter(tc.cfg, g, useIEP, nil)
+			c = NewCounter(tc.cfg.Bind(useIEP, TierAuto), g, nil)
 			for _, tk := range equalCut(g.NumAdjSlots(), 37) {
 				c.CountEdgeRange(tk.Start, tk.End)
 			}
-			if got := scale(tc.cfg, useIEP, c.Raw()); got != want {
+			if got := tc.cfg.Bind(useIEP, TierAuto).ScaleIEP(c.Raw()); got != want {
 				t.Errorf("%s iep=%v: slot-range counter %d, local %d", tc.cfg.Pattern, useIEP, got, want)
 			}
 		}
 	}
-}
-
-// scale applies the IEP correction a cluster master applies to raw tallies.
-func scale(cfg *Config, useIEP bool, raw int64) int64 {
-	if useIEP {
-		return cfg.ScaleIEP(raw)
-	}
-	return raw
 }

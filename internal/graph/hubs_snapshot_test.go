@@ -65,7 +65,7 @@ func TestSnapshotHubsFollowDegree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.Best.CountIEP(g, core.RunOptions{})
+			return res.Best.Bind(true, core.TierAuto).Count(g, core.RunOptions{})
 		}
 		if got, want := count(loaded), count(desc); got != want {
 			t.Errorf("%s: %d on the reloaded snapshot, %d on the degree-ordered graph", p, got, want)

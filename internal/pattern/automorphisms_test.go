@@ -1,6 +1,8 @@
 package pattern_test
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -85,6 +87,52 @@ func TestAutomorphismsConcurrent(t *testing.T) {
 		}
 		if tables[i] == nil || tables[i] != tables[0] {
 			t.Errorf("goroutine %d saw order table %p, goroutine 0 %p", i, tables[i], tables[0])
+		}
+	}
+}
+
+// bruteForceIsomorphism is the n! walk IsomorphismTo replaced: the first
+// bijection, in lexicographic order, that maps every edge of p to an edge of
+// q.
+func bruteForceIsomorphism(p, q *pattern.Pattern) (f perm.Perm, ok bool) {
+	if p.N() != q.N() || p.NumEdges() != q.NumEdges() {
+		return nil, false
+	}
+	perm.ForEach(p.N(), func(g perm.Perm) bool {
+		for u := 0; u < p.N(); u++ {
+			for v := 0; v < u; v++ {
+				if p.HasEdge(u, v) && !q.HasEdge(int(g[u]), int(g[v])) {
+					return true
+				}
+			}
+		}
+		f, ok = g.Clone(), true
+		return false
+	})
+	return f, ok
+}
+
+// TestIsomorphismToMatchesBruteForce runs IsomorphismTo over every ordered
+// pair of the short suite's patterns, each also under three seeded random
+// relabellings: the search must return exactly the brute-force walk's
+// bijection and verdict.
+func TestIsomorphismToMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	var pats []patterntest.Named
+	for _, np := range patterntest.Suite(5) {
+		pats = append(pats, np)
+		for i := 1; i <= 3; i++ {
+			order := rng.Perm(np.Pat.N())
+			pats = append(pats, patterntest.Named{Name: fmt.Sprintf("%s~%d", np.Name, i), Pat: np.Pat.Relabel(order)})
+		}
+	}
+	for _, a := range pats {
+		for _, b := range pats {
+			got, gotOK := a.Pat.IsomorphismTo(b.Pat)
+			want, wantOK := bruteForceIsomorphism(a.Pat, b.Pat)
+			if gotOK != wantOK || !slices.Equal(got, want) {
+				t.Fatalf("%s → %s: IsomorphismTo = %v, %v; brute force %v, %v", a.Name, b.Name, got, gotOK, want, wantOK)
+			}
 		}
 	}
 }

@@ -1,9 +1,13 @@
 package pattern
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+
+	"graphpi/internal/perm"
 )
 
 // This file defines the concrete patterns the paper's evaluation uses.
@@ -211,22 +215,31 @@ func Parse(spec string) (*Pattern, error) {
 }
 
 // AllConnected enumerates all connected patterns with n vertices up to
-// isomorphism (the "n-motifs"). Exponential; intended for n ≤ 5, matching
-// motif-counting workloads like the 4-motif MiCo example from the paper's
-// introduction.
+// isomorphism (the "n-motifs"), sorted by edge count, then canonical key.
+// It walks the 2^(n(n-1)/2) edge masks in order: the first connected mask of
+// an isomorphism class represents it, named motif{n}-{k} in discovery order,
+// and marks all n! relabellings of itself in a seen-bitset, so the rest of
+// its class costs one bit test each. Exponential: 6 vertices take tens of
+// milliseconds, 7 seconds.
 func AllConnected(n int) []*Pattern {
-	type rec struct {
-		pat *Pattern
-	}
-	seen := map[string]rec{}
-	numPairs := n * (n - 1) / 2
-	pairs := make([][2]int, 0, numPairs)
+	var pairs [][2]int
+	var pairBit [MaxVertices][MaxVertices]uint
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
+			pairBit[u][v], pairBit[v][u] = uint(len(pairs)), uint(len(pairs))
 			pairs = append(pairs, [2]int{u, v})
 		}
 	}
-	for mask := 0; mask < 1<<numPairs; mask++ {
+	type class struct {
+		pat *Pattern
+		key string
+	}
+	var classes []class
+	seen := make([]uint64, (1<<len(pairs)+63)/64)
+	for mask := 0; mask < 1<<len(pairs); mask++ {
+		if seen[mask/64]&(1<<(mask%64)) != 0 {
+			continue
+		}
 		var edges [][2]int
 		for i, pr := range pairs {
 			if mask&(1<<i) != 0 {
@@ -237,31 +250,26 @@ func AllConnected(n int) []*Pattern {
 		if !p.Connected() {
 			continue
 		}
-		key := p.CanonicalKey()
-		if _, ok := seen[key]; !ok {
-			seen[key] = rec{pat: p.WithName(fmt.Sprintf("motif%d-%d", n, len(seen)+1))}
+		p.name = fmt.Sprintf("motif%d-%d", n, len(classes)+1)
+		perm.ForEach(n, func(f perm.Perm) bool {
+			img := 0
+			for _, e := range edges {
+				img |= 1 << pairBit[f[e[0]]][f[e[1]]]
+			}
+			seen[img/64] |= 1 << (img % 64)
+			return true
+		})
+		classes = append(classes, class{p, p.CanonicalKey()})
+	}
+	slices.SortFunc(classes, func(a, b class) int {
+		if c := cmp.Compare(a.pat.NumEdges(), b.pat.NumEdges()); c != 0 {
+			return c
 		}
+		return strings.Compare(a.key, b.key)
+	})
+	out := make([]*Pattern, len(classes))
+	for i, c := range classes {
+		out[i] = c.pat
 	}
-	out := make([]*Pattern, 0, len(seen))
-	for _, r := range seen {
-		out = append(out, r.pat)
-	}
-	// Deterministic order: by edge count, then canonical key.
-	sortPatterns(out)
 	return out
-}
-
-func sortPatterns(ps []*Pattern) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && lessPattern(ps[j], ps[j-1]); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-func lessPattern(a, b *Pattern) bool {
-	if a.NumEdges() != b.NumEdges() {
-		return a.NumEdges() < b.NumEdges()
-	}
-	return a.CanonicalKey() < b.CanonicalKey()
 }

@@ -13,7 +13,7 @@ package pattern
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -227,7 +227,10 @@ func (p *Pattern) MaxIndependentSetSize() int {
 // shared between callers, which must not modify it.
 func (p *Pattern) Automorphisms() []perm.Perm {
 	p.autsOnce.Do(func() {
-		p.extendAutomorphism(make(perm.Perm, p.n), 0, 0)
+		p.isomorphisms(p, make(perm.Perm, p.n), 0, 0, func(f perm.Perm) bool {
+			p.auts = append(p.auts, f.Clone())
+			return true
+		})
 	})
 	return p.auts
 }
@@ -246,28 +249,32 @@ func (p *Pattern) OrderTable() *perm.OrderTable {
 	return p.table
 }
 
-// extendAutomorphism backtracks over the images of vertices u, u+1, …: q[u]
-// must be an unused vertex of u's degree whose adjacency to the images chosen
-// so far mirrors u's adjacency to the vertices below it. Trying images in
-// ascending order yields the automorphisms in lexicographic order.
-func (p *Pattern) extendAutomorphism(q perm.Perm, u int, used uint16) {
+// isomorphisms backtracks over the images of vertices u, u+1, … of p in q:
+// f[u] must be an unused vertex of q with u's degree whose adjacency to the
+// images chosen so far mirrors u's adjacency to the vertices below it. Trying
+// images in ascending order hands the isomorphisms p → q to found in
+// lexicographic order; found returns false to stop the search, and so does
+// isomorphisms.
+func (p *Pattern) isomorphisms(q *Pattern, f perm.Perm, u int, used uint16, found func(perm.Perm) bool) bool {
 	if u == p.n {
-		p.auts = append(p.auts, q.Clone())
-		return
+		return found(f)
 	}
-	for img := 0; img < p.n; img++ {
-		if used&(1<<img) != 0 || p.Degree(img) != p.Degree(u) {
+	for img := 0; img < q.n; img++ {
+		if used&(1<<img) != 0 || q.Degree(img) != p.Degree(u) {
 			continue
 		}
 		ok := true
 		for v := 0; v < u && ok; v++ {
-			ok = p.HasEdge(u, v) == p.HasEdge(img, int(q[v]))
+			ok = p.HasEdge(u, v) == q.HasEdge(img, int(f[v]))
 		}
 		if ok {
-			q[u] = uint8(img)
-			p.extendAutomorphism(q, u+1, used|1<<img)
+			f[u] = uint8(img)
+			if !p.isomorphisms(q, f, u+1, used|1<<img, found) {
+				return false
+			}
 		}
 	}
+	return true
 }
 
 // Relabel returns the pattern with vertex i renamed to order[i]. order must
@@ -296,43 +303,16 @@ func (p *Pattern) Isomorphic(q *Pattern) bool {
 }
 
 // IsomorphismTo returns a vertex bijection f with every edge (u, v) of p an
-// edge (f[u], f[v]) of q, found by brute force over bijections — usable only
-// at pattern scale, which is the point. ok is false when p and q are not
-// isomorphic.
+// edge (f[u], f[v]) of q: the lexicographically first isomorphism p → q, by
+// the backtracking search Automorphisms runs. ok is false when p and q are
+// not isomorphic.
 func (p *Pattern) IsomorphismTo(q *Pattern) (f perm.Perm, ok bool) {
-	if p.n != q.n || p.NumEdges() != q.NumEdges() {
+	if p.n != q.n {
 		return nil, false
 	}
-	// Degree multiset must match.
-	dp := make([]int, p.n)
-	dq := make([]int, q.n)
-	for i := 0; i < p.n; i++ {
-		dp[i], dq[i] = p.Degree(i), q.Degree(i)
-	}
-	sort.Ints(dp)
-	sort.Ints(dq)
-	for i := range dp {
-		if dp[i] != dq[i] {
-			return nil, false
-		}
-	}
-	perm.ForEach(p.n, func(g perm.Perm) bool {
-		edges := true
-		for u := 0; u < p.n && edges; u++ {
-			m := p.adj[u]
-			for m != 0 {
-				v := bits.TrailingZeros16(m)
-				if !q.HasEdge(int(g[u]), int(g[v])) {
-					edges = false
-					break
-				}
-				m &= m - 1
-			}
-		}
-		if edges {
-			f, ok = g.Clone(), true
-		}
-		return !edges
+	p.isomorphisms(q, make(perm.Perm, p.n), 0, 0, func(g perm.Perm) bool {
+		f, ok = g.Clone(), true
+		return false
 	})
 	return f, ok
 }
@@ -340,21 +320,31 @@ func (p *Pattern) IsomorphismTo(q *Pattern) (f perm.Perm, ok bool) {
 // CanonicalKey returns a string that is equal for isomorphic patterns:
 // the lexicographically smallest adjacency-matrix encoding over all vertex
 // relabelings. Exponential, fine at pattern scale; used to deduplicate
-// pattern sets (e.g. the motif census example).
+// pattern sets (e.g. the motif census example). Each relabeling is compared
+// as its rows, column 0 in the top bit, which orders them as their encodings
+// do; only the smallest is rendered.
 func (p *Pattern) CanonicalKey() string {
-	best := ""
-	order := make([]int, p.n)
+	var best, cur [MaxVertices]uint16
+	first := true
 	perm.ForEach(p.n, func(f perm.Perm) bool {
-		for i := range order {
-			order[i] = int(f[i])
+		cur = [MaxVertices]uint16{}
+		for u := 0; u < p.n; u++ {
+			for m := p.adj[u]; m != 0; m &= m - 1 {
+				cur[f[u]] |= 1 << (p.n - 1 - int(f[bits.TrailingZeros16(m)]))
+			}
 		}
-		enc := p.Relabel(order).AdjacencyString()
-		if best == "" || enc < best {
-			best = enc
+		if first || slices.Compare(cur[:p.n], best[:p.n]) < 0 {
+			best, first = cur, false
 		}
 		return true
 	})
-	return best
+	b := make([]byte, 0, p.n*p.n)
+	for i := 0; i < p.n; i++ {
+		for j := p.n - 1; j >= 0; j-- {
+			b = append(b, '0'+byte(best[i]>>j&1))
+		}
+	}
+	return string(b)
 }
 
 // AdjacencyString renders the row-major 0/1 adjacency matrix (the

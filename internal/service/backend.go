@@ -22,11 +22,11 @@ import (
 type backend interface {
 	// name tags job records and metrics.
 	name() string
-	// count runs the configuration to completion or ctx cancellation on the
-	// executor the engine picks (the same on both backends). stats, when
+	// count runs the bound configuration to completion or ctx cancellation
+	// (on both backends, the nest and executor b fixes). stats, when
 	// non-nil, receives the run's per-level telemetry — local backend only,
 	// since the wire protocol reduces counts, not counters.
-	count(ctx context.Context, cfg *core.Config, g *graph.Graph, useIEP bool, workers int, stats *telemetry.RunStats) (int64, error)
+	count(ctx context.Context, b core.Bound, g *graph.Graph, workers int, stats *telemetry.RunStats) (int64, error)
 }
 
 // localBackend runs on the in-process engine with the job's worker budget.
@@ -34,12 +34,8 @@ type localBackend struct{}
 
 func (localBackend) name() string { return "local" }
 
-func (localBackend) count(ctx context.Context, cfg *core.Config, g *graph.Graph, useIEP bool, workers int, stats *telemetry.RunStats) (int64, error) {
-	opt := core.RunOptions{Workers: workers, Stats: stats}
-	if useIEP {
-		return cfg.CountIEPCtx(ctx, g, opt)
-	}
-	return cfg.CountCtx(ctx, g, opt)
+func (localBackend) count(ctx context.Context, b core.Bound, g *graph.Graph, workers int, stats *telemetry.RunStats) (int64, error) {
+	return b.Run(ctx, g, core.RunOptions{Workers: workers, Stats: stats})
 }
 
 // clusterBackend dispatches counting jobs across TCP worker processes
@@ -153,7 +149,7 @@ func (b *clusterBackend) poolStats() (st cluster.PoolStats, known bool) {
 	return st, true
 }
 
-func (b *clusterBackend) count(ctx context.Context, cfg *core.Config, g *graph.Graph, useIEP bool, workers int, _ *telemetry.RunStats) (int64, error) {
+func (b *clusterBackend) count(ctx context.Context, bound core.Bound, g *graph.Graph, workers int, _ *telemetry.RunStats) (int64, error) {
 	b.jobMu.Lock()
 	defer b.jobMu.Unlock()
 	var lastErr error
@@ -183,9 +179,8 @@ func (b *clusterBackend) count(ctx context.Context, cfg *core.Config, g *graph.G
 		ch := make(chan outcome, 1)
 		go func() {
 			t0 := time.Now()
-			res, err := cluster.Run(cfg, g, cluster.Options{
+			res, err := cluster.RunBound(bound, g, cluster.Options{
 				WorkersPerNode: b.workersPerNode,
-				UseIEP:         useIEP,
 				Transport:      tr,
 			})
 			attrs := map[string]string{"attempt": fmt.Sprint(attempt)}

@@ -113,7 +113,7 @@ func parseQuery(r *http.Request, countDefaultIEP bool) (queryRequest, error) {
 		graphName:   q.Get("graph"),
 		patternSpec: q.Get("pattern"),
 		backendName: q.Get("backend"),
-		useIEP:      countDefaultIEP,
+		iep:         countDefaultIEP,
 	}
 	if req.patternSpec == "" {
 		return req, &statusError{400, "pattern parameter required"}
@@ -123,7 +123,7 @@ func parseQuery(r *http.Request, countDefaultIEP bool) (queryRequest, error) {
 		if err != nil {
 			return req, &statusError{400, fmt.Sprintf("bad iep value %q", v)}
 		}
-		req.useIEP = b
+		req.iep = b
 	}
 	if v := q.Get("workers"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -194,7 +194,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			started = true
 		}
 		if _, err := w.Write(append(line, '\n')); err != nil {
-			return false // client gone; EnumerateCtx also sees the context cancel
+			return false // client gone; Enumerate also sees the context cancel
 		}
 		if flusher != nil {
 			flusher.Flush()

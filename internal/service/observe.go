@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 
-	"graphpi/internal/core"
 	"graphpi/internal/telemetry"
 )
 
@@ -59,13 +58,13 @@ func (s *Server) explain(ctx context.Context, req queryRequest) (_ *explainResul
 	res := &explainResult{
 		Graph:    q.rg.name,
 		Pattern:  q.pat.String(),
-		Schedule: q.cfg.Schedule.String(),
-		IEP:      req.useIEP,
+		Schedule: q.bound.Config().Schedule.String(),
+		IEP:      req.iep,
 		Cache:    cacheLabel(q.hit),
-		Tier:     q.cfg.ResolveTier(core.TierAuto).String(),
+		Tier:     q.bound.Tier().String(),
 		PlanSec:  q.planSec,
 	}
-	if d, ok := q.cfg.DriftReport(req.useIEP, nil); ok {
+	if d, ok := q.bound.DriftReport(nil); ok {
 		res.Predicted = d
 		res.PredictedCost = d.PredictedCost
 	}

@@ -120,7 +120,7 @@ func TestServiceProfileOnCluster(t *testing.T) {
 	qr, err := s.runCount(context.Background(), queryRequest{
 		graphName:   "ba",
 		patternSpec: "house",
-		useIEP:      true,
+		iep:         true,
 		backendName: "cluster",
 		profile:     true,
 	})

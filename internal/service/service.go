@@ -246,7 +246,7 @@ func parseQueryPattern(spec string) (*pattern.Pattern, error) {
 type queryRequest struct {
 	graphName   string
 	patternSpec string
-	useIEP      bool
+	iep         bool
 	backendName string // "", "auto", "local", "cluster"
 	workers     int    // requested budget; 0 → the run slot's whole budget
 	limit       int64  // enumerate: stop after this many embeddings (0 = all)
@@ -335,22 +335,22 @@ func (s *Server) pickBackend(req queryRequest) (backend, error) {
 
 // query is a request past the prologue every endpoint shares: its graph is
 // resolved, its pattern parsed, its job registered, it holds a run slot with
-// its worker budget, and its configuration is planned.
+// its worker budget, and its configuration is planned and bound.
 type query struct {
 	ctx     context.Context // the job's context: cancelled by /jobs/{id}/cancel
 	job     *job
 	rg      *residentGraph
 	pat     *pattern.Pattern
-	cfg     *core.Config
-	workers int // the slot's worker budget; the probe and a local run use it
+	bound   core.Bound // the planned configuration, bound to the request's IEP choice
+	workers int        // the slot's worker budget; the probe and a local run use it
 	hit     bool
 	planSec float64
 }
 
 // begin runs the prologue of a count, enumerate or explain request: resolve
-// graph → parse pattern → admit → plan. Nothing plans, probes or runs before
-// the job holds a run slot. On success the caller owns the slot and must
-// defer end at once; on an error or a planner panic begin has already
+// graph → parse pattern → admit → plan → bind. Nothing plans, probes or runs
+// before the job holds a run slot. On success the caller owns the slot and
+// must defer end at once; on an error or a planner panic begin has already
 // recorded the job's failure, returned its slot and retired it.
 func (s *Server) begin(ctx context.Context, kind string, req queryRequest) (*query, error) {
 	rg, err := s.resolveGraph(req.graphName)
@@ -380,7 +380,8 @@ func (s *Server) begin(ctx context.Context, kind string, req queryRequest) (*que
 		}
 	}()
 	tPlan := time.Now()
-	q.cfg, q.planSec, q.hit, err = s.plan(rg, pat, workers)
+	var cfg *core.Config
+	cfg, q.planSec, q.hit, err = s.plan(rg, pat, workers)
 	s.opt.Tracer.Span("plan", tPlan, map[string]string{
 		"graph": rg.name, "pattern": pat.String(), "cache": cacheLabel(q.hit),
 	})
@@ -388,6 +389,7 @@ func (s *Server) begin(ctx context.Context, kind string, req queryRequest) (*que
 		s.finish(q, 0, err)
 		return nil, err
 	}
+	q.bound = cfg.Bind(req.iep, core.TierAuto)
 	return q, nil
 }
 
@@ -429,7 +431,6 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (_ *queryResult
 	}
 	var count int64
 	defer s.end(q, &count, &err)
-	cfg := q.cfg
 
 	// Local jobs run on the slot's workers; cluster jobs burn remote cores
 	// and report none.
@@ -444,13 +445,13 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (_ *queryResult
 	// reduces counts, not counters) and the profile reports predictions only.
 	var stats *telemetry.RunStats
 	if req.profile {
-		stats = telemetry.NewRunStats(cfg.N())
+		stats = telemetry.NewRunStats(q.pat.N())
 		s.profiledRuns.Add(1)
 	}
 
 	q.job.setRunning(be.name(), workers, q.hit)
 	t0 := time.Now()
-	count, err = be.count(q.ctx, cfg, q.rg.g, req.useIEP, workers, stats)
+	count, err = be.count(q.ctx, q.bound, q.rg.g, workers, stats)
 	execSec := time.Since(t0).Seconds()
 	s.countQueries.Add(1)
 	s.queryLatency.Observe(time.Since(t0))
@@ -466,15 +467,14 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (_ *queryResult
 		Pattern: q.pat.String(),
 		Backend: be.name(),
 		Count:   count,
-		IEP:     req.useIEP,
+		IEP:     req.iep,
 		Cache:   cacheLabel(q.hit),
 		Workers: workers,
 		PlanSec: q.planSec,
 		ExecSec: execSec,
 	}
-	res.Schedule = cfg.Schedule.String()
-	// Label the executor that ran; both backends let the engine pick it.
-	res.Tier = cfg.ResolveTier(core.TierAuto).String()
+	res.Schedule = q.bound.Config().Schedule.String()
+	res.Tier = q.bound.Tier().String()
 	if req.profile {
 		p := &ProfileReport{Tier: res.Tier}
 		if local {
@@ -483,7 +483,7 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (_ *queryResult
 			stats = nil // the wire carried no counters; don't reconcile zeros
 			p.Note = "cluster backend reduces counts, not counters: predictions only"
 		}
-		if d, ok := cfg.DriftReport(req.useIEP, stats); ok {
+		if d, ok := q.bound.DriftReport(stats); ok {
 			p.Drift = d
 		} else if p.Note == "" {
 			p.Note = "configuration carries no planner statistics; drift unavailable"
@@ -516,9 +516,10 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 	// pattern (the cache key is the canonical form, so the two are
 	// isomorphic); its embeddings are indexed by that spelling's vertices.
 	// iso[u] is the configuration's vertex for requested vertex u.
+	cfg := q.bound.Config()
 	var iso perm.Perm
-	if q.pat.AdjacencyString() != q.cfg.Pattern.AdjacencyString() {
-		iso, _ = q.pat.IsomorphismTo(q.cfg.Pattern)
+	if q.pat.AdjacencyString() != cfg.Pattern.AdjacencyString() {
+		iso, _ = q.pat.IsomorphismTo(cfg.Pattern)
 	}
 
 	q.job.setRunning("local", q.workers, q.hit)
@@ -527,12 +528,12 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 	// exceeds the limit and the tally stays exact under contention.
 	var emitted atomic.Int64
 	var truncated atomic.Bool
-	// The job record and trailer use the emission tally, not EnumerateCtx's
+	// The job record and trailer use the emission tally, not Enumerate's
 	// visit count: under a limit, a worker that trips the limit check has
 	// already had its in-flight visit counted by the engine, so the raw
 	// count can exceed what the stream carried.
 	t0 := time.Now()
-	_, err = q.cfg.EnumerateCtx(q.ctx, q.rg.g, core.RunOptions{Workers: q.workers}, func(emb []uint32) bool {
+	_, err = cfg.Enumerate(q.ctx, q.rg.g, core.RunOptions{Workers: q.workers}, func(emb []uint32) bool {
 		if req.limit > 0 && emitted.Add(1) > req.limit {
 			emitted.Add(-1)
 			truncated.Store(true)

@@ -125,7 +125,7 @@ func TestServiceE2ESmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := res.Best.CountIEP(sg, core.RunOptions{})
+	want := res.Best.Bind(true, core.TierAuto).Count(sg, core.RunOptions{})
 
 	// Cold query: a miss that runs the planner.
 	var cold queryResult
@@ -309,12 +309,12 @@ func TestServiceCountsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		direct := res.Best.CountIEP(g, core.RunOptions{})
+		direct := res.Best.Bind(true, core.TierAuto).Count(g, core.RunOptions{})
 		for _, backendName := range []string{"local", "cluster"} {
 			qr, err := s.runCount(context.Background(), queryRequest{
 				graphName:   "ba",
 				patternSpec: fmt.Sprintf("%d:%s", p.N(), p.AdjacencyString()),
-				useIEP:      true,
+				iep:         true,
 				backendName: backendName,
 			})
 			if err != nil {
@@ -349,7 +349,7 @@ func TestServiceCacheStampede(t *testing.T) {
 			qr, err := s.runCount(context.Background(), queryRequest{
 				graphName:   "ba",
 				patternSpec: "p3",
-				useIEP:      true,
+				iep:         true,
 			})
 			if err != nil {
 				errs[i] = err
@@ -390,7 +390,7 @@ func TestServiceTierSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Best.CountIEP(g, core.RunOptions{Tier: core.TierInterpret})
+		return res.Best.Bind(true, core.TierInterpret).Count(g, core.RunOptions{})
 	}
 	wantHouse, wantK4 := direct("house"), direct("k4")
 
@@ -768,7 +768,7 @@ func TestServiceClusterBackendSurvivesCancel(t *testing.T) {
 	}
 
 	qr, err := s.runCount(context.Background(), queryRequest{
-		graphName: "ba", patternSpec: "triangle", useIEP: true, backendName: "cluster",
+		graphName: "ba", patternSpec: "triangle", iep: true, backendName: "cluster",
 	})
 	if err != nil {
 		t.Fatalf("cluster query after cancel: %v", err)
@@ -777,7 +777,7 @@ func TestServiceClusterBackendSurvivesCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := res.Best.CountIEP(g, core.RunOptions{}); qr.Count != want {
+	if want := res.Best.Bind(true, core.TierAuto).Count(g, core.RunOptions{}); qr.Count != want {
 		t.Fatalf("post-cancel cluster count = %d, want %d", qr.Count, want)
 	}
 }
@@ -859,10 +859,10 @@ func TestServiceSurvivesWorkerLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := res.Best.CountIEP(g, core.RunOptions{})
+	want := res.Best.Bind(true, core.TierAuto).Count(g, core.RunOptions{})
 	count := func() (int64, error) {
 		qr, err := s.runCount(context.Background(), queryRequest{
-			graphName: "ba", patternSpec: "house", useIEP: true, backendName: "cluster",
+			graphName: "ba", patternSpec: "house", iep: true, backendName: "cluster",
 		})
 		if err != nil {
 			return 0, err
