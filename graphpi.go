@@ -34,7 +34,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
 	"graphpi/internal/cluster"
@@ -48,68 +47,14 @@ import (
 )
 
 // Graph is an undirected data graph in CSR form. The graph itself is
-// immutable; the only state a Graph gathers is a memo of orientation
-// decisions (see NewPlan), one small entry per distinct planned
-// configuration, safe for concurrent use.
+// immutable; the only state a Graph gathers is a memo of its plans (see
+// NewPlan), one small entry per distinct pattern spelling under a fixed
+// byte budget, safe for concurrent use.
 type Graph struct {
 	g *graph.Graph
-	// oriented memoises the orientation step (core.Config.Orient) per
-	// planned configuration, so its probe runs at most once per graph and
-	// configuration: ClusterCount and Cluster.Count plan on every call.
-	mu       sync.Mutex
-	oriented map[string]*orientedConfig // guarded by mu
-}
-
-// orientedConfig is one memoised orientation decision. ready is closed once
-// cfg, o and err are final.
-type orientedConfig struct {
-	ready chan struct{}
-	cfg   *core.Config
-	o     core.Orientation
-	err   error
-}
-
-// errOrientPanic is what callers waiting on a probe observe when the probing
-// caller panicked.
-var errOrientPanic = errors.New("graphpi: orientation probe panicked")
-
-// orient returns the planned configuration or its mirror, whichever the
-// orientation step picks on this graph, probing on workers goroutines only
-// on the first request for the configuration. The lock covers the memo
-// lookup alone: concurrent first requests for one configuration wait for
-// its single probe, requests for other configurations do not.
-func (g *Graph) orient(cfg *core.Config, workers int) (*core.Config, core.Orientation, error) {
-	key := cfg.Pattern.AdjacencyString() + " " + cfg.Schedule.String() + " " + cfg.Restrictions.String()
-	g.mu.Lock()
-	e, ok := g.oriented[key]
-	if !ok {
-		e = &orientedConfig{ready: make(chan struct{})}
-		if g.oriented == nil {
-			g.oriented = make(map[string]*orientedConfig)
-		}
-		g.oriented[key] = e
-	}
-	g.mu.Unlock()
-	if ok {
-		<-e.ready
-		return e.cfg, e.o, e.err
-	}
-	settled := false
-	defer func() {
-		if !settled {
-			// A panicking probe must not leave waiters blocked; the
-			// configuration is probed afresh by the next request.
-			g.mu.Lock()
-			delete(g.oriented, key)
-			g.mu.Unlock()
-			e.err = errOrientPanic
-			close(e.ready)
-		}
-	}()
-	e.cfg, e.o, e.err = cfg.Orient(g.g, workers)
-	settled = true
-	close(e.ready)
-	return e.cfg, e.o, e.err
+	// plans memoises NewPlan's preprocessing per pattern spelling (name
+	// and adjacency), so Plan.Enumerate needs no vertex mapping.
+	plans core.PlanCache[string]
 }
 
 // NumVertices returns |V|.
@@ -366,26 +311,23 @@ type Plan struct {
 // configuration bound to the graph. On an Optimize()d graph it then runs the
 // selected restriction set or its mirror (every restriction reversed),
 // whichever exact candidate counts on the graph show to be at least twice
-// cheaper at the shallowest loop depth that tells them apart; the first plan
-// of a configuration pays for that probe, later plans reuse its decision.
+// cheaper at the shallowest loop depth that tells them apart. The graph
+// memoises the outcome per pattern spelling: the first plan of a pattern
+// pays for planning and the probe, a repeated NewPlan of it on the same
+// graph is a memo hit.
 func NewPlan(g *Graph, p *Pattern, opts ...Option) (*Plan, error) {
 	var o options
 	for _, fn := range opts {
 		fn(&o)
 	}
 	t0 := time.Now()
-	res, err := core.Plan(p.p, g.g.Stats(), core.PlanOptions{})
+	cfg, orient, _, err := g.plans.Get(nil, p.p.Name()+" "+p.p.AdjacencyString(), p.p, g.g, o.workers)
 	if err != nil {
 		return nil, err
 	}
-	pl := &Plan{g: g, opts: o}
-	t1 := time.Now()
-	if pl.cfg, pl.orient, err = g.orient(res.Best, o.workers); err != nil {
-		return nil, err
-	}
-	pl.prep = res.PrepTime + time.Since(t1)
+	pl := &Plan{g: g, cfg: cfg, orient: orient, prep: time.Since(t0), opts: o}
 	o.tracer.Span("plan", t0, map[string]string{
-		"graph": g.Name(), "pattern": p.String(), "orientation": pl.orient.String(),
+		"graph": g.Name(), "pattern": p.String(), "orientation": orient.String(),
 	})
 	return pl, nil
 }
@@ -444,9 +386,10 @@ func (pl *Plan) EnumerateCtx(ctx context.Context, visit func(embedding []uint32)
 	return pl.cfg.Enumerate(ctx, pl.g.g, pl.runOptions(), visit)
 }
 
-// PrepTime returns the preprocessing (configuration generation plus
-// performance prediction) duration — the paper's Table III quantity — plus
-// the orientation probe when this plan ran it.
+// PrepTime returns the time NewPlan spent preparing this plan: on the first
+// plan of a pattern the preprocessing (configuration generation plus
+// performance prediction — the paper's Table III quantity) and the
+// orientation probe, on a memo hit the lookup alone.
 func (pl *Plan) PrepTime() time.Duration { return pl.prep }
 
 // ExecutionTier reports the tier a Count/CountIEP call on this plan will

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"graphpi/internal/graph"
 	"graphpi/internal/service"
@@ -602,11 +603,12 @@ func TestParsePatternFacade(t *testing.T) {
 	}
 }
 
-// TestNewPlanOrientation covers the facade's side of the orientation step:
-// on an Optimize()d graph the first plan of a configuration probes and says
-// so in Describe and the plan span, concurrent and later plans of it reuse
-// that one decision, and a graph that is not degree-ordered is never
-// oriented.
+// TestNewPlanOrientation covers the facade's side of the orientation step
+// and of the plan memo: on an Optimize()d graph the first plan of a pattern
+// probes and says so in Describe and the plan span; concurrent and repeated
+// plans of it are memo hits that reuse the one configuration and decision,
+// each reporting only its own lookup time as PrepTime; and a graph that is
+// not degree-ordered is never oriented.
 func TestNewPlanOrientation(t *testing.T) {
 	raw := GenerateBA(2000, 8, 4242)
 	g := raw.Optimize(0)
@@ -622,10 +624,11 @@ func TestNewPlanOrientation(t *testing.T) {
 		t.Errorf("plan span does not state the decision: %s", events.String())
 	}
 
+	const concurrent, repeated = 4, 3
 	var wg sync.WaitGroup
-	plans := make([]*Plan, 4)
+	plans := make([]*Plan, concurrent+repeated)
 	errs := make([]error, len(plans))
-	for i := range plans {
+	for i := range concurrent {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -633,6 +636,13 @@ func TestNewPlanOrientation(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	for i := concurrent; i < len(plans); i++ {
+		t0 := time.Now()
+		plans[i], errs[i] = NewPlan(g, Rectangle())
+		if wall := time.Since(t0); errs[i] == nil && plans[i].PrepTime() > wall {
+			t.Errorf("plan %d: PrepTime %v exceeds the %v the call took", i, plans[i].PrepTime(), wall)
+		}
+	}
 	want := first.CountIEP()
 	for i, pl := range plans {
 		if errs[i] != nil {
@@ -641,12 +651,16 @@ func TestNewPlanOrientation(t *testing.T) {
 		if pl.cfg != first.cfg || pl.orient != first.orient {
 			t.Errorf("plan %d probed again or decided differently: %s", i, pl.Describe())
 		}
+		if !strings.Contains(pl.Describe(), "orientation mirrored at depth 2") {
+			t.Errorf("plan %d: %s, want mirrored at depth 2", i, pl.Describe())
+		}
 		if got := pl.CountIEP(); got != want {
 			t.Errorf("plan %d: CountIEP %d, want %d", i, got, want)
 		}
 	}
-	if len(g.oriented) != 1 {
-		t.Errorf("%d orientation decisions memoised for one configuration", len(g.oriented))
+	if st := g.plans.Stats(); st.Plans != 1 || st.Hits != concurrent+repeated {
+		t.Errorf("%d plans of one pattern ran the planner and probe %d times with %d memo hits, want 1 and %d",
+			1+concurrent+repeated, st.Plans, st.Hits, concurrent+repeated)
 	}
 
 	unopt, err := NewPlan(raw, Rectangle())

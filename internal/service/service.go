@@ -5,9 +5,9 @@
 //
 // Three pieces carry the load:
 //
-//   - a plan cache (cache.go) keyed by graph fingerprint + canonical pattern
-//     form, so a repeat query skips schedule/restriction search entirely
-//     and its planning latency collapses to a map lookup;
+//   - a plan cache (core.PlanCache) keyed by graph name, fingerprint and
+//     canonical pattern form, so a repeat query skips schedule/restriction
+//     search entirely and its planning latency collapses to a map lookup;
 //   - an admission controller (admit.go) — a bounded run-slot gate with a
 //     FIFO waiting line and fast 429s beyond it, whose every slot carries
 //     its job's share of the worker budget, so concurrent jobs share the
@@ -21,9 +21,9 @@
 // prologue (Server.begin: resolve graph, parse pattern, admit, plan):
 // observable via /jobs, cancellable via
 // /jobs/{id}/cancel, and cancelled implicitly when its client disconnects —
-// cancellation reaches the core counting loops through context plumbing
-// (core.RunOptions.Context) and frees the job's workers within one
-// outer-loop boundary.
+// cancellation reaches a wait on another job's planning run and the core
+// counting loops through the job's context, and frees the job's workers
+// within one outer-loop boundary.
 package service
 
 import (
@@ -92,7 +92,7 @@ func (o *Options) normalize() {
 // graphs with AddGraph, and serve Handler() over HTTP.
 type Server struct {
 	opt     Options
-	cache   *planCache
+	cache   core.PlanCache[planKey]
 	jobs    *jobTable
 	admit   *admission
 	local   localBackend
@@ -127,7 +127,6 @@ func New(opt Options) *Server {
 	opt.normalize()
 	s := &Server{
 		opt:    opt,
-		cache:  newPlanCache(planCacheBytes),
 		jobs:   newJobTable(),
 		admit:  newAdmission(opt.MaxConcurrent, opt.TotalWorkers/opt.MaxConcurrent, opt.MaxQueue),
 		start:  time.Now(),
@@ -291,24 +290,31 @@ type ProfileReport struct {
 	Note string `json:"note,omitempty"`
 }
 
-// plan resolves the cached configuration for (graph, pattern), running the
-// planner and then the orientation step (core.Config.Orient) on the job's
-// workers on a miss, so the cache holds the oriented configuration and a
-// miss's preparation time includes the probe. The configuration searches
-// for cfg.Pattern, which is pat or another spelling of it. planSec is the
-// wall time this call spent planning — ≈0 on a hit, the point of the cache.
-func (s *Server) plan(rg *residentGraph, pat *pattern.Pattern, workers int) (cfg *core.Config, planSec float64, hit bool, err error) {
+// planKey identifies one cached plan: the resident graph by name AND
+// fingerprint (the name separates graphs whose fingerprints collide, the
+// fingerprint keeps a name honest should a graph ever be replaced under
+// it), and the pattern by canonical form, so isomorphic spellings share an
+// entry planned for whichever spelling missed first; runEnumerate maps that
+// spelling's embeddings back to the request's.
+type planKey struct {
+	graphName string // resident registration name
+	graphFP   string // cluster.FingerprintKey of the resident graph
+	patternCK string // pattern.CanonicalKey: equal across isomorphic forms
+}
+
+// plan resolves the cached configuration for (graph, pattern); on a miss
+// the cache plans and orients it on the job's workers (core.PlanCache.Get).
+// The configuration searches for cfg.Pattern, which is pat or another
+// spelling of it. planSec is the wall time this call spent planning — ≈0 on
+// a hit, the point of the cache. A request cancelled while it waits for
+// another request's planning run returns ctx's error at once.
+func (s *Server) plan(ctx context.Context, rg *residentGraph, pat *pattern.Pattern, workers int) (cfg *core.Config, planSec float64, hit bool, err error) {
 	key := planKey{graphName: rg.name, graphFP: rg.fp, patternCK: pat.CanonicalKey()}
 	t0 := time.Now()
-	cfg, _, hit, err = s.cache.get(key, func() (*core.Config, time.Duration, error) {
-		res, err := core.Plan(pat, rg.g.Stats(), core.PlanOptions{})
-		if err != nil {
-			return nil, 0, err
-		}
-		t1 := time.Now()
-		oriented, _, err := res.Best.Orient(rg.g, workers)
-		return oriented, res.PrepTime + time.Since(t1), err
-	})
+	cfg, _, hit, err = s.cache.Get(ctx.Done(), key, pat, rg.g, workers)
+	if errors.Is(err, core.ErrPlanAbandoned) {
+		err = ctx.Err()
+	}
 	return cfg, time.Since(t0).Seconds(), hit, err
 }
 
@@ -381,7 +387,7 @@ func (s *Server) begin(ctx context.Context, kind string, req queryRequest) (*que
 	}()
 	tPlan := time.Now()
 	var cfg *core.Config
-	cfg, q.planSec, q.hit, err = s.plan(rg, pat, workers)
+	cfg, q.planSec, q.hit, err = s.plan(ctx, rg, pat, workers)
 	s.opt.Tracer.Span("plan", tPlan, map[string]string{
 		"graph": rg.name, "pattern": pat.String(), "cache": cacheLabel(q.hit),
 	})
@@ -405,6 +411,9 @@ func (s *Server) end(q *query, count *int64, err *error) {
 	}
 	s.finish(q, *count, *err)
 }
+
+// errPlanPanic is the recorded failure of a job whose planner panicked.
+var errPlanPanic = errors.New("service: planning panicked")
 
 // errJobPanic is the recorded failure of a job whose request panicked after
 // planning.
@@ -597,16 +606,16 @@ func cacheLabel(hit bool) string {
 // Metrics is the snapshot served at /metrics: every number the service
 // reports, counted since this Server was created.
 type Metrics struct {
-	UptimeSec   float64    `json:"uptime_seconds"`
-	Graphs      int        `json:"graphs"`
-	QueueDepth  int        `json:"queue_depth"`
-	RunningJobs int        `json:"running_jobs"`
-	BusyWorkers int        `json:"busy_workers"` // granted slots' budgets, cluster jobs' included
-	WorkerCap   int        `json:"worker_cap"`   // TotalWorkers
-	Jobs        JobCounts  `json:"jobs"`
-	Cache       cacheStats `json:"cache"`
-	HitRate     float64    `json:"cache_hit_rate"`
-	Cluster     []string   `json:"cluster_workers,omitempty"`
+	UptimeSec   float64             `json:"uptime_seconds"`
+	Graphs      int                 `json:"graphs"`
+	QueueDepth  int                 `json:"queue_depth"`
+	RunningJobs int                 `json:"running_jobs"`
+	BusyWorkers int                 `json:"busy_workers"` // granted slots' budgets, cluster jobs' included
+	WorkerCap   int                 `json:"worker_cap"`   // TotalWorkers
+	Jobs        JobCounts           `json:"jobs"`
+	Cache       core.PlanCacheStats `json:"cache"`
+	HitRate     float64             `json:"cache_hit_rate"`
+	Cluster     []string            `json:"cluster_workers,omitempty"`
 	// QuerySeconds is the latency of every count query's backend run.
 	QuerySeconds telemetry.HistogramSnapshot `json:"query_seconds"`
 
@@ -640,7 +649,7 @@ type JobCounts struct {
 
 // MetricsSnapshot assembles the current metrics.
 func (s *Server) MetricsSnapshot() Metrics {
-	cs := s.cache.stats()
+	cs := s.cache.Stats()
 	m := Metrics{
 		UptimeSec:   time.Since(s.start).Seconds(),
 		QueueDepth:  s.admit.queueDepth(),

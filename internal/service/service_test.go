@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -369,6 +370,70 @@ func TestServiceCacheStampede(t *testing.T) {
 	}
 	if runs := s.MetricsSnapshot().Cache.Plans; runs != 1 {
 		t.Fatalf("%d concurrent identical queries ran the planner %d times, want 1", N, runs)
+	}
+}
+
+// TestServiceCancelledPlanWaiter: a request cancelled while it waits for
+// another request's in-flight planning run returns ctx's error at once,
+// frees its run slot and is not counted as a cache hit; the request that
+// plans runs to the end and leaves the configuration cached. Both requests
+// are /explain jobs, which plan and count nothing.
+func TestServiceCancelledPlanWaiter(t *testing.T) {
+	checkNoLeak(t)
+	g := baFixture(300, 4, 7)
+	// Two one-worker slots, so the waiter is admitted while the builder plans.
+	s := newTestServer(t, g, Options{MaxConcurrent: 2, TotalWorkers: 2})
+	// The 8-cycle plans for a quarter second (seconds under -race), long
+	// enough to hold the entry in flight while the waiter is cancelled.
+	const cycle8 = "8:0100000110100000010100000010100000010100000010100000010110000010"
+	req := queryRequest{graphName: "ba", patternSpec: cycle8, iep: true}
+	built := make(chan error, 1)
+	go func() {
+		_, err := s.explain(context.Background(), req)
+		built <- err
+	}()
+	waitFor(t, "the first request planning", func() bool { return s.MetricsSnapshot().Cache.Misses == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	waited := make(chan error, 1)
+	go func() {
+		_, err := s.explain(ctx, req)
+		waited <- err
+	}()
+	waitFor(t, "the second request admitted", func() bool { return s.MetricsSnapshot().RunningJobs == 2 })
+	// The waiter may still be computing the pattern's canonical key; it
+	// sees the cancellation at the entry either way.
+	cancel()
+	select {
+	case err := <-waited:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter returned %v, want %v", err, context.Canceled)
+		}
+	case <-built:
+		t.Fatal("the cancelled waiter stayed blocked until the planning run ended")
+	}
+	select {
+	case <-built:
+		t.Fatal("the planning run ended with the waiter; the test needs a slower plan")
+	default:
+	}
+	m := s.MetricsSnapshot()
+	if m.RunningJobs != 1 || m.BusyWorkers != 1 {
+		t.Errorf("after the cancel: running_jobs %d, busy_workers %d; want only the planner's slot (1, 1)",
+			m.RunningJobs, m.BusyWorkers)
+	}
+	if m.Cache.Hits != 0 {
+		t.Errorf("the cancelled waiter counted as %d cache hits", m.Cache.Hits)
+	}
+
+	if err := <-built; err != nil {
+		t.Fatal(err)
+	}
+	m = s.MetricsSnapshot()
+	if m.Cache.Hits != 0 || m.Cache.Plans != 1 || m.Cache.Entries != 1 || m.Jobs.Canceled != 1 || m.Jobs.Done != 1 {
+		t.Errorf("after the planning run: cache %+v, jobs %+v; want one entry, one planning run, no hit, one job done and one canceled",
+			m.Cache, m.Jobs)
 	}
 }
 
@@ -835,6 +900,7 @@ func (l *trackingListener) kill() {
 // next query, total fleet loss exhausts the retry budget, and /healthz flips
 // to 503 once zero workers are live.
 func TestServiceSurvivesWorkerLoss(t *testing.T) {
+	checkNoLeak(t)
 	g := baFixture(2000, 5, 17)
 	addrs, kill := killableWorkers(t, g, 3)
 	s := newTestServer(t, g, Options{ClusterAddrs: addrs, MaxConcurrent: 1})
@@ -923,76 +989,6 @@ func TestServiceSurvivesWorkerLoss(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLRUEviction drives the byte budget directly: distinct keys
-// beyond the budget evict the least recently used, and an evicted key plans
-// again on return.
-func TestPlanCacheLRUEviction(t *testing.T) {
-	g := graph.BarabasiAlbert(200, 4, 2)
-	build := func(p *pattern.Pattern) func() (*core.Config, time.Duration, error) {
-		return func() (*core.Config, time.Duration, error) {
-			res, err := core.Plan(p, g.Stats(), core.PlanOptions{})
-			if err != nil {
-				return nil, 0, err
-			}
-			return res.Best, res.PrepTime, nil
-		}
-	}
-	key := func(name string) planKey { return planKey{graphFP: "g", patternCK: name} }
-	// Budget fits ~two house-sized entries (1024 + 64·25 + restrictions).
-	c := newPlanCache(6000)
-	pats := []*pattern.Pattern{pattern.Triangle(), pattern.Rectangle(), pattern.House(), pattern.Pentagon()}
-	for _, p := range pats {
-		if _, _, _, err := c.get(key(p.Name()), build(p)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions after overfilling: %+v", st)
-	}
-	if st.Bytes > st.Budget {
-		t.Fatalf("cache over budget: %+v", st)
-	}
-	// The oldest key was evicted: asking again must re-plan (a miss).
-	before := c.stats().Plans
-	if _, _, hit, err := c.get(key("Triangle"), build(pattern.Triangle())); err != nil || hit {
-		t.Fatalf("evicted key returned hit=%v err=%v", hit, err)
-	}
-	if c.stats().Plans != before+1 {
-		t.Fatal("evicted key did not re-plan")
-	}
-	// The most recent key is still resident: a hit, no planning.
-	before = c.stats().Plans
-	if _, _, hit, err := c.get(key("Pentagon"), build(pattern.Pentagon())); err != nil || !hit {
-		t.Fatalf("resident key returned hit=%v err=%v", hit, err)
-	}
-	if c.stats().Plans != before {
-		t.Fatal("resident key re-planned")
-	}
-}
-
-// TestPlanCacheBuildErrorNotCached: a failed build must not poison the key.
-func TestPlanCacheBuildErrorNotCached(t *testing.T) {
-	c := newPlanCache(1 << 20)
-	boom := fmt.Errorf("boom")
-	if _, _, _, err := c.get(planKey{patternCK: "x"}, func() (*core.Config, time.Duration, error) {
-		return nil, 0, boom
-	}); err != boom {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	g := graph.BarabasiAlbert(100, 3, 1)
-	res, err := core.Plan(pattern.Triangle(), g.Stats(), core.PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, _, hit, err := c.get(planKey{patternCK: "x"}, func() (*core.Config, time.Duration, error) {
-		return res.Best, 0, nil
-	})
-	if err != nil || hit || cfg == nil {
-		t.Fatalf("retry after failed build: cfg=%v hit=%v err=%v", cfg, hit, err)
-	}
-}
-
 // TestPlanCacheHoldsOrientedConfig: a plan-cache miss runs the orientation
 // step, so the cache holds what core.Config.Orient picks — the mirror, for
 // the rectangle on a degree-ordered BA graph.
@@ -1011,44 +1007,12 @@ func TestPlanCacheHoldsOrientedConfig(t *testing.T) {
 	if err != nil || !o.Mirrored {
 		t.Fatalf("rectangle on the BA fixture: %s (err %v), want mirrored", o, err)
 	}
-	cfg, _, hit, err := s.plan(rg, pattern.Rectangle(), 1)
+	cfg, _, hit, err := s.plan(context.Background(), rg, pattern.Rectangle(), 1)
 	if err != nil || hit {
 		t.Fatalf("hit=%v err=%v, want a miss", hit, err)
 	}
 	if got, wantSet := cfg.Restrictions.String(), want.Restrictions.String(); got != wantSet {
 		t.Errorf("cached %s, want %s", got, wantSet)
-	}
-}
-
-// TestPlanCachePanicSafe: a panicking build must not leave the entry
-// in-flight (waiters would block forever holding admission slots); the key
-// must be retryable afterwards.
-func TestPlanCachePanicSafe(t *testing.T) {
-	c := newPlanCache(1 << 20)
-	key := planKey{patternCK: "panicky"}
-	func() {
-		defer func() { recover() }()
-		c.get(key, func() (*core.Config, time.Duration, error) { panic("planner bug") })
-	}()
-	g := graph.BarabasiAlbert(100, 3, 1)
-	res, err := core.Plan(pattern.Triangle(), g.Stats(), core.PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, _, _, err := c.get(key, func() (*core.Config, time.Duration, error) {
-			return res.Best, 0, nil
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("retry after panic: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("get blocked after a panicking build — entry left in-flight")
 	}
 }
 
