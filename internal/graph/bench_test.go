@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"math/rand/v2"
+	"testing"
+)
 
 func BenchmarkBuildBA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -9,11 +12,12 @@ func BenchmarkBuildBA(b *testing.B) {
 }
 
 func BenchmarkTriangleCount(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		g := BarabasiAlbert(20000, 8, 7) // fresh graph: Triangles caches
-		b.StartTimer()
-		g.Triangles()
+	for _, g := range []*Graph{BarabasiAlbert(20000, 8, 7), rmat15()} {
+		b.Run(g.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g.countTriangles() // Triangles would return its cached count
+			}
+		})
 	}
 }
 
@@ -33,5 +37,38 @@ func BenchmarkHasEdge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.HasEdge(uint32(i%1000), uint32((i*7)%20000))
+	}
+}
+
+// rmat15 is RMAT(15, 400k) with the quadrant probabilities of the benchmark
+// harness's clique-rmat workload.
+func rmat15() *Graph { return RMAT(15, 400_000, 0.57, 0.19, 0.19, 1) }
+
+func BenchmarkFromEdges(b *testing.B) {
+	// Rename the ids by a seeded permutation, as the harness does, so the
+	// edges arrive in no useful order.
+	g := rmat15()
+	perm := rand.New(rand.NewPCG(1, 2)).Perm(g.NumVertices())
+	var edges [][2]uint32
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, w := range g.Neighbors(uint32(v)) {
+			if uint32(v) < w {
+				edges = append(edges, [2]uint32{uint32(perm[v]), uint32(perm[w])})
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromEdges(g.NumVertices(), edges); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReorder(b *testing.B) {
+	g := rmat15()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Reorder()
 	}
 }

@@ -74,3 +74,39 @@ func FuzzReadBinary(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBuild checks the linear preparation path against the sort-based
+// reference on arbitrary edge lists: the first byte is the vertex count, each
+// following pair of bytes an edge, its endpoints taken modulo the count.
+// Run continuously with
+//
+//	go test -run '^$' -fuzz=FuzzBuild -fuzztime=30s ./internal/graph
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0})
+	f.Add([]byte{5, 0, 1, 1, 2, 2, 0, 1, 0, 3, 3, 0, 1, 4, 2})
+	f.Add([]byte{9, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 1, 2, 3, 4})
+	f.Add([]byte{200, 7, 199, 199, 7, 3, 150, 150, 3, 7, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var n int
+		var edges [][2]uint32
+		if len(data) > 0 && data[0] > 0 {
+			n = int(data[0])
+			for i := 1; i+1 < len(data); i += 2 {
+				edges = append(edges, [2]uint32{uint32(data[i]) % uint32(n), uint32(data[i+1]) % uint32(n)})
+			}
+		}
+		g, err := FromEdges(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewBuilder(n, len(edges))
+		for _, e := range edges {
+			b.AddEdge(e[0], e[1])
+		}
+		b.SetNumVertices(n)
+		if d := sameCSR(g, matchesReference(t, "fuzzed edges", b)); d != "" {
+			t.Fatalf("FromEdges and Build differ in the %s", d)
+		}
+	})
+}

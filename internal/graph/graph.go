@@ -12,7 +12,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"graphpi/internal/vertexset"
@@ -165,53 +164,50 @@ func (g *Graph) countTriangles() int64 {
 	if n == 0 {
 		return 0
 	}
-	// rank orders vertices by (degree, id); forward edges point from lower
-	// to higher rank, so every triangle is counted exactly once and forward
-	// degrees are O(sqrt(E)) bounded on average.
+	// Every edge points to the endpoint earlier in degreeDescOrder, so each
+	// triangle is counted once, from its latest vertex, and a forward list
+	// holds only neighbours of at least its owner's degree: O(sqrt(E)) of
+	// them.
 	rank := make([]uint32, n)
-	order := make([]uint32, n)
-	for i := range order {
-		order[i] = uint32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
-		if di != dj {
-			return di < dj
-		}
-		return order[i] < order[j]
-	})
-	for r, v := range order {
+	for r, v := range degreeDescOrder(g) {
 		rank[v] = uint32(r)
 	}
 	fwdOff := make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		cnt := int64(0)
 		for _, w := range g.Neighbors(uint32(v)) {
-			if rank[w] > rank[v] {
+			if rank[w] < rank[v] {
 				cnt++
 			}
 		}
 		fwdOff[v+1] = fwdOff[v] + cnt
 	}
 	fwd := make([]uint32, fwdOff[n])
-	fill := make([]int64, n)
-	copy(fill, fwdOff[:n])
 	for v := 0; v < n; v++ {
+		at := fwdOff[v]
 		for _, w := range g.Neighbors(uint32(v)) {
-			if rank[w] > rank[uint32(v)] {
-				fwd[fill[v]] = w
-				fill[v]++
+			if rank[w] < rank[v] {
+				fwd[at] = w
+				at++
 			}
 		}
 	}
-	// Forward lists inherit ascending id order from the CSR adjacency, so
-	// the merge intersection applies directly.
+	// Stamp fwd(v) once; every x of fwd(w), w in fwd(v), that carries the
+	// stamp closes the triangle {v, w, x}.
+	stamp := make([]uint32, n)
 	var total int64
 	for v := 0; v < n; v++ {
 		fv := fwd[fwdOff[v]:fwdOff[v+1]]
+		mark := uint32(v) + 1
 		for _, w := range fv {
-			fw := fwd[fwdOff[w]:fwdOff[w+1]]
-			total += int64(vertexset.IntersectSize(fv, fw))
+			stamp[w] = mark
+		}
+		for _, w := range fv {
+			for _, x := range fwd[fwdOff[w]:fwdOff[w+1]] {
+				if stamp[x] == mark {
+					total++
+				}
+			}
 		}
 	}
 	return total
@@ -305,52 +301,77 @@ func (b *Builder) AddEdge(u, v uint32) {
 
 // Build produces the immutable CSR graph. The builder can be reused after
 // Build; its recorded edges are retained.
+//
+// Build sorts nothing. It scatters every recorded edge {u, v}, u < v, into
+// row u of an upper table, then transposes that table into a lower one:
+// walking u in ascending order and appending u to row v leaves each lower
+// row ascending, with a duplicate edge next to its twin, where it is dropped.
+// A second transpose of the lower table writes each CSR row as its lower
+// part followed by its upper part, both ascending.
 func (b *Builder) Build() (*Graph, error) {
 	if b.n > MaxVertices {
 		return nil, fmt.Errorf("graph: %d vertices exceeds limit %d", b.n, MaxVertices)
 	}
-	sorted := make([]uint64, len(b.edges))
-	copy(sorted, b.edges)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	// Dedupe in place.
-	uniq := sorted[:0]
-	var prev uint64
-	for i, e := range sorted {
-		if i == 0 || e != prev {
-			uniq = append(uniq, e)
-			prev = e
-		}
+	n, m := b.n, len(b.edges)
+	upOff := make([]int64, n+1) // row u of up is up[upOff[u]:upOff[u+1]]
+	lowOff := make([]int64, n)  // row v of low starts at lowOff[v]
+	for _, e := range b.edges {
+		upOff[e>>32+1]++
+		lowOff[uint32(e)]++
 	}
-	n := b.n
-	g := &Graph{offsets: make([]int64, n+1)}
-	deg := make([]int64, n)
-	for _, e := range uniq {
-		deg[e>>32]++
-		deg[uint32(e)]++
-	}
+	sum := int64(0)
 	for v := 0; v < n; v++ {
-		g.offsets[v+1] = g.offsets[v] + deg[v]
+		upOff[v+1] += upOff[v]
+		lowOff[v], sum = sum, sum+lowOff[v]
 	}
-	g.adj = make([]uint32, g.offsets[n])
-	fill := make([]int64, n)
-	copy(fill, g.offsets[:n])
-	for _, e := range uniq {
-		u, v := uint32(e>>32), uint32(e)
-		g.adj[fill[u]] = v
-		fill[u]++
-		g.adj[fill[v]] = u
-		fill[v]++
+	// The upper and lower tables take the 8 bytes per recorded edge a
+	// sorted copy of the packed edges would.
+	tables := make([]uint32, 2*m)
+	up, low := tables[:m], tables[m:]
+	next := make([]int64, n)
+	copy(next, upOff[:n])
+	for _, e := range b.edges {
+		u := e >> 32
+		up[next[u]] = uint32(e)
+		next[u]++
 	}
-	// Each neighborhood received its entries in two ascending interleaved
-	// streams (edges sorted by (min,max)); sort per neighborhood to restore
-	// the strict ascending invariant.
-	for v := 0; v < n; v++ {
-		nb := g.adj[g.offsets[v]:g.offsets[v+1]]
-		if !vertexset.IsSorted(nb) {
-			sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+
+	// Lower row v ends at next[v]. Once row u of up is read, upOff[u+1]
+	// counts u's distinct upper neighbours, and then the CSR offsets.
+	copy(next, lowOff)
+	start := int64(0)
+	for u := 0; u < n; u++ {
+		end, distinct := upOff[u+1], int64(0)
+		for _, v := range up[start:end] {
+			if next[v] > lowOff[v] && low[next[v]-1] == uint32(u) {
+				continue
+			}
+			low[next[v]] = uint32(u)
+			next[v]++
+			distinct++
 		}
+		start, upOff[u+1] = end, distinct
 	}
-	return g, nil
+	offsets := upOff
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v] + next[v] - lowOff[v]
+	}
+
+	// Row v's upper part is appended by the later rows in ascending order;
+	// once row v is copied, next[v] turns from the end of its lower row into
+	// the cursor of its upper part.
+	adj := make([]uint32, offsets[n])
+	for v := 0; v < n; v++ {
+		at := offsets[v]
+		for _, u := range low[lowOff[v]:next[v]] {
+			adj[at] = u
+			at++
+			adj[next[u]] = uint32(v)
+			next[u]++
+		}
+		next[v] = at
+	}
+	return &Graph{offsets: offsets, adj: adj}, nil
 }
 
 // FromEdges builds a graph with exactly n vertices from an explicit edge
@@ -375,7 +396,7 @@ func FromEdges(n int, edges [][2]uint32) (*Graph, error) {
 }
 
 // Validate checks the CSR invariants (monotone offsets, sorted duplicate-free
-// neighborhoods, symmetry, no self-loops). It is O(E log E) and intended for
+// neighborhoods, symmetry, no self-loops) in O(V + E). It is intended for
 // tests and loaders, not hot paths.
 func (g *Graph) Validate() error {
 	n := g.NumVertices()
@@ -394,9 +415,25 @@ func (g *Graph) Validate() error {
 			if w == uint32(v) {
 				return fmt.Errorf("graph: self-loop at %d", v)
 			}
-			if !vertexset.Contains(g.Neighbors(w), uint32(v)) {
+		}
+	}
+	// Symmetry: walking v in ascending order, the rows that list w must name
+	// the entries of w's own ascending row one by one. next[w] is the first
+	// entry of w's row no row has named yet. There are as many namings as
+	// entries, so a walk that neither runs past a row's end nor skips an
+	// entry has named them all.
+	next := make([]int64, n)
+	copy(next, g.offsets[:n])
+	for v := 0; v < n; v++ {
+		for _, w := range g.Neighbors(uint32(v)) {
+			at := next[w]
+			if at == g.offsets[w+1] || g.adj[at] > uint32(v) {
 				return fmt.Errorf("graph: edge {%d,%d} not symmetric", v, w)
 			}
+			if g.adj[at] < uint32(v) {
+				return fmt.Errorf("graph: edge {%d,%d} not symmetric", w, g.adj[at])
+			}
+			next[w]++
 		}
 	}
 	return nil

@@ -57,9 +57,9 @@ func (g *Graph) BuildHubBitmaps(budgetBytes int64, degreeFloor int) int {
 		return 0
 	}
 	// Top-K by degree. Where ids already descend by degree (a Reorder()ed
-	// graph) the hubs are the id prefix and no sort is needed; elsewhere pay
-	// one O(n log n) sort. A reorder map alone proves nothing: a snapshot may
-	// carry any permutation, so check the degrees themselves.
+	// graph) the hubs are the id prefix; elsewhere pay one O(n + maxDegree)
+	// counting sort. A reorder map alone proves nothing: a snapshot may carry
+	// any permutation, so check the degrees themselves.
 	var order []uint32
 	if !g.degreeOrdered() {
 		order = degreeDescOrder(g)

@@ -20,8 +20,8 @@ import (
 
 // ReadEdgeList parses a whitespace-separated edge list. Lines starting with
 // '#', '%' or '//' are comments. Vertex ids must be non-negative integers;
-// ids are used as-is (dense renumbering is the caller's concern, see
-// CompactIDs). The graph is undirected: "u v" and "v u" are the same edge.
+// ids are used as-is (dense renumbering is the caller's concern). The
+// graph is undirected: "u v" and "v u" are the same edge.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -367,35 +367,4 @@ func LoadAnyFile(path string) (*Graph, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return g, nil
-}
-
-// CompactIDs returns a copy of g with isolated vertices removed and the
-// remaining vertices renumbered densely, preserving relative order. SNAP
-// edge lists frequently have sparse id spaces; compacting keeps CSR arrays
-// proportional to the live vertex count.
-func CompactIDs(g *Graph) (*Graph, error) {
-	n := g.NumVertices()
-	remap := make([]uint32, n)
-	next := uint32(0)
-	for v := 0; v < n; v++ {
-		if g.Degree(uint32(v)) > 0 {
-			remap[v] = next
-			next++
-		}
-	}
-	b := NewBuilder(int(next), int(g.NumEdges()))
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(uint32(v)) {
-			if u > uint32(v) {
-				b.AddEdge(remap[v], remap[u])
-			}
-		}
-	}
-	b.SetNumVertices(int(next))
-	out, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	out.SetName(g.Name())
-	return out, nil
 }

@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // This file implements the degree-ordered relabeling pass of the hybrid
 // adjacency engine. Relabeling vertices so that ids descend by degree has two
 // compounding effects on the GraphPi execution engine:
@@ -55,32 +53,41 @@ func (g *Graph) Reorder() *Graph {
 		out.offsets[newV+1] = out.offsets[newV] + int64(g.Degree(curV))
 	}
 	out.adj = make([]uint32, out.offsets[n])
+	// Walking the new ids in ascending order and appending each to its
+	// neighbours' rows leaves every row ascending: a transpose, no sort.
+	next := make([]int64, n)
+	copy(next, out.offsets[:n])
 	for newV, curV := range order {
-		dst := out.adj[out.offsets[newV]:out.offsets[newV+1]]
-		for i, w := range g.Neighbors(curV) {
-			dst[i] = cur2new[w]
+		for _, w := range g.Neighbors(curV) {
+			row := cur2new[w]
+			out.adj[next[row]] = uint32(newV)
+			next[row]++
 		}
-		sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
 	}
 	return out
 }
 
 // degreeDescOrder returns the vertex ids sorted by descending degree with
-// ascending-id tie-break — the one ordering shared by Reorder and
-// BuildHubBitmaps, so "hubs are the id prefix of a reordered graph" holds
-// by construction.
+// ascending-id tie-break — the one ordering shared by Reorder,
+// BuildHubBitmaps and the triangle count, so "hubs are the id prefix of a
+// reordered graph" holds by construction. It is a counting sort: each
+// degree gets a bucket, and the ids enter their buckets in ascending order.
 func degreeDescOrder(g *Graph) []uint32 {
-	order := make([]uint32, g.NumVertices())
-	for i := range order {
-		order[i] = uint32(i)
+	n, maxDeg := g.NumVertices(), g.MaxDegree()
+	// at[maxDeg-d] is where the next vertex of degree d goes.
+	at := make([]int, maxDeg+2)
+	for v := 0; v < n; v++ {
+		at[maxDeg-g.Degree(uint32(v))+1]++
 	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
-		if di != dj {
-			return di > dj
-		}
-		return order[i] < order[j]
-	})
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	order := make([]uint32, n)
+	for v := 0; v < n; v++ {
+		b := maxDeg - g.Degree(uint32(v))
+		order[at[b]] = uint32(v)
+		at[b]++
+	}
 	return order
 }
 
@@ -99,8 +106,8 @@ func (g *Graph) NewToOld() []uint32 { return g.newToOld }
 // A graph that is already a degree-ordered view, such as a reloaded
 // snapshot of one, keeps its vertex order: Reorder would give the identity
 // permutation there, so the view shares g's adjacency and id map instead
-// of sorting them again. With hubBudgetBytes <= 0 it also keeps g's hub set
-// when g has one. g itself is never modified, so it may be shared.
+// of relabelling them again. With hubBudgetBytes <= 0 it also keeps g's hub
+// set when g has one. g itself is never modified, so it may be shared.
 func (g *Graph) Optimize(hubBudgetBytes int64) *Graph {
 	if !g.IsReordered() || !g.degreeOrdered() {
 		og := g.Reorder()
