@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"testing"
 )
@@ -44,6 +45,13 @@ func BenchmarkHasEdge(b *testing.B) {
 // harness's clique-rmat workload.
 func rmat15() *Graph { return RMAT(15, 400_000, 0.57, 0.19, 0.19, 1) }
 
+func BenchmarkRMAT(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rmat15()
+	}
+}
+
 func BenchmarkFromEdges(b *testing.B) {
 	// Rename the ids by a seeded permutation, as the harness does, so the
 	// edges arrive in no useful order.
@@ -70,5 +78,31 @@ func BenchmarkReorder(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Reorder()
+	}
+}
+
+// BenchmarkReadBinary reads the snapshot of an Optimize()d BA(30k,8), the
+// graph of the harness's BA workloads. "hubs" is that snapshot, whose load
+// rebuilds 2.1 MB of hub bitmaps the file does not hold; "csr" is the same
+// graph without hubs, so its B/op is the reader's own allocation.
+func BenchmarkReadBinary(b *testing.B) {
+	reordered := BarabasiAlbert(30000, 8, 1).Reorder()
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{{"csr", reordered}, {"hubs", reordered.Optimize(0)}} {
+		var snap bytes.Buffer
+		if err := WriteBinary(&snap, c.g); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(snap.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadBinary(bytes.NewReader(snap.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 )
 
 // This file provides deterministic synthetic graph generators. They serve
@@ -11,10 +14,13 @@ import (
 // not redistributable here, so internal/dataset instantiates generators with
 // matched size/degree regimes (see DESIGN.md §3).
 
-// rng returns a deterministic PCG source for a given seed.
-func rng(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+// pcg returns the deterministic PCG source for a given seed.
+func pcg(seed uint64) *rand.PCG {
+	return rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
 }
+
+// rng returns a deterministic generator over pcg(seed).
+func rng(seed uint64) *rand.Rand { return rand.New(pcg(seed)) }
 
 // Complete returns the complete graph K_n. Algorithm 1's validate step runs
 // pattern matching on complete graphs (§IV-A).
@@ -85,22 +91,14 @@ func GNM(n int, m int, seed uint64) *Graph {
 		m = int(maxEdges)
 	}
 	b := NewBuilder(n, m)
-	seen := make(map[uint64]bool, m)
-	for len(seen) < m {
-		u := uint32(r.IntN(n))
-		v := uint32(r.IntN(n))
-		if u == v {
-			continue
+	seen := newEdgeSet(m)
+	for distinct := 0; distinct < m; {
+		u := uint64(r.IntN(n))
+		v := uint64(r.IntN(n))
+		if key := edgeKey(u, v); key != 0 && seen.add(key) {
+			distinct++
+			b.AddEdge(uint32(key>>32), uint32(key))
 		}
-		if u > v {
-			u, v = v, u
-		}
-		key := uint64(u)<<32 | uint64(v)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		b.AddEdge(u, v)
 	}
 	b.SetNumVertices(n)
 	g, err := b.Build()
@@ -138,20 +136,16 @@ func BarabasiAlbert(n, mPerVertex int, seed uint64) *Graph {
 			endpoints = append(endpoints, uint32(u), uint32(v))
 		}
 	}
-	targets := make(map[uint32]bool, mPerVertex)
 	picked := make([]uint32, 0, mPerVertex)
 	for v := mPerVertex + 1; v < n; v++ {
-		clear(targets)
+		// picked holds at most mPerVertex targets, in draw order; a scan
+		// of it is cheaper than any set.
 		picked = picked[:0]
 		for len(picked) < mPerVertex {
-			t := endpoints[r.IntN(len(endpoints))]
-			if !targets[t] {
-				targets[t] = true
+			if t := endpoints[r.IntN(len(endpoints))]; !slices.Contains(picked, t) {
 				picked = append(picked, t)
 			}
 		}
-		// picked preserves draw order, keeping the generator deterministic
-		// (map iteration order would leak into later samples).
 		for _, t := range picked {
 			b.AddEdge(uint32(v), t)
 			endpoints = append(endpoints, uint32(v), t)
@@ -171,42 +165,46 @@ func BarabasiAlbert(n, mPerVertex int, seed uint64) *Graph {
 // probabilities. Heavy skew: the regime of the Twitter follower graph.
 // Duplicate and self-loop samples are dropped, so the realized edge count can
 // fall slightly short of the request.
+//
+// The graph is a function of the arguments and the seed's PCG draws alone:
+// each sample descends scale levels on one draw each, a sample counts as an
+// attempt whether or not it is kept, and sampling stops at edges distinct
+// edges or 8·edges attempts. A rewrite must draw the same words and accept
+// the same key set, or every golden count on an RMAT graph moves.
 func RMAT(scale int, edges int, a, b, c float64, seed uint64) *Graph {
-	r := rng(seed)
+	src := pcg(seed)
 	n := 1 << scale
 	bld := NewBuilder(n, edges)
-	seen := make(map[uint64]bool, edges)
-	attempts := 0
+	// Thresholds on each draw's low 53 bits: the descent is three compares
+	// per level and no branch.
+	tA, tAB, tABC := quadrantThresholds(a, b, c)
+	seen := newEdgeSet(edges)
+	buf := make([]uint64, min(edges, rmatBatch))
+	distinct, attempts := 0, 0
 	maxAttempts := edges * 8
-	for len(seen) < edges && attempts < maxAttempts {
-		attempts++
-		u, v := 0, 0
-		for bit := scale - 1; bit >= 0; bit-- {
-			p := r.Float64()
-			switch {
-			case p < a: // top-left
-			case p < a+b: // top-right
-				v |= 1 << bit
-			case p < a+b+c: // bottom-left
-				u |= 1 << bit
-			default: // bottom-right
-				u |= 1 << bit
-				v |= 1 << bit
+	for distinct < edges && attempts < maxAttempts {
+		// The draws never depend on the set and one attempt keeps at most
+		// one edge, so the next k attempts run as in a one-at-a-time loop.
+		// Drawing them first and probing after lets the probes' cache
+		// misses overlap.
+		batch := buf[:min(edges-distinct, maxAttempts-attempts, len(buf))]
+		for i := range batch {
+			var u, v uint64
+			for bit := scale - 1; bit >= 0; bit-- {
+				ub, vb := quadrantBits(src.Uint64()<<11>>11, tA, tAB, tABC)
+				u |= ub << bit
+				v |= vb << bit
+			}
+			// A self-loop becomes key 0, which the set never holds.
+			batch[i] = edgeKey(u, v)
+		}
+		attempts += len(batch)
+		for _, key := range batch {
+			if key != 0 && seen.add(key) {
+				distinct++
+				bld.AddEdge(uint32(key>>32), uint32(key))
 			}
 		}
-		if u == v {
-			continue
-		}
-		lo, hi := uint32(u), uint32(v)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		key := uint64(lo)<<32 | uint64(hi)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		bld.AddEdge(lo, hi)
 	}
 	bld.SetNumVertices(n)
 	g, err := bld.Build()
@@ -215,6 +213,90 @@ func RMAT(scale int, edges int, a, b, c float64, seed uint64) *Graph {
 	}
 	g.SetName(fmt.Sprintf("rmat-%d-%d", scale, edges))
 	return g
+}
+
+// rmatBatch bounds how many of RMAT's samples are drawn ahead of their
+// probes (512 KiB of keys).
+const rmatBatch = 1 << 16
+
+// quadrantThresholds turns RMAT's quadrant test into integer compares.
+// rand.Rand.Float64 returns p = y/2⁵³ with y = x<<11>>11 the low 53 bits of
+// one PCG word, so p < t holds exactly when y < ⌈t·2⁵³⌉. The thresholds
+// belong to the float sums a, a+b and a+b+c, as in the quadrant switch
+//
+//	p < a: top-left; p < a+b: top-right; p < a+b+c: bottom-left; else bottom-right
+//
+// and each is raised to the one before it, so that a quadrant the switch can
+// never reach (a negative b or c) is an empty interval.
+func quadrantThresholds(a, b, c float64) (tA, tAB, tABC uint64) {
+	tA = drawThreshold(a)
+	tAB = max(tA, drawThreshold(a+b))
+	tABC = max(tAB, drawThreshold(a+b+c))
+	return tA, tAB, tABC
+}
+
+// drawThreshold returns ⌈t·2⁵³⌉ clamped to [0, 2⁵³]: the count of 53-bit
+// draws y with y/2⁵³ < t. NaN compares false, so it counts none.
+func drawThreshold(t float64) uint64 {
+	switch {
+	case !(t > 0):
+		return 0
+	case t >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(t * (1 << 53)))
+}
+
+// quadrantBits returns the row and column bit of the quadrant that the 53-bit
+// draw y picks under quadrantThresholds' tA <= tAB <= tABC: below tA
+// top-left (0, 0), then top-right (0, 1), bottom-left (1, 0) and
+// bottom-right (1, 1).
+func quadrantBits(y, tA, tAB, tABC uint64) (ubit, vbit uint64) {
+	ubit = atLeast(y, tAB)
+	return ubit, atLeast(y, tA) ^ ubit ^ atLeast(y, tABC)
+}
+
+// atLeast is 1 when x >= t and 0 otherwise, for x, t < 2⁶³: t-1-x is
+// negative, and so has its sign bit set, exactly when x >= t.
+func atLeast(x, t uint64) uint64 { return (t - 1 - x) >> 63 }
+
+// edgeKey packs the undirected edge {u, v} as lo<<32 | hi, or 0 for u == v.
+// Since lo < hi, no edge packs to 0.
+func edgeKey(u, v uint64) uint64 {
+	if u == v {
+		return 0
+	}
+	lo, hi := min(u, v), max(u, v)
+	return lo<<32 | hi
+}
+
+// edgeSet is the generators' dedupe set: open addressing with linear probing
+// over a power-of-two table of edge keys, at least twice the keys it will
+// hold, with 0 marking an empty slot (edgeKey never yields 0).
+type edgeSet struct {
+	slots []uint64
+	shift uint // 64 − log₂ len(slots)
+}
+
+// newEdgeSet returns a set with room for n keys.
+func newEdgeSet(n int) edgeSet {
+	logCap := bits.Len(uint(max(n, 1))) + 1 // 2^logCap >= 2n
+	return edgeSet{slots: make([]uint64, 1<<logCap), shift: uint(64 - logCap)}
+}
+
+// add inserts the nonzero key and reports whether it was absent.
+func (s *edgeSet) add(key uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	// Fibonacci hashing: the product's top bits mix both endpoints.
+	for i := key * 0x9e3779b97f4a7c15 >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case key:
+			return false
+		case 0:
+			s.slots[i] = key
+			return true
+		}
+	}
 }
 
 // GNP returns an Erdős–Rényi G(n, p) graph. Intended for small test

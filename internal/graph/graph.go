@@ -404,36 +404,39 @@ func (g *Graph) Validate() error {
 		if g.offsets[v] > g.offsets[v+1] {
 			return fmt.Errorf("graph: offsets not monotone at %d", v)
 		}
+	}
+	// Symmetry, in one walk of the rows: walking v in ascending order, the
+	// entries w < v of v's row must name the entries above w of w's own
+	// ascending row, one by one. next[w] is the first of those that no row
+	// has named yet; it is set when w's row is walked, before any row that
+	// names w. Each naming checks one entry, and a row whose upper entries
+	// were not all named at the end lists an edge its partner lacks.
+	next := make([]int64, n)
+	for v := 0; v < n; v++ {
 		nb := g.Neighbors(uint32(v))
 		if !vertexset.IsSorted(nb) {
 			return fmt.Errorf("graph: adjacency of %d not strictly ascending", v)
 		}
-		for _, w := range nb {
-			if int(w) >= n {
-				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, w)
-			}
-			if w == uint32(v) {
-				return fmt.Errorf("graph: self-loop at %d", v)
-			}
+		if len(nb) > 0 && int(nb[len(nb)-1]) >= n {
+			return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, nb[len(nb)-1])
 		}
-	}
-	// Symmetry: walking v in ascending order, the rows that list w must name
-	// the entries of w's own ascending row one by one. next[w] is the first
-	// entry of w's row no row has named yet. There are as many namings as
-	// entries, so a walk that neither runs past a row's end nor skips an
-	// entry has named them all.
-	next := make([]int64, n)
-	copy(next, g.offsets[:n])
-	for v := 0; v < n; v++ {
-		for _, w := range g.Neighbors(uint32(v)) {
+		i := 0
+		for ; i < len(nb) && nb[i] < uint32(v); i++ {
+			w := nb[i]
 			at := next[w]
-			if at == g.offsets[w+1] || g.adj[at] > uint32(v) {
+			if at == g.offsets[w+1] || g.adj[at] != uint32(v) {
 				return fmt.Errorf("graph: edge {%d,%d} not symmetric", v, w)
 			}
-			if g.adj[at] < uint32(v) {
-				return fmt.Errorf("graph: edge {%d,%d} not symmetric", w, g.adj[at])
-			}
 			next[w]++
+		}
+		if i < len(nb) && nb[i] == uint32(v) {
+			return fmt.Errorf("graph: self-loop at %d", v)
+		}
+		next[v] = g.offsets[v] + int64(i)
+	}
+	for v := 0; v < n; v++ {
+		if at := next[v]; at != g.offsets[v+1] {
+			return fmt.Errorf("graph: edge {%d,%d} not symmetric", v, g.adj[at])
 		}
 	}
 	return nil

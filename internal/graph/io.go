@@ -137,7 +137,8 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if err := binary.Write(bw, binary.LittleEndian, int64(len(g.newToOld))); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.newToOld); err != nil {
+	scratch := make([]byte, snapshotIOChunk)
+	if err := writeWords(bw, scratch, g.newToOld); err != nil {
 		return err
 	}
 	var hubBytes, hubFloor int64
@@ -159,10 +160,10 @@ func WriteBinary(w io.Writer, g *Graph) error {
 		// the n+1 offsets array so readers never hit EOF on empty graphs.
 		offsets = []int64{0}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, offsets); err != nil {
+	if err := writeWords(bw, scratch, offsets); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.adj); err != nil {
+	if err := writeWords(bw, scratch, g.adj); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -190,29 +191,75 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 }
 
-// readChunked reads count little-endian words, growing the result only as
-// fast as real file bytes arrive: a corrupt header claiming billions of
-// words costs one bounded buffer before the truncation error surfaces, not
-// a count-sized up-front allocation.
-func readChunked[T int64 | uint32](br *bufio.Reader, count int64, what string) ([]T, error) {
+// snapshotIOChunk is the byte size of the scratch buffer through which the
+// snapshot's arrays are encoded and decoded.
+const snapshotIOChunk = 64 << 10
+
+// wordSize is the encoded byte size of a snapshot word of type T.
+func wordSize[T int64 | uint32]() int {
+	if _, ok := any(T(0)).(int64); ok {
+		return 8
+	}
+	return 4
+}
+
+// writeWords writes words little-endian through scratch, a chunk at a time.
+func writeWords[T int64 | uint32](w io.Writer, scratch []byte, words []T) error {
+	size := wordSize[T]()
+	for len(words) > 0 {
+		k := min(len(words), len(scratch)/size)
+		b := scratch[:k*size]
+		if size == 8 {
+			for i, x := range words[:k] {
+				binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+			}
+		} else {
+			for i, x := range words[:k] {
+				binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
+			}
+		}
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		words = words[k:]
+	}
+	return nil
+}
+
+// readWords reads count little-endian words through scratch and decodes them
+// straight into the result. The result grows only as fast as real file
+// bytes arrive, at most doubling what has been read: a corrupt header
+// claiming billions of words costs one bounded chunk before the truncation
+// error surfaces, not a count-sized up-front allocation. An array of at
+// most adjChunkWords words is allocated once, at its exact size.
+func readWords[T int64 | uint32](br *bufio.Reader, scratch []byte, count int64, what string) ([]T, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("graph: negative %s length %d", what, count)
 	}
-	step := count
-	if step > adjChunkWords {
-		step = adjChunkWords
-	}
-	out := make([]T, 0, step)
-	buf := make([]T, step)
+	size := wordSize[T]()
+	out := make([]T, 0, min(count, adjChunkWords))
 	for int64(len(out)) < count {
-		k := count - int64(len(out))
-		if k > adjChunkWords {
-			k = adjChunkWords
+		if len(out) == cap(out) {
+			grown := make([]T, len(out), min(count, 2*int64(len(out))))
+			copy(grown, out)
+			out = grown
 		}
-		if err := binary.Read(br, binary.LittleEndian, buf[:k]); err != nil {
+		k := min(cap(out)-len(out), len(scratch)/size)
+		b := scratch[:k*size]
+		if _, err := io.ReadFull(br, b); err != nil {
 			return nil, fmt.Errorf("graph: reading %s: %w", what, err)
 		}
-		out = append(out, buf[:k]...)
+		dst := out[len(out) : len(out)+k]
+		if size == 8 {
+			for i := range dst {
+				dst[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		} else {
+			for i := range dst {
+				dst[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+		}
+		out = out[:len(out)+k]
 	}
 	return out, nil
 }
@@ -242,8 +289,9 @@ func readBinary(br *bufio.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: reorder map length %d for %d vertices", mapLen, n)
 	}
 	g := &Graph{name: string(name)}
+	scratch := make([]byte, snapshotIOChunk)
 	if mapLen > 0 {
-		g.newToOld, err = readChunked[uint32](br, mapLen, "reorder map")
+		g.newToOld, err = readWords[uint32](br, scratch, mapLen, "reorder map")
 		if err != nil {
 			return nil, err
 		}
@@ -269,11 +317,11 @@ func readBinary(br *bufio.Reader) (*Graph, error) {
 	if hubFloor < 0 || hubFloor > maxSnapshotHubFloor {
 		return nil, fmt.Errorf("graph: invalid hub degree floor %d", hubFloor)
 	}
-	g.offsets, err = readChunked[int64](br, n+1, "offsets")
+	g.offsets, err = readWords[int64](br, scratch, n+1, "offsets")
 	if err != nil {
 		return nil, err
 	}
-	if err := readAdjacency(br, g, n); err != nil {
+	if err := readAdjacency(br, scratch, g, n); err != nil {
 		return nil, err
 	}
 	if hubBytes > 0 {
@@ -293,15 +341,15 @@ func readCount(br *bufio.Reader) (int64, error) {
 	return n, nil
 }
 
-// adjChunkWords bounds how much adjacency is allocated per read step, so a
-// corrupt offsets array claiming an enormous edge count produces a truncated-
-// file error instead of a giant up-front allocation (or a makeslice panic).
+// adjChunkWords bounds the first allocation of a snapshot array (readWords),
+// so a corrupt length claiming an enormous array produces a truncated-file
+// error instead of a giant up-front allocation (or a makeslice panic).
 const adjChunkWords = 1 << 20
 
 // readAdjacency validates the already-read offsets, then reads the adjacency
 // array they size — incrementally, so the allocation only ever grows as fast
 // as real file bytes arrive — and checks the CSR invariants.
-func readAdjacency(br *bufio.Reader, g *Graph, n int64) error {
+func readAdjacency(br *bufio.Reader, scratch []byte, g *Graph, n int64) error {
 	if n > 0 && g.offsets[0] != 0 {
 		return fmt.Errorf("graph: offsets must start at 0, got %d", g.offsets[0])
 	}
@@ -322,7 +370,7 @@ func readAdjacency(br *bufio.Reader, g *Graph, n int64) error {
 	if n > 0 && n <= maxExactN && total > n*(n-1) {
 		return fmt.Errorf("graph: adjacency length %d impossible for %d vertices", total, n)
 	}
-	adj, err := readChunked[uint32](br, total, "adjacency")
+	adj, err := readWords[uint32](br, scratch, total, "adjacency")
 	if err != nil {
 		return err
 	}

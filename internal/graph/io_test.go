@@ -251,6 +251,27 @@ func TestReadBinaryHugeHeaderCounts(t *testing.T) {
 	}
 }
 
+// TestReadBinaryBeyondOneChunk: an adjacency longer than the first
+// allocation (adjChunkWords) grows while it is read, comes back exact, and
+// a cut in its second chunk is still a truncation error.
+func TestReadBinaryBeyondOneChunk(t *testing.T) {
+	g := Complete(1100)
+	if g.NumAdjSlots() <= adjChunkWords {
+		t.Fatalf("K1100 has %d slots, not more than one chunk", g.NumAdjSlots())
+	}
+	data := snapshotOf(t, g)
+	back, err := readNoPanic(t, "K1100", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := sameCSR(back, g); d != "" {
+		t.Fatalf("K1100 round trip changed the %s", d)
+	}
+	if _, err := readNoPanic(t, "K1100 cut", data[:len(data)-4]); err == nil {
+		t.Fatal("snapshot cut in its second adjacency chunk accepted")
+	}
+}
+
 // TestReadBinaryBadReorderMap: a stored new→old map that is not a
 // permutation must be rejected (a wrong map silently mistranslates every
 // Enumerate result).

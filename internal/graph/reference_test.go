@@ -333,6 +333,9 @@ func TestPreparationMatchesReference(t *testing.T) {
 		{GNM(300, 900, 3), 0x2afaf0a5c2e4c9ff, 0x84a16761c55ebf52, 32},
 		{BarabasiAlbert(2000, 5, 7), 0x1b548d46f17a373a, 0x95b44a93de78459c, 1419},
 		{RMAT(10, 6000, 0.57, 0.19, 0.19, 3), 0x6cc1e4f1f7514b58, 0xac21b742e9dee695, 24334},
+		// Saturates: stops at maxAttempts short of 20000 distinct edges.
+		{RMAT(8, 20000, 0.57, 0.19, 0.19, 3), 0xa7aee0bfdbfd4213, 0x610d4945d7345786, 441236},
+		{RMAT(12, 30000, 0.45, 0.25, 0.15, 9), 0xd3e523ffd4eae994, 0x63ebc0b4b71ef4cf, 11602},
 		{GNP(60, 0.2, 5), 0xfa8e1ed2ce0430d4, 0xfb874916df9ccc07, 297},
 	} {
 		g := c.g
