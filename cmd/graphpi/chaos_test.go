@@ -34,15 +34,17 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 	}
 	bin := buildChaosBinary(t)
 
-	// Shared snapshot: big enough that the distributed count runs for a
-	// couple of seconds, so the kill below lands mid-execution.
+	// Shared snapshot and pattern: heavy enough that the distributed count
+	// runs for over a second on two cores, so the kill below lands
+	// mid-execution. (House on this graph now finishes inside the 500 ms
+	// the test waits before the kill.)
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "chaos.bin")
 	g := graphpi.GenerateBA(30000, 8, 7)
 	if err := g.SaveBinary(snap); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := graphpi.NewPlan(g, graphpi.House())
+	plan, err := graphpi.NewPlan(g, graphpi.Cycle6Tri())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 	}
 
 	// First job: SIGKILL the last worker while the master is mid-count.
-	master := exec.Command(bin, "-graph", snap, "-pattern", "house",
+	master := exec.Command(bin, "-graph", snap, "-pattern", "cycle6tri",
 		"-join", strings.Join(addrs, ","))
 	var out bytes.Buffer
 	master.Stdout, master.Stderr = &out, &out
@@ -92,7 +94,7 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 	// snapshot from the next master and run tasks for that job.
 	workers[2] = startWorkerProc(t, bin, "-serve", "127.0.0.1:0")
 	addrs[2] = workers[2].addr
-	out2, err := exec.Command(bin, "-graph", snap, "-pattern", "house",
+	out2, err := exec.Command(bin, "-graph", snap, "-pattern", "cycle6tri",
 		"-join", strings.Join(addrs, ",")).CombinedOutput()
 	if err != nil {
 		t.Fatalf("job with cold replacement worker: %v\n%s", err, out2)

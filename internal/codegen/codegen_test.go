@@ -383,3 +383,64 @@ func TestLowerMemoisesInvariantSteps(t *testing.T) {
 		}
 	}
 }
+
+// TestLowerMarksRows pins markRows: exactly the steps whose left operand is
+// N(v0) or N(v1) name that position as their row, in the enumeration nest
+// and in the IEP nest alike, and a step reading a buffer never does.
+func TestLowerMarksRows(t *testing.T) {
+	tailed, err := pattern.ParseAdjacency(5, "0100010100010110010100110", "tailed-triangle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	identity := func(n int) schedule.Schedule {
+		s := schedule.Schedule{Order: make([]uint8, n)}
+		for i := range s.Order {
+			s.Order[i] = uint8(i)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name  string
+		p     *pattern.Pattern
+		sched schedule.Schedule
+		want  string // every step as depth:left:row, left "b<i>" for buffer i
+	}{
+		{"rectangle", pattern.Rectangle(), identity(4), "2:0:0"},
+		{"house", pattern.House(), identity(5), "1:0:0 2:1:1"},
+		{"cycle6tri", pattern.Cycle6Tri(), identity(6), "1:0:0 2:0:0 2:1:1"},
+		{"k4", pattern.Clique(4), identity(4), "1:0:0 2:b0:-1"},
+		{"k23", pattern.P4(), schedule.Schedule{Order: []uint8{0, 2, 1, 3, 4}}, "2:0:0"},
+		// A triangle hanging off v2: its step reads N(v2), too deep for a row.
+		{"tailed-triangle", tailed, identity(5), "3:2:-1"},
+	} {
+		cfg, err := core.NewConfig(tc.p, tc.sched, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		specs := []codegen.Spec{cfg.SourceSpec()}
+		if k := cfg.KIEP(); k > 0 {
+			spec := cfg.SourceSpec()
+			spec.KIEP, spec.IEPNum, spec.IEPDen = k, cfg.IEPNumerator(), cfg.IEPDivisor()
+			specs = append(specs, spec)
+		}
+		for _, spec := range specs {
+			prog, err := codegen.Lower(spec)
+			if err != nil {
+				t.Fatalf("%s (KIEP %d): %v", tc.name, spec.KIEP, err)
+			}
+			var got []string
+			for _, lv := range prog.Levels {
+				for _, st := range lv.Steps {
+					left := fmt.Sprint(st.LeftParent)
+					if st.LeftBuf >= 0 {
+						left = fmt.Sprintf("b%d", st.LeftBuf)
+					}
+					got = append(got, fmt.Sprintf("%d:%s:%d", st.Depth, left, st.Row))
+				}
+			}
+			if g := strings.Join(got, " "); g != tc.want {
+				t.Errorf("%s (KIEP %d): steps %q, want %q", tc.name, spec.KIEP, g, tc.want)
+			}
+		}
+	}
+}

@@ -83,6 +83,11 @@ type Spec struct {
 // at Depth and of a context that some intermediate loop does not touch; Memo
 // then lists the context (see markInvariant) and the executor may serve a
 // repeated key from a memo instead of intersecting again.
+//
+// A step whose left operand is N(v0) or N(v1) reads that same row for every
+// vertex bound below it; Row then names the position (see markRows) and the
+// executor may probe the right operand into a bit row of it instead of
+// merging (vertexset.IntersectRow).
 type Step struct {
 	schedule.Step
 	// Lowers/Uppers are the positions p <= Depth whose bound vertex lower-
@@ -91,6 +96,9 @@ type Step struct {
 	// Memo lists, ascending, the positions other than Depth that the output
 	// depends on when the step is loop-invariant, and is nil otherwise.
 	Memo []uint8
+	// Row is the position, 0 or 1, whose neighbourhood is the step's left
+	// operand and may be held as a bit row; -1 when there is none.
+	Row int
 }
 
 // Level is one loop of the lowered nest.
@@ -203,7 +211,7 @@ func Lower(spec Spec) (*Program, error) {
 			AtCut:  d == p.IEPCut,
 		}
 		for _, st := range spec.Plan.Steps[d] {
-			lv.Steps = append(lv.Steps, Step{Step: st})
+			lv.Steps = append(lv.Steps, Step{Step: st, Row: -1})
 		}
 		p.Levels[d] = lv
 	}
@@ -211,6 +219,7 @@ func Lower(spec Spec) (*Program, error) {
 		return nil, err
 	}
 	p.markInvariant()
+	p.markRows()
 	p.classifyExclusions()
 	return p, nil
 }
@@ -509,6 +518,28 @@ func (p *Program) markInvariant() {
 						st.Memo = append(st.Memo, pos)
 					}
 				}
+			}
+		}
+	}
+}
+
+// RowPositions is how many shallow positions markRows gives a row: N(v0) and
+// N(v1), so an executor keeps at most this many rows per worker.
+const RowPositions = 2
+
+// markRows sets Row on the steps whose left operand is the neighbourhood of
+// position 0 or 1. Such a step runs once for every vertex its own loop binds
+// below that position — usually many — and each run rereads the same left
+// row, so a bit row of it, built once per distinct vertex at O(degree), turns
+// each run's merge into a probe of the right operand. A deeper position
+// changes too often to repay the build, and a buffer's content changes with
+// every prefix.
+func (p *Program) markRows() {
+	for d := range p.Levels {
+		for i := range p.Levels[d].Steps {
+			st := &p.Levels[d].Steps[i]
+			if st.LeftBuf < 0 && st.LeftParent < RowPositions {
+				st.Row = st.LeftParent
 			}
 		}
 	}

@@ -369,6 +369,9 @@ type runner struct {
 	// memos[b] serves the repeats of the loop-invariant step that outputs
 	// buffer b; nil when that step is not marked.
 	memos []*memo
+	// rows[p] is the bit row of N(v_p) that the steps marked with Row p probe
+	// (codegen.Step.Row); it has storage only when some step is marked so.
+	rows [codegen.RowPositions]vertexset.Row
 
 	calc    *iep.Calculator
 	iepSets [][]uint32
@@ -390,10 +393,15 @@ func newRunner(cfg *Config, prog *codegen.Program, g *graph.Graph, visit func([]
 	}
 	maxDeg := g.MaxDegree()
 	r.memos = make([]*memo, prog.NumBufs)
+	var rowUsed [codegen.RowPositions]bool
 	for _, lv := range prog.Levels {
 		for _, st := range lv.Steps {
 			if st.Memo != nil {
 				r.memos[st.Out] = newMemo(len(st.Memo), maxDeg)
+			}
+			if st.Row >= 0 && !rowUsed[st.Row] {
+				w := vertexset.BitmapWords(g.NumVertices())
+				r.rows[st.Row], rowUsed[st.Row] = vertexset.NewRow(taskpool.Owned[uint64](w, w)), true
 			}
 		}
 	}
@@ -436,7 +444,7 @@ func (r *runner) RunRoot(start, end int) {
 		if r.stop != nil && r.stop.Load() {
 			return
 		}
-		r.bound[0] = uint32(v)
+		r.bind(0, uint32(v))
 		switch {
 		case r.cfg.n == 1:
 			r.leaf()
@@ -474,7 +482,7 @@ func (r *runner) RunRootEdges(start, end int) {
 		if stop > end {
 			stop = end
 		}
-		r.bound[0] = v
+		r.bind(0, v)
 		if lst := r.st.Level(0); lst != nil {
 			lst.Scan(1, 0)
 		}
@@ -534,7 +542,7 @@ next:
 				continue next
 			}
 		}
-		r.bound[depth] = v
+		r.bind(depth, v)
 		if !r.descend(lv) {
 			return
 		}
@@ -568,10 +576,23 @@ next:
 				continue next
 			}
 		}
-		r.bound[depth] = v
+		r.bind(depth, v)
 		if !r.descend(lv) {
 			return
 		}
+	}
+}
+
+// bind binds v at depth. An enumeration also writes v's original id into the
+// embedding slot of the pattern vertex the depth searches for, once per
+// binding, so that a leaf hands the embedding to visit as it stands.
+func (r *runner) bind(depth int, v uint32) {
+	r.bound[depth] = v
+	if r.emb != nil {
+		if r.orig != nil {
+			v = r.orig[v]
+		}
+		r.emb[r.cfg.order[depth]] = v
 	}
 }
 
@@ -596,12 +617,15 @@ func (r *runner) descend(lv *codegen.Level) bool {
 
 // runSteps executes the intersections hoisted to this depth, each trimmed to
 // the window the lowering gave it and dispatched per call by the bounded
-// hybrid kernel (hub-bitmap probe, merge or gallop). A loop-invariant step
-// first asks its memo, which answers a key it has seen under the current
-// context without a kernel. runSteps stops at the first empty output —
-// computed or served — and reports false: the prefix cannot be extended (see
-// codegen.Step), so the caller skips the remaining steps, every deeper loop
-// and the IEP evaluation.
+// hybrid kernel (hub-bitmap probe, merge or gallop) — or, for a step whose
+// left operand is N(v0) or N(v1), by the row kernel, which probes the
+// worker's bit row of that neighbourhood instead of merging (the row is
+// built on first use under a newly bound vertex; see vertexset.IntersectRow).
+// A loop-invariant step first asks its memo, which answers a key it has seen
+// under the current context without a kernel. runSteps stops at the first
+// empty output — computed or served — and reports false: the prefix cannot be
+// extended (see codegen.Step), so the caller skips the remaining steps, every
+// deeper loop and the IEP evaluation.
 func (r *runner) runSteps(depth int) bool {
 	steps := r.prog.Levels[depth].Steps
 	if len(steps) == 0 {
@@ -634,7 +658,11 @@ func (r *runner) runSteps(depth int) bool {
 				left, leftBM = r.g.Neighbors(lp), r.g.HubBitmap(lp)
 			}
 			var k vertexset.Kernel
-			out, k = vertexset.IntersectWindow(dst, left, r.g.Neighbors(rv), leftBM, r.g.HubBitmap(rv), lo, hi)
+			if stp.Row >= 0 {
+				out, k = vertexset.IntersectRow(dst, left, r.g.Neighbors(rv), leftBM, r.g.HubBitmap(rv), &r.rows[stp.Row], lo, hi)
+			} else {
+				out, k = vertexset.IntersectWindow(dst, left, r.g.Neighbors(rv), leftBM, r.g.HubBitmap(rv), lo, hi)
+			}
 			if lst != nil {
 				lst.Intersect(int(k))
 			}
@@ -653,23 +681,11 @@ func (r *runner) runSteps(depth int) bool {
 	return true
 }
 
-// leaf records one embedding, translating back to original vertex ids when
-// the data graph is a degree-ordered relabeling.
+// leaf records one embedding; bind has already written it in original
+// vertex ids.
 func (r *runner) leaf() {
 	r.count++
-	if r.visit == nil {
-		return
-	}
-	if r.orig != nil {
-		for i, v := range r.bound {
-			r.emb[r.cfg.order[i]] = r.orig[v]
-		}
-	} else {
-		for i, v := range r.bound {
-			r.emb[r.cfg.order[i]] = v
-		}
-	}
-	if !r.visit(r.emb) {
+	if r.visit != nil && !r.visit(r.emb) {
 		r.stop.Store(true)
 	}
 }

@@ -16,6 +16,12 @@ import (
 // marks, so every step evaluation runs a kernel: the reference the memoised
 // executor must reproduce.
 func withoutMemo(c *Config) *Config {
+	return withSteps(c, func(st *codegen.Step) { st.Memo = nil })
+}
+
+// withSteps returns a copy of c whose lowered nests hold copies of c's steps
+// passed through edit; c's own nests are left alone.
+func withSteps(c *Config, edit func(*codegen.Step)) *Config {
 	strip := func(p *codegen.Program) *codegen.Program {
 		if p == nil {
 			return nil
@@ -25,7 +31,7 @@ func withoutMemo(c *Config) *Config {
 		for d := range s.Levels {
 			steps := append([]codegen.Step(nil), s.Levels[d].Steps...)
 			for i := range steps {
-				steps[i].Memo = nil
+				edit(&steps[i])
 			}
 			s.Levels[d].Steps = steps
 		}

@@ -13,6 +13,7 @@ import (
 
 	"graphpi/internal/cluster"
 	"graphpi/internal/graph"
+	"graphpi/internal/perm"
 )
 
 // Handler returns the service's HTTP API:
@@ -173,53 +174,78 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	var (
-		mu      sync.Mutex
-		started bool
-		flusher http.Flusher
-	)
-	if f, ok := w.(http.Flusher); ok {
-		flusher = f
-	}
-	visit := func(emb []uint32) bool {
-		line, err := json.Marshal(emb)
-		if err != nil {
-			return false
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if !started {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			started = true
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return false // client gone; Enumerate also sees the context cancel
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	res, err := s.runEnumerate(r.Context(), req, visit)
-	mu.Lock()
-	defer mu.Unlock()
+	st := &ndjsonStream{w: w}
+	res, err := s.runEnumerate(r.Context(), req, st.emit)
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if err != nil {
-		if !started {
+		if st.started {
+			st.flush() // what was enumerated before the error, and no trailer
+		} else {
 			writeError(w, err)
 		}
 		return
 	}
-	if !started {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-	}
 	if line, err := json.Marshal(res); err == nil {
-		w.Write(append(line, '\n'))
+		st.buf = append(append(st.buf, line...), '\n')
 	}
-	if flusher != nil {
-		flusher.Flush()
+	st.flush()
+}
+
+// ndjsonFlushBytes is how many bytes of embedding lines an /enumerate stream
+// gathers before it writes and flushes them: one write per block, not one
+// per embedding.
+const ndjsonFlushBytes = 32 << 10
+
+// ndjsonStream is one /enumerate response: embedding lines are appended to
+// buf under mu by the job's workers and written out in blocks. The status
+// line goes out with the first block, so an error before it still gets its
+// own status.
+type ndjsonStream struct {
+	mu      sync.Mutex
+	w       http.ResponseWriter
+	buf     []byte
+	started bool
+}
+
+// emit appends one embedding as a JSON array line, with the bytes
+// json.Marshal writes for a []uint32. When iso is non-nil the line is the
+// embedding respelled: its element u is emb[iso[u]]. emit reports false once
+// the client is gone.
+func (st *ndjsonStream) emit(emb []uint32, iso perm.Perm) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	b := append(st.buf, '[')
+	for u, v := range emb {
+		if iso != nil {
+			v = emb[iso[u]]
+		}
+		if u > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, uint64(v), 10)
 	}
+	st.buf = append(b, ']', '\n')
+	if len(st.buf) < ndjsonFlushBytes {
+		return true
+	}
+	return st.flush()
+}
+
+// flush sends the status line if it has not gone out yet, then writes and
+// flushes buf; it reports false when the write fails. st.mu must be held.
+func (st *ndjsonStream) flush() bool {
+	if !st.started {
+		st.w.Header().Set("Content-Type", "application/x-ndjson")
+		st.w.WriteHeader(http.StatusOK)
+		st.started = true
+	}
+	_, err := st.w.Write(st.buf)
+	st.buf = st.buf[:0]
+	if f, ok := st.w.(http.Flusher); ok {
+		f.Flush()
+	}
+	return err == nil
 }
 
 // graphInfo is the /graphs payload for one resident graph.

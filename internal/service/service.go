@@ -504,8 +504,11 @@ func (s *Server) runCount(ctx context.Context, req queryRequest) (_ *queryResult
 
 // runEnumerate executes one enumerate query, invoking visit for every
 // embedding (possibly from several goroutines; visit must serialize its own
-// output). It returns the stream trailer.
-func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func([]uint32) bool) (_ *queryResult, err error) {
+// output). visit receives the embedding as the configuration spells the
+// pattern, and iso, nil when the request spells it the same way: the
+// request's vertex u is then the embedding's iso[u]. It returns the stream
+// trailer.
+func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(emb []uint32, iso perm.Perm) bool) (_ *queryResult, err error) {
 	// Enumerate always runs locally (the cluster wire reduces counts, not
 	// embedding streams): an explicit cluster request is an error, auto
 	// falls through to local, and unknown names get pickBackend's 400.
@@ -551,14 +554,7 @@ func (s *Server) runEnumerate(ctx context.Context, req queryRequest, visit func(
 		if req.limit <= 0 {
 			emitted.Add(1)
 		}
-		if iso != nil {
-			mapped := make([]uint32, len(iso))
-			for u, v := range iso {
-				mapped[u] = emb[v]
-			}
-			emb = mapped
-		}
-		if !visit(emb) {
+		if !visit(emb, iso) {
 			emitted.Add(-1)
 			return false
 		}
