@@ -2,8 +2,9 @@ package main
 
 // Chaos test: the acceptance gate for the elastic cluster data plane, driven
 // through real OS processes rather than in-process goroutines. A 3-worker
-// TCP cluster runs a distributed count; one worker is SIGKILLed mid-job and
-// the master must still report the exact count (its unacknowledged tasks are
+// TCP cluster runs a distributed count; one worker is SIGKILLed mid-job, as
+// soon as it reports acknowledging its first task, and the master must still
+// report the exact count (its unacknowledged tasks are
 // re-dealt to the survivors). The victim is then restarted *cold* — no
 // -graph flag, no local snapshot — and a second job must succeed with the
 // replacement pulling the fingerprint-verified snapshot from the master and
@@ -34,17 +35,16 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 	}
 	bin := buildChaosBinary(t)
 
-	// Shared snapshot and pattern: heavy enough that the distributed count
-	// runs for over a second on two cores, so the kill below lands
-	// mid-execution. (House on this graph now finishes inside the 500 ms
-	// the test waits before the kill.)
+	// Shared snapshot and pattern. The kill waits for the victim's first
+	// acknowledged task rather than for a timer, so it lands mid-job however
+	// fast the count runs.
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "chaos.bin")
 	g := graphpi.GenerateBA(30000, 8, 7)
 	if err := g.SaveBinary(snap); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := graphpi.NewPlan(g, graphpi.Cycle6Tri())
+	plan, err := graphpi.NewPlan(g, graphpi.House())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,9 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 		addrs[i] = workers[i].addr
 	}
 
-	// First job: SIGKILL the last worker while the master is mid-count.
-	master := exec.Command(bin, "-graph", snap, "-pattern", "cycle6tri",
+	// First job: SIGKILL the last worker once it has acknowledged a task,
+	// while the master is mid-count.
+	master := exec.Command(bin, "-graph", snap, "-pattern", "house",
 		"-join", strings.Join(addrs, ","))
 	var out bytes.Buffer
 	master.Stdout, master.Stderr = &out, &out
@@ -68,10 +69,20 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- master.Wait() }()
+	finished := func(err error) {
+		t.Fatalf("master finished before the kill — enlarge the fixture (err=%v)\n%s", err, out.String())
+	}
 	select {
 	case err := <-done:
-		t.Fatalf("master finished before the kill — enlarge the fixture (err=%v)\n%s", err, out.String())
-	case <-time.After(500 * time.Millisecond):
+		finished(err)
+	case <-workers[2].acked:
+	case <-time.After(time.Minute):
+		t.Fatalf("worker 2 acknowledged no task\n%s", out.String())
+	}
+	select {
+	case err := <-done:
+		finished(err)
+	default:
 	}
 	if err := workers[2].cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -94,7 +105,7 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 	// snapshot from the next master and run tasks for that job.
 	workers[2] = startWorkerProc(t, bin, "-serve", "127.0.0.1:0")
 	addrs[2] = workers[2].addr
-	out2, err := exec.Command(bin, "-graph", snap, "-pattern", "cycle6tri",
+	out2, err := exec.Command(bin, "-graph", snap, "-pattern", "house",
 		"-join", strings.Join(addrs, ",")).CombinedOutput()
 	if err != nil {
 		t.Fatalf("job with cold replacement worker: %v\n%s", err, out2)
@@ -125,16 +136,23 @@ func buildChaosBinary(t *testing.T) string {
 	return bin
 }
 
-// workerProc is one `graphpi -serve` OS process plus its bound address.
+// workerProc is one `graphpi -serve` OS process, its bound address, and a
+// signal for each job in which it acknowledged its first task.
 type workerProc struct {
-	cmd  *exec.Cmd
-	addr string
+	cmd   *exec.Cmd
+	addr  string
+	acked chan struct{}
 }
 
-var servingRE = regexp.MustCompile(`cluster worker: serving .* on (\S+) \(`)
+var (
+	servingRE = regexp.MustCompile(`cluster worker: serving .* on (\S+) \(`)
+	ackedRE   = regexp.MustCompile(`cluster worker: .*acknowledged its first task`)
+)
 
 // startWorkerProc launches a worker process and waits until it prints its
-// bound address. The process is killed at test cleanup.
+// bound address. Its stderr is passed through, and scanned for the line the
+// worker logs when it acknowledges its first task of a job. The process is
+// killed at test cleanup.
 func startWorkerProc(t *testing.T, bin string, args ...string) *workerProc {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -142,12 +160,28 @@ func startWorkerProc(t *testing.T, bin string, args ...string) *workerProc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd.Stderr = os.Stderr
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := make(chan struct{}, 1)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
 
+	go func() {
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			fmt.Fprintln(os.Stderr, sc.Text())
+			if ackedRE.MatchString(sc.Text()) {
+				select {
+				case acked <- struct{}{}:
+				default:
+				}
+			}
+		}
+	}()
 	addrCh := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
@@ -163,7 +197,7 @@ func startWorkerProc(t *testing.T, bin string, args ...string) *workerProc {
 	}()
 	select {
 	case addr := <-addrCh:
-		return &workerProc{cmd: cmd, addr: addr}
+		return &workerProc{cmd: cmd, addr: addr, acked: acked}
 	case <-time.After(30 * time.Second):
 		t.Fatalf("worker %v did not report its address", args)
 		return nil

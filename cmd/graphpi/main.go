@@ -61,8 +61,7 @@ func main() {
 		list        = flag.Bool("list", false, "list embeddings instead of counting")
 		limit       = flag.Int64("limit", 20, "max embeddings to list with -list (0 = all)")
 		workers     = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS; with -serve, 0 = honor the master; with -server, the budget the run slots share, which caps -max-jobs)")
-		hybrid      = flag.Bool("hybrid", false, "run on the degree-ordered, bitmap-accelerated hybrid adjacency view")
-		hubBudget   = flag.Int64("hub-budget", 0, "hub-bitmap memory budget in bytes with -hybrid (0 = 64 MiB)")
+		hybrid      = flag.Bool("hybrid", false, "run on the degree-ordered, bitmap-accelerated hybrid adjacency view (hub bitmaps within 64 MiB)")
 		nodes       = flag.Int("nodes", 0, "count on a cluster of this many in-process nodes (0 = single process)")
 		nodeWorkers = flag.Int("node-workers", 2, "worker goroutines per node with -nodes")
 		serveAddr   = flag.String("serve", "", "run as a cluster worker process listening on this address (e.g. :9421)")
@@ -82,7 +81,6 @@ func main() {
 	if err := validateFlags(flagState{
 		nodes:       *nodes,
 		nodeWorkers: *nodeWorkers,
-		hubBudget:   *hubBudget,
 		maxJobs:     *maxJobs,
 		maxQueue:    *maxQueue,
 		serveAddr:   *serveAddr,
@@ -135,7 +133,7 @@ func main() {
 		fmt.Printf("graph: %s (%s)\n", g.Name(), g.StatsString())
 		if *hybrid {
 			prep := time.Now()
-			g = g.Optimize(*hubBudget)
+			g = g.Optimize(0)
 			fmt.Printf("hybrid view: degree-ordered, bitmaps built in %v\n",
 				time.Since(prep).Round(time.Microsecond))
 		}
@@ -282,7 +280,6 @@ func printRunStats(plan *graphpi.Plan, useIEP bool, st *graphpi.RunStats) {
 type flagState struct {
 	nodes, nodeWorkers               int
 	maxJobs, maxQueue                int
-	hubBudget                        int64
 	serveAddr, joinAddrs, serverAddr string
 	clusterWk, emitGo                string
 	list                             bool
@@ -298,9 +295,6 @@ func validateFlags(f flagState) error {
 	}
 	if f.nodes > 0 && f.nodeWorkers < 1 {
 		return fmt.Errorf("-node-workers must be >= 1, got %d", f.nodeWorkers)
-	}
-	if f.hubBudget < 0 {
-		return fmt.Errorf("-hub-budget must be >= 0 (0 = default), got %d", f.hubBudget)
 	}
 	if f.maxJobs < 0 {
 		return fmt.Errorf("-max-jobs must be >= 0 (0 = default), got %d", f.maxJobs)

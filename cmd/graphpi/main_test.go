@@ -43,7 +43,6 @@ func TestValidateFlagsModeExclusivity(t *testing.T) {
 		{"emit-go+nodes", func(f *flagState) { f.nodes = 2; f.emitGo = "x.go" }, "count only"},
 		{"negative nodes", func(f *flagState) { f.nodes = -1 }, "-nodes must be"},
 		{"bad node workers", func(f *flagState) { f.nodes = 2; f.nodeWorkers = 0 }, "-node-workers"},
-		{"negative hub budget", func(f *flagState) { f.hubBudget = -1 }, "-hub-budget"},
 		{"negative max jobs", func(f *flagState) { f.serverAddr = ":8080"; f.maxJobs = -5 }, "-max-jobs"},
 		{"negative max queue", func(f *flagState) { f.serverAddr = ":8080"; f.maxQueue = -1 }, "-max-queue"},
 		{"bad server addr", func(f *flagState) { f.serverAddr = "8080" }, "not host:port"},
@@ -116,7 +115,7 @@ func TestParseAddrList(t *testing.T) {
 func TestCLIFlags(t *testing.T) {
 	want := []string{
 		"cluster-workers", "dataset", "emit-go", "graph", "graph-name",
-		"hub-budget", "hybrid", "iep", "join", "limit", "list", "max-jobs",
+		"hybrid", "iep", "join", "limit", "list", "max-jobs",
 		"max-queue", "node-workers", "nodes", "pattern", "pprof", "scale",
 		"serve", "server", "stats", "trace", "workers",
 	}

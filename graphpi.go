@@ -87,8 +87,8 @@ func (g *Graph) StatsString() string { return g.g.Stats().String() }
 // original graph is not modified.
 //
 // hubBudgetBytes bounds the memory of the hub bitmaps, their 4-byte-per-
-// vertex index included (<= 0 → 64 MiB, the same default as the query
-// service's hub_budget). Vertices only become hubs above a degree of 64.
+// vertex index included (<= 0 → 64 MiB, the budget the CLI's -hybrid and
+// the query service's "optimize" use). Vertices only become hubs above a degree of 64.
 // Optimizing a view that is already optimized, such as a reloaded snapshot,
 // keeps its vertex order, and with hubBudgetBytes <= 0 its hub set too.
 func (g *Graph) Optimize(hubBudgetBytes int64) *Graph {

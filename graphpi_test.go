@@ -411,9 +411,10 @@ func TestTCPClusterFacade(t *testing.T) {
 }
 
 // TestHubBudgetSingleMeaning: a hub budget means the same thing in every
-// entry point. Optimize, BuildHubBitmaps on the reordered graph and the
-// service's POST /graphs hub_budget must build the same hub set for a budget
-// that binds, whatever GOMAXPROCS is.
+// entry point. Optimize and BuildHubBitmaps on the reordered graph must build
+// the same hub set for a budget that binds, whatever GOMAXPROCS is; the
+// service's POST /graphs "optimize" builds the default budget's set, and
+// refuses the removed hub_budget.
 func TestHubBudgetSingleMeaning(t *testing.T) {
 	const budget = 4*4096 + 8*512 // the vertex index and eight 4096-bit rows
 	g := GenerateBA(4096, 4, 17)
@@ -421,6 +422,7 @@ func TestHubBudgetSingleMeaning(t *testing.T) {
 	if all := ref.BuildHubBitmaps(0, 0); all <= 8 {
 		t.Fatalf("budget does not bind: only %d vertices reach the hub degree floor", all)
 	}
+	defHubs, defBytes := ref.NumHubs(), ref.HubMemoryBytes()
 	wantHubs := ref.BuildHubBitmaps(budget, 0)
 	wantBytes := ref.HubMemoryBytes()
 	if wantHubs != 8 {
@@ -443,16 +445,21 @@ func TestHubBudgetSingleMeaning(t *testing.T) {
 	}
 	s := service.New(service.Options{})
 	defer s.Close()
-	body := fmt.Sprintf(`{"name":"ba","path":%q,"optimize":true,"hub_budget":%d}`, snap, budget)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/graphs", strings.NewReader(body)))
-	if rec.Code != http.StatusCreated {
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/graphs", strings.NewReader(body)))
+		return rec
+	}
+	if rec := post(fmt.Sprintf(`{"name":"ba","path":%q,"optimize":true,"hub_budget":%d}`, snap, budget)); rec.Code != http.StatusBadRequest {
+		t.Errorf("POST /graphs with hub_budget = %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if rec := post(fmt.Sprintf(`{"name":"ba","path":%q,"optimize":true}`, snap)); rec.Code != http.StatusCreated {
 		t.Fatalf("POST /graphs = %d: %s", rec.Code, rec.Body)
 	}
 	sg, _ := s.Graph("ba")
-	if sg.NumHubs() != wantHubs || sg.HubMemoryBytes() != wantBytes {
-		t.Errorf("service hub_budget built %d hubs (%d B), BuildHubBitmaps %d (%d B)",
-			sg.NumHubs(), sg.HubMemoryBytes(), wantHubs, wantBytes)
+	if sg.NumHubs() != defHubs || sg.HubMemoryBytes() != defBytes {
+		t.Errorf("service optimize built %d hubs (%d B), BuildHubBitmaps at the default budget %d (%d B)",
+			sg.NumHubs(), sg.HubMemoryBytes(), defHubs, defBytes)
 	}
 }
 

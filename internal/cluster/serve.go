@@ -32,7 +32,8 @@ type ServeOptions struct {
 	// the master (0 → honor the job's WorkersPerRank). Set it when worker
 	// machines have heterogeneous core counts.
 	Workers int
-	// Logf, if non-nil, receives connection lifecycle messages.
+	// Logf, if non-nil, receives connection lifecycle messages and one
+	// line per job when the rank acknowledges its first task.
 	Logf func(format string, args ...any)
 }
 
@@ -270,7 +271,11 @@ func runWorkerJob(conn net.Conn, br *bufio.Reader, holder *graphHolder, opt Serv
 			lost.Store(true)
 			return
 		}
-		if injectFault && completed.Add(1) == int64(job.FailAfterTasks) {
+		n := completed.Add(1)
+		if n == 1 {
+			opt.logf("cluster worker: %v: rank %d acknowledged its first task", conn.RemoteAddr(), spec.Rank)
+		}
+		if injectFault && n == int64(job.FailAfterTasks) {
 			halt.Store(true)
 			_ = conn.Close() // simulated crash: abrupt teardown is the point
 		}

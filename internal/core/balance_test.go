@@ -34,12 +34,8 @@ func starRingGraph(n int) *graph.Graph {
 // hubRootTriangle compiles a triangle configuration oriented so the max-id
 // vertex (the hub) performs the candidate sweep.
 func hubRootTriangle(t testing.TB) *Config {
-	cfg, err := NewConfig(pattern.Triangle(), identitySchedule(3),
-		restrict.Set{{First: 0, Second: 1}, {First: 1, Second: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfg
+	t.Helper()
+	return mustConfig(t, pattern.Triangle(), identitySchedule(3), restrict.Set{{First: 0, Second: 1}, {First: 1, Second: 2}})
 }
 
 // TestEdgeParallelBalance measures, deterministically, the straggler effect
@@ -103,16 +99,7 @@ func TestCountEdgeRangeCoversExactly(t *testing.T) {
 	if !cfg.Bind(false, TierAuto).EdgeParallelEligible() {
 		t.Fatal("triangle config should be edge-eligible")
 	}
-	want := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
-	for _, chunk := range []int{1, 7, 64, 100000} {
-		c := NewCounter(cfg.Bind(false, TierAuto), g, nil)
-		for _, tk := range equalCut(g.NumAdjSlots(), chunk) {
-			c.CountEdgeRange(tk.Start, tk.End)
-		}
-		if c.Raw() != want {
-			t.Errorf("chunk %d: edge-range cover = %d, want %d", chunk, c.Raw(), want)
-		}
-	}
+	checkArms(t, "triangle", g, cfg, reference(cfg, g), axes{entry: counted, shape: slotTasks, chunk: []int{1, 7, 64, 100000}}.arms())
 }
 
 // equalCut splits [0, n) into ⌈n/size⌉ ranges whose sizes differ by at most
@@ -181,11 +168,7 @@ func TestRootTasksBalanceByWorkUnits(t *testing.T) {
 	const ranks, bound = 2, 0.56
 	g := graph.BarabasiAlbert(20000, 8, 1).Reorder()
 	g.BuildHubBitmaps(0, 0)
-	res, err := Plan(pattern.Cycle6Tri(), g.Stats(), PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := res.Best
+	cfg := planFor(t, g, pattern.Cycle6Tri())
 	tasks, edge := cfg.Bind(true, TierAuto).RootTasks(g, RunOptions{Workers: ranks}, 16)
 	n := g.NumVertices()
 	if edge {

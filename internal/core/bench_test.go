@@ -20,42 +20,26 @@ func benchPlan(b *testing.B, g *graph.Graph, p *pattern.Pattern) *Config {
 // social-style graph.
 func BenchmarkCountTriangle(b *testing.B) {
 	g := graph.BarabasiAlbert(20000, 8, 7)
-	cfg := benchPlan(b, g, pattern.Triangle())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
-	}
+	benchArms(b, g, benchPlan(b, g, pattern.Triangle()), table(axes{}))
 }
 
 // BenchmarkCountHouse measures a 5-vertex pattern end to end.
 func BenchmarkCountHouse(b *testing.B) {
 	g := graph.BarabasiAlbert(5000, 6, 7)
-	cfg := benchPlan(b, g, pattern.House())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
-	}
+	benchArms(b, g, benchPlan(b, g, pattern.House()), table(axes{}))
 }
 
 // BenchmarkCountHouseIEP isolates the IEP counting gain on the same
 // workload as BenchmarkCountHouse.
 func BenchmarkCountHouseIEP(b *testing.B) {
 	g := graph.BarabasiAlbert(5000, 6, 7)
-	cfg := benchPlan(b, g, pattern.House())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1})
-	}
+	benchArms(b, g, benchPlan(b, g, pattern.House()), axes{iep: on}.arms())
 }
 
 // BenchmarkCountParallel measures multi-worker scaling of the runtime.
 func BenchmarkCountParallel(b *testing.B) {
 	g := graph.BarabasiAlbert(20000, 8, 7)
-	cfg := benchPlan(b, g, pattern.House())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 0})
-	}
+	benchArms(b, g, benchPlan(b, g, pattern.House()), axes{iep: on, workers: []int{0}}.arms())
 }
 
 // BenchmarkPlan measures cold preprocessing (Table III regime): a fresh

@@ -15,11 +15,7 @@ import (
 func cancelFixture(t testing.TB) (*graph.Graph, *Config) {
 	t.Helper()
 	g := graph.BarabasiAlbert(6000, 8, 7)
-	res, err := Plan(pattern.House(), g.Stats(), PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, res.Best
+	return g, planFor(t, g, pattern.House())
 }
 
 func TestCountCtxCancelStopsPromptly(t *testing.T) {
@@ -71,26 +67,9 @@ func TestCountCtxAlreadyCancelled(t *testing.T) {
 
 func TestCountCtxCompleteMatchesCount(t *testing.T) {
 	g := graph.BarabasiAlbert(400, 5, 11)
-	res, err := Plan(pattern.House(), g.Stats(), PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := res.Best
+	cfg := planFor(t, g, pattern.House())
 	want := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 2})
-	got, err := cfg.Bind(true, TierAuto).Run(context.Background(), g, RunOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("Run = %d, Count = %d", got, want)
-	}
-	gotEnum, err := cfg.Enumerate(context.Background(), g, RunOptions{Workers: 2}, func([]uint32) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotEnum != want {
-		t.Fatalf("Enumerate visited %d, want %d", gotEnum, want)
-	}
+	checkArms(t, "house", g, cfg, want, axes{entry: []entry{viaRun, viaEnumerate}, iep: on, workers: []int{2}}.arms())
 }
 
 func TestEnumerateCtxCancelStopsVisits(t *testing.T) {

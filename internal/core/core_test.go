@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -21,13 +22,46 @@ func identitySchedule(n int) schedule.Schedule {
 	return schedule.Schedule{Order: o}
 }
 
-func mustConfig(t *testing.T, pat *pattern.Pattern, s schedule.Schedule, rs restrict.Set) *Config {
+func mustConfig(t testing.TB, pat *pattern.Pattern, s schedule.Schedule, rs restrict.Set) *Config {
 	t.Helper()
 	cfg, err := NewConfig(pat, s, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cfg
+}
+
+// firstSet returns p's first generated restriction set.
+func firstSet(t testing.TB, p *pattern.Pattern) restrict.Set {
+	t.Helper()
+	sets, err := restrict.Generate(p, restrict.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sets[0]
+}
+
+// firstConfig builds p under its first efficient schedule and firstSet.
+func firstConfig(t testing.TB, p *pattern.Pattern) *Config {
+	t.Helper()
+	return mustConfig(t, p, schedule.Generate(p, schedule.Options{}).Efficient[0], firstSet(t, p))
+}
+
+// everyConfig builds p under every efficient schedule and each of its first
+// maxSets generated restriction sets.
+func everyConfig(t *testing.T, p *pattern.Pattern, maxSets int) []*Config {
+	t.Helper()
+	sets, err := restrict.Generate(p, restrict.Options{MaxSets: maxSets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs []*Config
+	for _, s := range schedule.Generate(p, schedule.Options{}).Efficient {
+		for _, rs := range sets {
+			cfgs = append(cfgs, mustConfig(t, p, s, rs))
+		}
+	}
+	return cfgs
 }
 
 func TestNewConfigValidation(t *testing.T) {
@@ -48,11 +82,7 @@ func TestNewConfigValidation(t *testing.T) {
 
 func TestCountTrianglesOnKnownGraphs(t *testing.T) {
 	tri := pattern.Triangle()
-	sets, err := restrict.Generate(tri, restrict.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := mustConfig(t, tri, identitySchedule(3), sets[0])
+	cfg := mustConfig(t, tri, identitySchedule(3), firstSet(t, tri))
 	cases := []struct {
 		g    *graph.Graph
 		want int64
@@ -63,9 +93,7 @@ func TestCountTrianglesOnKnownGraphs(t *testing.T) {
 		{graph.Star(10), 0},
 	}
 	for _, c := range cases {
-		if got := cfg.Bind(false, TierAuto).Count(c.g, RunOptions{Workers: 1}); got != c.want {
-			t.Errorf("%s: Count = %d, want %d", c.g.Name(), got, c.want)
-		}
+		checkArms(t, c.g.Name(), c.g, cfg, c.want, table(axes{}))
 	}
 }
 
@@ -74,12 +102,8 @@ func TestCountWithoutRestrictionsIsAutMultiple(t *testing.T) {
 	for _, p := range []*pattern.Pattern{
 		pattern.Triangle(), pattern.Rectangle(), pattern.House(),
 	} {
-		bare := mustConfig(t, p, identitySchedule(p.N()), nil)
-		got := bare.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 		want := baseline.BruteForceCount(g, p) * int64(len(p.Automorphisms()))
-		if got != want {
-			t.Errorf("%s unrestricted: %d, want %d", p, got, want)
-		}
+		checkArms(t, p.String()+" unrestricted", g, mustConfig(t, p, identitySchedule(p.N()), nil), want, table(axes{}))
 	}
 }
 
@@ -93,18 +117,8 @@ func TestCountMatchesBruteForceAcrossConfigs(t *testing.T) {
 	}
 	for _, p := range pats {
 		want := baseline.BruteForceCount(g, p)
-		sets, err := restrict.Generate(p, restrict.Options{MaxSets: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sres := schedule.Generate(p, schedule.Options{})
-		for _, s := range sres.Efficient {
-			for _, rs := range sets {
-				cfg := mustConfig(t, p, s, rs)
-				if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
-					t.Errorf("%s sched %v set %v: %d, want %d", p, s, rs, got, want)
-				}
-			}
+		for _, cfg := range everyConfig(t, p, 6) {
+			checkArms(t, fmt.Sprintf("%s sched %v set %v", p, cfg.Schedule, cfg.Restrictions), g, cfg, want, table(axes{}))
 		}
 	}
 }
@@ -115,49 +129,25 @@ func TestCountEliminatedSchedulesStillCorrect(t *testing.T) {
 	g := graph.GNP(14, 0.5, 9)
 	p := pattern.House()
 	want := baseline.BruteForceCount(g, p)
-	sets, err := restrict.Generate(p, restrict.Options{MaxSets: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	res := schedule.Generate(p, schedule.Options{KeepEliminated: true})
 	for _, s := range res.Eliminated[:10] {
-		cfg := mustConfig(t, p, s, sets[0])
-		if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
-			t.Errorf("eliminated schedule %v: %d, want %d", s, got, want)
-		}
+		checkArms(t, fmt.Sprintf("eliminated schedule %v", s), g, mustConfig(t, p, s, firstSet(t, p)), want, table(axes{}))
 	}
 }
 
 func TestGraphZeroRestrictionSetCorrect(t *testing.T) {
 	g := graph.GNP(16, 0.4, 11)
 	for _, p := range []*pattern.Pattern{pattern.House(), pattern.Rectangle()} {
-		want := baseline.BruteForceCount(g, p)
-		gz := restrict.GraphZeroSet(p)
-		sres := schedule.Generate(p, schedule.Options{})
-		cfg := mustConfig(t, p, sres.Efficient[0], gz)
-		if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
-			t.Errorf("%s GraphZero set: %d, want %d", p, got, want)
-		}
+		cfg := mustConfig(t, p, schedule.Generate(p, schedule.Options{}).Efficient[0], restrict.GraphZeroSet(p))
+		checkArms(t, p.String()+" GraphZero set", g, cfg, baseline.BruteForceCount(g, p), table(axes{}))
 	}
 }
 
 func TestParallelCountMatchesSequential(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 5, 17)
 	p := pattern.House()
-	sets, err := restrict.Generate(p, restrict.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres := schedule.Generate(p, schedule.Options{})
-	cfg := mustConfig(t, p, sres.Efficient[0], sets[0])
-	want := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
-	for _, workers := range []int{2, 4, 8} {
-		for _, chunk := range []int{0, 1, 17} {
-			if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: workers, ChunkSize: chunk}); got != want {
-				t.Errorf("workers=%d chunk=%d: %d, want %d", workers, chunk, got, want)
-			}
-		}
-	}
+	cfg := firstConfig(t, p)
+	checkArms(t, "house", g, cfg, reference(cfg, g), axes{workers: []int{2, 4, 8}, chunk: []int{0, 1, 17}}.arms())
 }
 
 func TestCountIEPMatchesCount(t *testing.T) {
@@ -167,21 +157,9 @@ func TestCountIEPMatchesCount(t *testing.T) {
 		pattern.Cycle6Tri(), pattern.CompleteBipartite(2, 3), pattern.Prism(),
 	}
 	for _, p := range pats {
-		sets, err := restrict.Generate(p, restrict.Options{MaxSets: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sres := schedule.Generate(p, schedule.Options{})
-		for _, s := range sres.Efficient {
-			for _, rs := range sets {
-				cfg := mustConfig(t, p, s, rs)
-				plain := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
-				viaIEP := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1})
-				if plain != viaIEP {
-					t.Errorf("%s sched %v set %v: IEP %d != plain %d (k=%d div=%d)",
-						p, s, rs, viaIEP, plain, cfg.KIEP(), cfg.IEPDivisor())
-				}
-			}
+		for _, cfg := range everyConfig(t, p, 4) {
+			name := fmt.Sprintf("%s sched %v set %v (k=%d div=%d)", p, cfg.Schedule, cfg.Restrictions, cfg.KIEP(), cfg.IEPDivisor())
+			checkArms(t, name, g, cfg, reference(cfg, g), axes{iep: on}.arms())
 		}
 	}
 }
@@ -189,62 +167,22 @@ func TestCountIEPMatchesCount(t *testing.T) {
 func TestCountIEPParallel(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 4, 31)
 	p := pattern.Cycle6Tri()
-	sets, err := restrict.Generate(p, restrict.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres := schedule.Generate(p, schedule.Options{})
-	cfg := mustConfig(t, p, sres.Efficient[0], sets[0])
+	cfg := firstConfig(t, p)
 	want := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1})
-	if got := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 4}); got != want {
-		t.Errorf("parallel IEP %d != sequential %d", got, want)
-	}
-	if plain := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 4}); plain != want {
-		t.Errorf("IEP %d != plain %d", want, plain)
-	}
+	checkArms(t, "cycle6tri", g, cfg, want, axes{iep: both, workers: []int{4}}.arms())
 }
 
 func TestEnumerateVisitsValidEmbeddings(t *testing.T) {
 	g := graph.GNP(15, 0.5, 41)
 	p := pattern.House()
-	sets, err := restrict.Generate(p, restrict.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres := schedule.Generate(p, schedule.Options{})
-	cfg := mustConfig(t, p, sres.Efficient[0], sets[0])
-	want := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
-	var seen int64
-	got := cfg.EnumerateAll(g, RunOptions{Workers: 1}, func(emb []uint32) bool {
-		seen++
-		// Every pattern edge must be present between the mapped vertices.
-		for u := 0; u < p.N(); u++ {
-			for v := u + 1; v < p.N(); v++ {
-				if p.HasEdge(u, v) && !g.HasEdge(emb[u], emb[v]) {
-					t.Fatalf("embedding %v misses edge {%d,%d}", emb, u, v)
-				}
-			}
-		}
-		// All distinct.
-		for u := 0; u < p.N(); u++ {
-			for v := u + 1; v < p.N(); v++ {
-				if emb[u] == emb[v] {
-					t.Fatalf("embedding %v repeats a vertex", emb)
-				}
-			}
-		}
-		return true
-	})
-	if seen != want || got != want {
-		t.Errorf("Enumerate visited %d returned %d, want %d", seen, got, want)
-	}
+	cfg := firstConfig(t, p)
+	checkArms(t, "house", g, cfg, reference(cfg, g), axes{entry: enumerated}.arms())
 }
 
 func TestEnumerateEarlyStop(t *testing.T) {
 	g := graph.Complete(12)
 	p := pattern.Triangle()
-	sets, _ := restrict.Generate(p, restrict.Options{})
-	cfg := mustConfig(t, p, identitySchedule(3), sets[0])
+	cfg := mustConfig(t, p, identitySchedule(3), firstSet(t, p))
 	var visited int64
 	cfg.EnumerateAll(g, RunOptions{Workers: 1}, func([]uint32) bool {
 		visited++
@@ -258,42 +196,24 @@ func TestEnumerateEarlyStop(t *testing.T) {
 func TestEnumerateParallelCount(t *testing.T) {
 	g := graph.GNP(40, 0.3, 5)
 	p := pattern.Rectangle()
-	sets, _ := restrict.Generate(p, restrict.Options{})
-	sres := schedule.Generate(p, schedule.Options{})
-	cfg := mustConfig(t, p, sres.Efficient[0], sets[0])
-	want := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
-	var n int64
-	got := cfg.EnumerateAll(g, RunOptions{Workers: 4}, func([]uint32) bool { return true })
-	_ = n
-	if got != want {
-		t.Errorf("parallel Enumerate = %d, want %d", got, want)
-	}
+	cfg := firstConfig(t, p)
+	checkArms(t, "rectangle", g, cfg, reference(cfg, g), axes{entry: enumerated, workers: []int{4}}.arms())
 }
 
 func TestEmptyAndTinyGraphs(t *testing.T) {
 	p := pattern.Triangle()
-	sets, _ := restrict.Generate(p, restrict.Options{})
-	cfg := mustConfig(t, p, identitySchedule(3), sets[0])
+	cfg := mustConfig(t, p, identitySchedule(3), firstSet(t, p))
 	empty, _ := graph.FromEdges(0, nil)
-	if got := cfg.Bind(false, TierAuto).Count(empty, RunOptions{}); got != 0 {
-		t.Errorf("empty graph count = %d", got)
-	}
 	two, _ := graph.FromEdges(2, [][2]uint32{{0, 1}})
-	if got := cfg.Bind(false, TierAuto).Count(two, RunOptions{}); got != 0 {
-		t.Errorf("2-vertex graph count = %d", got)
+	for _, g := range []*graph.Graph{empty, two} {
+		checkArms(t, fmt.Sprintf("%d-vertex graph", g.NumVertices()), g, cfg, 0, axes{workers: []int{0}}.arms())
 	}
 }
 
 func TestSingleVertexPattern(t *testing.T) {
 	p := pattern.MustNew(1, nil, "v")
 	cfg := mustConfig(t, p, identitySchedule(1), nil)
-	g := graph.GNP(25, 0.2, 1)
-	if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != 25 {
-		t.Errorf("single-vertex count = %d, want 25", got)
-	}
-	if got := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1}); got != 25 {
-		t.Errorf("single-vertex IEP count = %d, want 25", got)
-	}
+	checkArms(t, "single vertex", graph.GNP(25, 0.2, 1), cfg, 25, axes{iep: both}.arms())
 }
 
 func TestPlanSelectsWorkingConfig(t *testing.T) {
@@ -307,11 +227,8 @@ func TestPlanSelectsWorkingConfig(t *testing.T) {
 		if res.Best == nil || res.PrepTime <= 0 {
 			t.Fatalf("%s: incomplete result", p)
 		}
-		want := baseline.BruteForceCount(graph.GNP(12, 0.5, 3), p)
-		got := res.Best.Bind(false, TierAuto).Count(graph.GNP(12, 0.5, 3), RunOptions{Workers: 1})
-		if got != want {
-			t.Errorf("%s planned config count = %d, want %d", p, got, want)
-		}
+		small := graph.GNP(12, 0.5, 3)
+		checkArms(t, p.String()+" planned", small, res.Best, baseline.BruteForceCount(small, p), table(axes{}))
 	}
 }
 
@@ -345,10 +262,7 @@ func TestPlanGraphZeroBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := graph.GNP(14, 0.5, 6)
-	want := baseline.BruteForceCount(small, p)
-	if got := res.Best.Bind(false, TierAuto).Count(small, RunOptions{Workers: 1}); got != want {
-		t.Errorf("GraphZero baseline count = %d, want %d", got, want)
-	}
+	checkArms(t, "GraphZero baseline", small, res.Best, baseline.BruteForceCount(small, p), table(axes{}))
 	if res.NumRestrictionSets != 1 {
 		t.Errorf("GraphZero should use exactly 1 set, got %d", res.NumRestrictionSets)
 	}
@@ -385,14 +299,11 @@ func TestRandomGraphsPatternsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := baseline.BruteForceCount(g, p)
-		if res.Best.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}) != want {
-			return false
-		}
-		if res.Best.Bind(true, TierAuto).Count(g, RunOptions{Workers: 2}) != want {
-			return false
-		}
-		return true
+		checkArms(t, fmt.Sprintf("seed %d %s", seed, p), g, res.Best, baseline.BruteForceCount(g, p), table(
+			axes{},
+			axes{iep: on, workers: []int{2}},
+		))
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -401,9 +312,7 @@ func TestRandomGraphsPatternsProperty(t *testing.T) {
 
 func TestConfigAccessors(t *testing.T) {
 	p := pattern.House()
-	sets, _ := restrict.Generate(p, restrict.Options{})
-	sres := schedule.Generate(p, schedule.Options{})
-	cfg := mustConfig(t, p, sres.Efficient[0], sets[0])
+	cfg := firstConfig(t, p)
 	if cfg.N() != 5 {
 		t.Errorf("N = %d", cfg.N())
 	}
@@ -413,7 +322,7 @@ func TestConfigAccessors(t *testing.T) {
 	if cfg.IEPDivisor() < 1 {
 		t.Errorf("IEPDivisor = %d", cfg.IEPDivisor())
 	}
-	if len(cfg.PosRestrictions()) != len(sets[0]) {
+	if len(cfg.PosRestrictions()) != len(cfg.Restrictions) {
 		t.Errorf("PosRestrictions count mismatch")
 	}
 	if cfg.String() == "" || cfg.PlanView().N != 5 {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"graphpi/internal/baseline"
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
 	"graphpi/internal/restrict"
@@ -16,18 +18,8 @@ import (
 
 func TestSingleEdgePattern(t *testing.T) {
 	p := pattern.MustNew(2, [][2]int{{0, 1}}, "edge")
-	sets, err := restrict.Generate(p, restrict.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := mustConfig(t, p, identitySchedule(2), sets[0])
-	g := graph.GNM(100, 321, 5)
-	if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != 321 {
-		t.Errorf("edge count = %d, want 321", got)
-	}
-	if got := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 2}); got != 321 {
-		t.Errorf("edge IEP count = %d, want 321", got)
-	}
+	cfg := mustConfig(t, p, identitySchedule(2), firstSet(t, p))
+	checkArms(t, "edge", graph.GNM(100, 321, 5), cfg, 321, table(axes{}, axes{iep: on, workers: []int{2}}))
 }
 
 func TestIsolatedVerticesIgnored(t *testing.T) {
@@ -41,11 +33,8 @@ func TestIsolatedVerticesIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pattern.Triangle()
-	sets, _ := restrict.Generate(p, restrict.Options{})
-	cfg := mustConfig(t, p, identitySchedule(3), sets[0])
-	if got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 4}); got != 1 {
-		t.Errorf("count = %d, want 1", got)
-	}
+	cfg := mustConfig(t, p, identitySchedule(3), firstSet(t, p))
+	checkArms(t, "triangle", g, cfg, 1, axes{workers: []int{4}}.arms())
 }
 
 func TestBidirectionalRestrictionsOnOneDepth(t *testing.T) {
@@ -57,7 +46,6 @@ func TestBidirectionalRestrictionsOnOneDepth(t *testing.T) {
 	rs := restrict.Set{{First: 0, Second: 2}, {First: 2, Second: 1}}
 	cfg := mustConfig(t, p, identitySchedule(3), rs)
 	g := graph.GNP(20, 0.5, 13)
-	got := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1})
 	// Reference: count injective paths v0-v1-v2 with v0 > v2 > v1.
 	var want int64
 	n := g.NumVertices()
@@ -76,9 +64,7 @@ func TestBidirectionalRestrictionsOnOneDepth(t *testing.T) {
 			}
 		}
 	}
-	if got != want {
-		t.Errorf("windowed count = %d, want %d", got, want)
-	}
+	checkArms(t, "windowed", g, cfg, want, table(axes{}))
 }
 
 func TestBudgetTruncates(t *testing.T) {
@@ -86,9 +72,7 @@ func TestBudgetTruncates(t *testing.T) {
 	// on a workload that otherwise takes much longer.
 	g := graph.BarabasiAlbert(30000, 10, 3)
 	p := pattern.CliqueMinus(6)
-	sres := schedule.Generate(p, schedule.Options{})
-	sets, _ := restrict.Generate(p, restrict.Options{MaxSets: 1})
-	cfg := mustConfig(t, p, sres.Efficient[0], sets[0])
+	cfg := firstConfig(t, p)
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -108,8 +92,7 @@ func TestBudgetTruncates(t *testing.T) {
 func TestBudgetCompleteFlagOnFastRun(t *testing.T) {
 	g := graph.Complete(8)
 	p := pattern.Triangle()
-	sets, _ := restrict.Generate(p, restrict.Options{})
-	cfg := mustConfig(t, p, identitySchedule(3), sets[0])
+	cfg := mustConfig(t, p, identitySchedule(3), firstSet(t, p))
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	count, err := cfg.Bind(false, TierAuto).Run(ctx, g, RunOptions{Workers: 1})
@@ -124,21 +107,15 @@ func TestStarPatternLargeIEPSuffix(t *testing.T) {
 	// Σ_v C(deg(v), leaves).
 	p := pattern.StarN(5) // hub + 4 leaves
 	g := graph.BarabasiAlbert(300, 5, 21)
-	res, err := Plan(p, g.Stats(), PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Best.Bind(true, TierAuto).Count(g, RunOptions{Workers: 2})
+	cfg := planFor(t, g, p)
 	var want int64
 	for v := 0; v < g.NumVertices(); v++ {
 		d := int64(g.Degree(uint32(v)))
 		want += d * (d - 1) * (d - 2) * (d - 3) / 24
 	}
-	if got != want {
-		t.Errorf("4-star count = %d, want %d (kIEP=%d)", got, want, res.Best.KIEP())
-	}
-	if res.Best.KIEP() < 2 {
-		t.Errorf("star kIEP = %d, expected a deep IEP suffix", res.Best.KIEP())
+	checkArms(t, fmt.Sprintf("4-star (kIEP=%d)", cfg.KIEP()), g, cfg, want, axes{iep: on, workers: []int{2}}.arms())
+	if cfg.KIEP() < 2 {
+		t.Errorf("star kIEP = %d, expected a deep IEP suffix", cfg.KIEP())
 	}
 }
 
@@ -158,13 +135,7 @@ func TestCliquePatternsAgainstClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := binom(10, int64(m))
-		if got := res.Best.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
-			t.Errorf("K%d in K10: %d, want %d", m, got, want)
-		}
-		if got := res.Best.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
-			t.Errorf("K%d in K10 (IEP): %d, want %d", m, got, want)
-		}
+		checkArms(t, fmt.Sprintf("K%d in K10", m), g, res.Best, binom(10, int64(m)), axes{iep: both}.arms())
 	}
 }
 
@@ -183,18 +154,7 @@ func TestEnumerateEmbeddingIndexing(t *testing.T) {
 	if sched.Order == nil {
 		sched = sres.Efficient[len(sres.Efficient)-1]
 	}
-	sets, _ := restrict.Generate(p, restrict.Options{})
-	cfg := mustConfig(t, p, sched, sets[0])
+	cfg := mustConfig(t, p, sched, firstSet(t, p))
 	g := graph.GNP(14, 0.6, 99)
-	cfg.EnumerateAll(g, RunOptions{Workers: 1}, func(emb []uint32) bool {
-		for u := 0; u < p.N(); u++ {
-			for v := u + 1; v < p.N(); v++ {
-				if p.HasEdge(u, v) && !g.HasEdge(emb[u], emb[v]) {
-					t.Fatalf("schedule %v: embedding %v violates pattern edge {%d,%d}",
-						sched, emb, u, v)
-				}
-			}
-		}
-		return true
-	})
+	checkArms(t, fmt.Sprintf("schedule %v", sched), g, cfg, baseline.BruteForceCount(g, p), axes{entry: enumerated}.arms())
 }

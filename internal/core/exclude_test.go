@@ -8,7 +8,6 @@ import (
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
 	"graphpi/internal/pattern/patterntest"
-	"graphpi/internal/restrict"
 	"graphpi/internal/schedule"
 	"graphpi/internal/vertexset"
 )
@@ -32,19 +31,12 @@ func TestExcludedInAgainstMembership(t *testing.T) {
 	programs := 0
 	for _, named := range patterntest.Suite(3) {
 		p := named.Pat
-		sets, err := restrict.Generate(p, restrict.Options{MaxSets: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
 		scheds := schedule.Generate(p, schedule.Options{}).Efficient
 		if len(scheds) > 6 {
 			scheds = scheds[:6]
 		}
 		for _, sched := range scheds {
-			cfg, err := NewConfig(p, sched, sets[0])
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := mustConfig(t, p, sched, firstSet(t, p))
 			prog := cfg.Bind(true, TierAuto).prog
 			if prog.IEPCut < 0 {
 				continue
@@ -140,16 +132,8 @@ func checkExclusions(t *testing.T, name string, cfg *Config, g *graph.Graph) {
 // set) pairs, four of which need no membership test at all.
 func TestExclusionClassesOfHouse(t *testing.T) {
 	p := pattern.House()
-	sets, err := restrict.Generate(p, restrict.Options{MaxSets: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, sched := range schedule.Generate(p, schedule.Options{}).Efficient {
-		cfg, err := NewConfig(p, sched, sets[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog := cfg.Bind(true, TierAuto).prog
+		prog := mustConfig(t, p, sched, firstSet(t, p)).Bind(true, TierAuto).prog
 		if prog.KIEP != 2 {
 			continue
 		}

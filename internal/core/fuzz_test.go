@@ -1,15 +1,19 @@
 package core
 
-// Fuzz target for the interpreter: a random graph of at most 40 vertices × a
+// Fuzz target for the engine: a random graph of at most 40 vertices × a
 // random connected pattern of at most 6 vertices, under a schedule and a
-// restriction set picked from the planner's candidates, on every arm — the
-// lowered nest with and without its loop-invariant memo × IEP or plain × 1 or
-// 3 workers × vertex or edge tasks — always against the brute-force count.
-// Run with
+// restriction set picked from the planner's candidates, on fuzzArms — the
+// lowered nest with every mark, without its loop-invariant memo and without
+// its root rows; the planned and the mirror orientation; the executor Bind
+// picks and the interpreter forced onto configurations the clique kernel
+// takes; IEP or full nest; 1 or 3 workers; vertex or slot tasks; Run,
+// Counters over one-vertex or one-slot ranges, and Enumerate — always against
+// the brute-force count. Run with
 //
 //	go test -fuzz=FuzzEngine -fuzztime=30s ./internal/core
 
 import (
+	"fmt"
 	"testing"
 
 	"graphpi/internal/baseline"
@@ -66,6 +70,11 @@ func FuzzEngine(f *testing.F) {
 		f.Add(g, uint8(n-2), patternBits(p, n), uint8(0), uint8(0), uint8(0))
 	}
 	f.Add([]byte{5, 0, 1, 1, 2, 2, 0, 2, 3, 3, 4, 4, 5, 5, 0}, uint8(1), uint16(0b111), uint8(1), uint8(1), uint8(3))
+	// K5 on the same bytes folded onto 12 vertices, and K4 with hubs: the
+	// clique kernel's configurations.
+	dense := append([]byte{11}, g[1:]...)
+	f.Add(dense, uint8(3), uint16(1<<10-1), uint8(0), uint8(0), uint8(1))
+	f.Add(g, uint8(2), uint16(1<<6-1), uint8(0), uint8(0), uint8(3))
 
 	f.Fuzz(func(t *testing.T, data []byte, nb uint8, adj uint16, schedPick, setPick, flags uint8) {
 		// data[0] sizes the graph (1..40 vertices); every later byte pair is
@@ -119,23 +128,16 @@ func FuzzEngine(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		memo, err := NewConfig(p, scheds[int(schedPick)%len(scheds)], sets[int(setPick)%len(sets)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := baseline.BruteForceCount(dg, p)
-		for _, cfg := range []*Config{memo, withoutMemo(memo)} {
-			for _, useIEP := range []bool{false, true} {
-				for _, workers := range []int{1, 3} {
-					for _, ep := range []EdgeParallelMode{EdgeParallelOff, EdgeParallelOn} {
-						opt := RunOptions{Workers: workers, EdgeParallel: ep}
-						if got := cfg.Bind(useIEP, TierAuto).Count(dg, opt); got != want {
-							t.Errorf("%s (%s) memo=%v iep=%v workers=%d edgePar=%d: counted %d, brute force %d",
-								p, cfg, cfg == memo, useIEP, workers, ep, got, want)
-						}
-					}
-				}
-			}
-		}
+		cfg := mustConfig(t, p, scheds[int(schedPick)%len(scheds)], sets[int(setPick)%len(sets)])
+		checkArms(t, fmt.Sprintf("%s (%s)", p, cfg), dg, cfg, baseline.BruteForceCount(dg, p), fuzzArms)
 	})
 }
+
+// fuzzArms is every arm FuzzEngine runs.
+var fuzzArms = table(
+	axes{iep: both, strip: []strip{keepMarks, noMemo, noRows}, workers: []int{1, 3}, shape: forcedShapes, stats: on},
+	axes{tier: interpreted, iep: both, mirror: both, workers: []int{1, 3}, shape: forcedShapes},
+	axes{iep: both, mirror: on, workers: []int{1, 3}, shape: forcedShapes},
+	axes{entry: counted, iep: both, workers: []int{1, 3}, shape: forcedShapes, chunk: []int{1}},
+	axes{entry: enumerated, mirror: both, workers: []int{1, 3}, shape: forcedShapes},
+)

@@ -59,23 +59,7 @@ func benchConfig(b *testing.B, g *graph.Graph, pat *pattern.Pattern) *Config {
 func BenchmarkRootScheduling(b *testing.B) {
 	g := starRingGraph(100000)
 	requireSkew(b, g)
-	cfg := hubRootTriangle(b)
-	for _, bc := range []struct {
-		name string
-		mode EdgeParallelMode
-	}{
-		{"vertex-chunked", EdgeParallelOff},
-		{"edge-parallel", EdgeParallelOn},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			opt := RunOptions{Workers: 8, EdgeParallel: bc.mode}
-			var n int64
-			for i := 0; i < b.N; i++ {
-				n = cfg.Bind(false, TierAuto).Count(g, opt)
-			}
-			_ = n
-		})
-	}
+	benchArms(b, g, hubRootTriangle(b), axes{workers: []int{8}, shape: forcedShapes}.arms())
 }
 
 // BenchmarkHubBitmaps compares the scalar-only engine against the
@@ -84,29 +68,15 @@ func BenchmarkRootScheduling(b *testing.B) {
 func BenchmarkHubBitmaps(b *testing.B) {
 	g := skewedGraph(b).Reorder()
 	cfg := benchConfig(b, g, pattern.House())
-	run := func(b *testing.B, iep bool) {
-		opt := RunOptions{Workers: 8, EdgeParallel: EdgeParallelOff}
-		bound := cfg.Bind(iep, TierAuto)
-		for i := 0; i < b.N; i++ {
-			bound.Count(g, opt)
-		}
+	for _, hubs := range []struct {
+		name   string
+		budget int64
+	}{{"scalar", 1}, {"bitmap", 64 << 20}} { // 1 byte: too small for any bitmap
+		b.Run(hubs.name, func(b *testing.B) {
+			g.BuildHubBitmaps(hubs.budget, 0)
+			benchArms(b, g, cfg, axes{iep: both, workers: []int{8}, shape: vertexTasks}.arms())
+		})
 	}
-	b.Run("scalar/count", func(b *testing.B) {
-		g.BuildHubBitmaps(1, 0) // budget too small for any bitmap
-		run(b, false)
-	})
-	b.Run("bitmap/count", func(b *testing.B) {
-		g.BuildHubBitmaps(64<<20, 0)
-		run(b, false)
-	})
-	b.Run("scalar/iep", func(b *testing.B) {
-		g.BuildHubBitmaps(1, 0)
-		run(b, true)
-	})
-	b.Run("bitmap/iep", func(b *testing.B) {
-		g.BuildHubBitmaps(64<<20, 0)
-		run(b, true)
-	})
 }
 
 // BenchmarkSeedVsHybrid is the end-to-end comparison recorded in the PR:
@@ -119,16 +89,10 @@ func BenchmarkSeedVsHybrid(b *testing.B) {
 	for _, pat := range []*pattern.Pattern{pattern.Triangle(), pattern.House()} {
 		cfg := benchConfig(b, orig, pat)
 		b.Run(pat.Name()+"/seed", func(b *testing.B) {
-			opt := RunOptions{Workers: 8, EdgeParallel: EdgeParallelOff}
-			for i := 0; i < b.N; i++ {
-				cfg.Bind(false, TierAuto).Count(orig, opt)
-			}
+			benchArms(b, orig, cfg, axes{workers: []int{8}, shape: vertexTasks}.arms())
 		})
 		b.Run(pat.Name()+"/hybrid", func(b *testing.B) {
-			opt := RunOptions{Workers: 8, EdgeParallel: EdgeParallelOn}
-			for i := 0; i < b.N; i++ {
-				cfg.Bind(false, TierAuto).Count(hyb, opt)
-			}
+			benchArms(b, hyb, cfg, axes{workers: []int{8}, shape: slotTasks}.arms())
 		})
 	}
 }

@@ -1,15 +1,12 @@
-package core_test
+package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"graphpi/internal/baseline"
-	"graphpi/internal/core"
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
-	"graphpi/internal/telemetry"
 )
 
 // The engine's other tests compare arms that share one lowering with each
@@ -21,40 +18,44 @@ import (
 // the star-ring puts one hub row in every intersection; BA and G(n,m) are
 // the ordinary cases.
 
+// buildGraph returns the graph on n vertices holding base's edges, when
+// base is not nil, and the ones edges adds.
+func buildGraph(t *testing.T, n int, base *graph.Graph, edges func(add func(u, v int))) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(n, 4*n)
+	if base != nil {
+		for v := 0; v < base.NumVertices(); v++ {
+			for _, w := range base.Neighbors(uint32(v)) {
+				b.AddEdge(uint32(v), w)
+			}
+		}
+	}
+	edges(func(u, v int) { b.AddEdge(uint32(u), uint32(v)) })
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func oracleGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
-	build := func(n int, edges func(add func(u, v int))) *graph.Graph {
-		b := graph.NewBuilder(n, 4*n)
-		edges(func(u, v int) { b.AddEdge(uint32(u), uint32(v)) })
-		g, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
 	gs := map[string]*graph.Graph{
-		"tree": build(90, func(add func(u, v int)) {
+		"tree": buildGraph(t, 90, nil, func(add func(u, v int)) {
 			for v := 1; v < 90; v++ {
 				add(v, (v*7+3)%v) // a fixed parent below v
 			}
 		}),
-		"bipartite": build(13, func(add func(u, v int)) {
+		"bipartite": buildGraph(t, 13, nil, func(add func(u, v int)) {
 			for u := 0; u < 6; u++ {
 				for v := 6; v < 13; v++ {
 					add(u, v)
 				}
 			}
 		}),
-		"star-ring": build(40, func(add func(u, v int)) {
-			for v := 0; v+1 < 39; v++ {
-				add(v, v+1)
-			}
-			for v := 0; v < 39; v++ {
-				add(39, v)
-			}
-		}),
-		"ba":  graph.BarabasiAlbert(200, 3, 5),
-		"gnm": graph.GNM(26, 150, 9),
+		"star-ring": starRingGraph(40),
+		"ba":        graph.BarabasiAlbert(200, 3, 5),
+		"gnm":       graph.GNM(26, 150, 9),
 	}
 	// The hub-bitmap probe is one of the bounded kernel's paths.
 	gs["star-ring"].BuildHubBitmaps(1<<20, 4)
@@ -69,26 +70,15 @@ func oraclePatterns(t *testing.T) []*pattern.Pattern {
 		pattern.Rectangle(), pattern.Pentagon(),
 	}
 	// GraphPi's baseline_test.cpp patterns (SNIPPETS 1).
-	refs := []struct{ name, adj string }{
-		{"ref-p1", "0111101011011010"},
-		{"ref-p2", "011110101101110011110000101000011000"},
-		{"ref-p3", "011111101111110110111000111000110000"},
-		{"ref-p4", "011110101011110010100001111000010100"},
-	}
+	pats = append(pats,
+		snippetPattern(t, "ref-p1", "0111101011011010"),
+		snippetPattern(t, "ref-p2", "011110101101110011110000101000011000"),
+		snippetPattern(t, "ref-p3", "011111101111110110111000111000110000"),
+		snippetPattern(t, "ref-p4", "011110101011110010100001111000010100"),
+	)
 	if !testing.Short() {
-		pats = append(pats, pattern.P5(), pattern.P6())
-		refs = append(refs, struct{ name, adj string }{"ref-p5", "0111111101111111011001110110111100011010001100000"})
-	}
-	for _, r := range refs {
-		n := 4
-		for n*n < len(r.adj) {
-			n++
-		}
-		p, err := pattern.ParseAdjacency(n, r.adj, r.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pats = append(pats, p)
+		pats = append(pats, pattern.P5(), pattern.P6(),
+			snippetPattern(t, "ref-p5", "0111111101111111011001110110111100011010001100000"))
 	}
 	return pats
 }
@@ -103,60 +93,29 @@ func oraclePatterns(t *testing.T) []*pattern.Pattern {
 func TestCliquesAgainstBruteForce(t *testing.T) {
 	graphs := oracleGraphs(t)
 	graphs["dense"] = graph.GNM(20, 150, 3)
-	planted := graph.NewBuilder(60, 300)
-	sparse := graph.BarabasiAlbert(60, 3, 8)
-	for v := 0; v < 60; v++ {
-		for _, w := range sparse.Neighbors(uint32(v)) {
-			planted.AddEdge(uint32(v), w)
+	graphs["planted"] = buildGraph(t, 60, graph.BarabasiAlbert(60, 3, 8), func(add func(u, v int)) {
+		for i := 0; i < 9; i++ {
+			for j := 0; j < i; j++ {
+				add(5+6*i, 5+6*j)
+			}
 		}
-	}
-	for i := 0; i < 9; i++ {
-		for j := 0; j < i; j++ {
-			planted.AddEdge(uint32(5+6*i), uint32(5+6*j))
-		}
-	}
-	var err error
-	if graphs["planted"], err = planted.Build(); err != nil {
-		t.Fatal(err)
-	}
+	})
 	graphs["planted"].BuildHubBitmaps(1<<20, 8)
 
 	maxQ := 7
 	if testing.Short() {
 		maxQ = 6
 	}
+	arms := axes{tier: []Tier{TierInterpret, TierGenerated}, iep: on, workers: []int{1, 3},
+		shape: forcedShapes, chunk: []int{2}, stats: both}.arms()
 	for q := 3; q <= maxQ; q++ {
 		p := pattern.Clique(q)
-		res, err := core.Plan(p, graphs["ba"].Stats(), core.PlanOptions{})
-		if err != nil {
-			t.Fatalf("plan K%d: %v", q, err)
+		cfg := planFor(t, graphs["ba"], p)
+		if got := cfg.Bind(false, TierGenerated).Tier(); got != TierGenerated {
+			t.Fatalf("K%d: planned configuration resolves to tier %s, want the clique kernel", q, got)
 		}
-		cfg := res.Best
 		for gname, g := range graphs {
-			if got := cfg.Bind(false, core.TierGenerated).Tier(); got != core.TierGenerated {
-				t.Fatalf("K%d on %s: planned configuration resolves to tier %s, want the clique kernel", q, gname, got)
-			}
-			want := baseline.BruteForceCount(g, p)
-			for _, tier := range []core.Tier{core.TierInterpret, core.TierGenerated} {
-				for _, workers := range []int{1, 3} {
-					for _, ep := range []core.EdgeParallelMode{core.EdgeParallelOff, core.EdgeParallelOn} {
-						for _, stats := range []bool{false, true} {
-							opt := core.RunOptions{Workers: workers, EdgeParallel: ep, ChunkSize: 2}
-							if stats {
-								opt.Stats = telemetry.NewRunStats(q)
-							}
-							if got := cfg.Bind(true, tier).Count(g, opt); got != want {
-								t.Errorf("K%d on %s: CountIEP tier=%s workers=%d edgePar=%d stats=%v = %d, brute force %d",
-									q, gname, tier, workers, ep, stats, got, want)
-							}
-							if tier == core.TierGenerated && stats && opt.Stats.Levels[q-1].Candidates != uint64(want) {
-								t.Errorf("K%d on %s: the kernel's leaf level scanned %d candidates, count is %d",
-									q, gname, opt.Stats.Levels[q-1].Candidates, want)
-							}
-						}
-					}
-				}
-			}
+			checkArms(t, fmt.Sprintf("K%d on %s", q, gname), g, cfg, baseline.BruteForceCount(g, p), arms)
 		}
 	}
 }
@@ -167,19 +126,19 @@ func TestEngineAgainstBruteForce(t *testing.T) {
 	if !testing.Short() {
 		planOn = append(planOn, "tree") // tri_cnt = 0 ranks schedules differently
 	}
+	arms := table(
+		axes{tier: []Tier{TierInterpret, TierAuto}, iep: both, mirror: both, workers: []int{1, 3}},
+		axes{entry: enumerated, mirror: both, workers: []int{1, 3}},
+	)
 	for _, p := range oraclePatterns(t) {
-		var cfgs []*core.Config
+		var cfgs []*Config
 		for _, name := range planOn {
-			res, err := core.Plan(p, graphs[name].Stats(), core.PlanOptions{})
-			if err != nil {
-				t.Fatalf("plan %s on %s: %v", p.Name(), name, err)
-			}
-			cfgs = append(cfgs, res.Best)
+			cfgs = append(cfgs, planFor(t, graphs[name], p))
 		}
 		for gname, g := range graphs {
 			want := baseline.BruteForceCount(g, p)
 			for ci, cfg := range cfgs {
-				checkAgainstOracle(t, fmt.Sprintf("%s on %s (plan %d)", p.Name(), gname, ci), cfg, g, p, want)
+				checkArms(t, fmt.Sprintf("%s on %s (plan %d)", p.Name(), gname, ci), g, cfg, want, arms)
 			}
 		}
 	}
@@ -191,15 +150,8 @@ func TestEngineAgainstBruteForce(t *testing.T) {
 // scan, no later intersection and no IEP evaluation ever runs.
 func TestEmptySetCutOnTriangleFreeGraph(t *testing.T) {
 	g := oracleGraphs(t)["tree"]
-	res, err := core.Plan(pattern.House(), g.Stats(), core.PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := res.Best
-	st := telemetry.NewRunStats(cfg.N())
-	if got := cfg.Bind(true, core.TierAuto).Count(g, core.RunOptions{Workers: 1, Stats: st}); got != 0 {
-		t.Fatalf("counted %d houses in a tree", got)
-	}
+	cfg := planFor(t, g, pattern.House())
+	st := checkArms(t, "house in a tree", g, cfg, 0, axes{iep: on, stats: on}.arms())[0].stats
 	host := -1 // the shallowest level that hosts a step
 	for d, l := range st.Levels {
 		if l.Intersections > 0 {
@@ -221,41 +173,5 @@ func TestEmptySetCutOnTriangleFreeGraph(t *testing.T) {
 	}
 	if st.Levels[host].IEPCounts != 0 {
 		t.Errorf("evaluated the IEP %d times on prefixes with an empty set", st.Levels[host].IEPCounts)
-	}
-}
-
-func checkAgainstOracle(t *testing.T, name string, cfg *core.Config, g *graph.Graph, p *pattern.Pattern, want int64) {
-	t.Helper()
-	edges := p.Edges()
-	for _, workers := range []int{1, 3} {
-		for _, tier := range []core.Tier{core.TierInterpret, core.TierAuto} {
-			opt := core.RunOptions{Workers: workers}
-			if got := cfg.Bind(false, tier).Count(g, opt); got != want {
-				t.Errorf("%s: Count tier=%s workers=%d = %d, brute force %d", name, tier, workers, got, want)
-			}
-			if got := cfg.Bind(true, tier).Count(g, opt); got != want {
-				t.Errorf("%s: CountIEP tier=%s workers=%d = %d, brute force %d", name, tier, workers, got, want)
-			}
-		}
-		var bad atomic.Int64
-		got := cfg.EnumerateAll(g, core.RunOptions{Workers: workers}, func(emb []uint32) bool {
-			for _, e := range edges {
-				if !g.HasEdge(emb[e[0]], emb[e[1]]) {
-					bad.Add(1)
-				}
-			}
-			for i := range emb {
-				for j := 0; j < i; j++ {
-					if emb[i] == emb[j] {
-						bad.Add(1)
-					}
-				}
-			}
-			return true
-		})
-		if got != want || bad.Load() != 0 {
-			t.Errorf("%s: Enumerate workers=%d visited %d (%d broken edges or repeated vertices), brute force %d",
-				name, workers, got, bad.Load(), want)
-		}
 	}
 }

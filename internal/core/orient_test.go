@@ -25,11 +25,7 @@ import (
 func TestMirrorIsExactAndCostsTheSame(t *testing.T) {
 	g := graph.GNM(22, 90, 3).Reorder()
 	for _, tc := range patterntest.Suite(5) {
-		res, err := Plan(tc.Pat, g.Stats(), PlanOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.Name, err)
-		}
-		cfg := res.Best
+		cfg := planFor(t, g, tc.Pat)
 		m, err := cfg.Mirror()
 		if err != nil {
 			t.Fatalf("%s: mirror: %v", tc.Name, err)
@@ -47,15 +43,9 @@ func TestMirrorIsExactAndCostsTheSame(t *testing.T) {
 		}
 
 		want := baseline.BruteForceCount(g, tc.Pat)
+		checkArms(t, tc.Name, g, cfg, want, axes{tier: interpreted, iep: both, mirror: both, workers: []int{2}}.arms())
 		var sets [2][]string
 		for i, c := range []*Config{cfg, m} {
-			opt := RunOptions{Workers: 2}
-			if got := c.Bind(false, TierInterpret).Count(g, opt); got != want {
-				t.Errorf("%s %v: Count %d, brute force %d", tc.Name, c.Restrictions, got, want)
-			}
-			if got := c.Bind(true, TierInterpret).Count(g, opt); got != want {
-				t.Errorf("%s %v: CountIEP %d, brute force %d", tc.Name, c.Restrictions, got, want)
-			}
 			sets[i] = enumeratedSubgraphs(c, g, tc.Pat)
 			if int64(len(sets[i])) != want {
 				t.Errorf("%s %v: enumerated %d distinct subgraphs, brute force %d", tc.Name, c.Restrictions, len(sets[i]), want)
@@ -125,11 +115,7 @@ func TestOrientationDecision(t *testing.T) {
 		{"cycle6tri", pattern.Cycle6Tri(), false, false},
 	}
 	for _, tc := range cases {
-		res, err := Plan(tc.pat, g.Stats(), PlanOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		planned := res.Best
+		planned := planFor(t, g, tc.pat)
 		chosen, o, err := planned.Orient(g, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -172,11 +158,8 @@ func TestOrientationDecision(t *testing.T) {
 		}
 	}
 
-	res, err := Plan(pattern.Rectangle(), base.Stats(), PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, o, err := res.Best.Orient(base, 2); err != nil || c != res.Best || o.Probed {
+	planned := planFor(t, base, pattern.Rectangle())
+	if c, o, err := planned.Orient(base, 2); err != nil || c != planned || o.Probed {
 		t.Errorf("graph not degree-ordered: orientation %s (err %v), want the planned configuration unprobed", o, err)
 	}
 }
@@ -186,11 +169,7 @@ func TestOrientationDecision(t *testing.T) {
 // however early the cap stopped the run.
 func TestOrientProbeCap(t *testing.T) {
 	g := graph.BarabasiAlbert(2000, 8, 4242).Reorder()
-	res, err := Plan(pattern.House(), g.Stats(), PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := res.Best
+	cfg := planFor(t, g, pattern.House())
 	const depth = 2
 	totals, ok := cfg.probe(g, depth, 1, math.MaxUint64)
 	if !ok {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"graphpi/internal/graph"
@@ -29,17 +28,8 @@ func BenchmarkTiers(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := res.Best
-		for _, tier := range []Tier{TierInterpret, TierGenerated} {
-			if cfg.Bind(false, tier).Tier() != tier {
-				continue
-			}
-			b.Run(fmt.Sprintf("%s/%s", pc.name, tier), func(b *testing.B) {
-				bound, opt := cfg.Bind(true, tier), RunOptions{Workers: 1}
-				for i := 0; i < b.N; i++ {
-					bound.Count(g, opt)
-				}
-			})
-		}
+		b.Run(pc.name, func(b *testing.B) {
+			benchArms(b, g, res.Best, axes{tier: []Tier{TierInterpret, TierGenerated}, iep: on}.arms())
+		})
 	}
 }

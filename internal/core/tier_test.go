@@ -1,10 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
-	"graphpi/internal/codegen"
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
 	"graphpi/internal/perm"
@@ -30,39 +30,15 @@ func cliqueConfig(t *testing.T, q int) *Config {
 	return mustConfig(t, pattern.Clique(q), identitySchedule(q), chainSet(q))
 }
 
-// matrixCompare counts under every (tier, workers, edge-parallel) cell and
-// compares against the single-worker interpreter. Each tier also runs one
-// cell with telemetry enabled: collection must leave the count bit-identical
-// and must actually populate the per-level counters.
-func matrixCompare(t *testing.T, name string, cfg *Config, g *graph.Graph, tiers []Tier, useIEP bool) {
-	t.Helper()
-	count := func(tier Tier, opt RunOptions) int64 {
-		return cfg.Bind(useIEP, tier).Count(g, opt)
-	}
-	want := count(TierInterpret, RunOptions{Workers: 1})
-	for _, tier := range tiers {
-		for _, workers := range []int{1, 4} {
-			for _, ep := range []EdgeParallelMode{EdgeParallelOff, EdgeParallelAuto, EdgeParallelOn} {
-				got := count(tier, RunOptions{Workers: workers, EdgeParallel: ep})
-				if got != want {
-					t.Errorf("%s iep=%v tier=%s workers=%d edgePar=%d: counted %d, interpreter %d",
-						name, useIEP, tier, workers, ep, got, want)
-				}
-			}
-		}
-		st := telemetry.NewRunStats(cfg.N())
-		if got := count(tier, RunOptions{Workers: 4, Stats: st}); got != want {
-			t.Errorf("%s iep=%v tier=%s with telemetry: counted %d, interpreter %d",
-				name, useIEP, tier, got, want)
-		}
-		if st.Levels[0].Scans == 0 {
-			t.Errorf("%s iep=%v tier=%s: telemetry run recorded no level-0 scans", name, useIEP, tier)
-		}
-		if leaf := st.Levels[cfg.N()-1]; cfg.Bind(false, tier).Tier() == TierGenerated && leaf.Candidates != uint64(want) {
-			t.Errorf("%s iep=%v tier=%s: the clique kernel's leaf level scanned %d candidates, count is %d",
-				name, useIEP, tier, leaf.Candidates, want)
-		}
-	}
+// matrixArms is the tier matrix: every (tier, workers, task shape) cell,
+// each held to the single-worker interpreter, and one telemetry run per
+// tier: collection must leave the count bit-identical and must actually
+// populate the per-level counters.
+func matrixArms(iep bool, tiers ...Tier) []arm {
+	return table(
+		axes{tier: tiers, iep: []bool{iep}, workers: []int{1, 4}, shape: everyShape},
+		axes{tier: tiers, iep: []bool{iep}, workers: []int{4}, stats: on},
+	)
 }
 
 // TestTierMatrixEvaluationPatterns runs the paper's evaluation patterns through
@@ -80,15 +56,10 @@ func TestTierMatrixEvaluationPatterns(t *testing.T) {
 		pats = append(pats, pattern.P6())
 	}
 	for _, p := range pats {
-		res, err := Plan(p, g.Stats(), PlanOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		cfg := res.Best
+		cfg := planFor(t, g, p)
 		for _, gg := range []*graph.Graph{g, gHub} {
-			for _, useIEP := range []bool{false, true} {
-				matrixCompare(t, p.Name(), cfg, gg, []Tier{TierAuto}, useIEP)
-			}
+			want := reference(cfg, gg)
+			checkArms(t, p.Name(), gg, cfg, want, append(matrixArms(false, TierAuto), matrixArms(true, TierAuto)...))
 		}
 	}
 }
@@ -99,41 +70,29 @@ func TestTierMatrixEvaluationPatterns(t *testing.T) {
 // overlapping it, so every size counts something nonzero and the interpreter
 // sees the same graph.
 func TestGeneratedCliqueTierMatrix(t *testing.T) {
-	base := graph.BarabasiAlbert(160, 4, 21)
-	b := graph.NewBuilder(base.NumVertices(), int(base.NumEdges())+100)
-	for v := 0; v < base.NumVertices(); v++ {
-		for _, w := range base.Neighbors(uint32(v)) {
-			if uint32(v) < w {
-				b.AddEdge(uint32(v), w)
-			}
-		}
-	}
 	// Plant a K13 across existing vertices (edges overlap the BA edges).
-	for i := 0; i < 13; i++ {
-		for j := i + 1; j < 13; j++ {
-			b.AddEdge(uint32(i*7), uint32(j*7))
-		}
+	plantK13 := func() *graph.Graph {
+		return buildGraph(t, 160, graph.BarabasiAlbert(160, 4, 21), func(add func(u, v int)) {
+			for i := 0; i < 13; i++ {
+				for j := i + 1; j < 13; j++ {
+					add(i*7, j*7)
+				}
+			}
+		})
 	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gHub := g
-	if g2, err2 := b.Build(); err2 == nil {
-		g2.BuildHubBitmaps(1<<24, 8)
-		gHub = g2
-	}
+	g, gHub := plantK13(), plantK13()
+	gHub.BuildHubBitmaps(1<<24, 8)
 	for q := 3; q <= pattern.MaxVertices; q++ {
 		cfg := cliqueConfig(t, q)
 		if !cfg.clique {
 			t.Fatalf("K%d chain config was not recognised as a total-order clique", q)
 		}
-		tiers := []Tier{TierAuto, TierGenerated}
+		arms := matrixArms(false, TierAuto, TierGenerated)
+		if q <= perm.MaxTableDegree {
+			arms = append(arms, matrixArms(true, TierAuto, TierGenerated)...)
+		}
 		for _, gg := range []*graph.Graph{g, gHub} {
-			matrixCompare(t, cfg.Pattern.Name(), cfg, gg, tiers, false)
-			if q <= perm.MaxTableDegree {
-				matrixCompare(t, cfg.Pattern.Name(), cfg, gg, tiers, true)
-			}
+			checkArms(t, cfg.Pattern.Name(), gg, cfg, reference(cfg, gg), arms)
 		}
 	}
 }
@@ -146,38 +105,22 @@ func TestGeneratedCliqueTierMatrix(t *testing.T) {
 // ever books word ANDs — and still agree with the interpreter.
 func TestCliqueKernelOverCapRoot(t *testing.T) {
 	const n, hubs = 4500, 3
-	base := graph.BarabasiAlbert(n, 3, 17)
-	b := graph.NewBuilder(n+hubs, int(base.NumEdges())+hubs*(n+hubs))
-	for v := 0; v < n; v++ {
-		for _, w := range base.Neighbors(uint32(v)) {
-			if uint32(v) < w {
-				b.AddEdge(uint32(v), w)
+	g := buildGraph(t, n+hubs, graph.BarabasiAlbert(n, 3, 17), func(add func(u, v int)) {
+		for h := n; h < n+hubs; h++ {
+			for v := 0; v < h; v++ {
+				add(v, h)
 			}
 		}
-	}
-	for h := n; h < n+hubs; h++ {
-		for v := 0; v < h; v++ {
-			b.AddEdge(uint32(v), uint32(h))
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
+	arms := table(
+		axes{tier: []Tier{TierGenerated}, stats: on},
+		axes{tier: []Tier{TierGenerated}, workers: []int{4}, shape: slotTasks, stats: on},
+	)
 	for q := 4; q <= 5; q++ { // a K3's list level is its last: nothing reaches level 2
 		cfg := cliqueConfig(t, q)
-		want := cfg.Bind(false, TierInterpret).Count(g, RunOptions{Workers: 1})
-		for _, opt := range []RunOptions{
-			{Workers: 1},
-			{Workers: 4, EdgeParallel: EdgeParallelOn},
-		} {
-			opt.Stats = telemetry.NewRunStats(q)
-			if got := cfg.Bind(false, TierGenerated).Count(g, opt); got != want {
-				t.Errorf("K%d workers=%d: clique kernel counted %d, interpreter %d", q, opt.Workers, got, want)
-			}
-			l2 := opt.Stats.Levels[2]
-			if l2.Kernels[telemetry.KernelMerge]+l2.Kernels[telemetry.KernelGallop] == 0 {
-				t.Errorf("K%d workers=%d: no sorted-list intersection at level 2; the over-cap roots were not narrowed on lists", q, opt.Workers)
+		for i, r := range checkArms(t, fmt.Sprintf("K%d", q), g, cfg, reference(cfg, g), arms) {
+			if l2 := r.stats.Levels[2]; l2.Kernels[telemetry.KernelMerge]+l2.Kernels[telemetry.KernelGallop] == 0 {
+				t.Errorf("K%d [%s]: no sorted-list intersection at level 2; the over-cap roots were not narrowed on lists", q, arms[i])
 			}
 		}
 	}
@@ -194,11 +137,7 @@ func TestOneLoopIEPSuffix(t *testing.T) {
 	if k4.KIEP() != 1 || k4.effectiveIEPK() != 0 {
 		t.Fatalf("K4 chain: KIEP %d, effective %d, want 1 and 0", k4.KIEP(), k4.effectiveIEPK())
 	}
-	st := telemetry.NewRunStats(4)
-	want := k4.Bind(false, TierInterpret).Count(g, RunOptions{Workers: 1})
-	if got := k4.Bind(true, TierInterpret).Count(g, RunOptions{Workers: 1, Stats: st}); got != want {
-		t.Fatalf("K4 CountIEP = %d, Count = %d", got, want)
-	}
+	st := checkArms(t, "K4", g, k4, reference(k4, g), axes{tier: interpreted, iep: on, stats: on}.arms())[0].stats
 	for d, l := range st.Levels {
 		if l.IEPCounts != 0 {
 			t.Errorf("K4 level %d evaluated the IEP %d times", d, l.IEPCounts)
@@ -219,9 +158,7 @@ func TestOneLoopIEPSuffix(t *testing.T) {
 			if cfg.effectiveIEPK() != 1 {
 				t.Errorf("%s %v: leaf needs duplicate checks %v but the IEP suffix was given up", p, s, cfg.dupCheck[cfg.n-1])
 			}
-			if got, want := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1}), cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1}); got != want {
-				t.Errorf("%s %v: CountIEP %d, Count %d", p, s, got, want)
-			}
+			checkArms(t, fmt.Sprintf("%s %v", p, s), g, cfg, reference(cfg, g), axes{iep: on}.arms())
 		}
 	}
 	if !kept {
@@ -234,11 +171,7 @@ func TestOneLoopIEPSuffix(t *testing.T) {
 func TestTierResolution(t *testing.T) {
 	g := graph.BarabasiAlbert(50, 3, 3)
 	k4 := cliqueConfig(t, 4)
-	res, err := Plan(pattern.House(), g.Stats(), PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	house := res.Best
+	house := planFor(t, g, pattern.House())
 	for _, tc := range []struct {
 		cfg  *Config
 		req  Tier
@@ -289,20 +222,13 @@ func TestRandomizedConfigs(t *testing.T) {
 		if rng.IntN(4) == 0 {
 			rs = nil // restriction-free: duplicate checks must survive lowering
 		}
-		cfg, err := NewConfig(p, s, rs)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for _, useIEP := range []bool{false, true} {
-			count := func(tier Tier, workers int) int64 {
-				return cfg.Bind(useIEP, tier).Count(g, RunOptions{Workers: workers})
-			}
-			want := count(TierInterpret, 1)
-			if got := count(TierAuto, 1+rng.IntN(4)); got != want {
-				t.Errorf("trial %d %s sched=%v restr=%v iep=%v: %d, interpreter %d",
-					trial, p, s, rs, useIEP, got, want)
-			}
-		}
+		cfg := mustConfig(t, p, s, rs)
+		arms := table(
+			axes{tier: interpreted, iep: on},
+			axes{workers: []int{1 + rng.IntN(4)}},
+			axes{iep: on, workers: []int{1 + rng.IntN(4)}},
+		)
+		checkArms(t, fmt.Sprintf("trial %d %s sched=%v restr=%v", trial, p, s, rs), g, cfg, reference(cfg, g), arms)
 	}
 }
 
@@ -312,38 +238,22 @@ func TestRandomizedConfigs(t *testing.T) {
 // covers must both reproduce the local count.
 func TestCounterExecutor(t *testing.T) {
 	g := graph.BarabasiAlbert(400, 6, 5)
-	res, err := Plan(pattern.House(), g.Stats(), PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	house := planFor(t, g, pattern.House())
+	arms := table(
+		axes{entry: counted, iep: both, shape: vertexTasks},
+		axes{entry: counted, iep: both, shape: slotTasks, chunk: []int{(g.NumAdjSlots() + 36) / 37}},
+	)
 	for _, tc := range []struct {
 		cfg    *Config
 		clique bool
 	}{
 		{cliqueConfig(t, 4), true},
 		{cliqueConfig(t, 5), true},
-		{res.Best, false},
+		{house, false},
 	} {
-		for _, useIEP := range []bool{false, true} {
-			want := tc.cfg.Bind(true, TierInterpret).Count(g, RunOptions{Workers: 1})
-			c := NewCounter(tc.cfg.Bind(useIEP, TierAuto), g, nil)
-			if _, ok := c.w.(*codegen.Clique); ok != tc.clique {
-				t.Fatalf("%s: counter runs %T, want the clique kernel: %v", tc.cfg.Pattern, c.w, tc.clique)
-			}
-			c.CountRange(0, g.NumVertices())
-			if got := tc.cfg.Bind(useIEP, TierAuto).ScaleIEP(c.Raw()); got != want {
-				t.Errorf("%s iep=%v: vertex-range counter %d, local %d", tc.cfg.Pattern, useIEP, got, want)
-			}
-			if !tc.cfg.Bind(useIEP, TierAuto).EdgeParallelEligible() {
-				continue
-			}
-			c = NewCounter(tc.cfg.Bind(useIEP, TierAuto), g, nil)
-			for _, tk := range equalCut(g.NumAdjSlots(), 37) {
-				c.CountEdgeRange(tk.Start, tk.End)
-			}
-			if got := tc.cfg.Bind(useIEP, TierAuto).ScaleIEP(c.Raw()); got != want {
-				t.Errorf("%s iep=%v: slot-range counter %d, local %d", tc.cfg.Pattern, useIEP, got, want)
-			}
+		if got := tc.cfg.Bind(false, TierAuto).Tier() == TierGenerated; got != tc.clique {
+			t.Fatalf("%s: binds the clique kernel: %v, want %v", tc.cfg.Pattern, got, tc.clique)
 		}
+		checkArms(t, tc.cfg.Pattern.String(), g, tc.cfg, reference(tc.cfg, g), arms)
 	}
 }

@@ -52,22 +52,6 @@ func (s Schedule) Position(v uint8) int {
 	return -1
 }
 
-// Parents returns, for each depth i, the ascending list of earlier depths j
-// whose pattern vertex is adjacent to the vertex searched at depth i. The
-// candidate set of depth i is the intersection of the data-graph
-// neighborhoods bound at those depths (the paper's "candidate set").
-func (s Schedule) Parents(p *pattern.Pattern) [][]int {
-	out := make([][]int, len(s.Order))
-	for i, v := range s.Order {
-		for j := 0; j < i; j++ {
-			if p.HasEdge(int(v), int(s.Order[j])) {
-				out[i] = append(out[i], j)
-			}
-		}
-	}
-	return out
-}
-
 // SuffixIndependent returns the length of the longest schedule suffix whose
 // vertices are pairwise non-adjacent in the pattern — the number of
 // innermost loops with no intersection work, and the k usable by the IEP

@@ -7,26 +7,6 @@ import (
 	"graphpi/internal/perm"
 )
 
-func TestParents(t *testing.T) {
-	h := pattern.House() // square 0-2-3-1, roof 0-1-4
-	// The paper's Figure 5 schedule A→B→C→D→E maps to our labels as
-	// 0→1→2→3→4: E(4) is adjacent to A(0), B(1); D(3) to B? In our House,
-	// 3 is adjacent to 1 and 2; 4 to 0 and 1.
-	s := Schedule{Order: []uint8{0, 1, 2, 3, 4}}
-	parents := s.Parents(h)
-	want := [][]int{nil, {0}, {0}, {1, 2}, {0, 1}}
-	for i := range want {
-		if len(parents[i]) != len(want[i]) {
-			t.Fatalf("Parents[%d] = %v, want %v", i, parents[i], want[i])
-		}
-		for j := range want[i] {
-			if parents[i][j] != want[i][j] {
-				t.Fatalf("Parents[%d] = %v, want %v", i, parents[i], want[i])
-			}
-		}
-	}
-}
-
 func TestSuffixIndependent(t *testing.T) {
 	h := pattern.House()
 	// Schedule 0,1,2,3,4: last two searched are 3 and 4, which are not

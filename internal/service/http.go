@@ -280,24 +280,21 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 // The service trusts its operator; this is an admin endpoint, not a public
 // upload surface.
 type loadGraphRequest struct {
-	Name      string `json:"name"`
-	Path      string `json:"path"`
-	Optimize  bool   `json:"optimize"`
-	HubBudget int64  `json:"hub_budget,omitempty"`
+	Name     string `json:"name"`
+	Path     string `json:"path"`
+	Optimize bool   `json:"optimize"` // hub bitmaps within graph.DefaultHubBudget
 }
 
 func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 	var req loadGraphRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields() // a field this body no longer has is an error, not a no-op
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, &statusError{400, fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
 	if req.Path == "" {
 		writeError(w, &statusError{400, "path required"})
-		return
-	}
-	if req.HubBudget < 0 {
-		writeError(w, &statusError{400, fmt.Sprintf("hub_budget must be >= 0 (0 = default), got %d", req.HubBudget)})
 		return
 	}
 	g, err := graph.LoadAnyFile(req.Path)
@@ -306,7 +303,7 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Optimize {
-		g = g.Optimize(req.HubBudget)
+		g = g.Optimize(0)
 	}
 	name := req.Name
 	if name == "" {

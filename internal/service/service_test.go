@@ -770,8 +770,9 @@ func TestServiceErrorStatuses(t *testing.T) {
 		t.Errorf("jobs created = %d, want 1 (the house count)", m.Jobs.Created)
 	}
 
-	// POST /graphs: a negative hub budget is an error, not a default. The
-	// last row loads the same snapshot to show the file itself is fine.
+	// POST /graphs: a field the body does not have, such as the removed
+	// hub_budget, is an error, not a no-op. The last row loads the same
+	// snapshot to show the file itself is fine.
 	snap := filepath.Join(t.TempDir(), "ba.bin")
 	if err := graph.SaveBinaryFile(snap, graph.BarabasiAlbert(100, 3, 1)); err != nil {
 		t.Fatal(err)
@@ -780,10 +781,11 @@ func TestServiceErrorStatuses(t *testing.T) {
 		extra string
 		want  int
 	}{
-		{`"hub_budget":-1`, 400},
-		{`"hub_budget":4096`, 201},
+		{`,"hub_budget":-1`, 400},
+		{`,"hub_budget":4096`, 400},
+		{``, 201},
 	} {
-		body := fmt.Sprintf(`{"name":"loaded","path":%q,"optimize":true,%s}`, snap, tc.extra)
+		body := fmt.Sprintf(`{"name":"loaded","path":%q,"optimize":true%s}`, snap, tc.extra)
 		resp, err := http.Post(base+"/graphs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -190,43 +190,3 @@ func (s *RunStats) Reset() {
 		s.Levels[i] = LevelStats{}
 	}
 }
-
-// TotalIntersections sums step evaluations over all levels, memo hits
-// included: it is the loop nest's demand, which the cost model predicts.
-func (s *RunStats) TotalIntersections() uint64 {
-	var t uint64
-	if s == nil {
-		return 0
-	}
-	for i := range s.Levels {
-		t += s.Levels[i].Intersections
-	}
-	return t
-}
-
-// TotalCandidates sums scanned candidates over all levels.
-func (s *RunStats) TotalCandidates() uint64 {
-	var t uint64
-	if s == nil {
-		return 0
-	}
-	for i := range s.Levels {
-		t += s.Levels[i].Candidates
-	}
-	return t
-}
-
-// ClassifyIntersect maps the operand sizes of an adaptive intersection to
-// the kernel family vertexset.Intersect would pick, given the gallop ratio
-// it uses, for callers that know only the operand sizes (the executors
-// attribute the kernel vertexset.IntersectWindow reports).
-func ClassifyIntersect(lenA, lenB, gallopRatio int) int {
-	small, large := lenA, lenB
-	if small > large {
-		small, large = large, small
-	}
-	if large >= gallopRatio*small {
-		return KernelGallop
-	}
-	return KernelMerge
-}

@@ -30,8 +30,13 @@ func TestRunStatsMerge(t *testing.T) {
 	if a.Levels[2].DupSkips != 4 {
 		t.Errorf("dup skips not merged")
 	}
-	if a.TotalIntersections() != 3 || a.TotalCandidates() != 30 {
-		t.Errorf("totals = %d/%d", a.TotalIntersections(), a.TotalCandidates())
+	var intersections, candidates uint64
+	for _, l := range a.Levels {
+		intersections += l.Intersections
+		candidates += l.Candidates
+	}
+	if intersections != 3 || candidates != 30 {
+		t.Errorf("totals = %d/%d", intersections, candidates)
 	}
 }
 
@@ -87,18 +92,6 @@ func TestHistogramNilSafe(t *testing.T) {
 	h.Observe(time.Second) // must not panic
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Errorf("nil snapshot = %+v", s)
-	}
-}
-
-func TestClassifyIntersect(t *testing.T) {
-	if k := ClassifyIntersect(10, 12, 16); k != KernelMerge {
-		t.Errorf("near-equal sizes → kernel %d", k)
-	}
-	if k := ClassifyIntersect(4, 100, 16); k != KernelGallop {
-		t.Errorf("skewed sizes → kernel %d", k)
-	}
-	if k := ClassifyIntersect(100, 4, 16); k != KernelGallop {
-		t.Errorf("skewed sizes (swapped) → kernel %d", k)
 	}
 }
 

@@ -294,48 +294,6 @@ func Contains(a []uint32, x uint32) bool {
 	return lo < len(a) && a[lo] == x
 }
 
-// Subtract writes a \ b into dst (truncated first) and returns it.
-// dst must not alias a or b.
-func Subtract(dst, a, b []uint32) []uint32 {
-	dst = dst[:0]
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j < len(b) && b[j] == x {
-			continue
-		}
-		dst = append(dst, x)
-	}
-	return dst
-}
-
-// Union writes the sorted union of a and b into dst (truncated first).
-// dst must not alias a or b.
-func Union(dst, a, b []uint32) []uint32 {
-	dst = dst[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		switch {
-		case x < y:
-			dst = append(dst, x)
-			i++
-		case x > y:
-			dst = append(dst, y)
-			j++
-		default:
-			dst = append(dst, x)
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
-}
-
 // IntersectMulti intersects k ≥ 1 sorted sets, smallest-first, using scratch
 // as the ping buffer. It returns the result, which aliases either dst or
 // scratch. Used by the IEP cardinality calculation (Algorithm 2) where whole

@@ -248,56 +248,6 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestSubtract(t *testing.T) {
-	a := []uint32{1, 2, 3, 4, 5}
-	b := []uint32{2, 4, 6}
-	got := Subtract(nil, a, b)
-	want := []uint32{1, 3, 5}
-	if !reflect.DeepEqual([]uint32(got), want) {
-		t.Errorf("Subtract = %v, want %v", got, want)
-	}
-	if got := Subtract(nil, a, nil); !reflect.DeepEqual([]uint32(got), a) {
-		t.Errorf("Subtract by empty = %v, want %v", got, a)
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := []uint32{1, 3, 5}
-	b := []uint32{2, 3, 6}
-	got := Union(nil, a, b)
-	want := []uint32{1, 2, 3, 5, 6}
-	if !reflect.DeepEqual([]uint32(got), want) {
-		t.Errorf("Union = %v, want %v", got, want)
-	}
-}
-
-func TestUnionSubtractProperties(t *testing.T) {
-	f := func(av, bv []uint32) bool {
-		a, b := mkset(av), mkset(bv)
-		u := Union(nil, a, b)
-		if !IsSorted(u) {
-			return false
-		}
-		// |A ∪ B| == |A| + |B| - |A ∩ B|
-		if len(u) != len(a)+len(b)-IntersectSize(a, b) {
-			return false
-		}
-		// (A \ B) ∩ B == ∅, and (A \ B) ∪ (A ∩ B) == A
-		d := Subtract(nil, a, b)
-		if IntersectSize(d, b) != 0 {
-			return false
-		}
-		back := Union(nil, d, Intersect(nil, a, b))
-		if len(back) != len(a) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestIntersectMulti(t *testing.T) {
 	s1 := []uint32{1, 2, 3, 4, 5, 6}
 	s2 := []uint32{2, 4, 6, 8}
