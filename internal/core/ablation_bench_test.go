@@ -20,7 +20,7 @@ func ablationGraph() *graph.Graph { return graph.BarabasiAlbert(8000, 7, 99) }
 func BenchmarkAblationRestrictions(b *testing.B) {
 	g := ablationGraph()
 	p := pattern.House()
-	withSet := firstConfig(b, p)
+	withSet := firstConfig(b, p, 0)
 	b.Run("with-restrictions", func(b *testing.B) { benchArms(b, g, withSet, table(axes{})) })
 	b.Run("no-restrictions", func(b *testing.B) {
 		benchArms(b, g, mustConfig(b, p, withSet.Schedule, nil), table(axes{}))

@@ -31,10 +31,12 @@ func mustConfig(t testing.TB, pat *pattern.Pattern, s schedule.Schedule, rs rest
 	return cfg
 }
 
-// firstSet returns p's first generated restriction set.
-func firstSet(t testing.TB, p *pattern.Pattern) restrict.Set {
+// firstSet returns the first of p's restriction sets that Generate returns
+// when capped at maxSets (0: its default cap). Generate sorts only the sets
+// it found, so the cap can change which set comes first.
+func firstSet(t testing.TB, p *pattern.Pattern, maxSets int) restrict.Set {
 	t.Helper()
-	sets, err := restrict.Generate(p, restrict.Options{})
+	sets, err := restrict.Generate(p, restrict.Options{MaxSets: maxSets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +44,9 @@ func firstSet(t testing.TB, p *pattern.Pattern) restrict.Set {
 }
 
 // firstConfig builds p under its first efficient schedule and firstSet.
-func firstConfig(t testing.TB, p *pattern.Pattern) *Config {
+func firstConfig(t testing.TB, p *pattern.Pattern, maxSets int) *Config {
 	t.Helper()
-	return mustConfig(t, p, schedule.Generate(p, schedule.Options{}).Efficient[0], firstSet(t, p))
+	return mustConfig(t, p, schedule.Generate(p, schedule.Options{}).Efficient[0], firstSet(t, p, maxSets))
 }
 
 // everyConfig builds p under every efficient schedule and each of its first
@@ -82,7 +84,7 @@ func TestNewConfigValidation(t *testing.T) {
 
 func TestCountTrianglesOnKnownGraphs(t *testing.T) {
 	tri := pattern.Triangle()
-	cfg := mustConfig(t, tri, identitySchedule(3), firstSet(t, tri))
+	cfg := mustConfig(t, tri, identitySchedule(3), firstSet(t, tri, 0))
 	cases := []struct {
 		g    *graph.Graph
 		want int64
@@ -129,9 +131,10 @@ func TestCountEliminatedSchedulesStillCorrect(t *testing.T) {
 	g := graph.GNP(14, 0.5, 9)
 	p := pattern.House()
 	want := baseline.BruteForceCount(g, p)
+	rs := firstSet(t, p, 2)
 	res := schedule.Generate(p, schedule.Options{KeepEliminated: true})
 	for _, s := range res.Eliminated[:10] {
-		checkArms(t, fmt.Sprintf("eliminated schedule %v", s), g, mustConfig(t, p, s, firstSet(t, p)), want, table(axes{}))
+		checkArms(t, fmt.Sprintf("eliminated schedule %v", s), g, mustConfig(t, p, s, rs), want, table(axes{}))
 	}
 }
 
@@ -145,8 +148,7 @@ func TestGraphZeroRestrictionSetCorrect(t *testing.T) {
 
 func TestParallelCountMatchesSequential(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 5, 17)
-	p := pattern.House()
-	cfg := firstConfig(t, p)
+	cfg := firstConfig(t, pattern.House(), 0)
 	checkArms(t, "house", g, cfg, reference(cfg, g), axes{workers: []int{2, 4, 8}, chunk: []int{0, 1, 17}}.arms())
 }
 
@@ -166,23 +168,21 @@ func TestCountIEPMatchesCount(t *testing.T) {
 
 func TestCountIEPParallel(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 4, 31)
-	p := pattern.Cycle6Tri()
-	cfg := firstConfig(t, p)
+	cfg := firstConfig(t, pattern.Cycle6Tri(), 0)
 	want := cfg.Bind(true, TierAuto).Count(g, RunOptions{Workers: 1})
 	checkArms(t, "cycle6tri", g, cfg, want, axes{iep: both, workers: []int{4}}.arms())
 }
 
 func TestEnumerateVisitsValidEmbeddings(t *testing.T) {
 	g := graph.GNP(15, 0.5, 41)
-	p := pattern.House()
-	cfg := firstConfig(t, p)
+	cfg := firstConfig(t, pattern.House(), 0)
 	checkArms(t, "house", g, cfg, reference(cfg, g), axes{entry: enumerated}.arms())
 }
 
 func TestEnumerateEarlyStop(t *testing.T) {
 	g := graph.Complete(12)
 	p := pattern.Triangle()
-	cfg := mustConfig(t, p, identitySchedule(3), firstSet(t, p))
+	cfg := mustConfig(t, p, identitySchedule(3), firstSet(t, p, 0))
 	var visited int64
 	cfg.EnumerateAll(g, RunOptions{Workers: 1}, func([]uint32) bool {
 		visited++
@@ -195,14 +195,13 @@ func TestEnumerateEarlyStop(t *testing.T) {
 
 func TestEnumerateParallelCount(t *testing.T) {
 	g := graph.GNP(40, 0.3, 5)
-	p := pattern.Rectangle()
-	cfg := firstConfig(t, p)
+	cfg := firstConfig(t, pattern.Rectangle(), 0)
 	checkArms(t, "rectangle", g, cfg, reference(cfg, g), axes{entry: enumerated, workers: []int{4}}.arms())
 }
 
 func TestEmptyAndTinyGraphs(t *testing.T) {
 	p := pattern.Triangle()
-	cfg := mustConfig(t, p, identitySchedule(3), firstSet(t, p))
+	cfg := mustConfig(t, p, identitySchedule(3), firstSet(t, p, 0))
 	empty, _ := graph.FromEdges(0, nil)
 	two, _ := graph.FromEdges(2, [][2]uint32{{0, 1}})
 	for _, g := range []*graph.Graph{empty, two} {
@@ -311,8 +310,7 @@ func TestRandomGraphsPatternsProperty(t *testing.T) {
 }
 
 func TestConfigAccessors(t *testing.T) {
-	p := pattern.House()
-	cfg := firstConfig(t, p)
+	cfg := firstConfig(t, pattern.House(), 0)
 	if cfg.N() != 5 {
 		t.Errorf("N = %d", cfg.N())
 	}

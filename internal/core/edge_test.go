@@ -18,7 +18,7 @@ import (
 
 func TestSingleEdgePattern(t *testing.T) {
 	p := pattern.MustNew(2, [][2]int{{0, 1}}, "edge")
-	cfg := mustConfig(t, p, identitySchedule(2), firstSet(t, p))
+	cfg := mustConfig(t, p, identitySchedule(2), firstSet(t, p, 0))
 	checkArms(t, "edge", graph.GNM(100, 321, 5), cfg, 321, table(axes{}, axes{iep: on, workers: []int{2}}))
 }
 
@@ -33,7 +33,7 @@ func TestIsolatedVerticesIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pattern.Triangle()
-	cfg := mustConfig(t, p, identitySchedule(3), firstSet(t, p))
+	cfg := mustConfig(t, p, identitySchedule(3), firstSet(t, p, 0))
 	checkArms(t, "triangle", g, cfg, 1, axes{workers: []int{4}}.arms())
 }
 
@@ -72,7 +72,7 @@ func TestBudgetTruncates(t *testing.T) {
 	// on a workload that otherwise takes much longer.
 	g := graph.BarabasiAlbert(30000, 10, 3)
 	p := pattern.CliqueMinus(6)
-	cfg := firstConfig(t, p)
+	cfg := firstConfig(t, p, 1)
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -92,7 +92,7 @@ func TestBudgetTruncates(t *testing.T) {
 func TestBudgetCompleteFlagOnFastRun(t *testing.T) {
 	g := graph.Complete(8)
 	p := pattern.Triangle()
-	cfg := mustConfig(t, p, identitySchedule(3), firstSet(t, p))
+	cfg := mustConfig(t, p, identitySchedule(3), firstSet(t, p, 0))
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	count, err := cfg.Bind(false, TierAuto).Run(ctx, g, RunOptions{Workers: 1})
@@ -154,7 +154,7 @@ func TestEnumerateEmbeddingIndexing(t *testing.T) {
 	if sched.Order == nil {
 		sched = sres.Efficient[len(sres.Efficient)-1]
 	}
-	cfg := mustConfig(t, p, sched, firstSet(t, p))
+	cfg := mustConfig(t, p, sched, firstSet(t, p, 0))
 	g := graph.GNP(14, 0.6, 99)
 	checkArms(t, fmt.Sprintf("schedule %v", sched), g, cfg, baseline.BruteForceCount(g, p), axes{entry: enumerated}.arms())
 }

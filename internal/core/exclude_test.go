@@ -31,12 +31,13 @@ func TestExcludedInAgainstMembership(t *testing.T) {
 	programs := 0
 	for _, named := range patterntest.Suite(3) {
 		p := named.Pat
+		rs := firstSet(t, p, 1)
 		scheds := schedule.Generate(p, schedule.Options{}).Efficient
 		if len(scheds) > 6 {
 			scheds = scheds[:6]
 		}
 		for _, sched := range scheds {
-			cfg := mustConfig(t, p, sched, firstSet(t, p))
+			cfg := mustConfig(t, p, sched, rs)
 			prog := cfg.Bind(true, TierAuto).prog
 			if prog.IEPCut < 0 {
 				continue
@@ -132,8 +133,9 @@ func checkExclusions(t *testing.T, name string, cfg *Config, g *graph.Graph) {
 // set) pairs, four of which need no membership test at all.
 func TestExclusionClassesOfHouse(t *testing.T) {
 	p := pattern.House()
+	rs := firstSet(t, p, 1)
 	for _, sched := range schedule.Generate(p, schedule.Options{}).Efficient {
-		prog := mustConfig(t, p, sched, firstSet(t, p)).Bind(true, TierAuto).prog
+		prog := mustConfig(t, p, sched, rs).Bind(true, TierAuto).prog
 		if prog.KIEP != 2 {
 			continue
 		}

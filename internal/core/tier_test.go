@@ -49,17 +49,14 @@ func TestTierMatrixEvaluationPatterns(t *testing.T) {
 	g := graph.BarabasiAlbert(250, 4, 7)
 	gHub := graph.BarabasiAlbert(250, 4, 7)
 	gHub.BuildHubBitmaps(1<<24, 8)
-	pats := []*pattern.Pattern{
-		pattern.P1(), pattern.P2(), pattern.P3(), pattern.P4(), pattern.P5(),
-	}
+	pats := []*pattern.Pattern{pattern.P1(), pattern.P2(), pattern.P3(), pattern.P4(), pattern.P5()}
 	if !testing.Short() {
 		pats = append(pats, pattern.P6())
 	}
 	for _, p := range pats {
 		cfg := planFor(t, g, p)
 		for _, gg := range []*graph.Graph{g, gHub} {
-			want := reference(cfg, gg)
-			checkArms(t, p.Name(), gg, cfg, want, append(matrixArms(false, TierAuto), matrixArms(true, TierAuto)...))
+			checkArms(t, p.Name(), gg, cfg, reference(cfg, gg), append(matrixArms(false, TierAuto), matrixArms(true, TierAuto)...))
 		}
 	}
 }
@@ -238,10 +235,9 @@ func TestRandomizedConfigs(t *testing.T) {
 // covers must both reproduce the local count.
 func TestCounterExecutor(t *testing.T) {
 	g := graph.BarabasiAlbert(400, 6, 5)
-	house := planFor(t, g, pattern.House())
 	arms := table(
 		axes{entry: counted, iep: both, shape: vertexTasks},
-		axes{entry: counted, iep: both, shape: slotTasks, chunk: []int{(g.NumAdjSlots() + 36) / 37}},
+		axes{entry: counted, iep: both, shape: slotTasks, chunk: []int{37}},
 	)
 	for _, tc := range []struct {
 		cfg    *Config
@@ -249,10 +245,12 @@ func TestCounterExecutor(t *testing.T) {
 	}{
 		{cliqueConfig(t, 4), true},
 		{cliqueConfig(t, 5), true},
-		{house, false},
+		{planFor(t, g, pattern.House()), false},
 	} {
-		if got := tc.cfg.Bind(false, TierAuto).Tier() == TierGenerated; got != tc.clique {
-			t.Fatalf("%s: binds the clique kernel: %v, want %v", tc.cfg.Pattern, got, tc.clique)
+		for _, iep := range both {
+			if got := tc.cfg.Bind(iep, TierAuto).Tier() == TierGenerated; got != tc.clique {
+				t.Fatalf("%s iep=%v: binds the clique kernel: %v, want %v", tc.cfg.Pattern, iep, got, tc.clique)
+			}
 		}
 		checkArms(t, tc.cfg.Pattern.String(), g, tc.cfg, reference(tc.cfg, g), arms)
 	}
