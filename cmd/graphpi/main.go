@@ -480,16 +480,12 @@ func runCluster(g *graphpi.Graph, p *graphpi.Pattern, nodes, workersPerNode int,
 	if err != nil {
 		fail(err)
 	}
-	shape := "vertex ranges"
-	if res.EdgeParallel {
-		shape = "edge slots"
-	}
 	where := fmt.Sprintf("%d nodes", len(res.TasksPerNode))
 	if len(addrs) > 0 {
 		where = fmt.Sprintf("%d TCP workers", len(addrs))
 	}
-	fmt.Printf("cluster: %s x %d workers, %d tasks (%s)\n",
-		where, workersPerNode, res.Tasks, shape)
+	fmt.Printf("cluster: %s x %d workers, %d tasks\n",
+		where, workersPerNode, res.Tasks)
 	for i := range res.TasksPerNode {
 		fmt.Printf("  node %d: %5d tasks, busy %v\n",
 			i, res.TasksPerNode[i], res.BusyPerNode[i].Round(time.Microsecond))

@@ -68,11 +68,7 @@ func main() {
 
 	// The 4-node run node by node: each node's share of the total busy
 	// time, which on-demand grants of equal-work tasks keep near 1/4.
-	shape := "vertex ranges"
-	if last.EdgeParallel {
-		shape = "edge slots"
-	}
-	fmt.Printf("\nper-node load (4 nodes, %d tasks cut as %s):\n", last.Tasks, shape)
+	fmt.Printf("\nper-node load (4 nodes, %d tasks):\n", last.Tasks)
 	var total time.Duration
 	for _, b := range last.BusyPerNode {
 		total += b

@@ -450,10 +450,6 @@ type ClusterResult struct {
 	Elapsed time.Duration
 	// Tasks is the total number of tasks the master created.
 	Tasks int
-	// EdgeParallel reports whether the master cut edge-slot tasks (it does
-	// whenever the schedule allows and more than one worker runs) rather
-	// than vertex ranges.
-	EdgeParallel bool
 	// TasksPerNode is how many tasks each node executed (load balance
 	// evidence).
 	TasksPerNode []int64
@@ -500,10 +496,9 @@ func clusterCount(tr cluster.Transport, g *Graph, p *Pattern, copt ClusterOption
 		return nil, err
 	}
 	out := &ClusterResult{
-		Count:        res.Count,
-		Elapsed:      res.Elapsed,
-		Tasks:        res.Tasks,
-		EdgeParallel: res.EdgeParallel,
+		Count:   res.Count,
+		Elapsed: res.Elapsed,
+		Tasks:   res.Tasks,
 	}
 	for _, ns := range res.Nodes {
 		out.TasksPerNode = append(out.TasksPerNode, ns.TasksRun)

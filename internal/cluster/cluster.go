@@ -9,9 +9,10 @@
 // implementation:
 //
 //   - Run is the master's policy: it cuts the outer loops into tasks of
-//     equal predicted work (edge-parallel CSR adjacency slots when the planned
-//     schedule is eligible, outermost-loop vertices otherwise; see
-//     core.Bound.RootTasks) and reduces the per-rank partial counts.
+//     equal predicted work in the binding's task space (CSR adjacency slots
+//     when the bound schedule flattens its first two loops, outermost-loop
+//     vertices otherwise; see core.Bound.RootTasks) and reduces the per-rank
+//     partial counts.
 //   - The transport (tcp_transport.go) is the master's plumbing. It holds the
 //     undealt tasks in one queue and grants them on demand: after each
 //     acknowledgement, every rank is topped up to its worker count. A lost
@@ -52,11 +53,6 @@ type Options struct {
 	ChunkSize int
 	// UseIEP asks Run to count on the IEP nest (core.Config.Bind).
 	UseIEP bool
-	// EdgeParallel selects the task shape. Auto (the zero value) packs
-	// edge-slot tasks whenever the schedule is eligible and more than one
-	// worker runs in total; On (slot tasks whenever eligible) and Off
-	// (always vertex ranges) are test hooks that force one shape.
-	EdgeParallel core.EdgeParallelMode
 	// NodeDelay artificially slows one rank per task (failure/straggler
 	// injection for tests); 0 disables.
 	NodeDelay time.Duration
@@ -101,9 +97,6 @@ type Result struct {
 	Nodes   []NodeStats
 	// Tasks is the total number of tasks the master created.
 	Tasks int
-	// EdgeParallel reports whether the master packed edge-slot tasks
-	// (true) or vertex ranges (false).
-	EdgeParallel bool
 }
 
 // MaxBusyShare returns the largest fraction of the total across per-node
@@ -147,9 +140,9 @@ func Run(cfg *core.Config, g *graph.Graph, opt Options) (*Result, error) {
 // RunBound executes a bound configuration on a cluster and returns the
 // embedding count with per-rank statistics; opt.UseIEP is ignored, as b
 // carries that decision. Counts are exact and identical for any node/worker
-// configuration, either task shape, and every transport. Workers rebind the
-// configuration they receive to the same nest, on the executor the engine
-// picks.
+// configuration, task cut and transport. Workers rebind the configuration
+// they receive to the same nest, on the executor the engine picks, and so
+// read the tasks in the same task space as the master.
 func RunBound(b core.Bound, g *graph.Graph, opt Options) (*Result, error) {
 	opt.normalize()
 	tr := opt.Transport
@@ -172,16 +165,14 @@ func RunBound(b core.Bound, g *graph.Graph, opt Options) (*Result, error) {
 	// count as the transport resolves it (remote workers may override their
 	// per-rank count): equal predicted work per task, so one hub can no
 	// longer pin a rank while its peers wait for crumbs.
-	tasks, edgePar := b.RootTasks(g, core.RunOptions{
-		Workers:      tr.TotalWorkers(opt.WorkersPerNode),
-		ChunkSize:    opt.ChunkSize,
-		EdgeParallel: opt.EdgeParallel,
+	tasks := b.RootTasks(g, core.RunOptions{
+		Workers:   tr.TotalWorkers(opt.WorkersPerNode),
+		ChunkSize: opt.ChunkSize,
 	}, tasksPerWorker)
 
 	job := &Job{
 		Bound:          b,
 		Graph:          g,
-		EdgeParallel:   edgePar,
 		WorkersPerRank: opt.WorkersPerNode,
 		NodeDelay:      opt.NodeDelay,
 		DelayedRank:    opt.DelayedNode,
@@ -191,10 +182,9 @@ func RunBound(b core.Bound, g *graph.Graph, opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Elapsed:      elapsed,
-		Tasks:        len(tasks),
-		Nodes:        make([]NodeStats, nranks),
-		EdgeParallel: edgePar,
+		Elapsed: elapsed,
+		Tasks:   len(tasks),
+		Nodes:   make([]NodeStats, nranks),
 	}
 	res.Count = reducePartials(b, partials, res.Nodes)
 	return res, nil
@@ -218,10 +208,6 @@ func reducePartials(b core.Bound, partials []RankResult, nodes []NodeStats) int6
 
 // String renders per-node statistics compactly.
 func (r *Result) String() string {
-	shape := "vertex"
-	if r.EdgeParallel {
-		shape = "edge"
-	}
-	return fmt.Sprintf("count=%d elapsed=%v tasks=%d(%s) nodes=%d",
-		r.Count, r.Elapsed, r.Tasks, shape, len(r.Nodes))
+	return fmt.Sprintf("count=%d elapsed=%v tasks=%d nodes=%d",
+		r.Count, r.Elapsed, r.Tasks, len(r.Nodes))
 }

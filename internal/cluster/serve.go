@@ -48,6 +48,14 @@ func (o ServeOptions) logf(format string, args ...any) {
 // without deadlines — counting can legitimately take minutes.
 const handshakeTimeout = 10 * time.Second
 
+// redialBackoff is the delay before the second redial attempt of a lost
+// worker (the first is immediate); the delay doubles per consecutive failure
+// up to redialBackoffMax.
+const (
+	redialBackoff    = 250 * time.Millisecond
+	redialBackoffMax = 15 * time.Second
+)
+
 // graphHolder is the worker's replica slot, shared by every connection the
 // worker serves. A worker started cold (nil graph) advertises hasGraph=false
 // and fills the slot when a master pushes a snapshot; the replica then
@@ -377,11 +385,7 @@ func drain(job *Job, rankID int, queue <-chan taskpool.Range, stop, halt *atomic
 					time.Sleep(job.NodeDelay)
 				}
 				t0 := time.Now()
-				if job.EdgeParallel {
-					counter.CountEdgeRange(t.Start, t.End)
-				} else {
-					counter.CountRange(t.Start, t.End)
-				}
+				counter.CountRange(t.Start, t.End)
 				cur := counter.Raw()
 				delta := cur - prev
 				prev = cur

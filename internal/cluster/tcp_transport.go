@@ -51,11 +51,6 @@ import (
 type DialOptions struct {
 	// Timeout bounds each worker dial + handshake (0 → 10s).
 	Timeout time.Duration
-	// RedialBackoff is the initial delay between redial attempts for a lost
-	// worker after its first (immediate) retry fails (0 → 250ms). The delay
-	// doubles per consecutive failure up to RedialBackoffMax (0 → 15s).
-	RedialBackoff    time.Duration
-	RedialBackoffMax time.Duration
 }
 
 // PoolStats is a snapshot of a pool's health.
@@ -210,24 +205,14 @@ func (t *pool) timeout() time.Duration {
 }
 
 // backoff returns the wait before redial attempt n (1-based) of a lost
-// worker: the first retry is immediate, then delays double up to the cap.
-func (t *pool) backoff(attempts int) time.Duration {
-	base := t.opt.RedialBackoff
-	if base <= 0 {
-		base = 250 * time.Millisecond
-	}
-	max := t.opt.RedialBackoffMax
-	if max <= 0 {
-		max = 15 * time.Second
-	}
-	d := base
-	for i := 1; i < attempts && d < max; i++ {
+// worker: the first retry is immediate, then delays double from
+// redialBackoff up to redialBackoffMax.
+func backoff(attempts int) time.Duration {
+	d := redialBackoff
+	for i := 1; i < attempts && d < redialBackoffMax; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
-	return d
+	return min(d, redialBackoffMax)
 }
 
 // markLost retires a link's connection: the slot stays in the pool and is
@@ -266,7 +251,7 @@ func (t *pool) Ranks() int {
 				t.rejoins.Add(1)
 			} else {
 				l.attempts++
-				l.nextTry = now.Add(t.backoff(l.attempts))
+				l.nextTry = now.Add(backoff(l.attempts))
 			}
 		}
 		if !l.lost {

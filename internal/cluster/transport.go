@@ -51,10 +51,6 @@ type Job struct {
 	// Graph is the shared data graph (every rank holds a full replica, as
 	// in the paper's MPI implementation).
 	Graph *graph.Graph
-	// EdgeParallel is the resolved task shape: true when task ranges index
-	// CSR adjacency slots (Counter.CountEdgeRange), false when they index
-	// outermost-loop vertices (Counter.CountRange).
-	EdgeParallel bool
 	// WorkersPerRank is the number of worker goroutines each rank runs.
 	WorkersPerRank int
 	// NodeDelay artificially slows rank DelayedRank per task

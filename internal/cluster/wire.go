@@ -49,7 +49,7 @@ import (
 // job state exists. Bump wireVersion when the frame layout changes.
 const (
 	wireMagic   = "GPiTP1\n"
-	wireVersion = 3
+	wireVersion = 4
 
 	// maxFrame bounds a frame payload so a corrupt or hostile peer cannot
 	// drive an arbitrary allocation (a grant of ~1M tasks fits comfortably).
@@ -260,13 +260,13 @@ func FingerprintKey(g *graph.Graph) string {
 // its inputs (pattern, schedule, restrictions, and UseIEP: whether it walks
 // the IEP nest), recompiled by core.NewConfig and rebound on the worker —
 // compilation is deterministic, so both sides execute the identical loop
-// program and counts stay bit-identical.
+// program and counts stay bit-identical. No task shape travels: the rebound
+// configuration has the master's task space (core.Bound.RootTasks).
 type jobSpec struct {
 	Rank           int
 	NumRanks       int
 	WorkersPerRank int
 	UseIEP         bool
-	EdgeParallel   bool
 	DelayNS        int64
 	DelayedRank    int
 	FailRank       int
@@ -287,11 +287,6 @@ func encodeJob(spec *jobSpec) []byte {
 	w.u32(uint32(spec.NumRanks))
 	w.u32(uint32(spec.WorkersPerRank))
 	if spec.UseIEP {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	if spec.EdgeParallel {
 		w.u8(1)
 	} else {
 		w.u8(0)
@@ -325,7 +320,6 @@ func decodeJob(payload []byte) (*jobSpec, error) {
 		NumRanks:       int(r.u32("nranks")),
 		WorkersPerRank: int(r.u32("workers")),
 		UseIEP:         r.u8("useIEP") != 0,
-		EdgeParallel:   r.u8("edgeParallel") != 0,
 		DelayNS:        r.i64("delayNS"),
 		DelayedRank:    int(r.u32("delayedRank")),
 		FailRank:       int(r.u32("failRank")),
@@ -371,7 +365,6 @@ func jobSpecOf(job *Job, rankID, nranks int) *jobSpec {
 		NumRanks:       nranks,
 		WorkersPerRank: job.WorkersPerRank,
 		UseIEP:         job.Bound.IEP(),
-		EdgeParallel:   job.EdgeParallel,
 		DelayNS:        int64(job.NodeDelay),
 		DelayedRank:    job.DelayedRank,
 		FailRank:       job.FailRank,
@@ -417,7 +410,6 @@ func (spec *jobSpec) compile(g *graph.Graph) (*Job, error) {
 	return &Job{
 		Bound:          cfg.Bind(spec.UseIEP, core.TierAuto),
 		Graph:          g,
-		EdgeParallel:   spec.EdgeParallel,
 		WorkersPerRank: spec.WorkersPerRank,
 		NodeDelay:      time.Duration(spec.DelayNS),
 		DelayedRank:    spec.DelayedRank,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
@@ -50,7 +51,6 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	job := &Job{
 		Bound:          cfg.Bind(true, core.TierAuto),
 		Graph:          g,
-		EdgeParallel:   true,
 		WorkersPerRank: 3,
 		NodeDelay:      5 * time.Millisecond,
 		DelayedRank:    1,
@@ -75,8 +75,40 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		t.Errorf("recompiled config %s != %s", rebuilt.Bound.Config(), cfg)
 	}
 	if rebuilt.NodeDelay != job.NodeDelay || rebuilt.DelayedRank != job.DelayedRank ||
-		!rebuilt.Bound.IEP() || !rebuilt.EdgeParallel || rebuilt.WorkersPerRank != 3 {
+		!rebuilt.Bound.IEP() || rebuilt.WorkersPerRank != 3 {
 		t.Errorf("job options lost: %+v", rebuilt)
+	}
+}
+
+// TestWireVersion pins protocol version 4, whose job frame carries no task
+// shape: the UseIEP byte is followed directly by the injected delay. A peer
+// speaking version 3 fails the handshake from either side.
+func TestWireVersion(t *testing.T) {
+	if wireVersion != 4 {
+		t.Fatalf("wireVersion = %d, want 4", wireVersion)
+	}
+	g := graph.BarabasiAlbert(120, 3, 1)
+	job := &Job{Bound: planFor(t, g, pattern.House()).Bind(true, core.TierAuto), Graph: g,
+		WorkersPerRank: 3, NodeDelay: 0x0102030405060708}
+	payload := encodeJob(jobSpecOf(job, 2, 4))
+	const iepAt = 12 // after rank, nranks and workers
+	if payload[iepAt] != 1 {
+		t.Fatalf("job frame: UseIEP byte %d, want 1", payload[iepAt])
+	}
+	if got := binary.LittleEndian.Uint64(payload[iepAt+1:]); got != uint64(job.NodeDelay) {
+		t.Errorf("job frame: the delay after UseIEP reads %#x, want %#x", got, uint64(job.NodeDelay))
+	}
+
+	var w wbuf
+	w.str(wireMagic)
+	w.u32(3)
+	if err := decodeHello(w.b); err == nil {
+		t.Error("a version-3 hello was accepted")
+	}
+	welcome := encodeWelcome(2, fingerprintOf(g), true)
+	binary.LittleEndian.PutUint32(welcome, 3)
+	if _, _, _, err := decodeWelcome(welcome); err == nil {
+		t.Error("a version-3 welcome was accepted")
 	}
 }
 

@@ -83,33 +83,13 @@ func (c *Clique) Stats() *telemetry.RunStats      { return c.st }
 
 func (c *Clique) stopped() bool { return c.stop != nil && c.stop.Load() }
 
-// RunRoot counts the cliques whose largest vertex lies in [start, end).
+// RunTask counts the cliques whose two largest vertices form one of the CSR
+// adjacency slots [start, end): the kernel's root tasks are slot ranges. A
+// slot selects a position of its owner's candidate set, so a root's
+// adjacency may be split over tasks anywhere.
 //
 //graphpi:deterministic
-func (c *Clique) RunRoot(start, end int) {
-	l0, l1 := c.st.Level(0), c.st.Level(1)
-	if l0 != nil && end > start {
-		l0.Scan(end-start, 0)
-	}
-	for v := start; v < end; v++ {
-		if c.stopped() {
-			return
-		}
-		nb := c.g.Neighbors(uint32(v))
-		cand := vertexset.Below(nb, uint32(v))
-		if l1 != nil {
-			l1.Scan(len(cand), len(nb)-len(cand))
-		}
-		c.count += c.countIn(cand, 0, len(cand), c.q-1, 1)
-	}
-}
-
-// RunRootEdges counts the cliques whose two largest vertices form one of the
-// CSR adjacency slots [start, end): a slot selects a position of its owner's
-// candidate set, so a root's adjacency may be split over tasks anywhere.
-//
-//graphpi:deterministic
-func (c *Clique) RunRootEdges(start, end int) {
+func (c *Clique) RunTask(start, end int) {
 	if start >= end {
 		return
 	}

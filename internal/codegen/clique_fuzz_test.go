@@ -1,8 +1,8 @@
 package codegen_test
 
-// Fuzz target for the clique kernel: arbitrary small graphs, K3..K6, the
-// vertex range and the slot range each cut at an arbitrary point, hub bitmaps
-// on or off — always against the all-injective-maps count. Run with
+// Fuzz target for the clique kernel: arbitrary small graphs, K3..K6, the slot
+// range cut at an arbitrary point, hub bitmaps on or off — always against the
+// all-injective-maps count. Run with
 //
 //	go test -fuzz=FuzzCliqueKernel -fuzztime=30s ./internal/codegen
 
@@ -54,16 +54,10 @@ func FuzzCliqueKernel(f *testing.F) {
 		q := 3 + int(qb)%4
 		want := baseline.BruteForceCount(g, pattern.Clique(q))
 
-		nv, m := g.NumVertices(), g.NumAdjSlots()
-		byVertex := codegen.NewClique(g, q, nil)
-		byVertex.RunRoot(0, int(cut)%(nv+1))
-		byVertex.RunRoot(int(cut)%(nv+1), nv)
-		if got := byVertex.Count(); got != want {
-			t.Errorf("K%d, vertex ranges cut at %d: counted %d, brute force %d", q, int(cut)%(nv+1), got, want)
-		}
+		m := g.NumAdjSlots()
 		bySlot := codegen.NewClique(g, q, nil)
-		bySlot.RunRootEdges(0, int(cut)%(m+1))
-		bySlot.RunRootEdges(int(cut)%(m+1), m)
+		bySlot.RunTask(0, int(cut)%(m+1))
+		bySlot.RunTask(int(cut)%(m+1), m)
 		if got := bySlot.Count(); got != want {
 			t.Errorf("K%d, slot ranges cut at %d: counted %d, brute force %d", q, int(cut)%(m+1), got, want)
 		}

@@ -99,18 +99,10 @@ func hubHeavyGraph(t testing.TB, n, m, hubs int, seed uint64) *graph.Graph {
 	return g
 }
 
-func countVertices(g *graph.Graph, q int, cuts ...int) int64 {
-	c := NewClique(g, q, nil)
-	for i := 0; i+1 < len(cuts); i++ {
-		c.RunRoot(cuts[i], cuts[i+1])
-	}
-	return c.Count()
-}
-
 func countSlots(g *graph.Graph, q int, cuts ...int) int64 {
 	c := NewClique(g, q, nil)
 	for i := 0; i+1 < len(cuts); i++ {
-		c.RunRootEdges(cuts[i], cuts[i+1])
+		c.RunTask(cuts[i], cuts[i+1])
 	}
 	return c.Count()
 }
@@ -123,9 +115,6 @@ func TestCliquePlantedCounts(t *testing.T) {
 			for _, s := range sizes {
 				want += binom(s, q)
 			}
-			if got := countVertices(g, q, 0, g.NumVertices()); got != want {
-				t.Errorf("K%d in K%v: vertex ranges counted %d, want %d", q, sizes, got, want)
-			}
 			if got := countSlots(g, q, 0, g.NumAdjSlots()); got != want {
 				t.Errorf("K%d in K%v: slot ranges counted %d, want %d", q, sizes, got, want)
 			}
@@ -135,10 +124,9 @@ func TestCliquePlantedCounts(t *testing.T) {
 	planted([]int{3, 4}, 70, 130) // rows of two and three words
 }
 
-// TestCliqueRangeSplit cuts the vertex range and the slot range at every
-// point — most slot cuts fall inside one root's adjacency, some inside the
-// part of it above the root that selects nothing — on plain and
-// bitmap-accelerated graphs.
+// TestCliqueRangeSplit cuts the slot range at every point — most cuts fall
+// inside one root's adjacency, some inside the part of it above the root that
+// selects nothing — on plain and bitmap-accelerated graphs.
 func TestCliqueRangeSplit(t *testing.T) {
 	plain := graph.BarabasiAlbert(90, 6, 99)
 	hubs := graph.BarabasiAlbert(90, 6, 99)
@@ -149,12 +137,7 @@ func TestCliqueRangeSplit(t *testing.T) {
 			t.Fatalf("K%d: fixture has no clique", q)
 		}
 		for name, g := range map[string]*graph.Graph{"plain": plain, "hubs": hubs} {
-			nv, m := g.NumVertices(), g.NumAdjSlots()
-			for cut := 0; cut <= nv; cut++ {
-				if got := countVertices(g, q, 0, cut, nv); got != want {
-					t.Fatalf("K%d %s: vertex ranges cut at %d sum to %d, want %d", q, name, cut, got, want)
-				}
-			}
+			m := g.NumAdjSlots()
 			for cut := 0; cut <= m; cut++ {
 				if got := countSlots(g, q, 0, cut, m); got != want {
 					t.Fatalf("K%d %s: slot ranges cut at %d sum to %d, want %d", q, name, cut, got, want)
@@ -171,7 +154,7 @@ func TestCliqueListDescent(t *testing.T) {
 	g := hubHeavyGraph(t, 120, 900, 10, 5)
 	gHub := hubHeavyGraph(t, 120, 900, 10, 5)
 	gHub.BuildHubBitmaps(1<<24, 8)
-	nv, m := g.NumVertices(), g.NumAdjSlots()
+	m := g.NumAdjSlots()
 	for q := 3; q <= 6; q++ {
 		want := refCliques(g, q)
 		for _, limit := range []int{cliqueCap, 40, 6, 1} {
@@ -180,18 +163,18 @@ func TestCliqueListDescent(t *testing.T) {
 				c := NewClique(gg, q, nil)
 				c.cap = limit
 				c.SetStats(st)
-				c.RunRoot(0, nv)
+				c.RunTask(0, m)
 				if c.Count() != want {
-					t.Errorf("K%d %s cap %d: vertex ranges counted %d, want %d", q, name, limit, c.Count(), want)
+					t.Errorf("K%d %s cap %d: one slot range counted %d, want %d", q, name, limit, c.Count(), want)
 				}
 				if leaf := st.Levels[q-1].Candidates; leaf != uint64(want) {
 					t.Errorf("K%d %s cap %d: leaf level scanned %d candidates, count is %d", q, name, limit, leaf, want)
 				}
 				e := NewClique(gg, q, nil)
 				e.cap = limit
-				e.RunRootEdges(0, m/3)
-				e.RunRootEdges(m/3, m-7) // m-7: inside the last hub's adjacency
-				e.RunRootEdges(m-7, m)
+				e.RunTask(0, m/3)
+				e.RunTask(m/3, m-7) // m-7: inside the last hub's adjacency
+				e.RunTask(m-7, m)
 				if e.Count() != want {
 					t.Errorf("K%d %s cap %d: slot ranges counted %d, want %d", q, name, limit, e.Count(), want)
 				}
@@ -200,7 +183,8 @@ func TestCliqueListDescent(t *testing.T) {
 	}
 }
 
-// TestCliqueStats pins what the counters mean: level 0 scans roots, the leaf
+// TestCliqueStats pins what the counters mean: level 0 scans roots, one scan
+// per root a task reaches, the leaf
 // level's candidates are the cliques, and a split root is counted by both
 // halves without either building the other's rows.
 func TestCliqueStats(t *testing.T) {
@@ -208,12 +192,12 @@ func TestCliqueStats(t *testing.T) {
 	st := telemetry.NewRunStats(4)
 	c := NewClique(g, 4, nil)
 	c.SetStats(st)
-	c.RunRoot(0, 12)
+	c.RunTask(0, g.NumAdjSlots())
 	if c.Count() != binom(12, 4) || st.Levels[3].Candidates != uint64(binom(12, 4)) {
 		t.Fatalf("K4 in K12: counted %d, leaf candidates %d, want %d", c.Count(), st.Levels[3].Candidates, binom(12, 4))
 	}
-	if st.Levels[0].Scans != 1 || st.Levels[0].Candidates != 12 {
-		t.Errorf("level 0: %+v, want one scan of 12 roots", st.Levels[0])
+	if st.Levels[0].Scans != 12 || st.Levels[0].Candidates != 12 {
+		t.Errorf("level 0: %+v, want one scan of each of 12 roots", st.Levels[0])
 	}
 	// One row per (root, candidate) pair, one AND per triangle and per K4's
 	// top triple; nothing is ever empty before the leaf in a complete graph
@@ -231,7 +215,7 @@ func TestCliqueStats(t *testing.T) {
 	half := telemetry.NewRunStats(4)
 	h := NewClique(g, 4, nil)
 	h.SetStats(half)
-	h.RunRootEdges(first, first+4)
+	h.RunTask(first, first+4)
 	if h.Count() != binom(4, 3) {
 		t.Errorf("slots of the 4 smallest candidates counted %d, want %d", h.Count(), binom(4, 3))
 	}
@@ -245,8 +229,7 @@ func TestCliqueStop(t *testing.T) {
 	var stop atomic.Bool
 	stop.Store(true)
 	c := NewClique(g, 4, &stop)
-	c.RunRoot(0, g.NumVertices())
-	c.RunRootEdges(0, g.NumAdjSlots())
+	c.RunTask(0, g.NumAdjSlots())
 	if c.Count() != 0 {
 		t.Errorf("stopped kernel counted %d, want 0", c.Count())
 	}
@@ -258,7 +241,7 @@ func TestCliqueStop(t *testing.T) {
 	stop.Store(false)
 	time.AfterFunc(20*time.Millisecond, func() { stop.Store(true) })
 	c = NewClique(big, 9, &stop)
-	c.RunRoot(55, 56)
+	c.RunTask(big.AdjSlotRange(55))
 	if full := binom(55, 8); c.Count() >= full {
 		t.Errorf("stop raised mid-root: counted %d of %d, want a partial tally", c.Count(), full)
 	}
@@ -274,7 +257,7 @@ func BenchmarkCliqueRMAT(b *testing.B) {
 		b.Run(fmt.Sprintf("k%d", q), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := NewClique(g, q, nil)
-				c.RunRoot(0, g.NumVertices())
+				c.RunTask(0, g.NumAdjSlots())
 			}
 		})
 	}

@@ -4,7 +4,7 @@ package core
 // on one graph is a row (an arm), and checkArms runs a list of rows and holds
 // each to one oracle count. Each restriction set removes redundant work
 // completely (paper §IV-A), so every executor, nest, lowering mark,
-// orientation, worker count and task shape must return the same exact count;
+// orientation, worker count and task cut must return the same exact count;
 // the equivalence tests differ only in their graphs, configurations and arm
 // lists, and an arm added here is one more row any of them can list. The
 // benchmarks time rows of the same table (benchArms).
@@ -29,7 +29,7 @@ type entry uint8
 
 const (
 	viaRun       entry = iota // Bound.Run over the engine's own root tasks
-	viaCounter                // Counters over explicit vertex or slot ranges, as cluster workers run them
+	viaCounter                // Counters over explicit ranges of the binding's task space, as cluster workers run them
 	viaEnumerate              // Config.Enumerate, checksummed
 )
 
@@ -50,11 +50,10 @@ type arm struct {
 	tier    Tier // asked of Bind: the clique kernel runs only on total-order cliques
 	iep     bool // the IEP nest, else the full one (Enumerate always walks the full nest)
 	strip   strip
-	mirror  bool             // Config.Mirror's orientation instead of the planned one
-	workers int              // Run's workers, or the Counters the ranges are dealt to
-	shape   EdgeParallelMode // vertex tasks (Off), slot tasks (On) or the engine's choice (Auto)
-	chunk   int              // RunOptions.ChunkSize, or a Counter's range length (0: one range)
-	stats   bool             // telemetry on
+	mirror  bool // Config.Mirror's orientation instead of the planned one
+	workers int  // Run's workers, or the Counters the ranges are dealt to
+	chunk   int  // RunOptions.ChunkSize, or a Counter's range length (0: one range)
+	stats   bool // telemetry on
 }
 
 // String names a's columns that differ from the defaults axes fills in.
@@ -71,7 +70,6 @@ func (a arm) String() string {
 	col(a.strip != keepMarks, "%s", [...]string{"", "noMemo", "noRows"}[a.strip])
 	col(a.mirror, "%s", "mirror")
 	col(a.workers != 1, "workers=%d", a.workers)
-	col(a.shape != EdgeParallelAuto, "%s", [...]string{"", "slots", "vertices"}[a.shape])
 	col(a.chunk != 0, "chunk=%d", a.chunk)
 	col(a.stats, "%s", "stats")
 	if cols == nil {
@@ -82,7 +80,7 @@ func (a arm) String() string {
 
 // axes lists values per column; arms returns their product. A nil column
 // keeps the default: Run, TierAuto, the full nest, every mark, the planned
-// orientation, one worker, the engine's task shape and cut, no telemetry.
+// orientation, one worker, the engine's task cut, no telemetry.
 type axes struct {
 	entry   []entry
 	tier    []Tier
@@ -90,22 +88,17 @@ type axes struct {
 	strip   []strip
 	mirror  []bool
 	workers []int
-	shape   []EdgeParallelMode
 	chunk   []int
 	stats   []bool
 }
 
 // Column values the tests share.
 var (
-	both         = []bool{false, true}
-	on           = []bool{true}
-	interpreted  = []Tier{TierInterpret}
-	counted      = []entry{viaCounter}
-	enumerated   = []entry{viaEnumerate}
-	vertexTasks  = []EdgeParallelMode{EdgeParallelOff}
-	slotTasks    = []EdgeParallelMode{EdgeParallelOn}
-	forcedShapes = []EdgeParallelMode{EdgeParallelOff, EdgeParallelOn}
-	everyShape   = []EdgeParallelMode{EdgeParallelOff, EdgeParallelAuto, EdgeParallelOn}
+	both        = []bool{false, true}
+	on          = []bool{true}
+	interpreted = []Tier{TierInterpret}
+	counted     = []entry{viaCounter}
+	enumerated  = []entry{viaEnumerate}
 )
 
 func expand[T any](as []arm, vals []T, set func(*arm, T)) []arm {
@@ -130,7 +123,6 @@ func (x axes) arms() []arm {
 	as = expand(as, x.strip, func(a *arm, v strip) { a.strip = v })
 	as = expand(as, x.mirror, func(a *arm, v bool) { a.mirror = v })
 	as = expand(as, x.workers, func(a *arm, v int) { a.workers = v })
-	as = expand(as, x.shape, func(a *arm, v EdgeParallelMode) { a.shape = v })
 	as = expand(as, x.chunk, func(a *arm, v int) { a.chunk = v })
 	as = expand(as, x.stats, func(a *arm, v bool) { a.stats = v })
 	return as
@@ -173,7 +165,7 @@ type armResult struct {
 func (a arm) run(t testing.TB, label string, g *graph.Graph, c *Config, adj *adjMatrix) (armResult, Bound) {
 	t.Helper()
 	b := c.Bind(a.iep, a.tier)
-	opt := RunOptions{Workers: a.workers, EdgeParallel: a.shape, ChunkSize: a.chunk}
+	opt := RunOptions{Workers: a.workers, ChunkSize: a.chunk}
 	if a.stats {
 		opt.Stats = telemetry.NewRunStats(c.N())
 	}
@@ -207,7 +199,8 @@ func (a arm) run(t testing.TB, label string, g *graph.Graph, c *Config, adj *adj
 //   - a Counter runs the executor the binding names;
 //   - under telemetry, every level's kernels and memo hits sum to its
 //     intersections, memo hits come only from levels the nest marks, a
-//     non-empty graph scans at level 0, and the clique kernel's leaf level
+//     non-empty task space scans at level 0 (an edgeless graph gives a binding
+//     that takes slot tasks nothing to run), and the clique kernel's leaf level
 //     scans exactly the embeddings it counts;
 //   - arms of one cell — equal in every column but the marks — with
 //     telemetry on book identical counters but for the kernel split, the
@@ -290,7 +283,7 @@ func checkStats(t *testing.T, label string, g *graph.Graph, b Bound, st *telemet
 			t.Errorf("%s level %d: %d memo hits on a level the nest does not mark", label, d, l.MemoHits)
 		}
 	}
-	if g.NumVertices() > 0 && st.Levels[0].Scans == 0 {
+	if taskSpace(b, g) > 0 && st.Levels[0].Scans == 0 {
 		t.Errorf("%s: telemetry recorded no level-0 scans", label)
 	}
 	if leaf := st.Levels[len(st.Levels)-1]; b.clique && leaf.Candidates != uint64(count) {
@@ -315,16 +308,12 @@ func sameCounters(t *testing.T, label string, refArm arm, ref, got *telemetry.Ru
 	}
 }
 
-// countRanges counts b on g through Counters, one per worker, dealt the
-// ranges round-robin: slot ranges when the arm asks for slot tasks and b
-// takes them, vertex ranges otherwise.
+// countRanges counts b on g through Counters, one per worker, dealt ranges
+// of b's task space round-robin: a.chunk slots or vertices each, or the whole
+// space as one range.
 func countRanges(t testing.TB, label string, b Bound, g *graph.Graph, a arm) int64 {
 	t.Helper()
-	slots := a.shape == EdgeParallelOn && b.EdgeParallelEligible()
-	n := g.NumVertices()
-	if slots {
-		n = g.NumAdjSlots()
-	}
+	n := taskSpace(b, g)
 	size := cmp.Or(a.chunk, max(n, 1))
 	cs := make([]*Counter, a.workers)
 	for i := range cs {
@@ -334,17 +323,22 @@ func countRanges(t testing.TB, label string, b Bound, g *graph.Graph, a arm) int
 		}
 	}
 	for i, tk := range equalCut(n, size) {
-		if slots {
-			cs[i%len(cs)].CountEdgeRange(tk.Start, tk.End)
-		} else {
-			cs[i%len(cs)].CountRange(tk.Start, tk.End)
-		}
+		cs[i%len(cs)].CountRange(tk.Start, tk.End)
 	}
 	var raw int64
 	for _, c := range cs {
 		raw += c.Raw()
 	}
 	return b.ScaleIEP(raw)
+}
+
+// taskSpace is the size of b's task space on g: its CSR slots when b
+// flattens its first two loops, its vertices otherwise.
+func taskSpace(b Bound, g *graph.Graph) int {
+	if b.slotTasks() {
+		return g.NumAdjSlots()
+	}
+	return g.NumVertices()
 }
 
 // enumerateChecked enumerates c on g and returns the count and the checksum:

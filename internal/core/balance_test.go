@@ -39,67 +39,60 @@ func hubRootTriangle(t testing.TB) *Config {
 }
 
 // TestEdgeParallelBalance measures, deterministically, the straggler effect
-// the edge-parallel sweep eliminates. Work per task is proxied by the number
-// of matches the task finds (on the star+ring fixture all matches live under
-// the hub root). Vertex tasks put ~100% of the matches in the single task
-// owning the hub, however they are cut; slot tasks split the hub's adjacency
-// over many tasks. Wall-clock speedup is this ratio on a machine with
-// enough cores; match shares make the test hardware-independent.
+// slot tasks eliminate. Work per task is proxied by the number of matches the
+// task finds: on the star+ring fixture all matches live under the hub root,
+// so any cut into vertex ranges puts the hub root's whole share in one task.
+// That share is the baseline, counted by one Counter range over the hub's
+// slots. The engine's slot tasks split the hub's adjacency over many tasks.
+// Wall-clock speedup is this ratio on a machine with enough cores; match
+// shares make the test hardware-independent.
 func TestEdgeParallelBalance(t *testing.T) {
 	const n = 20000
 	g := starRingGraph(n)
-	cfg := hubRootTriangle(t)
-	total := cfg.Bind(false, TierAuto).Count(g, RunOptions{Workers: 1, EdgeParallel: EdgeParallelOff})
+	b := hubRootTriangle(t).Bind(false, TierAuto)
+	if !b.slotTasks() {
+		t.Fatal("the hub-root triangle should take slot tasks")
+	}
+	total := b.Count(g, RunOptions{Workers: 1})
 	if total < int64(n)-10 {
 		t.Fatalf("fixture broken: %d triangles", total)
 	}
 
-	maxShare := func(tasks []taskpool.Range, edge bool) float64 {
-		c := NewCounter(cfg.Bind(false, TierAuto), g, nil)
-		var maxDelta, prev int64
-		for _, tk := range tasks {
-			if edge {
-				c.CountEdgeRange(tk.Start, tk.End)
-			} else {
-				c.CountRange(tk.Start, tk.End)
-			}
-			if d := c.Raw() - prev; d > maxDelta {
-				maxDelta = d
-			}
-			prev = c.Raw()
-		}
-		if c.Raw() != total {
-			t.Fatalf("task cover lost matches: %d != %d", c.Raw(), total)
-		}
-		return float64(maxDelta) / float64(total)
-	}
+	hub := NewCounter(b, g, nil)
+	hub.CountRange(g.AdjSlotRange(uint32(n - 1)))
+	hubShare := float64(hub.Raw()) / float64(total)
 
-	opt := RunOptions{Workers: 8, EdgeParallel: EdgeParallelOff}
-	vertexTasks, _ := cfg.Bind(false, TierAuto).RootTasks(g, opt, engineTasksPerWorker)
-	opt.EdgeParallel = EdgeParallelOn
-	edgeTasks, _ := cfg.Bind(false, TierAuto).RootTasks(g, opt, engineTasksPerWorker)
-
-	vShare := maxShare(vertexTasks, false)
-	eShare := maxShare(edgeTasks, true)
-	t.Logf("max task share: vertex-chunked %.4f (%d tasks), edge-parallel %.4f (%d tasks)",
-		vShare, len(vertexTasks), eShare, len(edgeTasks))
-	if vShare < 0.9 {
-		t.Errorf("fixture should serialize vertex chunks: max share %.4f", vShare)
+	tasks := b.RootTasks(g, RunOptions{Workers: 8}, engineTasksPerWorker)
+	c := NewCounter(b, g, nil)
+	var maxDelta, prev int64
+	for _, tk := range tasks {
+		c.CountRange(tk.Start, tk.End)
+		maxDelta, prev = max(maxDelta, c.Raw()-prev), c.Raw()
 	}
-	if eShare > 0.05 {
-		t.Errorf("edge-parallel max task share %.4f, want <= 0.05", eShare)
+	if c.Raw() != total {
+		t.Fatalf("task cover lost matches: %d != %d", c.Raw(), total)
+	}
+	share := float64(maxDelta) / float64(total)
+	t.Logf("hub root's share (any vertex cut's largest task) %.4f; slot tasks' max share %.4f (%d tasks)",
+		hubShare, share, len(tasks))
+	if hubShare < 0.9 {
+		t.Errorf("fixture should put the work under the hub root: its share is %.4f", hubShare)
+	}
+	if share > 0.05 {
+		t.Errorf("slot tasks' max share %.4f, want <= 0.05", share)
 	}
 }
 
-// TestCountEdgeRangeCoversExactly cross-checks the Counter edge-task API:
-// any partition of the slot space must reproduce the full count.
-func TestCountEdgeRangeCoversExactly(t *testing.T) {
+// TestCountRangeCoversExactly cross-checks the Counter task API on a binding
+// that takes slot tasks: any partition of the slot space must reproduce the
+// full count.
+func TestCountRangeCoversExactly(t *testing.T) {
 	g := graph.BarabasiAlbert(500, 4, 3)
 	cfg := hubRootTriangle(t)
-	if !cfg.Bind(false, TierAuto).EdgeParallelEligible() {
-		t.Fatal("triangle config should be edge-eligible")
+	if !cfg.Bind(false, TierAuto).slotTasks() {
+		t.Fatal("triangle config should take slot tasks")
 	}
-	checkArms(t, "triangle", g, cfg, reference(cfg, g), axes{entry: counted, shape: slotTasks, chunk: []int{1, 7, 64, 100000}}.arms())
+	checkArms(t, "triangle", g, cfg, reference(cfg, g), axes{entry: counted, chunk: []int{1, 7, 64, 100000}}.arms())
 }
 
 // equalCut splits [0, n) into ⌈n/size⌉ ranges whose sizes differ by at most
@@ -111,16 +104,12 @@ func equalCut(n, size int) []taskpool.Range {
 // taskWork runs the tasks in order on one interpreter worker with telemetry
 // on and returns each task's work units: the scans, candidates and
 // intersections it recorded, summed over levels.
-func taskWork(cfg *Config, g *graph.Graph, tasks []taskpool.Range, edge bool) []uint64 {
+func taskWork(cfg *Config, g *graph.Graph, tasks []taskpool.Range) []uint64 {
 	w := cfg.Bind(true, TierAuto).newWorker(g, RunOptions{Stats: telemetry.NewRunStats(cfg.N())}, nil, nil)
 	work := make([]uint64, len(tasks))
 	var done uint64
 	for i, tk := range tasks {
-		if edge {
-			w.RunRootEdges(tk.Start, tk.End)
-		} else {
-			w.RunRoot(tk.Start, tk.End)
-		}
+		w.RunTask(tk.Start, tk.End)
 		var units uint64
 		for d := 0; d < cfg.N(); d++ {
 			l := w.Stats().Level(d)
@@ -169,19 +158,17 @@ func TestRootTasksBalanceByWorkUnits(t *testing.T) {
 	g := graph.BarabasiAlbert(20000, 8, 1).Reorder()
 	g.BuildHubBitmaps(0, 0)
 	cfg := planFor(t, g, pattern.Cycle6Tri())
-	tasks, edge := cfg.Bind(true, TierAuto).RootTasks(g, RunOptions{Workers: ranks}, 16)
-	n := g.NumVertices()
-	if edge {
-		n = g.NumAdjSlots()
-	}
+	b := cfg.Bind(true, TierAuto)
+	tasks := b.RootTasks(g, RunOptions{Workers: ranks}, 16)
+	n := taskSpace(b, g)
 	equal := equalCut(n, (n+len(tasks)-1)/len(tasks))
 	if len(tasks) != 16*ranks || len(equal) != len(tasks) {
 		t.Fatalf("cut %d tasks by work and %d by size, want %d", len(tasks), len(equal), 16*ranks)
 	}
-	byWork, bySize := taskWork(cfg, g, tasks, edge), taskWork(cfg, g, equal, edge)
+	byWork, bySize := taskWork(cfg, g, tasks), taskWork(cfg, g, equal)
 	wShare, sShare := grantShare(byWork, ranks), grantShare(bySize, ranks)
-	t.Logf("edge=%v: busy share %.3f cut by work (first task %d units), %.3f cut by size (first task %d units)",
-		edge, wShare, byWork[0], sShare, bySize[0])
+	t.Logf("slots=%v: busy share %.3f cut by work (first task %d units), %.3f cut by size (first task %d units)",
+		b.slotTasks(), wShare, byWork[0], sShare, bySize[0])
 	if wShare > bound {
 		t.Errorf("cut by predicted work: busy share %.3f, want <= %.2f", wShare, bound)
 	}

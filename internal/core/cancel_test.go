@@ -117,9 +117,9 @@ func TestCounterStop(t *testing.T) {
 	var stop atomic.Bool
 	stop.Store(true)
 	for _, cfg := range []*Config{house, cliqueConfig(t, 4)} {
-		c := NewCounter(cfg.Bind(false, TierAuto), g, &stop)
-		c.CountRange(0, g.NumVertices())
-		c.CountEdgeRange(0, g.NumAdjSlots())
+		b := cfg.Bind(false, TierAuto)
+		c := NewCounter(b, g, &stop)
+		c.CountRange(0, taskSpace(b, g))
 		if c.Raw() != 0 {
 			t.Fatalf("%s: stopped counter tallied %d, want 0", cfg.Pattern, c.Raw())
 		}

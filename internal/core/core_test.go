@@ -146,6 +146,52 @@ func TestGraphZeroRestrictionSetCorrect(t *testing.T) {
 	}
 }
 
+// TestPlanAboveOrderTable plans 9-vertex patterns, which have no order table
+// and so take GraphZero's set, and checks each planned count against the
+// GraphZero identity: the count of the same schedule without restrictions,
+// divided by |Aut|, on small random graphs dense enough to hold the pattern.
+func TestPlanAboveOrderTable(t *testing.T) {
+	stats := graph.BarabasiAlbert(3000, 4, 1).Stats()
+	k10 := buildGraph(t, 40, graph.GNM(40, 80, 3), func(add func(u, v int)) {
+		for i := range 10 {
+			for j := range i {
+				add(3*i, 3*j)
+			}
+		}
+	})
+	k56 := buildGraph(t, 30, graph.GNM(30, 60, 4), func(add func(u, v int)) {
+		for i := range 5 {
+			for j := range 6 {
+				add(2*i, 2*j+1)
+			}
+		}
+	})
+	for _, tc := range []struct {
+		p *pattern.Pattern
+		g *graph.Graph
+	}{
+		{pattern.CycleN(9), graph.GNM(22, 60, 5)},
+		{pattern.CompleteBipartite(4, 5), k56},
+		{pattern.Clique(9), k10},
+	} {
+		res, err := Plan(tc.p, stats, PlanOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.p, err)
+		}
+		cfg := res.Best
+		if gz := restrict.GraphZeroSet(tc.p); res.NumRestrictionSets != 1 || len(cfg.Restrictions) != len(gz) {
+			t.Errorf("%s: planned %d sets, best %v; want GraphZero's %v alone", tc.p, res.NumRestrictionSets, cfg.Restrictions, gz)
+		}
+		t.Logf("%s: planned in %v", tc.p, res.PrepTime)
+		free := reference(mustConfig(t, tc.p, cfg.Schedule, nil), tc.g)
+		want := free / int64(len(tc.p.Automorphisms()))
+		if want == 0 || free%int64(len(tc.p.Automorphisms())) != 0 {
+			t.Fatalf("%s: %d unrestricted embeddings, |Aut| %d", tc.p, free, len(tc.p.Automorphisms()))
+		}
+		checkArms(t, tc.p.String(), tc.g, cfg, want, axes{iep: both, workers: []int{1, 3}}.arms())
+	}
+}
+
 func TestParallelCountMatchesSequential(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 5, 17)
 	cfg := firstConfig(t, pattern.House(), 0)

@@ -13,21 +13,6 @@ import (
 	"graphpi/internal/vertexset"
 )
 
-// EdgeParallelMode selects how the outermost loops are parallelized. Only
-// tests set it: the engine picks the task shape (RootTasks), and On and Off
-// exist so equivalence tests can force both shapes.
-type EdgeParallelMode uint8
-
-const (
-	// EdgeParallelAuto (the default) uses edge-parallel root scheduling
-	// whenever the schedule is eligible and more than one worker runs.
-	EdgeParallelAuto EdgeParallelMode = iota
-	// EdgeParallelOn forces edge-parallel roots whenever eligible.
-	EdgeParallelOn
-	// EdgeParallelOff always chunks the outer loop by vertex ranges.
-	EdgeParallelOff
-)
-
 // RunOptions controls the execution of a compiled configuration.
 type RunOptions struct {
 	// Workers is the number of goroutines (< 1 → GOMAXPROCS). The result
@@ -35,15 +20,8 @@ type RunOptions struct {
 	Workers int
 	// ChunkSize sets the task granularity in outermost-loop vertices:
 	// < 1 → cut by predicted work (RootTasks); > 0 → fixed-size test hook,
-	// ⌈|V|/ChunkSize⌉ equal-size tasks of either shape.
+	// ⌈|V|/ChunkSize⌉ equal-size tasks of the binding's task space.
 	ChunkSize int
-	// EdgeParallel selects the root scheduling discipline. When the
-	// schedule's second loop iterates N(v0), the first two loops flatten
-	// into a sweep over CSR edge slots, making work units proportional to
-	// edges instead of vertices — a single hub can no longer serialize a
-	// whole chunk (paper §IV-E's skew problem). Auto enables it for
-	// multi-worker runs on eligible schedules; On and Off are test hooks.
-	EdgeParallel EdgeParallelMode
 	// Stats, when non-nil, enables per-level telemetry: every worker
 	// records into a private shard and the shards are merged into Stats
 	// when the run returns. The counts themselves are bit-identical with
@@ -101,7 +79,7 @@ func (b Bound) Tier() Tier {
 // Run counts the embeddings of b's pattern on g. With the full nest each
 // embedding counts once if the restriction set is complete, and |Aut| times
 // with an empty set; the IEP nest returns the same numbers, typically far
-// faster. The count is identical for every worker count and task shape.
+// faster. The count is identical for every worker count and task cut.
 //
 // ctx cancels the run cooperatively: every worker observes cancellation at
 // its next outer-loop vertex (or edge-slot group) boundary and returns, so
@@ -146,11 +124,13 @@ func (c *Config) EnumerateAll(g *graph.Graph, opt RunOptions, visit func([]uint3
 // full nest.
 func (c *Config) enumerator() Bound { return Bound{cfg: c, prog: c.progEnum} }
 
-// EdgeParallelEligible reports whether the first two loops can be flattened
-// into an edge sweep: depth 1 must iterate N(v0) and must not already be
-// consumed by the IEP suffix. RootTasks packs Counter.CountEdgeRange tasks
-// only then.
-func (b Bound) EdgeParallelEligible() bool {
+// slotTasks reports whether b's root tasks are CSR slot ranges: the first two
+// loops flatten into an edge sweep when depth 1 iterates N(v0) and is not
+// already consumed by the IEP suffix. Every clique binding flattens (K≥3, and
+// the clique kernel runs the full nest). The bindings that cannot — a
+// one-vertex pattern, an IEP cut right after depth 0 (paths, stars), a
+// depth-1 loop over another set — take outermost-loop vertex ranges.
+func (b Bound) slotTasks() bool {
 	if b.cfg.n < 2 || b.prog.IEPCut == 0 { // IEP takes over right after depth 0
 		return false
 	}
@@ -163,12 +143,15 @@ func (b Bound) EdgeParallelEligible() bool {
 // runs long, few enough that claiming one stays cheap.
 const engineTasksPerWorker = 64
 
-// RootTasks cuts a run's outermost loops into root tasks and reports whether
-// they are CSR slot ranges (edge-parallel) or vertex ranges. It is the one
-// cutter behind local runs and the cluster master: opt.Workers is the total
-// worker count the tasks are for and perWorker how many tasks each should
-// get. Slot tasks are packed when b is EdgeParallelEligible and
-// opt.EdgeParallel is On, or Auto with more than one worker.
+// RootTasks cuts a run's outermost loops into root tasks in b's task space:
+// CSR slot ranges when b flattens its first two loops into an edge sweep, so
+// that a hub's adjacency can spread over many tasks instead of serializing
+// the one that owns it (paper §IV-E's skew problem), and outermost-loop
+// vertex ranges for the bindings that cannot flatten. It is the one cutter
+// behind local runs and the cluster master: opt.Workers is the total worker
+// count the tasks are for and perWorker how many tasks each should get.
+// Counter.CountRange takes the ranges back, and a Counter of the same
+// binding reads them in the same space.
 //
 // Tasks hold about equal predicted work (taskpool.Cut). For the interpreter a
 // root of degree d weighs d²: as one vertex task, or as d slots of weight d.
@@ -176,37 +159,35 @@ const engineTasksPerWorker = 64
 // over several slot tasks rebuilds its candidate rows once per task, so
 // cutting its hubs finer costs more than it balances. The weights come from
 // the CSR offsets in one pass, with no per-slot array. An explicit
-// opt.ChunkSize is the fixed-size test hook: ⌈|V|/ChunkSize⌉ equal-size tasks
-// of either shape. One worker with no ChunkSize gets the whole loop as one
-// task, as it has nobody to balance against.
-func (b Bound) RootTasks(g *graph.Graph, opt RunOptions, perWorker int) ([]taskpool.Range, bool) {
+// opt.ChunkSize is the fixed-size test hook: ⌈|V|/ChunkSize⌉ equal-size
+// tasks. One worker with no ChunkSize gets the whole space as one task, as it
+// has nobody to balance against.
+func (b Bound) RootTasks(g *graph.Graph, opt RunOptions, perWorker int) []taskpool.Range {
 	workers := taskpool.Workers(opt.Workers)
-	edgePar := b.EdgeParallelEligible() &&
-		opt.EdgeParallel != EdgeParallelOff &&
-		(opt.EdgeParallel == EdgeParallelOn || workers > 1)
+	slots := b.slotTasks()
 	nv := g.NumVertices()
 	n := nv
-	if edgePar {
+	if slots {
 		n = g.NumAdjSlots()
 	}
 	unit := func(int) (int, int64) { return n, 1 }
 	switch {
 	case opt.ChunkSize > 0:
-		return taskpool.Cut((nv+opt.ChunkSize-1)/opt.ChunkSize, 1, unit), edgePar
+		return taskpool.Cut((nv+opt.ChunkSize-1)/opt.ChunkSize, 1, unit)
 	case workers == 1:
-		return taskpool.Cut(1, 1, unit), edgePar
+		return taskpool.Cut(1, 1, unit)
 	case b.clique:
-		return taskpool.Cut(workers*perWorker, 1, unit), edgePar
-	case edgePar:
+		return taskpool.Cut(workers*perWorker, 1, unit)
+	case slots:
 		return taskpool.Cut(workers*perWorker, nv, func(v int) (int, int64) {
 			d := g.Degree(uint32(v))
 			return d, int64(d)
-		}), true
+		})
 	default:
 		return taskpool.Cut(workers*perWorker, nv, func(v int) (int, int64) {
 			d := int64(g.Degree(uint32(v)))
 			return 1, d * d
-		}), false
+		})
 	}
 }
 
@@ -235,10 +216,9 @@ func (b Bound) execute(done <-chan struct{}, g *graph.Graph, opt RunOptions, vis
 			}
 		}()
 	}
-	tasks, edgePar := b.RootTasks(g, opt, engineTasksPerWorker)
+	tasks := b.RootTasks(g, opt, engineTasksPerWorker)
 	// Every worker builds its executor on its first task and probes the
-	// shared stop flag at root boundaries; both executors take the same
-	// vertex- or edge-parallel root tasks.
+	// shared stop flag at root boundaries.
 	ws := make([]tierWorker, workers)
 	body := func(w int, rg taskpool.Range) {
 		if stop.Load() {
@@ -247,11 +227,7 @@ func (b Bound) execute(done <-chan struct{}, g *graph.Graph, opt RunOptions, vis
 		if ws[w] == nil {
 			ws[w] = b.newWorker(g, opt, visit, &stop)
 		}
-		if edgePar {
-			ws[w].RunRootEdges(rg.Start, rg.End)
-		} else {
-			ws[w].RunRoot(rg.Start, rg.End)
-		}
+		ws[w].RunTask(rg.Start, rg.End)
 	}
 	taskpool.RunRanges(workers, tasks, body)
 	var total int64
@@ -265,11 +241,10 @@ func (b Bound) execute(done <-chan struct{}, g *graph.Graph, opt RunOptions, vis
 }
 
 // tierWorker is one worker's state on either executor (*runner,
-// *codegen.Clique): root tasks over vertex ranges or CSR slot ranges, the raw
-// tally, and the telemetry shard (nil when telemetry is off).
+// *codegen.Clique): root tasks in its binding's task space (Bound.RootTasks),
+// the raw tally, and the telemetry shard (nil when telemetry is off).
 type tierWorker interface {
-	RunRoot(start, end int)
-	RunRootEdges(start, end int)
+	RunTask(start, end int)
 	Count() int64
 	Stats() *telemetry.RunStats
 }
@@ -289,14 +264,14 @@ func (b Bound) newWorker(g *graph.Graph, opt RunOptions, visit func([]uint32) bo
 		return k
 	}
 	r := newRunner(b.cfg, b.prog, g, visit, stop)
-	r.st, r.work = st, opt.work
+	r.st, r.work, r.slots = st, opt.work, b.slotTasks()
 	return r
 }
 
 // Counter is the task-execution primitive for external runtimes (the
-// cluster's workers): it runs a bound configuration over explicit
-// outermost-loop vertex or slot ranges and accumulates a raw tally on the
-// bound executor. One Counter per goroutine.
+// cluster's workers): it runs a bound configuration over explicit root tasks
+// and accumulates a raw tally on the bound executor. One Counter per
+// goroutine.
 type Counter struct {
 	w tierWorker
 }
@@ -305,25 +280,18 @@ type Counter struct {
 // be nil, lets an external runtime (a cluster worker whose master
 // disconnected, a cancelled service job) free its workers without finishing
 // dead work: once it becomes true the Counter abandons its current range at
-// the next outer-loop boundary and every later CountRange/CountEdgeRange call
-// returns immediately, leaving a partial tally.
+// the next outer-loop boundary and every later CountRange call returns
+// immediately, leaving a partial tally.
 func NewCounter(b Bound, g *graph.Graph, stop *atomic.Bool) *Counter {
 	return &Counter{w: b.newWorker(g, RunOptions{}, nil, stop)}
 }
 
-// CountRange processes outer-loop vertices [start, end) and adds matches to
-// the internal tally.
+// CountRange runs the root task [start, end) of the binding's task space, as
+// Bound.RootTasks cuts it — CSR slots or outermost-loop vertices — and adds
+// its matches to the internal tally. The caller must cover the space exactly
+// once across the Counters whose tallies it sums.
 func (c *Counter) CountRange(start, end int) {
-	c.w.RunRoot(start, end)
-}
-
-// CountEdgeRange processes the CSR adjacency slots [start, end) — the
-// edge-parallel task shape. Only valid when the binding is
-// EdgeParallelEligible; the caller must cover every slot exactly once.
-func (c *Counter) CountEdgeRange(start, end int) {
-	if start < end {
-		c.w.RunRootEdges(start, end)
-	}
+	c.w.RunTask(start, end)
 }
 
 // Raw returns the accumulated tally, before any IEP scaling.
@@ -365,6 +333,9 @@ type runner struct {
 	work  *workCap            // nil unless the run is an orientation probe
 	// charged is the work this runner has charged to work so far.
 	charged uint64
+	// slots: root tasks are CSR slot ranges (Bound.slotTasks), else vertex
+	// ranges.
+	slots bool
 
 	// memos[b] serves the repeats of the loop-invariant step that outputs
 	// buffer b; nil when that step is not marked.
@@ -430,10 +401,21 @@ func (r *runner) Count() int64 { return r.count }
 // Stats returns the worker's telemetry shard (nil when telemetry is off).
 func (r *runner) Stats() *telemetry.RunStats { return r.st }
 
-// RunRoot executes the outermost loop over the vertex range [start, end).
+// RunTask executes one root task: the CSR slot range [start, end) when the
+// binding flattens its first two loops, the vertex range otherwise.
 //
 //graphpi:deterministic
-func (r *runner) RunRoot(start, end int) {
+func (r *runner) RunTask(start, end int) {
+	if r.slots {
+		r.runSlots(start, end)
+	} else {
+		r.runVertices(start, end)
+	}
+}
+
+// runVertices executes the outermost loop over the vertex range [start, end):
+// the root tasks of the bindings that cannot flatten.
+func (r *runner) runVertices(start, end int) {
 	if lst := r.st.Level(0); lst != nil && end > start {
 		lst.Scan(end-start, 0)
 	}
@@ -457,13 +439,14 @@ func (r *runner) RunRoot(start, end int) {
 	}
 }
 
-// RunRootEdges executes the flattened first two loops over the CSR slot
-// range [start, end). Each slot is one directed edge (v0, w); tasks are
-// therefore proportional to edges, so a hub's adjacency spreads across many
-// tasks instead of serializing the chunk that owns the hub.
-//
-//graphpi:deterministic
-func (r *runner) RunRootEdges(start, end int) {
+// runSlots executes the flattened first two loops over the CSR slot range
+// [start, end). Each slot is one directed edge (v0, w); tasks are therefore
+// proportional to edges, so a hub's adjacency spreads across many tasks
+// instead of serializing the one that owns the hub.
+func (r *runner) runSlots(start, end int) {
+	if start >= end {
+		return
+	}
 	g := r.g
 	v := g.SlotOwner(start)
 	for start < end {

@@ -135,9 +135,9 @@ func FuzzEngine(f *testing.F) {
 
 // fuzzArms is every arm FuzzEngine runs.
 var fuzzArms = table(
-	axes{iep: both, strip: []strip{keepMarks, noMemo, noRows}, workers: []int{1, 3}, shape: forcedShapes, stats: on},
-	axes{tier: interpreted, iep: both, mirror: both, workers: []int{1, 3}, shape: forcedShapes},
-	axes{iep: both, mirror: on, workers: []int{1, 3}, shape: forcedShapes},
-	axes{entry: counted, iep: both, workers: []int{1, 3}, shape: forcedShapes, chunk: []int{1}},
-	axes{entry: enumerated, mirror: both, workers: []int{1, 3}, shape: forcedShapes},
+	axes{iep: both, strip: []strip{keepMarks, noMemo, noRows}, workers: []int{1, 3}, chunk: []int{0, 1}, stats: on},
+	axes{tier: interpreted, iep: both, mirror: both, workers: []int{1, 3}, chunk: []int{0, 1}},
+	axes{iep: both, mirror: on, workers: []int{1, 3}, chunk: []int{0, 1}},
+	axes{entry: counted, iep: both, workers: []int{1, 3}, chunk: []int{0, 1}},
+	axes{entry: enumerated, mirror: both, workers: []int{1, 3}, chunk: []int{0, 1}},
 )

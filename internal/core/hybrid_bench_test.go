@@ -49,19 +49,6 @@ func benchConfig(b *testing.B, g *graph.Graph, pat *pattern.Pattern) *Config {
 	return res.Best
 }
 
-// BenchmarkRootScheduling compares vertex-chunked against edge-parallel
-// outer loops on the extreme-skew star+ring fixture (tentpole layer 3): the
-// hub root owns essentially all the work, so its vertex chunk is a 100%
-// straggler while the edge sweep bounds every task at chunk/degree(hub)
-// (see TestEdgeParallelBalance for the hardware-independent shares). The
-// wall-clock gap here requires multiple physical cores; on a single-core
-// host the two disciplines tie.
-func BenchmarkRootScheduling(b *testing.B) {
-	g := starRingGraph(100000)
-	requireSkew(b, g)
-	benchArms(b, g, hubRootTriangle(b), axes{workers: []int{8}, shape: forcedShapes}.arms())
-}
-
 // BenchmarkHubBitmaps compares the scalar-only engine against the
 // bitmap-backed one on the degree-ordered graph (tentpole layers 1+2), for
 // both enumeration and IEP counting.
@@ -74,14 +61,14 @@ func BenchmarkHubBitmaps(b *testing.B) {
 	}{{"scalar", 1}, {"bitmap", 64 << 20}} { // 1 byte: too small for any bitmap
 		b.Run(hubs.name, func(b *testing.B) {
 			g.BuildHubBitmaps(hubs.budget, 0)
-			benchArms(b, g, cfg, axes{iep: both, workers: []int{8}, shape: vertexTasks}.arms())
+			benchArms(b, g, cfg, axes{iep: both, workers: []int{8}}.arms())
 		})
 	}
 }
 
-// BenchmarkSeedVsHybrid is the end-to-end comparison recorded in the PR:
-// the seed path (original ids, no bitmaps, vertex-chunked roots) against the
-// full hybrid engine (degree-ordered, bitmaps, edge-parallel roots).
+// BenchmarkSeedVsHybrid is the end-to-end comparison of the graph layouts:
+// original ids without bitmaps against the hybrid engine's degree-ordered,
+// bitmap-backed graph, both on the engine's own root tasks.
 func BenchmarkSeedVsHybrid(b *testing.B) {
 	orig := skewedGraph(b)
 	hyb := orig.Reorder()
@@ -89,10 +76,10 @@ func BenchmarkSeedVsHybrid(b *testing.B) {
 	for _, pat := range []*pattern.Pattern{pattern.Triangle(), pattern.House()} {
 		cfg := benchConfig(b, orig, pat)
 		b.Run(pat.Name()+"/seed", func(b *testing.B) {
-			benchArms(b, orig, cfg, axes{workers: []int{8}, shape: vertexTasks}.arms())
+			benchArms(b, orig, cfg, axes{workers: []int{8}}.arms())
 		})
 		b.Run(pat.Name()+"/hybrid", func(b *testing.B) {
-			benchArms(b, hyb, cfg, axes{workers: []int{8}, shape: slotTasks}.arms())
+			benchArms(b, hyb, cfg, axes{workers: []int{8}}.arms())
 		})
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"graphpi/internal/baseline"
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
+	"graphpi/internal/schedule"
 )
 
 // hybridPair is a fixture graph and its hybrid view: degree-ordered with hub
@@ -50,11 +52,11 @@ func planFor(t testing.TB, g *graph.Graph, pat *pattern.Pattern) *Config {
 // TestHybridGraphEquivalence is the correctness invariant of the hybrid
 // adjacency engine: for every named pattern, Count and CountIEP return the
 // seed count on the degree-ordered + bitmap-backed graph and on the original
-// graph, at 1 and N workers, with edge-parallel roots on and off.
+// graph, at 1 and N workers.
 func TestHybridGraphEquivalence(t *testing.T) {
 	pats := append(pattern.EvaluationPatterns(),
 		pattern.Triangle(), pattern.Rectangle(), pattern.Clique(4))
-	arms := axes{iep: both, workers: []int{1, 4}, shape: forcedShapes}.arms()
+	arms := axes{iep: both, workers: []int{1, 4}}.arms()
 	for _, gs := range hybridTestGraphs(t) {
 		for _, pat := range pats {
 			if pat.N() >= 6 && gs.name != "star" {
@@ -74,7 +76,7 @@ func TestHybridGraphEquivalence(t *testing.T) {
 // by data-vertex id order, which differs between the two id spaces, so the
 // arms' checksum is keyed by the subgraph found, not by the embedding.
 func TestHybridEnumerateReportsOriginalIDs(t *testing.T) {
-	arms := axes{entry: enumerated, workers: []int{1, 4}, shape: forcedShapes}.arms()
+	arms := axes{entry: enumerated, workers: []int{1, 4}}.arms()
 	for _, gs := range hybridTestGraphs(t) {
 		for _, pat := range []*pattern.Pattern{pattern.Triangle(), pattern.House()} {
 			cfg := planFor(t, gs.orig, pat)
@@ -102,24 +104,70 @@ func TestDupCheckSkipsNothingRequired(t *testing.T) {
 	checkArms(t, "unrestricted path", g, cfg, want, table(axes{}))
 	rg := g.Reorder()
 	rg.BuildHubBitmaps(1<<22, 0)
-	checkArms(t, "hybrid unrestricted path", rg, cfg, want, axes{workers: []int{3}, shape: slotTasks}.arms())
+	checkArms(t, "hybrid unrestricted path", rg, cfg, want, axes{workers: []int{3}}.arms())
 }
 
-// TestEdgeParallelEligibility pins when the flattened root sweep may engage.
+// vertexTaskBinding is a binding that cannot flatten its first two loops
+// and so takes outermost-loop vertex ranges.
+type vertexTaskBinding struct {
+	name string
+	cfg  *Config
+	iep  bool
+}
+
+// vertexTaskBindings returns every kind of binding that cannot flatten: an
+// IEP cut right after depth 0 (a path and a star), an eliminated schedule
+// whose depth-1 loop is not N(v0), and the one-vertex pattern.
+func vertexTaskBindings(t *testing.T, g *graph.Graph) []vertexTaskBinding {
+	t.Helper()
+	out := []vertexTaskBinding{
+		{"P3 iep", planFor(t, g, pattern.PathN(3)), true},
+		{"star4 iep", planFor(t, g, pattern.StarN(4)), true},
+		{"one vertex", mustConfig(t, pattern.MustNew(1, nil, "v"), identitySchedule(1), nil), false},
+	}
+	p := pattern.PathN(4)
+	rs := firstSet(t, p, 0)
+	for _, s := range schedule.Generate(p, schedule.Options{KeepEliminated: true}).Eliminated {
+		cfg := mustConfig(t, p, s, rs)
+		if cfg.plan.Cand[1].Kind == schedule.CandFull {
+			return append(out, vertexTaskBinding{fmt.Sprintf("P4 schedule %v", s.Order), cfg, false})
+		}
+	}
+	t.Fatal("no eliminated P4 schedule has a depth-1 loop over all vertices")
+	return nil
+}
+
+// TestEdgeParallelEligibility pins which bindings take slot tasks: every
+// clique binding, and every other binding whose depth-1 loop is N(v0) and
+// not consumed by the IEP suffix.
 func TestEdgeParallelEligibility(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 3, 8)
 	tri := planFor(t, g, pattern.Triangle())
-	if !tri.Bind(false, TierAuto).EdgeParallelEligible() {
-		t.Error("triangle enumeration should be edge-parallel eligible")
+	if !tri.Bind(false, TierAuto).slotTasks() {
+		t.Error("triangle enumeration should take slot tasks")
 	}
-	// Single-vertex pattern: no second loop.
-	one := mustConfig(t, pattern.MustNew(1, nil, "v"), identitySchedule(1), nil)
-	if one.Bind(false, TierAuto).EdgeParallelEligible() {
-		t.Error("1-vertex pattern cannot be edge-parallel")
+	for q := 3; q <= 6; q++ {
+		for _, iep := range both {
+			if b := planFor(t, g, pattern.Clique(q)).Bind(iep, TierAuto); !b.clique || !b.slotTasks() {
+				t.Errorf("K%d iep=%v: clique kernel %v, slot tasks %v; want both", q, iep, b.clique, b.slotTasks())
+			}
+		}
 	}
-	// IEP consuming everything after depth 0 leaves no depth-1 loop.
-	star := planFor(t, g, pattern.StarN(3))
-	if star.effectiveIEPK() >= star.N()-1 && star.Bind(true, TierAuto).EdgeParallelEligible() {
-		t.Error("full-suffix IEP run cannot be edge-parallel")
+	for _, vb := range vertexTaskBindings(t, g) {
+		if vb.cfg.Bind(vb.iep, TierAuto).slotTasks() {
+			t.Errorf("%s: takes slot tasks, want vertex ranges", vb.name)
+		}
+	}
+}
+
+// TestVertexTaskBindings runs the bindings that take vertex ranges — the only
+// users of the interpreter's whole-root loop — through Bound.Run and through
+// Counters, at 1 and 3 workers and several cuts, against brute force.
+func TestVertexTaskBindings(t *testing.T) {
+	g := graph.GNM(50, 140, 6)
+	arms := axes{entry: []entry{viaRun, viaCounter}, workers: []int{1, 3}, chunk: []int{0, 1, 17}}
+	for _, vb := range vertexTaskBindings(t, g) {
+		arms.iep = []bool{vb.iep}
+		checkArms(t, vb.name, g, vb.cfg, baseline.BruteForceCount(g, vb.cfg.Pattern), arms.arms())
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // TestMemoMatchesStrippedProgram runs two configurations with loop-invariant
 // steps, on a degree-ordered graph with hub bitmaps, with their memo marks
-// and stripped of them: per (nest, workers, task shape) cell both count the
+// and stripped of them: per (nest, workers) cell both count the
 // same and book the same counters but for the kernel split and the memo hits
 // (the stripped reference stays per cell: counters differ between cells at
 // levels 0–1), every marked level gets hits, and the memoised enumerations
@@ -23,8 +23,8 @@ func TestMemoMatchesStrippedProgram(t *testing.T) {
 	}
 	arms := table(
 		axes{entry: enumerated, strip: []strip{noMemo}, workers: []int{3}},
-		axes{iep: both, workers: []int{1, 3}, shape: forcedShapes, strip: []strip{noMemo, keepMarks}, stats: on},
-		axes{entry: enumerated, workers: []int{1, 3}, shape: forcedShapes},
+		axes{iep: both, workers: []int{1, 3}, strip: []strip{noMemo, keepMarks}, stats: on},
+		axes{entry: enumerated, workers: []int{1, 3}},
 	)
 	for _, tc := range []struct {
 		p  *pattern.Pattern

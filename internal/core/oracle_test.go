@@ -107,7 +107,7 @@ func TestCliquesAgainstBruteForce(t *testing.T) {
 		maxQ = 6
 	}
 	arms := axes{tier: []Tier{TierInterpret, TierGenerated}, iep: on, workers: []int{1, 3},
-		shape: forcedShapes, chunk: []int{2}, stats: both}.arms()
+		chunk: []int{2}, stats: both}.arms()
 	for q := 3; q <= maxQ; q++ {
 		p := pattern.Clique(q)
 		cfg := planFor(t, graphs["ba"], p)

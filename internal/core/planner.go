@@ -10,6 +10,7 @@ import (
 	"graphpi/internal/costmodel"
 	"graphpi/internal/graph"
 	"graphpi/internal/pattern"
+	"graphpi/internal/perm"
 	"graphpi/internal/restrict"
 	"graphpi/internal/schedule"
 )
@@ -28,7 +29,8 @@ type PlanOptions struct {
 	// reproduces the baseline's blind estimator).
 	Model costmodel.Model
 	// GraphZeroRestrictions uses the single GraphZero-style restriction
-	// set instead of Algorithm 1's families (baseline reproduction).
+	// set instead of Algorithm 1's families (baseline reproduction). Plan
+	// does so for every pattern above perm.MaxTableDegree vertices.
 	GraphZeroRestrictions bool
 	// Phase1Only disables the Phase-2 schedule filter (baseline
 	// reproduction: GraphZero generates connected schedules only).
@@ -69,6 +71,11 @@ type PlanResult struct {
 // a data graph: generate restriction sets (Algorithm 1), generate efficient
 // schedules (2-phase), predict the cost of every combination, and compile
 // the best configuration.
+//
+// Algorithm 1 searches on the pattern's order table, which exists up to
+// perm.MaxTableDegree vertices. Above it Plan ranks the schedules against
+// GraphZero's stabiliser-chain set (restrict.GraphZeroSet) alone, which is
+// complete by construction and costs no search.
 func Plan(pat *pattern.Pattern, stats graph.Stats, opt PlanOptions) (*PlanResult, error) {
 	start := time.Now()
 	if !pat.Connected() {
@@ -76,7 +83,7 @@ func Plan(pat *pattern.Pattern, stats graph.Stats, opt PlanOptions) (*PlanResult
 	}
 
 	var sets []restrict.Set
-	if opt.GraphZeroRestrictions {
+	if opt.GraphZeroRestrictions || pat.N() > perm.MaxTableDegree {
 		sets = []restrict.Set{restrict.GraphZeroSet(pat)}
 	} else {
 		var err error

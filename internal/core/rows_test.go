@@ -26,9 +26,10 @@ func snippetPattern(t *testing.T, name, adj string) *pattern.Pattern {
 // TestRowsAgainstBruteForce runs patterns whose steps probe root rows on
 // random graphs without hub bitmaps against the brute-force count, counting
 // and enumerating. One worker runs every task, so its rows outlive each root
-// and each task: one-vertex tasks, and one-slot tasks on a Counter, make
-// every root a fresh row over the previous root's, and a bit left behind by
-// the previous root would change a count. The row probes must have run.
+// and each task: |V| tasks of about one root's slots each, and one-slot tasks
+// on a Counter, make every root a fresh row over the previous root's, and a
+// bit left behind by the previous root would change a count. The row probes
+// must have run.
 func TestRowsAgainstBruteForce(t *testing.T) {
 	pats := []*pattern.Pattern{
 		pattern.House(), pattern.Rectangle(), pattern.Cycle6Tri(),
@@ -40,10 +41,10 @@ func TestRowsAgainstBruteForce(t *testing.T) {
 		graph.BarabasiAlbert(48, 4, 3),
 	}
 	arms := table(
-		axes{iep: both, chunk: []int{1}, shape: vertexTasks, stats: on},
-		axes{entry: counted, iep: both, chunk: []int{1}, shape: slotTasks},
-		axes{iep: both, workers: []int{3}, chunk: []int{1}, shape: slotTasks},
-		axes{entry: enumerated, strip: []strip{keepMarks, noRows}, chunk: []int{1}, shape: forcedShapes},
+		axes{iep: both, chunk: []int{1}, stats: on},
+		axes{entry: counted, iep: both, chunk: []int{1}},
+		axes{iep: both, workers: []int{3}, chunk: []int{1}},
+		axes{entry: enumerated, strip: []strip{keepMarks, noRows}, chunk: []int{1}},
 	)
 	for gi, g := range graphs {
 		if g.NumHubs() != 0 {

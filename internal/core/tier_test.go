@@ -30,13 +30,13 @@ func cliqueConfig(t *testing.T, q int) *Config {
 	return mustConfig(t, pattern.Clique(q), identitySchedule(q), chainSet(q))
 }
 
-// matrixArms is the tier matrix: every (tier, workers, task shape) cell,
+// matrixArms is the tier matrix: every (tier, workers) cell,
 // each held to the single-worker interpreter, and one telemetry run per
 // tier: collection must leave the count bit-identical and must actually
 // populate the per-level counters.
 func matrixArms(iep bool, tiers ...Tier) []arm {
 	return table(
-		axes{tier: tiers, iep: []bool{iep}, workers: []int{1, 4}, shape: everyShape},
+		axes{tier: tiers, iep: []bool{iep}, workers: []int{1, 4}},
 		axes{tier: tiers, iep: []bool{iep}, workers: []int{4}, stats: on},
 	)
 }
@@ -111,7 +111,7 @@ func TestCliqueKernelOverCapRoot(t *testing.T) {
 	})
 	arms := table(
 		axes{tier: []Tier{TierGenerated}, stats: on},
-		axes{tier: []Tier{TierGenerated}, workers: []int{4}, shape: slotTasks, stats: on},
+		axes{tier: []Tier{TierGenerated}, workers: []int{4}, stats: on},
 	)
 	for q := 4; q <= 5; q++ { // a K3's list level is its last: nothing reaches level 2
 		cfg := cliqueConfig(t, q)
@@ -231,13 +231,12 @@ func TestRandomizedConfigs(t *testing.T) {
 
 // TestCounterExecutor: a Counter — what cluster workers run — picks its
 // executor by the rule a local count uses: the clique kernel for a
-// total-order clique, the interpreter otherwise. Vertex- and slot-range
-// covers must both reproduce the local count.
+// total-order clique, the interpreter otherwise. A cover of the binding's
+// task space by one range or by ranges of 37 must reproduce the local count.
 func TestCounterExecutor(t *testing.T) {
 	g := graph.BarabasiAlbert(400, 6, 5)
 	arms := table(
-		axes{entry: counted, iep: both, shape: vertexTasks},
-		axes{entry: counted, iep: both, shape: slotTasks, chunk: []int{37}},
+		axes{entry: counted, iep: both, chunk: []int{0, 37}},
 	)
 	for _, tc := range []struct {
 		cfg    *Config

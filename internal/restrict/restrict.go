@@ -159,8 +159,14 @@ const (
 // Generate runs Algorithm 1: it returns multiple complete restriction sets
 // for the pattern, each validated to reduce the automorphism count to
 // exactly one. The result is deterministic and sorted (smallest sets first).
-// A pattern with a trivial automorphism group yields one empty set.
+// A pattern with a trivial automorphism group yields one empty set. The
+// search cuts on the pattern's order table, so a pattern above
+// perm.MaxTableDegree vertices is an error; GraphZeroSet covers those.
 func Generate(pat *pattern.Pattern, opts Options) ([]Set, error) {
+	n := pat.N()
+	if n > perm.MaxTableDegree {
+		return nil, fmt.Errorf("restrict: %s has %d vertices; Algorithm 1 searches patterns of at most %d", pat, n, perm.MaxTableDegree)
+	}
 	if opts.MaxSets <= 0 {
 		opts.MaxSets = defaultMaxSets
 	}
@@ -168,26 +174,23 @@ func Generate(pat *pattern.Pattern, opts Options) ([]Set, error) {
 	if len(auts) > firstPermThreshold {
 		opts.FirstPermOnly = true
 	}
-	n := pat.N()
 	g := &generator{
-		n:          n,
-		auts:       auts,
-		wantOrders: perm.Factorial(n) / int64(len(auts)),
-		opts:       opts,
-		visited:    map[[perm.MaxDegree]uint16]bool{},
-		results:    map[[perm.MaxDegree]uint16]Set{},
-		remaining:  make([][]int32, 1),
+		n:         n,
+		auts:      auts,
+		opts:      opts,
+		visited:   map[[perm.MaxDegree]uint16]bool{},
+		results:   map[[perm.MaxDegree]uint16]Set{},
+		remaining: make([][]int32, 1),
 	}
 	if len(auts) > 1 {
-		if g.table = pat.OrderTable(); g.table != nil {
-			g.orders = [][]uint64{g.table.Satisfying(nil)}
-		}
+		g.table = pat.OrderTable()
+		g.orders = [][]uint64{g.table.Satisfying(nil)}
 	}
 	all := make([]int32, len(auts))
 	for i := range all {
 		all[i] = int32(i)
 	}
-	g.generate(all, [perm.MaxDegree]uint16{}, 0, perm.Factorial(n))
+	g.generate(all, [perm.MaxDegree]uint16{}, 0)
 	if len(g.results) == 0 {
 		return nil, fmt.Errorf("restrict: no valid restriction set found for %s", pat)
 	}
@@ -212,14 +215,13 @@ func Generate(pat *pattern.Pattern, opts Options) ([]Set, error) {
 }
 
 type generator struct {
-	n          int
-	auts       []perm.Perm
-	wantOrders int64 // n!/|Aut|: survivors a complete-and-exact set keeps
-	opts       Options
-	// table is the pattern's order table (nil above perm.MaxTableDegree
-	// vertices or for a trivial group); orders[d] holds the orders a search
-	// node at depth d keeps, remaining[d] its surviving automorphisms and
-	// path[:d] its restrictions in the order they were added.
+	n    int
+	auts []perm.Perm
+	opts Options
+	// table is the pattern's order table (nil for a trivial group, which
+	// needs no search); orders[d] holds the orders a search node at depth d
+	// keeps, remaining[d] its surviving automorphisms and path[:d] its
+	// restrictions in the order they were added.
 	table     *perm.OrderTable
 	orders    [][]uint64
 	remaining [][]int32
@@ -231,17 +233,15 @@ type generator struct {
 
 // generate is the recursive core of Algorithm 1. pg indexes the
 // automorphisms not yet eliminated (always including the identity);
-// greater holds the restriction set built so far at search depth depth, and
-// survivors the number of relative orders it keeps (without a table).
+// greater holds the restriction set built so far at search depth depth.
 //
 // A complete set keeps exactly one relative order in each automorphism coset
 // (σ ~ σ∘a): two in one coset would leave the automorphism between them
 // uneliminated. A restriction can only remove orders, so a child that
 // leaves a coset empty has no complete set below it and is dropped without
 // being searched; that covers the child that contradicts itself (it keeps
-// none). Without a table the weaker form of the same cut applies: a child
-// that keeps fewer than wantOrders orders is dropped.
-func (g *generator) generate(pg []int32, greater [perm.MaxDegree]uint16, depth int, survivors int64) {
+// none).
+func (g *generator) generate(pg []int32, greater [perm.MaxDegree]uint16, depth int) {
 	if len(g.results) >= g.opts.MaxSets {
 		return
 	}
@@ -249,20 +249,15 @@ func (g *generator) generate(pg []int32, greater [perm.MaxDegree]uint16, depth i
 		// Only the identity remains: the set eliminates every automorphism.
 		// Per Algorithm 1 this leaf still runs validate(res_set): a set can
 		// kill all automorphisms yet also kill entire embedding classes
-		// (keep fewer than n!/|Aut| relative orders); such leaves return ∅.
-		// With a table the coset cut has settled it: no coset is empty, and
-		// none keeps two orders, or the automorphism between them would
-		// remain.
-		if g.table != nil || survivors == g.wantOrders {
-			g.results[greater] = fromGreater(g.n, &greater)
-		}
+		// (keep fewer than n!/|Aut| relative orders). The coset cut has
+		// settled it: no coset is empty, and none keeps two orders, or the
+		// automorphism between them would remain.
+		g.results[greater] = fromGreater(g.n, &greater)
 		return
 	}
 	if depth+1 == len(g.remaining) {
 		g.remaining = append(g.remaining, make([]int32, 0, len(pg)))
-		if g.table != nil {
-			g.orders = append(g.orders, make([]uint64, g.table.Words()))
-		}
+		g.orders = append(g.orders, make([]uint64, g.table.Words()))
 	}
 	for _, cand := range g.candidates(pg) {
 		if len(g.results) >= g.opts.MaxSets {
@@ -278,12 +273,7 @@ func (g *generator) generate(pg []int32, greater [perm.MaxDegree]uint16, depth i
 			continue
 		}
 		g.visited[next] = true
-		kept := g.wantOrders
-		if g.table != nil {
-			if !g.table.Restrict(g.orders[depth+1], g.orders[depth], int(a), int(b)) {
-				continue
-			}
-		} else if kept = perm.CountOrders(next[:g.n], nil); kept < g.wantOrders {
+		if !g.table.Restrict(g.orders[depth+1], g.orders[depth], int(a), int(b)) {
 			continue
 		}
 		g.path = append(g.path[:depth], cand)
@@ -294,7 +284,7 @@ func (g *generator) generate(pg []int32, greater [perm.MaxDegree]uint16, depth i
 			}
 		}
 		g.remaining[depth+1] = remaining
-		g.generate(remaining, next, depth+1, kept)
+		g.generate(remaining, next, depth+1)
 	}
 }
 

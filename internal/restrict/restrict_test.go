@@ -270,10 +270,11 @@ func TestStringRendering(t *testing.T) {
 }
 
 // TestLargeGroupClique7: cliques have the largest groups (K7 has 5040
-// automorphisms); generation must stay bounded and correct at K7, at K8 —
-// the order table's largest degree, where one coset spans 630 words — and on
-// a 9-vertex pattern, which has no table and is checked automorphism by
-// automorphism. Every set is checked against the enumerating reference.
+// automorphisms); generation must stay bounded and correct at K7 and at K8 —
+// the order table's largest degree, where one coset spans 630 words. Every
+// set is checked against the enumerating reference. A 9-vertex pattern has
+// no table: Generate refuses it, and Validate checks GraphZeroSet's set for
+// it automorphism by automorphism.
 func TestLargeGroupClique7(t *testing.T) {
 	for _, tc := range []struct {
 		pat     *pattern.Pattern
@@ -281,7 +282,6 @@ func TestLargeGroupClique7(t *testing.T) {
 	}{
 		{pattern.Clique(7), 6},
 		{pattern.Clique(8), 7},
-		{pattern.CompleteBipartite(4, 5), 2},
 	} {
 		p := tc.pat
 		sets, err := Generate(p, Options{MaxSets: 4})
@@ -307,5 +307,17 @@ func TestLargeGroupClique7(t *testing.T) {
 				t.Errorf("%s: Validate accepts %v: %v, reference %v", p, short, got, want)
 			}
 		}
+	}
+	k45 := pattern.CompleteBipartite(4, 5)
+	if _, err := Generate(k45, Options{}); err == nil {
+		t.Errorf("Generate searched %s without an order table", k45)
+	}
+	s := GraphZeroSet(k45)
+	if err := Validate(k45, s); err != nil || !refValidate(k45, s) {
+		t.Errorf("%s: GraphZeroSet %v: Validate %v, reference %v", k45, s, err, refValidate(k45, s))
+	}
+	short := s[1:]
+	if got, want := Validate(k45, short) == nil, refValidate(k45, short); got != want {
+		t.Errorf("%s: Validate accepts %v: %v, reference %v", k45, short, got, want)
 	}
 }

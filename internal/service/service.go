@@ -220,11 +220,12 @@ type statusError struct {
 func (e *statusError) Error() string { return e.msg }
 
 // maxQueryPatternVertices bounds the pattern size a query may name. Planning
-// runs after admission, inside a run slot, and its time grows factorially in
-// the pattern size: on BA(3000,4) statistics core.Plan took 0.38 s for K8,
-// 2.3 s for K9 and 22 s for K10, and K12 did not finish in 95 s. ROADMAP
-// item 9(b), a planner that is not factorial in the pattern size, lifts the
-// bound.
+// runs after admission, inside a run slot. Above 8 vertices core.Plan ranks
+// its schedules against GraphZero's one restriction set, so a 9-vertex
+// pattern plans in well under a second (BA(3000,4) statistics, 2-vCPU Xeon:
+// C9 26 ms, K4,5 39 ms, K9 0.17 s), but the schedule search is still
+// factorial in the pattern size: K10 took 2.0 s. ROADMAP item 9(b), a
+// planner that is not factorial in the pattern size, lifts the bound.
 const maxQueryPatternVertices = 9
 
 // parseQueryPattern resolves a query's pattern spec, answering 400 for a

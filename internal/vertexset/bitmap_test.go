@@ -207,7 +207,7 @@ func TestMarkMembers(t *testing.T) {
 				switch {
 				case withBM && len(a) <= len(b):
 					want = KernelBitmap
-				case len(b) >= GallopRatio*len(a), len(a) >= GallopRatio*len(b):
+				case len(b) >= gallopRatio*len(a), len(a) >= gallopRatio*len(b):
 					want = KernelGallop
 				}
 				if kern != want {

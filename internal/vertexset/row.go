@@ -44,7 +44,7 @@ func (r *Row) hold(set []uint32) Bitmap {
 // that ran. Of three kernels it takes the cheapest for the windowed sizes:
 //
 //   - the shorter window of a probes bBM, b's hub bitmap, when there is one;
-//   - the window of a gallops through b's when b's is more than GallopRatio
+//   - the window of a gallops through b's when b's is more than gallopRatio
 //     times longer (or either is empty);
 //   - otherwise the window of b probes a's bit row: aBM, a's hub bitmap, when
 //     there is one, and else row, which is made to hold a first (see

@@ -71,7 +71,7 @@ func TestIntersectRowMatchesIntersectWindow(t *testing.T) {
 		wantK, probe := KernelBitmap, false
 		switch {
 		case bBM != nil && len(wa) <= len(wb):
-		case len(wb) == 0 || len(wb) > GallopRatio*len(wa):
+		case len(wb) == 0 || len(wb) > gallopRatio*len(wa):
 			wantK = KernelGallop
 		default:
 			probe = true

@@ -18,19 +18,16 @@
 // of the engine never allocate.
 package vertexset
 
-// GallopRatio is the size ratio beyond which the galloping strategy beats the
+// gallopRatio is the size ratio beyond which the galloping strategy beats the
 // linear merge. The crossover is architecture dependent; BenchmarkIntersect-
 // Crossover (bitmap_bench_test.go) sweeps it — on amd64/uint32 merge wins at
 // ratio 8 (269µs vs 411µs for 64Ki∩8Ki) and gallop from ratio 16 on (223µs
-// vs 231µs), so 16 is the measured crossover. Exported so the cost model can
-// freeze the same choice at plan-compile time from *expected* set sizes.
-const GallopRatio = 16
-
-const gallopRatio = GallopRatio
+// vs 231µs), so 16 is the measured crossover.
+const gallopRatio = 16
 
 // IntersectMerge is Intersect with the linear-merge kernel forced,
-// regardless of the input size ratio. Compiled plans call it when the cost
-// model froze the merge choice at compile time.
+// regardless of the input size ratio. cmd/bench's per-kernel probe times
+// it; the engine's kernels choose between merge and gallop per call.
 func IntersectMerge(dst, a, b []uint32) []uint32 {
 	dst = dst[:0]
 	if len(a) == 0 || len(b) == 0 {
@@ -40,8 +37,9 @@ func IntersectMerge(dst, a, b []uint32) []uint32 {
 }
 
 // IntersectGallop is Intersect with the galloping kernel forced: the smaller
-// input probes the larger by exponential + binary search. Compiled plans
-// call it when the cost model froze the gallop choice at compile time.
+// input probes the larger by exponential + binary search. cmd/bench's
+// per-kernel probe times it; the engine's kernels choose between merge and
+// gallop per call.
 func IntersectGallop(dst, a, b []uint32) []uint32 {
 	dst = dst[:0]
 	if len(a) == 0 || len(b) == 0 {

@@ -187,7 +187,7 @@ func TestIntersectWindowMatchesUnbounded(t *testing.T) {
 		switch {
 		case bBM != nil && len(wa) <= len(wb), aBM != nil && len(wb) < len(wa):
 			wantKern = KernelBitmap
-		case max(len(wa), len(wb)) >= GallopRatio*min(len(wa), len(wb)):
+		case max(len(wa), len(wb)) >= gallopRatio*min(len(wa), len(wb)):
 			wantKern = KernelGallop
 		}
 		if kern != wantKern {
