@@ -283,7 +283,7 @@ func checkStats(t *testing.T, label string, g *graph.Graph, b Bound, st *telemet
 			t.Errorf("%s level %d: %d memo hits on a level the nest does not mark", label, d, l.MemoHits)
 		}
 	}
-	if taskSpace(b, g) > 0 && st.Levels[0].Scans == 0 {
+	if b.taskSpace(g) > 0 && st.Levels[0].Scans == 0 {
 		t.Errorf("%s: telemetry recorded no level-0 scans", label)
 	}
 	if leaf := st.Levels[len(st.Levels)-1]; b.clique && leaf.Candidates != uint64(count) {
@@ -313,7 +313,7 @@ func sameCounters(t *testing.T, label string, refArm arm, ref, got *telemetry.Ru
 // space as one range.
 func countRanges(t testing.TB, label string, b Bound, g *graph.Graph, a arm) int64 {
 	t.Helper()
-	n := taskSpace(b, g)
+	n := b.taskSpace(g)
 	size := cmp.Or(a.chunk, max(n, 1))
 	cs := make([]*Counter, a.workers)
 	for i := range cs {
@@ -330,15 +330,6 @@ func countRanges(t testing.TB, label string, b Bound, g *graph.Graph, a arm) int
 		raw += c.Raw()
 	}
 	return b.ScaleIEP(raw)
-}
-
-// taskSpace is the size of b's task space on g: its CSR slots when b
-// flattens its first two loops, its vertices otherwise.
-func taskSpace(b Bound, g *graph.Graph) int {
-	if b.slotTasks() {
-		return g.NumAdjSlots()
-	}
-	return g.NumVertices()
 }
 
 // enumerateChecked enumerates c on g and returns the count and the checksum:

@@ -160,7 +160,7 @@ func TestRootTasksBalanceByWorkUnits(t *testing.T) {
 	cfg := planFor(t, g, pattern.Cycle6Tri())
 	b := cfg.Bind(true, TierAuto)
 	tasks := b.RootTasks(g, RunOptions{Workers: ranks}, 16)
-	n := taskSpace(b, g)
+	n := b.taskSpace(g)
 	equal := equalCut(n, (n+len(tasks)-1)/len(tasks))
 	if len(tasks) != 16*ranks || len(equal) != len(tasks) {
 		t.Fatalf("cut %d tasks by work and %d by size, want %d", len(tasks), len(equal), 16*ranks)

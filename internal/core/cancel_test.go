@@ -119,7 +119,7 @@ func TestCounterStop(t *testing.T) {
 	for _, cfg := range []*Config{house, cliqueConfig(t, 4)} {
 		b := cfg.Bind(false, TierAuto)
 		c := NewCounter(b, g, &stop)
-		c.CountRange(0, taskSpace(b, g))
+		c.CountRange(0, b.taskSpace(g))
 		if c.Raw() != 0 {
 			t.Fatalf("%s: stopped counter tallied %d, want 0", cfg.Pattern, c.Raw())
 		}

@@ -138,6 +138,15 @@ func (b Bound) slotTasks() bool {
 	return cand.Kind == schedule.CandNeighborhood && cand.Parent == 0
 }
 
+// taskSpace is the size of b's task space on g: its CSR slots when b takes
+// slot tasks, its vertices otherwise.
+func (b Bound) taskSpace(g *graph.Graph) int {
+	if b.slotTasks() {
+		return g.NumAdjSlots()
+	}
+	return g.NumVertices()
+}
+
 // engineTasksPerWorker is how many root tasks a local run cuts per worker:
 // enough for self-scheduling from the shared cursor to absorb a task that
 // runs long, few enough that claiming one stays cheap.
@@ -164,12 +173,7 @@ const engineTasksPerWorker = 64
 // has nobody to balance against.
 func (b Bound) RootTasks(g *graph.Graph, opt RunOptions, perWorker int) []taskpool.Range {
 	workers := taskpool.Workers(opt.Workers)
-	slots := b.slotTasks()
-	nv := g.NumVertices()
-	n := nv
-	if slots {
-		n = g.NumAdjSlots()
-	}
+	nv, n := g.NumVertices(), b.taskSpace(g)
 	unit := func(int) (int, int64) { return n, 1 }
 	switch {
 	case opt.ChunkSize > 0:
@@ -178,7 +182,7 @@ func (b Bound) RootTasks(g *graph.Graph, opt RunOptions, perWorker int) []taskpo
 		return taskpool.Cut(1, 1, unit)
 	case b.clique:
 		return taskpool.Cut(workers*perWorker, 1, unit)
-	case slots:
+	case b.slotTasks():
 		return taskpool.Cut(workers*perWorker, nv, func(v int) (int, int64) {
 			d := g.Degree(uint32(v))
 			return d, int64(d)
