@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"os"
 	"strings"
@@ -445,6 +446,7 @@ func runServer(addr string, g *graphpi.Graph, opt serverOptions) {
 // counting jobs against the loaded graph — or, when no graph was given, a
 // snapshot fetched from its first master — until killed.
 func runServe(addr string, g *graphpi.Graph, workerOverride int) {
+	log.SetFlags(0) // the worker's log lines, bare on stderr
 	srv, err := graphpi.ServeCluster(addr, g, workerOverride)
 	if err != nil {
 		fail(err)

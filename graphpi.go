@@ -31,9 +31,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
-	"os"
 	"time"
 
 	"graphpi/internal/cluster"
@@ -508,12 +508,14 @@ func clusterCount(tr cluster.Transport, g *Graph, p *Pattern, copt ClusterOption
 }
 
 // Cluster is a handle to a set of TCP-connected worker processes
-// (cluster.Serve listeners). It can run many counting jobs; Close releases
-// the connections. The handle is elastic: a worker lost mid-job has its
-// unfinished tasks re-dealt to the survivors (counts stay exact), and lost
-// workers are redialed — with capped exponential backoff — before each
-// subsequent job, so a restarted worker rejoins without redialing the
-// handle. A job errors only when every worker is lost at once.
+// (cluster.Serve listeners). It can run many counting jobs and is safe for
+// concurrent use: its jobs run one at a time, and a concurrent Count waits
+// for the running one. Close releases the connections. The handle is
+// elastic: a worker lost mid-job has its unfinished tasks re-dealt to the
+// survivors (counts stay exact), and lost workers are redialed — with capped
+// exponential backoff — before each subsequent job, so a restarted worker
+// rejoins without redialing the handle. A job errors only when every worker
+// is lost at once.
 type Cluster struct {
 	tr cluster.Transport
 }
@@ -555,7 +557,8 @@ type ClusterServer struct {
 // workersPerJob overrides the per-job worker goroutine count requested by
 // masters (0 → honor the master). The server runs on a background
 // goroutine; use Addr to learn the bound address, Wait to block until
-// shutdown, and Close to stop.
+// shutdown, and Close to stop. The worker logs one line per connection event
+// and job through the standard log package (log.SetOutput redirects them).
 func ServeCluster(addr string, g *Graph, workersPerJob int) (*ClusterServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -567,12 +570,7 @@ func ServeCluster(addr string, g *Graph, workersPerJob int) (*ClusterServer, err
 	}
 	s := &ClusterServer{ln: ln, done: make(chan error, 1)}
 	go func() {
-		s.done <- cluster.Serve(ln, replica, cluster.ServeOptions{
-			Workers: workersPerJob,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
+		s.done <- cluster.Serve(ln, replica, cluster.ServeOptions{Workers: workersPerJob, Logf: log.Printf})
 	}()
 	return s, nil
 }

@@ -410,6 +410,59 @@ func TestTCPClusterFacade(t *testing.T) {
 	}
 }
 
+// TestClusterFacadeConcurrentCounts: a Cluster handle is safe for concurrent
+// use. Two goroutines run several rounds of Count on one ConnectCluster
+// handle against two ServeCluster workers, and every count equals the local
+// one.
+func TestClusterFacadeConcurrentCounts(t *testing.T) {
+	const callers, rounds = 2, 5
+	g := GenerateBA(3000, 5, 7)
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv, err := ServeCluster("127.0.0.1:0", g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		addrs = append(addrs, srv.Addr())
+	}
+	c, err := ConnectCluster(addrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pats := []*Pattern{House(), Triangle()}
+	want := make([]int64, len(pats))
+	for i, p := range pats {
+		if want[i], err = Count(g, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, callers*rounds)
+	var wg sync.WaitGroup
+	for k := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				i := (k + r) % len(pats)
+				res, err := c.Count(g, pats[i], ClusterOptions{WorkersPerNode: 1, UseIEP: true})
+				switch {
+				case err != nil:
+					errs <- fmt.Errorf("caller %d round %d: %w", k, r, err)
+				case res.Count != want[i]:
+					errs <- fmt.Errorf("caller %d round %d: %s count = %d, want %d", k, r, pats[i].Name(), res.Count, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // TestHubBudgetSingleMeaning: a hub budget means the same thing in every
 // entry point. Optimize and BuildHubBitmaps on the reordered graph must build
 // the same hub set for a budget that binds, whatever GOMAXPROCS is; the

@@ -31,11 +31,13 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"graphpi/internal/core"
 	"graphpi/internal/graph"
+	"graphpi/internal/taskpool"
 )
 
 // Options configures a cluster run.
@@ -132,9 +134,9 @@ func (r *Result) MaxBusyShare() float64 {
 const tasksPerWorker = 16
 
 // Run binds the configuration (core.Config.Bind with opt.UseIEP, the
-// executor left to the engine) and runs it with RunBound.
+// executor left to the engine) and runs it with RunBound, uncancelled.
 func Run(cfg *core.Config, g *graph.Graph, opt Options) (*Result, error) {
-	return RunBound(cfg.Bind(opt.UseIEP, core.TierAuto), g, opt)
+	return RunBound(context.Background(), cfg.Bind(opt.UseIEP, core.TierAuto), g, opt) //graphpivet:ignore Run is the context-free entry point
 }
 
 // RunBound executes a bound configuration on a cluster and returns the
@@ -143,7 +145,12 @@ func Run(cfg *core.Config, g *graph.Graph, opt Options) (*Result, error) {
 // configuration, task cut and transport. Workers rebind the configuration
 // they receive to the same nest, on the executor the engine picks, and so
 // read the tasks in the same task space as the master.
-func RunBound(b core.Bound, g *graph.Graph, opt Options) (*Result, error) {
+//
+// A transport runs one job at a time, so RunBound may wait for another
+// caller's job. When ctx ends, waiting or mid-job, RunBound returns
+// ctx.Err(); a cancelled job's workers stop, and the transport serves the
+// next job.
+func RunBound(ctx context.Context, b core.Bound, g *graph.Graph, opt Options) (*Result, error) {
 	opt.normalize()
 	tr := opt.Transport
 	if tr == nil {
@@ -154,22 +161,6 @@ func RunBound(b core.Bound, g *graph.Graph, opt Options) (*Result, error) {
 		defer inproc.Close()
 		tr = inproc
 	}
-	nranks := tr.Ranks()
-	if nranks < 1 {
-		return nil, fmt.Errorf("cluster: transport has no ranks")
-	}
-	if g.NumVertices() == 0 {
-		return &Result{Nodes: make([]NodeStats, nranks)}, nil
-	}
-	// The outer loops are cut by core's one cutter at the cluster-wide worker
-	// count as the transport resolves it (remote workers may override their
-	// per-rank count): equal predicted work per task, so one hub can no
-	// longer pin a rank while its peers wait for crumbs.
-	tasks := b.RootTasks(g, core.RunOptions{
-		Workers:   tr.TotalWorkers(opt.WorkersPerNode),
-		ChunkSize: opt.ChunkSize,
-	}, tasksPerWorker)
-
 	job := &Job{
 		Bound:          b,
 		Graph:          g,
@@ -177,14 +168,21 @@ func RunBound(b core.Bound, g *graph.Graph, opt Options) (*Result, error) {
 		NodeDelay:      opt.NodeDelay,
 		DelayedRank:    opt.DelayedNode,
 	}
-	partials, elapsed, err := tr.run(job, tasks, nranks)
+	// The outer loops are cut by core's one cutter at the cluster-wide worker
+	// count as the pool resolves it (remote workers may override their
+	// per-rank count): equal predicted work per task, so one hub can no
+	// longer pin a rank while its peers wait for crumbs.
+	cut := func(totalWorkers int) []taskpool.Range {
+		return b.RootTasks(g, core.RunOptions{Workers: totalWorkers, ChunkSize: opt.ChunkSize}, tasksPerWorker)
+	}
+	partials, tasks, elapsed, err := tr.run(ctx, job, cut)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
 		Elapsed: elapsed,
-		Tasks:   len(tasks),
-		Nodes:   make([]NodeStats, nranks),
+		Tasks:   tasks,
+		Nodes:   make([]NodeStats, len(partials)),
 	}
 	res.Count = reducePartials(b, partials, res.Nodes)
 	return res, nil

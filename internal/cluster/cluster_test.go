@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -265,7 +268,7 @@ func TestClusterEdgeParallelBalance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.open(t, g, nodes)
 			base := Options{Nodes: nodes, WorkersPerNode: 1, ChunkSize: 64, Transport: tr}
-			eres, err := RunBound(b, g, base)
+			eres, err := RunBound(context.Background(), b, g, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,7 +279,7 @@ func TestClusterEdgeParallelBalance(t *testing.T) {
 			sopt := base
 			sopt.NodeDelay = 200 * time.Microsecond
 			sopt.DelayedNode = 1
-			sres, err := RunBound(b, g, sopt)
+			sres, err := RunBound(context.Background(), b, g, sopt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -442,6 +445,138 @@ func TestClusterDefaultCut(t *testing.T) {
 					t.Errorf("%s: master granted %d tasks, the cutter made %d", c.name, res.Tasks, len(tasks))
 				}
 			}
+		})
+	}
+}
+
+// TestClusterConcurrentJobs: a transport runs one job at a time, so callers
+// sharing one queue for it instead of interleaving their frames on the same
+// connections. Two goroutines run several rounds each on one transport of
+// every fabric, and every count must equal the local engine's.
+func TestClusterConcurrentJobs(t *testing.T) {
+	const callers, rounds = 2, 4
+	g := graph.BarabasiAlbert(400, 5, 57)
+	var bounds []core.Bound
+	var want []int64
+	for _, p := range []*pattern.Pattern{pattern.House(), pattern.Triangle(), pattern.Rectangle()} {
+		b := planFor(t, g, p).Bind(true, core.TierAuto)
+		n, err := b.Run(context.Background(), g, core.RunOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds, want = append(bounds, b), append(want, n)
+	}
+	for _, tc := range transportCases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.open(t, g, 2)
+			errs := make(chan error, callers*rounds)
+			var wg sync.WaitGroup
+			for c := range callers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for r := range rounds {
+						i := (c + r) % len(bounds)
+						res, err := RunBound(context.Background(), bounds[i], g, Options{WorkersPerNode: 2, Transport: tr})
+						switch {
+						case err != nil:
+							errs <- fmt.Errorf("caller %d round %d: %w", c, r, err)
+						case res.Count != want[i]:
+							errs <- fmt.Errorf("caller %d round %d: count = %d, want %d", c, r, res.Count, want[i])
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestClusterCancelMidJob: a job whose context ends mid-job returns ctx.Err()
+// at once, a job queued behind it leaves the queue when its own context ends,
+// and the transport then runs the next job exactly. A cancellation is not a
+// loss: the pool's loss, rejoin and redeal counters do not move, and both
+// workers stay live. Rank 0 sleeps 2 s before each task, so an uncancelled
+// job could not return sooner.
+func TestClusterCancelMidJob(t *testing.T) {
+	const delay = 2 * time.Second
+	g := graph.BarabasiAlbert(400, 5, 61)
+	b := planFor(t, g, pattern.House()).Bind(false, core.TierAuto)
+	want := b.Count(g, core.RunOptions{Workers: 1})
+	for _, tc := range transportCases {
+		if tc.lossy {
+			continue // an injected fault moves the counters this test pins
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.open(t, g, 2)
+			st0 := tr.PoolStats()
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			start := time.Now()
+			slow := make(chan error, 1)
+			go func() {
+				_, err := RunBound(ctx, b, g, Options{WorkersPerNode: 1, ChunkSize: 4,
+					NodeDelay: delay, DelayedNode: 0, Transport: tr})
+				slow <- err
+			}()
+			for tr.PoolStats().TaskGap.Count == st0.TaskGap.Count {
+				if time.Since(start) > delay {
+					t.Fatal("no task was acknowledged before the delayed rank's first task ended")
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			// A job queued behind the running one leaves when its context ends.
+			qctx, qcancel := context.WithCancel(context.Background())
+			queued := make(chan error, 1)
+			go func() {
+				_, err := RunBound(qctx, b, g, Options{WorkersPerNode: 1, Transport: tr})
+				queued <- err
+			}()
+			time.Sleep(20 * time.Millisecond)
+			qcancel()
+			if err := <-queued; err != context.Canceled {
+				t.Fatalf("queued job returned %v, want context.Canceled", err)
+			}
+			select {
+			case err := <-slow:
+				t.Fatalf("the running job ended (%v) before it was cancelled", err)
+			default:
+			}
+
+			cancel()
+			if err := <-slow; err != context.Canceled {
+				t.Fatalf("cancelled job returned %v, want context.Canceled", err)
+			}
+			if el := time.Since(start); el >= delay {
+				t.Errorf("cancelled job returned after %v; the delayed rank's task alone takes %v", el, delay)
+			}
+
+			check := func(when string) {
+				t.Helper()
+				st := tr.PoolStats()
+				if st.Losses != st0.Losses || st.Rejoins != st0.Rejoins || st.Redealt != st0.Redealt {
+					t.Errorf("%s: losses %d→%d, rejoins %d→%d, re-dealt %d→%d; want no change",
+						when, st0.Losses, st.Losses, st0.Rejoins, st.Rejoins, st0.Redealt, st.Redealt)
+				}
+				if st.Live != 2 {
+					t.Errorf("%s: %d live workers, want 2", when, st.Live)
+				}
+			}
+			check("after the cancellation")
+			res, err := RunBound(context.Background(), b, g, Options{WorkersPerNode: 2, Transport: tr})
+			if err != nil {
+				t.Fatalf("job after the cancellation: %v", err)
+			}
+			if res.Count != want || len(res.Nodes) != 2 {
+				t.Errorf("job after the cancellation: count %d on %d ranks, want %d on 2", res.Count, len(res.Nodes), want)
+			}
+			check("after the next job")
 		})
 	}
 }

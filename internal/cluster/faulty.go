@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"time"
 
 	"graphpi/internal/taskpool"
@@ -9,10 +10,10 @@ import (
 // NewFaultyTransport wraps a transport with deterministic fault injection:
 // every multi-rank job it runs has one rank (failRank, or the last rank when
 // failRank is out of range) die after completing afterTasks tasks. The
-// wrapped transport is otherwise transparent — Ranks, TotalWorkers,
-// PoolStats and Close delegate — so the conformance suite can run every
-// behavioral test across {in-process, tcp} × {healthy, faulty} and assert
-// that recovered jobs stay bit-identical to single-node counts.
+// wrapped transport is otherwise transparent — PoolStats and Close
+// delegate — so the conformance suite can run every behavioral test across
+// {in-process, tcp} × {healthy, faulty} and assert that recovered jobs stay
+// bit-identical to single-node counts.
 //
 // The death itself happens in the worker (Job.FailRank / Job.FailAfterTasks):
 // it closes its connection abruptly after acknowledging its afterTasks-th
@@ -28,25 +29,16 @@ type faultyTransport struct {
 	afterTasks int
 }
 
-func (f *faultyTransport) Ranks() int { return f.inner.Ranks() }
-
-func (f *faultyTransport) TotalWorkers(workersPerRank int) int {
-	return f.inner.TotalWorkers(workersPerRank)
-}
-
 func (f *faultyTransport) PoolStats() PoolStats { return f.inner.PoolStats() }
 
 func (f *faultyTransport) Close() error { return f.inner.Close() }
 
-func (f *faultyTransport) run(job *Job, tasks []taskpool.Range, nranks int) ([]RankResult, time.Duration, error) {
-	if f.afterTasks > 0 && nranks > 1 {
+func (f *faultyTransport) run(ctx context.Context, job *Job, cut func(int) []taskpool.Range) ([]RankResult, int, time.Duration, error) {
+	if f.afterTasks > 0 {
 		injected := *job
 		injected.FailAfterTasks = f.afterTasks
 		injected.FailRank = f.failRank
-		if injected.FailRank < 0 || injected.FailRank >= nranks {
-			injected.FailRank = nranks - 1
-		}
 		job = &injected
 	}
-	return f.inner.run(job, tasks, nranks)
+	return f.inner.run(ctx, job, cut)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/binary"
 	"maps"
 	"net"
@@ -16,26 +17,18 @@ import (
 	"graphpi/internal/pattern"
 )
 
-// runWithTimeout guards Run calls that exercise failure paths: the contract
-// under test is "errors, never hangs".
+// runWithTimeout runs a job that exercises a failure path under a deadline:
+// the contract under test is "errors, never hangs", and a job still running
+// at the deadline is abandoned and fails the test.
 func runWithTimeout(t *testing.T, d time.Duration, cfg *core.Config, g *graph.Graph, opt Options) (*Result, error) {
 	t.Helper()
-	type outcome struct {
-		res *Result
-		err error
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	res, err := RunBound(ctx, cfg.Bind(opt.UseIEP, core.TierAuto), g, opt)
+	if ctx.Err() != nil {
+		t.Fatalf("Run did not return within %v (%v)", d, err)
 	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := Run(cfg, g, opt)
-		ch <- outcome{res, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-time.After(d):
-		t.Fatalf("Run did not return within %v", d)
-		return nil, nil
-	}
+	return res, err
 }
 
 // TestTCPSnapshotWorker exercises the deployment path the transport is built
@@ -100,9 +93,6 @@ func TestTCPSequentialJobs(t *testing.T) {
 func TestTCPRanksFixed(t *testing.T) {
 	g := graph.GNP(60, 0.3, 9)
 	tr := dialWorkers(t, g, 2)
-	if n := tr.Ranks(); n != 2 {
-		t.Fatalf("Ranks() = %d, want 2", n)
-	}
 	cfg := planFor(t, g, pattern.Triangle())
 	res, err := Run(cfg, g, Options{Nodes: 5, WorkersPerNode: 1, Transport: tr})
 	if err != nil {
@@ -518,8 +508,8 @@ func TestTCPDialRejectsMixedReplicas(t *testing.T) {
 }
 
 // TestTCPWorkerOverrideCounts: ServeOptions.Workers overrides the per-job
-// worker count; the master's TotalWorkers accounting sees the advertised
-// value and counts stay exact.
+// worker count; the master cuts the tasks at the advertised total, and counts
+// stay exact.
 func TestTCPWorkerOverrideCounts(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 4, 17)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -533,11 +523,9 @@ func TestTCPWorkerOverrideCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.Close() })
-	if tw := tr.TotalWorkers(8); tw != 3 {
-		t.Errorf("TotalWorkers = %d, want the advertised override 3", tw)
-	}
 	cfg := planFor(t, g, pattern.House())
-	want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
+	b := cfg.Bind(false, core.TierAuto)
+	want := b.Count(g, core.RunOptions{Workers: 1})
 	res, err := Run(cfg, g, Options{WorkersPerNode: 8, Transport: tr})
 	if err != nil {
 		t.Fatal(err)
@@ -545,15 +533,24 @@ func TestTCPWorkerOverrideCounts(t *testing.T) {
 	if res.Count != want {
 		t.Errorf("count = %d, want %d", res.Count, want)
 	}
+	advertised := len(b.RootTasks(g, core.RunOptions{Workers: 3}, tasksPerWorker))
+	requested := len(b.RootTasks(g, core.RunOptions{Workers: 8}, tasksPerWorker))
+	if advertised == requested {
+		t.Fatalf("fixture cuts %d tasks at 3 and at 8 workers; the check needs a difference", advertised)
+	}
+	if res.Tasks != advertised {
+		t.Errorf("master cut %d tasks, want %d (the advertised 3 workers; 8 would cut %d)", res.Tasks, advertised, requested)
+	}
 }
 
 // TestTCPPoolLatencyStatsAndJobDeltas: the master-side latency histograms
 // fill during a job (inter-ack gaps always; the redeal histogram when a rank
-// is lost holding tasks), and PoolStats.LastJob isolates one job's recovery
-// events — a clean follow-up job reports zero deltas while the lifetime
-// totals keep the earlier loss. Rank 1 has two workers and dies at its second
-// ack, when the master still counts the other worker's task (or the grant
-// that replaced the first) as held, so the job always re-grants something.
+// is lost holding tasks), and the recovery counters are lifetime totals: the
+// lossy job's deltas carry its loss and re-deals, a clean follow-up job's
+// deltas read zero, and the totals keep the earlier loss. Rank 1 has two
+// workers and dies at its second ack, when the master still counts the other
+// worker's task (or the grant that replaced the first) as held, so the job
+// always re-grants something.
 func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	g := graph.BarabasiAlbert(500, 5, 11)
 	inner := dialWorkers(t, g, 2)
@@ -561,6 +558,7 @@ func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	cfg := planFor(t, g, pattern.House())
 	want := cfg.Bind(false, core.TierAuto).Count(g, core.RunOptions{Workers: 1})
 
+	st0 := inner.PoolStats()
 	res, err := runWithTimeout(t, 30*time.Second, cfg, g,
 		Options{WorkersPerNode: 2, ChunkSize: 8, Transport: tr})
 	if err != nil {
@@ -580,18 +578,15 @@ func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 	if bucketTotal != st.TaskGap.Count {
 		t.Errorf("task-gap buckets sum to %d, count %d", bucketTotal, st.TaskGap.Count)
 	}
-	if st.LastJob.Losses == 0 {
-		t.Errorf("lossy job deltas = %+v, want a loss", st.LastJob)
+	if d := st.Losses - st0.Losses; d == 0 {
+		t.Errorf("lossy job's loss delta = %d, want a loss", d)
 	}
-	if st.LastJob.Redealt != st.Redealt {
-		t.Errorf("first job's redeal delta %d differs from the lifetime total %d", st.LastJob.Redealt, st.Redealt)
-	}
-	if st.LastJob.Redealt == 0 || st.Redeal.Count == 0 {
-		t.Errorf("%d tasks re-dealt, %d redeal drains recorded; want both > 0", st.LastJob.Redealt, st.Redeal.Count)
+	if d := st.Redealt - st0.Redealt; d == 0 || st.Redeal.Count == 0 {
+		t.Errorf("%d tasks re-dealt, %d redeal drains recorded; want both > 0", d, st.Redeal.Count)
 	}
 
-	// A clean second job (bypassing the fault injector): per-job deltas
-	// reset, lifetime totals persist.
+	// A clean second job (bypassing the fault injector): its deltas read
+	// zero, and the lifetime totals persist.
 	res2, err := runWithTimeout(t, 30*time.Second, cfg, g,
 		Options{WorkersPerNode: 2, ChunkSize: 8, Transport: inner})
 	if err != nil {
@@ -601,8 +596,8 @@ func TestTCPPoolLatencyStatsAndJobDeltas(t *testing.T) {
 		t.Errorf("second count = %d, want %d", res2.Count, want)
 	}
 	st2 := inner.PoolStats()
-	if st2.LastJob.Losses != 0 || st2.LastJob.Redealt != 0 {
-		t.Errorf("clean job deltas = %+v, want zero", st2.LastJob)
+	if dl, dr := st2.Losses-st.Losses, st2.Redealt-st.Redealt; dl != 0 || dr != 0 {
+		t.Errorf("clean job deltas: %d losses, %d re-dealt; want zero", dl, dr)
 	}
 	if st2.Losses == 0 || st2.Redealt != st.Redealt {
 		t.Errorf("lifetime totals lost earlier events: %+v", st2)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"slices"
@@ -37,9 +38,17 @@ import (
 // goes back to the front of the queue, where the next grant hands it to the
 // survivors — tasks are independent outer-loop ranges, so re-execution
 // re-earns exactly the unacknowledged counts and totals stay bit-identical. A
-// lost link is not fatal to the pool either: the next job's Ranks() sweep
-// redials it with capped exponential backoff, so a restarted worker rejoins
-// without operator action.
+// lost link is not fatal to the pool either: the next job's sweep redials it
+// with capped exponential backoff, so a restarted worker rejoins without
+// operator action.
+//
+// Sessions: a set of worker connections carries one job at a time, and the
+// only way to abandon a job is to close its connections. The pool enforces
+// both: run holds the job lock from the sweep to the last result, so
+// concurrent callers queue (a cancelled waiter leaves at once), and a job
+// whose context ends closes its own connections. The workers stop on the
+// disconnect; the links are abandoned, not lost, and the next job's sweep
+// redials them without moving the loss, rejoin or redeal counters.
 //
 // Termination: every task is in exactly one place — the queue, or held[r] of
 // one live rank — and only its acknowledgement removes it. The job's work is
@@ -64,13 +73,9 @@ type PoolStats struct {
 	// Redealt counts tasks lost ranks held unacknowledged, which went back to
 	// the queue for the survivors.
 	Redealt int64
-	// Losses counts rank-loss events (disconnects and write failures).
+	// Losses counts rank-loss events (disconnects and write failures). A
+	// cancelled job's closed connections are not losses.
 	Losses int64
-	// LastJob isolates the most recently completed job's recovery events.
-	// The counters above are lifetime totals that never reset between jobs;
-	// these deltas answer "did THIS job lose or redeal anything?" without
-	// differencing snapshots across calls.
-	LastJob PoolJobStats
 	// TaskGap observes per-rank inter-acknowledgement gaps — a master-side
 	// proxy for task execution time that needs no wire changes (acks carry
 	// no timing). Redeal observes, per loss, the time until the survivors
@@ -79,21 +84,17 @@ type PoolStats struct {
 	Redeal  telemetry.HistogramSnapshot
 }
 
-// PoolJobStats are one job's recovery-counter deltas.
-type PoolJobStats struct {
-	Rejoins int64
-	Redealt int64
-	Losses  int64
-}
-
-// pool is the Transport: worker links running sequential jobs until closed.
-// A lost worker only shrinks the pool: its link is redialed on later jobs and
-// the worker rejoins when it comes back.
+// pool is the Transport: worker links running one job at a time until
+// closed. A lost worker only shrinks the pool: its link is redialed on later
+// jobs and the worker rejoins when it comes back.
 type pool struct {
 	opt    DialOptions
 	closed atomic.Bool
+	// jobLock holds one token while a job runs (run): a channel, so that a
+	// waiter can leave when its context ends.
+	jobLock chan struct{}
 
-	mu sync.Mutex // guards each link's lifecycle state (lost/attempts/conn swaps)
+	mu sync.Mutex // guards each link's lifecycle state (lost/stale/attempts/conn swaps)
 	// links is append-only during dialPool (pre-publication) and immutable
 	// after; concurrent readers need no lock for the slice itself.
 	links []*workerLink
@@ -106,9 +107,6 @@ type pool struct {
 	// internally synchronized, so job loops observe without holding mu.
 	hTaskGap telemetry.Histogram
 	hRedeal  telemetry.Histogram
-
-	// lastJob holds the most recent job's counter deltas, guarded by mu.
-	lastJob PoolJobStats
 }
 
 // endpoint names a rank and says how to open a connection to it.
@@ -132,8 +130,11 @@ type workerLink struct {
 	fp         graphFingerprint
 	hasGraph   bool
 
-	// Redial state; lockcheck enforces the guard annotations below.
+	// Redial state; lockcheck enforces the guard annotations below. A stale
+	// link's connection was closed by a cancelled job: the worker is not
+	// lost, and the next sweep redials it.
 	lost     bool      // guarded by the pool's mu
+	stale    bool      // guarded by the pool's mu
 	attempts int       // guarded by the pool's mu
 	nextTry  time.Time // guarded by the pool's mu
 }
@@ -168,7 +169,7 @@ func DialTCP(addrs []string, opt DialOptions) (Transport, error) {
 // dialPool connects to every endpoint and checks that the workers holding
 // replicas hold the same one.
 func dialPool(endpoints []endpoint, opt DialOptions) (*pool, error) {
-	t := &pool{opt: opt}
+	t := &pool{opt: opt, jobLock: make(chan struct{}, 1)}
 	for _, ep := range endpoints {
 		link, err := dialLink(ep, t.timeout())
 		if err != nil {
@@ -231,48 +232,43 @@ func (t *pool) markLost(l *workerLink) {
 	_ = l.conn.Close() // link is being retired; the redial path owns recovery
 }
 
-// Ranks answers with the live worker count. It is also the pool's
-// supervision point: every job starts here, so lost links due for a retry are
-// redialed before the rank set is reported.
-func (t *pool) Ranks() int {
+// sweep is the pool's supervision point, run under the job lock at the start
+// of every job: it redials the links a cancelled job abandoned and the lost
+// links due for a retry, and returns the live links with their worker total
+// for a job requesting workersPerRank per rank (each worker's advertised
+// override, or workersPerRank for those that defer to the master).
+func (t *pool) sweep(workersPerRank int) (live []*workerLink, totalWorkers int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed.Load() {
-		return 0
+		return nil, 0
 	}
 	now := time.Now()
-	live := 0
 	for _, l := range t.links {
-		if l.lost && !now.Before(l.nextTry) {
+		if l.stale || (l.lost && !now.Before(l.nextTry)) {
 			if nl, err := dialLink(l.endpoint, t.timeout()); err == nil {
+				if l.lost {
+					t.rejoins.Add(1)
+				}
 				l.conn, l.br = nl.conn, nl.br
 				l.advWorkers, l.fp, l.hasGraph = nl.advWorkers, nl.fp, nl.hasGraph
-				l.lost, l.attempts = false, 0
-				t.rejoins.Add(1)
+				l.lost, l.stale, l.attempts = false, false, 0
 			} else {
+				if l.stale {
+					// The worker went away while its link was down.
+					l.lost, l.stale = true, false
+					t.losses.Add(1)
+				}
 				l.attempts++
 				l.nextTry = now.Add(backoff(l.attempts))
 			}
 		}
 		if !l.lost {
-			live++
+			live = append(live, l)
+			totalWorkers += l.workers(workersPerRank)
 		}
 	}
-	return live
-}
-
-// TotalWorkers sums each live worker's advertised override, falling back to
-// the requested per-rank count for workers that defer to the master.
-func (t *pool) TotalWorkers(workersPerRank int) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	total := 0
-	for _, l := range t.links {
-		if !l.lost {
-			total += l.workers(workersPerRank)
-		}
-	}
-	return total
+	return live, totalWorkers
 }
 
 // workers is the link's worker goroutine count for a job requesting
@@ -293,7 +289,6 @@ func (t *pool) PoolStats() PoolStats {
 		Rejoins: t.rejoins.Load(),
 		Redealt: t.redealt.Load(),
 		Losses:  t.losses.Load(),
-		LastJob: t.lastJob,
 		TaskGap: t.hTaskGap.Snapshot(),
 		Redeal:  t.hRedeal.Snapshot(),
 	}
@@ -313,7 +308,7 @@ func (t *pool) Close() error {
 	defer t.mu.Unlock()
 	var first error
 	for _, l := range t.links {
-		if l.lost {
+		if l.lost || l.stale {
 			continue
 		}
 		if err := l.conn.Close(); err != nil && first == nil {
@@ -421,9 +416,65 @@ func (t *pool) pushSnapshot(l *workerLink, snap []byte, g *graph.Graph) (err err
 	return nil, false
 }
 
-// setup ships the job to every live link and collects the acceptances. It
-// returns the job's links (session rank = index) and which of them were lost
-// on the way.
+// run is the Transport's job entry point (see Transport.run).
+func (t *pool) run(ctx context.Context, job *Job, cut func(int) []taskpool.Range) ([]RankResult, int, time.Duration, error) {
+	select {
+	case t.jobLock <- struct{}{}:
+		defer func() { <-t.jobLock }()
+	case <-ctx.Done():
+		return nil, 0, 0, ctx.Err()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, 0, err // cancelled as the lock came free
+	}
+	links, workers := t.sweep(job.WorkersPerRank)
+	switch {
+	case t.closed.Load():
+		return nil, 0, 0, fmt.Errorf("cluster: transport closed")
+	case len(links) == 0:
+		return nil, 0, 0, fmt.Errorf("cluster: no live workers (pool of %d, all lost)", len(t.links))
+	}
+	tasks := cut(workers)
+	if len(tasks) == 0 {
+		return make([]RankResult, len(links)), 0, 0, nil // an empty task space: nothing to ship
+	}
+	// A cancelled job is abandoned the only way the protocol has: by closing
+	// its connections, which also stops the workers. The closure holds the
+	// connections, not the links, which the next job's sweep rewrites.
+	conns := make([]net.Conn, len(links))
+	for i, l := range links {
+		conns[i] = l.conn
+	}
+	stop := context.AfterFunc(ctx, func() {
+		for _, c := range conns {
+			_ = c.Close() // abandoning the job; the workers see a disconnect
+		}
+	})
+	partials, elapsed, err := t.deal(ctx, job, links, tasks)
+	stop()
+	if ctx.Err() != nil {
+		t.abandon(links)
+		return nil, 0, 0, ctx.Err()
+	}
+	return partials, len(tasks), elapsed, err
+}
+
+// abandon retires the links of a cancelled job. Their connections close, but
+// the workers are not lost: the next sweep redials them, and no loss, rejoin
+// or redeal is counted.
+func (t *pool) abandon(links []*workerLink) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, l := range links {
+		if !l.lost {
+			l.stale = true
+			_ = l.conn.Close() // the link is redialed; a second close is harmless
+		}
+	}
+}
+
+// setup ships the job to the live links (session rank = index) and collects
+// the acceptances. It returns which links were lost on the way.
 //
 // Job setup tolerates crashes the same way the job itself does: an IO failure
 // on any one link (worker died between jobs, or dies while setup is in
@@ -432,26 +483,17 @@ func (t *pool) pushSnapshot(l *workerLink, snap []byte, g *graph.Graph) (err err
 // rejections (replica mismatch, malformed replies) unwind the whole job: those
 // mean misconfiguration, and peers that already accepted are waiting for
 // grants that will never come, so every live link is retired and the next
-// job redials cleanly.
-func (t *pool) setup(job *Job, nranks int) ([]*workerLink, []bool, error) {
-	if t.closed.Load() {
-		return nil, nil, fmt.Errorf("cluster: transport closed")
-	}
-	t.mu.Lock()
-	var live []*workerLink
-	for _, l := range t.links {
-		if !l.lost {
-			live = append(live, l)
+// job redials cleanly. An IO failure after ctx ended is the cancellation's
+// own close, not a loss.
+func (t *pool) setup(ctx context.Context, job *Job, live []*workerLink) ([]bool, error) {
+	nranks := len(live)
+	lost := make([]bool, nranks)
+	drop := func(i int) {
+		if ctx.Err() == nil {
+			t.markLost(live[i])
 		}
+		lost[i] = true
 	}
-	t.mu.Unlock()
-	if len(live) == 0 {
-		return nil, nil, fmt.Errorf("cluster: no live workers (pool of %d, all lost)", len(t.links))
-	}
-	if nranks != len(live) {
-		return nil, nil, fmt.Errorf("cluster: job wants %d ranks, %d workers are live", nranks, len(live))
-	}
-	lost := make([]bool, len(live))
 	// Cold workers first: push the snapshot so a worker that joined without
 	// a local replica can serve this graph's jobs.
 	var snap []byte
@@ -462,16 +504,15 @@ func (t *pool) setup(job *Job, nranks int) ([]*workerLink, []bool, error) {
 		if snap == nil {
 			var buf bytes.Buffer
 			if err := graph.WriteBinary(&buf, job.Graph); err != nil {
-				return nil, nil, fmt.Errorf("cluster: serializing snapshot for cold workers: %w", err)
+				return nil, fmt.Errorf("cluster: serializing snapshot for cold workers: %w", err)
 			}
 			snap = buf.Bytes()
 		}
 		if err, fatal := t.pushSnapshot(l, snap, job.Graph); err != nil {
-			t.markLost(l)
+			drop(i)
 			if fatal {
-				return nil, nil, fmt.Errorf("cluster: worker %s: snapshot push: %w", l.addr, err)
+				return nil, fmt.Errorf("cluster: worker %s: snapshot push: %w", l.addr, err)
 			}
-			lost[i] = true
 		}
 	}
 	for i, l := range live {
@@ -479,8 +520,7 @@ func (t *pool) setup(job *Job, nranks int) ([]*workerLink, []bool, error) {
 			continue
 		}
 		if err := l.write(msgJob, encodeJob(jobSpecOf(job, i, nranks))); err != nil {
-			t.markLost(l)
-			lost[i] = true
+			drop(i)
 		}
 	}
 	accepted := 0
@@ -490,8 +530,7 @@ func (t *pool) setup(job *Job, nranks int) ([]*workerLink, []bool, error) {
 		}
 		typ, payload, err := readFrame(l.br)
 		if err != nil {
-			t.markLost(l)
-			lost[i] = true
+			drop(i)
 			continue
 		}
 		switch typ {
@@ -499,28 +538,29 @@ func (t *pool) setup(job *Job, nranks int) ([]*workerLink, []bool, error) {
 			accepted++
 		case msgError:
 			t.resetLive()
-			return nil, nil, fmt.Errorf("cluster: worker %s rejected job: %s", l.addr, payload)
+			return nil, fmt.Errorf("cluster: worker %s rejected job: %s", l.addr, payload)
 		default:
 			t.resetLive()
-			return nil, nil, fmt.Errorf("cluster: worker %s: unexpected job reply type %d", l.addr, typ)
+			return nil, fmt.Errorf("cluster: worker %s: unexpected job reply type %d", l.addr, typ)
 		}
 	}
 	if accepted == 0 {
-		return nil, nil, fmt.Errorf("cluster: every worker was lost during job setup")
+		return nil, fmt.Errorf("cluster: every worker was lost during job setup")
 	}
-	return live, lost, nil
+	return lost, nil
 }
 
-func (t *pool) run(job *Job, tasks []taskpool.Range, nranks int) ([]RankResult, time.Duration, error) {
-	base := PoolJobStats{Rejoins: t.rejoins.Load(), Redealt: t.redealt.Load(), Losses: t.losses.Load()}
-	defer t.finishJobStats(base)
-	links, lost, err := t.setup(job, nranks)
+// deal sets the job up on links and runs it to its last result, granting
+// tasks on demand.
+func (t *pool) deal(ctx context.Context, job *Job, links []*workerLink, tasks []taskpool.Range) ([]RankResult, time.Duration, error) {
+	lost, err := t.setup(ctx, job, links)
 	if err != nil {
 		return nil, 0, err
 	}
 	n := len(links)
 	j := &jobRun{
 		t:       t,
+		ctx:     ctx,
 		links:   links,
 		workers: make([]int, n),
 		queue:   tasks,
@@ -554,7 +594,7 @@ func (t *pool) run(job *Job, tasks []taskpool.Range, nranks int) ([]RankResult, 
 	}
 	j.grant()
 	for j.err == nil && (len(j.queue) > 0 || j.holding()) {
-		j.handle(<-j.events)
+		j.next()
 	}
 	if j.err == nil {
 		j.jobDone = true
@@ -565,28 +605,14 @@ func (t *pool) run(job *Job, tasks []taskpool.Range, nranks int) ([]RankResult, 
 				}
 			}
 		}
-		for !j.allDone() {
-			j.handle(<-j.events)
+		for j.err == nil && !j.allDone() {
+			j.next()
 		}
 	}
 	if j.err != nil {
 		return nil, 0, fmt.Errorf("cluster: %w", j.err)
 	}
 	return j.results, time.Since(start), nil
-}
-
-// finishJobStats publishes this job's recovery-counter deltas (current
-// lifetime totals minus the baseline captured when the job started) as the
-// pool's LastJob snapshot.
-func (t *pool) finishJobStats(base PoolJobStats) {
-	jl := PoolJobStats{
-		Rejoins: t.rejoins.Load() - base.Rejoins,
-		Redealt: t.redealt.Load() - base.Redealt,
-		Losses:  t.losses.Load() - base.Losses,
-	}
-	t.mu.Lock()
-	t.lastJob = jl
-	t.mu.Unlock()
 }
 
 // rankEvent is one worker frame routed to the job loop, tagged with its rank.
@@ -606,6 +632,7 @@ type rankEvent struct {
 // it; each rank's readLoop feeds it through events.
 type jobRun struct {
 	t       *pool
+	ctx     context.Context    // ending it closes the links (pool.run)
 	links   []*workerLink      // session rank = index
 	workers []int              // worker goroutines per rank
 	queue   []taskpool.Range   // undealt tasks; the front is granted next
@@ -677,6 +704,16 @@ func (j *jobRun) readLoop(r int, br *bufio.Reader) {
 	}
 }
 
+// next handles the next rank event, or stops the job when its context ends.
+func (j *jobRun) next() {
+	select {
+	case ev := <-j.events:
+		j.handle(ev)
+	case <-j.ctx.Done():
+		j.err = j.ctx.Err()
+	}
+}
+
 // handle folds one rank event into the job state and grants what it freed.
 func (j *jobRun) handle(ev rankEvent) {
 	r := ev.rank
@@ -739,9 +776,15 @@ func (j *jobRun) grant() {
 // lose retires rank r: its connection closes (making the loss visible to the
 // pool's redial sweep), its banked counts become its result, and the tasks it
 // held go back to the front of the queue. The job fails only when tasks
-// remain and no live rank is left to run them.
+// remain and no live rank is left to run them. After the job's context ended,
+// a failing link is the cancellation's own close: the job stops, and nothing
+// is counted as lost.
 func (j *jobRun) lose(r int, cause error) {
 	j.alive[r] = false
+	if err := j.ctx.Err(); err != nil {
+		j.err = err
+		return
+	}
 	j.t.markLost(j.links[r])
 	if !j.done[r] {
 		j.done[r] = true

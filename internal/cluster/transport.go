@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"time"
@@ -15,28 +16,24 @@ import (
 // nil; NewFaultyTransport wraps either with fault injection. Every one runs
 // the same master (tcp_transport.go) against the same worker (serve.go).
 type Transport interface {
-	// Ranks returns the rank count for the next job: the live worker set.
-	// It is also the pool's supervision point — lost links due for a retry
-	// are redialed here.
-	Ranks() int
-	// TotalWorkers returns the cluster-wide worker count for a job with
-	// workersPerRank requested per rank, counting the per-worker overrides
-	// (ServeOptions.Workers) advertised at join time, so the master's task
-	// granularity matches the workers that actually run.
-	TotalWorkers(workersPerRank int) int
 	// PoolStats reports the pool's health and recovery counters.
 	PoolStats() PoolStats
 	// Close releases the pool. Workers observe it as a leave: their
 	// connections close and they return to accepting new masters.
 	Close() error
 
-	// run executes one job on nranks ranks: it ships the job to every rank,
-	// grants tasks on demand until each is acknowledged, and returns the
-	// per-rank partial results, indexed by rank, with the time from the first
-	// grant to the last result. A lost rank is recovered from (its
+	// run executes one job. Jobs run one at a time: run waits for the
+	// pool's job lock, or returns ctx.Err() if ctx ends first. Holding it,
+	// run redials the lost links due for a retry, cuts the tasks at the live
+	// workers' total (cut), ships the job to every live rank, grants tasks on
+	// demand until each is acknowledged, and returns the per-rank partial
+	// results, indexed by rank, with the task count and the time from the
+	// first grant to the last result. A lost rank is recovered from (its
 	// acknowledged counts are banked, its unacknowledged tasks re-granted to
-	// the survivors), so run errors only when no live rank remains.
-	run(job *Job, tasks []taskpool.Range, nranks int) ([]RankResult, time.Duration, error)
+	// the survivors), so run errors only when no live rank remains, or with
+	// ctx.Err() when ctx ends mid-job: the job's connections are then
+	// closed, which stops the workers, and the next job redials them.
+	run(ctx context.Context, job *Job, cut func(totalWorkers int) []taskpool.Range) (partials []RankResult, tasks int, elapsed time.Duration, err error)
 }
 
 // Job bundles everything the master ships to its ranks for one counting job.
@@ -60,8 +57,9 @@ type Job struct {
 	// FailAfterTasks, when > 0, makes rank FailRank die after completing
 	// that many tasks (fault injection for tests and benchmarks, shipped on
 	// the wire like NodeDelay). Death happens at a task boundary: the worker
-	// closes its connection abruptly after acknowledging the task.
-	// Multi-rank jobs only — a single rank has no survivor to recover on.
+	// closes its connection abruptly after acknowledging the task. A
+	// FailRank outside the job's ranks names the last rank. Multi-rank jobs
+	// only — a single rank has no survivor to recover on.
 	FailRank       int
 	FailAfterTasks int
 }

@@ -360,6 +360,10 @@ func decodeJob(payload []byte) (*jobSpec, error) {
 // jobSpecOf flattens a Job for the wire.
 func jobSpecOf(job *Job, rankID, nranks int) *jobSpec {
 	cfg := job.Bound.Config()
+	failRank := job.FailRank
+	if failRank < 0 || failRank >= nranks {
+		failRank = nranks - 1
+	}
 	return &jobSpec{
 		Rank:           rankID,
 		NumRanks:       nranks,
@@ -367,7 +371,7 @@ func jobSpecOf(job *Job, rankID, nranks int) *jobSpec {
 		UseIEP:         job.Bound.IEP(),
 		DelayNS:        int64(job.NodeDelay),
 		DelayedRank:    job.DelayedRank,
-		FailRank:       job.FailRank,
+		FailRank:       failRank,
 		FailAfterTasks: job.FailAfterTasks,
 		PatternN:       cfg.Pattern.N(),
 		PatternName:    cfg.Pattern.Name(),

@@ -39,29 +39,22 @@ func (localBackend) count(ctx context.Context, b core.Bound, g *graph.Graph, wor
 }
 
 // clusterBackend dispatches counting jobs across TCP worker processes
-// (cluster.Serve listeners). The transport is dialed lazily and is elastic:
-// a worker lost mid-job has its tasks re-dealt to survivors and is redialed
-// before the next job, so the transport survives failures and is kept across
-// them. A job that still fails (e.g. every worker lost at once) is retried
-// clusterJobRetries times — each retry re-enters the transport's
+// (cluster.Serve listeners). The transport is dialed lazily, once, and kept
+// until close: it is elastic (a worker lost mid-job has its tasks re-dealt to
+// survivors and is redialed before the next job), it runs one job at a time
+// (a queued job whose context ends leaves the queue at once), and it abandons
+// a cancelled job itself, which frees the remote cores within one outer-loop
+// boundary. A job that still fails (e.g. every worker lost at once) is
+// retried clusterJobRetries times — each retry re-enters the transport's
 // redial sweep, so a restarted fleet recovers the query without the client
-// resubmitting. Only cancellation drops the transport: a cancelled job
-// abandons its session by closing the connections, which both unblocks the
-// master side immediately and — via the workers' disconnect stop flag —
-// frees the remote cores within one outer-loop boundary. The wire protocol
-// runs one job per connection set at a time, so jobs serialize on jobMu;
-// admission control keeps that line short.
+// resubmitting.
 type clusterBackend struct {
 	addrs          []string
 	workersPerNode int
 	tracer         *telemetry.Tracer
 
-	jobMu sync.Mutex // one wire job at a time
-	mu    sync.Mutex
-	tr    cluster.Transport // guarded by mu
-	// base accumulates recovery counters from transports that were dropped
-	// (cancellation, close), so /metrics totals survive redials.
-	base cluster.PoolStats // guarded by mu
+	mu sync.Mutex
+	tr cluster.Transport // guarded by mu
 
 	jobRetries atomic.Int64
 }
@@ -85,7 +78,7 @@ func newClusterBackend(addrs []string, workersPerNode int, tracer *telemetry.Tra
 
 func (b *clusterBackend) name() string { return "cluster" }
 
-// transport returns the live transport, dialing if needed.
+// transport returns the transport, dialing it on first use.
 func (b *clusterBackend) transport() (cluster.Transport, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -99,59 +92,19 @@ func (b *clusterBackend) transport() (cluster.Transport, error) {
 	return b.tr, nil
 }
 
-// drop discards tr (closing it) so the next job redials fresh connections,
-// folding its recovery counters into the running totals first.
-func (b *clusterBackend) drop(tr cluster.Transport) {
-	b.mu.Lock()
-	if b.tr == tr {
-		b.tr = nil
-		b.bankLocked(tr)
-	}
-	b.mu.Unlock()
-	tr.Close()
-}
-
-// bankLocked folds a departing transport's counters into base. Callers hold
-// b.mu.
-func (b *clusterBackend) bankLocked(tr cluster.Transport) {
-	st := tr.PoolStats()
-	b.base.Rejoins += st.Rejoins
-	b.base.Redealt += st.Redealt
-	b.base.Losses += st.Losses
-	b.base.TaskGap.Merge(st.TaskGap)
-	b.base.Redeal.Merge(st.Redeal)
-}
-
-// poolStats reports cluster pool health: the live transport's current state
-// plus counters banked from dropped transports. known is false when no
-// transport is currently dialed (pool state unknowable, not necessarily bad).
+// poolStats reports cluster pool health. known is false when the transport
+// is not dialed yet (pool state unknowable, not necessarily bad).
 func (b *clusterBackend) poolStats() (st cluster.PoolStats, known bool) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	st = b.base
-	// Detach the histogram buckets: st is a shallow copy of base, and the
-	// merges below must not rewrite base's backing arrays.
-	st.TaskGap = st.TaskGap.Clone()
-	st.Redeal = st.Redeal.Clone()
-	st.Workers = len(b.addrs)
-	if b.tr == nil {
-		return st, false
+	tr := b.tr
+	b.mu.Unlock()
+	if tr == nil {
+		return cluster.PoolStats{Workers: len(b.addrs)}, false
 	}
-	cur := b.tr.PoolStats()
-	st.Workers = cur.Workers
-	st.Live = cur.Live
-	st.Rejoins += cur.Rejoins
-	st.Redealt += cur.Redealt
-	st.Losses += cur.Losses
-	st.LastJob = cur.LastJob
-	st.TaskGap.Merge(cur.TaskGap)
-	st.Redeal.Merge(cur.Redeal)
-	return st, true
+	return tr.PoolStats(), true
 }
 
 func (b *clusterBackend) count(ctx context.Context, bound core.Bound, g *graph.Graph, workers int, _ *telemetry.RunStats) (int64, error) {
-	b.jobMu.Lock()
-	defer b.jobMu.Unlock()
 	var lastErr error
 	for attempt := 0; attempt <= clusterJobRetries; attempt++ {
 		if attempt > 0 {
@@ -172,42 +125,25 @@ func (b *clusterBackend) count(ctx context.Context, bound core.Bound, g *graph.G
 			lastErr = err
 			continue
 		}
-		type outcome struct {
-			res *cluster.Result
-			err error
+		t0 := time.Now()
+		res, err := cluster.RunBound(ctx, bound, g, cluster.Options{
+			WorkersPerNode: b.workersPerNode,
+			Transport:      tr,
+		})
+		attrs := map[string]string{"attempt": fmt.Sprint(attempt)}
+		if err != nil {
+			attrs["error"] = err.Error()
 		}
-		ch := make(chan outcome, 1)
-		go func() {
-			t0 := time.Now()
-			res, err := cluster.RunBound(bound, g, cluster.Options{
-				WorkersPerNode: b.workersPerNode,
-				Transport:      tr,
-			})
-			attrs := map[string]string{"attempt": fmt.Sprint(attempt)}
-			if err != nil {
-				attrs["error"] = err.Error()
-			}
-			b.tracer.Span("cluster-deal", t0, attrs)
-			ch <- outcome{res, err}
-		}()
-		select {
-		case o := <-ch:
-			if o.err != nil {
-				// The transport is kept: lost workers are already marked and
-				// the next attempt's redial sweep brings back any that
-				// restarted.
-				lastErr = o.err
-				continue
-			}
-			return o.res.Count, nil
-		case <-ctx.Done():
-			// Abandon the session: closing the connections errors the
-			// in-flight Run and tells every worker (via its disconnect stop
-			// flag) to abandon its queue.
-			b.drop(tr)
-			<-ch // reap the runner goroutine; it fails fast on the closed conns
+		b.tracer.Span("cluster-deal", t0, attrs)
+		if err == nil {
+			return res.Count, nil
+		}
+		if ctx.Err() != nil {
 			return 0, ctx.Err()
 		}
+		// The transport is kept: lost workers are already marked and the
+		// next attempt's redial sweep brings back any that restarted.
+		lastErr = err
 	}
 	return 0, fmt.Errorf("service: cluster job failed after %d attempts: %w", clusterJobRetries+1, lastErr)
 }
@@ -216,9 +152,6 @@ func (b *clusterBackend) close() {
 	b.mu.Lock()
 	tr := b.tr
 	b.tr = nil
-	if tr != nil {
-		b.bankLocked(tr)
-	}
 	b.mu.Unlock()
 	if tr != nil {
 		tr.Close()

@@ -811,13 +811,17 @@ func cycleSpec(n int) string {
 	return fmt.Sprintf("%d:%s", n, m)
 }
 
-// TestServiceClusterBackendSurvivesCancel: after a cancelled cluster job
-// (which abandons its poisoned transport), the next cluster query must
-// redial and succeed.
+// TestServiceClusterBackendSurvivesCancel: a cancelled cluster job is
+// abandoned by the transport itself, which closes the job's connections; the
+// workers are not lost, so /healthz stays 200, rejoins_total and
+// tasks_redealt_total do not move, and the next cluster query redials them
+// and succeeds.
 func TestServiceClusterBackendSurvivesCancel(t *testing.T) {
+	checkNoLeak(t)
 	g := baFixture(20000, 8, 9)
 	addrs := startWorkers(t, g, 2)
 	s := newTestServer(t, g, Options{ClusterAddrs: addrs, MaxConcurrent: 2})
+	base := startHTTP(t, s)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -827,11 +831,21 @@ func TestServiceClusterBackendSurvivesCancel(t *testing.T) {
 		})
 		errc <- err
 	}()
-	waitFor(t, "cluster job running", func() bool { return s.MetricsSnapshot().RunningJobs == 1 })
-	time.Sleep(50 * time.Millisecond) // let the wire job actually start
+	waitFor(t, "cluster job acknowledging tasks", func() bool {
+		st, known := s.cluster.poolStats()
+		return known && st.TaskGap.Count > 0
+	})
+	var before, after Metrics
+	getJSON(t, base+"/metrics", &before)
+	if code := getJSON(t, base+"/healthz", nil); code != 200 {
+		t.Fatalf("healthz during the cluster job = %d, want 200", code)
+	}
 	cancel()
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("cancelled cluster job error = %v, want context.Canceled", err)
+	}
+	if code := getJSON(t, base+"/healthz", nil); code != 200 {
+		t.Errorf("healthz after the cancellation = %d, want 200", code)
 	}
 
 	qr, err := s.runCount(context.Background(), queryRequest{
@@ -846,6 +860,68 @@ func TestServiceClusterBackendSurvivesCancel(t *testing.T) {
 	}
 	if want := res.Best.Bind(true, core.TierAuto).Count(g, core.RunOptions{}); qr.Count != want {
 		t.Fatalf("post-cancel cluster count = %d, want %d", qr.Count, want)
+	}
+	getJSON(t, base+"/metrics", &after)
+	if after.RejoinsTotal != before.RejoinsTotal || after.RedealtTotal != before.RedealtTotal {
+		t.Errorf("the cancellation moved rejoins_total %d→%d, tasks_redealt_total %d→%d",
+			before.RejoinsTotal, after.RejoinsTotal, before.RedealtTotal, after.RedealtTotal)
+	}
+	if after.WorkersAlive != 2 {
+		t.Errorf("workers alive after the cancellation = %d, want 2", after.WorkersAlive)
+	}
+}
+
+// TestServiceQueuedClusterJobCancel: the cluster transport runs one job at a
+// time, and a cluster /count queued behind a running one leaves the queue
+// when its context ends: it returns context.Canceled while the running job
+// is still counting, and its run slot comes free.
+func TestServiceQueuedClusterJobCancel(t *testing.T) {
+	checkNoLeak(t)
+	g := baFixture(20000, 8, 9)
+	addrs := startWorkers(t, g, 2)
+	s := newTestServer(t, g, Options{ClusterAddrs: addrs, MaxConcurrent: 2})
+
+	runCtx, stopRun := context.WithCancel(context.Background())
+	defer stopRun()
+	running := make(chan error, 1)
+	go func() {
+		_, err := s.runCount(runCtx, queryRequest{
+			graphName: "ba", patternSpec: "house", backendName: "cluster",
+		})
+		running <- err
+	}()
+	waitFor(t, "cluster job acknowledging tasks", func() bool {
+		st, known := s.cluster.poolStats()
+		return known && st.TaskGap.Count > 0
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	queued := make(chan error, 1)
+	go func() {
+		_, err := s.runCount(ctx, queryRequest{
+			graphName: "ba", patternSpec: "triangle", iep: true, backendName: "cluster",
+		})
+		queued <- err
+	}()
+	waitFor(t, "second cluster job admitted", func() bool { return s.MetricsSnapshot().RunningJobs == 2 })
+	time.Sleep(50 * time.Millisecond) // let it reach the transport
+	cancel()
+	if err := <-queued; err != context.Canceled {
+		t.Fatalf("queued cluster job error = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-running:
+		t.Fatalf("the running cluster job ended (%v) before the queued one returned", err)
+	default:
+	}
+	waitFor(t, "the queued job's slot freed", func() bool { return s.MetricsSnapshot().RunningJobs == 1 })
+	if m := s.MetricsSnapshot(); m.Jobs.Canceled != 1 {
+		t.Errorf("canceled jobs = %d, want 1", m.Jobs.Canceled)
+	}
+
+	stopRun()
+	if err := <-running; err != context.Canceled {
+		t.Fatalf("running cluster job error = %v, want context.Canceled", err)
 	}
 }
 

@@ -90,34 +90,3 @@ func upperOf(i int) int64 {
 	}
 	return int64(1)<<(i+1) - 1
 }
-
-// Clone returns a deep copy with a detached bucket slice — required before
-// Merge when the receiver was shallow-copied from shared state, since Merge
-// rewrites the bucket slice in place.
-func (s HistogramSnapshot) Clone() HistogramSnapshot {
-	s.Buckets = append([]Bucket(nil), s.Buckets...)
-	return s
-}
-
-// Merge folds another snapshot into s (bucket-aligned union).
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	s.Count += o.Count
-	s.SumNS += o.SumNS
-	if len(o.Buckets) == 0 {
-		return
-	}
-	merged := make(map[int64]int64, len(s.Buckets)+len(o.Buckets))
-	for _, b := range s.Buckets {
-		merged[b.UpperNS] += b.Count
-	}
-	for _, b := range o.Buckets {
-		merged[b.UpperNS] += b.Count
-	}
-	s.Buckets = s.Buckets[:0]
-	for i := 0; i < histBuckets; i++ {
-		up := upperOf(i)
-		if n, ok := merged[up]; ok && n > 0 {
-			s.Buckets = append(s.Buckets, Bucket{UpperNS: up, Count: n})
-		}
-	}
-}

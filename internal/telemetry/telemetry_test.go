@@ -78,13 +78,6 @@ func TestHistogram(t *testing.T) {
 	if total != 4 {
 		t.Errorf("bucket counts sum to %d", total)
 	}
-	// Merge with itself doubles everything.
-	m := s
-	m.Buckets = append([]Bucket(nil), s.Buckets...)
-	m.Merge(s)
-	if m.Count != 8 || m.SumNS != 2*wantSum {
-		t.Errorf("merged = %+v", m)
-	}
 }
 
 func TestHistogramNilSafe(t *testing.T) {
